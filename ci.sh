@@ -30,6 +30,10 @@ if [[ "${1:-}" == "tsan" ]]; then
 fi
 
 cargo build --release
+# The repo benchmark (BENCHMARK.json) is a frozen package of its own that
+# compiles against the product crates' public API: a change that breaks it
+# must fail here, not in the benchmark driver.
+cargo build --release --manifest-path benchmark/Cargo.toml
 # Debug-profile tests run with the verbs-contract validator in Panic mode
 # (rsj-rdma's default `verify` feature), so this is the validator-enabled
 # pass: any RDMA protocol misuse aborts the suite.

@@ -15,10 +15,13 @@
 //!   runs on: fabric + per-core simulated threads + cluster barrier with
 //!   structured phase bookkeeping ([`runtime::PhaseEvent`]);
 //! * [`wire`] — the unified 32-bit wire-tag codec shared by the join and
-//!   the §7 operators.
+//!   the §7 operators;
+//! * [`exchange`] — the one exchange layer under all four operators:
+//!   all-to-all, the receive loop and the scatter sender.
 
 mod cost;
 pub mod error;
+pub mod exchange;
 mod meter;
 pub mod phase;
 mod phases;
@@ -29,9 +32,10 @@ pub mod wire;
 
 pub use cost::CostModel;
 pub use error::JoinError;
+pub use exchange::{Exchange, Lane, Posted, Scatter, SendStep};
 pub use meter::{default_settle_mode, Meter, SettleMode};
 pub use phases::PhaseTimes;
-pub use runtime::{run_cluster, try_run_cluster, ClusterRun, PhaseEvent, Runtime};
+pub use runtime::{ClusterRun, PhaseEvent, Runtime};
 pub use service::{
     HealingConfig, HostReport, JoinRequest, QueryJob, QueryReport, QueryService, RejectReason,
     ServiceConfig, ServiceReport,

@@ -105,7 +105,7 @@ pub struct Runtime {
 /// What a finished [`Runtime::run`] reports.
 pub struct ClusterRun {
     /// Global phase boundaries (barrier-release times), starting with
-    /// t = 0; one extra entry per [`Runtime::sync`]/[`Runtime::sync_named`].
+    /// t = 0; one extra entry per [`Runtime::sync_named`].
     pub marks: Vec<SimTime>,
     /// Per-machine records of every *named* phase, in phase order.
     pub events: Vec<PhaseEvent>,
@@ -286,39 +286,8 @@ impl Runtime {
         Ok(leader)
     }
 
-    /// End an anonymous phase: cluster-wide barrier plus a global mark,
-    /// without per-machine events. Returns `true` on the leader.
-    pub fn sync(&self, ctx: &SimCtx) -> bool {
-        self.try_sync(ctx, 0).unwrap_or(false)
-    }
-
-    /// Failure-aware [`Runtime::sync`]; `machine` attributes the arrival
-    /// for straggler detection.
-    pub fn try_sync(&self, ctx: &SimCtx, machine: usize) -> Result<bool, JoinError> {
-        self.arrivals[machine].fetch_add(1, Ordering::Relaxed);
-        let leader = match self.barrier.wait_checked(ctx) {
-            Ok(leader) => leader,
-            Err(_) => return Err(self.abort_error(*self.phase_label.lock())),
-        };
-        if leader {
-            let mut st = self.state.lock();
-            let now = ctx.now();
-            st.marks.push(now);
-            // A mark is also a phase boundary for event bookkeeping.
-            st.pending.fill(SimTime::ZERO);
-        }
-        Ok(leader)
-    }
-
-    /// Cluster-wide barrier without any bookkeeping. Returns `false`
-    /// (non-leader) if the run was aborted.
-    pub fn sync_quiet(&self, ctx: &SimCtx) -> bool {
-        self.barrier.wait_checked(ctx).unwrap_or(false)
-    }
-
-    /// Failure-aware [`Runtime::sync_quiet`]: no marks or events are
-    /// recorded, but a poisoned barrier surfaces as
-    /// [`JoinError::Aborted`] instead of a silent non-leader return.
+    /// Cluster-wide barrier without marks or events: a poisoned barrier
+    /// surfaces as [`JoinError::Aborted`]. Returns `true` on the leader.
     pub fn try_sync_quiet(&self, ctx: &SimCtx) -> Result<bool, JoinError> {
         self.barrier
             .wait_checked(ctx)
@@ -448,7 +417,7 @@ impl Runtime {
                     // The last worker through the final barrier stops the
                     // fabric engines. On an aborted run the barrier is
                     // poisoned and the fabric already flushed.
-                    if rt.sync_quiet(ctx) {
+                    if rt.barrier.wait_checked(ctx).unwrap_or(false) {
                         rt.fabric.shutdown(ctx);
                     }
                     if live.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -532,7 +501,8 @@ impl Runtime {
                     if let Err(e) = worker(ctx, &rt, mach, core) {
                         rt.fail(ctx, e);
                     }
-                    let _ = rt.sync_quiet(ctx);
+                    // A poisoned barrier is fine here: the failure is recorded.
+                    rt.barrier.wait_checked(ctx).unwrap_or(false);
                     if live.fetch_sub(1, Ordering::SeqCst) == 1 {
                         rt.fabric.close_view(ctx);
                         rt.fabric.validator().check_query_teardown(rt.query);
@@ -583,38 +553,6 @@ impl Runtime {
     }
 }
 
-/// Convenience wrapper: build a [`Runtime`] and run `worker` on every core
-/// of a `machines × cores` cluster. Returns the phase bookkeeping.
-pub fn run_cluster<F>(
-    machines: usize,
-    cores: usize,
-    fabric_cfg: FabricConfig,
-    nic: NicCosts,
-    worker: F,
-) -> ClusterRun
-where
-    F: Fn(&SimCtx, &Runtime, usize, usize) + Send + Sync + 'static,
-{
-    Runtime::new(machines, cores, fabric_cfg, nic).run(worker)
-}
-
-/// Fallible variant of [`run_cluster`], with an optional fault plan: the
-/// first worker error (or watchdog timeout) aborts the run and is
-/// returned as a structured [`JoinError`].
-pub fn try_run_cluster<F>(
-    machines: usize,
-    cores: usize,
-    fabric_cfg: FabricConfig,
-    nic: NicCosts,
-    plan: Option<FaultPlan>,
-    worker: F,
-) -> Result<ClusterRun, JoinError>
-where
-    F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
-{
-    Runtime::new_with_plan(machines, cores, fabric_cfg, nic, plan).try_run(worker)
-}
-
 impl PhaseTimes {
     /// Fold named phase events into the canonical per-phase breakdown.
     ///
@@ -648,20 +586,25 @@ mod tests {
     use super::*;
     use rsj_sim::SimDuration;
 
+    /// A fault-free `machines × cores` run of a fallible worker.
+    fn run<F>(machines: usize, cores: usize, fabric_cfg: FabricConfig, worker: F) -> ClusterRun
+    where
+        F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
+    {
+        Runtime::new(machines, cores, fabric_cfg, NicCosts::default())
+            .try_run(worker)
+            .expect("fault-free run")
+    }
+
     #[test]
     fn marks_record_phase_boundaries() {
-        let run = run_cluster(
-            2,
-            2,
-            FabricConfig::fdr(),
-            NicCosts::default(),
-            |ctx, rt, mach, core| {
-                ctx.advance(SimDuration::from_millis(1 + (mach * 2 + core) as u64));
-                rt.sync(ctx);
-                ctx.advance(SimDuration::from_millis(2));
-                rt.sync(ctx);
-            },
-        );
+        let run = run(2, 2, FabricConfig::fdr(), |ctx, rt, mach, core| {
+            ctx.advance(SimDuration::from_millis(1 + (mach * 2 + core) as u64));
+            rt.try_sync_named(ctx, "one", mach)?;
+            ctx.advance(SimDuration::from_millis(2));
+            rt.try_sync_named(ctx, "two", mach)?;
+            Ok(())
+        });
         assert_eq!(run.marks.len(), 3);
         assert_eq!(run.marks[1].as_nanos(), 4_000_000); // slowest of phase 1
         assert_eq!(run.marks[2].as_nanos(), 6_000_000);
@@ -669,21 +612,16 @@ mod tests {
 
     #[test]
     fn named_sync_records_per_machine_events() {
-        let run = run_cluster(
-            3,
-            2,
-            FabricConfig::qdr(),
-            NicCosts::default(),
-            |ctx, rt, mach, core| {
-                // Machine m's slowest core takes 10(m+1) ms in phase one.
-                ctx.advance(SimDuration::from_millis(
-                    10 * (mach as u64 + 1) - core as u64,
-                ));
-                rt.sync_named(ctx, "alpha", mach);
-                ctx.advance(SimDuration::from_millis(5));
-                rt.sync_named(ctx, "beta", mach);
-            },
-        );
+        let run = run(3, 2, FabricConfig::qdr(), |ctx, rt, mach, core| {
+            // Machine m's slowest core takes 10(m+1) ms in phase one.
+            ctx.advance(SimDuration::from_millis(
+                10 * (mach as u64 + 1) - core as u64,
+            ));
+            rt.try_sync_named(ctx, "alpha", mach)?;
+            ctx.advance(SimDuration::from_millis(5));
+            rt.try_sync_named(ctx, "beta", mach)?;
+            Ok(())
+        });
         assert_eq!(run.events.len(), 6);
         let alpha: Vec<_> = run.events.iter().filter(|e| e.name == "alpha").collect();
         assert_eq!(alpha.len(), 3);
@@ -700,23 +638,18 @@ mod tests {
 
     #[test]
     fn events_fold_into_phase_times_that_sum_to_total() {
-        let run = run_cluster(
-            2,
-            1,
-            FabricConfig::fdr(),
-            NicCosts::default(),
-            |ctx, rt, mach, _core| {
-                for (phase, ms) in [
-                    ("histogram", 1u64),
-                    ("network_partition", 7),
-                    ("local_partition", 3),
-                    ("build_probe", 9),
-                ] {
-                    ctx.advance(SimDuration::from_millis(ms * (mach as u64 + 1)));
-                    rt.sync_named(ctx, phase, mach);
-                }
-            },
-        );
+        let run = run(2, 1, FabricConfig::fdr(), |ctx, rt, mach, _core| {
+            for (phase, ms) in [
+                ("histogram", 1u64),
+                ("network_partition", 7),
+                ("local_partition", 3),
+                ("build_probe", 9),
+            ] {
+                ctx.advance(SimDuration::from_millis(ms * (mach as u64 + 1)));
+                rt.try_sync_named(ctx, phase, mach)?;
+            }
+            Ok(())
+        });
         let times = PhaseTimes::from_events(&run.events);
         // Machine 1 is the slowest throughout: each phase takes 2x ms.
         assert_eq!(times.histogram, SimDuration::from_millis(2));
@@ -730,22 +663,17 @@ mod tests {
     #[test]
     fn workers_can_use_the_fabric() {
         use rsj_rdma::HostId;
-        let run = run_cluster(
-            2,
-            1,
-            FabricConfig::qdr(),
-            NicCosts::default(),
-            |ctx, rt, mach, _core| {
-                let nic = rt.fabric.nic(HostId(mach));
-                let dst = HostId(1 - mach);
-                let ev = nic.post_send(ctx, dst, 5, vec![0u8; 4096]);
-                let c = nic.recv(ctx).unwrap().expect("peer message");
-                assert_eq!(c.tag, 5);
-                nic.repost_recv(ctx);
-                ev.wait(ctx).unwrap();
-                rt.sync(ctx);
-            },
-        );
+        let run = run(2, 1, FabricConfig::qdr(), |ctx, rt, mach, _core| {
+            let nic = rt.fabric.nic(HostId(mach));
+            let dst = HostId(1 - mach);
+            let ev = nic.post_send(ctx, dst, 5, vec![0u8; 4096]);
+            let c = nic.recv(ctx).unwrap().expect("peer message");
+            assert_eq!(c.tag, 5);
+            nic.repost_recv(ctx);
+            ev.wait(ctx).unwrap();
+            rt.try_sync_named(ctx, "exchange", mach)?;
+            Ok(())
+        });
         assert_eq!(run.marks.len(), 2);
         assert!(run.marks[1] > SimTime::ZERO);
     }

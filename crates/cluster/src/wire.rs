@@ -29,6 +29,21 @@ const KIND_EOS: u32 = 2;
 const KIND_RESULT: u32 = 3;
 const REL_SHIFT: u32 = 24;
 const PART_MASK: u32 = (1 << REL_SHIFT) - 1;
+/// Most partitions a stream can have while every id fits the tag's 24-bit
+/// partition field.
+pub const MAX_PARTITIONS: usize = 1 << REL_SHIFT;
+
+/// Check, once per stream, that all ids of a `parts`-partition stream fit
+/// the tag's partition field: a larger id would alias the relation bit.
+pub fn check_partition_count(parts: usize) -> Result<(), TagError> {
+    if parts <= MAX_PARTITIONS {
+        return Ok(());
+    }
+    Err(TagError {
+        raw: 0,
+        reason: "stream has more partitions than the 24-bit tag field can address",
+    })
+}
 /// In a Data tag, bits 29..25 sit between the relation bit and the
 /// partition id and are never used.
 const DATA_UNUSED_MASK: u32 = ((1 << KIND_SHIFT) - 1) & !(1 << REL_SHIFT) & !PART_MASK;
@@ -76,6 +91,14 @@ impl TagError {
     pub fn payload(reason: &'static str) -> TagError {
         TagError { raw: 0, reason }
     }
+
+    /// A well-formed tag that the receiving exchange does not expect.
+    pub(crate) fn unexpected(raw: u32) -> TagError {
+        TagError {
+            raw,
+            reason: "tag is not part of this exchange's protocol",
+        }
+    }
 }
 
 impl WireTag {
@@ -87,7 +110,7 @@ impl WireTag {
             WireTag::Result => KIND_RESULT << KIND_SHIFT,
             WireTag::Data { rel, part } => {
                 debug_assert!(rel == REL_R || rel == REL_S);
-                debug_assert!(part as u32 <= PART_MASK);
+                debug_assert!(part < MAX_PARTITIONS);
                 (KIND_DATA << KIND_SHIFT) | ((rel as u32) << REL_SHIFT) | part as u32
             }
         }
@@ -151,6 +174,23 @@ mod tests {
         ] {
             assert_eq!(WireTag::decode(tag.encode()), Ok(tag));
         }
+    }
+
+    #[test]
+    fn partition_count_is_bounded_by_the_24_bit_field() {
+        // Ids 0..=2²⁴−1 fit; a stream with one more partition would put id
+        // 2²⁴ on the wire, which aliases the relation bit.
+        assert_eq!(MAX_PARTITIONS, 1 << 24);
+        assert_eq!(check_partition_count(MAX_PARTITIONS), Ok(()));
+        assert!(check_partition_count(MAX_PARTITIONS + 1).is_err());
+        let aliased = (1u32 << REL_SHIFT) | 5;
+        assert_eq!(
+            WireTag::decode(aliased),
+            Ok(WireTag::Data {
+                rel: REL_S,
+                part: 5
+            })
+        );
     }
 
     #[test]

@@ -9,13 +9,13 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rsj_cluster::{JoinError, Meter, WireTag};
+use rsj_cluster::{Exchange, JoinError, Meter, Scatter, SendStep, WireTag};
 use rsj_joins::BucketTable;
-use rsj_rdma::{HostId, Nic, SendWindow};
+use rsj_rdma::HostId;
 use rsj_sim::SimCtx;
 use rsj_workload::{JoinResult, Tuple};
 
-use crate::config::{DistJoinConfig, MaterializeMode};
+use crate::config::MaterializeMode;
 use crate::phases::{task_bytes, BpTask, ClusterShared};
 
 /// Phase name used in error attribution and watchdog reports.
@@ -23,16 +23,13 @@ const PHASE: &str = "build_probe";
 
 /// §4.3 result materialization: matches are serialized as
 /// `<r.rid, s.rid>` pairs (16 bytes) into output buffers. In coordinator
-/// mode a full buffer is posted to machine 0 and reused once the send
-/// completes — the same pooled double-buffering discipline as the
-/// partitioning pass.
-struct ResultEmitter {
+/// mode the pairs are a [`Scatter`] stream to machine 0 — the same pooled
+/// double-buffering discipline as the partitioning pass.
+struct ResultEmitter<'a> {
     mode: MaterializeMode,
-    is_coordinator: bool,
-    mach: usize,
-    buf: Vec<u8>,
-    window: SendWindow,
-    cap: usize,
+    ex: &'a Exchange,
+    /// The `Result` stream, on machines that ship to the coordinator.
+    scatter: Option<Scatter<'a, SendStep>>,
     bytes: u64,
     /// First fabric error seen while shipping result buffers. [`emit`] is
     /// driven from the probe callback, which cannot propagate `?`; the
@@ -41,26 +38,13 @@ struct ResultEmitter {
     err: Option<JoinError>,
 }
 
-impl ResultEmitter {
-    fn new(cfg: &DistJoinConfig, mach: usize, nic: &Nic) -> ResultEmitter {
-        ResultEmitter {
-            mode: cfg.materialize,
-            is_coordinator: mach == 0,
-            mach,
-            buf: Vec::new(),
-            window: SendWindow::validated(cfg.send_depth, Arc::clone(nic.validator())),
-            cap: cfg.rdma_buf_size,
-            bytes: 0,
-            err: None,
-        }
-    }
+/// Size of one serialized `<r.rid, s.rid>` pair.
+const PAIR: usize = 16;
 
+impl ResultEmitter<'_> {
     /// Surface (and clear) a stashed send failure.
     fn take_err(&mut self) -> Result<(), JoinError> {
-        match self.err.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.err.take().map_or(Ok(()), Err)
     }
 
     #[inline]
@@ -68,66 +52,35 @@ impl ResultEmitter {
         &mut self,
         ctx: &SimCtx,
         meter: &mut Meter,
-        nic: &Nic,
         cost: &rsj_cluster::CostModel,
         r: &T,
         s: &T,
     ) {
-        self.buf.extend_from_slice(&r.rid().to_le_bytes());
-        self.buf.extend_from_slice(&s.rid().to_le_bytes());
-        self.bytes += 16;
-        meter.charge_bytes(ctx, 16, cost.memcpy_rate);
-        if self.buf.len() + 16 > self.cap {
-            self.flush(ctx, meter, nic);
-        }
-    }
-
-    fn flush(&mut self, ctx: &SimCtx, meter: &mut Meter, nic: &Nic) {
-        if self.buf.is_empty() {
-            return;
-        }
-        if self.err.is_some() {
-            // The fabric path already failed; drop further output on the
-            // floor — the run is aborting.
-            self.buf.clear();
-            return;
-        }
-        if self.mode == MaterializeMode::ToCoordinator && !self.is_coordinator {
-            meter.flush(ctx);
-            if let Err(e) = self.window.admit(ctx) {
-                self.err = Some(JoinError::fabric(self.mach, PHASE, e));
-                self.buf.clear();
-                return;
-            }
-            let payload = std::mem::take(&mut self.buf);
-            let ev = nic.post_send(ctx, HostId(0), WireTag::Result.encode(), payload);
-            self.window.record(ev);
-        } else {
-            // Local output buffer handed to the downstream consumer; the
-            // write cost was charged per pair.
-            self.buf.clear();
+        self.bytes += PAIR as u64;
+        meter.charge_bytes(ctx, PAIR, cost.memcpy_rate);
+        // Local output buffers go to the downstream consumer; the write
+        // cost was charged per pair. Only a coordinator stream is posted.
+        if let (Some(scatter), None) = (&mut self.scatter, &self.err) {
+            let pair = |buf: &mut Vec<u8>| {
+                buf.extend_from_slice(&r.rid().to_le_bytes());
+                buf.extend_from_slice(&s.rid().to_le_bytes());
+            };
+            self.err = scatter.push(ctx, meter, 0, WireTag::Result, pair).err();
         }
     }
 
     /// Final flush + EOS + drain; returns the bytes that stayed local.
-    fn finish(&mut self, ctx: &SimCtx, meter: &mut Meter, nic: &Nic) -> Result<u64, JoinError> {
-        if self.mode == MaterializeMode::CountOnly {
-            return Ok(0);
-        }
-        self.flush(ctx, meter, nic);
-        self.take_err()?;
-        if self.mode == MaterializeMode::ToCoordinator && !self.is_coordinator {
-            meter.flush(ctx);
-            nic.post_send(ctx, HostId(0), WireTag::Eos.encode(), Vec::new())
-                .wait(ctx)
-                .map_err(|e| JoinError::fabric(self.mach, PHASE, e))?;
-            self.window
-                .drain(ctx)
-                .map_err(|e| JoinError::fabric(self.mach, PHASE, e))?;
-            Ok(0)
-        } else {
-            Ok(self.bytes)
-        }
+    fn finish(mut self, ctx: &SimCtx, meter: &mut Meter) -> Result<u64, JoinError> {
+        let Some(mut scatter) = self.scatter.take() else {
+            return Ok(self.bytes);
+        };
+        // The EOS follows the last buffer straight onto the wire; only
+        // then is the window drained.
+        scatter.flush(ctx, meter)?;
+        meter.flush(ctx);
+        self.ex.send_eos(ctx, [0])?;
+        scatter.finish(ctx, meter, false)?;
+        Ok(0)
     }
 }
 
@@ -137,31 +90,20 @@ impl ResultEmitter {
 fn result_sink<T: Tuple>(
     ctx: &SimCtx,
     sh: &ClusterShared<T>,
+    ex: &Exchange,
     meter: &mut Meter,
 ) -> Result<(), JoinError> {
-    let m = sh.cfg.cluster.machines;
-    let nic = sh.fabric.nic(HostId(0));
-    let expected_eos = (m - 1) * sh.cfg.cluster.cores_per_machine;
-    let mut eos = 0;
     let mut bytes = 0u64;
-    while eos < expected_eos {
-        let c = nic
-            .recv(ctx)
-            .map_err(|e| JoinError::fabric(0, PHASE, e))?
-            .ok_or(JoinError::aborted(PHASE))?;
-        match WireTag::decode(c.tag).map_err(|e| JoinError::decode(0, PHASE, e))? {
-            WireTag::Eos => eos += 1,
-            WireTag::Result => {
-                // Copy out of the receive buffer into result storage.
-                meter.charge_bytes(ctx, c.payload.len(), sh.cfg.cluster.cost.memcpy_rate);
-                bytes += c.payload.len() as u64;
-            }
-            other => panic!("unexpected {other:?} during result sink"),
+    let senders = sh.cfg.cluster.cores_per_machine;
+    ex.recv_stream(ctx, meter, senders, |meter, tag, payload| match tag {
+        WireTag::Result => {
+            // Copy out of the receive buffer into result storage.
+            meter.charge_bytes(ctx, payload.len(), sh.cfg.cluster.cost.memcpy_rate);
+            bytes += payload.len() as u64;
+            true
         }
-        meter.flush(ctx);
-        nic.repost_recv(ctx);
-    }
-    meter.flush(ctx);
+        _ => false,
+    })?;
     *sh.coord_result_bytes.lock() += bytes;
     Ok(())
 }
@@ -178,18 +120,34 @@ pub(crate) fn phase_build_probe<T: Tuple>(
     let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
     let cost = &cfg.cluster.cost;
     let mut local = JoinResult::default();
-    let nic = sh.fabric.nic(HostId(mach));
-    let mut emitter = ResultEmitter::new(cfg, mach, &nic);
+    let ex = Exchange::new(&sh.fabric, mach, PHASE);
+    let ships = cfg.materialize == MaterializeMode::ToCoordinator;
 
     // Coordinator sink: machine 0's first core absorbs shipped results
     // instead of probing (its other cores keep working).
-    if cfg.materialize == MaterializeMode::ToCoordinator
-        && mach == 0
-        && core == 0
-        && cfg.cluster.machines > 1
-    {
-        return result_sink(ctx, sh, meter);
+    if ships && mach == 0 && core == 0 && cfg.cluster.machines > 1 {
+        return result_sink(ctx, sh, &ex, meter);
     }
+    let pool = &sh.pools[mach];
+    let scatter = if ships && mach != 0 {
+        Some(Scatter::new(
+            &ex,
+            pool,
+            cfg.send_depth,
+            0,
+            1,
+            Exchange::send as SendStep,
+        )?)
+    } else {
+        None
+    };
+    let mut emitter = ResultEmitter {
+        mode: cfg.materialize,
+        ex: &ex,
+        scatter,
+        bytes: 0,
+        err: None,
+    };
 
     loop {
         let task = match st.bp_tasks.pop(0) {
@@ -268,16 +226,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                         lo = hi;
                     }
                 } else {
-                    probe_chunk(
-                        ctx,
-                        meter,
-                        cost,
-                        &tables,
-                        s_part,
-                        &mut local,
-                        &mut emitter,
-                        &nic,
-                    );
+                    probe_chunk(ctx, meter, cost, &tables, s_part, &mut local, &mut emitter);
                 }
             }
             BpTask::ProbeChunk {
@@ -295,7 +244,6 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                     &s.part(j)[lo..hi],
                     &mut local,
                     &mut emitter,
-                    &nic,
                 );
             }
         }
@@ -306,7 +254,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
         sh.bp_busy.fetch_sub(1, Ordering::SeqCst);
         emitter.take_err()?;
     }
-    let local_bytes = emitter.finish(ctx, meter, &nic)?;
+    let local_bytes = emitter.finish(ctx, meter)?;
     if local_bytes > 0 {
         *st.result_bytes_local.lock() += local_bytes;
     }
@@ -399,7 +347,6 @@ fn steal_task<T: Tuple>(
     Ok(None)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn probe_chunk<T: Tuple>(
     ctx: &SimCtx,
     meter: &mut Meter,
@@ -407,8 +354,7 @@ fn probe_chunk<T: Tuple>(
     tables: &[BucketTable<T>],
     s_part: &[T],
     local: &mut JoinResult,
-    emitter: &mut ResultEmitter,
-    nic: &Nic,
+    emitter: &mut ResultEmitter<'_>,
 ) {
     if emitter.mode == MaterializeMode::CountOnly {
         for table in tables {
@@ -419,7 +365,7 @@ fn probe_chunk<T: Tuple>(
             let mut res = JoinResult::default();
             table.for_each_join(s_part, |r, s| {
                 res.add_match(s.key());
-                emitter.emit(ctx, meter, nic, cost, r, s);
+                emitter.emit(ctx, meter, cost, r, s);
             });
             local.merge(res);
         }

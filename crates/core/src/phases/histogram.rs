@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use rsj_cluster::{ranges, JoinError, Meter, WireTag};
+use rsj_cluster::{ranges, Exchange, JoinError, Meter, WireTag};
 use rsj_joins::partition_of;
 use rsj_rdma::HostId;
 use rsj_sim::SimCtx;
@@ -57,34 +57,16 @@ pub(crate) fn phase_histogram<T: Tuple>(
     if core == 0 {
         let nic = sh.fabric.nic(HostId(mach));
         let mine = st.machine_hist.lock().clone();
-        let encoded = mine.encode();
-        let mut evs = Vec::new();
-        for dst in 0..m {
-            if dst != mach {
-                evs.push(nic.post_send(
-                    ctx,
-                    HostId(dst),
-                    WireTag::Histogram.encode(),
-                    encoded.clone(),
-                ));
-            }
-        }
+        let ex = Exchange::new(&sh.fabric, mach, PHASE);
         let mut machine_hists: Vec<Histogram> = vec![Histogram::zeros(np1); m];
+        ex.all_to_all(
+            ctx,
+            WireTag::Histogram,
+            ex.peers(),
+            &mine.encode(),
+            |src, payload| machine_hists[src] = Histogram::decode(&payload),
+        )?;
         machine_hists[mach] = mine;
-        for _ in 0..m.saturating_sub(1) {
-            let c = nic
-                .recv(ctx)
-                .map_err(|e| JoinError::fabric(mach, PHASE, e))?
-                .ok_or(JoinError::aborted(PHASE))?;
-            let tag = WireTag::decode(c.tag).map_err(|e| JoinError::decode(mach, PHASE, e))?;
-            assert_eq!(tag, WireTag::Histogram, "unexpected phase-1 message");
-            machine_hists[c.src.0] = Histogram::decode(&c.payload);
-            nic.repost_recv(ctx);
-        }
-        for ev in evs {
-            ev.wait(ctx)
-                .map_err(|e| JoinError::fabric(mach, PHASE, e))?;
-        }
 
         let mut global = Histogram::zeros(np1);
         for h in &machine_hists {

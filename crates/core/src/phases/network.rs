@@ -10,9 +10,9 @@
 
 use std::sync::Arc;
 
-use rsj_cluster::{ranges, JoinError, Meter, WireTag};
+use rsj_cluster::{ranges, Exchange, JoinError, Meter, Scatter, WireTag};
 use rsj_joins::partition_of;
-use rsj_rdma::{HostId, Nic, SendWindow};
+use rsj_rdma::HostId;
 use rsj_sim::SimCtx;
 use rsj_workload::Tuple;
 
@@ -22,19 +22,6 @@ use crate::{ReceiveMode, Transport, TransportMode};
 
 /// Phase name used in error attribution and watchdog reports.
 const PHASE: &str = "network_partition";
-
-struct SendBuf {
-    buf: Vec<u8>,
-    window: SendWindow,
-    /// Bytes already RDMA-written for this (rel, part) by this worker
-    /// (one-sided offset cursor).
-    written: usize,
-    /// Pool buffers this stream has drawn. The real algorithm reuses the
-    /// same `send_depth` physical buffers in turn (§4.2.1); the simulator
-    /// moves buffer contents onto the wire, so refills beyond `send_depth`
-    /// are logical reuses of already-drawn buffers, not new pool draws.
-    taken: usize,
-}
 
 pub(crate) fn phase_network<T: Tuple>(
     ctx: &SimCtx,
@@ -61,19 +48,20 @@ fn sender_loop<T: Tuple>(
     let st = &sh.machines[mach];
     let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
     let nic = sh.fabric.nic(HostId(mach));
-    let pool = &sh.pools[mach];
+    let ex = Exchange::new(&sh.fabric, mach, PHASE);
     let b1 = cfg.radix_bits.0;
     let np1 = 1usize << b1;
-    let m = cfg.cluster.machines;
     let workers = cfg.partitioning_workers();
     let rate = cfg.cluster.cost.partition_rate;
-    let buf_cap = cfg.rdma_buf_size;
+    let nic_cost = &cfg.cluster.cost.nic;
+    let tcp = cfg.transport == TransportMode::Tcp;
+    let interleaved = cfg.transport == TransportMode::RdmaInterleaved;
 
     // One-sided write offsets: this worker's base offset within the remote
     // region for (rel, p) is the sum of the preceding workers' counts.
-    let my_hist;
-    let base_offsets: Option<[Vec<usize>; 2]> = if cfg.receive == ReceiveMode::OneSided {
-        let mut bases = [vec![0usize; np1], vec![0usize; np1]];
+    let mut bases = [vec![0usize; np1], vec![0usize; np1]];
+    let mut my_hist = None;
+    if cfg.receive == ReceiveMode::OneSided {
         for prev in 0..w {
             let g = st.worker_hists[prev].lock();
             let h = g.as_ref().expect("worker histogram missing");
@@ -84,24 +72,76 @@ fn sender_loop<T: Tuple>(
             }
         }
         my_hist = st.worker_hists[w].lock().clone();
-        Some(bases)
-    } else {
-        my_hist = None;
-        None
-    };
+    }
+    // Bytes already RDMA-written per (rel, part) by this worker (one-sided
+    // offset cursor).
+    let mut written = [vec![0usize; np1], vec![0usize; np1]];
+    // Waits the post step does itself; the lanes' windows time their own.
+    let mut stall = 0.0f64;
 
-    let mut bufs: [Vec<Option<SendBuf>>; 2] = [
-        (0..np1).map(|_| None).collect(),
-        (0..np1).map(|_| None).collect(),
-    ];
+    // The post step: the three transports and two receive modes differ
+    // only in how one full buffer reaches the wire. The real algorithm
+    // reuses the same `send_depth` physical buffers per stream in turn
+    // (§4.2.1); over TCP the kernel copies, so one user buffer suffices.
+    let draws = if tcp { 1 } else { cfg.send_depth };
+    let mut scatter = Scatter::new(
+        &ex,
+        &sh.pools[mach],
+        cfg.send_depth,
+        draws,
+        np1,
+        |ex, ctx, meter, lane, bytes| {
+            let len = bytes.len();
+            if tcp {
+                // Kernel path: syscall + copy across the socket buffer are
+                // CPU work on the sending worker (§6.3 reasons (ii), (iii)).
+                meter.charge_seconds(ctx, nic_cost.tcp_syscall);
+                meter.charge_bytes(ctx, len, nic_cost.tcp_copy_rate);
+                meter.flush(ctx);
+                let window = Arc::clone(&sh.tcp_windows[mach][lane.dst]);
+                let t0 = ctx.now();
+                window
+                    .acquire_checked(ctx)
+                    .map_err(|_| JoinError::aborted(PHASE))?;
+                stall += (ctx.now() - t0).as_secs_f64();
+                let tag = lane.tag.encode();
+                nic.post_send_windowed(ctx, HostId(lane.dst), tag, bytes, window);
+                return Ok(None);
+            }
+            meter.flush(ctx);
+            if interleaved {
+                lane.window.admit(ctx).map_err(|e| ex.fabric_err(e))?;
+            }
+            let sent = match (cfg.receive, lane.tag) {
+                (ReceiveMode::OneSided, WireTag::Data { rel, part }) => {
+                    let remote = *sh
+                        .mr_registry
+                        .lock()
+                        .get(&(lane.dst, rel, part, mach))
+                        .expect("one-sided region not registered");
+                    let offset = bases[rel][part] + written[rel][part];
+                    written[rel][part] += len;
+                    nic.post_write(ctx, remote, offset, bytes)
+                }
+                _ => nic.post_send(ctx, HostId(lane.dst), lane.tag.encode(), bytes),
+            };
+            if interleaved {
+                return Ok(Some(sent));
+            }
+            // Non-interleaved ablation: wait for the wire immediately.
+            let t0 = ctx.now();
+            sent.wait(ctx).map_err(|e| ex.fabric_err(e))?;
+            stall += (ctx.now() - t0).as_secs_f64();
+            Ok(None)
+        },
+    )?;
+
     let mut local = LocalOut {
         parts: [
             (0..np1).map(|_| Vec::new()).collect(),
             (0..np1).map(|_| Vec::new()).collect(),
         ],
     };
-    let mut stall = 0.0f64;
-
     for (rel, chunk) in [(REL_R, &st.r_chunk), (REL_S, &st.s_chunk)] {
         if rel == REL_S && cfg.probe_transport == Transport::OneSided {
             // One-sided probe dataplane: S never crosses the wire — the
@@ -112,176 +152,37 @@ fn sender_loop<T: Tuple>(
         let range = ranges(chunk.len(), workers)[w].clone();
         for t in &chunk[range] {
             meter.charge_bytes(ctx, T::SIZE, rate);
-            let p = partition_of(t.key(), 0, b1);
-            let dst = info.assignment[p];
+            let part = partition_of(t.key(), 0, b1);
+            let dst = info.assignment[part];
             if dst == mach {
-                local.parts[rel][p].push(*t);
+                local.parts[rel][part].push(*t);
             } else {
-                let slot = &mut bufs[rel][p];
-                if slot.is_none() {
-                    *slot = Some(SendBuf {
-                        buf: pool.take(ctx),
-                        window: SendWindow::validated(cfg.send_depth, Arc::clone(nic.validator())),
-                        written: 0,
-                        taken: 1,
-                    });
-                }
-                // lint: allow-unwrap(slot was just filled if it was None)
-                let sb = slot.as_mut().unwrap();
-                t.write_to(&mut sb.buf);
-                if sb.buf.len() + T::SIZE > buf_cap {
-                    let base = base_offsets.as_ref().map_or(0, |b| b[rel][p]);
-                    flush_buf::<T>(
-                        ctx, sh, mach, meter, &nic, sb, rel, p, dst, base, &mut stall, false,
-                    )?;
-                }
+                let tag = WireTag::Data { rel, part };
+                scatter.push(ctx, meter, dst, tag, |buf| t.write_to(buf))?;
             }
         }
     }
 
-    // Final partial buffers, then end-of-stream markers.
-    for rel in RELS {
-        for p in 0..np1 {
-            if let Some(sb) = bufs[rel][p].as_mut() {
-                let dst = info.assignment[p];
-                if !sb.buf.is_empty() {
-                    let base = base_offsets.as_ref().map_or(0, |b| b[rel][p]);
-                    flush_buf::<T>(
-                        ctx, sh, mach, meter, &nic, sb, rel, p, dst, base, &mut stall, true,
-                    )?;
-                }
-                sb.window
-                    .drain(ctx)
-                    .map_err(|e| JoinError::fabric(mach, PHASE, e))?;
-                // admit() + drain() stalls were accumulated by the window.
-                stall += sb.window.stall_seconds();
-                // All sends confirmed: the stream's buffers return to the
-                // pool for the next operator to draw.
-                for _ in 0..sb.taken {
-                    pool.put(Vec::new());
-                }
-                // One-sided: every byte announced in the histogram must
-                // have been written, or remote assembly would read zeros.
-                if let Some(h) = &my_hist {
-                    assert_eq!(
-                        sb.written,
-                        h.counts[rel][p] as usize * T::SIZE,
-                        "one-sided write count mismatch for rel {rel} part {p}"
-                    );
-                }
+    // Final partial buffers and drains, then end-of-stream markers to the
+    // two-sided receivers.
+    let two_sided = cfg.receive == ReceiveMode::TwoSided;
+    stall += scatter.finish(ctx, meter, two_sided)?;
+    // One-sided: every byte announced in the histogram must have been
+    // written, or remote assembly would read zeros.
+    if let Some(h) = &my_hist {
+        for rel in RELS {
+            for (part, &bytes) in written[rel].iter().enumerate() {
+                assert!(
+                    bytes == 0 || bytes == h.counts[rel][part] as usize * T::SIZE,
+                    "one-sided write count mismatch for rel {rel} part {part}"
+                );
             }
-        }
-    }
-    meter.flush(ctx);
-    if cfg.receive == ReceiveMode::TwoSided {
-        let mut evs = Vec::new();
-        for dst in (0..m).filter(|&d| d != mach) {
-            evs.push(nic.post_send(ctx, HostId(dst), WireTag::Eos.encode(), Vec::new()));
-        }
-        for ev in evs {
-            ev.wait(ctx)
-                .map_err(|e| JoinError::fabric(mach, PHASE, e))?;
         }
     }
     *st.stall_seconds.lock() += stall;
 
     // Hand the private local buffers to the machine state for assembly.
-    let mut out = st.local_out[w].lock();
-    *out = local;
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn flush_buf<T: Tuple>(
-    ctx: &SimCtx,
-    sh: &ClusterShared<T>,
-    mach: usize,
-    meter: &mut Meter,
-    nic: &Nic,
-    sb: &mut SendBuf,
-    rel: usize,
-    p: usize,
-    dst: usize,
-    base: usize,
-    stall: &mut f64,
-    is_final: bool,
-) -> Result<(), JoinError> {
-    let cfg = &sh.cfg;
-    let payload_len = sb.buf.len();
-    debug_assert!(payload_len > 0);
-    match cfg.transport {
-        TransportMode::Tcp => {
-            // Kernel path: syscall + copy across the socket buffer are CPU
-            // work on the sending worker (§6.3 reasons (ii) and (iii)).
-            meter.charge_seconds(ctx, cfg.cluster.cost.nic.tcp_syscall);
-            meter.charge_bytes(ctx, payload_len, cfg.cluster.cost.nic.tcp_copy_rate);
-            meter.flush(ctx);
-            let window = Arc::clone(&sh.tcp_windows[mach][dst]);
-            let t0 = ctx.now();
-            window
-                .acquire_checked(ctx)
-                .map_err(|_| JoinError::aborted(PHASE))?;
-            *stall += (ctx.now() - t0).as_secs_f64();
-            let payload = std::mem::take(&mut sb.buf);
-            nic.post_send_windowed(
-                ctx,
-                HostId(dst),
-                WireTag::Data { rel, part: p }.encode(),
-                payload,
-                window,
-            );
-            // The kernel copied the data; the user buffer is free again.
-        }
-        TransportMode::RdmaInterleaved | TransportMode::RdmaNonInterleaved => {
-            meter.flush(ctx);
-            let interleaved = cfg.transport == TransportMode::RdmaInterleaved;
-            if interleaved {
-                // Stall time is tracked by the window itself and folded
-                // into the report after the final drain.
-                sb.window
-                    .admit(ctx)
-                    .map_err(|e| JoinError::fabric(mach, PHASE, e))?;
-            }
-            let payload = std::mem::take(&mut sb.buf);
-            let ev = match cfg.receive {
-                ReceiveMode::TwoSided => nic.post_send(
-                    ctx,
-                    HostId(dst),
-                    WireTag::Data { rel, part: p }.encode(),
-                    payload,
-                ),
-                ReceiveMode::OneSided => {
-                    let remote = *sh
-                        .mr_registry
-                        .lock()
-                        .get(&(dst, rel, p, mach))
-                        .expect("one-sided region not registered");
-                    let ev = nic.post_write(ctx, remote, base + sb.written, payload);
-                    sb.written += payload_len;
-                    ev
-                }
-            };
-            if interleaved {
-                sb.window.record(ev);
-            } else {
-                // Non-interleaved ablation: wait for the wire immediately.
-                let t0 = ctx.now();
-                ev.wait(ctx)
-                    .map_err(|e| JoinError::fabric(mach, PHASE, e))?;
-                *stall += (ctx.now() - t0).as_secs_f64();
-            }
-            if !is_final {
-                sb.buf = if sb.taken < cfg.send_depth {
-                    sb.taken += 1;
-                    sh.pools[mach].take(ctx)
-                } else {
-                    // admit() guaranteed one of our buffers completed; this
-                    // is its reuse, not a new pool draw.
-                    Vec::new()
-                };
-            }
-        }
-    }
+    *st.local_out[w].lock() = local;
     Ok(())
 }
 
@@ -294,37 +195,23 @@ fn receiver_loop<T: Tuple>(
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
     let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
-    let nic = sh.fabric.nic(HostId(mach));
-    let m = cfg.cluster.machines;
-    let expected_eos = (m - 1) * cfg.partitioning_workers();
-    let mut eos = 0usize;
-    while eos < expected_eos {
-        let c = nic
-            .recv(ctx)
-            .map_err(|e| JoinError::fabric(mach, PHASE, e))?
-            .ok_or(JoinError::aborted(PHASE))?;
-        match WireTag::decode(c.tag).map_err(|e| JoinError::decode(mach, PHASE, e))? {
-            WireTag::Eos => eos += 1,
-            WireTag::Data { rel, part } => {
-                assert_eq!(
-                    info.assignment[part], mach,
-                    "partition {part} routed to the wrong machine"
-                );
-                if cfg.transport == TransportMode::Tcp {
-                    meter.charge_seconds(ctx, cfg.cluster.cost.nic.tcp_syscall);
-                    meter.charge_bytes(ctx, c.payload.len(), cfg.cluster.cost.nic.tcp_copy_rate);
-                } else {
-                    // §4.2.2: copy the small receive buffer into the large
-                    // per-partition staging buffer, then repost it.
-                    meter.charge_bytes(ctx, c.payload.len(), cfg.cluster.cost.memcpy_rate);
-                }
-                st.staging[rel].lock()[part].extend_from_slice(&c.payload);
+    let cost = &cfg.cluster.cost;
+    let ex = Exchange::new(&sh.fabric, mach, PHASE);
+    let workers = cfg.partitioning_workers();
+    ex.recv_stream(ctx, meter, workers, |meter, tag, payload| match tag {
+        // A partition routed to another machine is a protocol error.
+        WireTag::Data { rel, part } if info.assignment.get(part) == Some(&mach) => {
+            if cfg.transport == TransportMode::Tcp {
+                meter.charge_seconds(ctx, cost.nic.tcp_syscall);
+                meter.charge_bytes(ctx, payload.len(), cost.nic.tcp_copy_rate);
+            } else {
+                // §4.2.2: copy the small receive buffer into the large
+                // per-partition staging buffer, then repost it.
+                meter.charge_bytes(ctx, payload.len(), cost.memcpy_rate);
             }
-            other => panic!("unexpected {other:?} during network pass"),
+            st.staging[rel].lock()[part].extend_from_slice(&payload);
+            true
         }
-        meter.flush(ctx);
-        nic.repost_recv(ctx);
-    }
-    meter.flush(ctx);
-    Ok(())
+        _ => false,
+    })
 }

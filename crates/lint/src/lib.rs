@@ -20,6 +20,7 @@
 //! | `barrier-name` | a raw string literal as the barrier name at a `sync_named` / `try_sync_named` call site outside `crates/cluster` — barrier names are namespaced per query (`(QueryId, name)`, DESIGN.md §9) and must come from the `rsj_cluster::phase` constants so phase attribution stays canonical |
 //! | `nondet-iter` | iteration (`iter`/`into_iter`/`keys`/`values`/`drain`/`retain`/…) over a `std` `HashMap`/`HashSet` in result-affecting library code — the per-process random SipHash seed makes the order vary run-to-run, breaking byte-identical replay; use `BTreeMap`/`BTreeSet` or sort before iterating. Order-independent sinks (commutative folds like `.sum()`, collecting back into a map, collect-then-sort) are recognized and not flagged. Identifier typing is cross-file and name-based |
 //! | `barrier-protocol` | per operator entry point in `crates/{core,operators}`: a `phase::` barrier reachable on some control-flow paths but not others (a worker that skips it deadlocks every peer parked on the `(QueryId, name)` barrier), a plain early `return` that can skip a later barrier (only `JoinError` propagation may bypass barriers — an abort poisons them), and phase sequences that violate the canonical declaration order of `crates/cluster/src/phase.rs` |
+//! | `raw-exchange` | `post_send` / `post_send_windowed` / `repost_recv` / `.recv(ctx)` / `SendWindow::` in `crates/{core,operators}/src` — operators reach the fabric only through `rsj_cluster::exchange`, so the hand-rolled send/receive loops cannot grow back. Exempt: the post-step closure inside a `Scatter::new(…)` call, and `phases/one_sided.rs` (the READ probe is not a partitioned stream) |
 //! | `error-swallow` | `let _ =`, `.ok()`, or a bare statement discard on a fabric/`JoinError` result (`wait`/`recv`/`admit`/`drain`/`try_sync*`) in library code — fault-plane errors must propagate or be matched explicitly |
 //!
 //! Any rule can be waived on a specific line with a justification marker
@@ -282,7 +283,7 @@ mod tests {
         // results: library code must propagate the typed error.
         let src = "fn f() {\n    let c = nic.recv(ctx).expect(\"peer sent the histogram\");\n}\n";
         assert_eq!(
-            rules_of(&lint_file("crates/core/src/x.rs", src)),
+            rules_of(&lint_file("crates/cluster/src/x.rs", src)),
             ["fabric-panic"]
         );
         let src = "fn f() {\n    window.drain(ctx).unwrap();\n}\n";

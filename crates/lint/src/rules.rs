@@ -6,7 +6,7 @@ use crate::engine::{FileCtx, Global, KERNEL};
 use crate::lexer::TokKind;
 use crate::Finding;
 
-/// Rule identifiers in reporting order (8 ported + 4 new families).
+/// Rule identifiers in reporting order (8 ported + 5 new families).
 pub const RULES: &[&str] = &[
     "std-thread",
     "std-sync",
@@ -20,6 +20,7 @@ pub const RULES: &[&str] = &[
     "barrier-protocol",
     "error-swallow",
     "meter-flush",
+    "raw-exchange",
 ];
 
 /// Minimum length for an `.expect("…")` message to count as descriptive.
@@ -29,7 +30,7 @@ const MIN_EXPECT_LEN: usize = 10;
 const FABRIC_METHODS: [&str; 4] = ["wait", "recv", "admit", "drain"];
 
 /// Fallible barrier/run entry points returning `JoinError` results.
-const JOIN_METHODS: [&str; 3] = ["try_sync_named", "try_sync", "try_sync_quiet"];
+const JOIN_METHODS: [&str; 2] = ["try_sync_named", "try_sync_quiet"];
 
 /// Iteration-order-sensitive methods on `std` hash containers.
 const HASH_ITER_METHODS: [&str; 8] = [
@@ -238,6 +239,56 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
     // ---- meter-flush: settle-on-interaction audit for the same layer.
     if ctx.rel.starts_with("crates/core/src/") || ctx.rel.starts_with("crates/operators/src/") {
         meter_flush(ctx, out);
+    }
+
+    // ---- raw-exchange: the same layer speaks to the fabric only through
+    // the exchange layer. The one-sided READ probe is not a partitioned
+    // stream and keeps its own dataplane (DESIGN.md §11).
+    if (ctx.rel.starts_with("crates/core/src/") || ctx.rel.starts_with("crates/operators/src/"))
+        && ctx.rel != "crates/core/src/phases/one_sided.rs"
+    {
+        raw_exchange(ctx, out);
+    }
+}
+
+/// `raw-exchange`: two-sided posts, receives, receive-slot reposts and
+/// send-window construction outside `rsj_cluster::exchange`. The post step
+/// an operator hands to `Scatter::new(…)` is the one place they belong, so
+/// that call's argument list is exempt.
+fn raw_exchange(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    let n = ctx.code.len().min(ctx.test_from);
+    let mut i = 0;
+    while i < n {
+        if ctx.seq(i, &["Scatter", ":", ":", "new", "("]) {
+            i = ctx.matching_close(i + 4).unwrap_or(n);
+            continue;
+        }
+        let call = ctx.text(i) == "." && ctx.text(i + 2) == "(";
+        let raw_call = call
+            && (matches!(
+                ctx.text(i + 1),
+                "post_send" | "post_send_windowed" | "repost_recv"
+            ) || (ctx.text(i + 1) == "recv" && ctx.text(i + 3) == "ctx"));
+        if raw_call || ctx.seq(i, &["SendWindow", ":", ":"]) {
+            let what = if raw_call {
+                ctx.text(i + 1)
+            } else {
+                "SendWindow::"
+            };
+            out.push(Finding {
+                file: ctx.rel.to_string(),
+                line: ctx.line(i + 1),
+                rule: "raw-exchange",
+                message: format!(
+                    "raw `{what}` in operator code; use rsj_cluster::exchange (all_to_all, \
+                     recv_stream, Scatter) so the send/receive loops, their error mapping and \
+                     their yield order live in one place"
+                ),
+                waived: false,
+                reason: None,
+            });
+        }
+        i += 1;
     }
 }
 
@@ -680,7 +731,7 @@ const INTERACTION_METHODS: [&str; 10] = [
     "park",
     "sync_named",
     "try_sync_named",
-    "sync_quiet",
+    "try_sync_quiet",
     "post_send",
     "post_send_windowed",
     "post_write",
@@ -691,6 +742,11 @@ const INTERACTION_METHODS: [&str; 10] = [
 
 /// Meter charge methods.
 const CHARGE_METHODS: [&str; 2] = ["charge_bytes", "charge_seconds"];
+
+/// Calls that leave the meter settled: `Meter::flush` itself, and the
+/// exchange layer's `Exchange::recv_stream` / `Scatter::finish`, which end
+/// with a flush.
+const SETTLE_METHODS: [&str; 3] = ["flush", "recv_stream", "finish"];
 
 /// `meter-flush`: in functions that charge a [`Meter`], every
 /// interaction call (park, named barrier, fabric post, recv) must be
@@ -716,7 +772,7 @@ fn meter_flush(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             let m = ctx.text(i + 1);
             if CHARGE_METHODS.contains(&m) {
                 events.push((i + 1, MeterEvent::Charge));
-            } else if m == "flush" {
+            } else if SETTLE_METHODS.contains(&m) {
                 events.push((i + 1, MeterEvent::Flush));
             } else if INTERACTION_METHODS.contains(&m) {
                 events.push((i + 1, MeterEvent::Interaction));

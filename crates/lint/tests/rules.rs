@@ -108,18 +108,63 @@ const CASES: &[Case] = &[
     Case {
         fixture: "meter_flush_positive.rs",
         vpath: "crates/core/src/phases/mf_pos.rs",
-        expect: &[("meter-flush", 6), ("meter-flush", 12), ("meter-flush", 18)],
+        // The fixtures drive the fabric directly, so `raw-exchange` fires
+        // on the same interaction sites.
+        expect: &[
+            ("meter-flush", 6),
+            ("meter-flush", 12),
+            ("meter-flush", 18),
+            ("raw-exchange", 6),
+            ("raw-exchange", 18),
+            ("raw-exchange", 20),
+        ],
         waived: 0,
     },
     Case {
         fixture: "meter_flush_negative.rs",
         vpath: "crates/operators/src/mf_neg.rs",
-        expect: &[],
+        expect: &[
+            ("raw-exchange", 7),
+            ("raw-exchange", 12),
+            ("raw-exchange", 15),
+            ("raw-exchange", 20),
+            ("raw-exchange", 21),
+        ],
         waived: 0,
     },
     Case {
         fixture: "meter_flush_waiver.rs",
         vpath: "crates/core/src/mf_waiver.rs",
+        expect: &[("raw-exchange", 6)],
+        waived: 1,
+    },
+    Case {
+        fixture: "raw_exchange_positive.rs",
+        vpath: "crates/operators/src/rx_pos.rs",
+        expect: &[
+            ("raw-exchange", 5),
+            ("raw-exchange", 7),
+            ("raw-exchange", 12),
+            ("raw-exchange", 13),
+        ],
+        waived: 0,
+    },
+    Case {
+        fixture: "raw_exchange_negative.rs",
+        vpath: "crates/core/src/phases/rx_neg.rs",
+        expect: &[],
+        waived: 0,
+    },
+    Case {
+        // The READ-probe dataplane is out of the rule's scope.
+        fixture: "raw_exchange_positive.rs",
+        vpath: "crates/core/src/phases/one_sided.rs",
+        expect: &[],
+        waived: 0,
+    },
+    Case {
+        fixture: "raw_exchange_waiver.rs",
+        vpath: "crates/core/src/rx_waiver.rs",
         expect: &[],
         waived: 1,
     },

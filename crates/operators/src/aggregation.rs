@@ -14,12 +14,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_joins::partition_of;
-use rsj_rdma::{BufferPool, HostId, SendWindow};
+use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
 use rsj_workload::{decode_into, Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, Runtime, WireTag};
+use rsj_cluster::{ranges, Exchange, Runtime, Scatter, WireTag};
 
 /// Configuration of a distributed aggregation.
 #[derive(Clone, Debug)]
@@ -253,9 +253,6 @@ fn worker<T: Tuple>(
     let workers = rt.cores() - 1;
     let cost = &cfg.cluster.cost;
     let mut meter = Meter::for_quantum(cfg.cluster.meter_quantum_ns);
-    let nic = rt.fabric.nic(HostId(mach));
-    let fab =
-        |phase: &'static str| move |e: rsj_rdma::FabricError| JoinError::fabric(mach, phase, e);
 
     // ---- Phase 1: histogram scan + assignment (statically round-robin;
     // the scan also warms the same accounting as the join's).
@@ -273,100 +270,34 @@ fn worker<T: Tuple>(
     rt.try_sync_named(ctx, phase::HISTOGRAM, mach)?;
 
     // ---- Phase 2: network partitioning pass on the group key.
+    let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
     if core == 0 {
-        let expected = (m - 1) * workers;
-        let mut eos = 0;
-        while eos < expected {
-            let c = nic
-                .recv(ctx)
-                .map_err(fab(phase::NETWORK_PARTITION))?
-                .ok_or(JoinError::aborted(phase::NETWORK_PARTITION))?;
-            match WireTag::decode(c.tag)
-                .map_err(|e| JoinError::decode(mach, phase::NETWORK_PARTITION, e))?
-            {
-                WireTag::Eos => eos += 1,
-                WireTag::Data { part, .. } => {
-                    meter.charge_bytes(ctx, c.payload.len(), cost.memcpy_rate);
-                    st.staging.lock()[part].extend_from_slice(&c.payload);
-                }
-                other => panic!("unexpected {other:?} during network pass"),
+        ex.recv_stream(ctx, &mut meter, workers, |meter, tag, payload| match tag {
+            WireTag::Data { part, .. } if part < np => {
+                meter.charge_bytes(ctx, payload.len(), cost.memcpy_rate);
+                st.staging.lock()[part].extend_from_slice(&payload);
+                true
             }
-            meter.flush(ctx);
-            nic.repost_recv(ctx);
-        }
-        meter.flush(ctx);
+            _ => false,
+        })?;
     } else {
         let w = core - 1;
         let assignment = st.assignment.lock().clone();
-        let pool = &pools[mach];
-        let mut bufs: Vec<Option<(Vec<u8>, SendWindow)>> = (0..np).map(|_| None).collect();
+        let mut scatter = Scatter::new(&ex, &pools[mach], cfg.send_depth, 1, np, Exchange::send)?;
         let mut local: Vec<Vec<T>> = (0..np).map(|_| Vec::new()).collect();
         let range = ranges(st.chunk.len(), workers)[w].clone();
         for t in &st.chunk[range] {
             meter.charge_bytes(ctx, T::SIZE, cost.partition_rate);
-            let p = partition_of(t.key(), 0, cfg.radix_bits);
-            let dst = assignment[p];
+            let part = partition_of(t.key(), 0, cfg.radix_bits);
+            let dst = assignment[part];
             if dst == mach {
-                local[p].push(*t);
+                local[part].push(*t);
             } else {
-                let slot = &mut bufs[p];
-                if slot.is_none() {
-                    *slot = Some((
-                        pool.take(ctx),
-                        SendWindow::validated(cfg.send_depth, Arc::clone(nic.validator())),
-                    ));
-                }
-                // lint: allow-unwrap(slot was just filled if it was None)
-                let (buf, window) = slot.as_mut().unwrap();
-                t.write_to(buf);
-                if buf.len() + T::SIZE > cfg.rdma_buf_size {
-                    meter.flush(ctx);
-                    window.admit(ctx).map_err(fab(phase::NETWORK_PARTITION))?;
-                    let payload = std::mem::take(buf);
-                    let ev = nic.post_send(
-                        ctx,
-                        HostId(dst),
-                        WireTag::Data {
-                            rel: REL_S,
-                            part: p,
-                        }
-                        .encode(),
-                        payload,
-                    );
-                    window.record(ev);
-                }
+                let tag = WireTag::Data { rel: REL_S, part };
+                scatter.push(ctx, &mut meter, dst, tag, |buf| t.write_to(buf))?;
             }
         }
-        for (p, slot) in bufs.iter_mut().enumerate() {
-            if let Some((buf, window)) = slot.as_mut() {
-                if !buf.is_empty() {
-                    meter.flush(ctx);
-                    window.admit(ctx).map_err(fab(phase::NETWORK_PARTITION))?;
-                    let payload = std::mem::take(buf);
-                    let ev = nic.post_send(
-                        ctx,
-                        HostId(assignment[p]),
-                        WireTag::Data {
-                            rel: REL_S,
-                            part: p,
-                        }
-                        .encode(),
-                        payload,
-                    );
-                    window.record(ev);
-                }
-                window.drain(ctx).map_err(fab(phase::NETWORK_PARTITION))?;
-                pool.put(Vec::new());
-            }
-        }
-        meter.flush(ctx);
-        let mut evs = Vec::new();
-        for dst in (0..m).filter(|&d| d != mach) {
-            evs.push(nic.post_send(ctx, HostId(dst), WireTag::Eos.encode(), Vec::new()));
-        }
-        for ev in evs {
-            ev.wait(ctx).map_err(fab(phase::NETWORK_PARTITION))?;
-        }
+        scatter.finish(ctx, &mut meter, true)?;
         *st.local_out[w].lock() = local;
     }
     rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)?;

@@ -14,12 +14,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_joins::BucketTable;
-use rsj_rdma::HostId;
 use rsj_sim::SimCtx;
 use rsj_workload::{decode_all, JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, Runtime, WireTag};
+use rsj_cluster::{ranges, Exchange, Runtime, WireTag};
 
 /// Phase name of the rotation rounds, for error attribution.
 const PHASE_ROTATE: &str = phase::BUILD_PROBE;
@@ -222,7 +221,7 @@ fn worker<T: Tuple>(
     let build_rate = cost.build_rate / cfg.cache_miss_derating;
     let probe_rate = cost.probe_rate / cfg.cache_miss_derating;
     let mut meter = Meter::for_quantum(cfg.cluster.meter_quantum_ns);
-    let nic = rt.fabric.nic(HostId(mach));
+    let ex = Exchange::new(&rt.fabric, mach, PHASE_ROTATE);
 
     // ---- Phase 1: build the stationary table over the whole local R
     // chunk (machine-sized: cache-cold rates). Core 0 materializes it;
@@ -256,36 +255,17 @@ fn worker<T: Tuple>(
             for t in frag.iter() {
                 t.write_to(&mut payload);
             }
-            let dst = HostId((mach + 1) % m);
-            let ev = nic.post_send(
-                ctx,
-                dst,
-                WireTag::Data {
-                    rel: REL_S,
-                    part: round,
-                }
-                .encode(),
-                payload,
-            );
-            let c = nic
-                .recv(ctx)
-                .map_err(|e| JoinError::fabric(mach, PHASE_ROTATE, e))?
-                .ok_or(JoinError::aborted(PHASE_ROTATE))?;
-            // Defensive decode: a malformed immediate aborts the run with
-            // a typed error instead of corrupting the ring state.
-            let tag =
-                WireTag::decode(c.tag).map_err(|e| JoinError::decode(mach, PHASE_ROTATE, e))?;
-            assert!(
-                matches!(tag, WireTag::Data { .. }),
-                "unexpected {tag:?} on the ring"
-            );
-            nic.repost_recv(ctx);
-            // Receive-side copy out of the RDMA buffer.
-            meter.charge_bytes(ctx, c.payload.len(), cost.memcpy_rate);
-            meter.flush(ctx);
-            let incoming: Vec<T> = decode_all(&c.payload);
-            ev.wait(ctx)
-                .map_err(|e| JoinError::fabric(mach, PHASE_ROTATE, e))?;
+            let tag = WireTag::Data {
+                rel: REL_S,
+                part: round,
+            };
+            let mut incoming: Vec<T> = Vec::new();
+            ex.all_to_all(ctx, tag, [(mach + 1) % m], &payload, |_, bytes| {
+                // Receive-side copy out of the RDMA buffer.
+                meter.charge_bytes(ctx, bytes.len(), cost.memcpy_rate);
+                meter.flush(ctx);
+                incoming = decode_all(&bytes);
+            })?;
             *st.fragment.lock() = Arc::new(incoming);
         }
         // The barrier publishes the new fragment to every core.

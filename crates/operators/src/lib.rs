@@ -39,7 +39,7 @@ pub use aggregation::{
 pub use cyclo_join::{
     run_cyclo_join, try_run_cyclo_join, CycloJoinConfig, CycloJoinJob, CycloJoinOutcome,
 };
-pub use rsj_cluster::{run_cluster, JoinError, Runtime};
+pub use rsj_cluster::{JoinError, Runtime};
 pub use rsj_core::{
     run_distributed_join, try_run_distributed_join, DistJoinConfig, DistJoinJob, Transport,
 };

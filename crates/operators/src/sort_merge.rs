@@ -18,12 +18,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_joins::{merge_join, partition_of, sort_by_key};
-use rsj_rdma::{BufferPool, HostId, SendWindow};
+use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
 use rsj_workload::{decode_into, JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::{REL_R, REL_S};
-use rsj_cluster::{ranges, Runtime, WireTag};
+use rsj_cluster::{ranges, Exchange, Runtime, Scatter, WireTag};
 
 /// Configuration of a distributed sort-merge join.
 #[derive(Clone, Debug)]
@@ -262,9 +262,6 @@ fn worker<T: Tuple>(
     let workers = rt.cores() - 1;
     let cost = &cfg.cluster.cost;
     let mut meter = Meter::for_quantum(cfg.cluster.meter_quantum_ns);
-    let nic = rt.fabric.nic(HostId(mach));
-    let fab =
-        |phase: &'static str| move |e: rsj_rdma::FabricError| JoinError::fabric(mach, phase, e);
 
     // ---- Phase 1: histogram + exchange (core 0 coordinates).
     if core > 0 {
@@ -299,28 +296,8 @@ fn worker<T: Tuple>(
             .iter()
             .flat_map(|h| [h[0].to_le_bytes(), h[1].to_le_bytes()].concat())
             .collect();
-        let mut evs = Vec::new();
-        for dst in (0..m).filter(|&d| d != mach) {
-            evs.push(nic.post_send(
-                ctx,
-                HostId(dst),
-                WireTag::Histogram.encode(),
-                encoded.clone(),
-            ));
-        }
-        for _ in 0..m.saturating_sub(1) {
-            let c = nic
-                .recv(ctx)
-                .map_err(fab(phase::HISTOGRAM))?
-                .ok_or(JoinError::aborted(phase::HISTOGRAM))?;
-            let tag =
-                WireTag::decode(c.tag).map_err(|e| JoinError::decode(mach, phase::HISTOGRAM, e))?;
-            assert_eq!(tag, WireTag::Histogram);
-            nic.repost_recv(ctx);
-        }
-        for ev in evs {
-            ev.wait(ctx).map_err(fab(phase::HISTOGRAM))?;
-        }
+        let ex = Exchange::new(&rt.fabric, mach, phase::HISTOGRAM);
+        ex.all_to_all(ctx, WireTag::Histogram, ex.peers(), &encoded, |_, _| {})?;
         let assignment: Vec<usize> = (0..np).map(|p| p % m).collect();
         *st.owned.lock() = (0..np).filter(|&p| assignment[p] == mach).collect();
         *st.assignment.lock() = assignment;
@@ -328,38 +305,21 @@ fn worker<T: Tuple>(
     rt.try_sync_named(ctx, phase::HISTOGRAM, mach)?;
 
     // ---- Phase 2: network partitioning pass.
+    let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
     if core == 0 {
-        // Receiver: count EOS from every remote partitioning worker.
-        let expected = (m - 1) * workers;
-        let mut eos = 0;
-        while eos < expected {
-            let c = nic
-                .recv(ctx)
-                .map_err(fab(phase::NETWORK_PARTITION))?
-                .ok_or(JoinError::aborted(phase::NETWORK_PARTITION))?;
-            match WireTag::decode(c.tag)
-                .map_err(|e| JoinError::decode(mach, phase::NETWORK_PARTITION, e))?
-            {
-                WireTag::Eos => eos += 1,
-                WireTag::Data { rel, part } => {
-                    meter.charge_bytes(ctx, c.payload.len(), cost.memcpy_rate);
-                    st.staging[rel].lock()[part].extend_from_slice(&c.payload);
-                }
-                other => panic!("unexpected {other:?} during network pass"),
+        // Receiver: one EOS from every remote partitioning worker.
+        ex.recv_stream(ctx, &mut meter, workers, |meter, tag, payload| match tag {
+            WireTag::Data { rel, part } if part < np => {
+                meter.charge_bytes(ctx, payload.len(), cost.memcpy_rate);
+                st.staging[rel].lock()[part].extend_from_slice(&payload);
+                true
             }
-            meter.flush(ctx);
-            nic.repost_recv(ctx);
-        }
-        meter.flush(ctx);
+            _ => false,
+        })?;
     } else {
         let w = core - 1;
         let assignment = st.assignment.lock().clone();
-        let pool = &pools[mach];
-        type Slot = Option<(Vec<u8>, SendWindow)>;
-        let mut bufs: [Vec<Slot>; 2] = [
-            (0..np).map(|_| None).collect(),
-            (0..np).map(|_| None).collect(),
-        ];
+        let mut scatter = Scatter::new(&ex, &pools[mach], cfg.send_depth, 1, np, Exchange::send)?;
         let mut local: [Vec<Vec<T>>; 2] = [
             (0..np).map(|_| Vec::new()).collect(),
             (0..np).map(|_| Vec::new()).collect(),
@@ -368,66 +328,18 @@ fn worker<T: Tuple>(
             let range = ranges(chunk.len(), workers)[w].clone();
             for t in &chunk[range] {
                 meter.charge_bytes(ctx, T::SIZE, cost.partition_rate);
-                let p = partition_of(t.key(), 0, cfg.radix_bits);
-                let dst = assignment[p];
+                let part = partition_of(t.key(), 0, cfg.radix_bits);
+                let dst = assignment[part];
                 if dst == mach {
-                    local[rel][p].push(*t);
+                    local[rel][part].push(*t);
                 } else {
-                    let slot = &mut bufs[rel][p];
-                    if slot.is_none() {
-                        *slot = Some((
-                            pool.take(ctx),
-                            SendWindow::validated(cfg.send_depth, Arc::clone(nic.validator())),
-                        ));
-                    }
-                    // lint: allow-unwrap(slot was just filled if it was None)
-                    let (buf, window) = slot.as_mut().unwrap();
-                    t.write_to(buf);
-                    if buf.len() + T::SIZE > cfg.rdma_buf_size {
-                        meter.flush(ctx);
-                        window.admit(ctx).map_err(fab(phase::NETWORK_PARTITION))?;
-                        let payload = std::mem::take(buf);
-                        let ev = nic.post_send(
-                            ctx,
-                            HostId(dst),
-                            WireTag::Data { rel, part: p }.encode(),
-                            payload,
-                        );
-                        window.record(ev);
-                    }
+                    let tag = WireTag::Data { rel, part };
+                    scatter.push(ctx, &mut meter, dst, tag, |buf| t.write_to(buf))?;
                 }
             }
         }
         // Flush partials, drain, EOS.
-        for rel in [REL_R, REL_S] {
-            for p in 0..np {
-                if let Some((buf, window)) = bufs[rel][p].as_mut() {
-                    if !buf.is_empty() {
-                        meter.flush(ctx);
-                        window.admit(ctx).map_err(fab(phase::NETWORK_PARTITION))?;
-                        let payload = std::mem::take(buf);
-                        let dst = assignment[p];
-                        let ev = nic.post_send(
-                            ctx,
-                            HostId(dst),
-                            WireTag::Data { rel, part: p }.encode(),
-                            payload,
-                        );
-                        window.record(ev);
-                    }
-                    window.drain(ctx).map_err(fab(phase::NETWORK_PARTITION))?;
-                    pool.put(Vec::new());
-                }
-            }
-        }
-        meter.flush(ctx);
-        let mut evs = Vec::new();
-        for dst in (0..m).filter(|&d| d != mach) {
-            evs.push(nic.post_send(ctx, HostId(dst), WireTag::Eos.encode(), Vec::new()));
-        }
-        for ev in evs {
-            ev.wait(ctx).map_err(fab(phase::NETWORK_PARTITION))?;
-        }
+        scatter.finish(ctx, &mut meter, true)?;
         *st.local_out[w].lock() = local;
     }
     rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)?;

@@ -612,14 +612,18 @@ impl FaultState {
     }
 
     /// Why a post by `query` on `src → dst` must fail fast, if it must
-    /// (checked before and after the post-overhead yield point). A
-    /// query-scoped abort denies posts even with no fault plan installed.
+    /// (checked before and after the post-overhead yield point). An abort,
+    /// query-scoped or rack-wide, denies posts even with no fault plan
+    /// installed.
     pub(crate) fn post_denied(&self, query: QueryId, src: HostId, dst: HostId) -> Option<WcStatus> {
-        if self.is_query_aborted(query) {
+        // An abort needs no fault plan: any worker's typed error (a stray
+        // tag, say) closes the egress queues, and peers must see flushed
+        // handles rather than post into them.
+        if self.is_query_aborted(query) || self.is_aborted() {
             return Some(WcStatus::Flushed);
         }
         self.plan.as_ref()?;
-        if self.is_aborted() || self.is_crashed(src) || self.is_crashed(dst) {
+        if self.is_crashed(src) || self.is_crashed(dst) {
             return Some(WcStatus::Flushed);
         }
         if self.qp_in_error(src, dst) {
