@@ -67,11 +67,9 @@ impl Exchange {
         dsts: impl IntoIterator<Item = usize>,
         payload: &[u8],
     ) -> Vec<SendHandle> {
+        let (nic, tag) = (&self.nic, tag.encode());
         dsts.into_iter()
-            .map(|d| {
-                self.nic
-                    .post_send(ctx, HostId(d), tag.encode(), payload.to_vec())
-            })
+            .map(|d| nic.post_send(ctx, HostId(d), tag, payload.to_vec()))
             .collect()
     }
 
@@ -122,15 +120,9 @@ impl Exchange {
         let mut eos = 0;
         while eos < expected {
             let (tag, c) = self.recv_one(ctx)?;
-            let expected_tag = match tag {
-                WireTag::Eos => {
-                    eos += 1;
-                    true
-                }
-                WireTag::Histogram => false,
-                WireTag::Data { .. } | WireTag::Result => on_msg(meter, tag, c.payload),
-            };
-            if !expected_tag {
+            let is_eos = tag == WireTag::Eos;
+            eos += usize::from(is_eos);
+            if !is_eos && (tag == WireTag::Histogram || !on_msg(meter, tag, c.payload)) {
                 return Err(self.stray(c.tag));
             }
             meter.flush(ctx);
@@ -146,8 +138,7 @@ impl Exchange {
         ctx: &SimCtx,
         dsts: impl IntoIterator<Item = usize>,
     ) -> Result<(), JoinError> {
-        let sends = self.post_all(ctx, WireTag::Eos, dsts, &[]);
-        self.wait_all(ctx, sends)
+        self.wait_all(ctx, self.post_all(ctx, WireTag::Eos, dsts, &[]))
     }
 
     /// The standard post step: settle the meter, wait for a free window
@@ -179,8 +170,7 @@ pub struct Lane {
     /// (§4.2.1); the scatter records the handle the step returns.
     pub window: SendWindow,
     buf: Vec<u8>,
-    /// Pool buffers this lane holds. Refills beyond the draw limit are
-    /// logical reuses of a drawn buffer whose send completed.
+    /// Pool buffers this lane holds (at most the window depth).
     taken: usize,
 }
 
@@ -192,8 +182,7 @@ pub struct Scatter<'a, P> {
     ex: &'a Exchange,
     pool: &'a BufferPool,
     depth: usize,
-    draws: usize,
-    parts: usize,
+    /// Relation-major: lane `rel * parts + part`.
     lanes: Vec<Option<Lane>>,
     step: P,
 }
@@ -202,15 +191,13 @@ impl<'a, P> Scatter<'a, P>
 where
     P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted,
 {
-    /// A sender into `parts` partitions per relation, with up to `depth`
-    /// sends in flight and up to `draws` pool buffers per stream. Fails
-    /// with a typed error if a partition id could overflow the tag's
-    /// 24-bit field.
+    /// A sender into `parts` partitions per relation, each lane with up to
+    /// `depth` sends in flight over as many pool buffers. Fails with a
+    /// typed error if a partition id could overflow the tag's 24-bit field.
     pub fn new(
         ex: &'a Exchange,
         pool: &'a BufferPool,
         depth: usize,
-        draws: usize,
         parts: usize,
         step: P,
     ) -> Result<Scatter<'a, P>, JoinError> {
@@ -219,8 +206,6 @@ where
             ex,
             pool,
             depth,
-            draws,
-            parts,
             lanes: (0..2 * parts).map(|_| None).collect(),
             step,
         })
@@ -238,20 +223,16 @@ where
         write: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), JoinError> {
         let i = match tag {
-            WireTag::Data { rel, part } => rel * self.parts + part,
+            WireTag::Data { rel, part } => rel * (self.lanes.len() / 2) + part,
             _ => 0,
         };
-        let (ex, pool, depth, draws) = (self.ex, self.pool, self.depth, self.draws);
+        let (ex, pool, depth) = (self.ex, self.pool, self.depth);
         let lane = self.lanes[i].get_or_insert_with(|| Lane {
             dst,
             tag,
             window: SendWindow::validated(depth, Arc::clone(ex.nic.validator())),
-            buf: if draws > 0 {
-                pool.take(ctx)
-            } else {
-                Vec::new()
-            },
-            taken: draws.min(1),
+            buf: pool.take(ctx),
+            taken: 1,
         });
         let before = lane.buf.len();
         write(&mut lane.buf);
@@ -275,10 +256,13 @@ where
         let bytes = std::mem::take(&mut lane.buf);
         if let Some(sent) = (self.step)(self.ex, ctx, meter, lane, bytes)? {
             lane.window.record(sent);
-        }
-        if !last && lane.taken < self.draws {
-            lane.taken += 1;
-            lane.buf = self.pool.take(ctx);
+            // Still on the wire: the next records need another buffer, up
+            // to the window depth (§4.2.1). Past that, `admit` has freed a
+            // drawn one, and a refill is its logical reuse.
+            if !last && lane.taken < self.depth {
+                lane.taken += 1;
+                lane.buf = self.pool.take(ctx);
+            }
         }
         Ok(())
     }
@@ -403,7 +387,7 @@ mod tests {
             } else {
                 (|| {
                     let pool = &pools2[mach];
-                    let mut scatter = Scatter::new(&ex, pool, 2, 2, PARTS, Exchange::send)?;
+                    let mut scatter = Scatter::new(&ex, pool, 2, PARTS, Exchange::send)?;
                     for i in 0..n {
                         let (rel, part) = ((i / PARTS) % 2, i % PARTS);
                         let dst = part % m;
@@ -579,7 +563,7 @@ mod tests {
         let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
         let ex = Exchange::new(&fabric, 1, PHASE);
         let pool = BufferPool::new(1, BUF, NicCosts::default());
-        let built = Scatter::new(&ex, &pool, 2, 2, MAX_PARTITIONS + 1, Exchange::send);
+        let built = Scatter::new(&ex, &pool, 2, MAX_PARTITIONS + 1, Exchange::send);
         match built.map(|_| ()) {
             Err(JoinError::Decode {
                 machine: 1,

@@ -39,10 +39,9 @@ pub fn check_partition_count(parts: usize) -> Result<(), TagError> {
     if parts <= MAX_PARTITIONS {
         return Ok(());
     }
-    Err(TagError {
-        raw: 0,
-        reason: "stream has more partitions than the 24-bit tag field can address",
-    })
+    Err(TagError::payload(
+        "stream has more partitions than the 24-bit tag field can address",
+    ))
 }
 /// In a Data tag, bits 29..25 sit between the relation bit and the
 /// partition id and are never used.

@@ -84,30 +84,6 @@ impl ResultEmitter<'_> {
     }
 }
 
-/// Coordinator-side result sink: machine 0's core 0 absorbs materialized
-/// result buffers during the build-probe phase in
-/// [`MaterializeMode::ToCoordinator`] runs.
-fn result_sink<T: Tuple>(
-    ctx: &SimCtx,
-    sh: &ClusterShared<T>,
-    ex: &Exchange,
-    meter: &mut Meter,
-) -> Result<(), JoinError> {
-    let mut bytes = 0u64;
-    let senders = sh.cfg.cluster.cores_per_machine;
-    ex.recv_stream(ctx, meter, senders, |meter, tag, payload| match tag {
-        WireTag::Result => {
-            // Copy out of the receive buffer into result storage.
-            meter.charge_bytes(ctx, payload.len(), sh.cfg.cluster.cost.memcpy_rate);
-            bytes += payload.len() as u64;
-            true
-        }
-        _ => false,
-    })?;
-    *sh.coord_result_bytes.lock() += bytes;
-    Ok(())
-}
-
 pub(crate) fn phase_build_probe<T: Tuple>(
     ctx: &SimCtx,
     sh: &ClusterShared<T>,
@@ -126,7 +102,19 @@ pub(crate) fn phase_build_probe<T: Tuple>(
     // Coordinator sink: machine 0's first core absorbs shipped results
     // instead of probing (its other cores keep working).
     if ships && mach == 0 && core == 0 && cfg.cluster.machines > 1 {
-        return result_sink(ctx, sh, &ex, meter);
+        let mut bytes = 0u64;
+        let senders = cfg.cluster.cores_per_machine;
+        ex.recv_stream(ctx, meter, senders, |meter, tag, payload| match tag {
+            WireTag::Result => {
+                // Copy out of the receive buffer into result storage.
+                meter.charge_bytes(ctx, payload.len(), cost.memcpy_rate);
+                bytes += payload.len() as u64;
+                true
+            }
+            _ => false,
+        })?;
+        *sh.coord_result_bytes.lock() += bytes;
+        return Ok(());
     }
     let pool = &sh.pools[mach];
     let scatter = if ships && mach != 0 {
@@ -134,7 +122,6 @@ pub(crate) fn phase_build_probe<T: Tuple>(
             &ex,
             pool,
             cfg.send_depth,
-            0,
             1,
             Exchange::send as SendStep,
         )?)

@@ -59,9 +59,11 @@ fn sender_loop<T: Tuple>(
 
     // One-sided write offsets: this worker's base offset within the remote
     // region for (rel, p) is the sum of the preceding workers' counts.
-    let mut bases = [vec![0usize; np1], vec![0usize; np1]];
+    let one_sided = cfg.receive == ReceiveMode::OneSided;
+    let cursors = if one_sided { np1 } else { 0 };
+    let mut bases = [vec![0usize; cursors], vec![0usize; cursors]];
     let mut my_hist = None;
-    if cfg.receive == ReceiveMode::OneSided {
+    if one_sided {
         for prev in 0..w {
             let g = st.worker_hists[prev].lock();
             let h = g.as_ref().expect("worker histogram missing");
@@ -75,20 +77,16 @@ fn sender_loop<T: Tuple>(
     }
     // Bytes already RDMA-written per (rel, part) by this worker (one-sided
     // offset cursor).
-    let mut written = [vec![0usize; np1], vec![0usize; np1]];
+    let mut written = [vec![0usize; cursors], vec![0usize; cursors]];
     // Waits the post step does itself; the lanes' windows time their own.
     let mut stall = 0.0f64;
 
     // The post step: the three transports and two receive modes differ
-    // only in how one full buffer reaches the wire. The real algorithm
-    // reuses the same `send_depth` physical buffers per stream in turn
-    // (§4.2.1); over TCP the kernel copies, so one user buffer suffices.
-    let draws = if tcp { 1 } else { cfg.send_depth };
+    // only in how one full buffer reaches the wire.
     let mut scatter = Scatter::new(
         &ex,
         &sh.pools[mach],
         cfg.send_depth,
-        draws,
         np1,
         |ex, ctx, meter, lane, bytes| {
             let len = bytes.len();
@@ -112,8 +110,8 @@ fn sender_loop<T: Tuple>(
             if interleaved {
                 lane.window.admit(ctx).map_err(|e| ex.fabric_err(e))?;
             }
-            let sent = match (cfg.receive, lane.tag) {
-                (ReceiveMode::OneSided, WireTag::Data { rel, part }) => {
+            let sent = match lane.tag {
+                WireTag::Data { rel, part } if one_sided => {
                     let remote = *sh
                         .mr_registry
                         .lock()
@@ -165,8 +163,7 @@ fn sender_loop<T: Tuple>(
 
     // Final partial buffers and drains, then end-of-stream markers to the
     // two-sided receivers.
-    let two_sided = cfg.receive == ReceiveMode::TwoSided;
-    stall += scatter.finish(ctx, meter, two_sided)?;
+    stall += scatter.finish(ctx, meter, !one_sided)?;
     // One-sided: every byte announced in the histogram must have been
     // written, or remote assembly would read zeros.
     if let Some(h) = &my_hist {

@@ -259,14 +259,13 @@ fn worker<T: Tuple>(
                 rel: REL_S,
                 part: round,
             };
-            let mut incoming: Vec<T> = Vec::new();
             ex.all_to_all(ctx, tag, [(mach + 1) % m], &payload, |_, bytes| {
-                // Receive-side copy out of the RDMA buffer.
+                // Receive-side copy out of the RDMA buffer. Nobody reads
+                // the fragment again before the barrier below.
                 meter.charge_bytes(ctx, bytes.len(), cost.memcpy_rate);
                 meter.flush(ctx);
-                incoming = decode_all(&bytes);
+                *st.fragment.lock() = Arc::new(decode_all(&bytes));
             })?;
-            *st.fragment.lock() = Arc::new(incoming);
         }
         // The barrier publishes the new fragment to every core.
         rt.try_sync_quiet(ctx)?;

@@ -319,7 +319,7 @@ fn worker<T: Tuple>(
     } else {
         let w = core - 1;
         let assignment = st.assignment.lock().clone();
-        let mut scatter = Scatter::new(&ex, &pools[mach], cfg.send_depth, 1, np, Exchange::send)?;
+        let mut scatter = Scatter::new(&ex, &pools[mach], cfg.send_depth, np, Exchange::send)?;
         let mut local: [Vec<Vec<T>>; 2] = [
             (0..np).map(|_| Vec::new()).collect(),
             (0..np).map(|_| Vec::new()).collect(),
