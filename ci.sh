@@ -34,10 +34,21 @@ cargo build --release
 # compiles against the product crates' public API: a change that breaks it
 # must fail here, not in the benchmark driver.
 cargo build --release --manifest-path benchmark/Cargo.toml
-# Debug-profile tests run with the verbs-contract validator in Panic mode
-# (rsj-rdma's default `verify` feature), so this is the validator-enabled
-# pass: any RDMA protocol misuse aborts the suite.
+# ... and its own tests: a product change can break the frozen package's
+# behaviour, not only its compile.
+cargo test -q --manifest-path benchmark/Cargo.toml
+# Debug-profile tests run with the verbs-contract validator in Panic mode,
+# so any RDMA protocol misuse aborts the suite.
 cargo test -q
+# One build configuration: no cargo features, no environment switches in
+# the product crates, so the tested artefact is the measured one.
+# (rsj-lint is exempt: its rule tables may name such patterns.)
+guarded=$(ls -d crates/*/ | grep -vx 'crates/lint/')
+if grep -rnE 'feature *=|env::var' $(printf '%ssrc ' $guarded) \
+    || grep -n '^\[features\]' $(printf '%sCargo.toml ' $guarded); then
+    echo "ci.sh: a build/run switch grew back (cargo feature or env var)"
+    exit 1
+fi
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 # Project rules (token-level analysis: determinism hazards, barrier
@@ -45,8 +56,6 @@ cargo clippy --workspace -- -D warnings
 # fails only on findings absent from the committed baseline; after
 # review, refresh it with `cargo run -p rsj-lint -- --update-baseline`.
 cargo run -q -p rsj-lint -- --json --baseline lint-baseline.json > target/lint-report.json
-# The validator must also compile out cleanly (hard safety checks stay).
-cargo check -q -p rsj-rdma --no-default-features
 # Wall-clock perf gate: a short harness run must succeed end to end (it
 # measures the validator-overhead bound, warning on a breach; full runs
 # enforce it), and the committed BENCH_PERF.json trajectory must exist

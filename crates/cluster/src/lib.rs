@@ -33,12 +33,12 @@ pub mod wire;
 pub use cost::CostModel;
 pub use error::JoinError;
 pub use exchange::{Exchange, Lane, Posted, Scatter, SendStep};
-pub use meter::{default_settle_mode, Meter, SettleMode};
+pub use meter::{Meter, SettleMode};
 pub use phases::PhaseTimes;
 pub use runtime::{ClusterRun, PhaseEvent, Runtime};
 pub use service::{
-    HealingConfig, HostReport, JoinRequest, QueryJob, QueryReport, QueryService, RejectReason,
-    ServiceConfig, ServiceReport,
+    run_direct, HealingConfig, HostReport, JoinRequest, QueryJob, QueryReport, QueryService,
+    RejectReason, ServiceConfig, ServiceReport,
 };
 pub use topology::{ClusterSpec, Interconnect};
 pub use wire::{ranges, TagError, WireTag};

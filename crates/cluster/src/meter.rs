@@ -8,52 +8,36 @@
 //! a barrier) so the relative order of compute and communication stays
 //! exact at those boundaries.
 //!
-//! ## Settlement modes
+//! ## Settlement
 //!
-//! *Where* a committed chunk goes is a [`SettleMode`] choice:
+//! Every meter a run builds ([`Meter::new`], [`Meter::for_quantum`])
+//! settles **lazily**: each committed chunk accrues into the kernel's
+//! per-task batch via [`SimCtx::advance_batched`], and the whole batch is
+//! committed in a single advance at the next *interaction* — a
+//! [`Meter::flush`] before a fabric post, barrier, or park.
 //!
-//! - **Eager** dispatches each chunk into the kernel as its own
-//!   `ctx.advance` — the historical behaviour. Each dispatch is usually a
-//!   cross-worker OS context switch, which PR 3 measured as the sweep's
-//!   wall-clock floor.
-//! - **Lazy** (the default) accrues each chunk into the kernel's per-task
-//!   batch via [`SimCtx::advance_batched`] and commits the whole batch in
-//!   a single advance at the next *interaction* — a [`Meter::flush`]
-//!   before a fabric post, barrier, or park. The chunk boundaries and
-//!   rounding are bit-identical to eager mode, so the committed clock at
-//!   every interaction (the only points where another task can observe
-//!   this worker's time) is exactly the same; only the number of scheduler
-//!   dispatches between interactions changes. DESIGN.md §12 carries the
-//!   equivalence argument; the full-sweep byte-identity gate checks it
-//!   end-to-end.
-//!
-//! The mode for [`Meter::new`]/[`Meter::for_quantum`] meters comes from the
-//! `RSJ_SETTLE` environment variable (`lazy` default, `eager` to pin the
-//! historical dispatch pattern — the CI identity gate diffs both).
-//! [`Meter::with_quantum_ns`] stays eager so tests asserting per-crossing
-//! clock movement keep their contract.
-
-use std::sync::OnceLock;
+//! **Eager** settlement — each chunk its own `ctx.advance`, usually a
+//! cross-worker OS context switch, which PR 3 measured as the sweep's
+//! wall-clock floor — survives only as the test oracle
+//! ([`Meter::with_mode`]). The chunk boundaries and rounding are
+//! bit-identical in both modes, so the committed clock at every
+//! interaction (the only points where another task can observe this
+//! worker's time) is exactly the same; only the number of scheduler
+//! dispatches between interactions differs. DESIGN.md §12 carries the
+//! equivalence argument; `tests/meter_equivalence.rs` and rsj-sim's
+//! `tests/settlement_equivalence.rs` check it.
 
 use rsj_sim::{SimCtx, SimDuration};
 
 /// When committed compute-time chunks are dispatched into the kernel.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum SettleMode {
-    /// Every quantum crossing is its own kernel dispatch (historical).
+    /// Every quantum crossing is its own kernel dispatch — the test
+    /// oracle lazy settlement is compared against.
     Eager,
     /// Chunks accrue in the kernel's per-task batch; one dispatch per
     /// interaction ([`Meter::flush`]).
     Lazy,
-}
-
-/// Process-wide default settlement mode, read once from `RSJ_SETTLE`.
-pub fn default_settle_mode() -> SettleMode {
-    static MODE: OnceLock<SettleMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("RSJ_SETTLE").as_deref() {
-        Ok("eager") => SettleMode::Eager,
-        _ => SettleMode::Lazy,
-    })
 }
 
 /// Accrues owed virtual compute time and settles it in quanta.
@@ -80,29 +64,23 @@ impl Meter {
     /// the quantum without touching its arithmetic.
     pub const DEFAULT_QUANTUM_NS: f64 = 20_000.0;
 
-    /// A meter with the default quantum and the process default
-    /// [`SettleMode`].
+    /// A lazily settling meter with the default quantum.
     #[allow(clippy::new_without_default)]
     pub fn new() -> Meter {
         Meter::for_quantum(Self::DEFAULT_QUANTUM_NS)
     }
 
-    /// A meter with a custom quantum and the process default
-    /// [`SettleMode`]. This is the constructor for configured runs: pass
-    /// the cluster's `meter_quantum_ns` so scaled experiments shrink the
-    /// quantization alongside the data.
+    /// A lazily settling meter with a custom quantum. This is the
+    /// constructor for configured runs: pass the cluster's
+    /// `meter_quantum_ns` so scaled experiments shrink the quantization
+    /// alongside the data.
     pub fn for_quantum(quantum_ns: f64) -> Meter {
-        Meter::with_mode(quantum_ns, default_settle_mode())
+        Meter::with_mode(quantum_ns, SettleMode::Lazy)
     }
 
-    /// A meter with a custom quantum and **eager** settlement. Tests use
-    /// small quanta and assert the clock moves at each crossing; that
-    /// contract requires eager dispatch, so this constructor pins it.
-    pub fn with_quantum_ns(quantum_ns: f64) -> Meter {
-        Meter::with_mode(quantum_ns, SettleMode::Eager)
-    }
-
-    /// A meter with an explicit quantum and settlement mode.
+    /// A meter with an explicit quantum and settlement mode. Production
+    /// code never passes [`SettleMode::Eager`]; tests do, to assert the
+    /// clock moves at each crossing and as the equivalence oracle.
     pub fn with_mode(quantum_ns: f64, mode: SettleMode) -> Meter {
         assert!(quantum_ns >= 0.0);
         Meter {
@@ -178,7 +156,7 @@ mod tests {
     fn charges_accumulate_and_flush() {
         let sim = Simulation::new();
         sim.spawn("worker", |ctx| {
-            let mut m = Meter::with_quantum_ns(1000.0);
+            let mut m = Meter::with_mode(1000.0, SettleMode::Eager);
             // 400 ns owed: below quantum, clock unchanged.
             m.charge_bytes(ctx, 400, 1e9);
             assert_eq!(ctx.now().as_nanos(), 0);
@@ -198,7 +176,7 @@ mod tests {
         for quantum in [0.0, 100.0, 1e6] {
             let sim = Simulation::new();
             sim.spawn("worker", move |ctx| {
-                let mut m = Meter::with_quantum_ns(quantum);
+                let mut m = Meter::with_mode(quantum, SettleMode::Eager);
                 for _ in 0..1000 {
                     m.charge_bytes(ctx, 64, 955.0e6);
                 }

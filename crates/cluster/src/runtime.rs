@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use rsj_rdma::{
     BufferPool, Fabric, FabricConfig, FaultPlan, HostId, NicCosts, PoolArena, QueryId, Spawner,
 };
-use rsj_sim::{SimBarrier, SimCtx, SimDuration, SimEvent, SimSemaphore, SimTime, Simulation};
+use rsj_sim::{SimBarrier, SimCtx, SimDuration, SimSemaphore, SimTime, Simulation};
 
 use crate::error::JoinError;
 use crate::phase;
@@ -390,98 +390,54 @@ impl Runtime {
         .unwrap_or_else(|e| panic!("cluster run failed: {e}"))
     }
 
-    /// Run a fallible `worker` on every simulated core. A worker's `Err`
-    /// aborts the whole run ([`Runtime::fail`]); the first error becomes
-    /// the result. When a fault plan is installed, a watchdog task guards
-    /// against hangs: a full window of zero cluster-wide progress aborts
-    /// the run with [`JoinError::BarrierTimeout`] naming the stragglers.
+    /// Run a fallible `worker` on every simulated core of a fresh
+    /// simulation that this runtime owns, over its dedicated fabric. A
+    /// worker's `Err` aborts the whole run ([`Runtime::fail`]); the first
+    /// error becomes the result. The launch itself — worker wrapper, live
+    /// counter, watchdog — is [`Runtime::spawn_workers`]; what is the
+    /// direct path's own is stopping the fabric engines after a clean run
+    /// and the rack-wide teardown audit.
     pub fn try_run<F>(self: &Arc<Self>, worker: F) -> Result<ClusterRun, JoinError>
     where
         F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
     {
-        let worker = Arc::new(worker);
         let sim = Simulation::new();
         self.fabric.launch(&sim);
-        let live = Arc::new(AtomicUsize::new(self.machines * self.cores));
-        let all_exited = SimEvent::new();
-        for mach in 0..self.machines {
-            for core in 0..self.cores {
-                let rt = Arc::clone(self);
-                let worker = Arc::clone(&worker);
-                let live = Arc::clone(&live);
-                let all_exited = Arc::clone(&all_exited);
-                sim.spawn(format!("m{mach}-c{core}"), move |ctx| {
-                    if let Err(e) = worker(ctx, &rt, mach, core) {
-                        rt.fail(ctx, e);
-                    }
-                    // The last worker through the final barrier stops the
-                    // fabric engines. On an aborted run the barrier is
-                    // poisoned and the fabric already flushed.
-                    if rt.barrier.wait_checked(ctx).unwrap_or(false) {
-                        rt.fabric.shutdown(ctx);
-                    }
-                    if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        all_exited.set(ctx);
-                    }
-                });
+        let outcome = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&outcome);
+        let fabric = Arc::clone(&self.fabric);
+        self.spawn_workers(&sim, worker, move |ctx, result| {
+            // An aborted run already flushed and stopped the engines.
+            if result.is_ok() {
+                fabric.shutdown(ctx);
             }
-        }
-        // With a fault plan armed, a hang is a bug the suite must surface:
-        // watch cluster-wide progress and abort after a full idle window.
-        // (Never spawned on fault-free runs, so their event schedule is
-        // untouched.)
-        if self.fabric.has_fault_plan() {
-            let rt = Arc::clone(self);
-            let all_exited = Arc::clone(&all_exited);
-            sim.spawn("watchdog", move |ctx| {
-                let mut last = u64::MAX;
-                let mut idle = 0u32;
-                while !all_exited.is_set() {
-                    ctx.sleep_until(ctx.now() + WATCHDOG_TICK);
-                    let progress = rt.progress_snapshot();
-                    if progress != last {
-                        last = progress;
-                        idle = 0;
-                        continue;
-                    }
-                    idle += 1;
-                    if idle >= WATCHDOG_IDLE_TICKS {
-                        let err = JoinError::BarrierTimeout {
-                            query: rt.query,
-                            phase: *rt.phase_label.lock(),
-                            stragglers: rt.stragglers(),
-                        };
-                        rt.fail(ctx, err);
-                        break;
-                    }
-                }
-            });
-        }
+            *slot.lock() = Some(result);
+        });
         sim.run();
-        if let Some(err) = self.failure() {
-            return Err(err);
-        }
+        let run = outcome
+            .lock()
+            .take()
+            .expect("the last worker out reports the outcome")?;
         // The simulation has quiesced: audit the verbs-contract end state
         // (undrained completions, unreposted receive slots, leaked pool
         // buffers) before reporting results.
         self.fabric.validator().check_teardown();
-        let st = self.state.lock();
-        Ok(ClusterRun {
-            marks: st.marks.clone(),
-            events: st.events.clone(),
-        })
+        Ok(run)
     }
 
-    /// Spawn this query-scoped runtime's workers into an *already running*
-    /// simulation — the query-service execution path. Unlike
-    /// [`Runtime::try_run`] the runtime does not own the simulation:
-    /// workers run concurrently with other queries' workers over the
-    /// shared fabric. The last worker out retires the query's fabric view
-    /// (lanes unregister, per-query teardown audit runs) and invokes
-    /// `done` exactly once with the query's outcome. When a fault plan is
-    /// armed, a per-query watchdog guards against hangs using the query's
-    /// *own* lane activity, so one query's stall is never masked by
-    /// another query's traffic.
+    /// Spawn this runtime's `machines × cores` workers — the one launch
+    /// routine, serving [`Runtime::try_run`] (a simulation of its own) and
+    /// the query service (an *already running* simulation shared with
+    /// other queries' workers). A worker's `Err` aborts the run
+    /// ([`Runtime::fail`]); the last worker out invokes `done` exactly
+    /// once with the outcome, and everything that differs between callers
+    /// (stopping a dedicated fabric, retiring a query view and its arena)
+    /// belongs in `done`. When a fault plan is armed, a watchdog turns a
+    /// full window of zero progress into [`JoinError::BarrierTimeout`]
+    /// naming the stragglers. It watches this runtime's *own* fabric
+    /// handle, so under a service one query's stall is never masked by
+    /// another query's traffic. Fault-free runs never spawn it, so their
+    /// event schedule is untouched.
     pub fn spawn_workers<F, D>(self: &Arc<Self>, spawner: &impl Spawner, worker: F, done: D)
     where
         F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
@@ -504,8 +460,6 @@ impl Runtime {
                     // A poisoned barrier is fine here: the failure is recorded.
                     rt.barrier.wait_checked(ctx).unwrap_or(false);
                     if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        rt.fabric.close_view(ctx);
-                        rt.fabric.validator().check_query_teardown(rt.query);
                         let result = match rt.failure() {
                             Some(err) => Err(err),
                             None => {
@@ -525,7 +479,6 @@ impl Runtime {
         }
         if self.fabric.has_fault_plan() {
             let rt = Arc::clone(self);
-            let live = Arc::clone(&live);
             spawner.spawn_task(format!("q{qid}-watchdog"), move |ctx| {
                 let mut last = u64::MAX;
                 let mut idle = 0u32;

@@ -44,8 +44,8 @@ use crate::runtime::{ClusterRun, Runtime};
 
 /// Retry attempts of one query get ids `base + attempt * RETRY_STRIDE`,
 /// so every attempt draws an independent `(seed, QueryId)` fault stream
-/// while the report keys stay on the base id. Explicit query ids must
-/// stay below the stride when healing is enabled.
+/// while the report keys stay on the base id. With healing enabled an
+/// explicit query id at or above the stride is rejected at admission.
 const RETRY_STRIDE: u32 = 1 << 24;
 
 /// One query's worth of work, as the service sees it: the operator crates
@@ -75,18 +75,44 @@ pub trait QueryJob: Send + Sync {
     fn finish(&self, rt: &Runtime, run: &ClusterRun);
 }
 
+/// Run `job` alone, on a dedicated fabric and a simulation of its own:
+/// the one direct driver behind every operator's `try_run_*` entry point.
+/// It performs the same attach / run / finish sequence as a
+/// [`QueryService`] admission; `validate` overrides the validator's
+/// response (`None` keeps the build default).
+pub fn run_direct<J: QueryJob + 'static>(
+    job: &Arc<J>,
+    fabric: FabricConfig,
+    nic: NicCosts,
+    plan: Option<FaultPlan>,
+    validate: Option<ValidateMode>,
+) -> Result<ClusterRun, JoinError> {
+    let rt = Runtime::new_with_plan(job.machines(), job.cores(), fabric, nic, plan);
+    if let Some(mode) = validate {
+        rt.fabric.validator().set_mode(mode);
+    }
+    job.attach(&rt);
+    let worker = Arc::clone(job);
+    let run = rt.try_run(move |ctx, rt, mach, core| worker.run_worker(ctx, rt, mach, core))?;
+    job.finish(&rt, &run);
+    Ok(run)
+}
+
 /// A queued query: which job to run, and optionally where.
 pub struct JoinRequest {
     /// Human-readable label carried into the report.
     pub label: String,
-    /// Explicit query id (must be unique and nonzero). `None` assigns
+    /// Explicit query id: unique, nonzero, and below the retry-id stride
+    /// (2²⁴) when healing is armed — anything else is rejected at
+    /// admission ([`RejectReason::InvalidRequest`]). `None` assigns
     /// FIFO-position ids starting at 1. Disjoint-query determinism tests
     /// pin explicit ids so a query's `(seed, QueryId)` fault stream
     /// survives admission-order permutations.
     pub id: Option<u32>,
     /// Explicit placement: which physical host backs each logical
-    /// machine. `None` rotates the query across the rack by queue
-    /// position.
+    /// machine — `job.machines()` distinct hosts of the rack, or the
+    /// request is rejected at admission. `None` rotates the query across
+    /// the rack by queue position.
     pub placement: Option<Vec<HostId>>,
     /// The work itself.
     pub job: Arc<dyn QueryJob>,
@@ -191,10 +217,16 @@ impl HealingConfig {
     }
 }
 
-/// Why the degraded-admission policy rejected a query instead of running
-/// (or re-running) it.
+/// Why admission rejected a query instead of running (or re-running) it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RejectReason {
+    /// The request is malformed and could never run: a reserved,
+    /// duplicate or out-of-range query id, a zero-sized job, or a
+    /// placement that is not `machines` distinct hosts of this rack.
+    InvalidRequest {
+        /// What is wrong with it.
+        why: &'static str,
+    },
     /// The query wants more machines than the rack has live hosts.
     NoCapacity {
         /// Machines the query asked for.
@@ -218,6 +250,7 @@ pub enum RejectReason {
 impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RejectReason::InvalidRequest { why } => write!(f, "invalid request: {why}"),
             RejectReason::NoCapacity { machines, live } => {
                 write!(f, "wants {machines} machines, only {live} hosts live")
             }
@@ -386,33 +419,16 @@ impl QueryService {
         // the default id (starting at 1; 0 is the direct lane) and the
         // default rotation over the rack. With healing enabled the
         // rotation is recomputed over *live* hosts at each admission —
-        // identical to this plan until the first fence.
+        // identical to this plan until the first fence. A request that
+        // could never run is planned as its typed rejection, delivered
+        // when its turn in the queue comes.
         let mut seen = std::collections::HashSet::new();
-        let planned: Vec<(QueryId, Vec<HostId>)> = requests
+        let planned: Vec<(QueryId, Result<Vec<HostId>, RejectReason>)> = requests
             .iter()
             .enumerate()
             .map(|(k, req)| {
                 let id = req.id.unwrap_or(k as u32 + 1);
-                assert!(id != 0, "query id 0 is the direct lane");
-                assert!(seen.insert(id), "duplicate query id {id}");
-                if cfg.healing.enabled {
-                    assert!(
-                        id < RETRY_STRIDE,
-                        "query id {id} collides with the retry id stride"
-                    );
-                }
-                let m = req.job.machines();
-                assert!(
-                    m >= 1 && m <= cfg.hosts,
-                    "query wants {m} machines on a {}-host rack",
-                    cfg.hosts
-                );
-                let placement = req
-                    .placement
-                    .clone()
-                    .unwrap_or_else(|| (0..m).map(|i| HostId((k + i) % cfg.hosts)).collect());
-                assert_eq!(placement.len(), m);
-                (QueryId(id), placement)
+                (QueryId(id), Self::plan(cfg, k, id, req, &mut seen))
             })
             .collect();
 
@@ -439,12 +455,12 @@ impl QueryService {
                 let total = requests.len();
                 let mut slots: Vec<SlotState> = planned
                     .iter()
-                    .map(|(id, placement)| SlotState {
+                    .map(|(id, _)| SlotState {
                         base: *id,
                         attempts: 0,
                         first_admitted: None,
                         first_failure: None,
-                        last_placement: placement.clone(),
+                        last_placement: Vec::new(),
                         crash_hosts: Vec::new(),
                     })
                     .collect();
@@ -528,8 +544,8 @@ impl QueryService {
                             }
                             Err(reason) => {
                                 // Typed rejection before any workers exist:
-                                // the degraded-admission policy refuses the
-                                // query rather than hanging or crashing it.
+                                // admission refuses the query rather than
+                                // hanging it or taking the batch down.
                                 let st = &slots[slot];
                                 let err = JoinError::aborted(phase::ADMISSION).with_query(st.base);
                                 retire(
@@ -715,6 +731,53 @@ impl QueryService {
         }
     }
 
+    /// Check one request (FIFO position `k`, resolved id `id`) against
+    /// the rack and plan its placement, or say why it can never run.
+    /// These are checks on outside input: a bad request must cost its
+    /// sender a typed rejection, never the batch a panic.
+    fn plan(
+        cfg: &ServiceConfig,
+        k: usize,
+        id: u32,
+        req: &JoinRequest,
+        seen: &mut std::collections::HashSet<u32>,
+    ) -> Result<Vec<HostId>, RejectReason> {
+        let invalid = |why| Err(RejectReason::InvalidRequest { why });
+        let m = req.job.machines();
+        if id == 0 {
+            return invalid("query id 0 is the direct lane");
+        }
+        if cfg.healing.enabled && id >= RETRY_STRIDE {
+            return invalid("query id collides with the retry id stride");
+        }
+        if !seen.insert(id) {
+            return invalid("duplicate query id");
+        }
+        if m == 0 || req.job.cores() == 0 {
+            return invalid("job wants no machines or no cores");
+        }
+        if m > cfg.hosts {
+            return Err(RejectReason::NoCapacity {
+                machines: m,
+                live: cfg.hosts,
+            });
+        }
+        let Some(placement) = &req.placement else {
+            return Ok((0..m).map(|i| HostId((k + i) % cfg.hosts)).collect());
+        };
+        if placement.len() != m {
+            return invalid("placement length differs from the job's machine count");
+        }
+        let mut taken = vec![false; cfg.hosts];
+        if !placement
+            .iter()
+            .all(|h| h.0 < cfg.hosts && !std::mem::replace(&mut taken[h.0], true))
+        {
+            return invalid("placement names an unknown or repeated host");
+        }
+        Ok(placement.clone())
+    }
+
     /// Decide where an attempt of `req` (queued at FIFO position `slot`)
     /// runs, or reject it. With healing off this is exactly the
     /// pre-resolved plan; with healing on, default placements rotate over
@@ -725,10 +788,11 @@ impl QueryService {
         fabric: &Fabric,
         req: &JoinRequest,
         slot: usize,
-        planned: &[HostId],
+        planned: &Result<Vec<HostId>, RejectReason>,
     ) -> Result<Vec<HostId>, RejectReason> {
+        let planned = planned.as_ref().map_err(Clone::clone)?;
         if !cfg.healing.enabled {
-            return Ok(planned.to_vec());
+            return Ok(planned.clone());
         }
         if let Some(explicit) = &req.placement {
             if let Some(&bad) = explicit.iter().find(|&&h| fabric.is_fenced(h)) {
@@ -802,13 +866,14 @@ impl QueryService {
             ctx,
             move |ctx, rt, mach, core| job.run_worker(ctx, rt, mach, core),
             move |ctx, result| {
-                let result = match result {
-                    Ok(run) => {
-                        finish_job.finish(&finish_rt, &run);
-                        Ok(PhaseTimes::from_events(&run.events))
-                    }
-                    Err(e) => Err(e),
-                };
+                // The query's share of retirement: its lanes unregister,
+                // its own teardown audit runs, its arena share returns.
+                finish_rt.fabric.close_view(ctx);
+                finish_rt.fabric.validator().check_query_teardown(id);
+                let result = result.map(|run| {
+                    finish_job.finish(&finish_rt, &run);
+                    PhaseTimes::from_events(&run.events)
+                });
                 for arena in arenas.iter() {
                     arena.release(id);
                 }
@@ -1030,6 +1095,195 @@ mod tests {
         assert_eq!(percentile(&v, 99), d(1000));
         assert_eq!(percentile(&[], 50), SimDuration::ZERO);
         assert_eq!(percentile(&v[..1], 99), d(100));
+    }
+
+    // ---- malformed requests: typed rejection at admission ----
+
+    /// Queue `bad` between two healthy ring queries: it must retire with
+    /// the typed `reason` without ever being admitted, and its neighbours
+    /// must complete as if it had not been there.
+    fn assert_rejected_alone(cfg: &ServiceConfig, bad: JoinRequest, reason: RejectReason) {
+        let mut requests = ring_requests(2, 4096);
+        requests.insert(1, bad);
+        let report = QueryService::run(cfg, requests);
+        assert_eq!(report.queries.len(), 3);
+        assert_eq!((report.aborted, report.rejected), (1, 1));
+        for q in &report.queries {
+            if q.label != "bad" {
+                assert!(q.result.is_ok(), "{} must run untouched", q.label);
+                continue;
+            }
+            assert_eq!(q.rejected, Some(reason.clone()));
+            assert_eq!(q.attempts, 0);
+            assert_eq!(
+                q.result,
+                Err(JoinError::aborted(phase::ADMISSION).with_query(q.id))
+            );
+        }
+    }
+
+    fn bad_request(
+        id: Option<u32>,
+        placement: Option<Vec<HostId>>,
+        machines: usize,
+    ) -> JoinRequest {
+        JoinRequest {
+            label: "bad".into(),
+            id,
+            placement,
+            job: RingJob::new(machines, 4096, None),
+        }
+    }
+
+    fn invalid(why: &'static str) -> RejectReason {
+        RejectReason::InvalidRequest { why }
+    }
+
+    #[test]
+    fn query_id_zero_is_rejected_typed() {
+        assert_rejected_alone(
+            &ServiceConfig::qdr_rack(4, 1),
+            bad_request(Some(0), None, 2),
+            invalid("query id 0 is the direct lane"),
+        );
+    }
+
+    #[test]
+    fn duplicate_query_id_is_rejected_typed() {
+        // The first ring query took FIFO id 1.
+        assert_rejected_alone(
+            &ServiceConfig::qdr_rack(4, 1),
+            bad_request(Some(1), None, 2),
+            invalid("duplicate query id"),
+        );
+    }
+
+    #[test]
+    fn query_id_in_the_retry_stride_is_rejected_when_healing_is_armed() {
+        let mut cfg = ServiceConfig::qdr_rack(4, 1);
+        let bad = || bad_request(Some(RETRY_STRIDE), None, 2);
+        // Without healing there are no retry ids to collide with.
+        let report = QueryService::run(&cfg, vec![bad()]);
+        assert_eq!((report.aborted, report.rejected), (0, 0));
+        cfg.healing = HealingConfig::armed();
+        cfg.fault_plan = Some(FaultPlan::fault_free());
+        assert_rejected_alone(
+            &cfg,
+            bad(),
+            invalid("query id collides with the retry id stride"),
+        );
+    }
+
+    #[test]
+    fn query_wanting_more_machines_than_the_rack_has_is_rejected_typed() {
+        assert_rejected_alone(
+            &ServiceConfig::qdr_rack(4, 1),
+            bad_request(None, None, 5),
+            RejectReason::NoCapacity {
+                machines: 5,
+                live: 4,
+            },
+        );
+    }
+
+    #[test]
+    fn malformed_placement_is_rejected_typed() {
+        let cfg = ServiceConfig::qdr_rack(4, 1);
+        for (placement, why) in [
+            (
+                vec![HostId(2), HostId(2)],
+                "placement names an unknown or repeated host",
+            ),
+            (
+                vec![HostId(0), HostId(4)],
+                "placement names an unknown or repeated host",
+            ),
+            (
+                vec![HostId(0), HostId(1), HostId(2)],
+                "placement length differs from the job's machine count",
+            ),
+        ] {
+            assert_rejected_alone(&cfg, bad_request(None, Some(placement), 2), invalid(why));
+        }
+    }
+
+    // ---- the watchdog (one loop, both launch paths) ----
+
+    /// Two one-core machines meet at the histogram barrier; then machine
+    /// 1 wedges on an event the protocol never sets while machine 0 goes
+    /// on to the next barrier. Only the abort path sets the event, so the
+    /// wedged worker can unwind once the watchdog has fired.
+    struct WedgeJob {
+        wedge: Arc<rsj_sim::SimEvent>,
+    }
+
+    impl QueryJob for WedgeJob {
+        fn machines(&self) -> usize {
+            2
+        }
+
+        fn cores(&self) -> usize {
+            1
+        }
+
+        fn attach(&self, _rt: &Arc<Runtime>) {}
+
+        fn run_worker(
+            &self,
+            ctx: &SimCtx,
+            rt: &Runtime,
+            mach: usize,
+            _core: usize,
+        ) -> Result<(), JoinError> {
+            rt.try_sync_named(ctx, phase::HISTOGRAM, mach)?;
+            if mach == 1 {
+                self.wedge.wait(ctx);
+                return Ok(());
+            }
+            let synced = rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach);
+            self.wedge.set(ctx);
+            synced.map(|_| ())
+        }
+
+        fn finish(&self, _rt: &Runtime, _run: &ClusterRun) {}
+    }
+
+    #[test]
+    fn wedged_worker_becomes_a_barrier_timeout_naming_straggler_and_phase() {
+        let job = || {
+            Arc::new(WedgeJob {
+                wedge: rsj_sim::SimEvent::new(),
+            })
+        };
+        let timeout = |query| JoinError::BarrierTimeout {
+            query,
+            phase: phase::NETWORK_PARTITION,
+            stragglers: vec![1],
+        };
+        let plan = Some(FaultPlan::fault_free());
+
+        let direct = run_direct(
+            &job(),
+            FabricConfig::qdr(),
+            NicCosts::default(),
+            plan.clone(),
+            None,
+        );
+        assert_eq!(direct.err(), Some(timeout(QueryId::DIRECT)));
+
+        let mut cfg = ServiceConfig::qdr_rack(2, 1);
+        cfg.fault_plan = plan;
+        let report = QueryService::run(
+            &cfg,
+            vec![JoinRequest {
+                label: "wedged".into(),
+                id: None,
+                placement: None,
+                job: job(),
+            }],
+        );
+        assert_eq!(report.queries[0].result, Err(timeout(QueryId(1))));
+        assert!(report.queries[0].rejected.is_none());
     }
 
     // ---- self-healing (DESIGN.md §13) ----

@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rsj_cluster::{phase, ClusterRun, JoinError, Meter, PhaseTimes, QueryJob, Runtime};
+use rsj_cluster::{phase, run_direct, ClusterRun, JoinError, Meter, PhaseTimes, QueryJob, Runtime};
 use rsj_rdma::HostId;
 use rsj_sim::{SimCtx, SimTime};
 use rsj_workload::{JoinResult, Relation, Tuple};
@@ -226,22 +226,13 @@ pub fn try_run_distributed_join<T: Tuple>(
     r: Relation<T>,
     s: Relation<T>,
 ) -> Result<DistJoinOutcome, JoinError> {
-    let m = cfg.cluster.machines;
-    let cores = cfg.cluster.cores_per_machine;
     let plan = cfg.fault_plan.clone();
     let fabric_cfg = cfg.fabric_config();
     let nic = cfg.cluster.cost.nic;
     let validate_mode = cfg.validate_mode;
 
     let job = DistJoinJob::new(cfg, r, s);
-    let rt = Runtime::new_with_plan(m, cores, fabric_cfg, nic, plan);
-    if let Some(mode) = validate_mode {
-        rt.fabric.validator().set_mode(mode);
-    }
-    job.attach(&rt);
-
-    let wj = Arc::clone(&job);
-    let run = rt.try_run(move |ctx, rt, mach, core| wj.run_worker(ctx, rt, mach, core))?;
+    let run = run_direct(&job, fabric_cfg, nic, plan, validate_mode)?;
 
     assert_eq!(
         run.marks.len(),
@@ -255,7 +246,6 @@ pub fn try_run_distributed_join<T: Tuple>(
         run.marks
     );
 
-    job.finish(&rt, &run);
     let outcome = job.take_outcome().expect("finish records the outcome");
     // Back-to-back named phases: the folded durations cover the run end
     // to end, exactly as the former raw-mark differences did. (Direct
@@ -271,8 +261,8 @@ pub fn try_run_distributed_join<T: Tuple>(
 /// One simulated core's journey through the four phases, dispatched on
 /// the probe dataplane. The runtime's named barriers record the
 /// per-machine phase events; the trailing barrier and fabric shutdown
-/// are handled by [`Runtime::try_run`]. A phase error aborts the whole
-/// run ([`Runtime::fail`]).
+/// are handled by the runtime. A phase error aborts the whole run
+/// ([`Runtime::fail`]).
 fn worker<T: Tuple>(
     ctx: &SimCtx,
     rt: &Runtime,

@@ -19,7 +19,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{decode_into, Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, Exchange, Runtime, Scatter, WireTag};
+use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, WireTag};
 
 /// Configuration of a distributed aggregation.
 #[derive(Clone, Debug)]
@@ -103,8 +103,6 @@ pub fn try_run_aggregation<T: Tuple>(
     cfg: AggregationConfig,
     s: Relation<T>,
 ) -> Result<AggregationOutcome, JoinError> {
-    let m = cfg.cluster.machines;
-    let cores = cfg.cluster.cores_per_machine;
     let fabric_cfg = cfg.fabric_override.unwrap_or_else(|| {
         cfg.cluster
             .interconnect
@@ -115,11 +113,7 @@ pub fn try_run_aggregation<T: Tuple>(
     let plan = cfg.fault_plan.clone();
 
     let job = AggregationJob::new(cfg, s);
-    let rt = Runtime::new_with_plan(m, cores, fabric_cfg, nic_costs, plan);
-    job.attach(&rt);
-    let wj = Arc::clone(&job);
-    let run = rt.try_run(move |ctx, rt, mach, core| wj.run_worker(ctx, rt, mach, core))?;
-    job.finish(&rt, &run);
+    run_direct(&job, fabric_cfg, nic_costs, plan, None)?;
     Ok(job.take_outcome().expect("finish records the outcome"))
 }
 

@@ -18,7 +18,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{decode_all, JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, Exchange, Runtime, WireTag};
+use rsj_cluster::{ranges, run_direct, Exchange, Runtime, WireTag};
 
 /// Phase name of the rotation rounds, for error attribution.
 const PHASE_ROTATE: &str = phase::BUILD_PROBE;
@@ -91,8 +91,6 @@ pub fn try_run_cyclo_join<T: Tuple>(
     r: Relation<T>,
     s: Relation<T>,
 ) -> Result<CycloJoinOutcome, JoinError> {
-    let m = cfg.cluster.machines;
-    let cores = cfg.cluster.cores_per_machine;
     let fabric_cfg = cfg.fabric_override.unwrap_or_else(|| {
         cfg.cluster
             .interconnect
@@ -103,11 +101,7 @@ pub fn try_run_cyclo_join<T: Tuple>(
     let plan = cfg.fault_plan.clone();
 
     let job = CycloJoinJob::new(cfg, r, s);
-    let rt = Runtime::new_with_plan(m, cores, fabric_cfg, nic_costs, plan);
-    job.attach(&rt);
-    let wj = Arc::clone(&job);
-    let run = rt.try_run(move |ctx, rt, mach, core| wj.run_worker(ctx, rt, mach, core))?;
-    job.finish(&rt, &run);
+    run_direct(&job, fabric_cfg, nic_costs, plan, None)?;
     Ok(job.take_outcome().expect("finish records the outcome"))
 }
 

@@ -16,15 +16,22 @@
 //! `debug_assertions`, i.e. in every test build) or is counted, recorded
 //! and logged ([`ValidateMode::Record`], the release default).
 //!
-//! Compiled under the `verify` feature (on by default). Without the
-//! feature the lifecycle bookkeeping is compiled out entirely; the hard
-//! memory-safety checks (out-of-bounds one-sided access, unregistered MR
-//! lookup) remain and fault unconditionally, exactly like the protection
-//! fault real hardware would raise.
+//! There is one build: the validator is always compiled, and
+//! [`ValidateMode::Off`] is the only way to skip the lifecycle
+//! bookkeeping. The hard memory-safety checks (out-of-bounds one-sided
+//! access, unregistered MR lookup) fault in every mode, exactly like the
+//! protection fault real hardware would raise.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
-use crate::config::HostId;
+use parking_lot::Mutex;
+
+use crate::config::{HostId, QueryId};
+use crate::pool::BufferPool;
+use crate::RemoteMr;
 
 /// What the validator does when a contract violation is detected.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -278,619 +285,491 @@ impl fmt::Display for Violation {
     }
 }
 
-#[cfg(feature = "verify")]
-pub use imp::Validator;
-#[cfg(not(feature = "verify"))]
-pub use stub::Validator;
+/// Per-host receive-path flow counters.
+#[derive(Default)]
+struct HostFlow {
+    /// Two-sided completions placed in the receive queue.
+    delivered: u64,
+    /// Completions consumed by the application.
+    consumed: u64,
+    /// Receive-buffer slots reposted to the SRQ.
+    reposted: u64,
+    /// SRQ exhaustion already reported for this host.
+    srq_reported: bool,
+}
 
-#[cfg(feature = "verify")]
-mod imp {
-    use std::collections::{HashMap, HashSet};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Weak};
-
-    use parking_lot::Mutex;
-
-    use super::{ValidateMode, Violation};
-    use crate::config::{HostId, QueryId};
-    use crate::pool::BufferPool;
-    use crate::RemoteMr;
-
-    /// Per-host receive-path flow counters.
-    #[derive(Default)]
-    struct HostFlow {
-        /// Two-sided completions placed in the receive queue.
-        delivered: u64,
-        /// Completions consumed by the application.
-        consumed: u64,
-        /// Receive-buffer slots reposted to the SRQ.
-        reposted: u64,
-        /// SRQ exhaustion already reported for this host.
-        srq_reported: bool,
-    }
-
-    /// `ValidateMode` packed into an atomic so the hot-path hooks can
-    /// test for [`ValidateMode::Off`] with a single relaxed load instead
-    /// of a lock round trip.
-    fn encode(mode: ValidateMode) -> u8 {
-        match mode {
-            ValidateMode::Panic => 0,
-            ValidateMode::Record => 1,
-            ValidateMode::Off => 2,
-        }
-    }
-
-    fn decode(bits: u8) -> ValidateMode {
-        match bits {
-            0 => ValidateMode::Panic,
-            1 => ValidateMode::Record,
-            _ => ValidateMode::Off,
-        }
-    }
-
-    /// The verbs-contract state machine: tracks every memory region,
-    /// receive slot, pooled buffer and windowed work request of one
-    /// fabric through its lifecycle and reports [`Violation`]s.
-    pub struct Validator {
-        mode: std::sync::atomic::AtomicU8,
-        /// Registered regions: `(host, index) → registered length`.
-        mrs: Mutex<HashMap<(usize, usize), usize>>,
-        /// Regions whose publication epoch is currently closed
-        /// ([`crate::Mr::unpublish`] without a later re-publish). Reads
-        /// against these are [`Violation::ReadAfterUnpublish`].
-        /// Never-published regions are absent: plain one-sided regions
-        /// (e.g. histogram-announced receive buffers) are readable
-        /// without the publish protocol.
-        unpublished: Mutex<HashSet<(usize, usize)>>,
-        /// Receive-path flow counters, scoped per `(host, query)` lane so
-        /// a query service can audit each query's teardown individually.
-        flows: Mutex<HashMap<(usize, u32), HostFlow>>,
-        /// Tracked pools with the `(host, query)` that owns each one, so
-        /// teardown leaks can be attributed to a crashed host or audited
-        /// per query.
-        pools: Mutex<Vec<(usize, u32, Weak<BufferPool>)>>,
-        /// Hosts the fault plane fail-stopped; their teardown residue is
-        /// context, not an application bug.
-        crashed: Mutex<HashSet<usize>>,
-        /// Queries individually aborted (query-scoped fault fan-out);
-        /// their residue is fault fallout, not an application bug.
-        aborted_queries: Mutex<HashSet<u32>>,
-        /// The cluster aborted: residue dropped while workers unwind is
-        /// fault-plane context, not an application bug.
-        aborted: std::sync::atomic::AtomicBool,
-        violations: Mutex<Vec<Violation>>,
-        count: AtomicU64,
-    }
-
-    impl Validator {
-        /// A fresh validator. Panics on violations in debug/test builds,
-        /// records them in release builds.
-        pub fn new() -> Arc<Validator> {
-            Arc::new(Validator {
-                mode: std::sync::atomic::AtomicU8::new(encode(if cfg!(debug_assertions) {
-                    ValidateMode::Panic
-                } else {
-                    ValidateMode::Record
-                })),
-                mrs: Mutex::new(HashMap::new()),
-                unpublished: Mutex::new(HashSet::new()),
-                flows: Mutex::new(HashMap::new()),
-                pools: Mutex::new(Vec::new()),
-                crashed: Mutex::new(HashSet::new()),
-                aborted_queries: Mutex::new(HashSet::new()),
-                aborted: std::sync::atomic::AtomicBool::new(false),
-                violations: Mutex::new(Vec::new()),
-                count: AtomicU64::new(0),
-            })
-        }
-
-        /// Override the violation response (tests use
-        /// [`ValidateMode::Record`] to assert on negative paths; the perf
-        /// harness uses [`ValidateMode::Off`] to price the checks).
-        pub fn set_mode(&self, mode: ValidateMode) {
-            self.mode.store(encode(mode), Ordering::SeqCst);
-        }
-
-        /// The current violation response.
-        pub fn mode(&self) -> ValidateMode {
-            decode(self.mode.load(Ordering::Relaxed))
-        }
-
-        /// True when the per-message checks are disabled.
-        #[inline]
-        fn off(&self) -> bool {
-            self.mode() == ValidateMode::Off
-        }
-
-        /// Report a violation: record + count it, then panic or log
-        /// according to the mode.
-        pub fn report(&self, v: Violation) {
-            if self.off() {
-                return;
-            }
-            self.count.fetch_add(1, Ordering::SeqCst);
-            self.violations.lock().push(v.clone());
-            match self.mode() {
-                ValidateMode::Panic => panic!("verbs contract violation: {v}"),
-                ValidateMode::Record | ValidateMode::Off => eprintln!("rsj-verify: {v}"),
-            }
-        }
-
-        /// Record a violation as context without ever panicking — used
-        /// for fault-plane residue (e.g. [`Violation::HostCrashed`]) that
-        /// documents what a crash left behind rather than accusing the
-        /// application of a contract bug.
-        fn note(&self, v: Violation) {
-            if self.off() {
-                return;
-            }
-            self.count.fetch_add(1, Ordering::SeqCst);
-            self.violations.lock().push(v.clone());
-            eprintln!("rsj-verify: {v}");
-        }
-
-        /// The fault plane fail-stopped `host`: its teardown residue is
-        /// reported as [`Violation::HostCrashed`] context from now on.
-        pub fn on_host_crashed(&self, host: HostId) {
-            self.crashed.lock().insert(host.0);
-        }
-
-        /// The cluster aborted the run. Residue dropped while workers
-        /// unwind — e.g. a send window with flushed work requests still
-        /// recorded — is fault-plane fallout, not a contract bug.
-        pub fn on_abort(&self) {
-            self.aborted.store(true, Ordering::SeqCst);
-        }
-
-        /// One query aborted (query-scoped fault fan-out over a shared
-        /// fabric). Residue that query drops while its workers unwind is
-        /// fault fallout; other queries keep full-strength auditing.
-        pub fn on_query_aborted(&self, query: QueryId) {
-            self.aborted_queries.lock().insert(query.0);
-        }
-
-        /// Whether in-flight residue should be attributed to the fault
-        /// plane (an abort, a crashed host, or a query-scoped abort)
-        /// rather than the application.
-        pub(crate) fn fault_residue(&self) -> bool {
-            self.aborted.load(Ordering::SeqCst)
-                || !self.crashed.lock().is_empty()
-                || !self.aborted_queries.lock().is_empty()
-        }
-
-        /// All violations recorded so far.
-        pub fn violations(&self) -> Vec<Violation> {
-            self.violations.lock().clone()
-        }
-
-        /// Number of violations detected so far.
-        pub fn violation_count(&self) -> u64 {
-            self.count.load(Ordering::SeqCst)
-        }
-
-        /// A region was registered (called by [`crate::MrTable`]).
-        pub(crate) fn mr_registered(&self, host: HostId, index: usize, len: usize) {
-            self.mrs.lock().insert((host.0, index), len);
-        }
-
-        /// A region opened a publication epoch ([`crate::Mr::publish`]):
-        /// one-sided reads are sanctioned until the matching unpublish.
-        pub(crate) fn mr_published(&self, host: HostId, index: usize) {
-            self.unpublished.lock().remove(&(host.0, index));
-        }
-
-        /// A region closed its publication epoch
-        /// ([`crate::Mr::unpublish`]): later reads against it are
-        /// [`Violation::ReadAfterUnpublish`] until it is re-published.
-        pub(crate) fn mr_unpublished(&self, host: HostId, index: usize) {
-            self.unpublished.lock().insert((host.0, index));
-        }
-
-        /// Validate a one-sided WRITE against the registered region table
-        /// before it is posted. Returns `false` (Record mode) if the post
-        /// must be dropped.
-        pub(crate) fn check_write(&self, remote: &RemoteMr, offset: usize, len: usize) -> bool {
-            self.check_one_sided(remote, offset, len, false)
-        }
-
-        /// Validate a one-sided READ before it is posted.
-        pub(crate) fn check_read(&self, remote: &RemoteMr, offset: usize, len: usize) -> bool {
-            self.check_one_sided(remote, offset, len, true)
-        }
-
-        fn check_one_sided(
-            &self,
-            remote: &RemoteMr,
-            offset: usize,
-            len: usize,
-            is_read: bool,
-        ) -> bool {
-            if self.off() {
-                return true;
-            }
-            let registered = self.mrs.lock().get(&(remote.host.0, remote.index)).copied();
-            let Some(region_len) = registered else {
-                self.report(Violation::UseBeforeRegister {
-                    host: remote.host,
-                    index: remote.index,
-                });
-                return false;
-            };
-            if remote.len != region_len {
-                self.report(Violation::StaleRemoteHandle {
-                    host: remote.host,
-                    index: remote.index,
-                    claimed: remote.len,
-                    registered: region_len,
-                });
-                return false;
-            }
-            if is_read
-                && self
-                    .unpublished
-                    .lock()
-                    .contains(&(remote.host.0, remote.index))
-            {
-                self.report(Violation::ReadAfterUnpublish {
-                    host: remote.host,
-                    index: remote.index,
-                });
-                return false;
-            }
-            let in_bounds = offset.checked_add(len).is_some_and(|end| end <= region_len);
-            if !in_bounds {
-                let v = if is_read {
-                    Violation::OutOfBoundsRead {
-                        host: remote.host,
-                        index: remote.index,
-                        offset,
-                        len,
-                        region_len,
-                    }
-                } else {
-                    Violation::OutOfBoundsWrite {
-                        host: remote.host,
-                        index: remote.index,
-                        offset,
-                        len,
-                        region_len,
-                    }
-                };
-                self.report(v);
-                return false;
-            }
-            true
-        }
-
-        /// A two-sided completion entered `host`'s receive queue on
-        /// `query`'s lane.
-        pub(crate) fn on_rx_delivered(&self, host: HostId, query: QueryId) {
-            if self.off() {
-                return;
-            }
-            self.flows
-                .lock()
-                .entry((host.0, query.0))
-                .or_default()
-                .delivered += 1;
-        }
-
-        /// The application consumed a completion on `host` (`query`'s
-        /// lane).
-        pub(crate) fn on_rx_consumed(&self, host: HostId, query: QueryId) {
-            if self.off() {
-                return;
-            }
-            self.flows
-                .lock()
-                .entry((host.0, query.0))
-                .or_default()
-                .consumed += 1;
-        }
-
-        /// The application reposted a receive buffer on `host` (`query`'s
-        /// lane).
-        pub(crate) fn on_recv_reposted(&self, host: HostId, query: QueryId) {
-            if self.off() {
-                return;
-            }
-            self.flows
-                .lock()
-                .entry((host.0, query.0))
-                .or_default()
-                .reposted += 1;
-        }
-
-        /// The ingress engine found `host`'s SRQ empty on `query`'s lane.
-        /// A violation only if the *application* holds every slot
-        /// (consumed without reposting); a full-but-undrained CQ is
-        /// ordinary backpressure.
-        pub(crate) fn srq_blocked(&self, host: HostId, slots: usize, query: QueryId) {
-            if self.off() {
-                return;
-            }
-            let held = {
-                let mut flows = self.flows.lock();
-                let f = flows.entry((host.0, query.0)).or_default();
-                let held = f.consumed.saturating_sub(f.reposted) as usize;
-                if held < slots || f.srq_reported {
-                    return;
-                }
-                f.srq_reported = true;
-                held
-            };
-            self.report(Violation::SrqExhausted { host, held, slots });
-        }
-
-        /// Track a buffer pool (owned by `host`) for the teardown leak
-        /// check. The owner matters: if `host` later crashes, its leaks
-        /// are reported as crash residue, not application bugs.
-        pub fn register_pool(&self, host: HostId, pool: &Arc<BufferPool>) {
-            self.register_pool_scoped(QueryId::DIRECT, host, pool);
-        }
-
-        /// Track a buffer pool owned by `(host, query)` so the pool can
-        /// be audited by [`Validator::check_query_teardown`] when that
-        /// query retires, independent of the rest of the fabric.
-        pub fn register_pool_scoped(&self, query: QueryId, host: HostId, pool: &Arc<BufferPool>) {
-            self.pools
-                .lock()
-                .push((host.0, query.0, Arc::downgrade(pool)));
-        }
-
-        /// Per-query teardown audit: when a query retires from a shared
-        /// fabric, its lane flows and sub-pools are removed from the
-        /// tracked state and audited in isolation — undrained completions,
-        /// unreposted receive slots and leaked sub-pool buffers become
-        /// violations unless the query itself aborted or the owning host
-        /// crashed (fault fallout, not a contract bug). The shared fabric
-        /// keeps running; other queries' state is untouched.
-        pub fn check_query_teardown(&self, query: QueryId) {
-            if self.off() {
-                return;
-            }
-            let aborted = self.aborted.load(Ordering::SeqCst)
-                || self.aborted_queries.lock().contains(&query.0);
-            let crashed: HashSet<usize> = self.crashed.lock().clone();
-            let flow_violations: Vec<Violation> = {
-                let mut flows = self.flows.lock();
-                let mut keys: Vec<(usize, u32)> = flows
-                    .keys()
-                    .filter(|&&(_, q)| q == query.0)
-                    .copied()
-                    .collect();
-                keys.sort_unstable();
-                let mut vs = Vec::new();
-                for key in keys {
-                    let f = flows.remove(&key).expect("key collected from map");
-                    if aborted || crashed.contains(&key.0) {
-                        continue;
-                    }
-                    let pending = f.delivered.saturating_sub(f.consumed);
-                    let held = f.consumed.saturating_sub(f.reposted);
-                    if pending > 0 {
-                        vs.push(Violation::CompletionsNotDrained {
-                            host: HostId(key.0),
-                            pending,
-                        });
-                    }
-                    if held > 0 {
-                        vs.push(Violation::RecvNotReposted {
-                            host: HostId(key.0),
-                            held,
-                        });
-                    }
-                }
-                vs
-            };
-            for v in flow_violations {
-                self.report(v);
-            }
-            let query_pools: Vec<(usize, Weak<BufferPool>)> = {
-                let mut pools = self.pools.lock();
-                let mut taken = Vec::new();
-                pools.retain(|(h, q, w)| {
-                    if *q == query.0 {
-                        taken.push((*h, w.clone()));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                taken
-            };
-            for (host, weak) in query_pools {
-                if aborted || crashed.contains(&host) {
-                    continue;
-                }
-                let Some(pool) = weak.upgrade() else { continue };
-                let outstanding = pool.outstanding();
-                if outstanding > 0 {
-                    self.report(Violation::PoolLeak { outstanding });
-                }
-            }
-        }
-
-        /// Teardown audit, called after the simulation has quiesced:
-        /// undrained completion queues, unreposted receive slots, and
-        /// leaked pool buffers all become violations — except on hosts the
-        /// fault plane crashed, whose residue is rolled up into a single
-        /// non-panicking [`Violation::HostCrashed`] context record.
-        pub fn check_teardown(&self) {
-            if self.off() {
-                return;
-            }
-            let crashed: HashSet<usize> = self.crashed.lock().clone();
-            let mut crash_residue: HashMap<usize, (u64, u64, usize)> =
-                crashed.iter().map(|&h| (h, (0, 0, 0))).collect();
-            let flow_violations: Vec<Violation> = {
-                let flows = self.flows.lock();
-                let mut keys: Vec<(usize, u32)> = flows.keys().copied().collect();
-                keys.sort_unstable();
-                let mut vs = Vec::new();
-                for key in keys {
-                    let f = &flows[&key];
-                    let pending = f.delivered.saturating_sub(f.consumed);
-                    let held = f.consumed.saturating_sub(f.reposted);
-                    if let Some(residue) = crash_residue.get_mut(&key.0) {
-                        residue.0 += pending;
-                        residue.1 += held;
-                        continue;
-                    }
-                    if pending > 0 {
-                        vs.push(Violation::CompletionsNotDrained {
-                            host: HostId(key.0),
-                            pending,
-                        });
-                    }
-                    if held > 0 {
-                        vs.push(Violation::RecvNotReposted {
-                            host: HostId(key.0),
-                            held,
-                        });
-                    }
-                }
-                vs
-            };
-            for v in flow_violations {
-                self.report(v);
-            }
-            let pools: Vec<(usize, Arc<BufferPool>)> = self
-                .pools
-                .lock()
-                .iter()
-                .filter_map(|(h, _, w)| w.upgrade().map(|p| (*h, p)))
-                .collect();
-            for (host, pool) in pools {
-                let outstanding = pool.outstanding();
-                if outstanding == 0 {
-                    continue;
-                }
-                if let Some(residue) = crash_residue.get_mut(&host) {
-                    residue.2 += outstanding;
-                } else {
-                    self.report(Violation::PoolLeak { outstanding });
-                }
-            }
-            let mut hosts: Vec<usize> = crash_residue.keys().copied().collect();
-            hosts.sort_unstable();
-            for host in hosts {
-                let (undrained, unreposted, leaked_buffers) = crash_residue[&host];
-                // A crash that left nothing behind (e.g. one that fired
-                // after the run drained) needs no context record.
-                if undrained == 0 && unreposted == 0 && leaked_buffers == 0 {
-                    continue;
-                }
-                self.note(Violation::HostCrashed {
-                    host: HostId(host),
-                    undrained,
-                    unreposted,
-                    leaked_buffers,
-                });
-            }
-        }
+/// `ValidateMode` packed into an atomic so the hot-path hooks can
+/// test for [`ValidateMode::Off`] with a single relaxed load instead
+/// of a lock round trip.
+fn encode(mode: ValidateMode) -> u8 {
+    match mode {
+        ValidateMode::Panic => 0,
+        ValidateMode::Record => 1,
+        ValidateMode::Off => 2,
     }
 }
 
-#[cfg(not(feature = "verify"))]
-mod stub {
-    use std::sync::Arc;
+fn decode(bits: u8) -> ValidateMode {
+    match bits {
+        0 => ValidateMode::Panic,
+        1 => ValidateMode::Record,
+        _ => ValidateMode::Off,
+    }
+}
 
-    use super::{ValidateMode, Violation};
-    use crate::config::{HostId, QueryId};
-    use crate::pool::BufferPool;
-    use crate::RemoteMr;
+/// The verbs-contract state machine: tracks every memory region,
+/// receive slot, pooled buffer and windowed work request of one
+/// fabric through its lifecycle and reports [`Violation`]s.
+pub struct Validator {
+    mode: std::sync::atomic::AtomicU8,
+    /// Registered regions: `(host, index) → registered length`.
+    mrs: Mutex<HashMap<(usize, usize), usize>>,
+    /// Regions whose publication epoch is currently closed
+    /// ([`crate::Mr::unpublish`] without a later re-publish). Reads
+    /// against these are [`Violation::ReadAfterUnpublish`].
+    /// Never-published regions are absent: plain one-sided regions
+    /// (e.g. histogram-announced receive buffers) are readable
+    /// without the publish protocol.
+    unpublished: Mutex<HashSet<(usize, usize)>>,
+    /// Receive-path flow counters, scoped per `(host, query)` lane so
+    /// a query service can audit each query's teardown individually.
+    flows: Mutex<HashMap<(usize, u32), HostFlow>>,
+    /// Tracked pools with the `(host, query)` that owns each one, so
+    /// teardown leaks can be attributed to a crashed host or audited
+    /// per query.
+    pools: Mutex<Vec<(usize, u32, Weak<BufferPool>)>>,
+    /// Hosts the fault plane fail-stopped; their teardown residue is
+    /// context, not an application bug.
+    crashed: Mutex<HashSet<usize>>,
+    /// Queries individually aborted (query-scoped fault fan-out);
+    /// their residue is fault fallout, not an application bug.
+    aborted_queries: Mutex<HashSet<u32>>,
+    /// The cluster aborted: residue dropped while workers unwind is
+    /// fault-plane context, not an application bug.
+    aborted: std::sync::atomic::AtomicBool,
+    violations: Mutex<Vec<Violation>>,
+    count: AtomicU64,
+}
 
-    /// Verification is compiled out (`verify` feature disabled): no
-    /// lifecycle bookkeeping. The hard memory-safety checks remain and
-    /// fault unconditionally, like the protection fault real hardware
-    /// raises.
-    pub struct Validator;
+impl Validator {
+    /// A fresh validator. Panics on violations in debug/test builds,
+    /// records them in release builds.
+    pub fn new() -> Arc<Validator> {
+        Arc::new(Validator {
+            mode: std::sync::atomic::AtomicU8::new(encode(if cfg!(debug_assertions) {
+                ValidateMode::Panic
+            } else {
+                ValidateMode::Record
+            })),
+            mrs: Mutex::new(HashMap::new()),
+            unpublished: Mutex::new(HashSet::new()),
+            flows: Mutex::new(HashMap::new()),
+            pools: Mutex::new(Vec::new()),
+            crashed: Mutex::new(HashSet::new()),
+            aborted_queries: Mutex::new(HashSet::new()),
+            aborted: std::sync::atomic::AtomicBool::new(false),
+            violations: Mutex::new(Vec::new()),
+            count: AtomicU64::new(0),
+        })
+    }
 
-    impl Validator {
-        /// A no-op validator.
-        pub fn new() -> Arc<Validator> {
-            Arc::new(Validator)
+    /// Override the violation response (tests use
+    /// [`ValidateMode::Record`] to assert on negative paths; the perf
+    /// harness uses [`ValidateMode::Off`] to price the checks).
+    pub fn set_mode(&self, mode: ValidateMode) {
+        self.mode.store(encode(mode), Ordering::SeqCst);
+    }
+
+    /// The current violation response.
+    pub fn mode(&self) -> ValidateMode {
+        decode(self.mode.load(Ordering::Relaxed))
+    }
+
+    /// True when the per-message checks are disabled.
+    #[inline]
+    fn off(&self) -> bool {
+        self.mode() == ValidateMode::Off
+    }
+
+    /// Report a violation: record + count it, then panic or log
+    /// according to the mode.
+    pub fn report(&self, v: Violation) {
+        if self.off() {
+            return;
         }
-
-        /// No-op without the `verify` feature.
-        pub fn set_mode(&self, _mode: ValidateMode) {}
-
-        /// No-op without the `verify` feature.
-        pub fn on_abort(&self) {}
-
-        /// Never attributes residue without the `verify` feature.
-        pub(crate) fn fault_residue(&self) -> bool {
-            false
+        self.count.fetch_add(1, Ordering::SeqCst);
+        self.violations.lock().push(v.clone());
+        match self.mode() {
+            ValidateMode::Panic => panic!("verbs contract violation: {v}"),
+            ValidateMode::Record | ValidateMode::Off => eprintln!("rsj-verify: {v}"),
         }
+    }
 
-        /// Always [`ValidateMode::Panic`]: detectable violations fault.
-        pub fn mode(&self) -> ValidateMode {
-            ValidateMode::Panic
+    /// Record a violation as context without ever panicking — used
+    /// for fault-plane residue (e.g. [`Violation::HostCrashed`]) that
+    /// documents what a crash left behind rather than accusing the
+    /// application of a contract bug.
+    fn note(&self, v: Violation) {
+        if self.off() {
+            return;
         }
+        self.count.fetch_add(1, Ordering::SeqCst);
+        self.violations.lock().push(v.clone());
+        eprintln!("rsj-verify: {v}");
+    }
 
-        /// Hard violations still fault without the `verify` feature.
-        pub fn report(&self, v: Violation) {
-            panic!("verbs contract violation: {v}");
+    /// The fault plane fail-stopped `host`: its teardown residue is
+    /// reported as [`Violation::HostCrashed`] context from now on.
+    pub fn on_host_crashed(&self, host: HostId) {
+        self.crashed.lock().insert(host.0);
+    }
+
+    /// The cluster aborted the run. Residue dropped while workers
+    /// unwind — e.g. a send window with flushed work requests still
+    /// recorded — is fault-plane fallout, not a contract bug.
+    pub fn on_abort(&self) {
+        self.aborted.store(true, Ordering::SeqCst);
+    }
+
+    /// One query aborted (query-scoped fault fan-out over a shared
+    /// fabric). Residue that query drops while its workers unwind is
+    /// fault fallout; other queries keep full-strength auditing.
+    pub fn on_query_aborted(&self, query: QueryId) {
+        self.aborted_queries.lock().insert(query.0);
+    }
+
+    /// Whether in-flight residue should be attributed to the fault
+    /// plane (an abort, a crashed host, or a query-scoped abort)
+    /// rather than the application.
+    pub(crate) fn fault_residue(&self) -> bool {
+        self.aborted.load(Ordering::SeqCst)
+            || !self.crashed.lock().is_empty()
+            || !self.aborted_queries.lock().is_empty()
+    }
+
+    /// All violations recorded so far.
+    pub fn violations(&self) -> Vec<Violation> {
+        self.violations.lock().clone()
+    }
+
+    /// Number of violations detected so far.
+    pub fn violation_count(&self) -> u64 {
+        self.count.load(Ordering::SeqCst)
+    }
+
+    /// A region was registered (called by [`crate::MrTable`]).
+    pub(crate) fn mr_registered(&self, host: HostId, index: usize, len: usize) {
+        self.mrs.lock().insert((host.0, index), len);
+    }
+
+    /// A region opened a publication epoch ([`crate::Mr::publish`]):
+    /// one-sided reads are sanctioned until the matching unpublish.
+    pub(crate) fn mr_published(&self, host: HostId, index: usize) {
+        self.unpublished.lock().remove(&(host.0, index));
+    }
+
+    /// A region closed its publication epoch
+    /// ([`crate::Mr::unpublish`]): later reads against it are
+    /// [`Violation::ReadAfterUnpublish`] until it is re-published.
+    pub(crate) fn mr_unpublished(&self, host: HostId, index: usize) {
+        self.unpublished.lock().insert((host.0, index));
+    }
+
+    /// Validate a one-sided WRITE against the registered region table
+    /// before it is posted. Returns `false` (Record mode) if the post
+    /// must be dropped.
+    pub(crate) fn check_write(&self, remote: &RemoteMr, offset: usize, len: usize) -> bool {
+        self.check_one_sided(remote, offset, len, false)
+    }
+
+    /// Validate a one-sided READ before it is posted.
+    pub(crate) fn check_read(&self, remote: &RemoteMr, offset: usize, len: usize) -> bool {
+        self.check_one_sided(remote, offset, len, true)
+    }
+
+    fn check_one_sided(&self, remote: &RemoteMr, offset: usize, len: usize, is_read: bool) -> bool {
+        if self.off() {
+            return true;
         }
-
-        /// Always empty without the `verify` feature.
-        pub fn violations(&self) -> Vec<Violation> {
-            Vec::new()
+        let registered = self.mrs.lock().get(&(remote.host.0, remote.index)).copied();
+        let Some(region_len) = registered else {
+            self.report(Violation::UseBeforeRegister {
+                host: remote.host,
+                index: remote.index,
+            });
+            return false;
+        };
+        if remote.len != region_len {
+            self.report(Violation::StaleRemoteHandle {
+                host: remote.host,
+                index: remote.index,
+                claimed: remote.len,
+                registered: region_len,
+            });
+            return false;
         }
-
-        /// Always zero without the `verify` feature.
-        pub fn violation_count(&self) -> u64 {
-            0
+        if is_read
+            && self
+                .unpublished
+                .lock()
+                .contains(&(remote.host.0, remote.index))
+        {
+            self.report(Violation::ReadAfterUnpublish {
+                host: remote.host,
+                index: remote.index,
+            });
+            return false;
         }
-
-        pub(crate) fn mr_registered(&self, _host: HostId, _index: usize, _len: usize) {}
-        pub(crate) fn mr_published(&self, _host: HostId, _index: usize) {}
-        pub(crate) fn mr_unpublished(&self, _host: HostId, _index: usize) {}
-
-        pub(crate) fn check_write(&self, remote: &RemoteMr, offset: usize, len: usize) -> bool {
-            assert!(
-                offset.checked_add(len).is_some_and(|e| e <= remote.len),
-                "one-sided write out of bounds of remote region"
-            );
-            true
+        let in_bounds = offset.checked_add(len).is_some_and(|end| end <= region_len);
+        if !in_bounds {
+            let v = if is_read {
+                Violation::OutOfBoundsRead {
+                    host: remote.host,
+                    index: remote.index,
+                    offset,
+                    len,
+                    region_len,
+                }
+            } else {
+                Violation::OutOfBoundsWrite {
+                    host: remote.host,
+                    index: remote.index,
+                    offset,
+                    len,
+                    region_len,
+                }
+            };
+            self.report(v);
+            return false;
         }
+        true
+    }
 
-        pub(crate) fn check_read(&self, remote: &RemoteMr, offset: usize, len: usize) -> bool {
-            assert!(
-                offset.checked_add(len).is_some_and(|e| e <= remote.len),
-                "one-sided read out of bounds of remote region"
-            );
-            true
+    /// A two-sided completion entered `host`'s receive queue on
+    /// `query`'s lane.
+    pub(crate) fn on_rx_delivered(&self, host: HostId, query: QueryId) {
+        if self.off() {
+            return;
         }
+        self.flows
+            .lock()
+            .entry((host.0, query.0))
+            .or_default()
+            .delivered += 1;
+    }
 
-        pub(crate) fn on_rx_delivered(&self, _host: HostId, _query: QueryId) {}
-        pub(crate) fn on_rx_consumed(&self, _host: HostId, _query: QueryId) {}
-        pub(crate) fn on_recv_reposted(&self, _host: HostId, _query: QueryId) {}
-        pub(crate) fn srq_blocked(&self, _host: HostId, _slots: usize, _query: QueryId) {}
-
-        /// No-op without the `verify` feature.
-        pub fn register_pool(&self, _host: HostId, _pool: &Arc<BufferPool>) {}
-
-        /// No-op without the `verify` feature.
-        pub fn register_pool_scoped(
-            &self,
-            _query: QueryId,
-            _host: HostId,
-            _pool: &Arc<BufferPool>,
-        ) {
+    /// The application consumed a completion on `host` (`query`'s
+    /// lane).
+    pub(crate) fn on_rx_consumed(&self, host: HostId, query: QueryId) {
+        if self.off() {
+            return;
         }
+        self.flows
+            .lock()
+            .entry((host.0, query.0))
+            .or_default()
+            .consumed += 1;
+    }
 
-        /// No-op without the `verify` feature.
-        pub fn on_host_crashed(&self, _host: HostId) {}
+    /// The application reposted a receive buffer on `host` (`query`'s
+    /// lane).
+    pub(crate) fn on_recv_reposted(&self, host: HostId, query: QueryId) {
+        if self.off() {
+            return;
+        }
+        self.flows
+            .lock()
+            .entry((host.0, query.0))
+            .or_default()
+            .reposted += 1;
+    }
 
-        /// No-op without the `verify` feature.
-        pub fn on_query_aborted(&self, _query: QueryId) {}
+    /// The ingress engine found `host`'s SRQ empty on `query`'s lane.
+    /// A violation only if the *application* holds every slot
+    /// (consumed without reposting); a full-but-undrained CQ is
+    /// ordinary backpressure.
+    pub(crate) fn srq_blocked(&self, host: HostId, slots: usize, query: QueryId) {
+        if self.off() {
+            return;
+        }
+        let held = {
+            let mut flows = self.flows.lock();
+            let f = flows.entry((host.0, query.0)).or_default();
+            let held = f.consumed.saturating_sub(f.reposted) as usize;
+            if held < slots || f.srq_reported {
+                return;
+            }
+            f.srq_reported = true;
+            held
+        };
+        self.report(Violation::SrqExhausted { host, held, slots });
+    }
 
-        /// No-op without the `verify` feature.
-        pub fn check_teardown(&self) {}
+    /// Track a buffer pool (owned by `host`) for the teardown leak
+    /// check. The owner matters: if `host` later crashes, its leaks
+    /// are reported as crash residue, not application bugs.
+    pub fn register_pool(&self, host: HostId, pool: &Arc<BufferPool>) {
+        self.register_pool_scoped(QueryId::DIRECT, host, pool);
+    }
 
-        /// No-op without the `verify` feature.
-        pub fn check_query_teardown(&self, _query: QueryId) {}
+    /// Track a buffer pool owned by `(host, query)` so the pool can
+    /// be audited by [`Validator::check_query_teardown`] when that
+    /// query retires, independent of the rest of the fabric.
+    pub fn register_pool_scoped(&self, query: QueryId, host: HostId, pool: &Arc<BufferPool>) {
+        self.pools
+            .lock()
+            .push((host.0, query.0, Arc::downgrade(pool)));
+    }
+
+    /// Per-query teardown audit: when a query retires from a shared
+    /// fabric, its lane flows and sub-pools are removed from the
+    /// tracked state and audited in isolation — undrained completions,
+    /// unreposted receive slots and leaked sub-pool buffers become
+    /// violations unless the query itself aborted or the owning host
+    /// crashed (fault fallout, not a contract bug). The shared fabric
+    /// keeps running; other queries' state is untouched.
+    pub fn check_query_teardown(&self, query: QueryId) {
+        if self.off() {
+            return;
+        }
+        let aborted =
+            self.aborted.load(Ordering::SeqCst) || self.aborted_queries.lock().contains(&query.0);
+        let crashed: HashSet<usize> = self.crashed.lock().clone();
+        let flow_violations: Vec<Violation> = {
+            let mut flows = self.flows.lock();
+            let mut keys: Vec<(usize, u32)> = flows
+                .keys()
+                .filter(|&&(_, q)| q == query.0)
+                .copied()
+                .collect();
+            keys.sort_unstable();
+            let mut vs = Vec::new();
+            for key in keys {
+                let f = flows.remove(&key).expect("key collected from map");
+                if aborted || crashed.contains(&key.0) {
+                    continue;
+                }
+                let pending = f.delivered.saturating_sub(f.consumed);
+                let held = f.consumed.saturating_sub(f.reposted);
+                if pending > 0 {
+                    vs.push(Violation::CompletionsNotDrained {
+                        host: HostId(key.0),
+                        pending,
+                    });
+                }
+                if held > 0 {
+                    vs.push(Violation::RecvNotReposted {
+                        host: HostId(key.0),
+                        held,
+                    });
+                }
+            }
+            vs
+        };
+        for v in flow_violations {
+            self.report(v);
+        }
+        let query_pools: Vec<(usize, Weak<BufferPool>)> = {
+            let mut pools = self.pools.lock();
+            let mut taken = Vec::new();
+            pools.retain(|(h, q, w)| {
+                if *q == query.0 {
+                    taken.push((*h, w.clone()));
+                    false
+                } else {
+                    true
+                }
+            });
+            taken
+        };
+        for (host, weak) in query_pools {
+            if aborted || crashed.contains(&host) {
+                continue;
+            }
+            let Some(pool) = weak.upgrade() else { continue };
+            let outstanding = pool.outstanding();
+            if outstanding > 0 {
+                self.report(Violation::PoolLeak { outstanding });
+            }
+        }
+    }
+
+    /// Teardown audit, called after the simulation has quiesced:
+    /// undrained completion queues, unreposted receive slots, and
+    /// leaked pool buffers all become violations — except on hosts the
+    /// fault plane crashed, whose residue is rolled up into a single
+    /// non-panicking [`Violation::HostCrashed`] context record.
+    pub fn check_teardown(&self) {
+        if self.off() {
+            return;
+        }
+        let crashed: HashSet<usize> = self.crashed.lock().clone();
+        let mut crash_residue: HashMap<usize, (u64, u64, usize)> =
+            crashed.iter().map(|&h| (h, (0, 0, 0))).collect();
+        let flow_violations: Vec<Violation> = {
+            let flows = self.flows.lock();
+            let mut keys: Vec<(usize, u32)> = flows.keys().copied().collect();
+            keys.sort_unstable();
+            let mut vs = Vec::new();
+            for key in keys {
+                let f = &flows[&key];
+                let pending = f.delivered.saturating_sub(f.consumed);
+                let held = f.consumed.saturating_sub(f.reposted);
+                if let Some(residue) = crash_residue.get_mut(&key.0) {
+                    residue.0 += pending;
+                    residue.1 += held;
+                    continue;
+                }
+                if pending > 0 {
+                    vs.push(Violation::CompletionsNotDrained {
+                        host: HostId(key.0),
+                        pending,
+                    });
+                }
+                if held > 0 {
+                    vs.push(Violation::RecvNotReposted {
+                        host: HostId(key.0),
+                        held,
+                    });
+                }
+            }
+            vs
+        };
+        for v in flow_violations {
+            self.report(v);
+        }
+        let pools: Vec<(usize, Arc<BufferPool>)> = self
+            .pools
+            .lock()
+            .iter()
+            .filter_map(|(h, _, w)| w.upgrade().map(|p| (*h, p)))
+            .collect();
+        for (host, pool) in pools {
+            let outstanding = pool.outstanding();
+            if outstanding == 0 {
+                continue;
+            }
+            if let Some(residue) = crash_residue.get_mut(&host) {
+                residue.2 += outstanding;
+            } else {
+                self.report(Violation::PoolLeak { outstanding });
+            }
+        }
+        let mut hosts: Vec<usize> = crash_residue.keys().copied().collect();
+        hosts.sort_unstable();
+        for host in hosts {
+            let (undrained, unreposted, leaked_buffers) = crash_residue[&host];
+            // A crash that left nothing behind (e.g. one that fired
+            // after the run drained) needs no context record.
+            if undrained == 0 && unreposted == 0 && leaked_buffers == 0 {
+                continue;
+            }
+            self.note(Violation::HostCrashed {
+                host: HostId(host),
+                undrained,
+                unreposted,
+                leaked_buffers,
+            });
+        }
     }
 }

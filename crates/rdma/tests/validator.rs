@@ -16,7 +16,6 @@ use rsj_rdma::{
 use rsj_sim::{SimDuration, SimEvent, Simulation};
 
 /// A two-host fabric in `Record` mode, ready for misuse.
-#[cfg(feature = "verify")]
 fn recording_fabric(cfg: FabricConfig) -> (Simulation, Arc<Fabric>) {
     let sim = Simulation::new();
     let fabric = Fabric::new(cfg, NicCosts::default(), 2);
@@ -25,7 +24,6 @@ fn recording_fabric(cfg: FabricConfig) -> (Simulation, Arc<Fabric>) {
     (sim, fabric)
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn oob_write_is_detected_and_dropped() {
     let (sim, fabric) = recording_fabric(FabricConfig::fdr());
@@ -79,7 +77,6 @@ fn oob_write_panics_by_default() {
     sim.run();
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn oob_read_is_detected_and_zero_filled() {
     let (sim, fabric) = recording_fabric(FabricConfig::fdr());
@@ -108,7 +105,6 @@ fn oob_read_is_detected_and_zero_filled() {
     );
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn read_after_unpublish_is_detected_and_zero_filled() {
     let (sim, fabric) = recording_fabric(FabricConfig::fdr());
@@ -160,7 +156,6 @@ fn read_after_unpublish_is_detected_and_zero_filled() {
     );
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn republish_reopens_the_read_epoch() {
     let (sim, fabric) = recording_fabric(FabricConfig::fdr());
@@ -195,7 +190,6 @@ fn republish_reopens_the_read_epoch() {
     );
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn use_before_register_is_detected() {
     let (sim, fabric) = recording_fabric(FabricConfig::fdr());
@@ -226,7 +220,6 @@ fn use_before_register_is_detected() {
     );
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn stale_remote_handle_is_detected() {
     let (sim, fabric) = recording_fabric(FabricConfig::fdr());
@@ -256,7 +249,6 @@ fn stale_remote_handle_is_detected() {
     );
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn repost_before_completion_is_detected() {
     // A SendWindow misused without `admit`: the second `record` displaces
@@ -283,7 +275,6 @@ fn repost_before_completion_is_detected() {
     );
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn pool_leak_is_detected_at_teardown() {
     let validator = Validator::new();
@@ -311,7 +302,6 @@ fn pool_leak_is_detected_at_teardown() {
     );
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn crashed_host_leak_is_context_not_pool_leak() {
     // The same leak as above, but the owning host fail-stops before
@@ -350,7 +340,6 @@ fn crashed_host_leak_is_context_not_pool_leak() {
     );
 }
 
-#[cfg(feature = "verify")]
 #[test]
 fn srq_exhaustion_without_repost_is_detected() {
     // A receiver that consumes in batches but sits on the receive buffers

@@ -59,9 +59,10 @@
 //!    seq-derived epoch assertion (debug builds) machine-checks the
 //!    frozen-queue invariant on every settle.
 //!
-//! A heap-only reference scheduler (feature `ref-kernel`, also compiled for
-//! this crate's own tests) retains the original push-everything/pop-min
-//! structure; the trace-equivalence tests assert both produce the identical
+//! A heap-only reference scheduler ([`Simulation::new_reference`], always
+//! compiled so tests exercise the very kernel release binaries run)
+//! retains the original push-everything/pop-min structure; the
+//! trace-equivalence tests assert both produce the identical
 //! `(time, seq, task)` dispatch trace under the shared comparator.
 
 use std::cell::Cell;
@@ -230,23 +231,10 @@ struct State {
     trace: Option<Vec<Dispatch>>,
     /// Reference mode: heap-only queue, no self-continuation fast path —
     /// the original scheduler structure, kept as the equivalence oracle.
-    #[cfg(any(test, feature = "ref-kernel"))]
     reference: bool,
 }
 
 impl State {
-    #[inline]
-    fn is_reference(&self) -> bool {
-        #[cfg(any(test, feature = "ref-kernel"))]
-        {
-            self.reference
-        }
-        #[cfg(not(any(test, feature = "ref-kernel")))]
-        {
-            false
-        }
-    }
-
     /// Peek the minimum `(time, task, seq)` key across both queue levels.
     #[inline]
     fn peek_key(&self) -> Option<(SimTime, usize, u64)> {
@@ -300,8 +288,6 @@ struct SimAbort;
 
 impl Kernel {
     fn new(reference: bool) -> Arc<Kernel> {
-        #[cfg(not(any(test, feature = "ref-kernel")))]
-        let _ = reference;
         Arc::new(Kernel {
             state: Mutex::new(State {
                 now: SimTime::ZERO,
@@ -315,7 +301,6 @@ impl Kernel {
                 failure: None,
                 done: false,
                 trace: None,
-                #[cfg(any(test, feature = "ref-kernel"))]
                 reference,
             }),
             finished_cv: Condvar::new(),
@@ -325,10 +310,10 @@ impl Kernel {
     fn push_event(state: &mut State, time: SimTime, task: usize) {
         let seq = state.seq;
         state.seq += 1;
-        if !state.is_reference() && time == state.now {
+        if !state.reference && time == state.now {
             state.near.push(Event { time, seq, task });
         } else {
-            debug_assert!(state.is_reference() || time > state.now);
+            debug_assert!(state.reference || time > state.now);
             state.far.push(Event { time, seq, task });
         }
     }
@@ -417,7 +402,7 @@ impl Kernel {
             let mut st = self.state.lock();
             debug_assert_eq!(st.slots[tid].state, TaskState::Running);
             wake = st.now + d;
-            if !st.is_reference() && st.failure.is_none() {
+            if !st.reference && st.failure.is_none() {
                 let wins = match st.peek_key() {
                     // A clock tie is broken by task id; a tie on both (a
                     // stale event of this very task) falls through to the
@@ -785,7 +770,7 @@ impl Simulation {
     /// dispatch path, exactly like the original implementation. Used by the
     /// trace-equivalence tests as the oracle for the fast-path scheduler;
     /// behaviourally identical, just slower.
-    #[cfg(any(test, feature = "ref-kernel"))]
+    #[doc(hidden)]
     pub fn new_reference() -> Simulation {
         Simulation {
             kernel: Kernel::new(true),

@@ -153,7 +153,6 @@ fn semaphore_mutual_exclusion_in_virtual_time() {
 /// touches: long runs of uncontended advances (self-continuation +
 /// coalescing), same-instant ties (near-bucket FIFO order), park/unpark
 /// (barrier and channel wakes), and zero-length yields.
-#[cfg(feature = "ref-kernel")]
 fn traced_mixed_workload(reference: bool, seed: u64) -> (u64, Vec<rsj_sim::Dispatch>) {
     let sim = if reference {
         Simulation::new_reference()
@@ -205,11 +204,6 @@ fn traced_mixed_workload(reference: bool, seed: u64) -> (u64, Vec<rsj_sim::Dispa
 /// near/far queue must be pure wall-clock optimisations: the `(time, seq,
 /// task)` dispatch trace has to be bit-for-bit identical to the heap-only
 /// reference scheduler's.
-///
-/// The `ref-kernel` gate is always on in test builds — rsj-sim's self
-/// dev-dependency enables it — so this runs under both the workspace-wide
-/// `cargo test` and a bare `cargo test -p rsj-sim`.
-#[cfg(feature = "ref-kernel")]
 #[test]
 fn fast_path_dispatch_trace_equals_reference() {
     for seed in [1u64, 0xDEAD_BEEF, 0x5EED_CAFE_F00D] {
