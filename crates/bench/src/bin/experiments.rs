@@ -30,6 +30,7 @@ fn main() {
                 scale = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
+                    .filter(|&n| n >= 1)
                     .unwrap_or_else(|| die("--scale needs a positive integer"));
             }
             "--jobs" => {

@@ -51,11 +51,11 @@ impl Opts {
                     i += 1;
                 }
                 "--cores" => {
-                    o.cores = parse_u64(&need(i)) as usize;
+                    o.cores = parse_positive(&args[i], &need(i));
                     i += 1;
                 }
                 "--max-concurrent" => {
-                    o.max_concurrent = parse_u64(&need(i)) as usize;
+                    o.max_concurrent = parse_positive(&args[i], &need(i));
                     i += 1;
                 }
                 "--seed" => {
@@ -80,6 +80,13 @@ impl Opts {
 fn parse_u64(s: &str) -> u64 {
     s.parse()
         .unwrap_or_else(|_| die(&format!("not a number: {s}")))
+}
+
+fn parse_positive(flag: &str, s: &str) -> usize {
+    s.parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| die(&format!("{flag} needs a positive integer")))
 }
 
 fn die(msg: &str) -> ! {

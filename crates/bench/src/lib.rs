@@ -170,19 +170,6 @@ pub fn run_scaled_join(
     out
 }
 
-/// Run a distributed join with explicit skew and verify (convenience for
-/// the skew experiment, which reuses `tweak` for the assignment policy).
-pub fn run_scaled_join_skewed(
-    scale: Scale,
-    spec: ClusterSpec,
-    r_millions: u64,
-    s_millions: u64,
-    skew: Skew,
-    tweak: impl FnOnce(&mut DistJoinConfig),
-) -> DistJoinOutcome {
-    run_scaled_join(scale, spec, r_millions, s_millions, skew, tweak)
-}
-
 /// Measure the steady-state point-to-point bandwidth of a fabric for a
 /// given message size by streaming `count` messages through the simulator
 /// (the measured series of Figure 3).

@@ -1,9 +1,7 @@
 //! The multi-query stress workload (DESIGN.md §9): a deterministic batch
 //! of mixed joins for the [`QueryService`] — all four operators, sizes,
 //! skews and machine counts drawn from each query's own `(seed, id)`
-//! stream. Shared by the `service` stress binary and the `perf`
-//! harness's `service/serial` vs `service/contention` pair so both
-//! always measure the identical batch.
+//! stream. Drives the `service` stress binary.
 //!
 //! [`QueryService`]: rsj_cluster::QueryService
 
@@ -157,5 +155,33 @@ pub fn stress_batch(queries: usize, seed: u64, hosts: usize, cores: usize) -> St
     StressBatch {
         requests,
         verifiers,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsj_cluster::{QueryService, ServiceConfig};
+
+    /// DESIGN.md §9: multiplexing eight queries over the shared rack must
+    /// beat draining the identical batch one at a time. Virtual makespan
+    /// is deterministic, so the comparison is exact.
+    #[test]
+    fn multiplexed_batch_has_a_smaller_virtual_makespan_than_serial() {
+        let (queries, hosts, cores) = (16, 10, 2);
+        let makespan = |max_concurrent: usize| {
+            let mut cfg = ServiceConfig::qdr_rack(hosts, cores);
+            cfg.max_concurrent = max_concurrent;
+            let mut batch = stress_batch(queries, 1, hosts, cores);
+            let report = QueryService::run(&cfg, std::mem::take(&mut batch.requests));
+            assert_eq!(report.aborted, 0, "fault-free batch aborted");
+            assert_eq!(batch.verify_all(), queries);
+            report.makespan
+        };
+        let (serial, contended) = (makespan(1), makespan(8));
+        assert!(
+            contended < serial,
+            "contended makespan {contended:?} is not below serial {serial:?}"
+        );
     }
 }

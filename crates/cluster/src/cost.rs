@@ -15,7 +15,6 @@
 //!   arriving RDMA buffers into partition staging memory (§4.2.2).
 
 use rsj_rdma::NicCosts;
-use serde::{Deserialize, Error, Serialize, Value};
 
 /// Per-thread processing rates in bytes per second, plus NIC driving costs.
 #[derive(Copy, Clone, Debug)]
@@ -39,38 +38,8 @@ pub struct CostModel {
     pub sort_rate: f64,
     /// Per-thread rate of merging sorted runs / merge-joining (bytes/s).
     pub merge_rate: f64,
-    /// CPU costs of driving the NIC / network stack. Not serialized
-    /// (reports carry rates only); deserialization restores the default.
+    /// CPU costs of driving the NIC / network stack.
     pub nic: NicCosts,
-}
-
-impl Serialize for CostModel {
-    fn to_value(&self) -> Value {
-        serde::obj([
-            ("partition_rate", self.partition_rate.to_value()),
-            ("histogram_rate", self.histogram_rate.to_value()),
-            ("build_rate", self.build_rate.to_value()),
-            ("probe_rate", self.probe_rate.to_value()),
-            ("memcpy_rate", self.memcpy_rate.to_value()),
-            ("sort_rate", self.sort_rate.to_value()),
-            ("merge_rate", self.merge_rate.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CostModel {
-    fn from_value(v: &Value) -> Result<CostModel, Error> {
-        Ok(CostModel {
-            partition_rate: v.field("partition_rate")?.as_f64()?,
-            histogram_rate: v.field("histogram_rate")?.as_f64()?,
-            build_rate: v.field("build_rate")?.as_f64()?,
-            probe_rate: v.field("probe_rate")?.as_f64()?,
-            memcpy_rate: v.field("memcpy_rate")?.as_f64()?,
-            sort_rate: v.field("sort_rate")?.as_f64()?,
-            merge_rate: v.field("merge_rate")?.as_f64()?,
-            nic: NicCosts::default(),
-        })
-    }
 }
 
 impl Default for CostModel {

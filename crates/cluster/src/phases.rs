@@ -3,7 +3,6 @@
 //! partitioning, build-probe), so the joins produce this breakdown too.
 
 use rsj_sim::SimDuration;
-use serde::{Deserialize, Error, Serialize, Value};
 
 /// Execution-time breakdown of one join run, mirroring the stacked bars of
 /// Figures 5b and 7.
@@ -19,30 +18,6 @@ pub struct PhaseTimes {
     pub local_partition: SimDuration,
     /// Build and probe (§4.3).
     pub build_probe: SimDuration,
-}
-
-// Durations serialize as fractional seconds for report output.
-impl Serialize for PhaseTimes {
-    fn to_value(&self) -> Value {
-        serde::obj(
-            self.rows()
-                .map(|(name, d)| (name, Value::Num(d.as_secs_f64()))),
-        )
-    }
-}
-
-impl Deserialize for PhaseTimes {
-    fn from_value(v: &Value) -> Result<PhaseTimes, Error> {
-        let secs = |key| -> Result<SimDuration, Error> {
-            Ok(SimDuration::from_secs_f64(v.field(key)?.as_f64()?))
-        };
-        Ok(PhaseTimes {
-            histogram: secs("histogram")?,
-            network_partition: secs("network_partition")?,
-            local_partition: secs("local_partition")?,
-            build_probe: secs("build_probe")?,
-        })
-    }
 }
 
 impl PhaseTimes {

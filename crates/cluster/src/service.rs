@@ -33,7 +33,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rsj_rdma::{
     DetectorConfig, Fabric, FabricConfig, FaultPlan, HostId, NicCosts, PoolArena, QueryId,
-    ValidateMode,
 };
 use rsj_sim::{SimChannel, SimCtx, SimDuration, SimTime, Simulation};
 
@@ -78,19 +77,14 @@ pub trait QueryJob: Send + Sync {
 /// Run `job` alone, on a dedicated fabric and a simulation of its own:
 /// the one direct driver behind every operator's `try_run_*` entry point.
 /// It performs the same attach / run / finish sequence as a
-/// [`QueryService`] admission; `validate` overrides the validator's
-/// response (`None` keeps the build default).
+/// [`QueryService`] admission.
 pub fn run_direct<J: QueryJob + 'static>(
     job: &Arc<J>,
     fabric: FabricConfig,
     nic: NicCosts,
     plan: Option<FaultPlan>,
-    validate: Option<ValidateMode>,
 ) -> Result<ClusterRun, JoinError> {
     let rt = Runtime::new_with_plan(job.machines(), job.cores(), fabric, nic, plan);
-    if let Some(mode) = validate {
-        rt.fabric.validator().set_mode(mode);
-    }
     job.attach(&rt);
     let worker = Arc::clone(job);
     let run = rt.try_run(move |ctx, rt, mach, core| worker.run_worker(ctx, rt, mach, core))?;
@@ -138,8 +132,6 @@ pub struct ServiceConfig {
     /// Queries exceeding the remaining budget fall back to on-the-fly
     /// registrations (visible as `fly_registrations` contention).
     pub pool_budget_bytes: u64,
-    /// Validator response override (`None` keeps the build default).
-    pub validate: Option<ValidateMode>,
     /// Self-healing policy: failure detection, fencing and bounded
     /// re-execution (DESIGN.md §13). Disabled by default — the service
     /// then behaves exactly as a non-healing scheduler, event for event.
@@ -157,7 +149,6 @@ impl ServiceConfig {
             fault_plan: None,
             max_concurrent: 4,
             pool_budget_bytes: 256 << 20,
-            validate: None,
             healing: HealingConfig::default(),
         }
     }
@@ -406,9 +397,6 @@ impl QueryService {
             );
         }
         let fabric = Fabric::new_with_plan(cfg.fabric, cfg.nic, cfg.hosts, cfg.fault_plan.clone());
-        if let Some(mode) = cfg.validate {
-            fabric.validator().set_mode(mode);
-        }
         let arenas: Arc<Vec<Arc<PoolArena>>> = Arc::new(
             (0..cfg.hosts)
                 .map(|_| PoolArena::new(cfg.pool_budget_bytes, cfg.nic))
@@ -1267,7 +1255,6 @@ mod tests {
             FabricConfig::qdr(),
             NicCosts::default(),
             plan.clone(),
-            None,
         );
         assert_eq!(direct.err(), Some(timeout(QueryId::DIRECT)));
 

@@ -1,7 +1,6 @@
 //! Cluster topologies: the three hardware configurations of Table 2.
 
 use rsj_rdma::FabricConfig;
-use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::cost::CostModel;
 
@@ -32,32 +31,6 @@ impl Interconnect {
     }
 }
 
-impl Serialize for Interconnect {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                Interconnect::Qdr => "Qdr",
-                Interconnect::Fdr => "Fdr",
-                Interconnect::IpoIb => "IpoIb",
-                Interconnect::Qpi => "Qpi",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for Interconnect {
-    fn from_value(v: &Value) -> Result<Interconnect, Error> {
-        match v.as_str()? {
-            "Qdr" => Ok(Interconnect::Qdr),
-            "Fdr" => Ok(Interconnect::Fdr),
-            "IpoIb" => Ok(Interconnect::IpoIb),
-            "Qpi" => Ok(Interconnect::Qpi),
-            other => Err(Error::new(format!("unknown interconnect `{other}`"))),
-        }
-    }
-}
-
 /// A concrete cluster: machine count, cores per machine, interconnect and
 /// cost model.
 #[derive(Clone, Debug)]
@@ -79,36 +52,6 @@ pub struct ClusterSpec {
     /// Every operator's meters draw from this field, so no binary can pin
     /// a stale quantum by constructing meters directly.
     pub meter_quantum_ns: f64,
-}
-
-impl Serialize for ClusterSpec {
-    fn to_value(&self) -> Value {
-        serde::obj([
-            ("name", self.name.to_value()),
-            ("machines", self.machines.to_value()),
-            ("cores_per_machine", self.cores_per_machine.to_value()),
-            ("interconnect", self.interconnect.to_value()),
-            ("cost", self.cost.to_value()),
-            ("meter_quantum_ns", self.meter_quantum_ns.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ClusterSpec {
-    fn from_value(v: &Value) -> Result<ClusterSpec, Error> {
-        Ok(ClusterSpec {
-            name: Deserialize::from_value(v.field("name")?)?,
-            machines: Deserialize::from_value(v.field("machines")?)?,
-            cores_per_machine: Deserialize::from_value(v.field("cores_per_machine")?)?,
-            interconnect: Deserialize::from_value(v.field("interconnect")?)?,
-            cost: Deserialize::from_value(v.field("cost")?)?,
-            // Absent in specs serialized before the field existed: default.
-            meter_quantum_ns: match v.field("meter_quantum_ns") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => crate::Meter::DEFAULT_QUANTUM_NS,
-            },
-        })
-    }
 }
 
 impl ClusterSpec {

@@ -1,33 +1,8 @@
 //! Integration tests of the cluster vocabulary crate: preset coherence,
-//! meter/phase interaction on the simulator, serde round trips.
+//! meter/phase interaction on the simulator.
 
-use rsj_cluster::{ClusterSpec, CostModel, Interconnect, Meter, PhaseTimes};
-use rsj_sim::{SimDuration, Simulation};
-
-#[test]
-fn phase_times_serde_roundtrip() {
-    let p = PhaseTimes {
-        histogram: SimDuration::from_millis(120),
-        network_partition: SimDuration::from_millis(2500),
-        local_partition: SimDuration::from_millis(900),
-        build_probe: SimDuration::from_millis(400),
-    };
-    let json = serde_json::to_string(&p).unwrap();
-    let back: PhaseTimes = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.total(), p.total());
-    assert_eq!(back.histogram, p.histogram);
-}
-
-#[test]
-fn cluster_spec_serde_roundtrip() {
-    let spec = ClusterSpec::qdr_cluster(6).with_cores(4);
-    let json = serde_json::to_string(&spec).unwrap();
-    let back: ClusterSpec = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.machines, 6);
-    assert_eq!(back.cores_per_machine, 4);
-    assert_eq!(back.interconnect, Interconnect::Qdr);
-    assert_eq!(back.cost.partition_rate, spec.cost.partition_rate);
-}
+use rsj_cluster::{ClusterSpec, CostModel, Meter};
+use rsj_sim::Simulation;
 
 #[test]
 fn meters_on_parallel_threads_are_independent() {

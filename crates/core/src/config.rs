@@ -147,11 +147,6 @@ pub struct DistJoinConfig {
     pub one_sided_mtu: usize,
     /// Result materialization (§4.3 / §7).
     pub materialize: MaterializeMode,
-    /// Override the fabric's verbs-contract validator response for this
-    /// run (`None` keeps the build-profile default: panic in debug,
-    /// record in release). The perf harness prices the release-mode
-    /// checks by running the same join with `Record` and `Off`.
-    pub validate_mode: Option<rsj_rdma::ValidateMode>,
     /// Deterministic fault schedule for the fabric (DESIGN.md §8). `None`
     /// — the default — leaves the fault plane entirely out of the event
     /// schedule: the run is event-for-event identical to a build without
@@ -184,7 +179,6 @@ impl DistJoinConfig {
             read_doorbell: 16,
             one_sided_mtu: 4096,
             materialize: MaterializeMode::CountOnly,
-            validate_mode: None,
             fault_plan: None,
         }
     }

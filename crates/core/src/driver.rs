@@ -229,10 +229,9 @@ pub fn try_run_distributed_join<T: Tuple>(
     let plan = cfg.fault_plan.clone();
     let fabric_cfg = cfg.fabric_config();
     let nic = cfg.cluster.cost.nic;
-    let validate_mode = cfg.validate_mode;
 
     let job = DistJoinJob::new(cfg, r, s);
-    let run = run_direct(&job, fabric_cfg, nic, plan, validate_mode)?;
+    let run = run_direct(&job, fabric_cfg, nic, plan)?;
 
     assert_eq!(
         run.marks.len(),

@@ -148,7 +148,6 @@ fn one_sided_through_service_is_byte_identical_to_direct() {
         fault_plan: None,
         max_concurrent: 1,
         pool_budget_bytes: 1 << 30,
-        validate: None,
         healing: HealingConfig::default(),
     };
     let report = QueryService::run(

@@ -43,7 +43,6 @@ fn single_query_through_service_is_byte_identical_to_direct() {
         fault_plan: None,
         max_concurrent: 1,
         pool_budget_bytes: 1 << 30,
-        validate: None,
         healing: HealingConfig::default(),
     };
     let report = QueryService::run(
@@ -103,7 +102,6 @@ fn materializing_runs_agree_through_the_service_too() {
         fault_plan: None,
         max_concurrent: 1,
         pool_budget_bytes: 1 << 30,
-        validate: None,
         healing: HealingConfig::default(),
     };
     let report = QueryService::run(

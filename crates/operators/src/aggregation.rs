@@ -113,7 +113,7 @@ pub fn try_run_aggregation<T: Tuple>(
     let plan = cfg.fault_plan.clone();
 
     let job = AggregationJob::new(cfg, s);
-    run_direct(&job, fabric_cfg, nic_costs, plan, None)?;
+    run_direct(&job, fabric_cfg, nic_costs, plan)?;
     Ok(job.take_outcome().expect("finish records the outcome"))
 }
 

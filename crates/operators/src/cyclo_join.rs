@@ -101,7 +101,7 @@ pub fn try_run_cyclo_join<T: Tuple>(
     let plan = cfg.fault_plan.clone();
 
     let job = CycloJoinJob::new(cfg, r, s);
-    run_direct(&job, fabric_cfg, nic_costs, plan, None)?;
+    run_direct(&job, fabric_cfg, nic_costs, plan)?;
     Ok(job.take_outcome().expect("finish records the outcome"))
 }
 

@@ -140,7 +140,6 @@ fn service_cfg(fault_plan: Option<FaultPlan>, max_concurrent: usize) -> ServiceC
         fault_plan,
         max_concurrent,
         pool_budget_bytes: 1 << 30,
-        validate: None,
         healing: HealingConfig::default(),
     }
 }

@@ -83,7 +83,6 @@ fn mixed_transports_share_one_service_fabric() {
         fault_plan: None,
         max_concurrent: 2,
         pool_budget_bytes: 1 << 30,
-        validate: None,
         healing: HealingConfig::default(),
     };
     let report = QueryService::run(

@@ -16,15 +16,15 @@
 //! `debug_assertions`, i.e. in every test build) or is counted, recorded
 //! and logged ([`ValidateMode::Record`], the release default).
 //!
-//! There is one build: the validator is always compiled, and
-//! [`ValidateMode::Off`] is the only way to skip the lifecycle
-//! bookkeeping. The hard memory-safety checks (out-of-bounds one-sided
-//! access, unregistered MR lookup) fault in every mode, exactly like the
-//! protection fault real hardware would raise.
+//! There is one build and no off switch: the validator is always
+//! compiled and every check always runs. The hard memory-safety checks
+//! (out-of-bounds one-sided access, unregistered MR lookup) fault in
+//! both modes, exactly like the protection fault real hardware would
+//! raise.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -42,13 +42,6 @@ pub enum ValidateMode {
     /// Record, count and log violations without interrupting the run
     /// (default in release builds).
     Record,
-    /// Skip the per-message contract checks entirely. Exists so the perf
-    /// harness can measure the validator's release-mode overhead
-    /// (`Record` vs `Off` on the same run — DESIGN.md §6); the hard
-    /// memory-safety faults in [`crate::Mr`] still fire. Set it before
-    /// the run starts: checks skipped while `Off` are not retroactively
-    /// applied after switching back.
-    Off,
 }
 
 /// A detected violation of the RDMA verbs contract, with enough context
@@ -298,30 +291,12 @@ struct HostFlow {
     srq_reported: bool,
 }
 
-/// `ValidateMode` packed into an atomic so the hot-path hooks can
-/// test for [`ValidateMode::Off`] with a single relaxed load instead
-/// of a lock round trip.
-fn encode(mode: ValidateMode) -> u8 {
-    match mode {
-        ValidateMode::Panic => 0,
-        ValidateMode::Record => 1,
-        ValidateMode::Off => 2,
-    }
-}
-
-fn decode(bits: u8) -> ValidateMode {
-    match bits {
-        0 => ValidateMode::Panic,
-        1 => ValidateMode::Record,
-        _ => ValidateMode::Off,
-    }
-}
-
 /// The verbs-contract state machine: tracks every memory region,
 /// receive slot, pooled buffer and windowed work request of one
 /// fabric through its lifecycle and reports [`Violation`]s.
 pub struct Validator {
-    mode: std::sync::atomic::AtomicU8,
+    /// `true` = [`ValidateMode::Panic`], `false` = [`ValidateMode::Record`].
+    panic_on_violation: AtomicBool,
     /// Registered regions: `(host, index) → registered length`.
     mrs: Mutex<HashMap<(usize, usize), usize>>,
     /// Regions whose publication epoch is currently closed
@@ -346,7 +321,7 @@ pub struct Validator {
     aborted_queries: Mutex<HashSet<u32>>,
     /// The cluster aborted: residue dropped while workers unwind is
     /// fault-plane context, not an application bug.
-    aborted: std::sync::atomic::AtomicBool,
+    aborted: AtomicBool,
     violations: Mutex<Vec<Violation>>,
     count: AtomicU64,
 }
@@ -356,52 +331,43 @@ impl Validator {
     /// records them in release builds.
     pub fn new() -> Arc<Validator> {
         Arc::new(Validator {
-            mode: std::sync::atomic::AtomicU8::new(encode(if cfg!(debug_assertions) {
-                ValidateMode::Panic
-            } else {
-                ValidateMode::Record
-            })),
+            panic_on_violation: AtomicBool::new(cfg!(debug_assertions)),
             mrs: Mutex::new(HashMap::new()),
             unpublished: Mutex::new(HashSet::new()),
             flows: Mutex::new(HashMap::new()),
             pools: Mutex::new(Vec::new()),
             crashed: Mutex::new(HashSet::new()),
             aborted_queries: Mutex::new(HashSet::new()),
-            aborted: std::sync::atomic::AtomicBool::new(false),
+            aborted: AtomicBool::new(false),
             violations: Mutex::new(Vec::new()),
             count: AtomicU64::new(0),
         })
     }
 
     /// Override the violation response (tests use
-    /// [`ValidateMode::Record`] to assert on negative paths; the perf
-    /// harness uses [`ValidateMode::Off`] to price the checks).
+    /// [`ValidateMode::Record`] to assert on negative paths).
     pub fn set_mode(&self, mode: ValidateMode) {
-        self.mode.store(encode(mode), Ordering::SeqCst);
+        self.panic_on_violation
+            .store(mode == ValidateMode::Panic, Ordering::SeqCst);
     }
 
     /// The current violation response.
     pub fn mode(&self) -> ValidateMode {
-        decode(self.mode.load(Ordering::Relaxed))
-    }
-
-    /// True when the per-message checks are disabled.
-    #[inline]
-    fn off(&self) -> bool {
-        self.mode() == ValidateMode::Off
+        if self.panic_on_violation.load(Ordering::SeqCst) {
+            ValidateMode::Panic
+        } else {
+            ValidateMode::Record
+        }
     }
 
     /// Report a violation: record + count it, then panic or log
     /// according to the mode.
     pub fn report(&self, v: Violation) {
-        if self.off() {
-            return;
-        }
         self.count.fetch_add(1, Ordering::SeqCst);
         self.violations.lock().push(v.clone());
         match self.mode() {
             ValidateMode::Panic => panic!("verbs contract violation: {v}"),
-            ValidateMode::Record | ValidateMode::Off => eprintln!("rsj-verify: {v}"),
+            ValidateMode::Record => eprintln!("rsj-verify: {v}"),
         }
     }
 
@@ -410,9 +376,6 @@ impl Validator {
     /// documents what a crash left behind rather than accusing the
     /// application of a contract bug.
     fn note(&self, v: Violation) {
-        if self.off() {
-            return;
-        }
         self.count.fetch_add(1, Ordering::SeqCst);
         self.violations.lock().push(v.clone());
         eprintln!("rsj-verify: {v}");
@@ -488,9 +451,6 @@ impl Validator {
     }
 
     fn check_one_sided(&self, remote: &RemoteMr, offset: usize, len: usize, is_read: bool) -> bool {
-        if self.off() {
-            return true;
-        }
         let registered = self.mrs.lock().get(&(remote.host.0, remote.index)).copied();
         let Some(region_len) = registered else {
             self.report(Violation::UseBeforeRegister {
@@ -548,9 +508,6 @@ impl Validator {
     /// A two-sided completion entered `host`'s receive queue on
     /// `query`'s lane.
     pub(crate) fn on_rx_delivered(&self, host: HostId, query: QueryId) {
-        if self.off() {
-            return;
-        }
         self.flows
             .lock()
             .entry((host.0, query.0))
@@ -561,9 +518,6 @@ impl Validator {
     /// The application consumed a completion on `host` (`query`'s
     /// lane).
     pub(crate) fn on_rx_consumed(&self, host: HostId, query: QueryId) {
-        if self.off() {
-            return;
-        }
         self.flows
             .lock()
             .entry((host.0, query.0))
@@ -574,9 +528,6 @@ impl Validator {
     /// The application reposted a receive buffer on `host` (`query`'s
     /// lane).
     pub(crate) fn on_recv_reposted(&self, host: HostId, query: QueryId) {
-        if self.off() {
-            return;
-        }
         self.flows
             .lock()
             .entry((host.0, query.0))
@@ -589,9 +540,6 @@ impl Validator {
     /// (consumed without reposting); a full-but-undrained CQ is
     /// ordinary backpressure.
     pub(crate) fn srq_blocked(&self, host: HostId, slots: usize, query: QueryId) {
-        if self.off() {
-            return;
-        }
         let held = {
             let mut flows = self.flows.lock();
             let f = flows.entry((host.0, query.0)).or_default();
@@ -629,9 +577,6 @@ impl Validator {
     /// crashed (fault fallout, not a contract bug). The shared fabric
     /// keeps running; other queries' state is untouched.
     pub fn check_query_teardown(&self, query: QueryId) {
-        if self.off() {
-            return;
-        }
         let aborted =
             self.aborted.load(Ordering::SeqCst) || self.aborted_queries.lock().contains(&query.0);
         let crashed: HashSet<usize> = self.crashed.lock().clone();
@@ -700,9 +645,6 @@ impl Validator {
     /// fault plane crashed, whose residue is rolled up into a single
     /// non-panicking [`Violation::HostCrashed`] context record.
     pub fn check_teardown(&self) {
-        if self.off() {
-            return;
-        }
         let crashed: HashSet<usize> = self.crashed.lock().clone();
         let mut crash_residue: HashMap<usize, (u64, u64, usize)> =
             crashed.iter().map(|&h| (h, (0, 0, 0))).collect();

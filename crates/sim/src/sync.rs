@@ -70,11 +70,6 @@ impl SimBarrier {
         }
     }
 
-    /// Whether the barrier has been poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.lock().poisoned
-    }
-
     /// Like [`SimBarrier::wait`], but returns `Err(Poisoned)` instead of
     /// blocking forever once the barrier has been poisoned (before or while
     /// waiting). `Ok(true)` marks the generation leader.
@@ -194,11 +189,6 @@ impl<T> SimChannel<T> {
             }
             ctx.park();
         }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.lock().queue.pop_front()
     }
 
     /// Number of queued items.
