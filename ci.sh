@@ -54,7 +54,7 @@ if grep -rnE 'feature *=|env::var' $(printf '%ssrc ' $guarded) \
     exit 1
 fi
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Project rules (token-level analysis: determinism hazards, barrier
 # protocol, error swallowing, plus the ported pattern rules). The gate
 # fails only on findings absent from the committed baseline; after

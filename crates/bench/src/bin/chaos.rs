@@ -84,6 +84,18 @@ impl Opts {
         if o.machines < 2 {
             die("--machines must be at least 2 (faults need a peer to notice)");
         }
+        if o.seeds == 0 {
+            die("--seeds must be at least 1 (a sweep over no seeds checks nothing)");
+        }
+        // The soak is one fixed batch: a sweep flag given with it would be
+        // silently ignored, and a typo in a CI lane should fail, not pass.
+        if o.soak {
+            for flag in ["--seeds", "--machines", "--operator"] {
+                if args.iter().any(|a| a == flag) {
+                    die(&format!("{flag} does not apply to --soak"));
+                }
+            }
+        }
         o
     }
 }
@@ -97,7 +109,8 @@ fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: chaos [--chaos-seed N] [--seeds K] [--machines M] \
-         [--operator hash|sortmerge|aggregation|cyclo|all] [--soak [--short]]"
+         [--operator hash|sortmerge|aggregation|cyclo|all] \
+         | chaos --soak [--short] [--chaos-seed N]"
     );
     std::process::exit(2)
 }
@@ -200,7 +213,7 @@ fn soak_run(seed: u64, hosts: usize, queries: usize) -> (Vec<SoakLine>, usize, u
 }
 
 fn soak(opts: &Opts) -> ! {
-    let hosts = opts.machines.max(6);
+    let hosts = 6;
     let queries = if opts.short { 24 } else { 200 };
     let seed = opts.seed.unwrap_or(42);
     let (first, healed, retries, rejected) = soak_run(seed, hosts, queries);

@@ -43,7 +43,7 @@ impl Opts {
             };
             match args[i].as_str() {
                 "--queries" => {
-                    o.queries = parse_u64(&need(i)) as usize;
+                    o.queries = parse_positive(&args[i], &need(i));
                     i += 1;
                 }
                 "--hosts" => {

@@ -1,26 +1,37 @@
 //! Out-of-range flag values are usage errors (exit 2, `usage:` on
 //! stderr), never a library assert: under the release profile's
-//! `panic = "abort"` an assert is a SIGABRT.
+//! `panic = "abort"` an assert is a SIGABRT. Nor may a flag value turn a
+//! gate into a no-op that exits 0.
 
 use std::process::Command;
 
+const CHAOS: &str = env!("CARGO_BIN_EXE_chaos");
+const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
+const SERVICE: &str = env!("CARGO_BIN_EXE_service");
+
+fn assert_usage_error(bin: &str, args: &[&str]) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("the binary under test was built by cargo");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+}
+
 #[test]
 fn zero_valued_flags_are_usage_errors() {
-    let cases: [(&str, &[&str]); 3] = [
-        (env!("CARGO_BIN_EXE_experiments"), &["fig3", "--scale", "0"]),
-        (env!("CARGO_BIN_EXE_service"), &["--short", "--cores", "0"]),
-        (
-            env!("CARGO_BIN_EXE_service"),
-            &["--short", "--max-concurrent", "0"],
-        ),
-    ];
-    for (bin, args) in cases {
-        let out = Command::new(bin)
-            .args(args)
-            .output()
-            .expect("the binary under test was built by cargo");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
-        assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
-    }
+    assert_usage_error(EXPERIMENTS, &["fig3", "--scale", "0"]);
+    assert_usage_error(SERVICE, &["--short", "--cores", "0"]);
+    assert_usage_error(SERVICE, &["--short", "--max-concurrent", "0"]);
+}
+
+/// An empty sweep, an empty batch and a flag the soak would silently
+/// ignore all used to exit 0: a typo in `ci.sh` would disable the gate
+/// without failing it.
+#[test]
+fn gates_that_would_check_nothing_are_usage_errors() {
+    assert_usage_error(CHAOS, &["--seeds", "0"]);
+    assert_usage_error(SERVICE, &["--queries", "0"]);
+    assert_usage_error(CHAOS, &["--soak", "--short", "--machines", "4"]);
 }

@@ -159,6 +159,11 @@ pub type Posted = Result<Option<SendHandle>, JoinError>;
 /// The post step of [`Exchange::send`], as a nameable type.
 pub type SendStep = fn(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted;
 
+/// In-flight sends per `(thread, partition)` lane, over as many pool
+/// buffers: the paper's double buffering (§4.2.1) — partitioning continues
+/// into the second buffer while the first is on the wire.
+pub const SEND_DEPTH: usize = 2;
+
 /// One `(relation, partition)` stream of a [`Scatter`], as its post step
 /// sees it.
 pub struct Lane {
@@ -181,7 +186,6 @@ pub struct Lane {
 pub struct Scatter<'a, P> {
     ex: &'a Exchange,
     pool: &'a BufferPool,
-    depth: usize,
     /// Relation-major: lane `rel * parts + part`.
     lanes: Vec<Option<Lane>>,
     step: P,
@@ -192,12 +196,12 @@ where
     P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted,
 {
     /// A sender into `parts` partitions per relation, each lane with up to
-    /// `depth` sends in flight over as many pool buffers. Fails with a
-    /// typed error if a partition id could overflow the tag's 24-bit field.
+    /// [`SEND_DEPTH`] sends in flight over as many pool buffers. Fails with
+    /// a typed error if a partition id could overflow the tag's 24-bit
+    /// field.
     pub fn new(
         ex: &'a Exchange,
         pool: &'a BufferPool,
-        depth: usize,
         parts: usize,
         step: P,
     ) -> Result<Scatter<'a, P>, JoinError> {
@@ -205,7 +209,6 @@ where
         Ok(Scatter {
             ex,
             pool,
-            depth,
             lanes: (0..2 * parts).map(|_| None).collect(),
             step,
         })
@@ -226,11 +229,11 @@ where
             WireTag::Data { rel, part } => rel * (self.lanes.len() / 2) + part,
             _ => 0,
         };
-        let (ex, pool, depth) = (self.ex, self.pool, self.depth);
+        let (ex, pool) = (self.ex, self.pool);
         let lane = self.lanes[i].get_or_insert_with(|| Lane {
             dst,
             tag,
-            window: SendWindow::validated(depth, Arc::clone(ex.nic.validator())),
+            window: SendWindow::validated(SEND_DEPTH, Arc::clone(ex.nic.validator())),
             buf: pool.take(ctx),
             taken: 1,
         });
@@ -259,7 +262,7 @@ where
             // Still on the wire: the next records need another buffer, up
             // to the window depth (§4.2.1). Past that, `admit` has freed a
             // drawn one, and a refill is its logical reuse.
-            if !last && lane.taken < self.depth {
+            if !last && lane.taken < SEND_DEPTH {
                 lane.taken += 1;
                 lane.buf = self.pool.take(ctx);
             }
@@ -387,7 +390,7 @@ mod tests {
             } else {
                 (|| {
                     let pool = &pools2[mach];
-                    let mut scatter = Scatter::new(&ex, pool, 2, PARTS, Exchange::send)?;
+                    let mut scatter = Scatter::new(&ex, pool, PARTS, Exchange::send)?;
                     for i in 0..n {
                         let (rel, part) = ((i / PARTS) % 2, i % PARTS);
                         let dst = part % m;
@@ -563,7 +566,7 @@ mod tests {
         let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
         let ex = Exchange::new(&fabric, 1, PHASE);
         let pool = BufferPool::new(1, BUF, NicCosts::default());
-        let built = Scatter::new(&ex, &pool, 2, MAX_PARTITIONS + 1, Exchange::send);
+        let built = Scatter::new(&ex, &pool, MAX_PARTITIONS + 1, Exchange::send);
         match built.map(|_| ()) {
             Err(JoinError::Decode {
                 machine: 1,

@@ -32,7 +32,7 @@ pub mod wire;
 
 pub use cost::CostModel;
 pub use error::JoinError;
-pub use exchange::{Exchange, Lane, Posted, Scatter, SendStep};
+pub use exchange::{Exchange, Lane, Posted, Scatter, SendStep, SEND_DEPTH};
 pub use meter::{Meter, SettleMode};
 pub use phases::PhaseTimes;
 pub use runtime::{ClusterRun, PhaseEvent, Runtime};

@@ -92,26 +92,12 @@ pub struct DistJoinConfig {
     /// Size of each RDMA-enabled send buffer; the paper fixes 64 KiB after
     /// the Figure 3 sweep (§6.2).
     pub rdma_buf_size: usize,
-    /// In-flight sends per (thread, partition); 2 = the paper's double
-    /// buffering. Only meaningful for [`TransportMode::RdmaInterleaved`].
-    pub send_depth: usize,
     /// Transport variant.
     pub transport: TransportMode,
     /// Receiver semantics.
     pub receive: ReceiveMode,
     /// Partition-to-machine assignment policy.
     pub assignment: AssignmentPolicy,
-    /// A build-probe task whose outer input exceeds this multiple of the
-    /// average is split into probe chunks shared among threads (§4.3: "more
-    /// than a predefined threshold"; §6.5 uses twice the average).
-    pub skew_split_factor: f64,
-    /// Cache budget for one hash table; inner partitions whose table would
-    /// exceed twice this are split into multiple smaller tables (§4.3).
-    pub cache_budget_bytes: usize,
-    /// Messages in flight per (source, destination) TCP connection before
-    /// the sender blocks (socket-buffer window). Only used by
-    /// [`TransportMode::Tcp`].
-    pub tcp_window_msgs: usize,
     /// Override the interconnect's fabric parameters. Used by the scaled
     /// experiment harness, which shrinks data volumes and fixed per-message
     /// costs by the same factor so that virtual times rescale exactly (see
@@ -137,14 +123,6 @@ pub struct DistJoinConfig {
     /// design) or publish-and-READ (one-sided, DESIGN.md §11). The join
     /// result is byte-identical either way; only the cost profile moves.
     pub probe_transport: Transport,
-    /// One-sided probe: READs chained per doorbell ring — one
-    /// `post_overhead` covers this many bucket fetches
-    /// ([`rsj_rdma::Nic::post_read_batch`]).
-    pub read_doorbell: usize,
-    /// One-sided probe: adjacent bucket ranges are coalesced into a
-    /// single READ while the merged span stays within this many bytes
-    /// (the inline-fetch / MTU knob of DESIGN.md §11).
-    pub one_sided_mtu: usize,
     /// Result materialization (§4.3 / §7).
     pub materialize: MaterializeMode,
     /// Deterministic fault schedule for the fabric (DESIGN.md §8). `None`
@@ -157,27 +135,22 @@ pub struct DistJoinConfig {
 
 impl DistJoinConfig {
     /// Paper-default knobs for the given cluster: b₁ = b₂ = 10 (2²⁰ final
-    /// partitions, §6.4.3), 64 KiB buffers, double buffering, two-sided
-    /// interleaved RDMA, static round-robin assignment.
+    /// partitions, §6.4.3), 64 KiB buffers (double-buffered:
+    /// [`rsj_cluster::SEND_DEPTH`]), two-sided interleaved RDMA, static
+    /// round-robin assignment.
     pub fn new(cluster: ClusterSpec) -> DistJoinConfig {
         DistJoinConfig {
             cluster,
             radix_bits: (10, 10),
             rdma_buf_size: 64 * 1024,
-            send_depth: 2,
             transport: TransportMode::RdmaInterleaved,
             receive: ReceiveMode::TwoSided,
             assignment: AssignmentPolicy::RoundRobin,
-            skew_split_factor: 2.0,
-            cache_budget_bytes: 32 * 1024,
-            tcp_window_msgs: 8,
             fabric_override: None,
             inter_machine_work_sharing: false,
             work_sharing_min_bytes: 16 * 1024,
             parallel_local_pass: false,
             probe_transport: Transport::TwoSided,
-            read_doorbell: 16,
-            one_sided_mtu: 4096,
             materialize: MaterializeMode::CountOnly,
             fault_plan: None,
         }
@@ -228,8 +201,6 @@ impl DistJoinConfig {
             self.rdma_buf_size >= 64,
             "RDMA buffers unrealistically small"
         );
-        assert!(self.send_depth >= 1);
-        assert!(self.skew_split_factor >= 1.0);
         if self.receive == ReceiveMode::TwoSided {
             assert!(
                 self.cluster.cores_per_machine >= 2,
@@ -237,7 +208,6 @@ impl DistJoinConfig {
             );
         }
         if self.transport == TransportMode::Tcp {
-            assert!(self.tcp_window_msgs >= 1);
             assert_eq!(
                 self.receive,
                 ReceiveMode::TwoSided,
@@ -245,11 +215,6 @@ impl DistJoinConfig {
             );
         }
         if self.probe_transport == Transport::OneSided {
-            assert!(self.read_doorbell >= 1, "doorbell batch must be positive");
-            assert!(
-                self.one_sided_mtu >= 64,
-                "one-sided MTU smaller than a bucket header"
-            );
             assert_ne!(
                 self.materialize,
                 MaterializeMode::ToCoordinator,
@@ -279,7 +244,6 @@ mod tests {
         cfg.validate();
         assert_eq!(cfg.radix_bits, (10, 10));
         assert_eq!(cfg.rdma_buf_size, 64 * 1024);
-        assert_eq!(cfg.send_depth, 2);
         assert_eq!(cfg.partitioning_workers(), 7); // NC/M - 1
     }
 

@@ -41,6 +41,10 @@ struct ResultEmitter<'a> {
 /// Size of one serialized `<r.rid, s.rid>` pair.
 const PAIR: usize = 16;
 
+/// Cache budget for one hash table; inner partitions whose table would
+/// exceed twice this are split into multiple smaller tables (§4.3).
+const CACHE_BUDGET_BYTES: usize = 32 * 1024;
+
 impl ResultEmitter<'_> {
     /// Surface (and clear) a stashed send failure.
     fn take_err(&mut self) -> Result<(), JoinError> {
@@ -118,13 +122,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
     }
     let pool = &sh.pools[mach];
     let scatter = if ships && mach != 0 {
-        Some(Scatter::new(
-            &ex,
-            pool,
-            cfg.send_depth,
-            1,
-            Exchange::send as SendStep,
-        )?)
+        Some(Scatter::new(&ex, pool, 1, Exchange::send as SendStep)?)
     } else {
         None
     };
@@ -181,7 +179,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                 // cache-sized tables; every probe then visits all of them
                 // (§4.3).
                 let est_footprint = r_part.len() * (T::SIZE + 8);
-                let n_tables = est_footprint.div_ceil(2 * cfg.cache_budget_bytes).max(1);
+                let n_tables = est_footprint.div_ceil(2 * CACHE_BUDGET_BYTES).max(1);
                 let chunk = r_part.len().div_ceil(n_tables).max(1);
                 let tables: Vec<BucketTable<T>> = r_part
                     .chunks(chunk.max(1))

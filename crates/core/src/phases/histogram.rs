@@ -20,6 +20,11 @@ use crate::{ReceiveMode, Transport};
 /// Phase name used in error attribution and watchdog reports.
 const PHASE: &str = "histogram";
 
+/// A build-probe task whose outer input exceeds this multiple of the
+/// average is split into probe chunks shared among threads (§4.3: "more
+/// than a predefined threshold"; §6.5 uses twice the average).
+const SKEW_SPLIT_FACTOR: f64 = 2.0;
+
 pub(crate) fn phase_histogram<T: Tuple>(
     ctx: &SimCtx,
     sh: &ClusterShared<T>,
@@ -76,7 +81,7 @@ pub(crate) fn phase_histogram<T: Tuple>(
         let owned: Vec<usize> = (0..np1).filter(|&p| assignment[p] == mach).collect();
         let s_total: u64 = global.counts[REL_S].iter().sum();
         let final_parts = (np1 as u64) << cfg.radix_bits.1;
-        let s_split_threshold = ((s_total as f64 / final_parts as f64) * cfg.skew_split_factor)
+        let s_split_threshold = ((s_total as f64 / final_parts as f64) * SKEW_SPLIT_FACTOR)
             .ceil()
             .max(64.0) as usize;
 

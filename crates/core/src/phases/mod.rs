@@ -28,7 +28,7 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rsj_cluster::{JoinError, Runtime};
+use rsj_cluster::{JoinError, Runtime, SEND_DEPTH};
 use rsj_joins::{BucketTable, NumaQueues, Partitioned};
 use rsj_rdma::{BufferPool, Fabric, RemoteMr};
 use rsj_sim::{SimBarrier, SimCtx, SimSemaphore};
@@ -39,6 +39,11 @@ use crate::histogram::{Histogram, REL_R, REL_S};
 
 /// Which relation's chunk a sender is currently partitioning.
 pub(crate) const RELS: [usize; 2] = [REL_R, REL_S];
+
+/// Messages in flight per (source, destination) TCP connection before the
+/// sender blocks (socket-buffer window). Only used by
+/// [`crate::TransportMode::Tcp`].
+const TCP_WINDOW_MSGS: usize = 8;
 
 /// One-sided write target key: `(dst, rel, part, src)`.
 pub(crate) type MrKey = (usize, usize, usize, usize);
@@ -242,17 +247,13 @@ impl<T: Tuple> ClusterShared<T> {
             .collect();
         let pools = (0..m)
             .map(|i| {
-                // Up to `send_depth` buffers per (worker, relation, remote
+                // Up to `SEND_DEPTH` buffers per (worker, relation, remote
                 // partition); R's buffers stay drawn while S is partitioned.
-                rt.make_pool(i, workers * cfg.send_depth * np1 * 2, cfg.rdma_buf_size)
+                rt.make_pool(i, workers * SEND_DEPTH * np1 * 2, cfg.rdma_buf_size)
             })
             .collect::<Vec<_>>();
         let tcp_windows = (0..m)
-            .map(|_| {
-                (0..m)
-                    .map(|_| SimSemaphore::new(cfg.tcp_window_msgs))
-                    .collect()
-            })
+            .map(|_| (0..m).map(|_| SimSemaphore::new(TCP_WINDOW_MSGS)).collect())
             .collect();
         ClusterShared {
             cfg,

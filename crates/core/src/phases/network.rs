@@ -83,56 +83,50 @@ fn sender_loop<T: Tuple>(
 
     // The post step: the three transports and two receive modes differ
     // only in how one full buffer reaches the wire.
-    let mut scatter = Scatter::new(
-        &ex,
-        &sh.pools[mach],
-        cfg.send_depth,
-        np1,
-        |ex, ctx, meter, lane, bytes| {
-            let len = bytes.len();
-            if tcp {
-                // Kernel path: syscall + copy across the socket buffer are
-                // CPU work on the sending worker (§6.3 reasons (ii), (iii)).
-                meter.charge_seconds(ctx, nic_cost.tcp_syscall);
-                meter.charge_bytes(ctx, len, nic_cost.tcp_copy_rate);
-                meter.flush(ctx);
-                let window = Arc::clone(&sh.tcp_windows[mach][lane.dst]);
-                let t0 = ctx.now();
-                window
-                    .acquire_checked(ctx)
-                    .map_err(|_| JoinError::aborted(PHASE))?;
-                stall += (ctx.now() - t0).as_secs_f64();
-                let tag = lane.tag.encode();
-                nic.post_send_windowed(ctx, HostId(lane.dst), tag, bytes, window);
-                return Ok(None);
-            }
+    let mut scatter = Scatter::new(&ex, &sh.pools[mach], np1, |ex, ctx, meter, lane, bytes| {
+        let len = bytes.len();
+        if tcp {
+            // Kernel path: syscall + copy across the socket buffer are
+            // CPU work on the sending worker (§6.3 reasons (ii), (iii)).
+            meter.charge_seconds(ctx, nic_cost.tcp_syscall);
+            meter.charge_bytes(ctx, len, nic_cost.tcp_copy_rate);
             meter.flush(ctx);
-            if interleaved {
-                lane.window.admit(ctx).map_err(|e| ex.fabric_err(e))?;
-            }
-            let sent = match lane.tag {
-                WireTag::Data { rel, part } if one_sided => {
-                    let remote = *sh
-                        .mr_registry
-                        .lock()
-                        .get(&(lane.dst, rel, part, mach))
-                        .expect("one-sided region not registered");
-                    let offset = bases[rel][part] + written[rel][part];
-                    written[rel][part] += len;
-                    nic.post_write(ctx, remote, offset, bytes)
-                }
-                _ => nic.post_send(ctx, HostId(lane.dst), lane.tag.encode(), bytes),
-            };
-            if interleaved {
-                return Ok(Some(sent));
-            }
-            // Non-interleaved ablation: wait for the wire immediately.
+            let window = Arc::clone(&sh.tcp_windows[mach][lane.dst]);
             let t0 = ctx.now();
-            sent.wait(ctx).map_err(|e| ex.fabric_err(e))?;
+            window
+                .acquire_checked(ctx)
+                .map_err(|_| JoinError::aborted(PHASE))?;
             stall += (ctx.now() - t0).as_secs_f64();
-            Ok(None)
-        },
-    )?;
+            let tag = lane.tag.encode();
+            nic.post_send_windowed(ctx, HostId(lane.dst), tag, bytes, window);
+            return Ok(None);
+        }
+        meter.flush(ctx);
+        if interleaved {
+            lane.window.admit(ctx).map_err(|e| ex.fabric_err(e))?;
+        }
+        let sent = match lane.tag {
+            WireTag::Data { rel, part } if one_sided => {
+                let remote = *sh
+                    .mr_registry
+                    .lock()
+                    .get(&(lane.dst, rel, part, mach))
+                    .expect("one-sided region not registered");
+                let offset = bases[rel][part] + written[rel][part];
+                written[rel][part] += len;
+                nic.post_write(ctx, remote, offset, bytes)
+            }
+            _ => nic.post_send(ctx, HostId(lane.dst), lane.tag.encode(), bytes),
+        };
+        if interleaved {
+            return Ok(Some(sent));
+        }
+        // Non-interleaved ablation: wait for the wire immediately.
+        let t0 = ctx.now();
+        sent.wait(ctx).map_err(|e| ex.fabric_err(e))?;
+        stall += (ctx.now() - t0).as_secs_f64();
+        Ok(None)
+    })?;
 
     let mut local = LocalOut {
         parts: [

@@ -51,6 +51,15 @@ const PHASE_PROBE: &str = "one_sided_probe";
 /// means the owner died mid-mutation — surfaced as a decode error.
 const TORN_RETRY_CAP: usize = 64;
 
+/// READs chained per doorbell ring: one `post_overhead` covers this many
+/// bucket fetches ([`rsj_rdma::Nic::post_read_batch`]).
+const READ_DOORBELL: usize = 16;
+
+/// Adjacent bucket ranges are coalesced into a single READ while the
+/// merged span stays within this many bytes (the inline-fetch MTU of
+/// DESIGN.md §11).
+const ONE_SIDED_MTU: usize = 4096;
+
 /// Publish stage: assemble the R tuples of every owned partition (same
 /// sources as the two-sided local pass: worker-local buffers plus the
 /// network-received bytes), encode the versioned bucket table, register
@@ -161,7 +170,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
                 info.machine_hists[mach].counts[REL_S][p] > 0 && info.assignment[p] != mach
             })
             .collect();
-        for group in needed.chunks(cfg.read_doorbell.max(1)) {
+        for group in needed.chunks(READ_DOORBELL) {
             let reads: Vec<(RemoteMr, usize, usize)> = group
                 .iter()
                 .map(|&p| {
@@ -238,7 +247,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
                 let r = dir.bucket_range(b);
                 match spans.last_mut() {
                     Some((span, ids))
-                        if span.end == r.start && r.end - span.start <= cfg.one_sided_mtu =>
+                        if span.end == r.start && r.end - span.start <= ONE_SIDED_MTU =>
                     {
                         span.end = r.end;
                         ids.push(b);
@@ -247,7 +256,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
                 }
             }
             let mut fetched: HashMap<usize, Vec<T>> = HashMap::new();
-            for chunk in spans.chunks(cfg.read_doorbell.max(1)) {
+            for chunk in spans.chunks(READ_DOORBELL) {
                 let reads: Vec<(RemoteMr, usize, usize)> = chunk
                     .iter()
                     .map(|(r, _)| (remote, r.start, r.len()))

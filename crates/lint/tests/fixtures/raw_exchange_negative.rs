@@ -3,7 +3,7 @@
 
 pub fn through_the_exchange(ctx: &SimCtx, ex: &Exchange, pool: &BufferPool) -> Result<(), JoinError> {
     // The post step handed to the scatter is where raw posts belong.
-    let mut scatter = Scatter::new(ex, pool, 2, 16, |ex, ctx, meter, lane, bytes| {
+    let mut scatter = Scatter::new(ex, pool, 16, |ex, ctx, meter, lane, bytes| {
         meter.flush(ctx);
         let sent = nic.post_send(ctx, HostId(lane.dst), lane.tag.encode(), bytes);
         sent.wait(ctx).map_err(|e| ex.fabric_err(e))?;

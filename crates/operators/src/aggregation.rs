@@ -19,7 +19,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{decode_into, Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, WireTag};
+use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, WireTag, SEND_DEPTH};
 
 /// Configuration of a distributed aggregation.
 #[derive(Clone, Debug)]
@@ -30,8 +30,6 @@ pub struct AggregationConfig {
     pub radix_bits: u32,
     /// RDMA send-buffer size.
     pub rdma_buf_size: usize,
-    /// In-flight sends per (thread, partition).
-    pub send_depth: usize,
     /// Fabric parameter override (used by scaled experiment runs).
     pub fabric_override: Option<rsj_rdma::FabricConfig>,
     /// Deterministic fault schedule (DESIGN.md §8); `None` keeps the run
@@ -46,7 +44,6 @@ impl AggregationConfig {
             cluster,
             radix_bits: 10,
             rdma_buf_size: 64 * 1024,
-            send_depth: 2,
             fabric_override: None,
             fault_plan: None,
         }
@@ -183,13 +180,7 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
         );
         let pools: Arc<Vec<Arc<BufferPool>>> = Arc::new(
             (0..m)
-                .map(|i| {
-                    rt.make_pool(
-                        i,
-                        workers * self.cfg.send_depth * np,
-                        self.cfg.rdma_buf_size,
-                    )
-                })
+                .map(|i| rt.make_pool(i, workers * SEND_DEPTH * np, self.cfg.rdma_buf_size))
                 .collect(),
         );
         *self.state.lock() = Some((states, pools));
@@ -277,7 +268,7 @@ fn worker<T: Tuple>(
     } else {
         let w = core - 1;
         let assignment = st.assignment.lock().clone();
-        let mut scatter = Scatter::new(&ex, &pools[mach], cfg.send_depth, np, Exchange::send)?;
+        let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
         let mut local: Vec<Vec<T>> = (0..np).map(|_| Vec::new()).collect();
         let range = ranges(st.chunk.len(), workers)[w].clone();
         for t in &st.chunk[range] {

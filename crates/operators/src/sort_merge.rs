@@ -23,7 +23,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{decode_into, JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::{REL_R, REL_S};
-use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, WireTag};
+use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, WireTag, SEND_DEPTH};
 
 /// Configuration of a distributed sort-merge join.
 #[derive(Clone, Debug)]
@@ -34,8 +34,6 @@ pub struct SortMergeConfig {
     pub radix_bits: u32,
     /// RDMA send-buffer size.
     pub rdma_buf_size: usize,
-    /// In-flight sends per (thread, partition).
-    pub send_depth: usize,
     /// Fabric parameter override (used by scaled experiment runs).
     pub fabric_override: Option<rsj_rdma::FabricConfig>,
     /// Deterministic fault schedule (DESIGN.md §8); `None` keeps the run
@@ -50,7 +48,6 @@ impl SortMergeConfig {
             cluster,
             radix_bits: 10,
             rdma_buf_size: 64 * 1024,
-            send_depth: 2,
             fabric_override: None,
             fault_plan: None,
         }
@@ -197,13 +194,7 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
         );
         let pools: Arc<Vec<Arc<BufferPool>>> = Arc::new(
             (0..m)
-                .map(|i| {
-                    rt.make_pool(
-                        i,
-                        workers * self.cfg.send_depth * np * 2,
-                        self.cfg.rdma_buf_size,
-                    )
-                })
+                .map(|i| rt.make_pool(i, workers * SEND_DEPTH * np * 2, self.cfg.rdma_buf_size))
                 .collect(),
         );
         *self.state.lock() = Some((mach_state, pools));
@@ -313,7 +304,7 @@ fn worker<T: Tuple>(
     } else {
         let w = core - 1;
         let assignment = st.assignment.lock().clone();
-        let mut scatter = Scatter::new(&ex, &pools[mach], cfg.send_depth, np, Exchange::send)?;
+        let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
         let mut local: [Vec<Vec<T>>; 2] = [
             (0..np).map(|_| Vec::new()).collect(),
             (0..np).map(|_| Vec::new()).collect(),

@@ -78,7 +78,10 @@ fn cyclo_run(plan: Option<FaultPlan>) -> Fingerprint {
     })
 }
 
-const OPERATORS: [(&str, fn(Option<FaultPlan>) -> Fingerprint); 3] = [
+/// One operator run under an optional fault plan.
+type OperatorRun = fn(Option<FaultPlan>) -> Fingerprint;
+
+const OPERATORS: [(&str, OperatorRun); 3] = [
     ("sort_merge", sort_merge_run),
     ("aggregation", aggregation_run),
     ("cyclo_join", cyclo_run),

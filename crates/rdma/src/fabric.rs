@@ -1,673 +1,30 @@
-//! The simulated switched fabric: per-host NICs with full-duplex links,
-//! egress/ingress serialization, propagation latency, and a message-rate
-//! cap — the network model behind every experiment.
+//! The simulated switched fabric — the network model behind every
+//! experiment — as one handle over three roles, each in its own module:
 //!
-//! Topology matches the paper's clusters (§6.3): every machine connects to
-//! a single switch. Each host's NIC is driven by two simulated engine
-//! threads:
+//! * `nic.rs` — the verbs surface a worker programs against (post, poll,
+//!   completion handles);
+//! * `wire.rs` — the switch and the per-host links (engines, wire time,
+//!   retransmission, delivery);
+//! * `membership.rs` — who is part of the rack (query lanes, crashes, the
+//!   failure detector, fencing, aborts).
 //!
-//! * the **egress engine** serializes outgoing messages onto the host's
-//!   uplink (`max(bytes/bandwidth, 1/msg_rate)` per message), then forwards
-//!   them to the destination with the propagation latency added;
-//! * the **ingress engine** serializes arriving messages off the downlink
-//!   (creating incast contention when many hosts target one receiver),
-//!   performs the memory placement (SRQ buffer for two-sided, direct MR
-//!   write for one-sided), and fires completion events.
-//!
-//! Workers never spend CPU on the transfer itself — kernel bypass — they
-//! only pay [`NicCosts::post_overhead`] to post a work request. Waiting for
-//! a completion costs virtual time only if the completion has not fired
-//! yet, which is exactly the interleaving trade-off of §4.2.1.
-//!
-//! ## Fault plane
-//!
-//! A [`FaultPlan`] installed at construction arms deterministic fault
-//! injection (DESIGN.md §8): the egress engine consults the plan per
-//! transmission and models IB RC retransmission — a dropped attempt is
-//! retried after exponential RNR-style backoff, paid in virtual time at
-//! the head of the egress queue (go-back-N, so per-source FIFO order is
-//! preserved). A message that exhausts the retry counter completes with
-//! [`WcStatus::RetryExceeded`] and moves its queue pair to the error
-//! state; later posts on that pair flush immediately. Crashed hosts flush
-//! everything they touch. With no plan installed none of these branches
-//! are taken and the event schedule is identical to the pre-fault-plane
-//! fabric.
+//! What is left here is the [`Fabric`] handle itself: its constructors,
+//! its accessors and the [`Spawner`] the engines are launched through.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rsj_sim::{SimChannel, SimCtx, SimDuration, SimEvent, SimSemaphore, SimTime, Simulation};
+use rsj_sim::{SimChannel, SimCtx, SimSemaphore, Simulation};
 
 use crate::config::{FabricConfig, HostId, NicCosts, QueryId};
-use crate::fault::{DetectorConfig, FabricError, FaultPlan, FaultState, WcCell, WcStatus};
-use crate::mr::{MrTable, RemoteMr};
+use crate::fault::FaultPlan;
+use crate::membership::FaultState;
+use crate::mr::MrTable;
+use crate::nic::{Nic, NicStats};
 use crate::validate::Validator;
-
-/// A completed two-sided receive, as seen by the consuming thread.
-#[derive(Debug, PartialEq, Eq)]
-pub struct Completion {
-    /// Sending host.
-    pub src: HostId,
-    /// Application tag (immediate data): the join encodes the partition id
-    /// or a control opcode here.
-    pub tag: u32,
-    /// The received bytes, already placed in a receive buffer.
-    pub payload: Vec<u8>,
-}
-
-enum MsgKind {
-    TwoSided {
-        tag: u32,
-    },
-    OneSided {
-        mr: usize,
-        offset: usize,
-    },
-    /// Tiny request asking the *target* NIC to stream `len` bytes of its
-    /// MR back to the initiator (RDMA READ, no remote CPU).
-    ReadRequest {
-        mr: usize,
-        offset: usize,
-        len: usize,
-        reply: Arc<ReadState>,
-    },
-    /// The data leg of an RDMA READ, travelling back to the initiator.
-    ReadResponse {
-        reply: Arc<ReadState>,
-    },
-}
-
-/// Completion event + work-completion status of one posted send.
-struct SendState {
-    ev: Arc<SimEvent>,
-    wc: WcCell,
-}
-
-/// Poster-side handle to one outstanding send/write work request.
-///
-/// The buffer behind the posted payload is logically reusable once the
-/// completion fires; [`SendHandle::wait`] additionally surfaces the
-/// completion *status* — a flushed or retry-exhausted work request returns
-/// a typed [`FabricError`] instead of silent success.
-pub struct SendHandle {
-    state: Arc<SendState>,
-    query: QueryId,
-    src: HostId,
-    dst: HostId,
-    faults: Arc<FaultState>,
-}
-
-impl SendHandle {
-    /// Block until the work request completes, then surface its status.
-    pub fn wait(&self, ctx: &SimCtx) -> Result<(), FabricError> {
-        // lint: allow-error-swallow(sim Event::wait returns unit, not a fabric Result)
-        self.state.ev.wait(ctx);
-        match self.state.wc.get() {
-            None | Some(WcStatus::Success) => Ok(()),
-            Some(status) => Err(self
-                .faults
-                .error_for(self.query, self.src, self.dst, status)),
-        }
-    }
-
-    /// Whether the completion (success or error) has fired.
-    pub fn is_done(&self) -> bool {
-        self.state.ev.is_set()
-    }
-
-    /// The completion status, if the work request has completed.
-    pub fn status(&self) -> Option<WcStatus> {
-        if !self.is_done() {
-            return None;
-        }
-        Some(self.state.wc.get().unwrap_or(WcStatus::Success))
-    }
-
-    /// A detached handle around a bare event, for unit tests of window
-    /// bookkeeping.
-    #[doc(hidden)]
-    pub fn for_test(ev: Arc<SimEvent>) -> SendHandle {
-        SendHandle {
-            state: Arc::new(SendState {
-                ev,
-                wc: WcCell::new(),
-            }),
-            query: QueryId::DIRECT,
-            src: HostId(0),
-            dst: HostId(0),
-            faults: FaultState::new(None, 1),
-        }
-    }
-}
-
-/// Shared state of one outstanding RDMA READ.
-pub struct ReadState {
-    done: Arc<SimEvent>,
-    wc: WcCell,
-    data: Mutex<Option<Vec<u8>>>,
-}
-
-/// Initiator-side handle to an outstanding RDMA READ.
-pub struct ReadHandle {
-    state: Arc<ReadState>,
-    query: QueryId,
-    src: HostId,
-    dst: HostId,
-    faults: Arc<FaultState>,
-    /// Whether the work request actually reached the wire (false when the
-    /// validator or the fault plane dropped the post). Batch posting uses
-    /// this to decide which read in a chain pays the doorbell.
-    posted: bool,
-}
-
-impl ReadHandle {
-    /// Block until the read completes, then take the data — or the typed
-    /// error if the read was flushed or retries were exhausted.
-    pub fn wait(self, ctx: &SimCtx) -> Result<Vec<u8>, FabricError> {
-        // lint: allow-error-swallow(sim Event::wait returns unit, not a fabric Result)
-        self.state.done.wait(ctx);
-        match self.state.wc.get() {
-            None | Some(WcStatus::Success) => Ok(self
-                .state
-                .data
-                .lock()
-                .take()
-                .expect("read completed without data")),
-            Some(status) => Err(self
-                .faults
-                .error_for(self.query, self.src, self.dst, status)),
-        }
-    }
-
-    /// Whether the read has completed.
-    pub fn is_done(&self) -> bool {
-        self.state.done.is_set()
-    }
-}
-
-struct Message {
-    src: HostId,
-    dst: HostId,
-    /// Which query's lane this message belongs to; the ingress engine
-    /// demuxes two-sided deliveries to the matching per-query receive
-    /// lane, and the fault plane scopes flushes/seeds by it.
-    query: QueryId,
-    payload: Vec<u8>,
-    kind: MsgKind,
-    /// Earliest instant the ingress engine may start draining this message
-    /// (egress completion + propagation latency); set by the egress engine.
-    arrival: SimTime,
-    /// Fired when the sender may reuse the buffer (send completion / ack),
-    /// with the completion status alongside.
-    completion: Option<Arc<SendState>>,
-    /// Released on delivery; backs TCP-style windowed flow control.
-    window: Option<Arc<SimSemaphore>>,
-}
-
-/// Per-NIC traffic counters (for reports and tests).
-#[derive(Copy, Clone, Default, Debug)]
-pub struct NicStats {
-    /// Messages sent.
-    pub tx_msgs: u64,
-    /// Payload bytes sent.
-    pub tx_bytes: u64,
-    /// Messages received.
-    pub rx_msgs: u64,
-    /// Payload bytes received.
-    pub rx_bytes: u64,
-    /// Nanoseconds the egress link was busy.
-    pub tx_busy_ns: u64,
-    /// Nanoseconds the ingress link was busy.
-    pub rx_busy_ns: u64,
-    /// Retransmissions performed by the egress engine (fault plane).
-    pub retransmits: u64,
-    /// Work requests completed with an error status.
-    pub wc_errors: u64,
-}
-
-/// One host's network interface: the verbs-facing API of the fabric.
-///
-/// A NIC is either the *base* NIC of a physical host (the root fabric's
-/// lane, [`QueryId::DIRECT`]) or a per-query *lane* carved out by
-/// [`Fabric::query_view`]: the latter shares the physical host's egress
-/// queue and memory-region table but owns a private receive queue and SRQ,
-/// so completions of concurrent queries never mix.
-pub struct Nic {
-    /// The *physical* host this NIC sits on.
-    host: HostId,
-    /// The query lane this handle serves (`DIRECT` on base NICs).
-    query: QueryId,
-    /// Logical machine → physical host translation for view NICs: the
-    /// worker posts to logical machine ids, the wire carries physical
-    /// host ids, and arriving completions are translated back.
-    placement: Option<Arc<Vec<HostId>>>,
-    costs: NicCosts,
-    tx: Arc<SimChannel<Message>>,
-    recv_cq: Arc<SimChannel<Completion>>,
-    srq: Arc<SimSemaphore>,
-    /// This host's registered memory regions (one-sided write targets),
-    /// shared between the base NIC and every lane on the host.
-    pub mrs: Arc<MrTable>,
-    stats: Mutex<NicStats>,
-    /// Lane activity counter: posts and deliveries on this lane. Summed
-    /// by a view fabric's `progress_ticks` so a per-query watchdog can
-    /// tell a slow query from a wedged one.
-    lane_progress: AtomicU64,
-    validator: Arc<Validator>,
-    faults: Arc<FaultState>,
-}
-
-impl Nic {
-    /// Translate a logical machine id to the physical host behind it
-    /// (identity on base NICs).
-    fn phys(&self, dst: HostId) -> HostId {
-        match &self.placement {
-            Some(p) => p[dst.0],
-            None => dst,
-        }
-    }
-
-    /// Translate a physical source host back to this query's logical
-    /// machine id (identity on base NICs).
-    fn logical(&self, src: HostId) -> HostId {
-        match &self.placement {
-            Some(p) => HostId(
-                p.iter()
-                    .position(|&h| h == src)
-                    .expect("completion from a host outside this query's placement"),
-            ),
-            None => src,
-        }
-    }
-
-    /// Post a two-sided SEND of `payload` to `dst`. Returns the send
-    /// handle: the buffer behind `payload` is logically reusable once its
-    /// completion fires. Charges only the WQE post overhead to the caller.
-    /// Posting against a queue pair in the error state (or during an
-    /// abort) returns an immediately-flushed handle.
-    pub fn post_send(&self, ctx: &SimCtx, dst: HostId, tag: u32, payload: Vec<u8>) -> SendHandle {
-        self.post(ctx, dst, MsgKind::TwoSided { tag }, payload, None)
-    }
-
-    /// Like [`Nic::post_send`] but ties the message to a flow-control
-    /// window: the given semaphore is released when the message is
-    /// delivered (or flushed). The caller must have acquired a permit
-    /// beforehand.
-    pub fn post_send_windowed(
-        &self,
-        ctx: &SimCtx,
-        dst: HostId,
-        tag: u32,
-        payload: Vec<u8>,
-        window: Arc<SimSemaphore>,
-    ) -> SendHandle {
-        self.post(ctx, dst, MsgKind::TwoSided { tag }, payload, Some(window))
-    }
-
-    /// Post a one-sided RDMA READ of `len` bytes from `remote` at
-    /// `offset`. No CPU is consumed on the remote host: its NIC streams
-    /// the data back directly (used by the work-sharing extension to pull
-    /// build-probe fragments from overloaded machines, and by the
-    /// one-sided probe path to fetch published bucket tables).
-    ///
-    /// Each call pays [`NicCosts::post_overhead`] for its doorbell; use
-    /// [`Nic::post_read_batch`] to amortize the doorbell over a chain of
-    /// reads.
-    ///
-    /// ```
-    /// use rsj_rdma::{Fabric, FabricConfig, HostId, NicCosts};
-    /// use rsj_sim::Simulation;
-    ///
-    /// let sim = Simulation::new();
-    /// let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
-    /// fabric.launch(&sim);
-    /// sim.spawn("reader", move |ctx| {
-    ///     let mr = fabric.nic(HostId(1)).mrs.register(ctx, 256);
-    ///     mr.fill(0, &[42; 256]);
-    ///     let remote = mr.publish();
-    ///     let bytes = fabric
-    ///         .nic(HostId(0))
-    ///         .post_read(ctx, remote, 128, 64)
-    ///         .wait(ctx)
-    ///         .unwrap();
-    ///     assert_eq!(bytes, vec![42u8; 64]);
-    ///     fabric.shutdown(ctx);
-    /// });
-    /// sim.run();
-    /// ```
-    pub fn post_read(
-        &self,
-        ctx: &SimCtx,
-        remote: RemoteMr,
-        offset: usize,
-        len: usize,
-    ) -> ReadHandle {
-        self.post_read_inner(ctx, remote, offset, len, true)
-    }
-
-    /// Post a doorbell-batched chain of RDMA READs: the verbs `wr.next`
-    /// linked-list idiom, where one doorbell write submits every work
-    /// request in the chain. The whole batch costs a single
-    /// [`NicCosts::post_overhead`] on the initiating core — the CPU-side
-    /// win the one-sided probe path is built around — while each read
-    /// still pays its own wire time. Reads are validated (and fault-gated)
-    /// individually, exactly as if posted one by one.
-    ///
-    /// ```
-    /// use rsj_rdma::{Fabric, FabricConfig, HostId, NicCosts};
-    /// use rsj_sim::Simulation;
-    ///
-    /// let sim = Simulation::new();
-    /// let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
-    /// fabric.launch(&sim);
-    /// sim.spawn("reader", move |ctx| {
-    ///     let mr = fabric.nic(HostId(1)).mrs.register(ctx, 64);
-    ///     mr.fill(0, &[9; 64]);
-    ///     let remote = mr.publish();
-    ///     let reads = [(remote, 0, 16), (remote, 16, 16), (remote, 48, 16)];
-    ///     let handles = fabric.nic(HostId(0)).post_read_batch(ctx, &reads);
-    ///     for h in handles {
-    ///         assert_eq!(h.wait(ctx).unwrap(), vec![9u8; 16]);
-    ///     }
-    ///     fabric.shutdown(ctx);
-    /// });
-    /// sim.run();
-    /// ```
-    pub fn post_read_batch(
-        &self,
-        ctx: &SimCtx,
-        reads: &[(RemoteMr, usize, usize)],
-    ) -> Vec<ReadHandle> {
-        let mut doorbell_rung = false;
-        reads
-            .iter()
-            .map(|&(remote, offset, len)| {
-                let h = self.post_read_inner(ctx, remote, offset, len, !doorbell_rung);
-                // Validator- or fault-dropped reads never reach the wire;
-                // the doorbell is paid by the first read that does.
-                doorbell_rung |= h.posted;
-                h
-            })
-            .collect()
-    }
-
-    /// Shared READ post path; `charge_doorbell` decides whether this work
-    /// request pays [`NicCosts::post_overhead`] (single posts and the
-    /// first live read of a batch) or rides a doorbell already rung.
-    fn post_read_inner(
-        &self,
-        ctx: &SimCtx,
-        remote: RemoteMr,
-        offset: usize,
-        len: usize,
-        charge_doorbell: bool,
-    ) -> ReadHandle {
-        let mk_state = |data: Option<Vec<u8>>| {
-            Arc::new(ReadState {
-                done: SimEvent::new(),
-                wc: WcCell::new(),
-                data: Mutex::new(data),
-            })
-        };
-        let handle = |state: Arc<ReadState>, posted: bool| ReadHandle {
-            state,
-            query: self.query,
-            src: self.host,
-            dst: remote.host,
-            faults: Arc::clone(&self.faults),
-            posted,
-        };
-        // Fault-plane denial is checked *before* the validator: a READ
-        // aimed at a crashed (and fenced — its MR epochs are closed) host
-        // must surface as a typed `HostCrashed` completion the caller can
-        // recover from, not as a read-after-unpublish panic.
-        if let Some(status) = self.faults.post_denied(self.query, self.host, remote.host) {
-            let state = mk_state(None);
-            state.wc.set(status);
-            state.done.set(ctx);
-            self.stats.lock().wc_errors += 1;
-            return handle(state, false);
-        }
-        if !self.validator.check_read(&remote, offset, len) {
-            // Record mode: the faulting read is dropped; hand back an
-            // already-completed handle of zeroes so the caller can't hang.
-            let state = mk_state(Some(vec![0u8; len]));
-            state.done.set(ctx);
-            return handle(state, false);
-        }
-        let state = mk_state(None);
-        if charge_doorbell {
-            ctx.advance(SimDuration::from_secs_f64(self.costs.post_overhead));
-        }
-        self.stats.lock().tx_msgs += 1;
-        self.lane_progress.fetch_add(1, Ordering::Relaxed);
-        self.tx.send(
-            ctx,
-            Message {
-                src: self.host,
-                dst: remote.host,
-                query: self.query,
-                payload: Vec::new(),
-                kind: MsgKind::ReadRequest {
-                    mr: remote.index,
-                    offset,
-                    len,
-                    reply: Arc::clone(&state),
-                },
-                arrival: SimTime::ZERO,
-                completion: None,
-                window: None,
-            },
-        );
-        handle(state, true)
-    }
-
-    /// Post a one-sided RDMA WRITE of `payload` into `remote` at `offset`.
-    /// No CPU is consumed on the remote host; the returned handle
-    /// completes when the write is acknowledged.
-    pub fn post_write(
-        &self,
-        ctx: &SimCtx,
-        remote: RemoteMr,
-        offset: usize,
-        payload: Vec<u8>,
-    ) -> SendHandle {
-        if !self.validator.check_write(&remote, offset, payload.len()) {
-            // Record mode: drop the faulting write, return a fired handle.
-            let state = Arc::new(SendState {
-                ev: SimEvent::new(),
-                wc: WcCell::new(),
-            });
-            state.ev.set(ctx);
-            return SendHandle {
-                state,
-                query: self.query,
-                src: self.host,
-                dst: remote.host,
-                faults: Arc::clone(&self.faults),
-            };
-        }
-        self.post_physical(
-            ctx,
-            remote.host,
-            MsgKind::OneSided {
-                mr: remote.index,
-                offset,
-            },
-            payload,
-            None,
-        )
-    }
-
-    fn post(
-        &self,
-        ctx: &SimCtx,
-        dst: HostId,
-        kind: MsgKind,
-        payload: Vec<u8>,
-        window: Option<Arc<SimSemaphore>>,
-    ) -> SendHandle {
-        // Two-sided posts name a *logical* machine; the wire carries
-        // physical host ids.
-        self.post_physical(ctx, self.phys(dst), kind, payload, window)
-    }
-
-    fn post_physical(
-        &self,
-        ctx: &SimCtx,
-        dst: HostId,
-        kind: MsgKind,
-        payload: Vec<u8>,
-        window: Option<Arc<SimSemaphore>>,
-    ) -> SendHandle {
-        if let Some(status) = self.faults.post_denied(self.query, self.host, dst) {
-            return self.denied_handle(ctx, dst, status, window);
-        }
-        ctx.advance(SimDuration::from_secs_f64(self.costs.post_overhead));
-        // The overhead charge is a yield point: an abort or crash may have
-        // landed while this worker was suspended, in which case the egress
-        // queue may already be closed — flush instead of posting.
-        if let Some(status) = self.faults.post_denied(self.query, self.host, dst) {
-            return self.denied_handle(ctx, dst, status, window);
-        }
-        let state = Arc::new(SendState {
-            ev: SimEvent::new(),
-            wc: WcCell::new(),
-        });
-        {
-            let mut stats = self.stats.lock();
-            stats.tx_msgs += 1;
-            stats.tx_bytes += payload.len() as u64;
-        }
-        self.lane_progress.fetch_add(1, Ordering::Relaxed);
-        self.tx.send(
-            ctx,
-            Message {
-                src: self.host,
-                dst,
-                query: self.query,
-                payload,
-                kind,
-                arrival: SimTime::ZERO,
-                completion: Some(Arc::clone(&state)),
-                window,
-            },
-        );
-        SendHandle {
-            state,
-            query: self.query,
-            src: self.host,
-            dst,
-            faults: Arc::clone(&self.faults),
-        }
-    }
-
-    /// An immediately-flushed handle for a post denied by the fault plane
-    /// (queue pair in error, crashed host, or cluster abort). The window
-    /// permit is returned so flow control cannot wedge on a dead peer.
-    fn denied_handle(
-        &self,
-        ctx: &SimCtx,
-        dst: HostId,
-        status: WcStatus,
-        window: Option<Arc<SimSemaphore>>,
-    ) -> SendHandle {
-        let state = Arc::new(SendState {
-            ev: SimEvent::new(),
-            wc: WcCell::new(),
-        });
-        state.wc.set(status);
-        state.ev.set(ctx);
-        self.stats.lock().wc_errors += 1;
-        if let Some(w) = window {
-            w.release(ctx);
-        }
-        SendHandle {
-            state,
-            query: self.query,
-            src: self.host,
-            dst,
-            faults: Arc::clone(&self.faults),
-        }
-    }
-
-    /// Block until the next two-sided message arrives. Returns `Ok(None)`
-    /// once the fabric has shut down cleanly and all in-flight messages
-    /// are drained, or a typed error if this host crashed or the cluster
-    /// aborted while waiting.
-    ///
-    /// The caller owns a receive-buffer slot for the returned completion
-    /// and must call [`Nic::repost_recv`] once it has copied the payload
-    /// out (§4.2.2: "the receive buffers can be reused once the copy
-    /// operation terminated successfully").
-    pub fn recv(&self, ctx: &SimCtx) -> Result<Option<Completion>, FabricError> {
-        self.recv_fault_check()?;
-        match self.recv_cq.recv(ctx) {
-            Some(mut c) => {
-                self.validator.on_rx_consumed(self.host, self.query);
-                // The wire carries physical source ids; hand the
-                // application its own logical machine numbering.
-                c.src = self.logical(c.src);
-                Ok(Some(c))
-            }
-            None => {
-                self.recv_fault_check()?;
-                Ok(None)
-            }
-        }
-    }
-
-    fn recv_fault_check(&self) -> Result<(), FabricError> {
-        if self.faults.is_crashed(self.host) {
-            return Err(FabricError::HostCrashed { host: self.host });
-        }
-        // A lane receiver is waiting for its placement peers: if any of
-        // them crashed, the message it is parked for can never arrive.
-        // Surface the crash as a typed error instead of leaving the
-        // worker to the barrier watchdog — this also covers a query
-        // admitted *after* the crash, whose lanes no crash fan-out will
-        // ever close.
-        if let Some(placement) = &self.placement {
-            for &peer in placement.iter() {
-                if self.faults.is_crashed(peer) {
-                    return Err(FabricError::HostCrashed { host: peer });
-                }
-            }
-        }
-        if self.faults.is_aborted() || self.faults.is_query_aborted(self.query) {
-            return Err(FabricError::Aborted);
-        }
-        Ok(())
-    }
-
-    /// Return one receive-buffer slot to the shared receive queue.
-    pub fn repost_recv(&self, ctx: &SimCtx) {
-        self.validator.on_recv_reposted(self.host, self.query);
-        self.srq.release(ctx);
-    }
-
-    /// Traffic counters so far.
-    pub fn stats(&self) -> NicStats {
-        *self.stats.lock()
-    }
-
-    /// This NIC's *physical* host id.
-    pub fn host(&self) -> HostId {
-        self.host
-    }
-
-    /// The query lane this NIC handle serves.
-    pub fn query(&self) -> QueryId {
-        self.query
-    }
-
-    /// The fabric-wide verbs-contract validator (shared by every NIC).
-    pub fn validator(&self) -> &Arc<Validator> {
-        &self.validator
-    }
-}
+use crate::wire::Message;
 
 /// The whole fabric: one [`Nic`] per host plus the engine threads driving
 /// them. Create with [`Fabric::new`] (or [`Fabric::new_with_plan`] to arm
@@ -681,28 +38,28 @@ impl Nic {
 /// over one fabric with per-query completion demux, abort fan-out and
 /// teardown audits.
 pub struct Fabric {
-    cfg: FabricConfig,
+    pub(crate) cfg: FabricConfig,
     /// The lane this handle serves: [`QueryId::DIRECT`] on the root,
     /// the admitted query's id on a view.
-    query: QueryId,
+    pub(crate) query: QueryId,
     /// The root fabric behind a view (`None` on the root itself).
-    root: Option<Arc<Fabric>>,
+    pub(crate) root: Option<Arc<Fabric>>,
     /// Root: the base NIC of each physical host. View: the per-query
     /// lane NIC of each *logical* machine in the query's placement.
-    nics: Vec<Arc<Nic>>,
-    rx_queues: Vec<Arc<SimChannel<Message>>>,
-    live_tx: Arc<AtomicUsize>,
-    launched: AtomicBool,
+    pub(crate) nics: Vec<Arc<Nic>>,
+    pub(crate) rx_queues: Vec<Arc<SimChannel<Message>>>,
+    pub(crate) live_tx: Arc<AtomicUsize>,
+    pub(crate) launched: AtomicBool,
     /// Root only — per physical host, the live receive lanes keyed by
     /// query id. The ingress engine demuxes two-sided traffic through
     /// this; direct traffic bypasses it entirely. Ordered map: crash and
     /// abort paths iterate it, and the close/poison order decides the
     /// virtual-time wake order of parked receivers.
-    lanes: Vec<Mutex<BTreeMap<u32, Arc<Nic>>>>,
+    pub(crate) lanes: Vec<Mutex<BTreeMap<u32, Arc<Nic>>>>,
     /// A view retires exactly once (graceful close or abort).
-    view_closed: AtomicBool,
-    validator: Arc<Validator>,
-    faults: Arc<FaultState>,
+    pub(crate) view_closed: AtomicBool,
+    pub(crate) validator: Arc<Validator>,
+    pub(crate) faults: Arc<FaultState>,
 }
 
 impl Fabric {
@@ -757,114 +114,9 @@ impl Fabric {
         })
     }
 
-    /// Carve a per-query view for `query`: `placement[m]` names the
-    /// physical host backing the view's logical machine `m` (hosts must
-    /// be distinct). The view exposes the root's API — `nic(HostId(m))`
-    /// hands out machine `m`'s lane NIC, `abort` fans out only to this
-    /// query, `shutdown` is a no-op (the shared fabric stays up) — so
-    /// operator code written against a dedicated fabric runs unchanged
-    /// over a multiplexed one. Call [`Fabric::close_view`] when the
-    /// query retires so its lanes unregister and parked receivers wake.
-    pub fn query_view(self: &Arc<Self>, query: QueryId, placement: Vec<HostId>) -> Arc<Fabric> {
-        assert!(
-            self.root.is_none(),
-            "query views are carved from the root fabric, not from other views"
-        );
-        assert!(
-            query != QueryId::DIRECT,
-            "QueryId::DIRECT is the root fabric's own lane"
-        );
-        let hosts = self.hosts();
-        {
-            let mut seen = std::collections::HashSet::new();
-            for &h in &placement {
-                assert!(h.0 < hosts, "placement names unknown host {}", h.0);
-                assert!(seen.insert(h.0), "placement repeats host {}", h.0);
-            }
-        }
-        let placement = Arc::new(placement);
-        let nics: Vec<Arc<Nic>> = placement
-            .iter()
-            .map(|&phys| {
-                let base = &self.nics[phys.0];
-                Arc::new(Nic {
-                    host: phys,
-                    query,
-                    placement: Some(Arc::clone(&placement)),
-                    costs: base.costs,
-                    tx: Arc::clone(&base.tx),
-                    recv_cq: SimChannel::new(),
-                    srq: SimSemaphore::new(self.cfg.srq_slots),
-                    mrs: Arc::clone(&base.mrs),
-                    stats: Mutex::new(NicStats::default()),
-                    lane_progress: AtomicU64::new(0),
-                    validator: Arc::clone(&self.validator),
-                    faults: Arc::clone(&self.faults),
-                })
-            })
-            .collect();
-        for (m, nic) in nics.iter().enumerate() {
-            let prev = self.lanes[placement[m].0]
-                .lock()
-                .insert(query.0, Arc::clone(nic));
-            assert!(
-                prev.is_none(),
-                "query {} already has a lane on host {}",
-                query.0,
-                placement[m].0
-            );
-        }
-        Arc::new(Fabric {
-            cfg: self.cfg,
-            query,
-            root: Some(Arc::clone(self)),
-            nics,
-            rx_queues: self.rx_queues.clone(),
-            live_tx: Arc::clone(&self.live_tx),
-            // Views never launch engines; the root's are already running.
-            launched: AtomicBool::new(true),
-            lanes: Vec::new(),
-            view_closed: AtomicBool::new(false),
-            validator: Arc::clone(&self.validator),
-            faults: Arc::clone(&self.faults),
-        })
-    }
-
-    /// Retire a view: unregister its receive lanes from the root's demux
-    /// table and close its receive queues so parked receivers see
-    /// end-of-stream. Idempotent; no-op on the root fabric.
-    pub fn close_view(&self, ctx: &SimCtx) {
-        self.release_lanes(ctx, false);
-    }
-
-    fn release_lanes(&self, ctx: &SimCtx, poison: bool) {
-        let Some(root) = &self.root else { return };
-        if self.view_closed.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unregister *before* closing: the ingress engine must stop
-        // resolving this query's lanes before their channels close (a
-        // send to a closed SimChannel is a fault; an unresolvable lane
-        // is a clean flush).
-        for nic in &self.nics {
-            root.lanes[nic.host.0].lock().remove(&self.query.0);
-        }
-        for nic in &self.nics {
-            nic.recv_cq.close(ctx);
-            if poison {
-                nic.srq.poison(ctx);
-            }
-        }
-    }
-
     /// The fabric-wide verbs-contract validator.
     pub fn validator(&self) -> &Arc<Validator> {
         &self.validator
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.plan()
     }
 
     /// Whether a fault plan is installed (arms the runtime watchdog).
@@ -872,21 +124,10 @@ impl Fabric {
         self.faults.plan().is_some()
     }
 
-    /// Whether this fabric handle has been aborted: the whole rack on the
-    /// root, the rack *or this query* on a view.
-    pub fn aborted(&self) -> bool {
-        self.faults.is_aborted() || self.faults.is_query_aborted(self.query)
-    }
-
     /// The query lane this fabric handle serves ([`QueryId::DIRECT`] on
     /// the root).
     pub fn query(&self) -> QueryId {
         self.query
-    }
-
-    /// Hosts that have crashed so far (fault-plan schedule).
-    pub fn crashed_hosts(&self) -> Vec<HostId> {
-        self.faults.crashed_hosts()
     }
 
     /// Monotone fabric activity counter; the runtime watchdog snapshots it
@@ -918,538 +159,6 @@ impl Fabric {
     pub fn nic(&self, host: HostId) -> Arc<Nic> {
         Arc::clone(&self.nics[host.0])
     }
-
-    /// Flush a message without delivering it: error completion to the
-    /// poster, window permit returned, read reply failed. This is how
-    /// aborts, crashes and retry exhaustion keep every waiter unblocked.
-    fn flush_message(&self, ctx: &SimCtx, msg: Message, status: WcStatus) {
-        match msg.kind {
-            MsgKind::ReadRequest { reply, .. } | MsgKind::ReadResponse { reply } => {
-                reply.wc.set(status);
-                reply.done.set(ctx);
-            }
-            MsgKind::TwoSided { .. } | MsgKind::OneSided { .. } => {}
-        }
-        if let Some(send) = msg.completion {
-            send.wc.set(status);
-            send.ev.set(ctx);
-            self.nics[msg.src.0].stats.lock().wc_errors += 1;
-        }
-        if let Some(w) = msg.window {
-            w.release(ctx);
-        }
-    }
-
-    /// Fail-stop `host` now: flag it, wake its parked receivers with
-    /// errors, and poison its SRQ so the ingress engine cannot wedge.
-    /// Query lanes on the crashed host wake too; their registry entries
-    /// stay (the `is_crashed` check precedes every delivery, so nothing
-    /// can reach the closed lane channels). Every query *touching* the
-    /// crashed host additionally has its lanes on the surviving hosts
-    /// unregistered and closed: a receiver parked there is waiting for a
-    /// peer that can never answer, and must wake with a typed error now,
-    /// not when the barrier watchdog gives up.
-    fn crash_host(&self, ctx: &SimCtx, host: HostId) {
-        if !self.faults.set_crashed(host) {
-            return;
-        }
-        self.validator.on_host_crashed(host);
-        self.nics[host.0].recv_cq.close(ctx);
-        self.nics[host.0].srq.poison(ctx);
-        let lanes: Vec<Arc<Nic>> = self.lanes[host.0].lock().values().cloned().collect();
-        let touching: Vec<u32> = self.lanes[host.0].lock().keys().copied().collect();
-        for lane in lanes {
-            lane.recv_cq.close(ctx);
-            lane.srq.poison(ctx);
-        }
-        // Survivor-side wake, in deterministic (query, host) order. The
-        // lanes unregister *before* closing, so the ingress engine
-        // resolves them to a clean flush rather than a closed channel.
-        for q in touching {
-            for h in 0..self.hosts() {
-                if h == host.0 {
-                    continue;
-                }
-                let lane = self.lanes[h].lock().remove(&q);
-                if let Some(lane) = lane {
-                    lane.recv_cq.close(ctx);
-                    lane.srq.poison(ctx);
-                }
-            }
-        }
-    }
-
-    /// Fence `host` after its crash was detected (by the failure detector
-    /// or by crash evidence in a typed error): close the read epoch of
-    /// every memory region it registered — one-sided probes holding stale
-    /// handles get `ReadAfterUnpublish`/`HostCrashed`, never stale bytes —
-    /// and make sure the fail-stop machinery (queue close, lane wake) has
-    /// run. The query service additionally stops placing queries on
-    /// fenced hosts. Idempotent; first fence wins.
-    pub fn fence_host(&self, ctx: &SimCtx, host: HostId) {
-        if let Some(root) = &self.root {
-            root.fence_host(ctx, host);
-            return;
-        }
-        if !self.faults.set_fenced(host) {
-            return;
-        }
-        self.faults.note_detected(host, ctx.now());
-        self.crash_host(ctx, host);
-        self.nics[host.0].mrs.unpublish_all();
-    }
-
-    /// Hosts fenced so far (failure detector or crash-evidence driven).
-    pub fn fenced_hosts(&self) -> Vec<HostId> {
-        self.faults.fenced_hosts()
-    }
-
-    /// Whether `host` is fenced.
-    pub fn is_fenced(&self, host: HostId) -> bool {
-        self.faults.is_fenced(host)
-    }
-
-    /// The virtual instant `host` was declared dead — by the failure
-    /// detector's lease expiry or by crash evidence in a typed error,
-    /// whichever fenced it first.
-    pub fn detected_at(&self, host: HostId) -> Option<SimTime> {
-        self.faults.detected_at(host)
-    }
-
-    /// Arm the deterministic failure detector (DESIGN.md §13): a single
-    /// monitor task that, every [`DetectorConfig::heartbeat`] of virtual
-    /// time, probes hosts whose activity lease expired and fences a host
-    /// after `miss_threshold` consecutive missed heartbeats. Probes are
-    /// modeled out of band — no wire messages — so per-query fault
-    /// streams and the event schedule of healthy traffic are untouched;
-    /// detection latency is a seeded, replayable function of the crash
-    /// schedule and the detector knobs. Call
-    /// [`Fabric::disarm_failure_detector`] when the service drains so the
-    /// task exits and the simulation can quiesce.
-    pub fn arm_failure_detector(self: &Arc<Self>, spawner: &impl Spawner, dcfg: DetectorConfig) {
-        assert!(
-            self.root.is_none(),
-            "the failure detector runs on the root fabric"
-        );
-        let fabric = Arc::clone(self);
-        spawner.spawn_task("failure-detector".to_string(), move |ctx| {
-            let hosts = fabric.hosts();
-            let mut misses = vec![0u32; hosts];
-            loop {
-                ctx.sleep_until(ctx.now() + dcfg.heartbeat);
-                if fabric.faults.detector_stopped() {
-                    break;
-                }
-                for (h, missed) in misses.iter_mut().enumerate() {
-                    let host = HostId(h);
-                    if fabric.faults.is_fenced(host) {
-                        continue;
-                    }
-                    let idle = ctx
-                        .now()
-                        .as_nanos()
-                        .saturating_sub(fabric.faults.last_activity_ns(host));
-                    if idle <= dcfg.lease.as_nanos() {
-                        *missed = 0;
-                        continue;
-                    }
-                    // Lease expired: heartbeat-probe the host. A live but
-                    // idle host answers and renews its lease; a crashed
-                    // host misses.
-                    if fabric.faults.is_crashed(host) {
-                        *missed += 1;
-                        if *missed >= dcfg.miss_threshold {
-                            fabric.fence_host(ctx, host);
-                        }
-                    } else {
-                        fabric.faults.note_activity(host, ctx.now());
-                        *missed = 0;
-                    }
-                }
-            }
-        });
-    }
-
-    /// Tell the armed failure detector to exit at its next tick (the
-    /// service calls this once its batch has drained).
-    pub fn disarm_failure_detector(&self) {
-        self.faults.stop_detector();
-    }
-
-    /// Abort this fabric handle. On the root: every queue closes, every
-    /// SRQ is poisoned, and in-flight messages are flushed with error
-    /// completions — workers parked on any fabric primitive wake with
-    /// typed errors. On a view: the abort is *query-scoped* — only this
-    /// query's posts are denied, its in-flight traffic flushes, and its
-    /// lanes retire; every other query on the shared fabric is untouched.
-    /// Idempotent.
-    pub fn abort(&self, ctx: &SimCtx) {
-        if self.root.is_some() {
-            if self.faults.set_query_aborted(self.query) {
-                self.validator.on_query_aborted(self.query);
-            }
-            self.release_lanes(ctx, true);
-            return;
-        }
-        if !self.faults.set_aborted() {
-            return;
-        }
-        self.validator.on_abort();
-        for nic in &self.nics {
-            nic.tx.close(ctx);
-            nic.srq.poison(ctx);
-            nic.recv_cq.close(ctx);
-        }
-        // A rack-wide abort wakes every query lane as well; entries stay
-        // registered — the global abort flag flushes everything anyway.
-        for lanes in &self.lanes {
-            let lanes: Vec<Arc<Nic>> = lanes.lock().values().cloned().collect();
-            for lane in lanes {
-                lane.recv_cq.close(ctx);
-                lane.srq.poison(ctx);
-            }
-        }
-    }
-
-    /// Spawn the egress and ingress engine threads for every host (plus
-    /// the fault-plan timers when a plan is installed). Accepts either a
-    /// [`Simulation`] (before `run`) or a [`SimCtx`] (from inside the
-    /// simulation) via [`Spawner`].
-    pub fn launch(self: &Arc<Self>, spawner: &impl Spawner) {
-        assert!(
-            !self.launched.swap(true, Ordering::SeqCst),
-            "fabric launched twice"
-        );
-        let n = self.hosts();
-        for h in 0..n {
-            // Egress engine for host h.
-            let fabric = Arc::clone(self);
-            spawner.spawn_task(format!("nic-tx-{h}"), move |ctx| {
-                fabric.egress_engine(ctx, h, n);
-            });
-
-            // Ingress engine for host h.
-            let fabric = Arc::clone(self);
-            spawner.spawn_task(format!("nic-rx-{h}"), move |ctx| {
-                fabric.ingress_engine(ctx, h, n);
-            });
-        }
-        // Crash timers: fail-stop the scheduled hosts at their instants.
-        if let Some(plan) = self.faults.plan() {
-            for crash in plan.crashes.clone() {
-                let fabric = Arc::clone(self);
-                spawner.spawn_task(format!("fault-crash-{}", crash.host.0), move |ctx| {
-                    ctx.sleep_until(crash.at);
-                    fabric.crash_host(ctx, crash.host);
-                });
-            }
-        }
-    }
-
-    fn egress_engine(&self, ctx: &SimCtx, h: usize, n: usize) {
-        let tx = Arc::clone(&self.nics[h].tx);
-        let src = HostId(h);
-        let mut msg_seq: u64 = 0;
-        // Per-query message sequence counters. The root lane keeps the
-        // original global counter (schedule-identical to a fabric with no
-        // service on top); each query advances its own stream, so its
-        // fault schedule is a pure function of `(seed, QueryId)` and
-        // admitting another query never perturbs it.
-        let mut query_seq: HashMap<u32, u64> = HashMap::new();
-        while let Some(mut msg) = tx.recv(ctx) {
-            let seq = if msg.query == QueryId::DIRECT {
-                msg_seq += 1;
-                msg_seq
-            } else {
-                let s = query_seq.entry(msg.query.0).or_insert(0);
-                *s += 1;
-                *s
-            };
-            self.faults.note_progress();
-            if self.faults.is_aborted()
-                || self.faults.is_crashed(src)
-                || self.faults.is_query_aborted(msg.query)
-            {
-                self.flush_message(ctx, msg, WcStatus::Flushed);
-                continue;
-            }
-            // A live host carrying traffic renews its failure-detector
-            // lease (flushed messages above do not: a dead host's engine
-            // draining its queue is not liveness).
-            self.faults.note_activity(src, ctx.now());
-            if let Some(plan) = self.faults.plan() {
-                if let Some(end) = plan.stall_end(src, ctx.now()) {
-                    ctx.sleep_until(end);
-                }
-                if let Some(status) = self.retransmit(ctx, plan, src, &msg, seq, h) {
-                    if status == WcStatus::RetryExceeded {
-                        self.faults.set_qp_error(src, msg.dst);
-                    }
-                    self.flush_message(ctx, msg, status);
-                    continue;
-                }
-            }
-            let wire = SimDuration::from_secs_f64(self.cfg.wire_seconds(msg.payload.len(), n));
-            self.nics[h].stats.lock().tx_busy_ns += wire.as_nanos();
-            ctx.advance(wire);
-            msg.arrival = ctx.now() + SimDuration::from_secs_f64(self.cfg.latency);
-            if let Some(plan) = self.faults.plan() {
-                let seed = plan.stream_seed(msg.query);
-                msg.arrival += plan.extra_delay_seeded(seed, src, msg.dst, seq);
-            }
-            let dst = msg.dst.0;
-            assert!(dst < n, "send to unknown host {dst}");
-            self.rx_queues[dst].send(ctx, msg);
-        }
-        // Last egress engine standing closes all ingress queues.
-        if self.live_tx.fetch_sub(1, Ordering::SeqCst) == 1 {
-            for q in &self.rx_queues {
-                q.close(ctx);
-            }
-        }
-    }
-
-    /// IB RC retransmission at the head of the egress queue: each dropped
-    /// attempt charges exponential backoff in virtual time, then retries.
-    /// Returns the terminal error status if the message cannot be sent.
-    fn retransmit(
-        &self,
-        ctx: &SimCtx,
-        plan: &FaultPlan,
-        src: HostId,
-        msg: &Message,
-        msg_seq: u64,
-        h: usize,
-    ) -> Option<WcStatus> {
-        let dst = msg.dst;
-        let seed = plan.stream_seed(msg.query);
-        let mut attempt: u32 = 0;
-        loop {
-            let dropped = self.faults.is_crashed(dst)
-                || plan.attempt_drops_seeded(seed, src, dst, msg_seq, attempt, ctx.now());
-            if !dropped {
-                return None;
-            }
-            attempt += 1;
-            self.faults.note_progress();
-            self.nics[h].stats.lock().retransmits += 1;
-            if attempt > plan.retry.max_retries {
-                return Some(WcStatus::RetryExceeded);
-            }
-            ctx.advance(plan.retry.backoff(attempt));
-            if self.faults.is_aborted()
-                || self.faults.is_crashed(src)
-                || self.faults.is_query_aborted(msg.query)
-            {
-                return Some(WcStatus::Flushed);
-            }
-        }
-    }
-
-    /// Credit received bytes to the query's lane NIC on host `h`, so a
-    /// query-scoped [`NicStats`] accounts one-sided traffic (WRITE
-    /// landings, READ request arrivals and responses) exactly like the
-    /// direct path's base NIC does. No-op for direct traffic or a lane
-    /// already retired.
-    fn credit_lane_rx(&self, h: usize, query: QueryId, bytes: usize) {
-        if query == QueryId::DIRECT {
-            return;
-        }
-        if let Some(lane) = self.lanes[h].lock().get(&query.0).cloned() {
-            let mut ls = lane.stats.lock();
-            ls.rx_msgs += 1;
-            ls.rx_bytes += bytes as u64;
-        }
-    }
-
-    /// Lane-side twin of [`Fabric::credit_lane_rx`] for bytes a host
-    /// *serves* on behalf of a query (READ responses streamed out of a
-    /// published region).
-    fn credit_lane_tx(&self, h: usize, query: QueryId, bytes: usize) {
-        if query == QueryId::DIRECT {
-            return;
-        }
-        if let Some(lane) = self.lanes[h].lock().get(&query.0).cloned() {
-            let mut ls = lane.stats.lock();
-            ls.tx_msgs += 1;
-            ls.tx_bytes += bytes as u64;
-        }
-    }
-
-    fn ingress_engine(&self, ctx: &SimCtx, h: usize, n: usize) {
-        let rx = Arc::clone(&self.rx_queues[h]);
-        let host = HostId(h);
-        while let Some(msg) = rx.recv(ctx) {
-            self.faults.note_progress();
-            if self.faults.is_aborted()
-                || self.faults.is_crashed(host)
-                || self.faults.is_query_aborted(msg.query)
-            {
-                self.flush_message(ctx, msg, WcStatus::Flushed);
-                continue;
-            }
-            self.faults.note_activity(host, ctx.now());
-            let nic = &self.nics[h];
-            ctx.sleep_until(msg.arrival);
-            let wire = SimDuration::from_secs_f64(self.cfg.wire_seconds(msg.payload.len(), n));
-            nic.stats.lock().rx_busy_ns += wire.as_nanos();
-            ctx.advance(wire);
-            // The wire charge is a yield point: a crash or abort may have
-            // landed meanwhile, and the receive queue may be closed.
-            if self.faults.is_aborted()
-                || self.faults.is_crashed(host)
-                || self.faults.is_query_aborted(msg.query)
-            {
-                self.flush_message(ctx, msg, WcStatus::Flushed);
-                continue;
-            }
-            {
-                let mut stats = nic.stats.lock();
-                stats.rx_msgs += 1;
-                stats.rx_bytes += msg.payload.len() as u64;
-            }
-            let mut flushed = false;
-            match msg.kind {
-                MsgKind::TwoSided { tag } => {
-                    // Resolve the receive lane: the base NIC for direct
-                    // traffic, the query's registered lane otherwise. An
-                    // unresolvable lane means the query already retired
-                    // or aborted — flush cleanly.
-                    let lane = if msg.query == QueryId::DIRECT {
-                        Some(Arc::clone(nic))
-                    } else {
-                        self.lanes[h].lock().get(&msg.query.0).cloned()
-                    };
-                    match lane {
-                        None => flushed = true,
-                        Some(lane) => {
-                            // Consume a posted receive buffer; blocks (RNR)
-                            // if the application is not reposting. If every
-                            // slot is application-held, that's a contract
-                            // violation (§4.2.2), not backpressure.
-                            if lane.srq.available() == 0 {
-                                self.validator.srq_blocked(
-                                    HostId(h),
-                                    self.cfg.srq_slots,
-                                    msg.query,
-                                );
-                            }
-                            let acquired = lane.srq.acquire_checked(ctx).is_ok();
-                            // Another yield point — re-check before
-                            // touching the CQ (no further yield between
-                            // this check and the send, so the lane
-                            // channel cannot close in between).
-                            if !acquired
-                                || self.faults.is_aborted()
-                                || self.faults.is_crashed(host)
-                                || self.faults.is_query_aborted(msg.query)
-                            {
-                                flushed = true;
-                            } else {
-                                self.validator.on_rx_delivered(HostId(h), msg.query);
-                                lane.lane_progress.fetch_add(1, Ordering::Relaxed);
-                                if msg.query != QueryId::DIRECT {
-                                    let mut ls = lane.stats.lock();
-                                    ls.rx_msgs += 1;
-                                    ls.rx_bytes += msg.payload.len() as u64;
-                                }
-                                lane.recv_cq.send(
-                                    ctx,
-                                    Completion {
-                                        src: msg.src,
-                                        tag,
-                                        payload: msg.payload,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                MsgKind::OneSided { mr, offset } => {
-                    // A `None` lookup was already reported as
-                    // use-before-register; drop the write.
-                    if let Some(region) = nic.mrs.get(mr) {
-                        region.dma_write(offset, &msg.payload);
-                    }
-                    // Query-scoped writes land on the shared region, but
-                    // the traffic belongs to the query's lane report.
-                    self.credit_lane_rx(h, msg.query, msg.payload.len());
-                }
-                MsgKind::ReadRequest {
-                    mr,
-                    offset,
-                    len,
-                    reply,
-                } => {
-                    // The *responder's* NIC streams the data back:
-                    // enqueue the response on this host's egress.
-                    let data = match nic.mrs.get(mr) {
-                        Some(region) => region.dma_read(offset, len),
-                        None => vec![0u8; len],
-                    };
-                    {
-                        let mut stats = nic.stats.lock();
-                        stats.tx_msgs += 1;
-                        stats.tx_bytes += data.len() as u64;
-                    }
-                    // Mirror both sides of the responder's involvement
-                    // onto the query's lane: the request arrival and the
-                    // response bytes served — so a service-path
-                    // [`NicStats`] matches the direct path byte for byte.
-                    self.credit_lane_rx(h, msg.query, msg.payload.len());
-                    self.credit_lane_tx(h, msg.query, data.len());
-                    nic.tx.send(
-                        ctx,
-                        Message {
-                            src: HostId(h),
-                            dst: msg.src,
-                            query: msg.query,
-                            payload: data,
-                            kind: MsgKind::ReadResponse { reply },
-                            arrival: SimTime::ZERO,
-                            completion: None,
-                            window: None,
-                        },
-                    );
-                }
-                MsgKind::ReadResponse { reply } => {
-                    // Requester side of a READ: the fetched bytes count
-                    // against the query's lane, as two-sided receives do.
-                    self.credit_lane_rx(h, msg.query, msg.payload.len());
-                    *reply.data.lock() = Some(msg.payload);
-                    reply.done.set(ctx);
-                }
-            }
-            if let Some(send) = msg.completion {
-                send.wc.set(if flushed {
-                    WcStatus::Flushed
-                } else {
-                    WcStatus::Success
-                });
-                send.ev.set(ctx);
-                if flushed {
-                    self.nics[msg.src.0].stats.lock().wc_errors += 1;
-                }
-            }
-            if let Some(w) = msg.window {
-                w.release(ctx);
-            }
-        }
-        self.nics[h].recv_cq.close(ctx);
-    }
-
-    /// Stop accepting traffic: closes every egress queue, letting the
-    /// engine threads drain in-flight messages and terminate. On a view
-    /// this is a no-op — one query retiring never tears down the shared
-    /// fabric (that is [`Fabric::close_view`]'s job).
-    pub fn shutdown(&self, ctx: &SimCtx) {
-        if self.root.is_some() {
-            return;
-        }
-        for nic in &self.nics {
-            nic.tx.close(ctx);
-        }
-    }
 }
 
 /// Anything that can spawn a simulated thread ([`Simulation`] before the
@@ -1468,614 +177,5 @@ impl Spawner for Simulation {
 impl Spawner for SimCtx {
     fn spawn_task<F: FnOnce(&SimCtx) + Send + 'static>(&self, name: String, f: F) {
         self.spawn(name, f);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fault::{HostCrash, LinkFlap};
-    use crate::validate::ValidateMode;
-
-    fn two_host_fabric(cfg: FabricConfig) -> (Simulation, Arc<Fabric>) {
-        let sim = Simulation::new();
-        let fabric = Fabric::new(cfg, NicCosts::default(), 2);
-        fabric.launch(&sim);
-        (sim, fabric)
-    }
-
-    /// Stream `count` messages of `size` bytes from host 0 to host 1 and
-    /// return the achieved bandwidth in bytes per virtual second.
-    fn stream_bandwidth(size: usize, count: usize, cfg: FabricConfig) -> f64 {
-        let (sim, fabric) = two_host_fabric(cfg);
-        let done = Arc::new(Mutex::new(0.0f64));
-        {
-            let fabric = Arc::clone(&fabric);
-            sim.spawn("sender", move |ctx| {
-                let nic = fabric.nic(HostId(0));
-                let mut events = Vec::new();
-                for _ in 0..count {
-                    events.push(nic.post_send(ctx, HostId(1), 7, vec![0u8; size]));
-                }
-                for ev in events {
-                    ev.wait(ctx).unwrap();
-                }
-                fabric.shutdown(ctx);
-            });
-        }
-        {
-            let fabric = Arc::clone(&fabric);
-            let done = Arc::clone(&done);
-            sim.spawn("receiver", move |ctx| {
-                let nic = fabric.nic(HostId(1));
-                let mut got = 0usize;
-                while let Some(c) = nic.recv(ctx).unwrap() {
-                    got += c.payload.len();
-                    nic.repost_recv(ctx);
-                }
-                assert_eq!(got, size * count);
-                *done.lock() = ctx.now().as_secs_f64();
-            });
-        }
-        sim.run();
-        let secs = *done.lock();
-        (size * count) as f64 / secs
-    }
-
-    #[test]
-    fn large_messages_reach_configured_bandwidth() {
-        let cfg = FabricConfig::fdr();
-        let bw = stream_bandwidth(512 * 1024, 64, cfg);
-        // Pipelined stream: expect within a few percent of 6.0 GB/s
-        // (the tail message pays ingress + latency once).
-        assert!(
-            (bw - cfg.bandwidth).abs() / cfg.bandwidth < 0.05,
-            "got {bw:.3e}"
-        );
-    }
-
-    #[test]
-    fn small_messages_are_message_rate_bound() {
-        let cfg = FabricConfig::qdr();
-        let bw = stream_bandwidth(256, 512, cfg);
-        let expect = cfg.stream_bandwidth(256, 2);
-        assert!(
-            (bw - expect).abs() / expect < 0.05,
-            "got {bw:.3e}, expected {expect:.3e}"
-        );
-        assert!(bw < 0.1 * cfg.bandwidth);
-    }
-
-    #[test]
-    fn incast_halves_per_sender_throughput() {
-        // Hosts 0 and 1 both stream to host 2: the shared ingress link
-        // must make the joint transfer take ~2x a single stream.
-        let cfg = FabricConfig::fdr();
-        let sim = Simulation::new();
-        let fabric = Fabric::new(cfg, NicCosts::default(), 3);
-        fabric.launch(&sim);
-        const MSG: usize = 256 * 1024;
-        const COUNT: usize = 32;
-        for src in 0..2usize {
-            let fabric = Arc::clone(&fabric);
-            sim.spawn(format!("sender{src}"), move |ctx| {
-                let nic = fabric.nic(HostId(src));
-                let evs: Vec<_> = (0..COUNT)
-                    .map(|_| nic.post_send(ctx, HostId(2), 0, vec![0u8; MSG]))
-                    .collect();
-                for ev in evs {
-                    ev.wait(ctx).unwrap();
-                }
-            });
-        }
-        let finish = Arc::new(Mutex::new(0.0f64));
-        {
-            let fabric = Arc::clone(&fabric);
-            let finish = Arc::clone(&finish);
-            sim.spawn("receiver", move |ctx| {
-                let nic = fabric.nic(HostId(2));
-                for _ in 0..2 * COUNT {
-                    let c = nic.recv(ctx).unwrap().expect("fabric closed early");
-                    assert_eq!(c.payload.len(), MSG);
-                    nic.repost_recv(ctx);
-                }
-                *finish.lock() = ctx.now().as_secs_f64();
-                fabric.shutdown(ctx);
-            });
-        }
-        sim.run();
-        let secs = *finish.lock();
-        let single = (COUNT * MSG) as f64 / cfg.bandwidth;
-        assert!(
-            (secs - 2.0 * single).abs() / (2.0 * single) < 0.1,
-            "incast took {secs:.6}s, expected ~{:.6}s",
-            2.0 * single
-        );
-    }
-
-    #[test]
-    fn one_sided_write_places_data_without_receiver_cpu() {
-        let (sim, fabric) = two_host_fabric(FabricConfig::fdr());
-        let region_ready = SimEvent::new();
-        let handle_cell = Arc::new(Mutex::new(None));
-        {
-            // Host 1 registers a region, then does nothing: one-sided
-            // writes need no receiver involvement.
-            let fabric = Arc::clone(&fabric);
-            let region_ready = Arc::clone(&region_ready);
-            let handle_cell = Arc::clone(&handle_cell);
-            sim.spawn("owner", move |ctx| {
-                let nic = fabric.nic(HostId(1));
-                let mr = nic.mrs.register(ctx, 1024);
-                *handle_cell.lock() = Some((mr.remote_handle(), Arc::clone(&mr)));
-                region_ready.set(ctx);
-            });
-        }
-        {
-            let fabric = Arc::clone(&fabric);
-            let region_ready = Arc::clone(&region_ready);
-            let handle_cell = Arc::clone(&handle_cell);
-            sim.spawn("writer", move |ctx| {
-                region_ready.wait(ctx);
-                let (handle, mr) = handle_cell.lock().clone().unwrap();
-                let nic = fabric.nic(HostId(0));
-                let ev = nic.post_write(ctx, handle, 128, vec![9u8; 64]);
-                ev.wait(ctx).unwrap();
-                mr.with_data(|d| {
-                    assert!(d[128..192].iter().all(|&b| b == 9));
-                    assert_eq!(d[127], 0);
-                    assert_eq!(d[192], 0);
-                });
-                fabric.shutdown(ctx);
-            });
-        }
-        sim.run();
-    }
-
-    #[test]
-    fn send_completion_allows_buffer_reuse_only_after_delivery() {
-        let (sim, fabric) = two_host_fabric(FabricConfig::qdr());
-        {
-            let fabric = Arc::clone(&fabric);
-            sim.spawn("sender", move |ctx| {
-                let nic = fabric.nic(HostId(0));
-                let t0 = ctx.now();
-                let ev = nic.post_send(ctx, HostId(1), 0, vec![0u8; 64 * 1024]);
-                // Posting is cheap...
-                let post_cost = (ctx.now() - t0).as_secs_f64();
-                assert!(post_cost < 1e-6);
-                // ...but the completion only fires after the wire time.
-                ev.wait(ctx).unwrap();
-                let elapsed = (ctx.now() - t0).as_secs_f64();
-                let min_wire = 64.0 * 1024.0 / fabric.config().bandwidth;
-                assert!(elapsed >= min_wire, "{elapsed} < {min_wire}");
-                fabric.shutdown(ctx);
-            });
-        }
-        {
-            let fabric = Arc::clone(&fabric);
-            sim.spawn("receiver", move |ctx| {
-                let nic = fabric.nic(HostId(1));
-                while let Some(_c) = nic.recv(ctx).unwrap() {
-                    nic.repost_recv(ctx);
-                }
-            });
-        }
-        sim.run();
-    }
-
-    #[test]
-    fn one_sided_read_pulls_remote_data() {
-        let (sim, fabric) = two_host_fabric(FabricConfig::fdr());
-        let ready = SimEvent::new();
-        let handle_cell = Arc::new(Mutex::new(None));
-        {
-            let fabric = Arc::clone(&fabric);
-            let ready = Arc::clone(&ready);
-            let handle_cell = Arc::clone(&handle_cell);
-            sim.spawn("owner", move |ctx| {
-                let nic = fabric.nic(HostId(1));
-                let mr = nic.mrs.register(ctx, 256);
-                mr.dma_write(64, &[7u8; 128]);
-                *handle_cell.lock() = Some(mr.remote_handle());
-                ready.set(ctx);
-            });
-        }
-        {
-            let fabric = Arc::clone(&fabric);
-            let ready = Arc::clone(&ready);
-            let handle_cell = Arc::clone(&handle_cell);
-            sim.spawn("reader", move |ctx| {
-                ready.wait(ctx);
-                let remote = handle_cell.lock().unwrap();
-                let nic = fabric.nic(HostId(0));
-                let t0 = ctx.now();
-                let data = nic.post_read(ctx, remote, 64, 128).wait(ctx).unwrap();
-                assert_eq!(data, vec![7u8; 128]);
-                // The read paid at least one round trip plus the data leg.
-                let elapsed = (ctx.now() - t0).as_secs_f64();
-                let min = 2.0 * fabric.config().latency + 128.0 / fabric.config().bandwidth;
-                assert!(elapsed >= min, "{elapsed} < {min}");
-                fabric.shutdown(ctx);
-            });
-        }
-        sim.run();
-    }
-
-    #[test]
-    fn stats_count_messages_and_bytes() {
-        let (sim, fabric) = two_host_fabric(FabricConfig::fdr());
-        {
-            let fabric = Arc::clone(&fabric);
-            sim.spawn("sender", move |ctx| {
-                let nic = fabric.nic(HostId(0));
-                for i in 0..5u32 {
-                    nic.post_send(ctx, HostId(1), i, vec![0u8; 1000])
-                        .wait(ctx)
-                        .unwrap();
-                }
-                fabric.shutdown(ctx);
-            });
-        }
-        {
-            let fabric = Arc::clone(&fabric);
-            sim.spawn("receiver", move |ctx| {
-                let nic = fabric.nic(HostId(1));
-                let mut tags = Vec::new();
-                while let Some(c) = nic.recv(ctx).unwrap() {
-                    tags.push(c.tag);
-                    nic.repost_recv(ctx);
-                }
-                assert_eq!(tags, vec![0, 1, 2, 3, 4], "in-order delivery");
-            });
-        }
-        sim.run();
-        let tx = fabric.nic(HostId(0)).stats();
-        let rx = fabric.nic(HostId(1)).stats();
-        assert_eq!(tx.tx_msgs, 5);
-        assert_eq!(tx.tx_bytes, 5000);
-        assert_eq!(rx.rx_msgs, 5);
-        assert_eq!(rx.rx_bytes, 5000);
-    }
-
-    /// Run a fixed 0→1 stream under `plan`; returns (tags received,
-    /// completion results, finish time, sender stats).
-    fn faulted_stream(
-        plan: FaultPlan,
-        count: usize,
-    ) -> (Vec<u32>, Vec<Result<(), FabricError>>, u64, NicStats) {
-        let sim = Simulation::new();
-        let fabric = Fabric::new_with_plan(FabricConfig::fdr(), NicCosts::default(), 2, Some(plan));
-        fabric.launch(&sim);
-        let results = Arc::new(Mutex::new(Vec::new()));
-        let tags = Arc::new(Mutex::new(Vec::new()));
-        let finish = Arc::new(Mutex::new(0u64));
-        {
-            let fabric = Arc::clone(&fabric);
-            let results = Arc::clone(&results);
-            sim.spawn("sender", move |ctx| {
-                let nic = fabric.nic(HostId(0));
-                let handles: Vec<_> = (0..count)
-                    .map(|i| nic.post_send(ctx, HostId(1), i as u32, vec![0u8; 4096]))
-                    .collect();
-                for h in handles {
-                    results.lock().push(h.wait(ctx));
-                }
-                fabric.shutdown(ctx);
-            });
-        }
-        {
-            let fabric = Arc::clone(&fabric);
-            let tags = Arc::clone(&tags);
-            let finish = Arc::clone(&finish);
-            sim.spawn("receiver", move |ctx| {
-                let nic = fabric.nic(HostId(1));
-                while let Ok(Some(c)) = nic.recv(ctx) {
-                    tags.lock().push(c.tag);
-                    nic.repost_recv(ctx);
-                }
-                *finish.lock() = ctx.now().as_nanos();
-            });
-        }
-        sim.run();
-        let stats = fabric.nic(HostId(0)).stats();
-        let tags = tags.lock().clone();
-        let results = results.lock().clone();
-        let finish = *finish.lock();
-        (tags, results, finish, stats)
-    }
-
-    #[test]
-    fn transient_drops_are_retried_and_invisible_to_the_application() {
-        let mut plan = FaultPlan::fault_free();
-        plan.seed = 7;
-        plan.drop_per_mille = 200; // 20% per-attempt loss
-        let (tags, results, _, stats) = faulted_stream(plan, 20);
-        assert_eq!(tags, (0..20).collect::<Vec<u32>>(), "in-order, complete");
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert!(stats.retransmits > 0, "faults were actually injected");
-        assert_eq!(stats.wc_errors, 0);
-    }
-
-    #[test]
-    fn link_flap_is_ridden_out_by_backoff() {
-        let mut plan = FaultPlan::fault_free();
-        // Outage shorter than the policy's total backoff budget: every
-        // message must survive via retransmission.
-        plan.link_flaps.push(LinkFlap {
-            host: HostId(1),
-            from: SimTime::from_nanos(0),
-            until: SimTime::from_nanos(200_000),
-        });
-        let (tags, results, finish, stats) = faulted_stream(plan, 10);
-        assert_eq!(tags, (0..10).collect::<Vec<u32>>());
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert!(stats.retransmits > 0);
-        assert!(finish >= 200_000, "delivery waited out the outage");
-    }
-
-    #[test]
-    fn dead_link_exhausts_the_retry_counter_and_errors_the_qp() {
-        let mut plan = FaultPlan::fault_free();
-        plan.link_flaps.push(LinkFlap {
-            host: HostId(1),
-            from: SimTime::ZERO,
-            until: SimTime::from_nanos(u64::MAX),
-        });
-        let (tags, results, _, stats) = faulted_stream(plan, 3);
-        assert!(tags.is_empty(), "nothing crosses a dead link");
-        assert!(!results.is_empty());
-        assert!(matches!(
-            results[0],
-            Err(FabricError::QpError {
-                status: WcStatus::RetryExceeded,
-                ..
-            })
-        ));
-        // Once the QP is in error, later posts flush immediately.
-        assert!(results[1..].iter().all(|r| r.is_err()));
-        assert!(stats.wc_errors >= 3);
-    }
-
-    #[test]
-    fn crashed_host_flushes_senders_and_wakes_its_receiver() {
-        let mut plan = FaultPlan::fault_free();
-        plan.crashes.push(HostCrash {
-            host: HostId(1),
-            at: SimTime::from_nanos(1_000),
-        });
-        let (tags, results, _, _) = faulted_stream(plan, 5);
-        // The receiver on the crashed host wakes with HostCrashed, so the
-        // tag list is cut short (possibly empty).
-        assert!(tags.len() < 5);
-        // The sender sees typed errors once the crash lands.
-        assert!(results.iter().any(|r| {
-            matches!(
-                r,
-                Err(FabricError::HostCrashed { host: HostId(1) })
-                    | Err(FabricError::QpError { .. })
-            )
-        }));
-    }
-
-    #[test]
-    fn faulted_runs_replay_identically_from_the_same_seed() {
-        let mk = || {
-            let mut plan = FaultPlan::fault_free();
-            plan.seed = 99;
-            plan.drop_per_mille = 150;
-            plan.delay_per_mille = 300;
-            plan.max_delay = SimDuration::from_micros(20);
-            plan
-        };
-        let a = faulted_stream(mk(), 25);
-        let b = faulted_stream(mk(), 25);
-        assert_eq!(a.0, b.0, "same delivery order");
-        assert_eq!(a.2, b.2, "same virtual finish time");
-        assert_eq!(a.3.retransmits, b.3.retransmits, "same fault trace");
-    }
-
-    #[test]
-    fn abort_unblocks_a_parked_receiver_with_a_typed_error() {
-        let sim = Simulation::new();
-        let fabric = Fabric::new_with_plan(
-            FabricConfig::fdr(),
-            NicCosts::default(),
-            2,
-            Some(FaultPlan::fault_free()),
-        );
-        fabric.launch(&sim);
-        let saw = Arc::new(Mutex::new(None));
-        {
-            let fabric = Arc::clone(&fabric);
-            let saw = Arc::clone(&saw);
-            sim.spawn("receiver", move |ctx| {
-                let nic = fabric.nic(HostId(1));
-                *saw.lock() = Some(nic.recv(ctx));
-            });
-        }
-        {
-            let fabric = Arc::clone(&fabric);
-            sim.spawn("aborter", move |ctx| {
-                ctx.advance(SimDuration::from_micros(5));
-                fabric.abort(ctx);
-            });
-        }
-        sim.run();
-        assert_eq!(saw.lock().take(), Some(Err(FabricError::Aborted)));
-        // Posts after the abort flush immediately instead of wedging.
-        assert!(fabric.aborted());
-    }
-
-    #[test]
-    fn read_in_flight_at_crash_instant_completes_with_host_crashed() {
-        let sim = Simulation::new();
-        let fabric = Fabric::new_with_plan(
-            FabricConfig::qdr(),
-            NicCosts::default(),
-            2,
-            Some(FaultPlan::fault_free()),
-        );
-        fabric.launch(&sim);
-        let posted = SimEvent::new();
-        let saw = Arc::new(Mutex::new(None));
-        {
-            let fabric = Arc::clone(&fabric);
-            let posted = Arc::clone(&posted);
-            let saw = Arc::clone(&saw);
-            sim.spawn("reader", move |ctx| {
-                // 256 KiB keeps the transfer on the wire for tens of
-                // microseconds — far longer than the killer's 1 µs delay
-                // after the doorbell, so the crash lands mid-flight.
-                let mr = fabric.nic(HostId(1)).mrs.register(ctx, 256 << 10);
-                mr.fill(0, &vec![7u8; 256 << 10]);
-                let remote = mr.publish();
-                let h = fabric.nic(HostId(0)).post_read(ctx, remote, 0, 256 << 10);
-                posted.set(ctx);
-                *saw.lock() = Some(h.wait(ctx));
-                fabric.shutdown(ctx);
-            });
-        }
-        {
-            let fabric = Arc::clone(&fabric);
-            sim.spawn("killer", move |ctx| {
-                posted.wait(ctx);
-                ctx.advance(SimDuration::from_micros(1));
-                fabric.fence_host(ctx, HostId(1));
-            });
-        }
-        sim.run();
-        assert_eq!(
-            saw.lock().take(),
-            Some(Err(FabricError::HostCrashed { host: HostId(1) })),
-            "an in-flight READ must flush with the crash typed, not stale bytes"
-        );
-    }
-
-    #[test]
-    fn read_posted_after_fencing_is_a_typed_error_not_a_validator_panic() {
-        // The fence closes the read epoch of every MR the dead host
-        // published. In Panic mode a stale-handle READ would normally
-        // panic the validator — but a *crashed* target must win the
-        // race and surface as a recoverable HostCrashed completion.
-        let sim = Simulation::new();
-        let fabric = Fabric::new_with_plan(
-            FabricConfig::qdr(),
-            NicCosts::default(),
-            2,
-            Some(FaultPlan::fault_free()),
-        );
-        fabric.validator().set_mode(ValidateMode::Panic);
-        fabric.launch(&sim);
-        let saw = Arc::new(Mutex::new(None));
-        {
-            let fabric = Arc::clone(&fabric);
-            let saw = Arc::clone(&saw);
-            sim.spawn("reader", move |ctx| {
-                let mr = fabric.nic(HostId(1)).mrs.register(ctx, 4096);
-                let remote = mr.publish();
-                fabric.fence_host(ctx, HostId(1));
-                assert!(fabric.is_fenced(HostId(1)));
-                assert_eq!(fabric.fenced_hosts(), vec![HostId(1)]);
-                let h = fabric.nic(HostId(0)).post_read(ctx, remote, 0, 4096);
-                *saw.lock() = Some(h.wait(ctx));
-                fabric.shutdown(ctx);
-            });
-        }
-        sim.run();
-        assert_eq!(
-            saw.lock().take(),
-            Some(Err(FabricError::HostCrashed { host: HostId(1) }))
-        );
-    }
-
-    #[test]
-    fn record_mode_zero_fills_a_stale_handle_read() {
-        // Without a crash (publisher retracted voluntarily), a stale
-        // handle in Record mode is dropped and zero-filled so the caller
-        // can never observe bytes from a closed epoch.
-        let sim = Simulation::new();
-        let fabric = Fabric::new(FabricConfig::qdr(), NicCosts::default(), 2);
-        fabric.validator().set_mode(ValidateMode::Record);
-        fabric.launch(&sim);
-        let saw = Arc::new(Mutex::new(None));
-        {
-            let fabric = Arc::clone(&fabric);
-            let saw = Arc::clone(&saw);
-            sim.spawn("reader", move |ctx| {
-                let mr = fabric.nic(HostId(1)).mrs.register(ctx, 64);
-                mr.fill(0, &[9u8; 64]);
-                let remote = mr.publish();
-                mr.unpublish();
-                let h = fabric.nic(HostId(0)).post_read(ctx, remote, 0, 64);
-                *saw.lock() = Some(h.wait(ctx));
-                fabric.shutdown(ctx);
-            });
-        }
-        sim.run();
-        assert_eq!(saw.lock().take(), Some(Ok(vec![0u8; 64])));
-        assert!(fabric.validator().violation_count() > 0);
-    }
-
-    #[test]
-    fn failure_detector_fences_a_crashed_host_within_its_latency_bound() {
-        let run = || {
-            let sim = Simulation::new();
-            let mut plan = FaultPlan::fault_free();
-            plan.crashes.push(HostCrash {
-                host: HostId(1),
-                at: SimTime::from_nanos(300_000),
-            });
-            let fabric =
-                Fabric::new_with_plan(FabricConfig::qdr(), NicCosts::default(), 3, Some(plan));
-            fabric.launch(&sim);
-            let dcfg = DetectorConfig::default();
-            fabric.arm_failure_detector(&sim, dcfg);
-            {
-                let fabric = Arc::clone(&fabric);
-                sim.spawn("driver", move |ctx| {
-                    // Keep one live host chatty so its lease renews from
-                    // real fabric activity, not just detector probes.
-                    let nic = fabric.nic(HostId(0));
-                    for _ in 0..20 {
-                        nic.post_send(ctx, HostId(2), 7, vec![0u8; 512])
-                            .wait(ctx)
-                            .unwrap();
-                        ctx.advance(SimDuration::from_micros(30));
-                    }
-                    fabric.disarm_failure_detector();
-                    ctx.advance(SimDuration::from_micros(50));
-                    fabric.shutdown(ctx);
-                });
-            }
-            {
-                let fabric = Arc::clone(&fabric);
-                sim.spawn("sink", move |ctx| {
-                    let nic = fabric.nic(HostId(2));
-                    while let Ok(Some(_)) = nic.recv(ctx) {
-                        nic.repost_recv(ctx);
-                    }
-                });
-            }
-            sim.run();
-            (
-                fabric.is_fenced(HostId(1)),
-                fabric.is_fenced(HostId(0)),
-                fabric.detected_at(HostId(1)),
-            )
-        };
-        let (fenced, live_fenced, detected) = run();
-        assert!(fenced, "the crashed host must be detected and fenced");
-        assert!(!live_fenced, "live hosts keep their leases");
-        let detected = detected.expect("detection instant recorded");
-        let crash = SimTime::from_nanos(300_000);
-        assert!(detected > crash, "detection follows the crash");
-        assert!(
-            detected - crash <= DetectorConfig::default().worst_case_latency(),
-            "lease expiry plus miss threshold bounds detection latency: {:?}",
-            detected - crash
-        );
-        // Detection latency is part of the deterministic replay contract.
-        assert_eq!(run().2, Some(detected));
     }
 }

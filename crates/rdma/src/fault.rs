@@ -14,11 +14,6 @@
 //! installed the fabric takes none of these branches and the event
 //! schedule is bit-identical to a build without the fault plane.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use rsj_sim::{SimDuration, SimTime};
 
 use crate::config::{HostId, QueryId};
@@ -37,28 +32,6 @@ pub enum WcStatus {
     /// queue pair already in the error state, caught in a cluster abort,
     /// or owned by a crashed host.
     Flushed,
-}
-
-const WC_PENDING: u8 = 0;
-const WC_SUCCESS: u8 = 1;
-const WC_RETRY_EXCEEDED: u8 = 2;
-const WC_FLUSHED: u8 = 3;
-
-pub(crate) fn encode_wc(status: WcStatus) -> u8 {
-    match status {
-        WcStatus::Success => WC_SUCCESS,
-        WcStatus::RetryExceeded => WC_RETRY_EXCEEDED,
-        WcStatus::Flushed => WC_FLUSHED,
-    }
-}
-
-pub(crate) fn decode_wc(bits: u8) -> Option<WcStatus> {
-    match bits {
-        WC_PENDING => None,
-        WC_SUCCESS => Some(WcStatus::Success),
-        WC_RETRY_EXCEEDED => Some(WcStatus::RetryExceeded),
-        _ => Some(WcStatus::Flushed),
-    }
 }
 
 /// A typed fabric-level failure, surfaced wherever delivery used to be
@@ -343,21 +316,9 @@ impl FaultPlan {
     }
 
     /// Whether transmission `attempt` (0-based) of message `msg_seq` on
-    /// `src → dst` is dropped at `now`.
-    pub fn attempt_drops(
-        &self,
-        src: HostId,
-        dst: HostId,
-        msg_seq: u64,
-        attempt: u32,
-        now: SimTime,
-    ) -> bool {
-        self.attempt_drops_seeded(self.seed, src, dst, msg_seq, attempt, now)
-    }
-
-    /// [`FaultPlan::attempt_drops`] against an explicit stream seed (one
-    /// query's private stream — see [`FaultPlan::stream_seed`]). Link
-    /// flaps remain host-level events shared by every stream.
+    /// `src → dst` is dropped at `now`, decided against the stream seed
+    /// of the message's query (see [`FaultPlan::stream_seed`]). Link flaps
+    /// remain host-level events shared by every stream.
     pub fn attempt_drops_seeded(
         &self,
         seed: u64,
@@ -385,12 +346,7 @@ impl FaultPlan {
     }
 
     /// Extra propagation delay injected into message `msg_seq` on
-    /// `src → dst` (zero for most messages).
-    pub fn extra_delay(&self, src: HostId, dst: HostId, msg_seq: u64) -> SimDuration {
-        self.extra_delay_seeded(self.seed, src, dst, msg_seq)
-    }
-
-    /// [`FaultPlan::extra_delay`] against an explicit stream seed.
+    /// `src → dst` of the stream with `seed` (zero for most messages).
     pub fn extra_delay_seeded(
         &self,
         seed: u64,
@@ -446,236 +402,6 @@ fn mix(words: &[u64]) -> u64 {
     acc
 }
 
-/// Shared fault-plane state of one fabric: the installed plan plus the
-/// dynamic flags (abort, per-host crash, per-QP error) that the engines,
-/// NICs and completion handles consult.
-pub(crate) struct FaultState {
-    plan: Option<FaultPlan>,
-    hosts: usize,
-    aborted: AtomicBool,
-    crashed: Vec<AtomicBool>,
-    /// Row-major `src * hosts + dst`: queue pair in the error state.
-    qp_error: Vec<AtomicBool>,
-    /// Monotone activity counter, snapshotted by the runtime watchdog to
-    /// detect a wedged cluster.
-    progress: AtomicU64,
-    /// Fast-path flag: some query-scoped abort happened. Lets the hot
-    /// paths skip the set lookup with one relaxed load, so a fabric with
-    /// no multiplexed queries pays nothing.
-    query_aborted_any: AtomicBool,
-    /// Queries aborted individually (service multiplexing).
-    query_aborted: Mutex<HashSet<u32>>,
-    /// Hosts fenced by the failure detector (or by crash evidence): their
-    /// MR epochs are closed and the service stops placing queries there.
-    fenced: Vec<AtomicBool>,
-    /// Virtual instant (ns) the detector declared each host dead;
-    /// `u64::MAX` until detected.
-    detected_ns: Vec<AtomicU64>,
-    /// Last observed fabric activity per host (ns) — the lease the
-    /// failure detector renews and checks.
-    activity_ns: Vec<AtomicU64>,
-    /// Set when the service retires its batch: the detector task exits at
-    /// its next tick instead of keeping the simulation alive forever.
-    detector_stop: AtomicBool,
-}
-
-impl FaultState {
-    pub(crate) fn new(plan: Option<FaultPlan>, hosts: usize) -> Arc<FaultState> {
-        Arc::new(FaultState {
-            plan,
-            hosts,
-            aborted: AtomicBool::new(false),
-            crashed: (0..hosts).map(|_| AtomicBool::new(false)).collect(),
-            qp_error: (0..hosts * hosts).map(|_| AtomicBool::new(false)).collect(),
-            progress: AtomicU64::new(0),
-            query_aborted_any: AtomicBool::new(false),
-            query_aborted: Mutex::new(HashSet::new()),
-            fenced: (0..hosts).map(|_| AtomicBool::new(false)).collect(),
-            detected_ns: (0..hosts).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            activity_ns: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
-            detector_stop: AtomicBool::new(false),
-        })
-    }
-
-    pub(crate) fn plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
-    }
-
-    pub(crate) fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
-    }
-
-    /// First abort wins; returns whether this call switched the flag.
-    pub(crate) fn set_aborted(&self) -> bool {
-        !self.aborted.swap(true, Ordering::SeqCst)
-    }
-
-    pub(crate) fn is_crashed(&self, host: HostId) -> bool {
-        self.crashed[host.0].load(Ordering::SeqCst)
-    }
-
-    /// Returns whether this call switched the flag.
-    pub(crate) fn set_crashed(&self, host: HostId) -> bool {
-        !self.crashed[host.0].swap(true, Ordering::SeqCst)
-    }
-
-    /// Hosts flagged as crashed so far.
-    pub(crate) fn crashed_hosts(&self) -> Vec<HostId> {
-        (0..self.hosts)
-            .filter(|&h| self.crashed[h].load(Ordering::SeqCst))
-            .map(HostId)
-            .collect()
-    }
-
-    pub(crate) fn is_fenced(&self, host: HostId) -> bool {
-        self.fenced[host.0].load(Ordering::SeqCst)
-    }
-
-    /// Returns whether this call switched the flag (first fence wins).
-    pub(crate) fn set_fenced(&self, host: HostId) -> bool {
-        !self.fenced[host.0].swap(true, Ordering::SeqCst)
-    }
-
-    /// Hosts fenced so far (detector- or evidence-driven).
-    pub(crate) fn fenced_hosts(&self) -> Vec<HostId> {
-        (0..self.hosts)
-            .filter(|&h| self.fenced[h].load(Ordering::SeqCst))
-            .map(HostId)
-            .collect()
-    }
-
-    /// Renew `host`'s lease: the engines call this on every live message
-    /// they carry, the detector on every answered heartbeat probe.
-    pub(crate) fn note_activity(&self, host: HostId, now: SimTime) {
-        self.activity_ns[host.0].store(now.as_nanos(), Ordering::Relaxed);
-    }
-
-    pub(crate) fn last_activity_ns(&self, host: HostId) -> u64 {
-        self.activity_ns[host.0].load(Ordering::Relaxed)
-    }
-
-    /// Record the instant the detector declared `host` dead (first wins).
-    pub(crate) fn note_detected(&self, host: HostId, now: SimTime) {
-        let _ = self.detected_ns[host.0].compare_exchange(
-            u64::MAX,
-            now.as_nanos(),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-    }
-
-    pub(crate) fn detected_at(&self, host: HostId) -> Option<SimTime> {
-        match self.detected_ns[host.0].load(Ordering::SeqCst) {
-            u64::MAX => None,
-            ns => Some(SimTime::from_nanos(ns)),
-        }
-    }
-
-    pub(crate) fn stop_detector(&self) {
-        self.detector_stop.store(true, Ordering::SeqCst);
-    }
-
-    pub(crate) fn detector_stopped(&self) -> bool {
-        self.detector_stop.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn qp_in_error(&self, src: HostId, dst: HostId) -> bool {
-        self.qp_error[src.0 * self.hosts + dst.0].load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn set_qp_error(&self, src: HostId, dst: HostId) {
-        self.qp_error[src.0 * self.hosts + dst.0].store(true, Ordering::SeqCst);
-    }
-
-    pub(crate) fn note_progress(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn progress(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
-    }
-
-    /// Whether `query` was individually aborted. One relaxed load on the
-    /// hot path until the first query-scoped abort actually happens.
-    pub(crate) fn is_query_aborted(&self, query: QueryId) -> bool {
-        query != QueryId::DIRECT
-            && self.query_aborted_any.load(Ordering::SeqCst)
-            && self.query_aborted.lock().contains(&query.0)
-    }
-
-    /// First abort of `query` wins; returns whether this call switched it.
-    pub(crate) fn set_query_aborted(&self, query: QueryId) -> bool {
-        let mut set = self.query_aborted.lock();
-        let first = set.insert(query.0);
-        self.query_aborted_any.store(true, Ordering::SeqCst);
-        first
-    }
-
-    /// Why a post by `query` on `src → dst` must fail fast, if it must
-    /// (checked before and after the post-overhead yield point). An abort,
-    /// query-scoped or rack-wide, denies posts even with no fault plan
-    /// installed.
-    pub(crate) fn post_denied(&self, query: QueryId, src: HostId, dst: HostId) -> Option<WcStatus> {
-        // An abort needs no fault plan: any worker's typed error (a stray
-        // tag, say) closes the egress queues, and peers must see flushed
-        // handles rather than post into them.
-        if self.is_query_aborted(query) || self.is_aborted() {
-            return Some(WcStatus::Flushed);
-        }
-        self.plan.as_ref()?;
-        if self.is_crashed(src) || self.is_crashed(dst) {
-            return Some(WcStatus::Flushed);
-        }
-        if self.qp_in_error(src, dst) {
-            return Some(WcStatus::Flushed);
-        }
-        None
-    }
-
-    /// Map an errored completion status into the most informative
-    /// [`FabricError`].
-    pub(crate) fn error_for(
-        &self,
-        query: QueryId,
-        src: HostId,
-        dst: HostId,
-        status: WcStatus,
-    ) -> FabricError {
-        match status {
-            WcStatus::Success => unreachable!("success is not an error"),
-            WcStatus::RetryExceeded => FabricError::QpError { src, dst, status },
-            WcStatus::Flushed => {
-                if self.is_crashed(dst) {
-                    FabricError::HostCrashed { host: dst }
-                } else if self.is_crashed(src) {
-                    FabricError::HostCrashed { host: src }
-                } else if self.is_aborted() || self.is_query_aborted(query) {
-                    FabricError::Aborted
-                } else {
-                    FabricError::QpError { src, dst, status }
-                }
-            }
-        }
-    }
-}
-
-/// Atomic cell holding a work completion status.
-pub(crate) struct WcCell(AtomicU8);
-
-impl WcCell {
-    pub(crate) fn new() -> WcCell {
-        WcCell(AtomicU8::new(WC_PENDING))
-    }
-
-    pub(crate) fn set(&self, status: WcStatus) {
-        self.0.store(encode_wc(status), Ordering::SeqCst);
-    }
-
-    pub(crate) fn get(&self) -> Option<WcStatus> {
-        decode_wc(self.0.load(Ordering::SeqCst))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,13 +413,27 @@ mod tests {
         assert_eq!(plan, again, "same seed, same schedule");
         for seq in 0..50u64 {
             for attempt in 0..3u32 {
-                let a = plan.attempt_drops(HostId(0), HostId(1), seq, attempt, SimTime::ZERO);
-                let b = again.attempt_drops(HostId(0), HostId(1), seq, attempt, SimTime::ZERO);
+                let a = plan.attempt_drops_seeded(
+                    plan.seed,
+                    HostId(0),
+                    HostId(1),
+                    seq,
+                    attempt,
+                    SimTime::ZERO,
+                );
+                let b = again.attempt_drops_seeded(
+                    again.seed,
+                    HostId(0),
+                    HostId(1),
+                    seq,
+                    attempt,
+                    SimTime::ZERO,
+                );
                 assert_eq!(a, b);
             }
             assert_eq!(
-                plan.extra_delay(HostId(2), HostId(3), seq),
-                again.extra_delay(HostId(2), HostId(3), seq)
+                plan.extra_delay_seeded(plan.seed, HostId(2), HostId(3), seq),
+                again.extra_delay_seeded(again.seed, HostId(2), HostId(3), seq)
             );
         }
     }
@@ -714,8 +454,11 @@ mod tests {
     fn fault_free_plan_injects_nothing() {
         let plan = FaultPlan::fault_free();
         assert!(!plan.injects_faults());
-        assert!(!plan.attempt_drops(HostId(0), HostId(1), 7, 0, SimTime::ZERO));
-        assert_eq!(plan.extra_delay(HostId(0), HostId(1), 7), SimDuration::ZERO);
+        assert!(!plan.attempt_drops_seeded(plan.seed, HostId(0), HostId(1), 7, 0, SimTime::ZERO));
+        assert_eq!(
+            plan.extra_delay_seeded(plan.seed, HostId(0), HostId(1), 7),
+            SimDuration::ZERO
+        );
         assert_eq!(plan.stall_end(HostId(0), SimTime::ZERO), None);
         assert_eq!(plan.crash_at(HostId(0)), None);
     }
@@ -749,9 +492,9 @@ mod tests {
         });
         let inside = SimTime::from_nanos(1500);
         let outside = SimTime::from_nanos(2000);
-        assert!(plan.attempt_drops(HostId(0), HostId(1), 0, 0, inside));
-        assert!(plan.attempt_drops(HostId(1), HostId(0), 0, 0, inside));
-        assert!(!plan.attempt_drops(HostId(0), HostId(1), 0, 0, outside));
-        assert!(!plan.attempt_drops(HostId(2), HostId(3), 0, 0, inside));
+        assert!(plan.attempt_drops_seeded(plan.seed, HostId(0), HostId(1), 0, 0, inside));
+        assert!(plan.attempt_drops_seeded(plan.seed, HostId(1), HostId(0), 0, 0, inside));
+        assert!(!plan.attempt_drops_seeded(plan.seed, HostId(0), HostId(1), 0, 0, outside));
+        assert!(!plan.attempt_drops_seeded(plan.seed, HostId(2), HostId(3), 0, 0, inside));
     }
 }

@@ -30,16 +30,20 @@
 mod config;
 mod fabric;
 pub mod fault;
+mod membership;
 mod mr;
+mod nic;
 mod pool;
 pub mod validate;
+mod wire;
 
 pub use config::{FabricConfig, HostId, NicCosts, QueryId};
-pub use fabric::{Completion, Fabric, Nic, NicStats, ReadHandle, SendHandle, Spawner};
+pub use fabric::{Fabric, Spawner};
 pub use fault::{
     splitmix64, DetectorConfig, FabricError, FaultPlan, HostCrash, LinkFlap, NicStall, RetryPolicy,
     WcStatus,
 };
 pub use mr::{Mr, MrTable, RemoteMr};
+pub use nic::{Completion, Nic, NicStats, ReadHandle, SendHandle};
 pub use pool::{BufferPool, PoolArena, SendWindow};
 pub use validate::{ValidateMode, Validator, Violation};

@@ -19,8 +19,8 @@ use parking_lot::Mutex;
 use rsj_sim::{SimCtx, SimDuration};
 
 use crate::config::{NicCosts, QueryId};
-use crate::fabric::SendHandle;
 use crate::fault::FabricError;
+use crate::nic::SendHandle;
 use crate::validate::{Validator, Violation};
 
 /// A pool of fixed-size, pre-registered RDMA buffers.

@@ -553,16 +553,12 @@ impl Validator {
         self.report(Violation::SrqExhausted { host, held, slots });
     }
 
-    /// Track a buffer pool (owned by `host`) for the teardown leak
-    /// check. The owner matters: if `host` later crashes, its leaks
-    /// are reported as crash residue, not application bugs.
-    pub fn register_pool(&self, host: HostId, pool: &Arc<BufferPool>) {
-        self.register_pool_scoped(QueryId::DIRECT, host, pool);
-    }
-
-    /// Track a buffer pool owned by `(host, query)` so the pool can
-    /// be audited by [`Validator::check_query_teardown`] when that
-    /// query retires, independent of the rest of the fabric.
+    /// Track a buffer pool owned by `(host, query)` for the teardown
+    /// leak check, so the pool can be audited by
+    /// [`Validator::check_query_teardown`] when that query retires,
+    /// independent of the rest of the fabric. The owner matters: if
+    /// `host` later crashes, its leaks are reported as crash residue,
+    /// not application bugs.
     pub fn register_pool_scoped(&self, query: QueryId, host: HostId, pool: &Arc<BufferPool>) {
         self.pools
             .lock()

@@ -280,7 +280,7 @@ fn pool_leak_is_detected_at_teardown() {
     let validator = Validator::new();
     validator.set_mode(ValidateMode::Record);
     let pool = BufferPool::new(4, 1024, NicCosts::default());
-    validator.register_pool(HostId(0), &pool);
+    validator.register_pool_scoped(rsj_rdma::QueryId::DIRECT, HostId(0), &pool);
     let sim = Simulation::new();
     {
         let pool = Arc::clone(&pool);
@@ -310,7 +310,7 @@ fn crashed_host_leak_is_context_not_pool_leak() {
     let validator = Validator::new();
     validator.set_mode(ValidateMode::Record);
     let pool = BufferPool::new(4, 1024, NicCosts::default());
-    validator.register_pool(HostId(2), &pool);
+    validator.register_pool_scoped(rsj_rdma::QueryId::DIRECT, HostId(2), &pool);
     let sim = Simulation::new();
     {
         let pool = Arc::clone(&pool);
