@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the lint gauntlet. Run from the repo root.
 #
-#   ./ci.sh         full gate (build, benchmark package, tests, switch guard, fmt,
-#                   clippy, lint, sweep smoke, chaos, service, soak)
+#   ./ci.sh         full gate (build, benchmark package + frozen-path guard,
+#                   tests, switch guard, fmt, clippy, lint, sweep smoke,
+#                   chaos, service, soak)
 #   ./ci.sh tsan    opt-in ThreadSanitizer lane over the rsj-sim kernel
 #                   (needs a nightly toolchain; skips gracefully without one)
 set -euo pipefail
@@ -38,6 +39,14 @@ cargo build --release --manifest-path benchmark/Cargo.toml
 # ... and its own tests: a product change can break the frozen package's
 # behaviour, not only its compile.
 cargo test -q --manifest-path benchmark/Cargo.toml
+# benchmark/ and BENCHMARK.json are frozen: only a `[benchmark]` PR may
+# change them. The two lanes above build without --locked, and the
+# committed benchmark/Cargo.lock still lists an edge the workspace has
+# dropped (rsj-cluster → serde), so cargo rewrites that line in the
+# working tree. Put the committed lock back, then fail on any other
+# difference from HEAD under the frozen paths.
+git checkout HEAD -- benchmark/Cargo.lock
+git diff --exit-code HEAD -- benchmark BENCHMARK.json
 # Debug-profile tests run with the verbs-contract validator in Panic mode,
 # so any RDMA protocol misuse aborts the suite.
 cargo test -q

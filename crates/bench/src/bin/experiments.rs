@@ -4,8 +4,7 @@
 //! cargo run -p rsj-bench --release --bin experiments -- <id> [--scale N]
 //!     [--jobs J] [--subset ids]
 //!
-//! ids: fig3 fig5a fig5b fig6a fig6b fig7a fig7b fig8 fig8ws fig9a fig9b
-//!      fig10a fig10b wide hardware optimal buffers operators materialize all
+//! <id>         one id of `sweep::UNITS` (the usage text lists them), or `all`
 //! --scale N    divide the paper's tuple counts by N (default 256)
 //! --jobs J     run `all` through the parallel sweep engine with J worker
 //!              threads (default 1). Output is stitched in experiment
@@ -14,7 +13,7 @@
 //!              units (canonical order; the CI smoke lane's knob)
 //! ```
 
-use rsj_bench::{experiments, sweep, Scale, DEFAULT_SCALE};
+use rsj_bench::{sweep, Scale, DEFAULT_SCALE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -77,36 +76,16 @@ fn main() {
         die("--jobs/--subset only apply to the `all` sweep");
     }
 
-    match id.as_str() {
-        "fig3" => experiments::fig3(scale),
-        "fig5a" => experiments::fig5a(scale),
-        "fig5b" => experiments::fig5b(scale),
-        "fig6a" => experiments::fig6a(scale),
-        "fig6b" => experiments::fig6b(scale),
-        "fig7a" => experiments::fig7a(scale),
-        "fig7b" => experiments::fig7b(scale),
-        "fig8" => experiments::fig8(scale),
-        "fig8ws" => experiments::fig8_work_sharing(scale),
-        "fig9a" => experiments::fig9(scale, true),
-        "fig9b" => experiments::fig9(scale, false),
-        "fig10a" => experiments::fig10(scale, false),
-        "fig10b" => experiments::fig10(scale, true),
-        "wide" | "sec6.7" => experiments::wide_tuples(scale),
-        "hardware" | "tab2" => experiments::hardware(scale),
-        "optimal" | "model-opt" => experiments::optimal(scale),
-        "buffers" | "ext-buffers" => experiments::buffer_size_sweep(scale),
-        "operators" | "ext-operators" => experiments::operators(scale),
-        "materialize" | "ext-materialize" => experiments::materialization(scale),
-        other => die(&format!("unknown experiment '{other}'")),
+    match sweep::UNITS.iter().find(|u| u.id == id) {
+        Some(unit) => (unit.run)(scale),
+        None => die(&format!("unknown experiment '{id}'")),
     }
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: experiments <id> [--scale N] [--jobs J] [--subset ids]");
-    eprintln!(
-        "ids: fig3 fig5a fig5b fig6a fig6b fig7a fig7b fig8 fig9a fig9b \
-         fig8ws fig10a fig10b wide hardware optimal buffers operators materialize all"
-    );
+    let ids: Vec<&str> = sweep::UNITS.iter().map(|u| u.id).collect();
+    eprintln!("ids: {} all", ids.join(" "));
     std::process::exit(2)
 }

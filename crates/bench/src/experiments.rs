@@ -851,26 +851,3 @@ pub fn materialization(scale: Scale) {
     outln!("funnels the entire result through a single ingress link, which is why");
     outln!("the paper leaves the join inside an operator pipeline instead.");
 }
-
-/// Run every experiment in order.
-pub fn all(scale: Scale) {
-    fig3(scale);
-    fig5a(scale);
-    fig5b(scale);
-    fig6a(scale);
-    fig6b(scale);
-    fig7a(scale);
-    fig7b(scale);
-    fig8(scale);
-    fig8_work_sharing(scale);
-    fig9(scale, true);
-    fig9(scale, false);
-    fig10(scale, false);
-    fig10(scale, true);
-    wide_tuples(scale);
-    hardware(scale);
-    optimal(scale);
-    buffer_size_sweep(scale);
-    operators(scale);
-    materialization(scale);
-}

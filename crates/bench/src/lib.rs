@@ -17,6 +17,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use rsj_cluster::{ClusterSpec, PhaseTimes};
 use rsj_core::{run_distributed_join, DistJoinConfig, DistJoinOutcome};
 use rsj_rdma::{Fabric, FabricConfig, HostId, NicCosts};
@@ -177,7 +178,7 @@ pub fn measure_stream_bandwidth(cfg: FabricConfig, msg_bytes: usize, count: usiz
     let sim = Simulation::new();
     let fabric = Fabric::new(cfg, NicCosts::default(), 2);
     fabric.launch(&sim);
-    let finish = Arc::new(parking_lot_stub::Cell::new(0.0f64));
+    let finish = Arc::new(Mutex::new(0.0f64));
     {
         let fabric = Arc::clone(&fabric);
         sim.spawn("bw-sender", move |ctx| {
@@ -203,36 +204,12 @@ pub fn measure_stream_bandwidth(cfg: FabricConfig, msg_bytes: usize, count: usiz
                 nic.repost_recv(ctx);
             }
             assert_eq!(got, msg_bytes * count);
-            finish.set(ctx.now().as_secs_f64());
+            *finish.lock() = ctx.now().as_secs_f64();
         });
     }
     sim.run();
-    (msg_bytes * count) as f64 / finish.get()
-}
-
-/// Minimal shared cell (keeps `parking_lot` out of the public API).
-mod parking_lot_stub {
-    use parking_lot::Mutex;
-
-    /// A tiny `Arc`-friendly cell.
-    pub struct Cell<T>(Mutex<T>);
-
-    impl<T: Copy> Cell<T> {
-        /// New cell.
-        pub fn new(v: T) -> Cell<T> {
-            Cell(Mutex::new(v))
-        }
-
-        /// Store.
-        pub fn set(&self, v: T) {
-            *self.0.lock() = v;
-        }
-
-        /// Load.
-        pub fn get(&self) -> T {
-            *self.0.lock()
-        }
-    }
+    let seconds = *finish.lock();
+    (msg_bytes * count) as f64 / seconds
 }
 
 /// A plain-text table renderer for experiment reports.

@@ -9,14 +9,15 @@ const CHAOS: &str = env!("CARGO_BIN_EXE_chaos");
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 const SERVICE: &str = env!("CARGO_BIN_EXE_service");
 
-fn assert_usage_error(bin: &str, args: &[&str]) {
+fn assert_usage_error(bin: &str, args: &[&str]) -> String {
     let out = Command::new(bin)
         .args(args)
         .output()
         .expect("the binary under test was built by cargo");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+    stderr
 }
 
 #[test]
@@ -34,4 +35,19 @@ fn gates_that_would_check_nothing_are_usage_errors() {
     assert_usage_error(CHAOS, &["--seeds", "0"]);
     assert_usage_error(SERVICE, &["--queries", "0"]);
     assert_usage_error(CHAOS, &["--soak", "--short", "--machines", "4"]);
+}
+
+/// `experiments <id>` dispatches through `sweep::UNITS`, and the usage
+/// text is derived from the same table: an id the sweep knows cannot be
+/// missing from it.
+#[test]
+fn unknown_experiment_is_a_usage_error_that_lists_every_unit() {
+    let usage = assert_usage_error(EXPERIMENTS, &["nonsense"]);
+    for unit in rsj_bench::sweep::UNITS {
+        assert!(
+            usage.split_whitespace().any(|word| word == unit.id),
+            "usage text lacks `{}`: {usage}",
+            unit.id
+        );
+    }
 }

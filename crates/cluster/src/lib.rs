@@ -14,19 +14,25 @@
 //! * [`runtime`] — the shared phase runtime every distributed operator
 //!   runs on: fabric + per-core simulated threads + cluster barrier with
 //!   structured phase bookkeeping ([`runtime::PhaseEvent`]);
+//! * [`QueryService`] — many queries over one shared fabric: `query.rs`
+//!   (what a query is), `service.rs` + `admission.rs` (who runs when and
+//!   where), `report.rs` (what a run says about itself);
 //! * [`wire`] — the unified 32-bit wire-tag codec shared by the join and
 //!   the §7 operators;
 //! * [`exchange`] — the one exchange layer under all four operators:
 //!   all-to-all, the receive loop and the scatter sender.
 
+mod admission;
 mod cost;
 pub mod error;
 pub mod exchange;
 mod meter;
 pub mod phase;
 mod phases;
+mod query;
+mod report;
 pub mod runtime;
-pub mod service;
+mod service;
 mod topology;
 pub mod wire;
 
@@ -35,10 +41,9 @@ pub use error::JoinError;
 pub use exchange::{Exchange, Lane, Posted, Scatter, SendStep, SEND_DEPTH};
 pub use meter::{Meter, SettleMode};
 pub use phases::PhaseTimes;
+pub use query::{run_direct, QueryJob};
+pub use report::{HostReport, QueryReport, ServiceReport};
 pub use runtime::{ClusterRun, PhaseEvent, Runtime};
-pub use service::{
-    run_direct, HealingConfig, HostReport, JoinRequest, QueryJob, QueryReport, QueryService,
-    RejectReason, ServiceConfig, ServiceReport,
-};
+pub use service::{HealingConfig, JoinRequest, QueryService, RejectReason, ServiceConfig};
 pub use topology::{ClusterSpec, Interconnect};
 pub use wire::{ranges, TagError, WireTag};

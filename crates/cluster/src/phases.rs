@@ -4,6 +4,9 @@
 
 use rsj_sim::SimDuration;
 
+use crate::phase;
+use crate::runtime::PhaseEvent;
+
 /// Execution-time breakdown of one join run, mirroring the stacked bars of
 /// Figures 5b and 7.
 #[derive(Copy, Clone, Debug, Default)]
@@ -46,6 +49,32 @@ impl PhaseTimes {
             network_partition: s(self.network_partition),
             local_partition: s(self.local_partition),
             build_probe: s(self.build_probe),
+        }
+    }
+
+    /// Fold named phase events into the canonical per-phase breakdown.
+    ///
+    /// Each phase's duration is the span from its global start to the
+    /// arrival of the cluster-wide slowest machine — so as long as the
+    /// phases were recorded back-to-back, the four durations sum to the
+    /// end-to-end time. Unknown phase names are ignored. A run records
+    /// either [`phase::BUILD_PROBE`] or [`phase::ONE_SIDED_PROBE`] (never
+    /// both); whichever is present fills the `build_probe` slot so the
+    /// breakdown stays four-phase across transports.
+    pub fn from_events(events: &[PhaseEvent]) -> PhaseTimes {
+        let span = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.name == name)
+                .map(|e| e.end - e.start)
+                .max()
+                .unwrap_or(SimDuration::ZERO)
+        };
+        PhaseTimes {
+            histogram: span(phase::HISTOGRAM),
+            network_partition: span(phase::NETWORK_PARTITION),
+            local_partition: span(phase::LOCAL_PARTITION),
+            build_probe: span(phase::BUILD_PROBE).max(span(phase::ONE_SIDED_PROBE)),
         }
     }
 }

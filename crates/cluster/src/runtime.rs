@@ -6,25 +6,19 @@
 //! `machines × cores` simulated worker threads that proceed through
 //! algorithm phases separated by cluster-wide barriers. This module owns
 //! that skeleton so each operator stays focused on its algorithm:
-//!
-//! * [`Runtime::sync_named`] ends a phase: it records, per machine, when
-//!   that machine's slowest core arrived ([`PhaseEvent`]), and the global
-//!   barrier-release time (a *mark*);
-//! * [`PhaseTimes::from_events`] folds the named events of the main join
-//!   back into the per-phase breakdown every experiment reports.
+//! [`Runtime::sync_named`] ends a phase, recording per machine when its
+//! slowest core arrived ([`PhaseEvent`]) and the global barrier-release
+//! time (a *mark*); [`Runtime::spawn_workers`] is the one launch routine.
+//! The direct path (`Runtime::new`, `Runtime::try_run`) is in `query.rs`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rsj_rdma::{
-    BufferPool, Fabric, FabricConfig, FaultPlan, HostId, NicCosts, PoolArena, QueryId, Spawner,
-};
-use rsj_sim::{SimBarrier, SimCtx, SimDuration, SimSemaphore, SimTime, Simulation};
+use rsj_rdma::{BufferPool, Fabric, HostId, NicCosts, PoolArena, QueryId, Spawner};
+use rsj_sim::{SimBarrier, SimCtx, SimDuration, SimSemaphore, SimTime};
 
 use crate::error::JoinError;
-use crate::phase;
-use crate::phases::PhaseTimes;
 
 /// Watchdog poll interval (virtual time).
 const WATCHDOG_TICK: SimDuration = SimDuration::from_millis(10);
@@ -112,71 +106,37 @@ pub struct ClusterRun {
 }
 
 impl Runtime {
-    /// Build the runtime for a `machines × cores` cluster over a fresh
-    /// fabric. Workers are spawned by [`Runtime::run`].
-    pub fn new(
-        machines: usize,
-        cores: usize,
-        fabric_cfg: FabricConfig,
-        nic: NicCosts,
-    ) -> Arc<Runtime> {
-        Runtime::new_with_plan(machines, cores, fabric_cfg, nic, None)
-    }
-
-    /// Like [`Runtime::new`], but optionally arms the fabric's
-    /// deterministic fault plane with `plan`. With `None` the runtime is
-    /// event-for-event identical to [`Runtime::new`].
-    pub fn new_with_plan(
-        machines: usize,
-        cores: usize,
-        fabric_cfg: FabricConfig,
-        nic: NicCosts,
-        plan: Option<FaultPlan>,
-    ) -> Arc<Runtime> {
-        assert!(machines >= 1 && cores >= 1);
-        Runtime::over_fabric(
-            Fabric::new_with_plan(fabric_cfg, nic, machines, plan),
-            QueryId::DIRECT,
-            nic,
-            None,
-            machines,
-            cores,
-        )
-    }
-
     /// Build a *query-scoped* runtime over a shared root fabric: the
     /// query's workers run on the logical machines named by `placement`
     /// (distinct physical hosts of `root`), all fabric traffic is tagged
-    /// with `query`, and pools come out of the per-host `arenas`. This is
-    /// the query-service path; workers are spawned into an already-running
-    /// simulation with [`Runtime::spawn_workers`].
+    /// with `query`, and pools come out of the per-host `arenas`. The phase
+    /// clock starts at `start`, the admission instant, so queue wait never
+    /// leaks into the first phase. This is the query-service path; workers
+    /// are spawned into an already-running simulation with
+    /// [`Runtime::spawn_workers`].
     pub fn for_query(
         query: QueryId,
         root: &Arc<Fabric>,
         placement: Vec<HostId>,
         cores: usize,
         nic: NicCosts,
-        arenas: Option<Arc<Vec<Arc<PoolArena>>>>,
+        arenas: Arc<Vec<Arc<PoolArena>>>,
+        start: SimTime,
     ) -> Arc<Runtime> {
         assert!(!placement.is_empty() && cores >= 1);
         let machines = placement.len();
-        Runtime::over_fabric(
-            root.query_view(query, placement),
-            query,
-            nic,
-            arenas,
-            machines,
-            cores,
-        )
+        let view = root.query_view(query, placement);
+        Runtime::over_fabric(view, query, nic, Some(arenas), machines, cores, start)
     }
 
-    fn over_fabric(
+    pub(crate) fn over_fabric(
         fabric: Arc<Fabric>,
         query: QueryId,
         nic: NicCosts,
         arenas: Option<Arc<Vec<Arc<PoolArena>>>>,
         machines: usize,
         cores: usize,
+        start: SimTime,
     ) -> Arc<Runtime> {
         Arc::new(Runtime {
             fabric,
@@ -185,7 +145,7 @@ impl Runtime {
             arenas,
             barrier: SimBarrier::new(machines * cores),
             state: Mutex::new(RunState {
-                marks: vec![SimTime::ZERO],
+                marks: vec![start],
                 events: Vec::new(),
                 pending: vec![SimTime::ZERO; machines],
             }),
@@ -231,13 +191,6 @@ impl Runtime {
     /// Worker cores per machine.
     pub fn cores(&self) -> usize {
         self.cores
-    }
-
-    /// Re-anchor the phase clock at `now`: a query admitted into a
-    /// running service starts its first phase at admission time, not at
-    /// t = 0, so queue wait must not leak into the first phase duration.
-    pub(crate) fn stamp_start(&self, now: SimTime) {
-        self.state.lock().marks[0] = now;
     }
 
     /// End a named phase: cluster-wide barrier, recording one
@@ -325,11 +278,6 @@ impl Runtime {
         }
     }
 
-    /// Whether any worker has failed (and the run is aborting).
-    pub fn failed(&self) -> bool {
-        self.failure.lock().is_some()
-    }
-
     /// The recorded first failure, if any.
     pub fn failure(&self) -> Option<JoinError> {
         self.failure.lock().clone()
@@ -373,56 +321,6 @@ impl Runtime {
             .filter(|(_, &c)| c == min)
             .map(|(m, _)| m)
             .collect()
-    }
-
-    /// Run `worker(ctx, runtime, machine, core)` on every simulated core,
-    /// shutting the fabric down after the last worker finishes. Returns
-    /// the recorded marks and events. Panics if the run aborts (use
-    /// [`Runtime::try_run`] for fallible workers).
-    pub fn run<F>(self: &Arc<Self>, worker: F) -> ClusterRun
-    where
-        F: Fn(&SimCtx, &Runtime, usize, usize) + Send + Sync + 'static,
-    {
-        self.try_run(move |ctx, rt, mach, core| {
-            worker(ctx, rt, mach, core);
-            Ok(())
-        })
-        .unwrap_or_else(|e| panic!("cluster run failed: {e}"))
-    }
-
-    /// Run a fallible `worker` on every simulated core of a fresh
-    /// simulation that this runtime owns, over its dedicated fabric. A
-    /// worker's `Err` aborts the whole run ([`Runtime::fail`]); the first
-    /// error becomes the result. The launch itself — worker wrapper, live
-    /// counter, watchdog — is [`Runtime::spawn_workers`]; what is the
-    /// direct path's own is stopping the fabric engines after a clean run
-    /// and the rack-wide teardown audit.
-    pub fn try_run<F>(self: &Arc<Self>, worker: F) -> Result<ClusterRun, JoinError>
-    where
-        F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
-    {
-        let sim = Simulation::new();
-        self.fabric.launch(&sim);
-        let outcome = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&outcome);
-        let fabric = Arc::clone(&self.fabric);
-        self.spawn_workers(&sim, worker, move |ctx, result| {
-            // An aborted run already flushed and stopped the engines.
-            if result.is_ok() {
-                fabric.shutdown(ctx);
-            }
-            *slot.lock() = Some(result);
-        });
-        sim.run();
-        let run = outcome
-            .lock()
-            .take()
-            .expect("the last worker out reports the outcome")?;
-        // The simulation has quiesced: audit the verbs-contract end state
-        // (undrained completions, unreposted receive slots, leaked pool
-        // buffers) before reporting results.
-        self.fabric.validator().check_teardown();
-        Ok(run)
     }
 
     /// Spawn this runtime's `machines × cores` workers — the one launch
@@ -506,38 +404,11 @@ impl Runtime {
     }
 }
 
-impl PhaseTimes {
-    /// Fold named phase events into the canonical per-phase breakdown.
-    ///
-    /// Each phase's duration is the span from its global start to the
-    /// arrival of the cluster-wide slowest machine — so as long as the
-    /// phases were recorded back-to-back, the four durations sum to the
-    /// end-to-end time. Unknown phase names are ignored. A run records
-    /// either [`phase::BUILD_PROBE`] or [`phase::ONE_SIDED_PROBE`] (never
-    /// both); whichever is present fills the `build_probe` slot so the
-    /// breakdown stays four-phase across transports.
-    pub fn from_events(events: &[PhaseEvent]) -> PhaseTimes {
-        let span = |name: &str| {
-            events
-                .iter()
-                .filter(|e| e.name == name)
-                .map(|e| e.end - e.start)
-                .max()
-                .unwrap_or(SimDuration::ZERO)
-        };
-        PhaseTimes {
-            histogram: span(phase::HISTOGRAM),
-            network_partition: span(phase::NETWORK_PARTITION),
-            local_partition: span(phase::LOCAL_PARTITION),
-            build_probe: span(phase::BUILD_PROBE).max(span(phase::ONE_SIDED_PROBE)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsj_sim::SimDuration;
+    use crate::phases::PhaseTimes;
+    use rsj_rdma::FabricConfig;
 
     /// A fault-free `machines × cores` run of a fallible worker.
     fn run<F>(machines: usize, cores: usize, fabric_cfg: FabricConfig, worker: F) -> ClusterRun

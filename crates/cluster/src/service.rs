@@ -1,96 +1,36 @@
-//! The multi-query service runtime: admission queue, shared-fabric
-//! multiplexing, per-query isolation (DESIGN.md §9).
+//! The multi-query service (DESIGN.md §9, §13): what a batch asks for
+//! ([`JoinRequest`]), what the rack offers ([`ServiceConfig`] and its
+//! [`HealingConfig`] policy), how admission says no ([`RejectReason`]),
+//! and [`QueryService::run`] — set-up, one simulation, one fold. Who runs
+//! when and where is `admission.rs`; what a run reports is `report.rs`.
 //!
-//! The paper evaluates one join at a time; a production rack serves many.
-//! [`QueryService::run`] owns a long-lived root [`Fabric`] and a bounded
-//! per-host slab of pre-registered memory ([`PoolArena`]), admits typed
-//! [`JoinRequest`]s from a FIFO queue up to a concurrency limit, and runs
-//! each admitted query on its own query-scoped [`Runtime`] — a
-//! [`Fabric::query_view`] lane over the shared wire plus a private
-//! barrier namespace — so concurrent joins contend for bandwidth and
-//! registered memory exactly like co-scheduled tenants, while completions,
-//! aborts and teardown audits stay per query.
+//! A run owns one root fabric and a bounded per-host slab of
+//! pre-registered memory; every admitted query gets a query-scoped
+//! runtime (a lane over the shared wire plus a private barrier
+//! namespace). Concurrent joins so contend for bandwidth and registered
+//! memory like co-scheduled tenants, while completions, aborts and
+//! teardown audits stay per query.
 //!
 //! Determinism contract: the whole service runs in one discrete-event
 //! simulation, per-query fault streams derive from `(seed, QueryId)`, and
 //! admission is FIFO — so the same seed and the same admission order
 //! reproduce the identical event schedule, and permuting *disjoint*
 //! queries' admission order leaves each query's own trace unchanged.
-//!
-//! With [`HealingConfig::enabled`] the service is additionally
-//! *self-healing* (DESIGN.md §13): the fabric's failure detector fences
-//! crashed hosts, queries aborted by a crash are re-admitted under a
-//! fresh retry [`QueryId`] (fresh fault stream) onto surviving hosts with
-//! exponential virtual-time backoff and a bounded retry budget, and new
-//! admissions avoid fenced hosts — rejecting with a typed
-//! [`RejectReason`] when the surviving rack cannot fit a placement. A
-//! healed query's re-execution runs the same job on the same inputs, so
-//! its final result is byte-identical to a fault-free run.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rsj_rdma::{
-    DetectorConfig, Fabric, FabricConfig, FaultPlan, HostId, NicCosts, PoolArena, QueryId,
-};
-use rsj_sim::{SimChannel, SimCtx, SimDuration, SimTime, Simulation};
+use rsj_rdma::{DetectorConfig, Fabric, FabricConfig, FaultPlan, HostId, NicCosts};
+use rsj_sim::{SimDuration, Simulation};
 
-use crate::error::JoinError;
-use crate::phase;
-use crate::phases::PhaseTimes;
-use crate::runtime::{ClusterRun, Runtime};
+use crate::admission::Admission;
+use crate::query::QueryJob;
+use crate::report::{HostReport, ServiceReport};
 
-/// Retry attempts of one query get ids `base + attempt * RETRY_STRIDE`,
-/// so every attempt draws an independent `(seed, QueryId)` fault stream
-/// while the report keys stay on the base id. With healing enabled an
-/// explicit query id at or above the stride is rejected at admission.
-const RETRY_STRIDE: u32 = 1 << 24;
-
-/// One query's worth of work, as the service sees it: the operator crates
-/// implement this for each join type, keeping their inputs and outputs in
-/// interior-mutable cells so the trait stays object-safe.
-///
-/// Lifecycle: `attach` once (building per-query shared state and pools via
-/// [`Runtime::make_pool`]), then `run_worker` on every `machines() ×
-/// cores()` simulated core, then `finish` once after the workers drained
-/// (merging per-machine outputs into the job's recorded outcome).
-pub trait QueryJob: Send + Sync {
-    /// Machines this query wants (≤ the service's host count).
-    fn machines(&self) -> usize;
-    /// Worker cores per machine.
-    fn cores(&self) -> usize;
-    /// Build the query's shared state against its admitted runtime.
-    fn attach(&self, rt: &Arc<Runtime>);
-    /// One worker's run; an `Err` aborts this query (and only this query).
-    fn run_worker(
-        &self,
-        ctx: &SimCtx,
-        rt: &Runtime,
-        machine: usize,
-        core: usize,
-    ) -> Result<(), JoinError>;
-    /// Merge and record the outcome after a successful run.
-    fn finish(&self, rt: &Runtime, run: &ClusterRun);
-}
-
-/// Run `job` alone, on a dedicated fabric and a simulation of its own:
-/// the one direct driver behind every operator's `try_run_*` entry point.
-/// It performs the same attach / run / finish sequence as a
-/// [`QueryService`] admission.
-pub fn run_direct<J: QueryJob + 'static>(
-    job: &Arc<J>,
-    fabric: FabricConfig,
-    nic: NicCosts,
-    plan: Option<FaultPlan>,
-) -> Result<ClusterRun, JoinError> {
-    let rt = Runtime::new_with_plan(job.machines(), job.cores(), fabric, nic, plan);
-    job.attach(&rt);
-    let worker = Arc::clone(job);
-    let run = rt.try_run(move |ctx, rt, mach, core| worker.run_worker(ctx, rt, mach, core))?;
-    job.finish(&rt, &run);
-    Ok(run)
-}
+/// Retry attempts of one query get ids `base + attempt * RETRY_STRIDE`:
+/// an independent `(seed, QueryId)` fault stream each, report keys on the
+/// base id. With healing armed, explicit ids at or above it are rejected.
+pub(crate) const RETRY_STRIDE: u32 = 1 << 24;
 
 /// A queued query: which job to run, and optionally where.
 pub struct JoinRequest {
@@ -117,7 +57,7 @@ pub struct JoinRequest {
 pub struct ServiceConfig {
     /// Physical hosts in the rack.
     pub hosts: usize,
-    /// Worker cores per host.
+    /// Worker cores per host: the most a job may ask for per machine.
     pub cores: usize,
     /// Wire parameters of the shared fabric.
     pub fabric: FabricConfig,
@@ -133,8 +73,7 @@ pub struct ServiceConfig {
     /// registrations (visible as `fly_registrations` contention).
     pub pool_budget_bytes: u64,
     /// Self-healing policy: failure detection, fencing and bounded
-    /// re-execution (DESIGN.md §13). Disabled by default — the service
-    /// then behaves exactly as a non-healing scheduler, event for event.
+    /// re-execution (DESIGN.md §13). Disabled by default.
     pub healing: HealingConfig,
 }
 
@@ -158,8 +97,8 @@ impl ServiceConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HealingConfig {
     /// Arm the failure detector and the retry machinery. When `false`
-    /// (the default) the service ignores the rest of this struct and its
-    /// event schedule is identical to the pre-healing scheduler.
+    /// (the default) no host is ever fenced, a crash-aborted query stays
+    /// aborted, and the rest of this struct is ignored.
     pub enabled: bool,
     /// Lease/heartbeat parameters of the fabric's failure detector.
     pub detector: DetectorConfig,
@@ -197,7 +136,7 @@ impl HealingConfig {
 
     /// Backoff before re-admission number `retry` (1-based): base
     /// doubled per retry, capped at `backoff_max`.
-    fn backoff(&self, retry: u32) -> SimDuration {
+    pub(crate) fn backoff(&self, retry: u32) -> SimDuration {
         let shift = retry.saturating_sub(1).min(20);
         let ns = self
             .backoff_base
@@ -212,8 +151,9 @@ impl HealingConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RejectReason {
     /// The request is malformed and could never run: a reserved,
-    /// duplicate or out-of-range query id, a zero-sized job, or a
-    /// placement that is not `machines` distinct hosts of this rack.
+    /// duplicate or out-of-range query id, a job of no size or of more
+    /// cores per machine than a host has, or a placement that is not
+    /// `machines` distinct hosts of this rack.
     InvalidRequest {
         /// What is wrong with it.
         why: &'static str,
@@ -255,136 +195,10 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// Per-host liveness and recovery rollup in a [`ServiceReport`].
-#[derive(Clone, Debug)]
-pub struct HostReport {
-    /// The physical host.
-    pub host: HostId,
-    /// Whether the host ended the run fenced (crashed and detected).
-    pub fenced: bool,
-    /// When the fault plan crashed the host, if it did.
-    pub crashed_at: Option<SimTime>,
-    /// When the failure detector declared it dead, if it did.
-    pub detected_at: Option<SimTime>,
-    /// Detection latency: `detected_at - crashed_at` when both exist.
-    pub detection_latency: Option<SimDuration>,
-    /// Queries that lost an attempt to this host's crash and later
-    /// completed on survivors.
-    pub queries_recovered: usize,
-    /// Queries that lost an attempt to this host's crash and ended
-    /// rejected.
-    pub queries_rejected: usize,
-}
-
-/// One query's outcome in the service report.
-pub struct QueryReport {
-    /// The query's id.
-    pub id: QueryId,
-    /// The request's label.
-    pub label: String,
-    /// When the query left the admission queue.
-    pub admitted: SimTime,
-    /// When its last worker retired.
-    pub completed: SimTime,
-    /// Time spent waiting in the admission queue (all requests are
-    /// submitted at t = 0).
-    pub queue_wait: SimDuration,
-    /// Submission-to-completion latency.
-    pub latency: SimDuration,
-    /// Per-phase breakdown of the query's own named barriers.
-    pub phases: PhaseTimes,
-    /// `Ok` for a completed query, the typed [`JoinError`] (carrying this
-    /// query's id) for an aborted one.
-    pub result: Result<(), JoinError>,
-    /// Admissions this query consumed (1 for an untroubled run; > 1 when
-    /// the healing layer re-executed it after a host crash).
-    pub attempts: u32,
-    /// `Some` when the degraded-admission policy rejected the query
-    /// instead of running it to completion.
-    pub rejected: Option<RejectReason>,
-    /// Time from the first crash-caused failure to final completion —
-    /// the healing layer's time-to-recovery for this query. `None` for
-    /// queries that never lost an attempt or never recovered.
-    pub recovery: Option<SimDuration>,
-}
-
-/// What a whole [`QueryService::run`] reports.
-pub struct ServiceReport {
-    /// Per-query outcomes, ordered by query id.
-    pub queries: Vec<QueryReport>,
-    /// Virtual time from service start until the last query retired.
-    pub makespan: SimDuration,
-    /// Completion-latency percentiles across all queries.
-    pub latency_p50: SimDuration,
-    /// 95th-percentile completion latency.
-    pub latency_p95: SimDuration,
-    /// 99th-percentile completion latency.
-    pub latency_p99: SimDuration,
-    /// Queue-wait percentiles across all queries.
-    pub queue_wait_p50: SimDuration,
-    /// 95th-percentile queue wait.
-    pub queue_wait_p95: SimDuration,
-    /// 99th-percentile queue wait.
-    pub queue_wait_p99: SimDuration,
-    /// Fraction of the rack's total egress-wire capacity kept busy over
-    /// the makespan (Σ per-host tx busy / (hosts × makespan)).
-    pub fabric_utilization: f64,
-    /// Queries that aborted with an error (typed rejections included).
-    pub aborted: usize,
-    /// Queries the degraded-admission policy rejected (subset of
-    /// `aborted`, each carrying a typed [`RejectReason`]).
-    pub rejected: usize,
-    /// Queries that completed successfully after losing at least one
-    /// attempt to a host crash.
-    pub healed: usize,
-    /// Total re-admissions across the batch (attempts beyond each
-    /// query's first).
-    pub retries: usize,
-    /// Per-host liveness and recovery rollup, ordered by host id.
-    pub hosts: Vec<HostReport>,
-}
-
-impl ServiceReport {
-    /// Queries that completed successfully.
-    pub fn completed(&self) -> usize {
-        self.queries.len() - self.aborted
-    }
-}
-
-/// The admission scheduler: runs a batch of queued [`JoinRequest`]s over
-/// one shared fabric and reports per-query latency, queue wait and
-/// rack-level utilization — re-executing crash-aborted queries on
-/// surviving hosts when healing is enabled.
+/// The query service: runs a batch of queued [`JoinRequest`]s over one
+/// shared fabric, re-executing crash-aborted queries on surviving hosts
+/// when healing is enabled, and reports on it.
 pub struct QueryService;
-
-/// Control messages the admission loop blocks on.
-enum Ctl {
-    /// An attempt of `slot` retired (its last worker ran the per-query
-    /// teardown audit), stamped at the worker's own completion instant.
-    Done {
-        slot: usize,
-        completed: SimTime,
-        result: Result<PhaseTimes, JoinError>,
-    },
-    /// `slot`'s re-admission backoff elapsed: put it back in the queue.
-    Requeue { slot: usize },
-}
-
-/// Mutable per-request bookkeeping owned by the admission loop.
-struct SlotState {
-    /// The report-facing id; retry attempts run as `base + k·stride`.
-    base: QueryId,
-    /// Admissions consumed so far.
-    attempts: u32,
-    /// When the first attempt left the queue.
-    first_admitted: Option<SimTime>,
-    /// When the first crash-caused failure retired an attempt.
-    first_failure: Option<SimTime>,
-    /// Placement of the most recent attempt (for crash attribution).
-    last_placement: Vec<HostId>,
-    /// Hosts whose crash cost this query an attempt.
-    crash_hosts: Vec<HostId>,
-}
 
 impl QueryService {
     /// Run `requests` to completion under `cfg` and report.
@@ -397,500 +211,70 @@ impl QueryService {
             );
         }
         let fabric = Fabric::new_with_plan(cfg.fabric, cfg.nic, cfg.hosts, cfg.fault_plan.clone());
-        let arenas: Arc<Vec<Arc<PoolArena>>> = Arc::new(
-            (0..cfg.hosts)
-                .map(|_| PoolArena::new(cfg.pool_budget_bytes, cfg.nic))
-                .collect(),
-        );
-
-        // Resolve ids and placements up front: FIFO position decides both
-        // the default id (starting at 1; 0 is the direct lane) and the
-        // default rotation over the rack. With healing enabled the
-        // rotation is recomputed over *live* hosts at each admission —
-        // identical to this plan until the first fence. A request that
-        // could never run is planned as its typed rejection, delivered
-        // when its turn in the queue comes.
-        let mut seen = std::collections::HashSet::new();
-        let planned: Vec<(QueryId, Result<Vec<HostId>, RejectReason>)> = requests
-            .iter()
-            .enumerate()
-            .map(|(k, req)| {
-                let id = req.id.unwrap_or(k as u32 + 1);
-                (QueryId(id), Self::plan(cfg, k, id, req, &mut seen))
-            })
-            .collect();
-
-        let reports: Arc<Mutex<Vec<QueryReport>>> = Arc::new(Mutex::new(Vec::new()));
-        // Per-host (queries_recovered, queries_rejected) tallies.
-        let host_counts: Arc<Mutex<Vec<(usize, usize)>>> =
-            Arc::new(Mutex::new(vec![(0, 0); cfg.hosts]));
-        let end_time: Arc<Mutex<SimTime>> = Arc::new(Mutex::new(SimTime::ZERO));
+        let admission = Admission::new(cfg, &fabric, requests);
 
         let sim = Simulation::new();
         fabric.launch(&sim);
         if cfg.healing.enabled {
             fabric.arm_failure_detector(&sim, cfg.healing.detector);
         }
-        {
-            let fabric = Arc::clone(&fabric);
-            let arenas = Arc::clone(&arenas);
-            let reports = Arc::clone(&reports);
-            let host_counts = Arc::clone(&host_counts);
-            let end_time = Arc::clone(&end_time);
-            let cfg = cfg.clone();
-            sim.spawn("service-admit", move |ctx| {
-                let ctl: Arc<SimChannel<Ctl>> = SimChannel::new();
-                let total = requests.len();
-                let mut slots: Vec<SlotState> = planned
-                    .iter()
-                    .map(|(id, _)| SlotState {
-                        base: *id,
-                        attempts: 0,
-                        first_admitted: None,
-                        first_failure: None,
-                        last_placement: Vec::new(),
-                        crash_hosts: Vec::new(),
-                    })
-                    .collect();
-                let mut pending: VecDeque<usize> = (0..total).collect();
-                let mut active = 0usize;
-                let mut retired = 0usize;
-                // Assemble one slot's final report, attributing recovery
-                // or rejection to the hosts whose crashes it survived.
-                let retire = |st: &SlotState,
-                              label: &str,
-                              completed: SimTime,
-                              phases: PhaseTimes,
-                              result: Result<(), JoinError>,
-                              rejected: Option<RejectReason>| {
-                    {
-                        let mut counts = host_counts.lock();
-                        let mut counted: Vec<HostId> = Vec::new();
-                        for &h in &st.crash_hosts {
-                            if counted.contains(&h) {
-                                continue;
-                            }
-                            counted.push(h);
-                            if result.is_ok() {
-                                counts[h.0].0 += 1;
-                            } else if rejected.is_some() {
-                                counts[h.0].1 += 1;
-                            }
-                        }
-                        if let Some(RejectReason::PlacementUnavailable { host }) = &rejected {
-                            if st.crash_hosts.is_empty() {
-                                counts[host.0].1 += 1;
-                            }
-                        }
-                    }
-                    let admitted = st.first_admitted.unwrap_or(completed);
-                    let recovery = if result.is_ok() {
-                        st.first_failure.map(|t| completed - t)
-                    } else {
-                        None
-                    };
-                    reports.lock().push(QueryReport {
-                        id: st.base,
-                        label: label.to_string(),
-                        admitted,
-                        completed,
-                        queue_wait: admitted - SimTime::ZERO,
-                        latency: completed - SimTime::ZERO,
-                        phases,
-                        result,
-                        attempts: st.attempts,
-                        rejected,
-                        recovery,
-                    });
-                };
-                while retired < total {
-                    while active < cfg.max_concurrent {
-                        let Some(slot) = pending.pop_front() else {
-                            break;
-                        };
-                        match Self::place(&cfg, &fabric, &requests[slot], slot, &planned[slot].1) {
-                            Ok(placement) => {
-                                let st = &mut slots[slot];
-                                st.attempts += 1;
-                                if st.first_admitted.is_none() {
-                                    st.first_admitted = Some(ctx.now());
-                                }
-                                st.last_placement = placement.clone();
-                                let qid = QueryId(st.base.0 + (st.attempts - 1) * RETRY_STRIDE);
-                                Self::admit(
-                                    ctx,
-                                    &fabric,
-                                    &arenas,
-                                    &cfg,
-                                    &requests[slot],
-                                    slot,
-                                    qid,
-                                    placement,
-                                    &ctl,
-                                );
-                                active += 1;
-                            }
-                            Err(reason) => {
-                                // Typed rejection before any workers exist:
-                                // admission refuses the query rather than
-                                // hanging it or taking the batch down.
-                                let st = &slots[slot];
-                                let err = JoinError::aborted(phase::ADMISSION).with_query(st.base);
-                                retire(
-                                    st,
-                                    &requests[slot].label,
-                                    ctx.now(),
-                                    PhaseTimes::default(),
-                                    Err(err),
-                                    Some(reason),
-                                );
-                                retired += 1;
-                            }
-                        }
-                    }
-                    // Typed rejections retire queries without a worker ever
-                    // sending on `ctl`: re-check before blocking, or the
-                    // last rejection would park the loop forever.
-                    if retired >= total {
-                        break;
-                    }
-                    match ctl.recv(ctx) {
-                        Some(Ctl::Requeue { slot }) => pending.push_back(slot),
-                        Some(Ctl::Done {
-                            slot,
-                            completed,
-                            result,
-                        }) => {
-                            active -= 1;
-                            match result {
-                                Ok(phases) => {
-                                    retire(
-                                        &slots[slot],
-                                        &requests[slot].label,
-                                        completed,
-                                        phases,
-                                        Ok(()),
-                                        None,
-                                    );
-                                    retired += 1;
-                                }
-                                Err(err) => {
-                                    let err = err.with_query(slots[slot].base);
-                                    let cause = Self::crash_cause(
-                                        &cfg,
-                                        &fabric,
-                                        &err,
-                                        &slots[slot].last_placement,
-                                    );
-                                    if let Some(host) = cause {
-                                        // Evidence-based fencing: a typed
-                                        // error naming the crash is proof
-                                        // enough — no need to wait for the
-                                        // detector's lease to expire.
-                                        fabric.fence_host(ctx, host);
-                                        {
-                                            let st = &mut slots[slot];
-                                            if st.first_failure.is_none() {
-                                                st.first_failure = Some(completed);
-                                            }
-                                            st.crash_hosts.push(host);
-                                        }
-                                        let attempts = slots[slot].attempts;
-                                        if attempts < cfg.healing.max_attempts {
-                                            let wake = ctx.now() + cfg.healing.backoff(attempts);
-                                            let base = slots[slot].base.0;
-                                            let ctl = Arc::clone(&ctl);
-                                            ctx.spawn(
-                                                format!("q{base}-backoff-{attempts}"),
-                                                move |ctx| {
-                                                    ctx.sleep_until(wake);
-                                                    ctl.send(ctx, Ctl::Requeue { slot });
-                                                },
-                                            );
-                                        } else {
-                                            retire(
-                                                &slots[slot],
-                                                &requests[slot].label,
-                                                completed,
-                                                PhaseTimes::default(),
-                                                Err(err),
-                                                Some(RejectReason::RetryBudgetExhausted {
-                                                    attempts,
-                                                }),
-                                            );
-                                            retired += 1;
-                                        }
-                                    } else {
-                                        retire(
-                                            &slots[slot],
-                                            &requests[slot].label,
-                                            completed,
-                                            PhaseTimes::default(),
-                                            Err(err),
-                                            None,
-                                        );
-                                        retired += 1;
-                                    }
-                                }
-                            }
-                        }
-                        None => break,
-                    }
-                }
-                if cfg.healing.enabled {
-                    fabric.disarm_failure_detector();
-                }
-                *end_time.lock() = ctx.now();
-                // The batch is drained: stop the shared fabric's engines.
-                fabric.shutdown(ctx);
-            });
-        }
+        // The one cell that carries anything out of the simulation: every
+        // slot's recorded facts and the instant the last query retired.
+        let drained = Arc::new(Mutex::new(None));
+        let cell = Arc::clone(&drained);
+        sim.spawn("service-admit", move |ctx| {
+            *cell.lock() = Some(admission.run(ctx))
+        });
         sim.run();
 
         // Per-query state was audited at each retirement; what remains is
         // rack-level residue (crash context and the like).
         fabric.validator().check_teardown();
 
-        let makespan_t = *end_time.lock();
-        let makespan = makespan_t - SimTime::ZERO;
-        let mut queries: Vec<QueryReport> = reports.lock().drain(..).collect();
-        queries.sort_by_key(|q| q.id);
-        let aborted = queries.iter().filter(|q| q.result.is_err()).count();
-        let mut lat: Vec<SimDuration> = queries.iter().map(|q| q.latency).collect();
-        let mut qw: Vec<SimDuration> = queries.iter().map(|q| q.queue_wait).collect();
-        lat.sort_unstable();
-        qw.sort_unstable();
-        let busy_ns: u64 = (0..cfg.hosts)
+        let (facts, end) = drained
+            .lock()
+            .take()
+            .expect("the admission task ran to its end");
+        let tx_busy_ns = (0..cfg.hosts)
             .map(|h| fabric.nic(HostId(h)).stats().tx_busy_ns)
             .sum();
-        let capacity_ns = cfg.hosts as u64 * makespan.as_nanos();
-        let fabric_utilization = if capacity_ns == 0 {
-            0.0
-        } else {
-            busy_ns as f64 / capacity_ns as f64
-        };
-        let rejected = queries.iter().filter(|q| q.rejected.is_some()).count();
-        let healed = queries
-            .iter()
-            .filter(|q| q.result.is_ok() && q.attempts > 1)
-            .count();
-        let retries = queries
-            .iter()
-            .map(|q| q.attempts.saturating_sub(1) as usize)
-            .sum();
-        let counts = host_counts.lock();
-        let hosts = (0..cfg.hosts)
-            .map(|h| {
-                let host = HostId(h);
-                let crashed_at = cfg
-                    .fault_plan
-                    .as_ref()
-                    .and_then(|p| p.crashes.iter().find(|c| c.host == host).map(|c| c.at));
-                let detected_at = fabric.detected_at(host);
-                HostReport {
-                    host,
-                    fenced: fabric.is_fenced(host),
-                    crashed_at,
-                    detected_at,
-                    detection_latency: match (crashed_at, detected_at) {
-                        (Some(c), Some(d)) => Some(d - c),
-                        _ => None,
-                    },
-                    queries_recovered: counts[h].0,
-                    queries_rejected: counts[h].1,
-                }
-            })
-            .collect();
-        ServiceReport {
-            latency_p50: percentile(&lat, 50),
-            latency_p95: percentile(&lat, 95),
-            latency_p99: percentile(&lat, 99),
-            queue_wait_p50: percentile(&qw, 50),
-            queue_wait_p95: percentile(&qw, 95),
-            queue_wait_p99: percentile(&qw, 99),
-            queries,
-            makespan,
-            fabric_utilization,
-            aborted,
-            rejected,
-            healed,
-            retries,
-            hosts,
-        }
-    }
-
-    /// Check one request (FIFO position `k`, resolved id `id`) against
-    /// the rack and plan its placement, or say why it can never run.
-    /// These are checks on outside input: a bad request must cost its
-    /// sender a typed rejection, never the batch a panic.
-    fn plan(
-        cfg: &ServiceConfig,
-        k: usize,
-        id: u32,
-        req: &JoinRequest,
-        seen: &mut std::collections::HashSet<u32>,
-    ) -> Result<Vec<HostId>, RejectReason> {
-        let invalid = |why| Err(RejectReason::InvalidRequest { why });
-        let m = req.job.machines();
-        if id == 0 {
-            return invalid("query id 0 is the direct lane");
-        }
-        if cfg.healing.enabled && id >= RETRY_STRIDE {
-            return invalid("query id collides with the retry id stride");
-        }
-        if !seen.insert(id) {
-            return invalid("duplicate query id");
-        }
-        if m == 0 || req.job.cores() == 0 {
-            return invalid("job wants no machines or no cores");
-        }
-        if m > cfg.hosts {
-            return Err(RejectReason::NoCapacity {
-                machines: m,
-                live: cfg.hosts,
-            });
-        }
-        let Some(placement) = &req.placement else {
-            return Ok((0..m).map(|i| HostId((k + i) % cfg.hosts)).collect());
-        };
-        if placement.len() != m {
-            return invalid("placement length differs from the job's machine count");
-        }
-        let mut taken = vec![false; cfg.hosts];
-        if !placement
-            .iter()
-            .all(|h| h.0 < cfg.hosts && !std::mem::replace(&mut taken[h.0], true))
-        {
-            return invalid("placement names an unknown or repeated host");
-        }
-        Ok(placement.clone())
-    }
-
-    /// Decide where an attempt of `req` (queued at FIFO position `slot`)
-    /// runs, or reject it. With healing off this is exactly the
-    /// pre-resolved plan; with healing on, default placements rotate over
-    /// the *live* hosts (same anchor, so a full rack reproduces the plan)
-    /// and explicit placements are checked against the fenced set.
-    fn place(
-        cfg: &ServiceConfig,
-        fabric: &Fabric,
-        req: &JoinRequest,
-        slot: usize,
-        planned: &Result<Vec<HostId>, RejectReason>,
-    ) -> Result<Vec<HostId>, RejectReason> {
-        let planned = planned.as_ref().map_err(Clone::clone)?;
-        if !cfg.healing.enabled {
-            return Ok(planned.clone());
-        }
-        if let Some(explicit) = &req.placement {
-            if let Some(&bad) = explicit.iter().find(|&&h| fabric.is_fenced(h)) {
-                return Err(RejectReason::PlacementUnavailable { host: bad });
-            }
-            return Ok(explicit.clone());
-        }
-        let live: Vec<HostId> = (0..cfg.hosts)
-            .map(HostId)
-            .filter(|&h| !fabric.is_fenced(h))
-            .collect();
-        let m = req.job.machines();
-        if m > live.len() {
-            return Err(RejectReason::NoCapacity {
-                machines: m,
-                live: live.len(),
-            });
-        }
-        Ok((0..m).map(|i| live[(slot + i) % live.len()]).collect())
-    }
-
-    /// The crashed host a failed attempt should be attributed to, if the
-    /// failure is crash-caused and healing is on. Primary evidence is the
-    /// typed error naming the host; secondary errors (peers observing the
-    /// poisoned barrier, watchdog timeouts) fall back to intersecting the
-    /// attempt's placement with the fabric's crashed-host set.
-    fn crash_cause(
-        cfg: &ServiceConfig,
-        fabric: &Fabric,
-        err: &JoinError,
-        placement: &[HostId],
-    ) -> Option<HostId> {
-        if !cfg.healing.enabled {
-            return None;
-        }
-        if let Some(h) = err.crashed_host() {
-            return Some(h);
-        }
-        let crashed = fabric.crashed_hosts();
-        placement.iter().copied().find(|h| crashed.contains(h))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        ctx: &SimCtx,
-        fabric: &Arc<Fabric>,
-        arenas: &Arc<Vec<Arc<PoolArena>>>,
-        cfg: &ServiceConfig,
-        req: &JoinRequest,
-        slot: usize,
-        id: QueryId,
-        placement: Vec<HostId>,
-        ctl: &Arc<SimChannel<Ctl>>,
-    ) {
-        let rt = Runtime::for_query(
-            id,
-            fabric,
-            placement,
-            req.job.cores(),
-            cfg.nic,
-            Some(Arc::clone(arenas)),
-        );
-        rt.stamp_start(ctx.now());
-        req.job.attach(&rt);
-        let job = Arc::clone(&req.job);
-        let finish_rt = Arc::clone(&rt);
-        let finish_job = Arc::clone(&job);
-        let arenas = Arc::clone(arenas);
-        let ctl = Arc::clone(ctl);
-        rt.spawn_workers(
-            ctx,
-            move |ctx, rt, mach, core| job.run_worker(ctx, rt, mach, core),
-            move |ctx, result| {
-                // The query's share of retirement: its lanes unregister,
-                // its own teardown audit runs, its arena share returns.
-                finish_rt.fabric.close_view(ctx);
-                finish_rt.fabric.validator().check_query_teardown(id);
-                let result = result.map(|run| {
-                    finish_job.finish(&finish_rt, &run);
-                    PhaseTimes::from_events(&run.events)
-                });
-                for arena in arenas.iter() {
-                    arena.release(id);
-                }
-                ctl.send(
-                    ctx,
-                    Ctl::Done {
-                        slot,
-                        completed: ctx.now(),
-                        result,
-                    },
-                );
-            },
-        );
+        ServiceReport::fold(facts, host_liveness(cfg, &fabric), tx_busy_ns, end)
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[SimDuration], pct: u32) -> SimDuration {
-    if sorted.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let rank = (pct as usize * sorted.len()).div_ceil(100);
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+/// Each host's liveness as the run left it, ordered by host id; the
+/// recovery tallies are the report fold's to fill.
+fn host_liveness(cfg: &ServiceConfig, fabric: &Fabric) -> Vec<HostReport> {
+    (0..cfg.hosts)
+        .map(|h| {
+            let host = HostId(h);
+            let crashed_at = cfg
+                .fault_plan
+                .as_ref()
+                .and_then(|p| p.crashes.iter().find(|c| c.host == host).map(|c| c.at));
+            let detected_at = fabric.detected_at(host);
+            HostReport {
+                host,
+                fenced: fabric.is_fenced(host),
+                crashed_at,
+                detected_at,
+                detection_latency: crashed_at.zip(detected_at).map(|(c, d)| d - c),
+                queries_recovered: 0,
+                queries_rejected: 0,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::JoinError;
     use crate::phase;
+    use crate::query::run_direct;
+    use crate::runtime::{ClusterRun, Runtime};
+    use rsj_rdma::QueryId;
+    use rsj_sim::{SimCtx, SimTime};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Toy query: a ring exchange over `machines` one-core machines.
@@ -899,20 +283,26 @@ mod tests {
     /// machine's worker error out instead, aborting the query.
     struct RingJob {
         machines: usize,
+        cores: usize,
         bytes: usize,
         fail_on: Option<usize>,
         rx_bytes: AtomicU64,
         finished: AtomicU64,
+        /// The physical host behind each logical machine of the most
+        /// recent attempt.
+        placed: Mutex<Vec<HostId>>,
     }
 
     impl RingJob {
         fn new(machines: usize, bytes: usize, fail_on: Option<usize>) -> Arc<RingJob> {
             Arc::new(RingJob {
                 machines,
+                cores: 1,
                 bytes,
                 fail_on,
                 rx_bytes: AtomicU64::new(0),
                 finished: AtomicU64::new(0),
+                placed: Mutex::new(Vec::new()),
             })
         }
     }
@@ -923,10 +313,14 @@ mod tests {
         }
 
         fn cores(&self) -> usize {
-            1
+            self.cores
         }
 
-        fn attach(&self, _rt: &Arc<Runtime>) {}
+        fn attach(&self, rt: &Arc<Runtime>) {
+            *self.placed.lock() = (0..self.machines)
+                .map(|m| rt.fabric.nic(HostId(m)).host())
+                .collect();
+        }
 
         fn run_worker(
             &self,
@@ -1074,15 +468,50 @@ mod tests {
         assert_eq!(report.queries[1].label, "a");
     }
 
+    // ---- placement: one rule, healing on or off ----
+
+    /// `Admission::place` has no healing-off branch: it rests on nothing
+    /// being fenced while healing is off. So an armed service that meets
+    /// no fault must place and schedule a batch exactly as a disarmed one.
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let d = |n: u64| SimDuration::from_nanos(n);
-        let v: Vec<SimDuration> = (1..=10).map(|i| d(i * 100)).collect();
-        assert_eq!(percentile(&v, 50), d(500));
-        assert_eq!(percentile(&v, 95), d(1000));
-        assert_eq!(percentile(&v, 99), d(1000));
-        assert_eq!(percentile(&[], 50), SimDuration::ZERO);
-        assert_eq!(percentile(&v[..1], 99), d(100));
+    fn armed_healing_without_faults_places_and_schedules_like_healing_off() {
+        let run = |healing: HealingConfig| {
+            let mut cfg = ServiceConfig::qdr_rack(4, 1);
+            cfg.max_concurrent = 3;
+            cfg.healing = healing;
+            let jobs: Vec<Arc<RingJob>> = (0..7)
+                .map(|i| RingJob::new(2 + i % 2, 16 * 1024, None))
+                .collect();
+            let mut requests: Vec<JoinRequest> = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, job)| JoinRequest {
+                    label: format!("q{}", i + 1),
+                    id: None,
+                    placement: None,
+                    job: Arc::clone(job) as Arc<dyn QueryJob>,
+                })
+                .collect();
+            requests[2].placement = Some(vec![HostId(3), HostId(1)]);
+            let report = QueryService::run(&cfg, requests);
+            assert_eq!(report.aborted, 0);
+            let placed: Vec<Vec<HostId>> = jobs.iter().map(|j| j.placed.lock().clone()).collect();
+            (placed, report)
+        };
+        let (placed_off, off) = run(HealingConfig::default());
+        let (placed_on, on) = run(HealingConfig::armed());
+        assert_eq!(placed_on, placed_off);
+        // FIFO position anchors the rotation; a pinned placement is kept.
+        assert_eq!(placed_off[1], vec![HostId(1), HostId(2), HostId(3)]);
+        assert_eq!(placed_off[2], vec![HostId(3), HostId(1)]);
+        assert_eq!(placed_off[5], vec![HostId(1), HostId(2), HostId(3)]);
+        assert_eq!(on.makespan, off.makespan);
+        for (a, b) in on.queries.iter().zip(&off.queries) {
+            assert_eq!(
+                (a.id, a.admitted, a.completed),
+                (b.id, b.admitted, b.completed)
+            );
+        }
     }
 
     // ---- malformed requests: typed rejection at admission ----
@@ -1171,6 +600,19 @@ mod tests {
                 machines: 5,
                 live: 4,
             },
+        );
+    }
+
+    #[test]
+    fn job_wanting_more_cores_than_a_host_has_is_rejected_typed() {
+        let mut job = RingJob::new(2, 4096, None);
+        Arc::get_mut(&mut job).expect("not shared yet").cores = 2;
+        let mut bad = bad_request(None, None, 2);
+        bad.job = job;
+        assert_rejected_alone(
+            &ServiceConfig::qdr_rack(4, 1),
+            bad,
+            invalid("job wants more cores per machine than the rack's hosts have"),
         );
     }
 

@@ -70,9 +70,9 @@ impl SimBarrier {
         }
     }
 
-    /// Like [`SimBarrier::wait`], but returns `Err(Poisoned)` instead of
-    /// blocking forever once the barrier has been poisoned (before or while
-    /// waiting). `Ok(true)` marks the generation leader.
+    /// Like [`SimBarrier::wait`], but returns `Err(Poisoned)` once the
+    /// barrier has been poisoned (before or while waiting). `Ok(true)`
+    /// marks the generation leader.
     pub fn wait_checked(&self, ctx: &SimCtx) -> Result<bool, Poisoned> {
         let gen = {
             let mut st = self.inner.lock();
@@ -106,30 +106,12 @@ impl SimBarrier {
     /// Block until all `n` participants have called `wait` for the current
     /// generation. Returns `true` for exactly one participant per
     /// generation (the *leader* — the last to arrive).
+    ///
+    /// # Panics
+    /// Panics if the barrier is poisoned: a barrier on an abort path is
+    /// waited on with [`SimBarrier::wait_checked`].
     pub fn wait(&self, ctx: &SimCtx) -> bool {
-        let gen = {
-            let mut st = self.inner.lock();
-            st.arrived += 1;
-            if st.arrived == self.n {
-                st.arrived = 0;
-                st.generation += 1;
-                for w in st.waiters.drain(..) {
-                    ctx.unpark(w);
-                }
-                return true;
-            }
-            st.waiters.push(ctx.id());
-            st.generation
-        };
-        // Park until our generation completes. A single park suffices:
-        // unparks are only issued by the generation leader, but guard
-        // against permit carry-over by re-checking the generation.
-        loop {
-            ctx.park();
-            if self.inner.lock().generation != gen {
-                return false;
-            }
-        }
+        self.wait_checked(ctx).expect("wait on a poisoned barrier")
     }
 }
 
@@ -247,18 +229,13 @@ impl SimSemaphore {
     }
 
     /// Acquire one permit, parking until available.
+    ///
+    /// # Panics
+    /// Panics if the semaphore is poisoned: a semaphore on an abort path
+    /// is acquired with [`SimSemaphore::acquire_checked`].
     pub fn acquire(&self, ctx: &SimCtx) {
-        loop {
-            {
-                let mut st = self.inner.lock();
-                if st.permits > 0 {
-                    st.permits -= 1;
-                    return;
-                }
-                st.waiters.push_back(ctx.id());
-            }
-            ctx.park();
-        }
+        self.acquire_checked(ctx)
+            .expect("acquire on a poisoned semaphore")
     }
 
     /// Like [`SimSemaphore::acquire`], but wakes with `Err(Poisoned)` once
