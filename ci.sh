@@ -47,9 +47,10 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 # difference from HEAD under the frozen paths.
 git checkout HEAD -- benchmark/Cargo.lock
 git diff --exit-code HEAD -- benchmark BENCHMARK.json
-# Debug-profile tests run with the verbs-contract validator in Panic mode,
-# so any RDMA protocol misuse aborts the suite.
-cargo test -q
+# Every crate's tests, not just the root facade's (the root manifest has no
+# default-members). Debug-profile tests run with the verbs-contract
+# validator in Panic mode, so any RDMA protocol misuse aborts the suite.
+cargo test -q --workspace
 # One build configuration: no cargo features, no environment switches in
 # the product crates, so the tested artefact is the measured one.
 # (rsj-lint is exempt: its rule tables may name such patterns.)

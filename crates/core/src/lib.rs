@@ -30,6 +30,7 @@ mod config;
 mod driver;
 mod histogram;
 mod phases;
+pub mod shuffle;
 
 pub use config::{
     AssignmentPolicy, DistJoinConfig, MaterializeMode, ReceiveMode, Transport, TransportMode,

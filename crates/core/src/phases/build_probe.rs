@@ -9,7 +9,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rsj_cluster::{Exchange, JoinError, Meter, Scatter, SendStep, WireTag};
+use rsj_cluster::{phase, Exchange, JoinError, Meter, Scatter, SendStep, WireTag};
 use rsj_joins::BucketTable;
 use rsj_rdma::HostId;
 use rsj_sim::SimCtx;
@@ -17,9 +17,6 @@ use rsj_workload::{JoinResult, Tuple};
 
 use crate::config::MaterializeMode;
 use crate::phases::{task_bytes, BpTask, ClusterShared};
-
-/// Phase name used in error attribution and watchdog reports.
-const PHASE: &str = "build_probe";
 
 /// §4.3 result materialization: matches are serialized as
 /// `<r.rid, s.rid>` pairs (16 bytes) into output buffers. In coordinator
@@ -100,7 +97,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
     let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
     let cost = &cfg.cluster.cost;
     let mut local = JoinResult::default();
-    let ex = Exchange::new(&sh.fabric, mach, PHASE);
+    let ex = Exchange::new(&sh.fabric, mach, phase::BUILD_PROBE);
     let ships = cfg.materialize == MaterializeMode::ToCoordinator;
 
     // Coordinator sink: machine 0's first core absorbs shipped results
@@ -159,7 +156,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                         // An aborting run must not keep polling: peers may
                         // never drain their queues.
                         if sh.fabric.aborted() {
-                            return Err(JoinError::aborted(PHASE));
+                            return Err(JoinError::aborted(phase::BUILD_PROBE));
                         }
                         // Poll at the granularity of the smallest stealable
                         // unit so the phase end is not overshot.
@@ -323,7 +320,7 @@ fn steal_task<T: Tuple>(
                     vstate
                         .steal_outstanding_bytes
                         .fetch_sub(len, Ordering::SeqCst);
-                    read.map_err(|e| JoinError::fabric(mach, PHASE, e))?;
+                    read.map_err(|e| JoinError::fabric(mach, phase::BUILD_PROBE, e))?;
                 }
             }
             return Ok(Some(task));

@@ -7,18 +7,14 @@
 
 use std::sync::Arc;
 
-use rsj_cluster::{ranges, Exchange, JoinError, Meter, WireTag};
+use rsj_cluster::{phase, ranges, Exchange, JoinError, Meter, WireTag};
 use rsj_joins::partition_of;
 use rsj_rdma::HostId;
 use rsj_sim::SimCtx;
 use rsj_workload::Tuple;
 
 use crate::histogram::{assign_partitions, Histogram, REL_R, REL_S};
-use crate::phases::{barrier_wait, sender_index, ClusterShared, GlobalInfo, RELS};
-use crate::{ReceiveMode, Transport};
-
-/// Phase name used in error attribution and watchdog reports.
-const PHASE: &str = "histogram";
+use crate::phases::{barrier_wait, sender_index, shipped, ClusterShared, GlobalInfo};
 
 /// A build-probe task whose outer input exceeds this multiple of the
 /// average is split into probe chunks shared among threads (§4.3: "more
@@ -56,13 +52,13 @@ pub(crate) fn phase_histogram<T: Tuple>(
         *st.worker_hists[w].lock() = Some(hist);
         meter.flush(ctx);
     }
-    barrier_wait(&st.local_barrier, ctx, PHASE)?;
+    barrier_wait(&st.local_barrier, ctx, phase::HISTOGRAM)?;
 
     // Core 0 exchanges the machine histogram and computes global state.
     if core == 0 {
         let nic = sh.fabric.nic(HostId(mach));
         let mine = st.machine_hist.lock().clone();
-        let ex = Exchange::new(&sh.fabric, mach, PHASE);
+        let ex = Exchange::new(&sh.fabric, mach, phase::HISTOGRAM);
         let mut machine_hists: Vec<Histogram> = vec![Histogram::zeros(np1); m];
         ex.all_to_all(
             ctx,
@@ -77,39 +73,16 @@ pub(crate) fn phase_histogram<T: Tuple>(
         for h in &machine_hists {
             global.add(h);
         }
-        let assignment = assign_partitions(&global, m, cfg.assignment);
-        let owned: Vec<usize> = (0..np1).filter(|&p| assignment[p] == mach).collect();
+        st.landing
+            .assign(assign_partitions(&global, m, cfg.assignment));
+        let owned = st.landing.owned();
         let s_total: u64 = global.counts[REL_S].iter().sum();
         let final_parts = (np1 as u64) << cfg.radix_bits.1;
         let s_split_threshold = ((s_total as f64 / final_parts as f64) * SKEW_SPLIT_FACTOR)
             .ceil()
             .max(64.0) as usize;
-
-        // One-sided receive: register one region per (rel, partition we
-        // own, remote source), sized exactly from the source's histogram
-        // (§4.2.2). This pins large memory and its cost is charged here.
-        if cfg.receive == ReceiveMode::OneSided {
-            let mut registry = Vec::new();
-            for &p in &owned {
-                for src in (0..m).filter(|&s| s != mach) {
-                    for rel in RELS {
-                        if rel == REL_S && cfg.probe_transport == Transport::OneSided {
-                            // S stays local on the one-sided probe
-                            // dataplane — don't pin regions nobody writes.
-                            continue;
-                        }
-                        let tuples = machine_hists[src].counts[rel][p];
-                        if tuples == 0 {
-                            continue;
-                        }
-                        let mr = nic.mrs.register(ctx, tuples as usize * T::SIZE);
-                        registry.push(((mach, rel, p, src), mr.remote_handle()));
-                        st.recv_mrs.lock().insert((rel, p, src), mr);
-                    }
-                }
-            }
-            sh.mr_registry.lock().extend(registry);
-        }
+        st.landing
+            .open_regions(ctx, &nic, shipped(cfg), &machine_hists);
 
         // Work-sharing extension: pre-register a scratch region sized to
         // the largest partition this machine will own, so thieves can pull
@@ -127,9 +100,7 @@ pub(crate) fn phase_histogram<T: Tuple>(
         }
 
         *st.info.lock() = Some(Arc::new(GlobalInfo {
-            assignment,
             machine_hists,
-            owned,
             s_split_threshold,
         }));
     }

@@ -8,17 +8,15 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rsj_cluster::{JoinError, Meter};
-use rsj_joins::{Partitioned, Partitioner};
+use rsj_cluster::{phase, JoinError, Meter};
+use rsj_joins::Partitioner;
 use rsj_sim::SimCtx;
-use rsj_workload::{decode_into, Tuple};
+use rsj_workload::Tuple;
 
 use crate::histogram::{REL_R, REL_S};
-use crate::phases::{barrier_wait, task_bytes, BpTask, ClusterShared, GlobalInfo, RELS};
-use crate::ReceiveMode;
-
-/// Phase name used in error attribution and watchdog reports.
-const PHASE: &str = "local_partition";
+use crate::phases::{
+    assemble_checked, barrier_wait, task_bytes, BpTask, ClusterShared, GlobalInfo, RELS,
+};
 
 pub(crate) fn phase_local<T: Tuple>(
     ctx: &SimCtx,
@@ -32,55 +30,20 @@ pub(crate) fn phase_local<T: Tuple>(
     let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
     let (b1, b2) = cfg.radix_bits;
     let rate = cfg.cluster.cost.partition_rate;
-    let m = cfg.cluster.machines;
 
     if cfg.parallel_local_pass {
         return phase_local_parallel(ctx, sh, mach, core, meter, &info);
     }
 
+    let owned = st.landing.owned();
     let mut pt = Partitioner::new();
     loop {
         let i = st.next_local_task.fetch_add(1, Ordering::SeqCst);
-        if i >= info.owned.len() {
+        if i >= owned.len() {
             break;
         }
-        let p = info.owned[i];
-        // Assemble partition p: local buffers from every worker plus the
-        // bytes received over the network (pointer-level assembly in the
-        // original; the copies here are simulator artifacts, not charged).
-        let mut rel_parts: [Vec<T>; 2] = [Vec::new(), Vec::new()];
-        for rel in RELS {
-            for w in 0..cfg.partitioning_workers() {
-                let mut guard = st.local_out[w].lock();
-                rel_parts[rel].append(&mut guard.parts[rel][p]);
-            }
-            match cfg.receive {
-                ReceiveMode::TwoSided => {
-                    let bytes = std::mem::take(&mut st.staging[rel].lock()[p]);
-                    decode_into(&bytes, &mut rel_parts[rel]);
-                }
-                ReceiveMode::OneSided => {
-                    for src in (0..m).filter(|&s| s != mach) {
-                        if let Some(mr) = st.recv_mrs.lock().get(&(rel, p, src)) {
-                            // lint: allow-mr-access(assembly consumes one-sided regions after the network-pass barrier)
-                            let bytes = mr.take_data();
-                            decode_into(&bytes, &mut rel_parts[rel]);
-                        }
-                    }
-                }
-            }
-        }
-        // Assembly completeness: the histogram phase announced exactly how
-        // many tuples of each relation land in p cluster-wide.
-        for rel in RELS {
-            let expect: u64 = info.machine_hists.iter().map(|h| h.counts[rel][p]).sum();
-            assert_eq!(
-                rel_parts[rel].len() as u64,
-                expect,
-                "partition {p} of relation {rel} lost tuples in transit"
-            );
-        }
-        let [r_p, s_p] = rel_parts;
+        let p = owned[i];
+        let [r_p, s_p] = RELS.map(|rel| assemble_checked(st, &info, rel, p));
         meter.charge_bytes(ctx, (r_p.len() + s_p.len()) * T::SIZE, rate);
         let sub_r = Arc::new(pt.partition(&r_p, b1, b2));
         let sub_s = Arc::new(pt.partition(&s_p, b1, b2));
@@ -128,59 +91,30 @@ fn phase_local_parallel<T: Tuple>(
     let st = &sh.machines[mach];
     let (b1, b2) = cfg.radix_bits;
     let rate = cfg.cluster.cost.partition_rate;
-    let m = cfg.cluster.machines;
     let cores = cfg.cluster.cores_per_machine;
-    let owned = &info.owned;
+    let owned = st.landing.owned();
 
     // Stage 0: one core sizes the shared slots.
     if core == 0 {
         *st.lp_assembled.lock() = (0..owned.len()).map(|_| None).collect();
         *st.lp_outputs.lock() = (0..owned.len()).map(|_| [Vec::new(), Vec::new()]).collect();
     }
-    barrier_wait(&st.local_barrier, ctx, PHASE)?;
+    barrier_wait(&st.local_barrier, ctx, phase::LOCAL_PARTITION)?;
 
-    // Stage 1: assemble owned partitions (uncharged pointer assembly, as
-    // in the sequential path).
+    // Stage 1: assemble owned partitions, as the sequential path does.
     loop {
         let i = st.next_local_task.fetch_add(1, Ordering::SeqCst);
         if i >= owned.len() {
             break;
         }
         let p = owned[i];
-        let mut rel_parts: [Vec<T>; 2] = [Vec::new(), Vec::new()];
-        for rel in RELS {
-            for w in 0..cfg.partitioning_workers() {
-                let mut guard = st.local_out[w].lock();
-                rel_parts[rel].append(&mut guard.parts[rel][p]);
-            }
-            match cfg.receive {
-                ReceiveMode::TwoSided => {
-                    let bytes = std::mem::take(&mut st.staging[rel].lock()[p]);
-                    decode_into(&bytes, &mut rel_parts[rel]);
-                }
-                ReceiveMode::OneSided => {
-                    for src in (0..m).filter(|&s| s != mach) {
-                        if let Some(mr) = st.recv_mrs.lock().get(&(rel, p, src)) {
-                            // lint: allow-mr-access(assembly consumes one-sided regions after the network-pass barrier)
-                            let bytes = mr.take_data();
-                            decode_into(&bytes, &mut rel_parts[rel]);
-                        }
-                    }
-                }
-            }
-            let expect: u64 = info.machine_hists.iter().map(|h| h.counts[rel][p]).sum();
-            assert_eq!(
-                rel_parts[rel].len() as u64,
-                expect,
-                "partition {p} lost tuples"
-            );
-        }
+        let rel_parts = RELS.map(|rel| assemble_checked(st, info, rel, p));
         st.lp_assembled.lock()[i] = Some(Arc::new(rel_parts));
     }
     // Leader of this barrier builds the slice task list from the
     // assembled sizes, aiming for several tasks per core so a giant
     // partition spreads across the whole machine.
-    if barrier_wait(&st.local_barrier, ctx, PHASE)? {
+    if barrier_wait(&st.local_barrier, ctx, phase::LOCAL_PARTITION)? {
         let assembled = st.lp_assembled.lock();
         let total_tuples: usize = assembled
             .iter()
@@ -229,7 +163,7 @@ fn phase_local_parallel<T: Tuple>(
         meter.flush(ctx);
     }
     meter.flush(ctx);
-    barrier_wait(&st.local_barrier, ctx, PHASE)?;
+    barrier_wait(&st.local_barrier, ctx, phase::LOCAL_PARTITION)?;
 
     // Stage 3: concatenate slice outputs per fragment and enqueue
     // build-probe tasks (uncharged assembly, same convention as the
@@ -239,20 +173,13 @@ fn phase_local_parallel<T: Tuple>(
         if i >= owned.len() {
             break;
         }
-        let mut merged: [Option<Arc<Partitioned<T>>>; 2] = [None, None];
-        for rel in RELS {
-            let slices: Vec<Partitioned<T>> = st.lp_outputs.lock()[i][rel]
+        let [sub_r, sub_s] = RELS.map(|rel| {
+            let slices: Vec<_> = st.lp_outputs.lock()[i][rel]
                 .iter_mut()
                 .map(|s| s.take().expect("slice output missing"))
                 .collect();
-            merged[rel] = Some(Arc::new(rsj_joins::concat_partitioned(
-                &slices,
-                1usize << b2,
-            )));
-        }
-        let [sub_r, sub_s] = merged;
-        // lint: allow-unwrap(both slots filled by the RELS loop above)
-        let (sub_r, sub_s) = (sub_r.unwrap(), sub_s.unwrap());
+            Arc::new(rsj_joins::concat_partitioned(&slices, 1usize << b2))
+        });
         for j in 0..(1usize << b2) {
             if !sub_r.part(j).is_empty() || !sub_s.part(j).is_empty() {
                 let t = BpTask::BuildProbe {

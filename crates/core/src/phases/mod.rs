@@ -8,8 +8,9 @@
 //!
 //! * [`histogram`] — §4.1 histogram computation, exchange, and the
 //!   derived global state ([`GlobalInfo`]);
-//! * [`network`] — §4.2 network partitioning pass (pooled double-buffered
-//!   senders, two-sided receiver loop or one-sided writes);
+//! * [`network`] — §4.2 network partitioning pass: the post step in which
+//!   the transports and one-sided writes differ, over the
+//!   [`crate::shuffle`] route and receive steps;
 //! * [`local`] — §4.2.3 local partitioning pass (serial and parallel);
 //! * [`build_probe`] — §4.3 build-probe with skew splitting, result
 //!   materialization, and the inter-machine work-sharing extension;
@@ -34,8 +35,9 @@ use rsj_rdma::{BufferPool, Fabric, RemoteMr};
 use rsj_sim::{SimBarrier, SimCtx, SimSemaphore};
 use rsj_workload::{JoinResult, Relation, Tuple};
 
-use crate::config::{DistJoinConfig, ReceiveMode};
+use crate::config::{DistJoinConfig, ReceiveMode, Transport};
 use crate::histogram::{Histogram, REL_R, REL_S};
+use crate::shuffle::Landing;
 
 /// Which relation's chunk a sender is currently partitioning.
 pub(crate) const RELS: [usize; 2] = [REL_R, REL_S];
@@ -44,9 +46,6 @@ pub(crate) const RELS: [usize; 2] = [REL_R, REL_S];
 /// sender blocks (socket-buffer window). Only used by
 /// [`crate::TransportMode::Tcp`].
 const TCP_WINDOW_MSGS: usize = 8;
-
-/// One-sided write target key: `(dst, rel, part, src)`.
-pub(crate) type MrKey = (usize, usize, usize, usize);
 
 pub(crate) enum BpTask<T> {
     /// Build over fragment `j` of `r`, probe with fragment `j` of `s`.
@@ -84,19 +83,13 @@ pub(crate) type LpAssembled<T> = Arc<[Vec<T>; 2]>;
 pub(crate) type LpOutputs<T> = Vec<[Vec<Option<Partitioned<T>>>; 2]>;
 
 /// Cluster-wide state derived from the global histogram by every machine
-/// at the end of phase one.
+/// at the end of phase one (the partition assignment goes to each
+/// machine's [`Landing`]).
 pub(crate) struct GlobalInfo {
-    pub(crate) assignment: Vec<usize>,
     pub(crate) machine_hists: Vec<Histogram>,
-    /// Partitions owned by this machine, in ascending order.
-    pub(crate) owned: Vec<usize>,
     /// Outer-relation tuples above which a final fragment is split for
     /// parallel probing.
     pub(crate) s_split_threshold: usize,
-}
-
-pub(crate) struct LocalOut<T> {
-    pub(crate) parts: [Vec<Vec<T>>; 2],
 }
 
 pub(crate) struct MachineState<T> {
@@ -108,13 +101,8 @@ pub(crate) struct MachineState<T> {
     pub(crate) worker_hists: Vec<Mutex<Option<Histogram>>>,
     pub(crate) machine_hist: Mutex<Histogram>,
     pub(crate) info: Mutex<Option<Arc<GlobalInfo>>>,
-    /// Per-worker private local-partition buffers (no synchronization
-    /// while partitioning — Figure 2).
-    pub(crate) local_out: Vec<Mutex<LocalOut<T>>>,
-    /// Receiver-side staging: bytes per (rel, partition) for two-sided.
-    pub(crate) staging: [Mutex<Vec<Vec<u8>>>; 2],
-    /// One-sided receive regions: (rel, part, src) → our registered MR.
-    pub(crate) recv_mrs: Mutex<HashMap<(usize, usize, usize), Arc<rsj_rdma::Mr>>>,
+    /// Where this machine's partitions land in the network pass.
+    pub(crate) landing: Landing<T>,
     pub(crate) next_local_task: AtomicUsize,
     pub(crate) bp_tasks: NumaQueues<BpTask<T>>,
     pub(crate) result: Mutex<JoinResult>,
@@ -152,32 +140,18 @@ pub(crate) struct MachineState<T> {
 }
 
 impl<T: Tuple> MachineState<T> {
-    fn new(cfg: &DistJoinConfig, r_chunk: Vec<T>, s_chunk: Vec<T>) -> MachineState<T> {
+    fn new(cfg: &DistJoinConfig, mach: usize, r_chunk: Vec<T>, s_chunk: Vec<T>) -> MachineState<T> {
         let cores = cfg.cluster.cores_per_machine;
         let workers = cfg.partitioning_workers();
-        let np1 = 1usize << cfg.radix_bits.0;
+        let b1 = cfg.radix_bits.0;
         MachineState {
             local_barrier: SimBarrier::new(cores),
             r_chunk,
             s_chunk,
             worker_hists: (0..workers).map(|_| Mutex::new(None)).collect(),
-            machine_hist: Mutex::new(Histogram::zeros(np1)),
+            machine_hist: Mutex::new(Histogram::zeros(1 << b1)),
             info: Mutex::new(None),
-            local_out: (0..workers)
-                .map(|_| {
-                    Mutex::new(LocalOut {
-                        parts: [
-                            (0..np1).map(|_| Vec::new()).collect(),
-                            (0..np1).map(|_| Vec::new()).collect(),
-                        ],
-                    })
-                })
-                .collect(),
-            staging: [
-                Mutex::new((0..np1).map(|_| Vec::new()).collect()),
-                Mutex::new((0..np1).map(|_| Vec::new()).collect()),
-            ],
-            recv_mrs: Mutex::new(HashMap::new()),
+            landing: Landing::new(mach, b1, workers, cfg.receive),
             next_local_task: AtomicUsize::new(0),
             bp_tasks: NumaQueues::new(1),
             result: Mutex::new(JoinResult::default()),
@@ -205,8 +179,6 @@ pub(crate) struct ClusterShared<T> {
     pub(crate) cfg: DistJoinConfig,
     pub(crate) fabric: Arc<Fabric>,
     pub(crate) machines: Vec<MachineState<T>>,
-    /// Exchanged one-sided write targets.
-    pub(crate) mr_registry: Mutex<HashMap<MrKey, RemoteMr>>,
     /// Per-(src, dst) TCP flow-control windows.
     pub(crate) tcp_windows: Vec<Vec<Arc<SimSemaphore>>>,
     pub(crate) pools: Vec<Arc<BufferPool>>,
@@ -243,7 +215,7 @@ impl<T: Tuple> ClusterShared<T> {
         let workers = cfg.partitioning_workers();
         let np1 = 1usize << cfg.radix_bits.0;
         let machines = (0..m)
-            .map(|i| MachineState::new(&cfg, r.chunk(i).to_vec(), s.chunk(i).to_vec()))
+            .map(|i| MachineState::new(&cfg, i, r.chunk(i).to_vec(), s.chunk(i).to_vec()))
             .collect();
         let pools = (0..m)
             .map(|i| {
@@ -259,7 +231,6 @@ impl<T: Tuple> ClusterShared<T> {
             cfg,
             fabric,
             machines,
-            mr_registry: Mutex::new(HashMap::new()),
             tcp_windows,
             pools,
             scratch_mrs: Mutex::new(vec![None; m]),
@@ -283,6 +254,35 @@ pub(crate) fn barrier_wait(
     barrier
         .wait_checked(ctx)
         .map_err(|_| JoinError::aborted(phase))
+}
+
+/// The relations the network pass moves: on the one-sided probe
+/// dataplane S never crosses the wire — the probe READs the owners'
+/// published bucket tables instead (DESIGN.md §11).
+pub(crate) fn shipped(cfg: &DistJoinConfig) -> &'static [usize] {
+    match cfg.probe_transport {
+        Transport::TwoSided => &RELS,
+        Transport::OneSided => &[REL_R],
+    }
+}
+
+/// Owned partition `p` of relation `rel`, assembled out of this machine's
+/// landing and checked against the histogram phase, which announced
+/// exactly how many of its tuples land in `p` cluster-wide.
+pub(crate) fn assemble_checked<T: Tuple>(
+    st: &MachineState<T>,
+    info: &GlobalInfo,
+    rel: usize,
+    p: usize,
+) -> Vec<T> {
+    let tuples = st.landing.assemble(rel, p);
+    let expect: u64 = info.machine_hists.iter().map(|h| h.counts[rel][p]).sum();
+    assert_eq!(
+        tuples.len() as u64,
+        expect,
+        "partition {p} of relation {rel} lost tuples in transit"
+    );
+    tuples
 }
 
 /// The partitioning-worker index of `core`, or `None` if this core is the

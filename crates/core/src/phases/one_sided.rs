@@ -27,24 +27,18 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rsj_cluster::{ranges, JoinError, Meter, TagError};
+use rsj_cluster::{phase, ranges, JoinError, Meter, TagError};
 use rsj_joins::{
     decode_bucket, encode_remote_table, partition_of, remote_dir_len, remote_nbuckets,
     RemoteDirectory, TornRead,
 };
 use rsj_rdma::{HostId, Nic, RemoteMr};
 use rsj_sim::SimCtx;
-use rsj_workload::{decode_into, JoinResult, Tuple};
+use rsj_workload::{JoinResult, Tuple};
 
 use crate::config::MaterializeMode;
 use crate::histogram::{REL_R, REL_S};
-use crate::phases::{barrier_wait, ClusterShared};
-use crate::ReceiveMode;
-
-/// Phase name used in error attribution and watchdog reports. The
-/// publish stage needs none: its verbs calls (register, fill, publish)
-/// are infallible; only the probe stage touches the wire.
-const PHASE_PROBE: &str = "one_sided_probe";
+use crate::phases::{assemble_checked, barrier_wait, ClusterShared};
 
 /// READ retries a torn bucket gets before the probe gives up. A healthy
 /// publisher clears the odd version in bounded time, so exhausting this
@@ -60,11 +54,12 @@ const READ_DOORBELL: usize = 16;
 /// DESIGN.md §11).
 const ONE_SIDED_MTU: usize = 4096;
 
-/// Publish stage: assemble the R tuples of every owned partition (same
-/// sources as the two-sided local pass: worker-local buffers plus the
-/// network-received bytes), encode the versioned bucket table, register
-/// and publish it. There is no second-pass b₂ refinement — bucket
-/// granularity replaces cache-sized fragments on this dataplane.
+/// Publish stage: assemble the R tuples of every owned partition (as the
+/// two-sided local pass does), encode the versioned bucket table,
+/// register and publish it. There is no second-pass b₂ refinement —
+/// bucket granularity replaces cache-sized fragments on this dataplane.
+/// Its verbs calls (register, fill, publish) are infallible; only the
+/// probe stage touches the wire.
 pub(crate) fn phase_publish_tables<T: Tuple>(
     ctx: &SimCtx,
     sh: &ClusterShared<T>,
@@ -76,42 +71,15 @@ pub(crate) fn phase_publish_tables<T: Tuple>(
     let st = &sh.machines[mach];
     let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
     let nic = sh.fabric.nic(HostId(mach));
-    let m = cfg.cluster.machines;
+    let owned = st.landing.owned();
 
     loop {
         let i = st.next_local_task.fetch_add(1, Ordering::SeqCst);
-        if i >= info.owned.len() {
+        if i >= owned.len() {
             break;
         }
-        let p = info.owned[i];
-        // Assemble partition p of R (pointer-level in the original; the
-        // copies are simulator artifacts, not charged).
-        let mut r_p: Vec<T> = Vec::new();
-        for w in 0..cfg.partitioning_workers() {
-            let mut guard = st.local_out[w].lock();
-            r_p.append(&mut guard.parts[REL_R][p]);
-        }
-        match cfg.receive {
-            ReceiveMode::TwoSided => {
-                let bytes = std::mem::take(&mut st.staging[REL_R].lock()[p]);
-                decode_into(&bytes, &mut r_p);
-            }
-            ReceiveMode::OneSided => {
-                for src in (0..m).filter(|&s| s != mach) {
-                    if let Some(mr) = st.recv_mrs.lock().get(&(REL_R, p, src)) {
-                        // lint: allow-mr-access(assembly consumes one-sided regions after the network-pass barrier)
-                        let bytes = mr.take_data();
-                        decode_into(&bytes, &mut r_p);
-                    }
-                }
-            }
-        }
-        let expect: u64 = info.machine_hists.iter().map(|h| h.counts[REL_R][p]).sum();
-        assert_eq!(
-            r_p.len() as u64,
-            expect,
-            "partition {p} of R lost tuples in transit"
-        );
+        let p = owned[i];
+        let r_p = assemble_checked(st, &info, REL_R, p);
         // Encoding scatters every tuple into its bucket — the same work
         // profile as building the partition's hash tables.
         meter.charge_bytes(ctx, r_p.len() * T::SIZE, cfg.cluster.cost.build_rate);
@@ -166,9 +134,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
 
     if core == 0 {
         let needed: Vec<usize> = (0..np1)
-            .filter(|&p| {
-                info.machine_hists[mach].counts[REL_S][p] > 0 && info.assignment[p] != mach
-            })
+            .filter(|&p| info.machine_hists[mach].counts[REL_S][p] > 0 && !st.landing.owns(p))
             .collect();
         for group in needed.chunks(READ_DOORBELL) {
             let reads: Vec<(RemoteMr, usize, usize)> = group
@@ -187,7 +153,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
             for (&p, h) in group.iter().zip(handles) {
                 let bytes = h
                     .wait(ctx)
-                    .map_err(|e| JoinError::fabric(mach, PHASE_PROBE, e))?;
+                    .map_err(|e| JoinError::fabric(mach, phase::ONE_SIDED_PROBE, e))?;
                 meter.charge_bytes(ctx, bytes.len(), cost.memcpy_rate);
                 st.dir_cache
                     .lock()
@@ -196,7 +162,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
         }
         meter.flush(ctx);
     }
-    barrier_wait(&st.local_barrier, ctx, PHASE_PROBE)?;
+    barrier_wait(&st.local_barrier, ctx, phase::ONE_SIDED_PROBE)?;
 
     // Every core (no dedicated receiver on this dataplane) partitions its
     // slice of the local S chunk into per-partition probe groups.
@@ -214,7 +180,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
         if group.is_empty() {
             continue;
         }
-        if info.assignment[p] == mach {
+        if st.landing.owns(p) {
             // Owner-local probe: straight out of the region bytes we
             // published — no loopback READ.
             let bytes = Arc::clone(
@@ -266,7 +232,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
                 for ((span, ids), h) in chunk.iter().zip(handles) {
                     let bytes = h
                         .wait(ctx)
-                        .map_err(|e| JoinError::fabric(mach, PHASE_PROBE, e))?;
+                        .map_err(|e| JoinError::fabric(mach, phase::ONE_SIDED_PROBE, e))?;
                     meter.charge_bytes(ctx, bytes.len(), cost.memcpy_rate);
                     for &b in ids {
                         let r = dir.bucket_range(b);
@@ -356,7 +322,7 @@ fn fetch_bucket_retry<T: Tuple>(
         let bytes = nic
             .post_read(ctx, remote, range.start, range.len())
             .wait(ctx)
-            .map_err(|e| JoinError::fabric(mach, PHASE_PROBE, e))?;
+            .map_err(|e| JoinError::fabric(mach, phase::ONE_SIDED_PROBE, e))?;
         meter.charge_bytes(ctx, bytes.len(), memcpy_rate);
         match decode_bucket(&bytes) {
             Ok(entries) => return Ok(entries),
@@ -365,7 +331,7 @@ fn fetch_bucket_retry<T: Tuple>(
     }
     Err(JoinError::decode(
         mach,
-        PHASE_PROBE,
+        phase::ONE_SIDED_PROBE,
         TagError::payload("torn bucket snapshot: READ retries exhausted"),
     ))
 }

@@ -13,13 +13,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
-use rsj_joins::partition_of;
+use rsj_core::shuffle::Landing;
+use rsj_core::ReceiveMode;
 use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
-use rsj_workload::{decode_into, Relation, Tuple};
+use rsj_workload::{Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, WireTag, SEND_DEPTH};
+use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, SEND_DEPTH};
 
 /// Configuration of a distributed aggregation.
 #[derive(Clone, Debug)]
@@ -75,10 +76,7 @@ pub struct AggregationOutcome {
 
 struct MachState<T> {
     chunk: Vec<T>,
-    assignment: Mutex<Vec<usize>>,
-    local_out: Vec<Mutex<Vec<Vec<T>>>>,
-    staging: Mutex<Vec<Vec<u8>>>,
-    owned: Mutex<Vec<usize>>,
+    landing: Landing<T>,
     next_task: AtomicUsize,
     result: Mutex<AggregateResult>,
 }
@@ -167,12 +165,7 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
             (0..m)
                 .map(|i| MachState {
                     chunk: s.chunk(i).to_vec(),
-                    assignment: Mutex::new(Vec::new()),
-                    local_out: (0..workers)
-                        .map(|_| Mutex::new((0..np).map(|_| Vec::new()).collect()))
-                        .collect(),
-                    staging: Mutex::new((0..np).map(|_| Vec::new()).collect()),
-                    owned: Mutex::new(Vec::new()),
+                    landing: Landing::new(i, self.cfg.radix_bits, workers, ReceiveMode::TwoSided),
                     next_task: AtomicUsize::new(0),
                     result: Mutex::new(AggregateResult::default()),
                 })
@@ -248,61 +241,35 @@ fn worker<T: Tuple>(
         meter.flush(ctx);
     }
     if core == 0 {
-        let assignment: Vec<usize> = (0..np).map(|p| p % m).collect();
-        *st.owned.lock() = (0..np).filter(|&p| assignment[p] == mach).collect();
-        *st.assignment.lock() = assignment;
+        st.landing.assign((0..np).map(|p| p % m).collect());
     }
     rt.try_sync_named(ctx, phase::HISTOGRAM, mach)?;
 
     // ---- Phase 2: network partitioning pass on the group key.
     let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
     if core == 0 {
-        ex.recv_stream(ctx, &mut meter, workers, |meter, tag, payload| match tag {
-            WireTag::Data { part, .. } if part < np => {
-                meter.charge_bytes(ctx, payload.len(), cost.memcpy_rate);
-                st.staging.lock()[part].extend_from_slice(&payload);
-                true
-            }
-            _ => false,
+        st.landing.receive(ctx, &mut meter, &ex, |meter, len| {
+            meter.charge_bytes(ctx, len, cost.memcpy_rate)
         })?;
     } else {
-        let w = core - 1;
-        let assignment = st.assignment.lock().clone();
         let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
-        let mut local: Vec<Vec<T>> = (0..np).map(|_| Vec::new()).collect();
-        let range = ranges(st.chunk.len(), workers)[w].clone();
-        for t in &st.chunk[range] {
-            meter.charge_bytes(ctx, T::SIZE, cost.partition_rate);
-            let part = partition_of(t.key(), 0, cfg.radix_bits);
-            let dst = assignment[part];
-            if dst == mach {
-                local[part].push(*t);
-            } else {
-                let tag = WireTag::Data { rel: REL_S, part };
-                scatter.push(ctx, &mut meter, dst, tag, |buf| t.write_to(buf))?;
-            }
-        }
+        let inputs = [(REL_S, &st.chunk[..])];
+        let rate = cost.partition_rate;
+        st.landing
+            .route(ctx, &mut meter, &mut scatter, core - 1, rate, &inputs)?;
         scatter.finish(ctx, &mut meter, true)?;
-        *st.local_out[w].lock() = local;
     }
     rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)?;
 
     // ---- Phase 3: local hash aggregation per owned partition.
-    let owned = st.owned.lock().clone();
+    let owned = st.landing.owned();
     let mut local = AggregateResult::default();
     loop {
         let i = st.next_task.fetch_add(1, Ordering::SeqCst);
         if i >= owned.len() {
             break;
         }
-        let p = owned[i];
-        let mut tuples: Vec<T> = Vec::new();
-        for w in 0..workers {
-            let mut guard = st.local_out[w].lock();
-            tuples.append(&mut guard[p]);
-        }
-        let bytes = std::mem::take(&mut st.staging.lock()[p]);
-        decode_into(&bytes, &mut tuples);
+        let tuples = st.landing.assemble(REL_S, owned[i]);
         // Group: key → (count, rid sum).
         let mut groups: HashMap<u64, (u64, u64)> = HashMap::new();
         for t in &tuples {

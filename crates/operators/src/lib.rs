@@ -18,7 +18,8 @@
 //! results against generator oracles, and report the same [`PhaseTimes`]
 //! breakdown as the main join. They share the join's promoted phase
 //! runtime and wire codec ([`rsj_cluster::Runtime`],
-//! [`rsj_cluster::WireTag`]) rather than carrying private copies.
+//! [`rsj_cluster::WireTag`]), and sort-merge and aggregation its shuffle
+//! ([`rsj_core::shuffle`]), rather than carrying private copies.
 //!
 //! The radix hash join itself lives in [`rsj_core`]; this crate re-exports
 //! its entry points and the [`Transport`] dataplane switch so a user

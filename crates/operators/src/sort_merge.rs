@@ -5,8 +5,9 @@
 //! to create distributed versions of many database operators like
 //! sort-merge joins or aggregation."*
 //!
-//! Structure: the histogram and network partitioning phases are identical
-//! in shape to the hash join's (partition on low radix bits, pooled
+//! Structure: the histogram phase is identical in shape to the hash
+//! join's, and the network partitioning phase is the hash join's own
+//! shuffle ([`rsj_core::shuffle`]: partition on low radix bits, pooled
 //! double-buffered sends, one receiver core); the local phase then *sorts*
 //! each assigned partition of both relations and merge-joins them, instead
 //! of refining and hashing. Comparing the two operators on the same
@@ -17,10 +18,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
+use rsj_core::shuffle::Landing;
+use rsj_core::ReceiveMode;
 use rsj_joins::{merge_join, partition_of, sort_by_key};
 use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
-use rsj_workload::{decode_into, JoinResult, Relation, Tuple};
+use rsj_workload::{JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::{REL_R, REL_S};
 use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, WireTag, SEND_DEPTH};
@@ -68,12 +71,10 @@ struct MachState<T> {
     r_chunk: Vec<T>,
     s_chunk: Vec<T>,
     hist: Mutex<Vec<[u64; 2]>>,
-    assignment: Mutex<Vec<usize>>,
-    /// (worker, rel, partition) → locally produced tuples.
-    local_out: Vec<Mutex<[Vec<Vec<T>>; 2]>>,
-    staging: [Mutex<Vec<Vec<u8>>>; 2],
+    landing: Landing<T>,
+    /// Partition → its sorted `[R, S]`, from the sort to the merge phase.
+    sorted: Mutex<Vec<[Vec<T>; 2]>>,
     next_task: AtomicUsize,
-    owned: Mutex<Vec<usize>>,
     result: Mutex<JoinResult>,
 }
 
@@ -173,21 +174,9 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
                     r_chunk: r.chunk(i).to_vec(),
                     s_chunk: s.chunk(i).to_vec(),
                     hist: Mutex::new(vec![[0; 2]; np]),
-                    assignment: Mutex::new(Vec::new()),
-                    local_out: (0..workers)
-                        .map(|_| {
-                            Mutex::new([
-                                (0..np).map(|_| Vec::new()).collect(),
-                                (0..np).map(|_| Vec::new()).collect(),
-                            ])
-                        })
-                        .collect(),
-                    staging: [
-                        Mutex::new((0..np).map(|_| Vec::new()).collect()),
-                        Mutex::new((0..np).map(|_| Vec::new()).collect()),
-                    ],
+                    landing: Landing::new(i, self.cfg.radix_bits, workers, ReceiveMode::TwoSided),
+                    sorted: Mutex::new(vec![[Vec::new(), Vec::new()]; np]),
                     next_task: AtomicUsize::new(0),
-                    owned: Mutex::new(Vec::new()),
                     result: Mutex::new(JoinResult::default()),
                 })
                 .collect(),
@@ -231,7 +220,6 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker<T: Tuple>(
     ctx: &SimCtx,
     rt: &Runtime,
@@ -283,78 +271,41 @@ fn worker<T: Tuple>(
             .collect();
         let ex = Exchange::new(&rt.fabric, mach, phase::HISTOGRAM);
         ex.all_to_all(ctx, WireTag::Histogram, ex.peers(), &encoded, |_, _| {})?;
-        let assignment: Vec<usize> = (0..np).map(|p| p % m).collect();
-        *st.owned.lock() = (0..np).filter(|&p| assignment[p] == mach).collect();
-        *st.assignment.lock() = assignment;
+        st.landing.assign((0..np).map(|p| p % m).collect());
     }
     rt.try_sync_named(ctx, phase::HISTOGRAM, mach)?;
 
     // ---- Phase 2: network partitioning pass.
     let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
     if core == 0 {
-        // Receiver: one EOS from every remote partitioning worker.
-        ex.recv_stream(ctx, &mut meter, workers, |meter, tag, payload| match tag {
-            WireTag::Data { rel, part } if part < np => {
-                meter.charge_bytes(ctx, payload.len(), cost.memcpy_rate);
-                st.staging[rel].lock()[part].extend_from_slice(&payload);
-                true
-            }
-            _ => false,
+        st.landing.receive(ctx, &mut meter, &ex, |meter, len| {
+            meter.charge_bytes(ctx, len, cost.memcpy_rate)
         })?;
     } else {
-        let w = core - 1;
-        let assignment = st.assignment.lock().clone();
         let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
-        let mut local: [Vec<Vec<T>>; 2] = [
-            (0..np).map(|_| Vec::new()).collect(),
-            (0..np).map(|_| Vec::new()).collect(),
-        ];
-        for (rel, chunk) in [(REL_R, &st.r_chunk), (REL_S, &st.s_chunk)] {
-            let range = ranges(chunk.len(), workers)[w].clone();
-            for t in &chunk[range] {
-                meter.charge_bytes(ctx, T::SIZE, cost.partition_rate);
-                let part = partition_of(t.key(), 0, cfg.radix_bits);
-                let dst = assignment[part];
-                if dst == mach {
-                    local[rel][part].push(*t);
-                } else {
-                    let tag = WireTag::Data { rel, part };
-                    scatter.push(ctx, &mut meter, dst, tag, |buf| t.write_to(buf))?;
-                }
-            }
-        }
-        // Flush partials, drain, EOS.
+        let inputs = [(REL_R, &st.r_chunk[..]), (REL_S, &st.s_chunk[..])];
+        let rate = cost.partition_rate;
+        st.landing
+            .route(ctx, &mut meter, &mut scatter, core - 1, rate, &inputs)?;
         scatter.finish(ctx, &mut meter, true)?;
-        *st.local_out[w].lock() = local;
     }
     rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)?;
 
     // ---- Phase 3: sort every assigned partition of both relations.
-    // Tasks via atomic counter; sorted outputs parked back into staging
-    // (as typed vectors in local_out[0] of the owning worker slot — reuse
-    // a dedicated store instead: stash in `sorted`).
-    let owned = st.owned.lock().clone();
+    let owned = st.landing.owned();
     loop {
         let i = st.next_task.fetch_add(1, Ordering::SeqCst);
         if i >= owned.len() {
             break;
         }
         let p = owned[i];
-        let mut parts: [Vec<T>; 2] = [Vec::new(), Vec::new()];
-        for rel in [REL_R, REL_S] {
-            for w in 0..workers {
-                let mut guard = st.local_out[w].lock();
-                parts[rel].append(&mut guard[rel][p]);
-            }
-            let bytes = std::mem::take(&mut st.staging[rel].lock()[p]);
-            decode_into(&bytes, &mut parts[rel]);
-            sort_by_key(&mut parts[rel]);
-            meter.charge_bytes(ctx, parts[rel].len() * T::SIZE, cost.sort_rate);
-        }
-        // Stash the sorted partition for the merge phase.
-        let [r_p, s_p] = parts;
-        st.local_out[0].lock()[REL_R][p] = r_p;
-        st.local_out[0].lock()[REL_S][p] = s_p;
+        let parts = [REL_R, REL_S].map(|rel| {
+            let mut tuples = st.landing.assemble(rel, p);
+            sort_by_key(&mut tuples);
+            meter.charge_bytes(ctx, tuples.len() * T::SIZE, cost.sort_rate);
+            tuples
+        });
+        st.sorted.lock()[p] = parts;
         meter.flush(ctx);
     }
     meter.flush(ctx);
@@ -369,14 +320,7 @@ fn worker<T: Tuple>(
         if i >= owned.len() {
             break;
         }
-        let p = owned[i];
-        let (r_p, s_p) = {
-            let mut guard = st.local_out[0].lock();
-            (
-                std::mem::take(&mut guard[REL_R][p]),
-                std::mem::take(&mut guard[REL_S][p]),
-            )
-        };
+        let [r_p, s_p] = std::mem::take(&mut st.sorted.lock()[owned[i]]);
         local.merge(merge_join(&r_p, &s_p));
         meter.charge_bytes(ctx, (r_p.len() + s_p.len()) * T::SIZE, cost.merge_rate);
         meter.flush(ctx);
