@@ -48,8 +48,8 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 git checkout HEAD -- benchmark/Cargo.lock
 git diff --exit-code HEAD -- benchmark BENCHMARK.json
 # Every crate's tests, not just the root facade's (the root manifest has no
-# default-members). Debug-profile tests run with the verbs-contract
-# validator in Panic mode, so any RDMA protocol misuse aborts the suite.
+# default-members). A verbs-contract violation panics in every build, so
+# any RDMA protocol misuse fails the suite.
 cargo test -q --workspace
 # One build configuration: no cargo features, no environment switches in
 # the product crates, so the tested artefact is the measured one.
@@ -79,16 +79,42 @@ cargo run --release -q -p rsj-bench --bin experiments -- \
 cargo run --release -q -p rsj-bench --bin experiments -- \
     all --subset fig3,fig5b,hardware,optimal --jobs 2 > target/sweep_smoke_parallel.txt
 cmp target/sweep_smoke_serial.txt target/sweep_smoke_parallel.txt
+# ... and every `====`-bannered section it printed must appear verbatim in
+# the committed full sweep, so a change that moves virtual time shows up
+# here, not only when someone regenerates experiments_all.txt.
+awk 'NR == FNR { all = all $0 "\n"; next }
+     function check(  at) {
+         sub(/\n+$/, "\n", sec)
+         at = index(all, sec)
+         if (sec != "" && (at == 0 || substr(all, at + length(sec)) !~ /^\n*(====|$)/)) {
+             split(sec, line, "\n")
+             print "ci.sh: sweep section \"" line[2] "\" differs from experiments_all.txt"
+             bad = 1
+         }
+         sec = ""
+     }
+     /^====/ && prev == "" { check() }
+     /^====/ && prev == "" || sec != "" { sec = sec $0 "\n" }
+     { prev = $0 }
+     END { check(); exit bad }' experiments_all.txt target/sweep_smoke_serial.txt
 # Seeded chaos sweep: every operator under a deterministic fault schedule
 # must complete byte-correct or abort with a structured error, and replay
 # identically. The watchdog timeout turns any hang into a hard CI failure.
-timeout 600 cargo run --release -q -p rsj-bench --bin chaos -- --seeds 6
+# Its stdout is pinned by golden/ (regenerate a golden only with a change
+# that means to move virtual time, and say so).
+timeout 600 cargo run --release -q -p rsj-bench --bin chaos -- --seeds 6 \
+    > target/chaos_seeds6.txt
+cmp target/chaos_seeds6.txt golden/chaos_seeds6.txt
 # Query-service smoke: a short mixed-operator batch through the admission
 # queue and shared fabric, every result verified against its generator
 # oracle. Same watchdog rule — a wedged schedule must fail, not stall.
-timeout 300 cargo run --release -q -p rsj-bench --bin service -- --short
+timeout 300 cargo run --release -q -p rsj-bench --bin service -- --short \
+    > target/service_short.txt
+cmp target/service_short.txt golden/service_short.txt
 # Self-healing soak (DESIGN.md §13): a seeded crash/recovery batch through
 # the healing service — every query must end Completed (byte-correct) or
 # typed Rejected, at least one query must heal, and the report must replay
 # byte-identically. The watchdog turns a hung query into a CI failure.
-timeout 300 cargo run --release -q -p rsj-bench --bin chaos -- --soak --short
+timeout 300 cargo run --release -q -p rsj-bench --bin chaos -- --soak --short \
+    > target/chaos_soak_short.txt
+cmp target/chaos_soak_short.txt golden/chaos_soak_short.txt

@@ -589,7 +589,7 @@ pub fn wide_tuples(scale: Scale) {
         let (s, oracle) = generate_outer::<T>(n, n, machines, Skew::None, 22);
         let mut cfg = DistJoinConfig::new(ClusterSpec::qdr_cluster(machines));
         cfg = scale.scale_config(cfg, 2 * millions * (T::SIZE as u64 / 16));
-        let out = rsj_core::run_distributed_join(cfg, r, s);
+        let out = rsj_core::try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         scale.paper_seconds(out.phases.total())
     }
@@ -768,7 +768,8 @@ pub fn operators(scale: Scale) {
         ),
     );
     sm_cfg.cluster.cost.nic = scale.scale_nic(sm_cfg.cluster.cost.nic);
-    let sm = rsj_operators::run_sort_merge_join(sm_cfg, w.r, w.s);
+    let sm =
+        rsj_operators::try_run_sort_merge_join(sm_cfg, w.r, w.s).expect("sort-merge join aborted");
     w.oracle.verify(&sm.result);
     let [h, n, l, b, total] = scale.paper_phases(&sm.phases);
     t.row(vec![
@@ -793,7 +794,7 @@ pub fn operators(scale: Scale) {
         ),
     );
     cy_cfg.cluster.cost.nic = scale.scale_nic(cy_cfg.cluster.cost.nic);
-    let cyclo = rsj_operators::run_cyclo_join(cy_cfg, w.r, w.s);
+    let cyclo = rsj_operators::try_run_cyclo_join(cy_cfg, w.r, w.s).expect("cyclo-join aborted");
     w.oracle.verify(&cyclo.result);
     let [h, n, l, b, total] = scale.paper_phases(&cyclo.phases);
     t.row(vec![

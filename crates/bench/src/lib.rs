@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rsj_cluster::{ClusterSpec, PhaseTimes};
-use rsj_core::{run_distributed_join, DistJoinConfig, DistJoinOutcome};
+use rsj_core::{try_run_distributed_join, DistJoinConfig, DistJoinOutcome};
 use rsj_rdma::{Fabric, FabricConfig, HostId, NicCosts};
 use rsj_sim::Simulation;
 use rsj_workload::{generate_inner, generate_outer, ExpectedResult, Relation, Skew, Tuple16};
@@ -166,7 +166,7 @@ pub fn run_scaled_join(
     tweak(&mut cfg);
     let cfg = scale.scale_config(cfg, r_millions + s_millions);
     let w = workload(scale, r_millions, s_millions, machines, skew);
-    let out = run_distributed_join(cfg, w.r, w.s);
+    let out = try_run_distributed_join(cfg, w.r, w.s).expect("distributed join aborted");
     w.oracle.verify(&out.result);
     out
 }

@@ -12,14 +12,8 @@ use rsj_core::{DistJoinConfig, DistJoinJob};
 use rsj_operators::{
     AggregationConfig, AggregationJob, CycloJoinConfig, CycloJoinJob, SortMergeConfig, SortMergeJob,
 };
+use rsj_rdma::splitmix64;
 use rsj_workload::{generate_inner, generate_outer, ExpectedResult, Skew, Tuple16};
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One query's job handle plus its expected answer, checked after the
 /// batch drains.

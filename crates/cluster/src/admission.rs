@@ -16,8 +16,8 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use rsj_rdma::{Fabric, HostId, PoolArena, QueryId};
-use rsj_sim::{SimChannel, SimCtx, SimTime};
+use rsj_rdma::{capped_backoff, Fabric, HostId, PoolArena, QueryId};
+use rsj_sim::{SimChannel, SimCtx, SimDuration, SimTime};
 
 use crate::error::JoinError;
 use crate::phase;
@@ -25,6 +25,12 @@ use crate::phases::PhaseTimes;
 use crate::report::SlotFacts;
 use crate::runtime::Runtime;
 use crate::service::{JoinRequest, RejectReason, ServiceConfig, RETRY_STRIDE};
+
+/// Virtual-time backoff before the first re-admission of a crash-aborted
+/// query; doubles on each further retry of the same query.
+const REQUEUE_BACKOFF_BASE: SimDuration = SimDuration::from_micros(200);
+/// Ceiling on a single re-admission backoff.
+const REQUEUE_BACKOFF_MAX: SimDuration = SimDuration::from_millis(5);
 
 /// Control messages the admission task blocks on, each naming its slot.
 enum Ctl {
@@ -246,7 +252,7 @@ impl Admission {
             let reason = RejectReason::RetryBudgetExhausted { attempts };
             return self.retire(slot, completed, Err(err), Some(reason));
         }
-        let wake = ctx.now() + self.cfg.healing.backoff(attempts);
+        let wake = ctx.now() + capped_backoff(REQUEUE_BACKOFF_BASE, REQUEUE_BACKOFF_MAX, attempts);
         let ctl = Arc::clone(&self.ctl);
         ctx.spawn(format!("q{base}-backoff-{attempts}"), move |ctx| {
             ctx.sleep_until(wake);

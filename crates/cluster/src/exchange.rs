@@ -233,7 +233,7 @@ where
         let lane = self.lanes[i].get_or_insert_with(|| Lane {
             dst,
             tag,
-            window: SendWindow::validated(SEND_DEPTH, Arc::clone(ex.nic.validator())),
+            window: SendWindow::new(SEND_DEPTH, Arc::clone(ex.nic.validator())),
             buf: pool.take(ctx),
             taken: 1,
         });

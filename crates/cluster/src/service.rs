@@ -20,8 +20,8 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rsj_rdma::{DetectorConfig, Fabric, FabricConfig, FaultPlan, HostId, NicCosts};
-use rsj_sim::{SimDuration, Simulation};
+use rsj_rdma::{Fabric, FabricConfig, FaultPlan, HostId, NicCosts};
+use rsj_sim::Simulation;
 
 use crate::admission::Admission;
 use crate::query::QueryJob;
@@ -93,34 +93,26 @@ impl ServiceConfig {
     }
 }
 
-/// Self-healing policy for a [`QueryService`] run (DESIGN.md §13).
+/// Self-healing policy for a [`QueryService`] run (DESIGN.md §13): a
+/// switch and a retry budget. The detector's lease and heartbeat and the
+/// re-admission backoff are constants of the fabric and of admission.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HealingConfig {
     /// Arm the failure detector and the retry machinery. When `false`
     /// (the default) no host is ever fenced, a crash-aborted query stays
-    /// aborted, and the rest of this struct is ignored.
+    /// aborted, and `max_attempts` is ignored.
     pub enabled: bool,
-    /// Lease/heartbeat parameters of the fabric's failure detector.
-    pub detector: DetectorConfig,
     /// Total admissions one query may consume: the first run plus up to
     /// `max_attempts - 1` re-executions. Exhausting the budget yields a
     /// typed [`RejectReason::RetryBudgetExhausted`].
     pub max_attempts: u32,
-    /// Virtual-time backoff before the first re-admission; doubles on
-    /// each further retry of the same query.
-    pub backoff_base: SimDuration,
-    /// Ceiling on a single backoff interval.
-    pub backoff_max: SimDuration,
 }
 
 impl Default for HealingConfig {
     fn default() -> Self {
         HealingConfig {
             enabled: false,
-            detector: DetectorConfig::default(),
             max_attempts: 3,
-            backoff_base: SimDuration::from_micros(200),
-            backoff_max: SimDuration::from_millis(5),
         }
     }
 }
@@ -132,18 +124,6 @@ impl HealingConfig {
             enabled: true,
             ..HealingConfig::default()
         }
-    }
-
-    /// Backoff before re-admission number `retry` (1-based): base
-    /// doubled per retry, capped at `backoff_max`.
-    pub(crate) fn backoff(&self, retry: u32) -> SimDuration {
-        let shift = retry.saturating_sub(1).min(20);
-        let ns = self
-            .backoff_base
-            .as_nanos()
-            .saturating_mul(1u64 << shift)
-            .min(self.backoff_max.as_nanos());
-        SimDuration::from_nanos(ns)
     }
 }
 
@@ -216,7 +196,7 @@ impl QueryService {
         let sim = Simulation::new();
         fabric.launch(&sim);
         if cfg.healing.enabled {
-            fabric.arm_failure_detector(&sim, cfg.healing.detector);
+            fabric.arm_failure_detector(&sim);
         }
         // The one cell that carries anything out of the simulation: every
         // slot's recorded facts and the instant the last query retired.
@@ -227,8 +207,8 @@ impl QueryService {
         });
         sim.run();
 
-        // Per-query state was audited at each retirement; what remains is
-        // rack-level residue (crash context and the like).
+        // Each query was audited as it retired; this audits whatever is
+        // still tracked, by the same rule.
         fabric.validator().check_teardown();
 
         let (facts, end) = drained
@@ -248,10 +228,7 @@ fn host_liveness(cfg: &ServiceConfig, fabric: &Fabric) -> Vec<HostReport> {
     (0..cfg.hosts)
         .map(|h| {
             let host = HostId(h);
-            let crashed_at = cfg
-                .fault_plan
-                .as_ref()
-                .and_then(|p| p.crashes.iter().find(|c| c.host == host).map(|c| c.at));
+            let crashed_at = cfg.fault_plan.as_ref().and_then(|p| p.crash_at(host));
             let detected_at = fabric.detected_at(host);
             HostReport {
                 host,
@@ -273,14 +250,16 @@ mod tests {
     use crate::phase;
     use crate::query::run_direct;
     use crate::runtime::{ClusterRun, Runtime};
-    use rsj_rdma::QueryId;
-    use rsj_sim::{SimCtx, SimTime};
+    use rsj_rdma::{BufferPool, QueryId, Validator, Violation};
+    use rsj_sim::{SimCtx, SimDuration, SimTime};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Toy query: a ring exchange over `machines` one-core machines.
     /// Every machine ships `bytes` to its right neighbour, receives from
-    /// the left, and meets at a named barrier. `fail_on` makes that
-    /// machine's worker error out instead, aborting the query.
+    /// the left, and meets at a named barrier. The send is drawn from the
+    /// machine's pool and returned once the exchange is through, so a
+    /// worker that fails mid-exchange leaves its buffer taken. `fail_on`
+    /// makes that machine's worker error out instead, aborting the query.
     struct RingJob {
         machines: usize,
         cores: usize,
@@ -291,6 +270,10 @@ mod tests {
         /// The physical host behind each logical machine of the most
         /// recent attempt.
         placed: Mutex<Vec<HostId>>,
+        /// Each machine's send-buffer pool, of the most recent attempt.
+        pools: Mutex<Vec<Arc<BufferPool>>>,
+        /// The fabric's validator, to read the teardown audits' notes.
+        validator: Mutex<Option<Arc<Validator>>>,
     }
 
     impl RingJob {
@@ -303,6 +286,8 @@ mod tests {
                 rx_bytes: AtomicU64::new(0),
                 finished: AtomicU64::new(0),
                 placed: Mutex::new(Vec::new()),
+                pools: Mutex::new(Vec::new()),
+                validator: Mutex::new(None),
             })
         }
     }
@@ -320,6 +305,10 @@ mod tests {
             *self.placed.lock() = (0..self.machines)
                 .map(|m| rt.fabric.nic(HostId(m)).host())
                 .collect();
+            *self.pools.lock() = (0..self.machines)
+                .map(|m| rt.make_pool(m, 1, self.bytes))
+                .collect();
+            *self.validator.lock() = Some(Arc::clone(rt.fabric.validator()));
         }
 
         fn run_worker(
@@ -334,6 +323,8 @@ mod tests {
             }
             let nic = rt.fabric.nic(HostId(mach));
             let dst = HostId((mach + 1) % self.machines);
+            let pool = Arc::clone(&self.pools.lock()[mach]);
+            let buf = pool.take(ctx);
             let ev = nic.post_send(ctx, dst, 7, vec![0u8; self.bytes]);
             let c = nic
                 .recv(ctx)
@@ -344,6 +335,7 @@ mod tests {
             nic.repost_recv(ctx);
             ev.wait(ctx)
                 .map_err(|e| JoinError::fabric(mach, phase::NETWORK_PARTITION, e))?;
+            pool.put(buf);
             rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)?;
             Ok(())
         }
@@ -868,6 +860,50 @@ mod tests {
             assert_eq!(ha.detected_at, hb.detected_at);
             assert_eq!(ha.queries_recovered, hb.queries_recovered);
         }
+    }
+
+    /// The per-query teardown audit applies the one residue rule: what
+    /// the crashed host was left holding is one `HostCrashed` note, what
+    /// its aborted peer dropped is fault fallout, and a query on
+    /// untouched hosts leaves nothing.
+    #[test]
+    fn crash_residue_is_one_note_naming_the_crashed_host() {
+        // Healing off, so the crash-aborted query retires once. Host 1
+        // crashes at 5 µs, mid way through a 64 KiB exchange that holds
+        // each machine's pool buffer.
+        let mut cfg = healing_cfg(4, 1, 5);
+        cfg.healing = HealingConfig::default();
+        let (hit, spared) = (
+            RingJob::new(2, 64 << 10, None),
+            RingJob::new(2, 64 << 10, None),
+        );
+        let request = |label: &str, hosts: [usize; 2], job: &Arc<RingJob>| JoinRequest {
+            label: label.into(),
+            id: None,
+            placement: Some(hosts.map(HostId).to_vec()),
+            job: Arc::clone(job) as Arc<dyn QueryJob>,
+        };
+        let report = QueryService::run(
+            &cfg,
+            vec![
+                request("hit", [0, 1], &hit),
+                request("spared", [2, 3], &spared),
+            ],
+        );
+        assert!(report.queries[0].result.is_err());
+        assert!(report.queries[1].result.is_ok());
+        let vs = hit.validator.lock().take().expect("attached").violations();
+        assert!(
+            matches!(
+                vs[..],
+                [Violation::HostCrashed {
+                    host: HostId(1),
+                    leaked_buffers: 1,
+                    ..
+                }]
+            ),
+            "expected one note naming host 1, got {vs:?}"
+        );
     }
 
     #[test]

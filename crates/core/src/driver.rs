@@ -203,24 +203,11 @@ impl<T: Tuple> QueryJob for DistJoinJob<T> {
 /// cluster (chunk `m` of each relation resides on machine `m`). Returns
 /// the verified result, the per-phase breakdown and per-machine stats.
 ///
-/// # Panics
-/// Panics if the run aborts — which cannot happen without a
-/// [`DistJoinConfig::fault_plan`]; use [`try_run_distributed_join`] for
-/// fault-injected runs.
-pub fn run_distributed_join<T: Tuple>(
-    cfg: DistJoinConfig,
-    r: Relation<T>,
-    s: Relation<T>,
-) -> DistJoinOutcome {
-    try_run_distributed_join(cfg, r, s).unwrap_or_else(|e| panic!("distributed join failed: {e}"))
-}
-
-/// Fallible variant of [`run_distributed_join`]: with a
-/// [`DistJoinConfig::fault_plan`] installed, the join either completes
-/// byte-correct despite transient faults or returns the structured
-/// [`JoinError`] naming the machine and phase that failed — never hangs
-/// (the runtime watchdog converts a stuck cluster into
-/// [`JoinError::BarrierTimeout`]).
+/// Without a [`DistJoinConfig::fault_plan`] the run cannot abort. With
+/// one installed, the join either completes byte-correct despite
+/// transient faults or returns the structured [`JoinError`] naming the
+/// machine and phase that failed — never hangs (the runtime watchdog
+/// converts a stuck cluster into [`JoinError::BarrierTimeout`]).
 pub fn try_run_distributed_join<T: Tuple>(
     cfg: DistJoinConfig,
     r: Relation<T>,

@@ -11,7 +11,7 @@
 //!
 //! ```
 //! use rsj_cluster::ClusterSpec;
-//! use rsj_core::{run_distributed_join, DistJoinConfig};
+//! use rsj_core::{try_run_distributed_join, DistJoinConfig};
 //! use rsj_workload::{generate_inner, generate_outer, Skew, Tuple16};
 //!
 //! let machines = 2;
@@ -21,7 +21,7 @@
 //!
 //! let r = generate_inner::<Tuple16>(10_000, machines, 1);
 //! let (s, oracle) = generate_outer::<Tuple16>(20_000, 10_000, machines, Skew::None, 2);
-//! let out = run_distributed_join(cfg, r, s);
+//! let out = try_run_distributed_join(cfg, r, s).expect("no fault plan, no abort");
 //! oracle.verify(&out.result);
 //! println!("join took {} (virtual)", out.phases.total());
 //! ```
@@ -35,8 +35,6 @@ pub mod shuffle;
 pub use config::{
     AssignmentPolicy, DistJoinConfig, MaterializeMode, ReceiveMode, Transport, TransportMode,
 };
-pub use driver::{
-    run_distributed_join, try_run_distributed_join, DistJoinJob, DistJoinOutcome, MachineReport,
-};
+pub use driver::{try_run_distributed_join, DistJoinJob, DistJoinOutcome, MachineReport};
 pub use histogram::{assign_partitions, Histogram, REL_R, REL_S};
 pub use rsj_cluster::JoinError;

@@ -9,9 +9,7 @@
 
 use proptest::prelude::*;
 use rsj_cluster::ClusterSpec;
-use rsj_core::{
-    run_distributed_join, try_run_distributed_join, DistJoinConfig, DistJoinOutcome, JoinError,
-};
+use rsj_core::{try_run_distributed_join, DistJoinConfig, DistJoinOutcome, JoinError};
 use rsj_rdma::FaultPlan;
 use rsj_workload::{generate_inner, generate_outer, ExpectedResult, Relation, Skew, Tuple16};
 
@@ -101,7 +99,7 @@ proptest! {
 #[test]
 fn fault_free_plan_is_byte_identical_to_no_plan() {
     let (r, s, oracle) = workload();
-    let bare = run_distributed_join(config(None), r, s);
+    let bare = try_run_distributed_join(config(None), r, s).expect("distributed join aborted");
     oracle.verify(&bare.result);
     let (r, s, _) = workload();
     let armed = try_run_distributed_join(config(Some(FaultPlan::fault_free())), r, s)

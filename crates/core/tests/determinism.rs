@@ -4,7 +4,7 @@
 //! phase durations must account for the whole run.
 
 use rsj_cluster::ClusterSpec;
-use rsj_core::{run_distributed_join, DistJoinConfig, DistJoinOutcome};
+use rsj_core::{try_run_distributed_join, DistJoinConfig, DistJoinOutcome};
 use rsj_workload::{generate_inner, generate_outer, Skew, Tuple16};
 
 fn two_machine_join() -> DistJoinOutcome {
@@ -15,7 +15,7 @@ fn two_machine_join() -> DistJoinOutcome {
     cfg.cluster.cores_per_machine = 3;
     cfg.radix_bits = (4, 3);
     cfg.rdma_buf_size = 1024;
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     out
 }

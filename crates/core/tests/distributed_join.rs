@@ -4,7 +4,7 @@
 
 use rsj_cluster::ClusterSpec;
 use rsj_core::{
-    run_distributed_join, AssignmentPolicy, DistJoinConfig, ReceiveMode, TransportMode,
+    try_run_distributed_join, AssignmentPolicy, DistJoinConfig, ReceiveMode, TransportMode,
 };
 use rsj_workload::{
     generate_inner, generate_outer, JoinResult, Relation, Skew, Tuple, Tuple16, Tuple32, Tuple64,
@@ -40,7 +40,7 @@ fn workload(
 #[test]
 fn two_sided_interleaved_produces_verified_result() {
     let (r, s, oracle) = workload(3, 6_000, 18_000, Skew::None);
-    let out = run_distributed_join(small_cfg(3, 3), r, s);
+    let out = try_run_distributed_join(small_cfg(3, 3), r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     assert!(out.phases.total().as_nanos() > 0);
     // Data actually crossed the simulated wire.
@@ -55,8 +55,8 @@ fn non_interleaved_is_slower_in_network_pass() {
     let mut nil = small_cfg(3, 3);
     nil.transport = TransportMode::RdmaNonInterleaved;
     let (r2, s2, _) = workload(3, 20_000, 20_000, Skew::None);
-    let out_il = run_distributed_join(il, r, s);
-    let out_nil = run_distributed_join(nil, r2, s2);
+    let out_il = try_run_distributed_join(il, r, s).expect("distributed join aborted");
+    let out_nil = try_run_distributed_join(nil, r2, s2).expect("distributed join aborted");
     assert_eq!(out_il.result, out_nil.result);
     assert!(
         out_nil.phases.network_partition > out_il.phases.network_partition,
@@ -74,10 +74,11 @@ fn tcp_is_slowest_in_network_pass() {
     let mut tcp = small_cfg(3, 3);
     tcp.transport = TransportMode::Tcp;
     tcp.cluster.interconnect = rsj_cluster::Interconnect::IpoIb;
-    let out_tcp = run_distributed_join(tcp, r, s);
+    let out_tcp = try_run_distributed_join(tcp, r, s).expect("distributed join aborted");
     oracle.verify(&out_tcp.result);
     let (r2, s2, _) = workload(3, 20_000, 20_000, Skew::None);
-    let out_rdma = run_distributed_join(small_cfg(3, 3), r2, s2);
+    let out_rdma =
+        try_run_distributed_join(small_cfg(3, 3), r2, s2).expect("distributed join aborted");
     assert!(
         out_tcp.phases.network_partition > out_rdma.phases.network_partition,
         "tcp {:?} vs rdma {:?}",
@@ -91,7 +92,7 @@ fn one_sided_receive_matches_two_sided() {
     let (r, s, oracle) = workload(3, 8_000, 16_000, Skew::None);
     let mut cfg = small_cfg(3, 3);
     cfg.receive = ReceiveMode::OneSided;
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     // One-sided pins per-partition regions: registered bytes must be
     // far larger than the two-sided variant's zero.
@@ -103,7 +104,7 @@ fn skewed_workload_with_dynamic_assignment() {
     let (r, s, oracle) = workload(4, 4_000, 40_000, Skew::Zipf(1.2));
     let mut cfg = small_cfg(4, 3);
     cfg.assignment = AssignmentPolicy::SortedDynamic;
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
 }
 
@@ -113,7 +114,7 @@ fn skew_increases_execution_time() {
         let (r, s, _) = workload(4, 4_000, 60_000, skew);
         let mut cfg = small_cfg(4, 3);
         cfg.assignment = AssignmentPolicy::SortedDynamic;
-        run_distributed_join(cfg, r, s)
+        try_run_distributed_join(cfg, r, s).expect("distributed join aborted")
     };
     let uniform = mk(Skew::None);
     let heavy = mk(Skew::Zipf(1.2));
@@ -129,7 +130,7 @@ fn skew_increases_execution_time() {
 fn deterministic_across_runs() {
     let run = || {
         let (r, s, _) = workload(3, 5_000, 10_000, Skew::Zipf(1.05));
-        run_distributed_join(small_cfg(3, 3), r, s)
+        try_run_distributed_join(small_cfg(3, 3), r, s).expect("distributed join aborted")
     };
     let a = run();
     let b = run();
@@ -142,7 +143,7 @@ fn deterministic_across_runs() {
 fn virtual_time_is_linear_in_data_size() {
     let run = |n: u64| {
         let (r, s, _) = workload(2, n, n, Skew::None);
-        run_distributed_join(small_cfg(2, 3), r, s)
+        try_run_distributed_join(small_cfg(2, 3), r, s).expect("distributed join aborted")
     };
     let small = run(16_000);
     let large = run(32_000);
@@ -165,7 +166,7 @@ fn wide_tuples_same_bytes_same_time() {
         cfg.cluster.cores_per_machine = 3;
         cfg.radix_bits = (4, 3);
         cfg.rdma_buf_size = 1024;
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         (out.result, out.phases.total().as_secs_f64())
     }
@@ -183,14 +184,14 @@ fn wide_tuples_same_bytes_same_time() {
 #[test]
 fn no_on_the_fly_registrations_with_pooling() {
     let (r, s, _) = workload(3, 10_000, 10_000, Skew::None);
-    let out = run_distributed_join(small_cfg(3, 3), r, s);
+    let out = try_run_distributed_join(small_cfg(3, 3), r, s).expect("distributed join aborted");
     assert!(out.machines.iter().all(|m| m.fly_registrations == 0));
 }
 
 #[test]
 fn single_machine_cluster_degenerates_gracefully() {
     let (r, s, oracle) = workload(1, 4_000, 8_000, Skew::None);
-    let out = run_distributed_join(small_cfg(1, 3), r, s);
+    let out = try_run_distributed_join(small_cfg(1, 3), r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     // Nothing to send: all partitions are local.
     assert_eq!(out.machines[0].tx_bytes, 0);
@@ -199,7 +200,7 @@ fn single_machine_cluster_degenerates_gracefully() {
 #[test]
 fn cpu_accounting_is_plausible() {
     let (r, s, _) = workload(2, 30_000, 30_000, Skew::None);
-    let out = run_distributed_join(small_cfg(2, 3), r, s);
+    let out = try_run_distributed_join(small_cfg(2, 3), r, s).expect("distributed join aborted");
     let total = out.phases.total().as_secs_f64();
     for m in &out.machines {
         let util = m.cpu_busy_seconds / (3.0 * total);
@@ -215,7 +216,8 @@ fn small_to_large_ratios_all_verify() {
         let n_s = 16_000u64;
         let n_r = n_s / ratio;
         let (r, s, oracle) = workload(2, n_r, n_s, Skew::None);
-        let out = run_distributed_join(small_cfg(2, 3), r, s);
+        let out =
+            try_run_distributed_join(small_cfg(2, 3), r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
     }
 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rsj_cluster::ClusterSpec;
 use rsj_core::{
-    assign_partitions, run_distributed_join, AssignmentPolicy, DistJoinConfig, Histogram,
+    assign_partitions, try_run_distributed_join, AssignmentPolicy, DistJoinConfig, Histogram,
     ReceiveMode, REL_R, REL_S,
 };
 use rsj_workload::{
@@ -42,7 +42,7 @@ fn from_keys(keys: &[u64], machines: usize) -> Relation<Tuple16> {
 fn empty_relations() {
     let r = from_keys(&[], 2);
     let s = from_keys(&[], 2);
-    let out = run_distributed_join(cfg(2, 2, 3, 2), r, s);
+    let out = try_run_distributed_join(cfg(2, 2, 3, 2), r, s).expect("distributed join aborted");
     assert_eq!(out.result.matches, 0);
 }
 
@@ -50,7 +50,7 @@ fn empty_relations() {
 fn single_tuple_each_side() {
     let r = from_keys(&[42], 2);
     let s = from_keys(&[42], 2);
-    let out = run_distributed_join(cfg(2, 2, 3, 2), r, s);
+    let out = try_run_distributed_join(cfg(2, 2, 3, 2), r, s).expect("distributed join aborted");
     assert_eq!(out.result.matches, 1);
     assert_eq!(out.result.s_key_sum, 42);
 }
@@ -66,7 +66,7 @@ fn all_tuples_in_one_partition() {
         &r.iter_all().copied().collect::<Vec<_>>(),
         &s.iter_all().copied().collect::<Vec<_>>(),
     );
-    let out = run_distributed_join(cfg(4, 3, 3, 2), r, s);
+    let out = try_run_distributed_join(cfg(4, 3, 3, 2), r, s).expect("distributed join aborted");
     assert_eq!(out.result, expect);
 }
 
@@ -75,7 +75,7 @@ fn duplicate_heavy_key_cross_product() {
     // 50 copies of one key on each side: 2500 matches from one fragment.
     let r = from_keys(&vec![7u64; 50], 2);
     let s = from_keys(&vec![7u64; 50], 2);
-    let out = run_distributed_join(cfg(2, 3, 3, 2), r, s);
+    let out = try_run_distributed_join(cfg(2, 3, 3, 2), r, s).expect("distributed join aborted");
     assert_eq!(out.result.matches, 2500);
 }
 
@@ -90,7 +90,7 @@ fn keys_with_high_bits_set() {
         &r.iter_all().copied().collect::<Vec<_>>(),
         &s.iter_all().copied().collect::<Vec<_>>(),
     );
-    let out = run_distributed_join(cfg(3, 3, 4, 3), r, s);
+    let out = try_run_distributed_join(cfg(3, 3, 4, 3), r, s).expect("distributed join aborted");
     assert_eq!(out.result, expect);
 }
 
@@ -119,7 +119,8 @@ fn uneven_chunks_across_machines() {
         &r.iter_all().copied().collect::<Vec<_>>(),
         &s.iter_all().copied().collect::<Vec<_>>(),
     );
-    let out = run_distributed_join(cfg(machines, 3, 4, 2), r, s);
+    let out =
+        try_run_distributed_join(cfg(machines, 3, 4, 2), r, s).expect("distributed join aborted");
     assert_eq!(out.result, expect);
 }
 
@@ -132,7 +133,7 @@ fn one_sided_mode_with_empty_partitions() {
     let s = from_keys(&keys, 3);
     let mut c = cfg(3, 3, 4, 2);
     c.receive = ReceiveMode::OneSided;
-    let out = run_distributed_join(c, r, s);
+    let out = try_run_distributed_join(c, r, s).expect("distributed join aborted");
     assert_eq!(out.result.matches, 64);
 }
 
@@ -141,7 +142,7 @@ fn wide_radix_on_tiny_input() {
     // More partitions than tuples: most partitions empty everywhere.
     let r = from_keys(&[1, 2, 3], 2);
     let s = from_keys(&[2, 3, 4], 2);
-    let out = run_distributed_join(cfg(2, 2, 8, 4), r, s);
+    let out = try_run_distributed_join(cfg(2, 2, 8, 4), r, s).expect("distributed join aborted");
     assert_eq!(out.result.matches, 2);
 }
 
@@ -190,7 +191,8 @@ proptest! {
             &r.iter_all().copied().collect::<Vec<_>>(),
             &s.iter_all().copied().collect::<Vec<_>>(),
         );
-        let out = run_distributed_join(cfg(machines, cores, 3, 2), r, s);
+        let out = try_run_distributed_join(cfg(machines, cores, 3, 2), r, s)
+.expect("distributed join aborted");
         prop_assert_eq!(out.result, expect);
     }
 }
@@ -201,7 +203,8 @@ fn oracle_workloads_across_machine_counts() {
         let r = generate_inner::<Tuple16>(3_000, machines, 900 + machines as u64);
         let (s, oracle) =
             generate_outer::<Tuple16>(9_000, 3_000, machines, Skew::None, 901 + machines as u64);
-        let out = run_distributed_join(cfg(machines, 3, 4, 2), r, s);
+        let out = try_run_distributed_join(cfg(machines, 3, 4, 2), r, s)
+            .expect("distributed join aborted");
         oracle.verify(&out.result);
     }
 }

@@ -2,7 +2,7 @@
 //! and shipping to the coordinator.
 
 use rsj_cluster::ClusterSpec;
-use rsj_core::{run_distributed_join, DistJoinConfig, DistJoinOutcome, MaterializeMode};
+use rsj_core::{try_run_distributed_join, DistJoinConfig, DistJoinOutcome, MaterializeMode};
 use rsj_workload::{generate_inner, generate_outer, Skew, Tuple16};
 
 fn run(mode: MaterializeMode, machines: usize) -> DistJoinOutcome {
@@ -14,7 +14,7 @@ fn run(mode: MaterializeMode, machines: usize) -> DistJoinOutcome {
     cfg.radix_bits = (4, 2);
     cfg.rdma_buf_size = 512;
     cfg.materialize = mode;
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     out
 }
@@ -70,7 +70,7 @@ fn materialization_with_skew_and_work_sharing() {
     cfg.rdma_buf_size = 512;
     cfg.materialize = MaterializeMode::ToCoordinator;
     cfg.parallel_local_pass = true;
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     assert_eq!(out.materialized_bytes, out.result.matches * 16);
 }

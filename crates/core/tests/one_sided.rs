@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 use rsj_cluster::{ClusterSpec, HealingConfig, JoinRequest, QueryService, ServiceConfig};
 use rsj_core::{
-    run_distributed_join, try_run_distributed_join, DistJoinConfig, DistJoinJob, DistJoinOutcome,
-    JoinError, MaterializeMode, ReceiveMode, Transport,
+    try_run_distributed_join, DistJoinConfig, DistJoinJob, DistJoinOutcome, JoinError,
+    MaterializeMode, ReceiveMode, Transport,
 };
 use rsj_rdma::FaultPlan;
 use rsj_workload::{generate_inner, generate_outer, ExpectedResult, Relation, Skew, Tuple16};
@@ -41,11 +41,13 @@ fn config(transport: Transport) -> DistJoinConfig {
 fn one_sided_matches_two_sided_on_paper_workloads() {
     for skew in [Skew::None, Skew::Zipf(1.05), Skew::Zipf(1.25)] {
         let (r, s, oracle) = workload(skew);
-        let two = run_distributed_join(config(Transport::TwoSided), r, s);
+        let two = try_run_distributed_join(config(Transport::TwoSided), r, s)
+            .expect("distributed join aborted");
         oracle.verify(&two.result);
 
         let (r, s, oracle) = workload(skew);
-        let one = run_distributed_join(config(Transport::OneSided), r, s);
+        let one = try_run_distributed_join(config(Transport::OneSided), r, s)
+            .expect("distributed join aborted");
         oracle.verify(&one.result);
 
         assert_eq!(two.result, one.result, "dataplanes disagree under {skew:?}");
@@ -59,7 +61,7 @@ fn one_sided_probe_composes_with_one_sided_receive() {
     let mut cfg = config(Transport::OneSided);
     cfg.receive = ReceiveMode::OneSided;
     let (r, s, oracle) = workload(Skew::None);
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
 }
 
@@ -70,7 +72,7 @@ fn one_sided_local_materialization_accounts_every_pair() {
     let mut cfg = config(Transport::OneSided);
     cfg.materialize = MaterializeMode::Local;
     let (r, s, oracle) = workload(Skew::None);
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     assert_eq!(out.materialized_bytes, out.result.matches * 16);
 }
@@ -80,9 +82,11 @@ fn one_sided_local_materialization_accounts_every_pair() {
 #[test]
 fn one_sided_replays_byte_identical() {
     let (r, s, _) = workload(Skew::Zipf(1.05));
-    let a = run_distributed_join(config(Transport::OneSided), r, s);
+    let a = try_run_distributed_join(config(Transport::OneSided), r, s)
+        .expect("distributed join aborted");
     let (r, s, _) = workload(Skew::Zipf(1.05));
-    let b = run_distributed_join(config(Transport::OneSided), r, s);
+    let b = try_run_distributed_join(config(Transport::OneSided), r, s)
+        .expect("distributed join aborted");
     assert_eq!(a.result, b.result);
     assert_eq!(a.phases.histogram, b.phases.histogram);
     assert_eq!(a.phases.network_partition, b.phases.network_partition);
@@ -107,9 +111,11 @@ fn wire_traffic_crossover_tracks_probe_duplication() {
     let total = |out: &DistJoinOutcome| -> u64 { out.machines.iter().map(|m| m.tx_bytes).sum() };
 
     let (r, s, _) = workload(Skew::Zipf(2.0));
-    let two = run_distributed_join(config(Transport::TwoSided), r, s);
+    let two = try_run_distributed_join(config(Transport::TwoSided), r, s)
+        .expect("distributed join aborted");
     let (r, s, _) = workload(Skew::Zipf(2.0));
-    let one = run_distributed_join(config(Transport::OneSided), r, s);
+    let one = try_run_distributed_join(config(Transport::OneSided), r, s)
+        .expect("distributed join aborted");
     assert!(
         total(&one) < total(&two),
         "duplicate-heavy probes: one-sided ({} B) should undercut shipping S ({} B)",
@@ -118,9 +124,11 @@ fn wire_traffic_crossover_tracks_probe_duplication() {
     );
 
     let (r, s, _) = workload(Skew::None);
-    let two = run_distributed_join(config(Transport::TwoSided), r, s);
+    let two = try_run_distributed_join(config(Transport::TwoSided), r, s)
+        .expect("distributed join aborted");
     let (r, s, _) = workload(Skew::None);
-    let one = run_distributed_join(config(Transport::OneSided), r, s);
+    let one = try_run_distributed_join(config(Transport::OneSided), r, s)
+        .expect("distributed join aborted");
     assert!(
         total(&one) > total(&two),
         "uniform dense probes: fetching every bucket ({} B) should exceed shipping S ({} B)",

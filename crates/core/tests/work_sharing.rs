@@ -3,7 +3,7 @@
 
 use rsj_cluster::ClusterSpec;
 use rsj_core::{
-    run_distributed_join, AssignmentPolicy, DistJoinConfig, DistJoinOutcome, ReceiveMode,
+    try_run_distributed_join, AssignmentPolicy, DistJoinConfig, DistJoinOutcome, ReceiveMode,
 };
 use rsj_workload::{generate_inner, generate_outer, Skew, Tuple16};
 
@@ -27,7 +27,7 @@ fn skewed_run(work_sharing: bool) -> DistJoinOutcome {
     fabric.latency /= 128.0;
     cfg.fabric_override = Some(fabric);
     cfg.work_sharing_min_bytes = 2 * 1024;
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     out
 }
@@ -73,7 +73,7 @@ fn parallel_local_pass_preserves_result_and_shortens_skewed_local_phase() {
         cfg.rdma_buf_size = 512;
         cfg.assignment = AssignmentPolicy::SortedDynamic;
         cfg.parallel_local_pass = parallel;
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         out
     };
@@ -103,7 +103,7 @@ fn parallel_local_pass_matches_on_uniform_and_one_sided() {
         cfg.rdma_buf_size = 1024;
         cfg.receive = receive;
         cfg.parallel_local_pass = true;
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
     }
 }
@@ -120,7 +120,7 @@ fn work_sharing_is_harmless_on_uniform_data() {
         cfg.radix_bits = (4, 2);
         cfg.rdma_buf_size = 512;
         cfg.inter_machine_work_sharing = ws;
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         out
     };

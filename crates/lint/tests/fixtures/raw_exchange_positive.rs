@@ -9,7 +9,7 @@ pub fn hand_rolled_receive(ctx: &SimCtx, nic: &Nic) -> Result<(), JoinError> {
 }
 
 pub fn hand_rolled_send(ctx: &SimCtx, nic: &Nic, bytes: Vec<u8>) -> Result<(), JoinError> {
-    let mut window = SendWindow::validated(2, Arc::clone(nic.validator()));
+    let mut window = SendWindow::new(2, Arc::clone(nic.validator()));
     window.record(nic.post_send(ctx, DST, TAG, bytes));
     window.drain(ctx).map_err(fab)
 }

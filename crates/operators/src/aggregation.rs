@@ -81,19 +81,10 @@ struct MachState<T> {
     result: Mutex<AggregateResult>,
 }
 
-/// Run the distributed aggregation over `s`.
-///
-/// # Panics
-/// Panics if the run aborts — impossible without an
-/// [`AggregationConfig::fault_plan`]; use [`try_run_aggregation`] for
-/// fault-injected runs.
-pub fn run_aggregation<T: Tuple>(cfg: AggregationConfig, s: Relation<T>) -> AggregationOutcome {
-    try_run_aggregation(cfg, s).unwrap_or_else(|e| panic!("aggregation failed: {e}"))
-}
-
-/// Fallible variant of [`run_aggregation`]: with a fault plan installed
-/// the aggregation completes byte-correct or returns a structured
-/// [`JoinError`] — never hangs.
+/// Run the distributed aggregation over `s`. Without an
+/// [`AggregationConfig::fault_plan`] the run cannot abort; with one
+/// installed the aggregation completes byte-correct or returns a
+/// structured [`JoinError`] — never hangs.
 pub fn try_run_aggregation<T: Tuple>(
     cfg: AggregationConfig,
     s: Relation<T>,
@@ -327,7 +318,7 @@ mod tests {
         let distinct: HashSet<u64> = s.iter_all().map(|t| t.key()).collect();
         let key_sum = s.iter_all().fold(0u64, |a, t| a.wrapping_add(t.key()));
         let rid_sum = s.iter_all().fold(0u64, |a, t| a.wrapping_add(t.rid()));
-        let out = run_aggregation(cfg(machines, 3), s);
+        let out = try_run_aggregation(cfg(machines, 3), s).expect("aggregation aborted");
         assert_eq!(out.result.groups, distinct.len() as u64);
         assert_eq!(out.result.key_weighted_count, key_sum);
         assert_eq!(out.result.rid_sum, rid_sum);
@@ -339,7 +330,7 @@ mod tests {
         // would inflate it.
         let machines = 4;
         let (s, _) = generate_outer::<Tuple16>(8_000, 500, machines, Skew::None, 51);
-        let out = run_aggregation(cfg(machines, 3), s);
+        let out = try_run_aggregation(cfg(machines, 3), s).expect("aggregation aborted");
         assert_eq!(out.result.groups, 500);
     }
 
@@ -348,7 +339,7 @@ mod tests {
         let machines = 2;
         let run = || {
             let (s, _) = generate_outer::<Tuple16>(10_000, 1_000, machines, Skew::None, 52);
-            run_aggregation(cfg(machines, 3), s)
+            try_run_aggregation(cfg(machines, 3), s).expect("aggregation aborted")
         };
         let a = run();
         let b = run();
@@ -367,7 +358,7 @@ mod tests {
         let machines = 3;
         let run = || {
             let (s, _) = generate_outer::<Tuple16>(12_000, 900, machines, Skew::Zipf(1.05), 53);
-            run_aggregation(cfg(machines, 2), s)
+            try_run_aggregation(cfg(machines, 2), s).expect("aggregation aborted")
         };
         let first = run();
         for rep in 1..5 {

@@ -23,14 +23,15 @@ use rsj_cluster::{ranges, run_direct, Exchange, Runtime, WireTag};
 /// Phase name of the rotation rounds, for error attribution.
 const PHASE_ROTATE: &str = phase::BUILD_PROBE;
 
+/// Build/probe derating against the machine-sized (cache-cold) table,
+/// mirroring the no-partitioning join's ~2x penalty (§2.2, [4]).
+const CACHE_MISS_DERATING: f64 = 2.0;
+
 /// Configuration of a cyclo-join run.
 #[derive(Clone, Debug)]
 pub struct CycloJoinConfig {
     /// Cluster topology and rates.
     pub cluster: ClusterSpec,
-    /// Build/probe derating against the machine-sized (cache-cold) table,
-    /// mirroring the no-partitioning join's penalty (§2.2).
-    pub cache_miss_derating: f64,
     /// Fabric parameter override (used by scaled experiment runs).
     pub fabric_override: Option<rsj_rdma::FabricConfig>,
     /// Deterministic fault schedule (DESIGN.md §8); `None` keeps the run
@@ -39,11 +40,10 @@ pub struct CycloJoinConfig {
 }
 
 impl CycloJoinConfig {
-    /// Defaults with the ~2x cache-miss derating of [4].
+    /// Defaults: no fabric override, no fault plan.
     pub fn new(cluster: ClusterSpec) -> CycloJoinConfig {
         CycloJoinConfig {
             cluster,
-            cache_miss_derating: 2.0,
             fabric_override: None,
             fault_plan: None,
         }
@@ -70,22 +70,9 @@ struct MachState<T> {
 }
 
 /// Run the cyclo-join: `r` stays stationary, `s` rotates around the ring.
-///
-/// # Panics
-/// Panics if the run aborts — impossible without a
-/// [`CycloJoinConfig::fault_plan`]; use [`try_run_cyclo_join`] for
-/// fault-injected runs.
-pub fn run_cyclo_join<T: Tuple>(
-    cfg: CycloJoinConfig,
-    r: Relation<T>,
-    s: Relation<T>,
-) -> CycloJoinOutcome {
-    try_run_cyclo_join(cfg, r, s).unwrap_or_else(|e| panic!("cyclo-join failed: {e}"))
-}
-
-/// Fallible variant of [`run_cyclo_join`]: with a fault plan installed the
-/// join completes byte-correct or returns a structured [`JoinError`] —
-/// never hangs.
+/// Without a [`CycloJoinConfig::fault_plan`] the run cannot abort; with
+/// one installed the join completes byte-correct or returns a structured
+/// [`JoinError`] — never hangs.
 pub fn try_run_cyclo_join<T: Tuple>(
     cfg: CycloJoinConfig,
     r: Relation<T>,
@@ -212,8 +199,8 @@ fn worker<T: Tuple>(
     let m = rt.machines();
     let cores = rt.cores();
     let cost = &cfg.cluster.cost;
-    let build_rate = cost.build_rate / cfg.cache_miss_derating;
-    let probe_rate = cost.probe_rate / cfg.cache_miss_derating;
+    let build_rate = cost.build_rate / CACHE_MISS_DERATING;
+    let probe_rate = cost.probe_rate / CACHE_MISS_DERATING;
     let mut meter = Meter::for_quantum(cfg.cluster.meter_quantum_ns);
     let ex = Exchange::new(&rt.fabric, mach, PHASE_ROTATE);
 
@@ -286,7 +273,7 @@ mod tests {
         let machines = 3;
         let r = generate_inner::<Tuple16>(4_000, machines, 61);
         let (s, oracle) = generate_outer::<Tuple16>(12_000, 4_000, machines, Skew::None, 62);
-        let out = run_cyclo_join(cfg(machines, 2), r, s);
+        let out = try_run_cyclo_join(cfg(machines, 2), r, s).expect("cyclo-join aborted");
         oracle.verify(&out.result);
     }
 
@@ -295,7 +282,7 @@ mod tests {
         let machines = 2;
         let r = generate_inner::<Tuple16>(1_000, machines, 63);
         let (s, oracle) = generate_outer::<Tuple16>(20_000, 1_000, machines, Skew::Zipf(1.2), 64);
-        let out = run_cyclo_join(cfg(machines, 3), r, s);
+        let out = try_run_cyclo_join(cfg(machines, 3), r, s).expect("cyclo-join aborted");
         oracle.verify(&out.result);
     }
 
@@ -309,7 +296,7 @@ mod tests {
         // cyclo-join can actually win — no partitioning passes — which is
         // why the paper's related work calls it an interesting design for
         // storage-oriented rings rather than a join accelerator.)
-        use rsj_core::{run_distributed_join, DistJoinConfig};
+        use rsj_core::{try_run_distributed_join, DistJoinConfig};
         let machines = 8;
         let n_r = 20_000u64;
         let n_s = 160_000u64;
@@ -319,7 +306,7 @@ mod tests {
             (r, s)
         };
         let (r, s) = mk();
-        let cyclo = run_cyclo_join(
+        let cyclo = try_run_cyclo_join(
             {
                 let mut spec = ClusterSpec::qdr_cluster(machines);
                 spec.cores_per_machine = 8;
@@ -327,12 +314,13 @@ mod tests {
             },
             r,
             s,
-        );
+        )
+        .expect("cyclo-join aborted");
         let (r, s) = mk();
         let mut hj_cfg = DistJoinConfig::new(ClusterSpec::qdr_cluster(machines));
         hj_cfg.radix_bits = (5, 3);
         hj_cfg.rdma_buf_size = 1024;
-        let hj = run_distributed_join(hj_cfg, r, s);
+        let hj = try_run_distributed_join(hj_cfg, r, s).expect("distributed join aborted");
         assert_eq!(cyclo.result, hj.result);
         assert!(
             cyclo.phases.total() > hj.phases.total(),
@@ -346,7 +334,7 @@ mod tests {
     fn single_machine_ring_degenerates_to_local_probe() {
         let r = generate_inner::<Tuple16>(2_000, 1, 67);
         let (s, oracle) = generate_outer::<Tuple16>(4_000, 2_000, 1, Skew::None, 68);
-        let out = run_cyclo_join(cfg(1, 2), r, s);
+        let out = try_run_cyclo_join(cfg(1, 2), r, s).expect("cyclo-join aborted");
         oracle.verify(&out.result);
     }
 }

@@ -6,12 +6,12 @@
 //! database operators like sort-merge joins or aggregation". This crate
 //! substantiates that claim:
 //!
-//! * [`run_sort_merge_join`] — a distributed **sort-merge join** sharing
+//! * [`try_run_sort_merge_join`] — a distributed **sort-merge join** sharing
 //!   the hash join's histogram and network partitioning structure, with a
 //!   sort + merge-join local phase;
-//! * [`run_aggregation`] — a distributed **group-by aggregation**
+//! * [`try_run_aggregation`] — a distributed **group-by aggregation**
 //!   (`COUNT(*)`, `SUM(rid)` per key) over the same network pass;
-//! * [`run_cyclo_join`] — the ring-topology **cyclo-join** of Frey et
+//! * [`try_run_cyclo_join`] — the ring-topology **cyclo-join** of Frey et
 //!   al. (§2.3), as a comparison baseline the radix join beats.
 //!
 //! All operators run on the deterministic simulation kernel, verify their
@@ -34,16 +34,9 @@ mod cyclo_join;
 mod sort_merge;
 
 pub use aggregation::{
-    run_aggregation, try_run_aggregation, AggregateResult, AggregationConfig, AggregationJob,
-    AggregationOutcome,
+    try_run_aggregation, AggregateResult, AggregationConfig, AggregationJob, AggregationOutcome,
 };
-pub use cyclo_join::{
-    run_cyclo_join, try_run_cyclo_join, CycloJoinConfig, CycloJoinJob, CycloJoinOutcome,
-};
+pub use cyclo_join::{try_run_cyclo_join, CycloJoinConfig, CycloJoinJob, CycloJoinOutcome};
 pub use rsj_cluster::{JoinError, Runtime};
-pub use rsj_core::{
-    run_distributed_join, try_run_distributed_join, DistJoinConfig, DistJoinJob, Transport,
-};
-pub use sort_merge::{
-    run_sort_merge_join, try_run_sort_merge_join, SortMergeConfig, SortMergeJob, SortMergeOutcome,
-};
+pub use rsj_core::{try_run_distributed_join, DistJoinConfig, DistJoinJob, Transport};
+pub use sort_merge::{try_run_sort_merge_join, SortMergeConfig, SortMergeJob, SortMergeOutcome};

@@ -79,21 +79,8 @@ struct MachState<T> {
 }
 
 /// Run the distributed sort-merge join (two-sided interleaved RDMA).
-///
-/// # Panics
-/// Panics if the run aborts — impossible without a
-/// [`SortMergeConfig::fault_plan`]; use [`try_run_sort_merge_join`] for
-/// fault-injected runs.
-pub fn run_sort_merge_join<T: Tuple>(
-    cfg: SortMergeConfig,
-    r: Relation<T>,
-    s: Relation<T>,
-) -> SortMergeOutcome {
-    try_run_sort_merge_join(cfg, r, s).unwrap_or_else(|e| panic!("sort-merge join failed: {e}"))
-}
-
-/// Fallible variant of [`run_sort_merge_join`]: with a fault plan
-/// installed the join completes byte-correct or returns a structured
+/// Without a [`SortMergeConfig::fault_plan`] the run cannot abort; with
+/// one installed the join completes byte-correct or returns a structured
 /// [`JoinError`] — never hangs.
 pub fn try_run_sort_merge_join<T: Tuple>(
     cfg: SortMergeConfig,
@@ -350,7 +337,8 @@ mod tests {
         let machines = 3;
         let r = generate_inner::<Tuple16>(8_000, machines, 31);
         let (s, oracle) = generate_outer::<Tuple16>(24_000, 8_000, machines, Skew::None, 32);
-        let out = run_sort_merge_join(small_cfg(machines, 3), r, s);
+        let out =
+            try_run_sort_merge_join(small_cfg(machines, 3), r, s).expect("sort-merge join aborted");
         oracle.verify(&out.result);
         assert!(out.phases.total().as_nanos() > 0);
     }
@@ -360,13 +348,14 @@ mod tests {
         let machines = 2;
         let r = generate_inner::<Tuple16>(2_000, machines, 33);
         let (s, oracle) = generate_outer::<Tuple16>(30_000, 2_000, machines, Skew::Zipf(1.2), 34);
-        let out = run_sort_merge_join(small_cfg(machines, 3), r, s);
+        let out =
+            try_run_sort_merge_join(small_cfg(machines, 3), r, s).expect("sort-merge join aborted");
         oracle.verify(&out.result);
     }
 
     #[test]
     fn agrees_with_the_hash_join() {
-        use rsj_core::{run_distributed_join, DistJoinConfig};
+        use rsj_core::{try_run_distributed_join, DistJoinConfig};
         let machines = 2;
         let mk = || {
             let r = generate_inner::<Tuple16>(5_000, machines, 35);
@@ -374,7 +363,8 @@ mod tests {
             (r, s)
         };
         let (r1, s1) = mk();
-        let sm = run_sort_merge_join(small_cfg(machines, 3), r1, s1);
+        let sm = try_run_sort_merge_join(small_cfg(machines, 3), r1, s1)
+            .expect("sort-merge join aborted");
         let (r2, s2) = mk();
         let mut hj_cfg = DistJoinConfig::new({
             let mut spec = ClusterSpec::fdr_cluster(machines);
@@ -383,7 +373,7 @@ mod tests {
         });
         hj_cfg.radix_bits = (4, 2);
         hj_cfg.rdma_buf_size = 1024;
-        let hj = run_distributed_join(hj_cfg, r2, s2);
+        let hj = try_run_distributed_join(hj_cfg, r2, s2).expect("distributed join aborted");
         assert_eq!(sm.result, hj.result);
     }
 
@@ -391,12 +381,13 @@ mod tests {
     fn hash_join_is_faster_than_sort_merge() {
         // §2.2/[3]: "the radix hash join is still superior to sort-merge
         // approaches" at the paper's hardware rates.
-        use rsj_core::{run_distributed_join, DistJoinConfig};
+        use rsj_core::{try_run_distributed_join, DistJoinConfig};
         let machines = 3;
         let n = 60_000u64;
         let r = generate_inner::<Tuple16>(n, machines, 37);
         let (s, _) = generate_outer::<Tuple16>(n, n, machines, Skew::None, 38);
-        let sm = run_sort_merge_join(small_cfg(machines, 4), r, s);
+        let sm =
+            try_run_sort_merge_join(small_cfg(machines, 4), r, s).expect("sort-merge join aborted");
         let r = generate_inner::<Tuple16>(n, machines, 37);
         let (s, _) = generate_outer::<Tuple16>(n, n, machines, Skew::None, 38);
         let mut hj_cfg = DistJoinConfig::new({
@@ -406,7 +397,7 @@ mod tests {
         });
         hj_cfg.radix_bits = (4, 3);
         hj_cfg.rdma_buf_size = 1024;
-        let hj = run_distributed_join(hj_cfg, r, s);
+        let hj = try_run_distributed_join(hj_cfg, r, s).expect("distributed join aborted");
         assert!(
             sm.phases.total() > hj.phases.total(),
             "sort-merge {:?} must exceed hash {:?}",
@@ -421,7 +412,7 @@ mod tests {
             let machines = 2;
             let r = generate_inner::<Tuple16>(4_000, machines, 39);
             let (s, _) = generate_outer::<Tuple16>(8_000, 4_000, machines, Skew::None, 40);
-            run_sort_merge_join(small_cfg(machines, 3), r, s)
+            try_run_sort_merge_join(small_cfg(machines, 3), r, s).expect("sort-merge join aborted")
         };
         let a = run();
         let b = run();

@@ -6,8 +6,8 @@
 
 use rsj_cluster::{ClusterSpec, HealingConfig, JoinRequest, QueryService, ServiceConfig};
 use rsj_operators::{
-    run_distributed_join, run_sort_merge_join, DistJoinConfig, DistJoinJob, SortMergeConfig,
-    Transport,
+    try_run_distributed_join, try_run_sort_merge_join, DistJoinConfig, DistJoinJob,
+    SortMergeConfig, Transport,
 };
 use rsj_workload::{generate_inner, generate_outer, Relation, Skew, Tuple16};
 
@@ -45,12 +45,14 @@ fn transport_switch_agrees_across_operators() {
         cfg.rdma_buf_size = 1024;
         cfg
     };
-    let sm = run_sort_merge_join(sm_cfg, r, s);
+    let sm = try_run_sort_merge_join(sm_cfg, r, s).expect("sort-merge join aborted");
 
     let (r, s) = inputs(71);
-    let two = run_distributed_join(radix_cfg(Transport::TwoSided), r, s);
+    let two = try_run_distributed_join(radix_cfg(Transport::TwoSided), r, s)
+        .expect("distributed join aborted");
     let (r, s) = inputs(71);
-    let one = run_distributed_join(radix_cfg(Transport::OneSided), r, s);
+    let one = try_run_distributed_join(radix_cfg(Transport::OneSided), r, s)
+        .expect("distributed join aborted");
 
     assert_eq!(sm.result, two.result, "sort-merge vs two-sided radix");
     assert_eq!(two.result, one.result, "two-sided vs one-sided radix");
@@ -63,7 +65,7 @@ fn transport_switch_agrees_across_operators() {
 fn mixed_transports_share_one_service_fabric() {
     let direct = |transport: Transport, seed: u64| {
         let (r, s) = inputs(seed);
-        run_distributed_join(radix_cfg(transport), r, s)
+        try_run_distributed_join(radix_cfg(transport), r, s).expect("distributed join aborted")
     };
     let two_direct = direct(Transport::TwoSided, 73);
     let one_direct = direct(Transport::OneSided, 77);

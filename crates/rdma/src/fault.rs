@@ -73,53 +73,13 @@ impl std::fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
-/// Retransmission policy for dropped messages: IB RC's retry counter with
-/// RNR-style exponential backoff, paid in **virtual time** on the egress
-/// engine (head-of-line, preserving per-source FIFO order — go-back-N).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retransmission attempts before the completion errors out and the
-    /// queue pair enters the error state (IB's 3-bit retry counter tops
-    /// out at 7).
-    pub max_retries: u32,
-    /// Backoff before the first retransmission; doubles per attempt.
-    pub base_backoff: SimDuration,
-    /// Ceiling on a single backoff interval.
-    pub max_backoff: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 7,
-            base_backoff: SimDuration::from_micros(10),
-            max_backoff: SimDuration::from_millis(10),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff charged before retransmission `attempt` (1-based):
-    /// `min(base * 2^(attempt-1), max)`.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        let shift = attempt.saturating_sub(1).min(30);
-        let ns = self
-            .base_backoff
-            .as_nanos()
-            .saturating_mul(1u64 << shift)
-            .min(self.max_backoff.as_nanos());
-        SimDuration::from_nanos(ns)
-    }
-
-    /// Total virtual time spent backing off if every attempt is used —
-    /// the longest link outage a message can ride out.
-    pub fn total_backoff(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for a in 1..=self.max_retries {
-            total += self.backoff(a);
-        }
-        total
-    }
+/// Exponential backoff before retry `attempt` (1-based):
+/// `min(base · 2^(attempt−1), max)`. IB RC retransmission (`wire.rs`) and
+/// the healing service's re-admission both back off this way.
+pub fn capped_backoff(base: SimDuration, max: SimDuration, attempt: u32) -> SimDuration {
+    let shift = attempt.saturating_sub(1).min(30);
+    let ns = base.as_nanos().saturating_mul(1u64 << shift);
+    SimDuration::from_nanos(ns.min(max.as_nanos()))
 }
 
 /// A host's uplink/downlink is dead for a window of virtual time; every
@@ -157,44 +117,6 @@ pub struct HostCrash {
     pub at: SimTime,
 }
 
-/// Configuration of the deterministic virtual-time failure detector
-/// (DESIGN.md §13). Each host holds a *lease* renewed by any fabric
-/// activity it performs; when a lease goes stale the detector probes the
-/// host with an explicit heartbeat every `heartbeat` of virtual time, and
-/// `miss_threshold` consecutive missed heartbeats declare it dead. The
-/// probe is modeled out of band (no wire message), so arming the detector
-/// never perturbs the seeded per-query fault streams — detection latency
-/// is a pure function of the crash schedule and these three knobs, hence
-/// seeded and replayable.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct DetectorConfig {
-    /// Detector tick: how often stale-lease hosts are probed.
-    pub heartbeat: SimDuration,
-    /// How long a host's lease stays fresh after its last fabric activity.
-    pub lease: SimDuration,
-    /// Consecutive missed heartbeats before the host is declared dead.
-    pub miss_threshold: u32,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            heartbeat: SimDuration::from_micros(20),
-            lease: SimDuration::from_micros(50),
-            miss_threshold: 3,
-        }
-    }
-}
-
-impl DetectorConfig {
-    /// Worst-case detection latency after a crash: the lease must first
-    /// expire, then `miss_threshold` probes must miss.
-    pub fn worst_case_latency(&self) -> SimDuration {
-        self.lease
-            + SimDuration::from_nanos(self.heartbeat.as_nanos() * (self.miss_threshold as u64 + 1))
-    }
-}
-
 /// A seeded, schedule-driven fault injection plan, owned by the fabric.
 ///
 /// All stochastic decisions hash `(seed, src, dst, message sequence,
@@ -218,8 +140,6 @@ pub struct FaultPlan {
     pub nic_stalls: Vec<NicStall>,
     /// Scheduled host crashes.
     pub crashes: Vec<HostCrash>,
-    /// Retransmission policy for dropped messages.
-    pub retry: RetryPolicy,
 }
 
 impl FaultPlan {
@@ -235,7 +155,6 @@ impl FaultPlan {
             link_flaps: Vec::new(),
             nic_stalls: Vec::new(),
             crashes: Vec::new(),
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -257,7 +176,7 @@ impl FaultPlan {
         plan.max_delay = SimDuration::from_micros(50);
         let host = |r: u64| HostId((r >> 8) as usize % hosts.max(1));
         // One flap on a third of seeds, sized so retransmission can ride
-        // it out (well under the policy's total backoff budget).
+        // it out (well under the total backoff of every retry).
         if r2.is_multiple_of(3) {
             let from = SimTime::from_nanos(200_000 + (r2 % 2_000_000));
             plan.link_flaps.push(LinkFlap {
@@ -283,15 +202,6 @@ impl FaultPlan {
             });
         }
         plan
-    }
-
-    /// Whether the plan can ever perturb traffic.
-    pub fn injects_faults(&self) -> bool {
-        self.drop_per_mille > 0
-            || (self.delay_per_mille > 0 && self.max_delay > SimDuration::ZERO)
-            || !self.link_flaps.is_empty()
-            || !self.nic_stalls.is_empty()
-            || !self.crashes.is_empty()
     }
 
     /// Whether `host`'s link is down at `now` per the flap schedule.
@@ -453,7 +363,6 @@ mod tests {
     #[test]
     fn fault_free_plan_injects_nothing() {
         let plan = FaultPlan::fault_free();
-        assert!(!plan.injects_faults());
         assert!(!plan.attempt_drops_seeded(plan.seed, HostId(0), HostId(1), 7, 0, SimTime::ZERO));
         assert_eq!(
             plan.extra_delay_seeded(plan.seed, HostId(0), HostId(1), 7),
@@ -465,21 +374,27 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            max_retries: 7,
-            base_backoff: SimDuration::from_micros(10),
-            max_backoff: SimDuration::from_micros(100),
+        let backoff = |attempt| {
+            capped_backoff(
+                SimDuration::from_micros(10),
+                SimDuration::from_micros(100),
+                attempt,
+            )
         };
-        assert_eq!(p.backoff(1), SimDuration::from_micros(10));
-        assert_eq!(p.backoff(2), SimDuration::from_micros(20));
-        assert_eq!(p.backoff(3), SimDuration::from_micros(40));
-        assert_eq!(p.backoff(4), SimDuration::from_micros(80));
-        assert_eq!(p.backoff(5), SimDuration::from_micros(100), "capped");
-        assert_eq!(p.backoff(6), SimDuration::from_micros(100));
-        assert_eq!(
-            p.total_backoff(),
-            SimDuration::from_micros(10 + 20 + 40 + 80 + 300)
-        );
+        assert_eq!(backoff(1), SimDuration::from_micros(10));
+        assert_eq!(backoff(2), SimDuration::from_micros(20));
+        assert_eq!(backoff(3), SimDuration::from_micros(40));
+        assert_eq!(backoff(4), SimDuration::from_micros(80));
+        assert_eq!(backoff(5), SimDuration::from_micros(100), "capped");
+        assert_eq!(backoff(6), SimDuration::from_micros(100));
+        // Seven attempts, the IB retry counter's ceiling.
+        let mut total = SimDuration::ZERO;
+        for attempt in 1..=7 {
+            total += backoff(attempt);
+        }
+        assert_eq!(total, SimDuration::from_micros(10 + 20 + 40 + 80 + 300));
+        // No overflow far past the cap.
+        assert_eq!(backoff(u32::MAX), SimDuration::from_micros(100));
     }
 
     #[test]

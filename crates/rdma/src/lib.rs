@@ -40,10 +40,9 @@ mod wire;
 pub use config::{FabricConfig, HostId, NicCosts, QueryId};
 pub use fabric::{Fabric, Spawner};
 pub use fault::{
-    splitmix64, DetectorConfig, FabricError, FaultPlan, HostCrash, LinkFlap, NicStall, RetryPolicy,
-    WcStatus,
+    capped_backoff, splitmix64, FabricError, FaultPlan, HostCrash, LinkFlap, NicStall, WcStatus,
 };
 pub use mr::{Mr, MrTable, RemoteMr};
 pub use nic::{Completion, Nic, NicStats, ReadHandle, SendHandle};
 pub use pool::{BufferPool, PoolArena, SendWindow};
-pub use validate::{ValidateMode, Validator, Violation};
+pub use validate::{Validator, Violation};

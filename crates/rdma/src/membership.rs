@@ -12,11 +12,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rsj_sim::{SimChannel, SimCtx, SimSemaphore, SimTime};
+use rsj_sim::{SimChannel, SimCtx, SimDuration, SimSemaphore, SimTime};
 
 use crate::config::{HostId, QueryId};
 use crate::fabric::{Fabric, Spawner};
-use crate::fault::{DetectorConfig, FabricError, FaultPlan, WcStatus};
+use crate::fault::{FabricError, FaultPlan, WcStatus};
 use crate::nic::{Nic, NicStats};
 
 /// Shared fault-plane state of one fabric: the installed plan plus the
@@ -243,6 +243,13 @@ fn flagged(flags: &[AtomicBool]) -> Vec<HostId> {
         .collect()
 }
 
+/// The failure detector's tick: how often stale-lease hosts are probed.
+const HEARTBEAT: SimDuration = SimDuration::from_micros(20);
+/// How long a host's lease stays fresh after its last fabric activity.
+const LEASE: SimDuration = SimDuration::from_micros(50);
+/// Consecutive missed heartbeats before a host is declared dead.
+const MISS_THRESHOLD: u32 = 3;
+
 impl Fabric {
     /// Carve a per-query view for `query`: `placement[m]` names the
     /// physical host backing the view's logical machine `m` (hosts must
@@ -424,16 +431,16 @@ impl Fabric {
     }
 
     /// Arm the deterministic failure detector (DESIGN.md §13): a single
-    /// monitor task that, every [`DetectorConfig::heartbeat`] of virtual
-    /// time, probes hosts whose activity lease expired and fences a host
-    /// after `miss_threshold` consecutive missed heartbeats. Probes are
-    /// modeled out of band — no wire messages — so per-query fault
-    /// streams and the event schedule of healthy traffic are untouched;
+    /// monitor task that, every `HEARTBEAT` (20 µs) of virtual time,
+    /// probes hosts whose activity `LEASE` (50 µs) expired and fences a
+    /// host after `MISS_THRESHOLD` (3) consecutive missed heartbeats.
+    /// Probes are modeled out of band — no wire messages — so per-query
+    /// fault streams and the event schedule of healthy traffic are untouched;
     /// detection latency is a seeded, replayable function of the crash
-    /// schedule and the detector knobs. Call
-    /// [`Fabric::disarm_failure_detector`] when the service drains so the
-    /// task exits and the simulation can quiesce.
-    pub fn arm_failure_detector(self: &Arc<Self>, spawner: &impl Spawner, dcfg: DetectorConfig) {
+    /// schedule, at most `LEASE + HEARTBEAT · (MISS_THRESHOLD + 1)` after
+    /// the crash. Call [`Fabric::disarm_failure_detector`] when the
+    /// service drains so the task exits and the simulation can quiesce.
+    pub fn arm_failure_detector(self: &Arc<Self>, spawner: &impl Spawner) {
         assert!(
             self.root.is_none(),
             "the failure detector runs on the root fabric"
@@ -443,7 +450,7 @@ impl Fabric {
             let hosts = fabric.hosts();
             let mut misses = vec![0u32; hosts];
             loop {
-                ctx.sleep_until(ctx.now() + dcfg.heartbeat);
+                ctx.sleep_until(ctx.now() + HEARTBEAT);
                 if fabric.faults.detector_stopped() {
                     break;
                 }
@@ -456,7 +463,7 @@ impl Fabric {
                         .now()
                         .as_nanos()
                         .saturating_sub(fabric.faults.last_activity_ns(host));
-                    if idle <= dcfg.lease.as_nanos() {
+                    if idle <= LEASE.as_nanos() {
                         *missed = 0;
                         continue;
                     }
@@ -465,7 +472,7 @@ impl Fabric {
                     // host misses.
                     if fabric.faults.is_crashed(host) {
                         *missed += 1;
-                        if *missed >= dcfg.miss_threshold {
+                        if *missed >= MISS_THRESHOLD {
                             fabric.fence_host(ctx, host);
                         }
                     } else {

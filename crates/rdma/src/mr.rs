@@ -65,15 +65,14 @@ impl Mr {
     /// An out-of-bounds write — including a write into a region whose
     /// memory the owner reclaimed with [`Mr::take_data`] — is a verbs
     /// contract violation: real hardware would raise a protection fault
-    /// and kill the QP. The validator panics in test builds and drops the
-    /// write in [`crate::ValidateMode::Record`] mode.
+    /// and kill the QP, and the validator stops the run.
     pub(crate) fn dma_write(&self, offset: usize, src: &[u8]) {
         let mut data = self.data.lock();
-        let in_bounds = offset
+        let region_len = data.len();
+        if offset
             .checked_add(src.len())
-            .is_some_and(|end| end <= data.len());
-        if !in_bounds {
-            let region_len = data.len();
+            .is_none_or(|end| end > region_len)
+        {
             drop(data);
             self.validator.report(Violation::OutOfBoundsWrite {
                 host: self.host,
@@ -82,19 +81,16 @@ impl Mr {
                 len: src.len(),
                 region_len,
             });
-            return;
         }
         data[offset..offset + src.len()].copy_from_slice(src);
     }
 
     /// DMA read out of the region (the responder leg of an RDMA READ).
-    /// An out-of-bounds read is reported like a write fault; in
-    /// [`crate::ValidateMode::Record`] mode it yields zeroes.
+    /// An out-of-bounds read is reported like a write fault.
     pub(crate) fn dma_read(&self, offset: usize, len: usize) -> Vec<u8> {
         let data = self.data.lock();
-        let in_bounds = offset.checked_add(len).is_some_and(|end| end <= data.len());
-        if !in_bounds {
-            let region_len = data.len();
+        let region_len = data.len();
+        if offset.checked_add(len).is_none_or(|end| end > region_len) {
             drop(data);
             self.validator.report(Violation::OutOfBoundsRead {
                 host: self.host,
@@ -103,7 +99,6 @@ impl Mr {
                 len,
                 region_len,
             });
-            return vec![0u8; len];
         }
         data[offset..offset + len].to_vec()
     }
@@ -239,24 +234,21 @@ impl MrTable {
     }
 
     /// Look up a region by index (ingress-engine path for one-sided
-    /// access). A miss is a use-before-register contract violation; in
-    /// [`crate::ValidateMode::Record`] mode the access is dropped.
-    pub(crate) fn get(&self, index: usize) -> Option<Arc<Mr>> {
+    /// access). A miss is a use-before-register contract violation.
+    pub(crate) fn get(&self, index: usize) -> Arc<Mr> {
         let region = self.regions.lock().get(index).map(Arc::clone);
-        if region.is_none() {
+        region.unwrap_or_else(|| {
             self.validator.report(Violation::UseBeforeRegister {
                 host: self.host,
                 index,
-            });
-        }
-        region
+            })
+        })
     }
 
     /// Close the read epoch of every region on this host — the fencing
     /// step after a crash is detected (DESIGN.md §13). One-sided probes
     /// that still hold handles from before the crash are flagged
-    /// [`Violation::ReadAfterUnpublish`] (or dropped with zero fill in
-    /// [`crate::ValidateMode::Record`]) instead of reading stale bytes.
+    /// [`Violation::ReadAfterUnpublish`] instead of reading stale bytes.
     pub(crate) fn unpublish_all(&self) {
         let regions = self.regions.lock();
         for mr in regions.iter() {

@@ -134,8 +134,8 @@ impl SendHandle {
 pub struct ReadHandle {
     wr: SendHandle,
     /// Whether the work request actually reached the wire (false when the
-    /// validator or the fault plane dropped the post). Batch posting uses
-    /// this to decide which read in a chain pays the doorbell.
+    /// fault plane denied the post). Batch posting uses this to decide
+    /// which read in a chain pays the doorbell.
     posted: bool,
 }
 
@@ -342,8 +342,8 @@ impl Nic {
             .iter()
             .map(|&(remote, offset, len)| {
                 let h = self.post_read_inner(ctx, remote, offset, len, !doorbell_rung);
-                // Validator- or fault-dropped reads never reach the wire;
-                // the doorbell is paid by the first read that does.
+                // Fault-denied reads never reach the wire; the doorbell
+                // is paid by the first read that does.
                 doorbell_rung |= h.posted;
                 h
             })
@@ -370,12 +370,7 @@ impl Nic {
         if denied.is_some() {
             return ReadHandle { wr, posted: false };
         }
-        if !self.validator.check_read(&remote, offset, len) {
-            // Record mode: the faulting read is dropped; hand back an
-            // already-completed handle of zeroes so the caller can't hang.
-            wr.cell.complete_read(ctx, vec![0u8; len]);
-            return ReadHandle { wr, posted: false };
-        }
+        self.validator.check_read(&remote, offset, len);
         if charge_doorbell {
             ctx.advance(SimDuration::from_secs_f64(self.costs.post_overhead));
         }
@@ -402,10 +397,7 @@ impl Nic {
         offset: usize,
         payload: Vec<u8>,
     ) -> SendHandle {
-        if !self.validator.check_write(&remote, offset, payload.len()) {
-            // Record mode: drop the faulting write, return a fired handle.
-            return self.handle(ctx, remote.host, Some(WcStatus::Success));
-        }
+        self.validator.check_write(&remote, offset, payload.len());
         let kind = MsgKind::OneSided {
             mr: remote.index,
             offset,
@@ -415,8 +407,7 @@ impl Nic {
 
     /// The one place a work-request handle is built: live (`fired` is
     /// `None`; the wire completes it later) or already completed with
-    /// `fired` — a post denied by the fault plane, or dropped by the
-    /// validator in record mode.
+    /// `fired` — a post denied by the fault plane.
     fn handle(&self, ctx: &SimCtx, dst: HostId, fired: Option<WcStatus>) -> SendHandle {
         let handle = SendHandle::new(
             SimEvent::new(),

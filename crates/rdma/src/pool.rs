@@ -217,30 +217,23 @@ pub struct SendWindow {
     /// Total virtual seconds spent blocked in `admit` — the "thread had to
     /// wait for the network" time the model's Eq. 4 predicts.
     stall_seconds: f64,
-    /// When set, buffer-discipline violations (re-post without admit,
-    /// drop with sends still in flight) are reported here.
-    validator: Option<Arc<Validator>>,
+    /// The fabric's verbs-contract validator: re-posting a slot without
+    /// `admit` and dropping the window with sends still in flight are
+    /// reported [`Violation`]s.
+    validator: Arc<Validator>,
 }
 
 impl SendWindow {
-    /// A window admitting `depth` in-flight sends (`depth >= 1`).
-    pub fn new(depth: usize) -> SendWindow {
+    /// A window admitting `depth` in-flight sends (`depth >= 1`), wired
+    /// to `validator`.
+    pub fn new(depth: usize, validator: Arc<Validator>) -> SendWindow {
         assert!(depth >= 1);
         SendWindow {
             slots: (0..depth).map(|_| None).collect(),
             next: 0,
             stall_seconds: 0.0,
-            validator: None,
+            validator,
         }
-    }
-
-    /// Like [`SendWindow::new`], but wired to the fabric's verbs-contract
-    /// validator: re-posting a slot without `admit` and dropping the
-    /// window with sends still in flight become reported [`Violation`]s.
-    pub fn validated(depth: usize, validator: Arc<Validator>) -> SendWindow {
-        let mut w = SendWindow::new(depth);
-        w.validator = Some(validator);
-        w
     }
 
     /// Block until a slot is free (i.e. the send posted `depth` calls ago
@@ -266,12 +259,10 @@ impl SendWindow {
     /// for — breaks the §4.2.1 double-buffering discipline and is
     /// reported as a [`Violation::RepostBeforeCompletion`].
     pub fn record(&mut self, handle: SendHandle) {
-        if let Some(prev) = self.slots[self.next].take() {
+        if let Some(prev) = &self.slots[self.next] {
             let in_flight = !prev.is_done();
-            match &self.validator {
-                Some(v) => v.report(Violation::RepostBeforeCompletion { in_flight }),
-                None => debug_assert!(false, "record without admit"),
-            }
+            self.validator
+                .report(Violation::RepostBeforeCompletion { in_flight });
         }
         self.slots[self.next] = Some(handle);
         self.next = (self.next + 1) % self.slots.len();
@@ -307,15 +298,15 @@ impl SendWindow {
 
 impl Drop for SendWindow {
     fn drop(&mut self) {
-        let Some(v) = &self.validator else { return };
         if std::thread::panicking() {
             return;
         }
         let outstanding = self.slots.iter().flatten().filter(|h| !h.is_done()).count();
         // An aborting run drops windows mid-unwind with flushed work
         // requests still recorded — fault-plane fallout, not a bug.
-        if outstanding > 0 && !v.fault_residue() {
-            v.report(Violation::WindowNotDrained { outstanding });
+        if outstanding > 0 && !self.validator.fault_residue() {
+            self.validator
+                .report(Violation::WindowNotDrained { outstanding });
         }
     }
 }
@@ -392,7 +383,7 @@ mod tests {
     fn send_window_blocks_only_when_oldest_incomplete() {
         let sim = Simulation::new();
         sim.spawn("worker", |ctx| {
-            let mut w = SendWindow::new(2);
+            let mut w = SendWindow::new(2, Validator::new());
             // Two already-completed sends: admit must not block.
             for _ in 0..2 {
                 w.admit(ctx).unwrap();

@@ -11,18 +11,14 @@
 //!
 //! Every [`crate::Fabric`] owns one [`Validator`]. The memory-region
 //! table, the NICs, [`crate::BufferPool`] and [`crate::SendWindow`] report
-//! lifecycle transitions to it; a detected violation either panics
-//! immediately ([`ValidateMode::Panic`], the default under
-//! `debug_assertions`, i.e. in every test build) or is counted, recorded
-//! and logged ([`ValidateMode::Record`], the release default).
-//!
-//! There is one build and no off switch: the validator is always
-//! compiled and every check always runs. The hard memory-safety checks
-//! (out-of-bounds one-sided access, unregistered MR lookup) fault in
-//! both modes, exactly like the protection fault real hardware would
-//! raise.
+//! lifecycle transitions to it. A detected violation is recorded, counted
+//! and then panics — in every build, like the protection fault real
+//! hardware would raise: a run that breaks the contract never prints a
+//! result. Teardown residue a crashed host left behind is the one
+//! exception; it is recorded as a [`Violation::HostCrashed`] note, because
+//! an injected crash is a fault, not a bug.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -32,17 +28,6 @@ use parking_lot::Mutex;
 use crate::config::{HostId, QueryId};
 use crate::pool::BufferPool;
 use crate::RemoteMr;
-
-/// What the validator does when a contract violation is detected.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ValidateMode {
-    /// Panic at the first violation (default when `debug_assertions` are
-    /// on — tests and debug builds).
-    Panic,
-    /// Record, count and log violations without interrupting the run
-    /// (default in release builds).
-    Record,
-}
 
 /// A detected violation of the RDMA verbs contract, with enough context
 /// to locate the offending post.
@@ -287,16 +272,52 @@ struct HostFlow {
     consumed: u64,
     /// Receive-buffer slots reposted to the SRQ.
     reposted: u64,
-    /// SRQ exhaustion already reported for this host.
-    srq_reported: bool,
+}
+
+/// What one query left behind on one host at teardown.
+#[derive(Copy, Clone, Default, PartialEq)]
+struct Residue {
+    /// Completions delivered but never consumed.
+    undrained: u64,
+    /// Receive slots consumed but never reposted.
+    unreposted: u64,
+    /// Pool buffers taken but never returned.
+    leaked: usize,
+}
+
+impl Residue {
+    fn add(&mut self, other: Residue) {
+        self.undrained += other.undrained;
+        self.unreposted += other.unreposted;
+        self.leaked += other.leaked;
+    }
+
+    /// The contract violation this residue is (`None` if it is empty).
+    fn violation(&self, host: HostId) -> Option<Violation> {
+        if self.undrained > 0 {
+            Some(Violation::CompletionsNotDrained {
+                host,
+                pending: self.undrained,
+            })
+        } else if self.unreposted > 0 {
+            Some(Violation::RecvNotReposted {
+                host,
+                held: self.unreposted,
+            })
+        } else if self.leaked > 0 {
+            Some(Violation::PoolLeak {
+                outstanding: self.leaked,
+            })
+        } else {
+            None
+        }
+    }
 }
 
 /// The verbs-contract state machine: tracks every memory region,
 /// receive slot, pooled buffer and windowed work request of one
 /// fabric through its lifecycle and reports [`Violation`]s.
 pub struct Validator {
-    /// `true` = [`ValidateMode::Panic`], `false` = [`ValidateMode::Record`].
-    panic_on_violation: AtomicBool,
     /// Registered regions: `(host, index) → registered length`.
     mrs: Mutex<HashMap<(usize, usize), usize>>,
     /// Regions whose publication epoch is currently closed
@@ -308,7 +329,7 @@ pub struct Validator {
     unpublished: Mutex<HashSet<(usize, usize)>>,
     /// Receive-path flow counters, scoped per `(host, query)` lane so
     /// a query service can audit each query's teardown individually.
-    flows: Mutex<HashMap<(usize, u32), HostFlow>>,
+    flows: Mutex<BTreeMap<(usize, u32), HostFlow>>,
     /// Tracked pools with the `(host, query)` that owns each one, so
     /// teardown leaks can be attributed to a crashed host or audited
     /// per query.
@@ -327,14 +348,12 @@ pub struct Validator {
 }
 
 impl Validator {
-    /// A fresh validator. Panics on violations in debug/test builds,
-    /// records them in release builds.
+    /// A fresh validator.
     pub fn new() -> Arc<Validator> {
         Arc::new(Validator {
-            panic_on_violation: AtomicBool::new(cfg!(debug_assertions)),
             mrs: Mutex::new(HashMap::new()),
             unpublished: Mutex::new(HashSet::new()),
-            flows: Mutex::new(HashMap::new()),
+            flows: Mutex::new(BTreeMap::new()),
             pools: Mutex::new(Vec::new()),
             crashed: Mutex::new(HashSet::new()),
             aborted_queries: Mutex::new(HashSet::new()),
@@ -344,41 +363,25 @@ impl Validator {
         })
     }
 
-    /// Override the violation response (tests use
-    /// [`ValidateMode::Record`] to assert on negative paths).
-    pub fn set_mode(&self, mode: ValidateMode) {
-        self.panic_on_violation
-            .store(mode == ValidateMode::Panic, Ordering::SeqCst);
-    }
-
-    /// The current violation response.
-    pub fn mode(&self) -> ValidateMode {
-        if self.panic_on_violation.load(Ordering::SeqCst) {
-            ValidateMode::Panic
-        } else {
-            ValidateMode::Record
-        }
-    }
-
-    /// Report a violation: record + count it, then panic or log
-    /// according to the mode.
-    pub fn report(&self, v: Violation) {
-        self.count.fetch_add(1, Ordering::SeqCst);
-        self.violations.lock().push(v.clone());
-        match self.mode() {
-            ValidateMode::Panic => panic!("verbs contract violation: {v}"),
-            ValidateMode::Record => eprintln!("rsj-verify: {v}"),
-        }
+    /// Report a violation: record and count it, then panic. A release
+    /// build (`panic = "abort"`) ends the process with its message.
+    pub(crate) fn report(&self, v: Violation) -> ! {
+        self.record(&v);
+        panic!("verbs contract violation: {v}")
     }
 
     /// Record a violation as context without ever panicking — used
-    /// for fault-plane residue (e.g. [`Violation::HostCrashed`]) that
+    /// for fault-plane residue ([`Violation::HostCrashed`]) that
     /// documents what a crash left behind rather than accusing the
     /// application of a contract bug.
     fn note(&self, v: Violation) {
+        eprintln!("rsj-verify: {v}");
+        self.record(&v);
+    }
+
+    fn record(&self, v: &Violation) {
         self.count.fetch_add(1, Ordering::SeqCst);
         self.violations.lock().push(v.clone());
-        eprintln!("rsj-verify: {v}");
     }
 
     /// The fault plane fail-stopped `host`: its teardown residue is
@@ -439,70 +442,53 @@ impl Validator {
     }
 
     /// Validate a one-sided WRITE against the registered region table
-    /// before it is posted. Returns `false` (Record mode) if the post
-    /// must be dropped.
-    pub(crate) fn check_write(&self, remote: &RemoteMr, offset: usize, len: usize) -> bool {
+    /// before it is posted.
+    pub(crate) fn check_write(&self, remote: &RemoteMr, offset: usize, len: usize) {
         self.check_one_sided(remote, offset, len, false)
     }
 
     /// Validate a one-sided READ before it is posted.
-    pub(crate) fn check_read(&self, remote: &RemoteMr, offset: usize, len: usize) -> bool {
+    pub(crate) fn check_read(&self, remote: &RemoteMr, offset: usize, len: usize) {
         self.check_one_sided(remote, offset, len, true)
     }
 
-    fn check_one_sided(&self, remote: &RemoteMr, offset: usize, len: usize, is_read: bool) -> bool {
-        let registered = self.mrs.lock().get(&(remote.host.0, remote.index)).copied();
+    fn check_one_sided(&self, remote: &RemoteMr, offset: usize, len: usize, is_read: bool) {
+        let (host, index) = (remote.host, remote.index);
+        let registered = self.mrs.lock().get(&(host.0, index)).copied();
         let Some(region_len) = registered else {
-            self.report(Violation::UseBeforeRegister {
-                host: remote.host,
-                index: remote.index,
-            });
-            return false;
+            self.report(Violation::UseBeforeRegister { host, index });
         };
         if remote.len != region_len {
             self.report(Violation::StaleRemoteHandle {
-                host: remote.host,
-                index: remote.index,
+                host,
+                index,
                 claimed: remote.len,
                 registered: region_len,
             });
-            return false;
         }
-        if is_read
-            && self
-                .unpublished
-                .lock()
-                .contains(&(remote.host.0, remote.index))
-        {
-            self.report(Violation::ReadAfterUnpublish {
-                host: remote.host,
-                index: remote.index,
-            });
-            return false;
+        if is_read && self.unpublished.lock().contains(&(host.0, index)) {
+            self.report(Violation::ReadAfterUnpublish { host, index });
         }
-        let in_bounds = offset.checked_add(len).is_some_and(|end| end <= region_len);
-        if !in_bounds {
-            let v = if is_read {
-                Violation::OutOfBoundsRead {
-                    host: remote.host,
-                    index: remote.index,
-                    offset,
-                    len,
-                    region_len,
-                }
-            } else {
-                Violation::OutOfBoundsWrite {
-                    host: remote.host,
-                    index: remote.index,
-                    offset,
-                    len,
-                    region_len,
-                }
-            };
-            self.report(v);
-            return false;
+        if offset.checked_add(len).is_some_and(|end| end <= region_len) {
+            return;
         }
-        true
+        self.report(if is_read {
+            Violation::OutOfBoundsRead {
+                host,
+                index,
+                offset,
+                len,
+                region_len,
+            }
+        } else {
+            Violation::OutOfBoundsWrite {
+                host,
+                index,
+                offset,
+                len,
+                region_len,
+            }
+        })
     }
 
     /// A two-sided completion entered `host`'s receive queue on
@@ -540,17 +526,14 @@ impl Validator {
     /// (consumed without reposting); a full-but-undrained CQ is
     /// ordinary backpressure.
     pub(crate) fn srq_blocked(&self, host: HostId, slots: usize, query: QueryId) {
-        let held = {
-            let mut flows = self.flows.lock();
-            let f = flows.entry((host.0, query.0)).or_default();
-            let held = f.consumed.saturating_sub(f.reposted) as usize;
-            if held < slots || f.srq_reported {
-                return;
-            }
-            f.srq_reported = true;
-            held
-        };
-        self.report(Violation::SrqExhausted { host, held, slots });
+        let held = self
+            .flows
+            .lock()
+            .get(&(host.0, query.0))
+            .map_or(0, |f| f.consumed.saturating_sub(f.reposted)) as usize;
+        if held >= slots {
+            self.report(Violation::SrqExhausted { host, held, slots });
+        }
     }
 
     /// Track a buffer pool owned by `(host, query)` for the teardown
@@ -565,149 +548,116 @@ impl Validator {
             .push((host.0, query.0, Arc::downgrade(pool)));
     }
 
-    /// Per-query teardown audit: when a query retires from a shared
-    /// fabric, its lane flows and sub-pools are removed from the
-    /// tracked state and audited in isolation — undrained completions,
-    /// unreposted receive slots and leaked sub-pool buffers become
-    /// violations unless the query itself aborted or the owning host
-    /// crashed (fault fallout, not a contract bug). The shared fabric
-    /// keeps running; other queries' state is untouched.
+    /// Per-query teardown audit: when `query` retires from a shared
+    /// fabric, its lane flows and pools are audited by the one
+    /// teardown rule ([`Validator::check_teardown`]) and forgotten. The
+    /// shared fabric keeps running; other queries' state is untouched.
     pub fn check_query_teardown(&self, query: QueryId) {
-        let aborted =
-            self.aborted.load(Ordering::SeqCst) || self.aborted_queries.lock().contains(&query.0);
-        let crashed: HashSet<usize> = self.crashed.lock().clone();
-        let flow_violations: Vec<Violation> = {
-            let mut flows = self.flows.lock();
-            let mut keys: Vec<(usize, u32)> = flows
-                .keys()
-                .filter(|&&(_, q)| q == query.0)
-                .copied()
-                .collect();
-            keys.sort_unstable();
-            let mut vs = Vec::new();
-            for key in keys {
-                let f = flows.remove(&key).expect("key collected from map");
-                if aborted || crashed.contains(&key.0) {
-                    continue;
-                }
-                let pending = f.delivered.saturating_sub(f.consumed);
-                let held = f.consumed.saturating_sub(f.reposted);
-                if pending > 0 {
-                    vs.push(Violation::CompletionsNotDrained {
-                        host: HostId(key.0),
-                        pending,
-                    });
-                }
-                if held > 0 {
-                    vs.push(Violation::RecvNotReposted {
-                        host: HostId(key.0),
-                        held,
-                    });
-                }
-            }
-            vs
-        };
-        for v in flow_violations {
-            self.report(v);
-        }
-        let query_pools: Vec<(usize, Weak<BufferPool>)> = {
-            let mut pools = self.pools.lock();
-            let mut taken = Vec::new();
-            pools.retain(|(h, q, w)| {
-                if *q == query.0 {
-                    taken.push((*h, w.clone()));
-                    false
-                } else {
-                    true
-                }
-            });
-            taken
-        };
-        for (host, weak) in query_pools {
-            if aborted || crashed.contains(&host) {
-                continue;
-            }
-            let Some(pool) = weak.upgrade() else { continue };
-            let outstanding = pool.outstanding();
-            if outstanding > 0 {
-                self.report(Violation::PoolLeak { outstanding });
-            }
-        }
+        self.audit(|q| q == query.0);
     }
 
-    /// Teardown audit, called after the simulation has quiesced:
-    /// undrained completion queues, unreposted receive slots, and
-    /// leaked pool buffers all become violations — except on hosts the
-    /// fault plane crashed, whose residue is rolled up into a single
-    /// non-panicking [`Violation::HostCrashed`] context record.
+    /// Teardown audit, called after the simulation has quiesced: every
+    /// query still tracked is audited, in id order, and forgotten.
+    /// Residue — undrained completions, unreposted receive slots,
+    /// leaked pool buffers — is judged by one rule, in this order:
+    ///
+    /// 1. on a host the fault plane crashed it is context, rolled up
+    ///    into one non-panicking [`Violation::HostCrashed`] note per
+    ///    host;
+    /// 2. otherwise, residue of an aborted query (or an aborted rack)
+    ///    is fault fallout and dropped;
+    /// 3. anything else is a violation.
     pub fn check_teardown(&self) {
-        let crashed: HashSet<usize> = self.crashed.lock().clone();
-        let mut crash_residue: HashMap<usize, (u64, u64, usize)> =
-            crashed.iter().map(|&h| (h, (0, 0, 0))).collect();
-        let flow_violations: Vec<Violation> = {
-            let flows = self.flows.lock();
-            let mut keys: Vec<(usize, u32)> = flows.keys().copied().collect();
-            keys.sort_unstable();
-            let mut vs = Vec::new();
-            for key in keys {
-                let f = &flows[&key];
-                let pending = f.delivered.saturating_sub(f.consumed);
-                let held = f.consumed.saturating_sub(f.reposted);
-                if let Some(residue) = crash_residue.get_mut(&key.0) {
-                    residue.0 += pending;
-                    residue.1 += held;
-                    continue;
-                }
-                if pending > 0 {
-                    vs.push(Violation::CompletionsNotDrained {
-                        host: HostId(key.0),
-                        pending,
-                    });
-                }
-                if held > 0 {
-                    vs.push(Violation::RecvNotReposted {
-                        host: HostId(key.0),
-                        held,
-                    });
-                }
+        self.audit(|_| true);
+    }
+
+    /// The one teardown audit over the tracked queries `pick` selects.
+    fn audit(&self, pick: impl Fn(u32) -> bool) {
+        // Residue per `(query, host)`, in id order.
+        let mut residue: BTreeMap<(u32, usize), Residue> = BTreeMap::new();
+        self.flows.lock().retain(|&(host, query), f| {
+            if !pick(query) {
+                return true;
             }
-            vs
-        };
-        for v in flow_violations {
-            self.report(v);
+            residue.entry((query, host)).or_default().add(Residue {
+                undrained: f.delivered.saturating_sub(f.consumed),
+                unreposted: f.consumed.saturating_sub(f.reposted),
+                leaked: 0,
+            });
+            false
+        });
+        let mut pools = Vec::new();
+        self.pools.lock().retain(|&(host, query, ref pool)| {
+            if !pick(query) {
+                return true;
+            }
+            pools.push((query, host, pool.clone()));
+            false
+        });
+        for (query, host, pool) in pools {
+            let leaked = pool.upgrade().map_or(0, |p| p.outstanding());
+            residue.entry((query, host)).or_default().leaked += leaked;
         }
-        let pools: Vec<(usize, Arc<BufferPool>)> = self
-            .pools
-            .lock()
-            .iter()
-            .filter_map(|(h, _, w)| w.upgrade().map(|p| (*h, p)))
-            .collect();
-        for (host, pool) in pools {
-            let outstanding = pool.outstanding();
-            if outstanding == 0 {
-                continue;
-            }
-            if let Some(residue) = crash_residue.get_mut(&host) {
-                residue.2 += outstanding;
-            } else {
-                self.report(Violation::PoolLeak { outstanding });
+
+        let crashed = self.crashed.lock().clone();
+        let rack_aborted = self.aborted.load(Ordering::SeqCst);
+        let aborted_queries = self.aborted_queries.lock().clone();
+        let mut crash_residue: BTreeMap<usize, Residue> = BTreeMap::new();
+        let mut first_violation = None;
+        for ((query, host), r) in residue {
+            if crashed.contains(&host) {
+                crash_residue.entry(host).or_default().add(r);
+            } else if !rack_aborted && !aborted_queries.contains(&query) {
+                first_violation = first_violation.or_else(|| r.violation(HostId(host)));
             }
         }
-        let mut hosts: Vec<usize> = crash_residue.keys().copied().collect();
-        hosts.sort_unstable();
-        for host in hosts {
-            let (undrained, unreposted, leaked_buffers) = crash_residue[&host];
+        for (host, r) in crash_residue {
             // A crash that left nothing behind (e.g. one that fired
             // after the run drained) needs no context record.
-            if undrained == 0 && unreposted == 0 && leaked_buffers == 0 {
+            if r == Residue::default() {
                 continue;
             }
             self.note(Violation::HostCrashed {
                 host: HostId(host),
-                undrained,
-                unreposted,
-                leaked_buffers,
+                undrained: r.undrained,
+                unreposted: r.unreposted,
+                leaked_buffers: r.leaked,
             });
         }
+        if let Some(v) = first_violation {
+            self.report(v);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crash_residue_is_noted_once_and_only_where_left() {
+        let v = Validator::new();
+        let (q, left, clean) = (QueryId(1), HostId(1), HostId(2));
+        // Host 1's lane holds one undrained completion and one
+        // unreposted slot; host 2's lane drained cleanly.
+        v.on_rx_delivered(left, q);
+        v.on_rx_delivered(left, q);
+        v.on_rx_consumed(left, q);
+        v.on_rx_delivered(clean, q);
+        v.on_rx_consumed(clean, q);
+        v.on_recv_reposted(clean, q);
+        v.on_host_crashed(left);
+        v.on_host_crashed(clean);
+        v.check_query_teardown(q);
+        let noted = Violation::HostCrashed {
+            host: left,
+            undrained: 1,
+            unreposted: 1,
+            leaked_buffers: 0,
+        };
+        assert_eq!(v.violations(), vec![noted]);
+        // The audit forgot what it judged: the rack audit finds nothing.
+        v.check_teardown();
+        assert_eq!(v.violation_count(), 1);
     }
 }

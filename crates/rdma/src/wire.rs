@@ -40,7 +40,7 @@ use rsj_sim::{SimCtx, SimDuration, SimSemaphore, SimTime};
 
 use crate::config::{HostId, QueryId};
 use crate::fabric::{Fabric, Spawner};
-use crate::fault::{FaultPlan, WcStatus};
+use crate::fault::{capped_backoff, FaultPlan, WcStatus};
 use crate::nic::{Completion, Nic, WorkCompletion};
 
 pub(crate) enum MsgKind {
@@ -105,6 +105,15 @@ impl Message {
         }
     }
 }
+
+/// Retransmissions of a dropped message before its completion errors out
+/// and the queue pair enters the error state (IB RC's 3-bit retry counter
+/// tops out at 7).
+const MAX_RETRIES: u32 = 7;
+/// Backoff before the first retransmission; doubles per attempt.
+const RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_micros(10);
+/// Ceiling on a single retransmission backoff.
+const RETRY_BACKOFF_MAX: SimDuration = SimDuration::from_millis(10);
 
 impl Fabric {
     /// Spawn the egress and ingress engine threads for every host (plus
@@ -209,8 +218,9 @@ impl Fabric {
     }
 
     /// IB RC retransmission at the head of the egress queue: each dropped
-    /// attempt charges exponential backoff in virtual time, then retries.
-    /// Returns the terminal error status if the message cannot be sent.
+    /// attempt charges exponential backoff in virtual time, then retries,
+    /// up to [`MAX_RETRIES`] times. Returns the terminal error status if
+    /// the message cannot be sent.
     fn retransmit(
         &self,
         ctx: &SimCtx,
@@ -230,10 +240,14 @@ impl Fabric {
             attempt += 1;
             self.faults.note_progress();
             self.nics[src.0].stats.lock().retransmits += 1;
-            if attempt > plan.retry.max_retries {
+            if attempt > MAX_RETRIES {
                 return Some(WcStatus::RetryExceeded);
             }
-            ctx.advance(plan.retry.backoff(attempt));
+            ctx.advance(capped_backoff(
+                RETRY_BACKOFF_BASE,
+                RETRY_BACKOFF_MAX,
+                attempt,
+            ));
             if self.faults.must_flush(msg.query, src) {
                 return Some(WcStatus::Flushed);
             }
@@ -308,11 +322,7 @@ impl Fabric {
                     );
                 }
                 MsgKind::OneSided { mr, offset } => {
-                    // A `None` lookup was already reported as
-                    // use-before-register; drop the write.
-                    if let Some(region) = nic.mrs.get(mr) {
-                        region.dma_write(offset, &msg.payload);
-                    }
+                    nic.mrs.get(mr).dma_write(offset, &msg.payload);
                     // Query-scoped writes land on the shared region, but
                     // the traffic belongs to the query's lane report.
                     self.credit_lane(host, msg.query, bytes, None);
@@ -325,10 +335,7 @@ impl Fabric {
                 } => {
                     // The *responder's* NIC streams the data back:
                     // enqueue the response on this host's egress.
-                    let data = match nic.mrs.get(mr) {
-                        Some(region) => region.dma_read(offset, len),
-                        None => vec![0u8; len],
-                    };
+                    let data = nic.mrs.get(mr).dma_read(offset, len);
                     nic.count_tx(data.len());
                     // Both sides of the responder's involvement: the
                     // request arrival and the response bytes served.

@@ -1,70 +1,74 @@
 //! Negative-path tests of the verbs-contract validator: each stereotyped
 //! RDMA misuse must be detected, and legal schedules must never trip it.
 //!
-//! Detection tests run the validator in [`ValidateMode::Record`] so the
-//! violation can be asserted on after the fact; one test keeps the default
-//! panic response to pin down the failure message a test author would see.
+//! A violation stops the run with a panic, in every build. Detection
+//! tests catch that panic — of `sim.run()`, of a window call or of the
+//! teardown audit — and then assert on the recorded variant.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use rsj_rdma::{
-    BufferPool, Fabric, FabricConfig, HostId, NicCosts, RemoteMr, SendHandle, SendWindow,
-    ValidateMode, Validator, Violation,
+    BufferPool, Fabric, FabricConfig, HostId, NicCosts, QueryId, RemoteMr, SendHandle, SendWindow,
+    Validator, Violation,
 };
 use rsj_sim::{SimDuration, SimEvent, Simulation};
 
-/// A two-host fabric in `Record` mode, ready for misuse.
-fn recording_fabric(cfg: FabricConfig) -> (Simulation, Arc<Fabric>) {
+/// A launched two-host fabric, ready for misuse.
+fn two_hosts(cfg: FabricConfig) -> (Simulation, Arc<Fabric>) {
     let sim = Simulation::new();
     let fabric = Fabric::new(cfg, NicCosts::default(), 2);
-    fabric.validator().set_mode(ValidateMode::Record);
     fabric.launch(&sim);
     (sim, fabric)
 }
 
+/// Run `f`, which must panic on a violation, and return what `validator`
+/// recorded.
+fn violations_of(validator: &Validator, f: impl FnOnce()) -> Vec<Violation> {
+    let outcome = catch_unwind(AssertUnwindSafe(f));
+    assert!(outcome.is_err(), "the violation must stop the run");
+    validator.violations()
+}
+
 #[test]
-fn oob_write_is_detected_and_dropped() {
-    let (sim, fabric) = recording_fabric(FabricConfig::fdr());
+fn oob_write_is_detected() {
+    let (sim, fabric) = two_hosts(FabricConfig::fdr());
     {
         let fabric = Arc::clone(&fabric);
         sim.spawn("offender", move |ctx| {
             let remote = fabric.nic(HostId(1)).mrs.register(ctx, 64).remote_handle();
             // Straddles the end of the 64-byte region.
-            let ev = fabric
+            fabric
                 .nic(HostId(0))
                 .post_write(ctx, remote, 60, vec![0xab; 16]);
-            // Record mode drops the faulting write but must not hang the
-            // poster: the completion comes back pre-fired.
-            assert!(ev.is_done(), "dropped write must complete immediately");
-            fabric.shutdown(ctx);
+            unreachable!("the faulting post must not return");
         });
     }
-    sim.run();
-    let vs = fabric.validator().violations();
+    let vs = violations_of(fabric.validator(), || {
+        sim.run();
+    });
     assert!(
-        vs.iter().any(|v| matches!(
-            v,
-            Violation::OutOfBoundsWrite {
+        matches!(
+            vs[..],
+            [Violation::OutOfBoundsWrite {
                 offset: 60,
                 len: 16,
                 region_len: 64,
                 ..
-            }
-        )),
+            }]
+        ),
         "expected an out-of-bounds write violation, got {vs:?}"
     );
 }
 
 #[test]
-#[should_panic(expected = "out of bounds")]
-fn oob_write_panics_by_default() {
-    // Default mode in test builds is Panic: the misuse faults at the post,
-    // like the protection fault real hardware would raise.
-    let sim = Simulation::new();
-    let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
-    fabric.launch(&sim);
+#[should_panic(expected = "verbs contract violation: RDMA write out of bounds")]
+fn oob_write_stops_the_run_with_the_violation_message() {
+    // The misuse faults at the post, like the protection fault real
+    // hardware would raise; the message names the violation.
+    let (sim, fabric) = two_hosts(FabricConfig::fdr());
     {
         let fabric = Arc::clone(&fabric);
         sim.spawn("offender", move |ctx| {
@@ -78,36 +82,28 @@ fn oob_write_panics_by_default() {
 }
 
 #[test]
-fn oob_read_is_detected_and_zero_filled() {
-    let (sim, fabric) = recording_fabric(FabricConfig::fdr());
+fn oob_read_is_detected() {
+    let (sim, fabric) = two_hosts(FabricConfig::fdr());
     {
         let fabric = Arc::clone(&fabric);
         sim.spawn("offender", move |ctx| {
             let remote = fabric.nic(HostId(1)).mrs.register(ctx, 32).remote_handle();
-            let data = fabric
-                .nic(HostId(0))
-                .post_read(ctx, remote, 16, 32)
-                .wait(ctx)
-                .expect("record-mode drop must not surface a completion error");
-            // The faulting read is dropped; the handle yields zeroes so
-            // the initiator cannot deadlock on a completion that will
-            // never arrive.
-            assert_eq!(data, vec![0u8; 32]);
-            fabric.shutdown(ctx);
+            let _ = fabric.nic(HostId(0)).post_read(ctx, remote, 16, 32);
+            unreachable!("the faulting post must not return");
         });
     }
-    sim.run();
-    let vs = fabric.validator().violations();
+    let vs = violations_of(fabric.validator(), || {
+        sim.run();
+    });
     assert!(
-        vs.iter()
-            .any(|v| matches!(v, Violation::OutOfBoundsRead { region_len: 32, .. })),
+        matches!(vs[..], [Violation::OutOfBoundsRead { region_len: 32, .. }]),
         "expected an out-of-bounds read violation, got {vs:?}"
     );
 }
 
 #[test]
-fn read_after_unpublish_is_detected_and_zero_filled() {
-    let (sim, fabric) = recording_fabric(FabricConfig::fdr());
+fn read_after_unpublish_is_detected() {
+    let (sim, fabric) = two_hosts(FabricConfig::fdr());
     {
         let fabric = Arc::clone(&fabric);
         sim.spawn("straggler", move |ctx| {
@@ -126,39 +122,30 @@ fn read_after_unpublish_is_detected_and_zero_filled() {
             // The owner closes the epoch; a straggler still holding the
             // handle reads after the retraction. The registration is
             // intact, so hardware would happily return scribbled bytes —
-            // the validator flags it, and record mode zero-fills.
+            // the validator stops the run instead.
             mr.unpublish();
-            let data = fabric
-                .nic(HostId(0))
-                .post_read(ctx, remote, 0, 64)
-                .wait(ctx)
-                .expect("record-mode drop must not surface a completion error");
-            assert_eq!(data, vec![0u8; 64]);
-            fabric.shutdown(ctx);
+            let _ = fabric.nic(HostId(0)).post_read(ctx, remote, 0, 64);
+            unreachable!("the post-epoch read must not be posted");
         });
     }
-    sim.run();
-    let vs = fabric.validator().violations();
-    assert_eq!(
-        vs.len(),
-        1,
-        "only the post-epoch read may trip the validator, got {vs:?}"
-    );
+    let vs = violations_of(fabric.validator(), || {
+        sim.run();
+    });
     assert!(
         matches!(
-            vs[0],
-            Violation::ReadAfterUnpublish {
+            vs[..],
+            [Violation::ReadAfterUnpublish {
                 host: HostId(1),
                 ..
-            }
+            }]
         ),
-        "expected a read-after-unpublish violation, got {vs:?}"
+        "only the post-epoch read may trip the validator, got {vs:?}"
     );
 }
 
 #[test]
 fn republish_reopens_the_read_epoch() {
-    let (sim, fabric) = recording_fabric(FabricConfig::fdr());
+    let (sim, fabric) = two_hosts(FabricConfig::fdr());
     {
         let fabric = Arc::clone(&fabric);
         sim.spawn("reader", move |ctx| {
@@ -192,7 +179,7 @@ fn republish_reopens_the_read_epoch() {
 
 #[test]
 fn use_before_register_is_detected() {
-    let (sim, fabric) = recording_fabric(FabricConfig::fdr());
+    let (sim, fabric) = two_hosts(FabricConfig::fdr());
     {
         let fabric = Arc::clone(&fabric);
         sim.spawn("offender", move |ctx| {
@@ -203,26 +190,26 @@ fn use_before_register_is_detected() {
                 len: 64,
             };
             fabric.nic(HostId(0)).post_write(ctx, forged, 0, vec![0; 8]);
-            fabric.shutdown(ctx);
         });
     }
-    sim.run();
-    let vs = fabric.validator().violations();
+    let vs = violations_of(fabric.validator(), || {
+        sim.run();
+    });
     assert!(
-        vs.iter().any(|v| matches!(
-            v,
-            Violation::UseBeforeRegister {
+        matches!(
+            vs[..],
+            [Violation::UseBeforeRegister {
                 host: HostId(1),
                 index: 7
-            }
-        )),
+            }]
+        ),
         "expected a use-before-register violation, got {vs:?}"
     );
 }
 
 #[test]
 fn stale_remote_handle_is_detected() {
-    let (sim, fabric) = recording_fabric(FabricConfig::fdr());
+    let (sim, fabric) = two_hosts(FabricConfig::fdr());
     {
         let fabric = Arc::clone(&fabric);
         sim.spawn("offender", move |ctx| {
@@ -231,20 +218,20 @@ fn stale_remote_handle_is_detected() {
             // exchanged before a re-registration.
             let stale = RemoteMr { len: 128, ..real };
             fabric.nic(HostId(0)).post_write(ctx, stale, 0, vec![0; 8]);
-            fabric.shutdown(ctx);
         });
     }
-    sim.run();
-    let vs = fabric.validator().violations();
+    let vs = violations_of(fabric.validator(), || {
+        sim.run();
+    });
     assert!(
-        vs.iter().any(|v| matches!(
-            v,
-            Violation::StaleRemoteHandle {
+        matches!(
+            vs[..],
+            [Violation::StaleRemoteHandle {
                 claimed: 128,
                 registered: 64,
                 ..
-            }
-        )),
+            }]
+        ),
         "expected a stale-handle violation, got {vs:?}"
     );
 }
@@ -252,35 +239,41 @@ fn stale_remote_handle_is_detected() {
 #[test]
 fn repost_before_completion_is_detected() {
     // A SendWindow misused without `admit`: the second `record` displaces
-    // a work request that was never waited for.
+    // a work request that was never waited for. The window unwinds with
+    // the panic, so its drop check stays quiet.
     let validator = Validator::new();
-    validator.set_mode(ValidateMode::Record);
-    let mut window = SendWindow::validated(1, Arc::clone(&validator));
-    window.record(SendHandle::for_test(SimEvent::new()));
-    window.record(SendHandle::for_test(SimEvent::new()));
-    let vs = validator.violations();
+    let v = Arc::clone(&validator);
+    let vs = violations_of(&validator, move || {
+        let mut window = SendWindow::new(1, v);
+        window.record(SendHandle::for_test(SimEvent::new()));
+        window.record(SendHandle::for_test(SimEvent::new()));
+    });
     assert!(
-        vs.iter()
-            .any(|v| matches!(v, Violation::RepostBeforeCompletion { in_flight: true })),
+        matches!(
+            vs[..],
+            [Violation::RepostBeforeCompletion { in_flight: true }]
+        ),
         "expected a repost-before-completion violation, got {vs:?}"
     );
-    // Dropping the window with the second send still in flight is a
-    // second, distinct violation.
-    drop(window);
-    let vs = validator.violations();
+    // Dropping a window with a send still in flight is a second,
+    // distinct violation.
+    let v = Arc::clone(&validator);
+    let vs = violations_of(&validator, move || {
+        let mut window = SendWindow::new(1, v);
+        window.record(SendHandle::for_test(SimEvent::new()));
+        drop(window);
+    });
     assert!(
-        vs.iter()
-            .any(|v| matches!(v, Violation::WindowNotDrained { outstanding: 1 })),
+        matches!(vs[1..], [Violation::WindowNotDrained { outstanding: 1 }]),
         "expected a window-not-drained violation, got {vs:?}"
     );
 }
 
-#[test]
-fn pool_leak_is_detected_at_teardown() {
-    let validator = Validator::new();
-    validator.set_mode(ValidateMode::Record);
+/// A pool owned by `(query, host)` with one buffer taken and never
+/// returned.
+fn leaked_pool(validator: &Validator, query: u32, host: usize) -> Arc<BufferPool> {
     let pool = BufferPool::new(4, 1024, NicCosts::default());
-    validator.register_pool_scoped(rsj_rdma::QueryId::DIRECT, HostId(0), &pool);
+    validator.register_pool_scoped(QueryId(query), HostId(host), &pool);
     let sim = Simulation::new();
     {
         let pool = Arc::clone(&pool);
@@ -293,11 +286,16 @@ fn pool_leak_is_detected_at_teardown() {
         });
     }
     sim.run();
-    validator.check_teardown();
-    let vs = validator.violations();
+    pool
+}
+
+#[test]
+fn pool_leak_is_detected_at_teardown() {
+    let validator = Validator::new();
+    let _pool = leaked_pool(&validator, 0, 0);
+    let vs = violations_of(&validator, || validator.check_teardown());
     assert!(
-        vs.iter()
-            .any(|v| matches!(v, Violation::PoolLeak { outstanding: 1 })),
+        matches!(vs[..], [Violation::PoolLeak { outstanding: 1 }]),
         "expected a pool-leak violation, got {vs:?}"
     );
 }
@@ -306,38 +304,60 @@ fn pool_leak_is_detected_at_teardown() {
 fn crashed_host_leak_is_context_not_pool_leak() {
     // The same leak as above, but the owning host fail-stops before
     // teardown: the residue must be rolled up into a `HostCrashed`
-    // context record, never reported as an application `PoolLeak`.
+    // context note, never reported as an application `PoolLeak`.
     let validator = Validator::new();
-    validator.set_mode(ValidateMode::Record);
-    let pool = BufferPool::new(4, 1024, NicCosts::default());
-    validator.register_pool_scoped(rsj_rdma::QueryId::DIRECT, HostId(2), &pool);
-    let sim = Simulation::new();
-    {
-        let pool = Arc::clone(&pool);
-        sim.spawn("crash-victim", move |ctx| {
-            let held = pool.take(ctx);
-            drop(held);
-        });
-    }
-    sim.run();
+    let _pool = leaked_pool(&validator, 0, 2);
     validator.on_host_crashed(HostId(2));
     validator.check_teardown();
     let vs = validator.violations();
     assert!(
-        !vs.iter().any(|v| matches!(v, Violation::PoolLeak { .. })),
-        "crash residue misreported as an application leak: {vs:?}"
-    );
-    assert!(
-        vs.iter().any(|v| matches!(
-            v,
-            Violation::HostCrashed {
+        matches!(
+            vs[..],
+            [Violation::HostCrashed {
                 host: HostId(2),
+                undrained: 0,
+                unreposted: 0,
                 leaked_buffers: 1,
-                ..
-            }
-        )),
+            }]
+        ),
         "expected the leak rolled up as HostCrashed context, got {vs:?}"
     );
+}
+
+#[test]
+fn one_teardown_rule_for_every_audit() {
+    // Four queries leak one buffer each: query 1 on a crashed host and
+    // query 4 on the same crashed host, query 2 aborted, query 3 neither.
+    let validator = Validator::new();
+    let _pools = [
+        leaked_pool(&validator, 1, 1),
+        leaked_pool(&validator, 2, 0),
+        leaked_pool(&validator, 3, 0),
+        leaked_pool(&validator, 4, 1),
+    ];
+    validator.on_host_crashed(HostId(1));
+    validator.on_query_aborted(QueryId(2));
+    // The per-query audit notes crash residue: one note for the host.
+    validator.check_query_teardown(QueryId(1));
+    // An aborted query's residue is fault fallout.
+    validator.check_query_teardown(QueryId(2));
+    let noted = |leaked_buffers| Violation::HostCrashed {
+        host: HostId(1),
+        undrained: 0,
+        unreposted: 0,
+        leaked_buffers,
+    };
+    assert_eq!(validator.violations(), vec![noted(1)]);
+    // The rack audit takes what is still tracked: query 4's crash
+    // residue is noted before query 3's leak stops the run.
+    let vs = violations_of(&validator, || validator.check_teardown());
+    assert_eq!(
+        vs,
+        vec![noted(1), noted(1), Violation::PoolLeak { outstanding: 1 }]
+    );
+    // Every audit forgets what it audited: nothing is left to judge.
+    validator.check_teardown();
+    assert_eq!(validator.violation_count(), 3);
 }
 
 #[test]
@@ -348,7 +368,7 @@ fn srq_exhaustion_without_repost_is_detected() {
     // analogue the §4.2.2 reposting discipline exists to prevent.
     let mut cfg = FabricConfig::fdr();
     cfg.srq_slots = 4;
-    let (sim, fabric) = recording_fabric(cfg);
+    let (sim, fabric) = two_hosts(cfg);
     const COUNT: usize = 64;
     {
         let fabric = Arc::clone(&fabric);
@@ -389,11 +409,11 @@ fn srq_exhaustion_without_repost_is_detected() {
             assert_eq!(got, COUNT);
         });
     }
-    sim.run();
-    let vs = fabric.validator().violations();
+    let vs = violations_of(fabric.validator(), || {
+        sim.run();
+    });
     assert!(
-        vs.iter()
-            .any(|v| matches!(v, Violation::SrqExhausted { slots: 4, .. })),
+        matches!(vs[..], [Violation::SrqExhausted { slots: 4, .. }]),
         "expected an SRQ-exhaustion violation, got {vs:?}"
     );
 }
@@ -404,8 +424,8 @@ proptest! {
     /// Legal schedules never trip the validator: an arbitrary two-sided
     /// exchange plus one-sided writes, all following the contract
     /// (register first, stay in bounds, repost every receive, drain the
-    /// window), runs violation-free — in Panic mode, so any false
-    /// positive aborts the test, and the teardown audit passes too.
+    /// window), runs violation-free — any false positive panics the
+    /// test — and the teardown audit passes too.
     #[test]
     fn prop_legal_schedules_never_trip_validator(
         msgs in 1usize..24,
@@ -444,7 +464,7 @@ proptest! {
                     }
                     ctx.advance(SimDuration::from_micros(10));
                 };
-                let mut window = SendWindow::validated(2, Arc::clone(nic.validator()));
+                let mut window = SendWindow::new(2, Arc::clone(nic.validator()));
                 for i in 0..msgs {
                     window.admit(ctx).unwrap();
                     let ev = nic.post_send(ctx, HostId(1), i as u32, vec![0u8; msg_size]);

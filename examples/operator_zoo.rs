@@ -8,10 +8,10 @@
 //! ```
 
 use rsj::cluster::ClusterSpec;
-use rsj::core::{run_distributed_join, DistJoinConfig};
+use rsj::core::{try_run_distributed_join, DistJoinConfig};
 use rsj::operators::{
-    run_aggregation, run_cyclo_join, run_sort_merge_join, AggregationConfig, CycloJoinConfig,
-    SortMergeConfig,
+    try_run_aggregation, try_run_cyclo_join, try_run_sort_merge_join, AggregationConfig,
+    CycloJoinConfig, SortMergeConfig,
 };
 use rsj::workload::{generate_inner, generate_outer, Skew, Tuple16};
 
@@ -37,7 +37,7 @@ fn main() {
     let (r, s, oracle) = workload();
     let mut cfg = DistJoinConfig::new(spec.clone());
     cfg.radix_bits = (8, 4);
-    let hash = run_distributed_join(cfg, r, s);
+    let hash = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&hash.result);
     println!(
         "{:>22}: total {} (net pass {})",
@@ -50,7 +50,7 @@ fn main() {
     let (r, s, oracle) = workload();
     let mut cfg = SortMergeConfig::new(spec.clone());
     cfg.radix_bits = 8;
-    let sm = run_sort_merge_join(cfg, r, s);
+    let sm = try_run_sort_merge_join(cfg, r, s).expect("sort-merge join aborted");
     oracle.verify(&sm.result);
     println!(
         "{:>22}: total {} (sort {}, merge {})",
@@ -62,7 +62,8 @@ fn main() {
 
     // Cyclo-join: no partitioning, the outer relation rotates the ring.
     let (r, s, oracle) = workload();
-    let cyclo = run_cyclo_join(CycloJoinConfig::new(spec.clone()), r, s);
+    let cyclo =
+        try_run_cyclo_join(CycloJoinConfig::new(spec.clone()), r, s).expect("cyclo-join aborted");
     oracle.verify(&cyclo.result);
     println!(
         "{:>22}: total {} ({} rotation+probe rounds)",
@@ -75,7 +76,7 @@ fn main() {
     let (_, s, _) = workload();
     let mut cfg = AggregationConfig::new(spec);
     cfg.radix_bits = 8;
-    let agg = run_aggregation(cfg, s);
+    let agg = try_run_aggregation(cfg, s).expect("aggregation aborted");
     println!(
         "{:>22}: total {} ({} groups)",
         "aggregation",

@@ -7,7 +7,7 @@
 //! ```
 
 use rsj::cluster::ClusterSpec;
-use rsj::core::{run_distributed_join, DistJoinConfig};
+use rsj::core::{try_run_distributed_join, DistJoinConfig};
 use rsj::workload::{generate_inner, generate_outer, Skew, Tuple16};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     let (s, oracle) = generate_outer::<Tuple16>(n_s, n_r, machines, Skew::None, 2);
 
     println!("running the distributed join (two-sided RDMA, interleaved)…");
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
 
     println!(

@@ -12,7 +12,7 @@
 //! ```
 
 use rsj::cluster::ClusterSpec;
-use rsj::core::{run_distributed_join, DistJoinConfig, ReceiveMode};
+use rsj::core::{try_run_distributed_join, DistJoinConfig, ReceiveMode};
 use rsj::workload::{generate_inner, generate_outer, Skew, Tuple16};
 
 fn run(receive: ReceiveMode) -> rsj::core::DistJoinOutcome {
@@ -23,7 +23,7 @@ fn run(receive: ReceiveMode) -> rsj::core::DistJoinOutcome {
     let n = 4_000_000;
     let r = generate_inner::<Tuple16>(n, machines, 9);
     let (s, oracle) = generate_outer::<Tuple16>(2 * n, n, machines, Skew::None, 10);
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     out
 }

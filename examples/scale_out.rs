@@ -7,7 +7,7 @@
 //! ```
 
 use rsj::cluster::ClusterSpec;
-use rsj::core::{run_distributed_join, DistJoinConfig};
+use rsj::core::{try_run_distributed_join, DistJoinConfig};
 use rsj::model::{self, ModelInput};
 use rsj::workload::{generate_inner, generate_outer, Skew, Tuple16};
 
@@ -35,7 +35,7 @@ fn main() {
         cfg.rdma_buf_size = 4096;
         let r = generate_inner::<Tuple16>(n, machines, 5);
         let (s, oracle) = generate_outer::<Tuple16>(n, n, machines, Skew::None, 6);
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
 
         let total = out.phases.total().as_secs_f64();

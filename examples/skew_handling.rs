@@ -8,7 +8,7 @@
 //! ```
 
 use rsj::cluster::ClusterSpec;
-use rsj::core::{run_distributed_join, AssignmentPolicy, DistJoinConfig};
+use rsj::core::{try_run_distributed_join, AssignmentPolicy, DistJoinConfig};
 use rsj::workload::{generate_inner, generate_outer, Skew, Tuple16};
 
 fn run(skew: Skew, policy: AssignmentPolicy) -> rsj::core::DistJoinOutcome {
@@ -20,7 +20,7 @@ fn run(skew: Skew, policy: AssignmentPolicy) -> rsj::core::DistJoinOutcome {
     let n_s = 8_000_000;
     let r = generate_inner::<Tuple16>(n_r, machines, 3);
     let (s, oracle) = generate_outer::<Tuple16>(n_s, n_r, machines, skew, 4);
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     out
 }
@@ -64,7 +64,7 @@ fn main() {
         let r = generate_inner::<Tuple16>(500_000, machines, 3);
         let (s, oracle) =
             generate_outer::<Tuple16>(8_000_000, 500_000, machines, Skew::Zipf(1.20), 4);
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         out
     };

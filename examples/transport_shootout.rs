@@ -38,7 +38,7 @@
 //! ```
 
 use rsj::cluster::{ClusterSpec, Interconnect};
-use rsj::core::{run_distributed_join, DistJoinConfig, Transport, TransportMode};
+use rsj::core::{try_run_distributed_join, DistJoinConfig, Transport, TransportMode};
 use rsj::rdma::{Fabric, FabricConfig, HostId, NicCosts};
 use rsj::sim::{SimDuration, Simulation};
 use rsj::workload::{generate_inner, generate_outer, Skew, Tuple16};
@@ -128,7 +128,7 @@ fn part1(tuples: u64) {
             cfg.cluster.interconnect = Interconnect::IpoIb;
         }
         let (r, s, oracle) = join_inputs(tuples, m as usize, Skew::None);
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         println!(
             "{label:>22}: total {} | network pass {}",
@@ -150,7 +150,7 @@ fn join_run(transport: Transport, tuples: u64, skew: Skew) -> (f64, u64) {
     let (mut cfg, m) = base_cfg(tuples);
     cfg.probe_transport = transport;
     let (r, s, oracle) = join_inputs(tuples, m as usize, skew);
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     let wire: u64 = out.machines.iter().map(|x| x.tx_bytes).sum();
     (out.phases.total().as_secs_f64(), wire)

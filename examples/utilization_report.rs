@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use rsj::cluster::{ClusterSpec, HealingConfig, JoinRequest, QueryService, ServiceConfig};
-use rsj::core::{run_distributed_join, DistJoinConfig, DistJoinJob, TransportMode};
+use rsj::core::{try_run_distributed_join, DistJoinConfig, DistJoinJob, TransportMode};
 use rsj::rdma::{FaultPlan, HostCrash, HostId};
 use rsj::sim::SimTime;
 use rsj::workload::{generate_inner, generate_outer, Skew, Tuple16};
@@ -28,7 +28,7 @@ fn run(transport: TransportMode) -> rsj::core::DistJoinOutcome {
     let n = 3_000_000;
     let r = generate_inner::<Tuple16>(n, machines, 13);
     let (s, oracle) = generate_outer::<Tuple16>(n, n, machines, Skew::None, 14);
-    let out = run_distributed_join(cfg, r, s);
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
     oracle.verify(&out.result);
     out
 }

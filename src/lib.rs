@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use rsj::cluster::ClusterSpec;
-//! use rsj::core::{run_distributed_join, DistJoinConfig};
+//! use rsj::core::{try_run_distributed_join, DistJoinConfig};
 //! use rsj::workload::{generate_inner, generate_outer, Skew, Tuple16};
 //!
 //! // A 4-machine FDR cluster, 8 cores each — the paper's Figure 5a setup.
@@ -31,7 +31,7 @@
 //! let r = generate_inner::<Tuple16>(1 << 16, 4, 1);
 //! let (s, oracle) = generate_outer::<Tuple16>(1 << 18, 1 << 16, 4, Skew::None, 2);
 //!
-//! let out = run_distributed_join(cfg, r, s);
+//! let out = try_run_distributed_join(cfg, r, s).expect("no fault plan, no abort");
 //! oracle.verify(&out.result);
 //! println!("total {} | phases {:?}", out.phases.total(), out.phases.rows());
 //! ```

@@ -5,7 +5,7 @@
 
 use rsj::cluster::{ClusterSpec, Interconnect};
 use rsj::core::{
-    run_distributed_join, AssignmentPolicy, DistJoinConfig, ReceiveMode, TransportMode,
+    try_run_distributed_join, AssignmentPolicy, DistJoinConfig, ReceiveMode, TransportMode,
 };
 use rsj::joins::{
     run_no_partitioning_join, run_single_machine_join, NoPartitioningConfig, SingleMachineConfig,
@@ -62,7 +62,8 @@ fn all_join_implementations_agree() {
     assert_eq!(np.result, naive);
 
     // Distributed join.
-    let dist = run_distributed_join(dist_cfg(machines, 3), r, s);
+    let dist =
+        try_run_distributed_join(dist_cfg(machines, 3), r, s).expect("distributed join aborted");
     assert_eq!(dist.result, naive);
 }
 
@@ -89,7 +90,7 @@ fn every_transport_and_receive_mode_agrees() {
         if transport == TransportMode::Tcp {
             cfg.cluster.interconnect = Interconnect::IpoIb;
         }
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         results.push(out.result);
     }
@@ -121,7 +122,7 @@ fn paper_equivalent_times_are_scale_invariant() {
             ..nic
         };
         cfg.cluster.meter_quantum_ns /= factor as f64;
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         out.phases.total().as_secs_f64() * factor as f64
     };
@@ -171,7 +172,7 @@ fn model_tracks_simulation_across_machine_counts() {
             tcp_syscall: nic.tcp_syscall / 1024.0,
             ..nic
         };
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         let sim_total = out.phases.total().as_secs_f64();
 
@@ -199,7 +200,7 @@ fn wide_tuples_hold_the_section_6_7_result() {
         let mut cfg = DistJoinConfig::new(spec);
         cfg.radix_bits = (4, 2);
         cfg.rdma_buf_size = 1024;
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         out.phases.total().as_secs_f64()
     }
@@ -224,7 +225,7 @@ fn lazy_settlement_run_is_byte_identical_across_repetitions() {
         let (s, oracle) =
             generate_outer::<Tuple16>(100_000, 50_000, machines, Skew::Zipf(1.05), 701);
         let cfg = dist_cfg(machines, 4);
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         format!(
             "h={} n={} l={} b={} result={:?} bytes={}",
@@ -251,7 +252,7 @@ fn dynamic_assignment_beats_round_robin_under_skew() {
         let (s, oracle) = generate_outer::<Tuple16>(120_000, 4_000, machines, Skew::Zipf(1.2), 601);
         let mut cfg = dist_cfg(machines, 3);
         cfg.assignment = policy;
-        let out = run_distributed_join(cfg, r, s);
+        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
         oracle.verify(&out.result);
         out.phases.total().as_secs_f64()
     };
