@@ -73,11 +73,14 @@ cargo run -q -p rsj-lint -- --json --baseline lint-baseline.json > target/lint-r
 # Sweep-smoke lane: a small experiment subset through the parallel sweep
 # engine with two workers, diffed byte-wise against the serial engine.
 # Guards the stitching contract (DESIGN.md §11): `--jobs N` must never
-# change a single output byte.
+# change a single output byte. The subset reaches every user of the
+# shuffle: the radix join, sort-merge and aggregation (`operators`), result
+# materialization (`materialize`), the parallel local pass and work
+# sharing (`fig8ws`).
 cargo run --release -q -p rsj-bench --bin experiments -- \
-    all --subset fig3,fig5b,hardware,optimal --jobs 1 > target/sweep_smoke_serial.txt
+    all --subset fig3,fig5b,hardware,optimal,fig8ws,operators,materialize --jobs 1 > target/sweep_smoke_serial.txt
 cargo run --release -q -p rsj-bench --bin experiments -- \
-    all --subset fig3,fig5b,hardware,optimal --jobs 2 > target/sweep_smoke_parallel.txt
+    all --subset fig3,fig5b,hardware,optimal,fig8ws,operators,materialize --jobs 2 > target/sweep_smoke_parallel.txt
 cmp target/sweep_smoke_serial.txt target/sweep_smoke_parallel.txt
 # ... and every `====`-bannered section it printed must appear verbatim in
 # the committed full sweep, so a change that moves virtual time shows up

@@ -5,7 +5,7 @@
 //! [`Exchange::recv_stream`] receive loop and the [`Scatter`] sender.
 //! Payloads are bytes under a [`WireTag`]; tuple encoding, per-tuple meter
 //! charges and *how one full buffer is posted* (the post step) stay with
-//! the caller, so transports and receive modes never reach this crate.
+//! the caller, so transports never reach this crate.
 
 use std::sync::Arc;
 

@@ -1,5 +1,6 @@
 //! Configuration of a distributed join run: cluster, transport variant,
-//! receive semantics, partition assignment, and skew handling knobs.
+//! partition assignment, and skew handling knobs. Partition traffic always
+//! lands with the channel semantics of §4.2.2 (DESIGN.md §4 item 3).
 
 use rsj_cluster::ClusterSpec;
 
@@ -20,25 +21,8 @@ pub enum TransportMode {
     Tcp,
 }
 
-/// Which RDMA semantics the receiver side uses (§4.2.2).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum ReceiveMode {
-    /// Channel semantics: senders SEND into a pool of small pre-registered
-    /// receive buffers; a dedicated receiver thread per machine copies
-    /// arriving buffers into per-partition staging memory and reposts
-    /// them. Uses one of the `NC/M` cores (§5.1.1). This is what the
-    /// paper's evaluation runs.
-    TwoSided,
-    /// Memory semantics: the receiver pre-registers one large buffer per
-    /// (partition, source machine) — sized exactly from the histograms —
-    /// and senders RDMA-WRITE into it at computed offsets. No receiver
-    /// CPU is consumed, but large regions must be pinned.
-    OneSided,
-}
-
 /// How the *probe* phase reaches the build side's bucket tables — the
-/// dataplane choice DESIGN.md §11 documents (distinct from
-/// [`ReceiveMode`], which only governs how *partition* traffic lands).
+/// dataplane choice DESIGN.md §11 documents.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Transport {
     /// The paper's dataplane: both relations are repartitioned across the
@@ -94,8 +78,6 @@ pub struct DistJoinConfig {
     pub rdma_buf_size: usize,
     /// Transport variant.
     pub transport: TransportMode,
-    /// Receiver semantics.
-    pub receive: ReceiveMode,
     /// Partition-to-machine assignment policy.
     pub assignment: AssignmentPolicy,
     /// Override the interconnect's fabric parameters. Used by the scaled
@@ -144,7 +126,6 @@ impl DistJoinConfig {
             radix_bits: (10, 10),
             rdma_buf_size: 64 * 1024,
             transport: TransportMode::RdmaInterleaved,
-            receive: ReceiveMode::TwoSided,
             assignment: AssignmentPolicy::RoundRobin,
             fabric_override: None,
             inter_machine_work_sharing: false,
@@ -170,22 +151,18 @@ impl DistJoinConfig {
         })
     }
 
-    /// Number of threads that partition during the network pass: with a
-    /// dedicated receiver core (two-sided or TCP), `NC/M − 1`; with
-    /// one-sided writes, all `NC/M` (§5.1.1).
+    /// Number of threads that partition during the network pass: `NC/M − 1`,
+    /// because core 0 of every machine is the dedicated receiver (§5.1.1).
     pub fn partitioning_workers(&self) -> usize {
-        match self.receive {
-            ReceiveMode::TwoSided => self.cluster.cores_per_machine - 1,
-            ReceiveMode::OneSided => self.cluster.cores_per_machine,
-        }
+        self.cluster.cores_per_machine - 1
     }
 
     /// Validate the configuration.
     ///
     /// # Panics
-    /// Panics on inconsistent settings (e.g. two-sided receive with a
-    /// single core per machine, or fewer first-pass partitions than
-    /// machines).
+    /// Panics on inconsistent settings (e.g. a single core per machine,
+    /// which leaves no partitioning worker beside the receiver, or fewer
+    /// first-pass partitions than machines).
     pub fn validate(&self) {
         let (b1, b2) = self.radix_bits;
         assert!(
@@ -201,19 +178,10 @@ impl DistJoinConfig {
             self.rdma_buf_size >= 64,
             "RDMA buffers unrealistically small"
         );
-        if self.receive == ReceiveMode::TwoSided {
-            assert!(
-                self.cluster.cores_per_machine >= 2,
-                "two-sided receive dedicates one core to receiving"
-            );
-        }
-        if self.transport == TransportMode::Tcp {
-            assert_eq!(
-                self.receive,
-                ReceiveMode::TwoSided,
-                "the TCP baseline models a socket receiver thread"
-            );
-        }
+        assert!(
+            self.cluster.cores_per_machine >= 2,
+            "the network pass dedicates one core to receiving"
+        );
         if self.probe_transport == Transport::OneSided {
             assert_ne!(
                 self.materialize,
@@ -245,13 +213,6 @@ mod tests {
         assert_eq!(cfg.radix_bits, (10, 10));
         assert_eq!(cfg.rdma_buf_size, 64 * 1024);
         assert_eq!(cfg.partitioning_workers(), 7); // NC/M - 1
-    }
-
-    #[test]
-    fn one_sided_uses_all_cores_for_partitioning() {
-        let mut cfg = DistJoinConfig::new(ClusterSpec::qdr_cluster(4));
-        cfg.receive = ReceiveMode::OneSided;
-        assert_eq!(cfg.partitioning_workers(), 8);
     }
 
     #[test]

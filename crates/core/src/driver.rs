@@ -50,8 +50,9 @@ pub struct MachineReport {
     /// Virtual seconds partitioning threads spent blocked waiting to reuse
     /// RDMA buffers (the network-bound stall of Eq. 4).
     pub send_stall_seconds: f64,
-    /// Bytes of memory registered with the NIC (§4.2.2's pinning concern;
-    /// large for one-sided receive, small for two-sided).
+    /// Bytes of memory registered with the NIC outside the buffer pools
+    /// (§4.2.2's pinning concern): the one-sided probe's published tables
+    /// and the work-sharing scratch regions. Zero on the paper's dataplane.
     pub registered_bytes: u64,
     /// On-the-fly buffer registrations (0 in a well-sized run).
     pub fly_registrations: u64,

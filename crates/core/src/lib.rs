@@ -5,7 +5,10 @@
 //! [`rsj_rdma`]: histogram computation and exchange, machine–partition
 //! assignment, a network partitioning pass that interleaves radix
 //! partitioning with RDMA transfer through pooled double buffers, local
-//! refinement passes, and a skew-aware build-probe phase.
+//! refinement passes, and a skew-aware build-probe phase. Partition
+//! traffic lands with the channel semantics the paper evaluates (§4.2.2):
+//! senders SEND, and core 0 of each machine copies what arrives into
+//! staging memory ([`shuffle`]).
 //!
 //! ## Quick example
 //!
@@ -32,9 +35,7 @@ mod histogram;
 mod phases;
 pub mod shuffle;
 
-pub use config::{
-    AssignmentPolicy, DistJoinConfig, MaterializeMode, ReceiveMode, Transport, TransportMode,
-};
+pub use config::{AssignmentPolicy, DistJoinConfig, MaterializeMode, Transport, TransportMode};
 pub use driver::{try_run_distributed_join, DistJoinJob, DistJoinOutcome, MachineReport};
 pub use histogram::{assign_partitions, Histogram, REL_R, REL_S};
 pub use rsj_cluster::JoinError;

@@ -14,7 +14,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::Tuple;
 
 use crate::histogram::{assign_partitions, Histogram, REL_R, REL_S};
-use crate::phases::{barrier_wait, sender_index, shipped, ClusterShared, GlobalInfo};
+use crate::phases::{barrier_wait, sender_index, ClusterShared, GlobalInfo};
 
 /// A build-probe task whose outer input exceeds this multiple of the
 /// average is split into probe chunks shared among threads (§4.3: "more
@@ -35,10 +35,10 @@ pub(crate) fn phase_histogram<T: Tuple>(
     let m = cfg.cluster.machines;
     let workers = cfg.partitioning_workers();
 
-    // Partitioning workers scan their (future) partitioning slices so the
-    // per-worker histograms line up with what each worker will later send;
-    // a dedicated receiver core has no slice.
-    if let Some(w) = sender_index(cfg, core) {
+    // Partitioning workers scan the slices they will partition in the
+    // network pass and add their thread histograms into the machine's;
+    // the dedicated receiver core has no slice.
+    if let Some(w) = sender_index(core) {
         let mut hist = Histogram::zeros(np1);
         for (rel, chunk) in [(REL_R, &st.r_chunk), (REL_S, &st.s_chunk)] {
             let range = ranges(chunk.len(), workers)[w].clone();
@@ -49,7 +49,6 @@ pub(crate) fn phase_histogram<T: Tuple>(
             meter.charge_bytes(ctx, slice_len * T::SIZE, cfg.cluster.cost.histogram_rate);
         }
         st.machine_hist.lock().add(&hist);
-        *st.worker_hists[w].lock() = Some(hist);
         meter.flush(ctx);
     }
     barrier_wait(&st.local_barrier, ctx, phase::HISTOGRAM)?;
@@ -81,8 +80,6 @@ pub(crate) fn phase_histogram<T: Tuple>(
         let s_split_threshold = ((s_total as f64 / final_parts as f64) * SKEW_SPLIT_FACTOR)
             .ceil()
             .max(64.0) as usize;
-        st.landing
-            .open_regions(ctx, &nic, shipped(cfg), &machine_hists);
 
         // Work-sharing extension: pre-register a scratch region sized to
         // the largest partition this machine will own, so thieves can pull

@@ -9,8 +9,8 @@
 //! * [`histogram`] — §4.1 histogram computation, exchange, and the
 //!   derived global state ([`GlobalInfo`]);
 //! * [`network`] — §4.2 network partitioning pass: the post step in which
-//!   the transports and one-sided writes differ, over the
-//!   [`crate::shuffle`] route and receive steps;
+//!   the transports differ, over the [`crate::shuffle`] route and receive
+//!   steps;
 //! * [`local`] — §4.2.3 local partitioning pass (serial and parallel);
 //! * [`build_probe`] — §4.3 build-probe with skew splitting, result
 //!   materialization, and the inter-machine work-sharing extension;
@@ -35,7 +35,7 @@ use rsj_rdma::{BufferPool, Fabric, RemoteMr};
 use rsj_sim::{SimBarrier, SimCtx, SimSemaphore};
 use rsj_workload::{JoinResult, Relation, Tuple};
 
-use crate::config::{DistJoinConfig, ReceiveMode, Transport};
+use crate::config::{DistJoinConfig, Transport};
 use crate::histogram::{Histogram, REL_R, REL_S};
 use crate::shuffle::Landing;
 
@@ -96,9 +96,6 @@ pub(crate) struct MachineState<T> {
     pub(crate) local_barrier: Arc<SimBarrier>,
     pub(crate) r_chunk: Vec<T>,
     pub(crate) s_chunk: Vec<T>,
-    /// Per-partitioning-worker thread histograms (needed for one-sided
-    /// write offsets).
-    pub(crate) worker_hists: Vec<Mutex<Option<Histogram>>>,
     pub(crate) machine_hist: Mutex<Histogram>,
     pub(crate) info: Mutex<Option<Arc<GlobalInfo>>>,
     /// Where this machine's partitions land in the network pass.
@@ -142,16 +139,14 @@ pub(crate) struct MachineState<T> {
 impl<T: Tuple> MachineState<T> {
     fn new(cfg: &DistJoinConfig, mach: usize, r_chunk: Vec<T>, s_chunk: Vec<T>) -> MachineState<T> {
         let cores = cfg.cluster.cores_per_machine;
-        let workers = cfg.partitioning_workers();
         let b1 = cfg.radix_bits.0;
         MachineState {
             local_barrier: SimBarrier::new(cores),
             r_chunk,
             s_chunk,
-            worker_hists: (0..workers).map(|_| Mutex::new(None)).collect(),
             machine_hist: Mutex::new(Histogram::zeros(1 << b1)),
             info: Mutex::new(None),
-            landing: Landing::new(mach, b1, workers, cfg.receive),
+            landing: Landing::new(mach, b1, cfg.partitioning_workers()),
             next_local_task: AtomicUsize::new(0),
             bp_tasks: NumaQueues::new(1),
             result: Mutex::new(JoinResult::default()),
@@ -286,16 +281,7 @@ pub(crate) fn assemble_checked<T: Tuple>(
 }
 
 /// The partitioning-worker index of `core`, or `None` if this core is the
-/// dedicated receiver (two-sided/TCP: core 0).
-pub(crate) fn sender_index(cfg: &DistJoinConfig, core: usize) -> Option<usize> {
-    match cfg.receive {
-        ReceiveMode::OneSided => Some(core),
-        ReceiveMode::TwoSided => {
-            if core == 0 {
-                None
-            } else {
-                Some(core - 1)
-            }
-        }
-    }
+/// dedicated receiver (core 0).
+pub(crate) fn sender_index(core: usize) -> Option<usize> {
+    core.checked_sub(1)
 }

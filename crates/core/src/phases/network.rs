@@ -5,20 +5,19 @@
 //! stay in private buffers, others go into fixed-size RDMA buffers that
 //! are posted to the target machine when full. With interleaving, ≥2
 //! buffers per (thread, partition) let computation overlap the wire. What
-//! is the radix join's own is the post step — TCP, the non-interleaved
-//! ablation and one-sided WRITE at histogram-derived offsets — and the
-//! dedicated receiver core's copy charge.
+//! is the radix join's own is the post step — interleaved RDMA, the
+//! non-interleaved ablation and TCP — and the dedicated receiver core's
+//! copy charge.
 
 use std::sync::Arc;
 
-use rsj_cluster::{phase, Exchange, JoinError, Meter, Scatter, WireTag};
+use rsj_cluster::{phase, Exchange, JoinError, Meter, Scatter};
 use rsj_rdma::HostId;
 use rsj_sim::SimCtx;
 use rsj_workload::Tuple;
 
-use crate::phases::{sender_index, shipped, ClusterShared, RELS};
-use crate::shuffle::WriteCursor;
-use crate::{ReceiveMode, TransportMode};
+use crate::phases::{sender_index, shipped, ClusterShared};
+use crate::TransportMode;
 
 pub(crate) fn phase_network<T: Tuple>(
     ctx: &SimCtx,
@@ -28,7 +27,7 @@ pub(crate) fn phase_network<T: Tuple>(
     meter: &mut Meter,
 ) -> Result<(), JoinError> {
     let ex = Exchange::new(&sh.fabric, mach, phase::NETWORK_PARTITION);
-    match sender_index(&sh.cfg, core) {
+    match sender_index(core) {
         None => receiver(ctx, sh, mach, &ex, meter),
         Some(w) => sender_loop(ctx, sh, mach, w, &ex, meter),
     }
@@ -74,34 +73,17 @@ fn sender_loop<T: Tuple>(
     let nic_cost = &cfg.cluster.cost.nic;
     let tcp = cfg.transport == TransportMode::Tcp;
     let interleaved = cfg.transport == TransportMode::RdmaInterleaved;
-
-    // One-sided: the thread histograms fix where this worker's tuples
-    // land in each remote region.
-    let one_sided = cfg.receive == ReceiveMode::OneSided;
-    let hist = |i: usize| {
-        st.worker_hists[i]
-            .lock()
-            .clone()
-            .expect("worker histogram missing")
-    };
-    let (preceding, mine) = if one_sided {
-        ((0..w).map(hist).collect::<Vec<_>>(), Some(hist(w)))
-    } else {
-        (Vec::new(), None)
-    };
-    let mut cursor = WriteCursor::new::<T>(np1, &preceding);
     // Waits the post step does itself; the lanes' windows time their own.
     let mut stall = 0.0f64;
 
-    // The post step: the three transports and two receive modes differ
-    // only in how one full buffer reaches the wire.
+    // The post step: the three transports differ only in how one full
+    // buffer reaches the wire.
     let mut scatter = Scatter::new(ex, &sh.pools[mach], np1, |ex, ctx, meter, lane, bytes| {
-        let len = bytes.len();
         if tcp {
             // Kernel path: syscall + copy across the socket buffer are
             // CPU work on the sending worker (§6.3 reasons (ii), (iii)).
             meter.charge_seconds(ctx, nic_cost.tcp_syscall);
-            meter.charge_bytes(ctx, len, nic_cost.tcp_copy_rate);
+            meter.charge_bytes(ctx, bytes.len(), nic_cost.tcp_copy_rate);
             meter.flush(ctx);
             let window = Arc::clone(&sh.tcp_windows[mach][lane.dst]);
             let t0 = ctx.now();
@@ -117,13 +99,7 @@ fn sender_loop<T: Tuple>(
         if interleaved {
             lane.window.admit(ctx).map_err(|e| ex.fabric_err(e))?;
         }
-        let sent = match lane.tag {
-            WireTag::Data { rel, part } if one_sided => {
-                let remote = sh.machines[lane.dst].landing.region(rel, part, mach);
-                nic.post_write(ctx, remote, cursor.advance(rel, part, len), bytes)
-            }
-            _ => nic.post_send(ctx, HostId(lane.dst), lane.tag.encode(), bytes),
-        };
+        let sent = nic.post_send(ctx, HostId(lane.dst), lane.tag.encode(), bytes);
         if interleaved {
             return Ok(Some(sent));
         }
@@ -141,21 +117,8 @@ fn sender_loop<T: Tuple>(
         .route(ctx, meter, &mut scatter, w, rate, &inputs)?;
 
     // Final partial buffers and drains, then end-of-stream markers to the
-    // two-sided receivers.
-    stall += scatter.finish(ctx, meter, !one_sided)?;
-    // One-sided: every byte announced in the histogram must have been
-    // written, or remote assembly would read zeros.
-    if let Some(h) = &mine {
-        for rel in RELS {
-            for part in 0..np1 {
-                let bytes = cursor.written(rel, part);
-                assert!(
-                    bytes == 0 || bytes == h.counts[rel][part] as usize * T::SIZE,
-                    "one-sided write count mismatch for rel {rel} part {part}"
-                );
-            }
-        }
-    }
+    // receivers.
+    stall += scatter.finish(ctx, meter, true)?;
     *st.stall_seconds.lock() += stall;
     Ok(())
 }

@@ -6,58 +6,43 @@
 //! tuples of partitions assigned to its own machine and pushes the rest
 //! into a [`Scatter`]; the owner takes in what arrives; after the pass it
 //! assembles each partition from what its workers kept plus what was
-//! received. A [`Landing`] is one machine's side of all three steps, so
-//! the receive semantics of §4.2.2 — two-sided staging or one-sided
-//! regions — are decided here and nowhere else. Callers keep their post
-//! step (how one full buffer reaches the wire) and their own checks.
-
-use std::collections::BTreeMap;
-use std::sync::Arc;
+//! received. A [`Landing`] is one machine's side of all three steps.
+//! Partition traffic lands with the channel semantics of §4.2.2: the
+//! owner's receiver core copies every buffer into per-partition staging
+//! memory (DESIGN.md §4 item 3). Callers keep their post step (how one
+//! full buffer reaches the wire) and their own checks.
 
 use parking_lot::Mutex;
 use rsj_cluster::{ranges, Exchange, JoinError, Lane, Meter, Posted, Scatter, WireTag};
 use rsj_joins::partition_of;
-use rsj_rdma::{Mr, Nic, RemoteMr};
 use rsj_sim::SimCtx;
 use rsj_workload::{decode_into, Tuple};
-
-use crate::config::ReceiveMode;
-use crate::histogram::{Histogram, REL_R, REL_S};
 
 /// One machine's landing of a shuffle on the low `bits` radix bits.
 pub struct Landing<T> {
     mach: usize,
     bits: u32,
-    receive: ReceiveMode,
     /// Partition → owning machine, installed once per run by [`Landing::assign`].
     assignment: Mutex<Vec<usize>>,
     /// Per partitioning worker, the tuples it kept: `[rel][part]`.
     kept: Vec<Mutex<[Vec<Vec<T>>; 2]>>,
-    /// Two-sided landing: received bytes per `[rel][part]`.
+    /// Received bytes per `[rel][part]`.
     staged: [Mutex<Vec<Vec<u8>>>; 2],
-    /// One-sided landing: the regions sources WRITE into.
-    regions: Mutex<Regions>,
 }
-
-/// `(rel, part)` → `(src, region)` for every source that sends tuples of
-/// that partition, ascending by source.
-type Regions = BTreeMap<(usize, usize), Vec<(usize, Arc<Mr>)>>;
 
 impl<T: Tuple> Landing<T> {
     /// Machine `mach`'s landing for `workers` partitioning workers per
-    /// machine, receiving with `receive` semantics.
-    pub fn new(mach: usize, bits: u32, workers: usize, receive: ReceiveMode) -> Landing<T> {
+    /// machine.
+    pub fn new(mach: usize, bits: u32, workers: usize) -> Landing<T> {
         let staged = || Mutex::new(vec![Vec::new(); 1 << bits]);
         Landing {
             mach,
             bits,
-            receive,
             assignment: Mutex::new(Vec::new()),
             kept: (0..workers)
                 .map(|_| Mutex::new([Vec::new(), Vec::new()]))
                 .collect(),
             staged: [staged(), staged()],
-            regions: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -79,48 +64,6 @@ impl<T: Tuple> Landing<T> {
         (0..assignment.len())
             .filter(|&p| assignment[p] == self.mach)
             .collect()
-    }
-
-    /// One-sided landing: register a region per owned partition of each
-    /// relation in `rels` and per remote source, sized exactly from that
-    /// source's histogram (§4.2.2) — large pinned memory, charged here. A
-    /// two-sided landing registers nothing.
-    pub(crate) fn open_regions(
-        &self,
-        ctx: &SimCtx,
-        nic: &Nic,
-        rels: &[usize],
-        machine_hists: &[Histogram],
-    ) {
-        if self.receive != ReceiveMode::OneSided {
-            return;
-        }
-        let mut regions = BTreeMap::new();
-        for p in self.owned() {
-            for src in (0..machine_hists.len()).filter(|&s| s != self.mach) {
-                for &rel in rels {
-                    let tuples = machine_hists[src].counts[rel][p];
-                    if tuples > 0 {
-                        let mr = nic.mrs.register(ctx, tuples as usize * T::SIZE);
-                        regions
-                            .entry((rel, p))
-                            .or_insert_with(Vec::new)
-                            .push((src, mr));
-                    }
-                }
-            }
-        }
-        *self.regions.lock() = regions;
-    }
-
-    /// The region machine `src` WRITEs its tuples of `(rel, part)` into.
-    pub(crate) fn region(&self, rel: usize, part: usize, src: usize) -> RemoteMr {
-        let regions = self.regions.lock();
-        let (_, mr) = regions
-            .get(&(rel, part))
-            .and_then(|from| from.iter().find(|(s, _)| *s == src))
-            .expect("one-sided region not registered");
-        mr.remote_handle()
     }
 
     /// Worker `w`'s side of the network pass: for each `(rel, chunk)` in
@@ -159,7 +102,7 @@ impl<T: Tuple> Landing<T> {
         Ok(())
     }
 
-    /// The two-sided receiver's side of the network pass: stage every
+    /// The receiver core's side of the network pass: stage every
     /// `Data` buffer of a partition assigned here after `copy` charges it,
     /// until every remote worker's `Eos`. Data for a partition owned
     /// elsewhere is a typed [`JoinError::Decode`].
@@ -187,10 +130,9 @@ impl<T: Tuple> Landing<T> {
     }
 
     /// Partition `part` of relation `rel`, taken out of the landing: the
-    /// kept tuples in worker order, then the received ones — staged bytes,
-    /// or one-sided regions in ascending source order. Pointer-level
-    /// assembly in the original; the copies here are simulator artifacts,
-    /// so nothing is charged.
+    /// kept tuples in worker order, then the staged bytes in arrival
+    /// order. Pointer-level assembly in the original; the copies here are
+    /// simulator artifacts, so nothing is charged.
     pub fn assemble(&self, rel: usize, part: usize) -> Vec<T> {
         let mut out = Vec::new();
         for kept in &self.kept {
@@ -200,58 +142,16 @@ impl<T: Tuple> Landing<T> {
         }
         let staged = std::mem::take(&mut self.staged[rel].lock()[part]);
         decode_into(&staged, &mut out);
-        let regions = self.regions.lock().remove(&(rel, part));
-        for (_, mr) in regions.into_iter().flatten() {
-            // lint: allow-mr-access(assembly consumes one-sided regions after the network-pass barrier)
-            decode_into(&mr.take_data(), &mut out);
-        }
         out
-    }
-}
-
-/// One partitioning worker's WRITE offsets into the one-sided regions its
-/// tuples land in. A source's region for `(rel, part)` holds its workers'
-/// tuples in worker order, so this worker's slice starts after its
-/// predecessors'.
-pub(crate) struct WriteCursor {
-    base: [Vec<usize>; 2],
-    written: [Vec<usize>; 2],
-}
-
-impl WriteCursor {
-    /// The cursor of the worker whose predecessors on its machine counted
-    /// `preceding` over `parts` partitions.
-    pub(crate) fn new<T: Tuple>(parts: usize, preceding: &[Histogram]) -> WriteCursor {
-        let mut base = [vec![0; parts], vec![0; parts]];
-        for h in preceding {
-            for rel in [REL_R, REL_S] {
-                for (b, &count) in base[rel].iter_mut().zip(&h.counts[rel]) {
-                    *b += count as usize * T::SIZE;
-                }
-            }
-        }
-        WriteCursor {
-            base,
-            written: [vec![0; parts], vec![0; parts]],
-        }
-    }
-
-    /// The offset of the next `len` bytes of `(rel, part)`.
-    pub(crate) fn advance(&mut self, rel: usize, part: usize, len: usize) -> usize {
-        let offset = self.base[rel][part] + self.written[rel][part];
-        self.written[rel][part] += len;
-        offset
-    }
-
-    /// Bytes written to `(rel, part)` so far.
-    pub(crate) fn written(&self, rel: usize, part: usize) -> usize {
-        self.written[rel][part]
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::histogram::{REL_R, REL_S};
     use rsj_cluster::phase;
     use rsj_rdma::{Fabric, FabricConfig, HostId, NicCosts};
     use rsj_sim::Simulation;
@@ -272,51 +172,25 @@ mod tests {
     }
 
     #[test]
-    fn assemble_takes_kept_then_staged_then_regions_by_source_and_leaves_nothing() {
-        let sim = Simulation::new();
-        let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 3);
-        fabric.launch(&sim);
-        let out = Arc::new(Mutex::new(None));
-        {
-            let (fabric, out) = (Arc::clone(&fabric), Arc::clone(&out));
-            sim.spawn("assembler", move |ctx| {
-                // Machine 0 of 3 owns partitions 0 and 2 of four.
-                let landing = Landing::<Tuple16>::new(0, 2, 2, ReceiveMode::OneSided);
-                landing.assign(vec![0, 1, 0, 1]);
-                let mut hists = vec![Histogram::zeros(4); 3];
-                hists[1].counts[REL_R][2] = 2;
-                hists[2].counts[REL_R][2] = 3;
-                landing.open_regions(ctx, &fabric.nic(HostId(0)), &[REL_R], &hists);
-                // Sources fill their regions out of order.
-                for (src, ts) in [(2, tuples(300..303)), (1, tuples(200..202))] {
-                    let regions = landing.regions.lock();
-                    let (_, mr) = regions[&(REL_R, 2)]
-                        .iter()
-                        .find(|(s, _)| *s == src)
-                        .unwrap();
-                    mr.fill(0, &encode(&ts));
-                }
-                for (w, ts) in [(0, tuples(0..2)), (1, tuples(10..13))] {
-                    let mut kept = landing.kept[w].lock();
-                    kept[REL_R] = vec![Vec::new(); 4];
-                    kept[REL_R][2] = ts;
-                }
-                landing.staged[REL_R].lock()[2] = encode(&tuples(100..102));
-                let first = keys(&landing.assemble(REL_R, 2));
-                let again = landing.assemble(REL_R, 2);
-                *out.lock() = Some((first, again.len(), landing.regions.lock().len()));
-                fabric.shutdown(ctx);
-            });
+    fn assemble_takes_kept_by_worker_then_staged_and_leaves_nothing() {
+        // Machine 0 of 2 owns partitions 0 and 2 of four.
+        let landing = Landing::<Tuple16>::new(0, 2, 2);
+        landing.assign(vec![0, 1, 0, 1]);
+        for (w, ts) in [(0, tuples(0..2)), (1, tuples(10..13))] {
+            let mut kept = landing.kept[w].lock();
+            kept[REL_R] = vec![Vec::new(); 4];
+            kept[REL_R][2] = ts;
         }
-        sim.run();
-        let (first, again, regions_left) = out.lock().take().expect("assembler ran");
+        landing.staged[REL_R].lock()[2] = encode(&tuples(100..102));
         assert_eq!(
-            first,
-            [0, 1, 10, 11, 12, 100, 101, 200, 201, 300, 301, 302],
-            "kept by worker, then staged, then regions by ascending source"
+            keys(&landing.assemble(REL_R, 2)),
+            [0, 1, 10, 11, 12, 100, 101],
+            "kept by ascending worker, then staged"
         );
-        assert_eq!(again, 0, "a second assembly of the partition is empty");
-        assert_eq!(regions_left, 0);
+        assert!(
+            landing.assemble(REL_R, 2).is_empty(),
+            "a second assembly of the partition is empty"
+        );
     }
 
     #[test]
@@ -332,7 +206,7 @@ mod tests {
         {
             let (fabric, out) = (Arc::clone(&fabric), Arc::clone(&out));
             sim.spawn("receiver", move |ctx| {
-                let landing = Landing::<Tuple16>::new(0, 1, 1, ReceiveMode::TwoSided);
+                let landing = Landing::<Tuple16>::new(0, 1, 1);
                 landing.assign(vec![0, 1]);
                 let ex = Exchange::new(&fabric, 0, phase::NETWORK_PARTITION);
                 let got = landing.receive(ctx, &mut Meter::new(), &ex, |_, _| {});

@@ -1,11 +1,8 @@
 //! End-to-end tests of the distributed join across transport variants,
-//! receive semantics, skew, and tuple widths (formerly the driver's
-//! inline test module; they only use the public API).
+//! skew, and tuple widths, through the public API only.
 
 use rsj_cluster::ClusterSpec;
-use rsj_core::{
-    try_run_distributed_join, AssignmentPolicy, DistJoinConfig, ReceiveMode, TransportMode,
-};
+use rsj_core::{try_run_distributed_join, AssignmentPolicy, DistJoinConfig, TransportMode};
 use rsj_workload::{
     generate_inner, generate_outer, JoinResult, Relation, Skew, Tuple, Tuple16, Tuple32, Tuple64,
 };
@@ -85,18 +82,6 @@ fn tcp_is_slowest_in_network_pass() {
         out_tcp.phases.network_partition,
         out_rdma.phases.network_partition
     );
-}
-
-#[test]
-fn one_sided_receive_matches_two_sided() {
-    let (r, s, oracle) = workload(3, 8_000, 16_000, Skew::None);
-    let mut cfg = small_cfg(3, 3);
-    cfg.receive = ReceiveMode::OneSided;
-    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
-    oracle.verify(&out.result);
-    // One-sided pins per-partition regions: registered bytes must be
-    // far larger than the two-sided variant's zero.
-    assert!(out.machines.iter().any(|m| m.registered_bytes > 0));
 }
 
 #[test]

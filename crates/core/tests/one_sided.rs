@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rsj_cluster::{ClusterSpec, HealingConfig, JoinRequest, QueryService, ServiceConfig};
 use rsj_core::{
     try_run_distributed_join, DistJoinConfig, DistJoinJob, DistJoinOutcome, JoinError,
-    MaterializeMode, ReceiveMode, Transport,
+    MaterializeMode, Transport,
 };
 use rsj_rdma::FaultPlan;
 use rsj_workload::{generate_inner, generate_outer, ExpectedResult, Relation, Skew, Tuple16};
@@ -52,17 +52,6 @@ fn one_sided_matches_two_sided_on_paper_workloads() {
 
         assert_eq!(two.result, one.result, "dataplanes disagree under {skew:?}");
     }
-}
-
-/// The one-sided probe also composes with one-sided *receive* (R shipped
-/// by RDMA WRITE into histogram-sized regions instead of SEND/RECV).
-#[test]
-fn one_sided_probe_composes_with_one_sided_receive() {
-    let mut cfg = config(Transport::OneSided);
-    cfg.receive = ReceiveMode::OneSided;
-    let (r, s, oracle) = workload(Skew::None);
-    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
-    oracle.verify(&out.result);
 }
 
 /// Local materialization accounts every `<r.rid, s.rid>` pair on the

@@ -2,9 +2,7 @@
 //! work-sharing during build-probe and the parallel local pass.
 
 use rsj_cluster::ClusterSpec;
-use rsj_core::{
-    try_run_distributed_join, AssignmentPolicy, DistJoinConfig, DistJoinOutcome, ReceiveMode,
-};
+use rsj_core::{try_run_distributed_join, AssignmentPolicy, DistJoinConfig, DistJoinOutcome};
 use rsj_workload::{generate_inner, generate_outer, Skew, Tuple16};
 
 fn skewed_run(work_sharing: bool) -> DistJoinOutcome {
@@ -91,21 +89,18 @@ fn parallel_local_pass_preserves_result_and_shortens_skewed_local_phase() {
 }
 
 #[test]
-fn parallel_local_pass_matches_on_uniform_and_one_sided() {
-    for receive in [ReceiveMode::TwoSided, ReceiveMode::OneSided] {
-        let machines = 3;
-        let r = generate_inner::<Tuple16>(9_000, machines, 90);
-        let (s, oracle) = generate_outer::<Tuple16>(18_000, 9_000, machines, Skew::None, 91);
-        let mut spec = ClusterSpec::fdr_cluster(machines);
-        spec.cores_per_machine = 3;
-        let mut cfg = DistJoinConfig::new(spec);
-        cfg.radix_bits = (4, 3);
-        cfg.rdma_buf_size = 1024;
-        cfg.receive = receive;
-        cfg.parallel_local_pass = true;
-        let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
-        oracle.verify(&out.result);
-    }
+fn parallel_local_pass_matches_on_uniform() {
+    let machines = 3;
+    let r = generate_inner::<Tuple16>(9_000, machines, 90);
+    let (s, oracle) = generate_outer::<Tuple16>(18_000, 9_000, machines, Skew::None, 91);
+    let mut spec = ClusterSpec::fdr_cluster(machines);
+    spec.cores_per_machine = 3;
+    let mut cfg = DistJoinConfig::new(spec);
+    cfg.radix_bits = (4, 3);
+    cfg.rdma_buf_size = 1024;
+    cfg.parallel_local_pass = true;
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
+    oracle.verify(&out.result);
 }
 
 #[test]

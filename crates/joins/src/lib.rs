@@ -1,7 +1,7 @@
 //! # rsj-joins — single-node join algorithms
 //!
 //! The multi-core substrate the distributed join builds on (§3.1) and the
-//! baselines the paper compares against (§6.1):
+//! single-machine baseline the paper compares against (§6.1):
 //!
 //! * [`partition`]/[`histogram`] — the radix partitioning kernels shared by
 //!   every join variant in this workspace;
@@ -10,13 +10,10 @@
 //! * [`NumaQueues`] — the NUMA-aware task queues of the extended baseline;
 //! * [`run_single_machine_join`] — the parallel radix join of Balkesen et
 //!   al. [4] with the paper's extensions (Figure 5a's "single" bars);
-//! * [`run_no_partitioning_join`] — the hardware-oblivious baseline of
-//!   Blanas et al. [6];
 //! * [`remote_table`] — the seqlock-versioned bucket-table byte format a
 //!   one-sided join publishes for RDMA-READ probing (DESIGN.md §11).
 
 mod hash_table;
-mod no_partitioning;
 mod radix;
 pub mod remote_table;
 mod single_machine;
@@ -24,7 +21,6 @@ mod sort;
 mod task_queue;
 
 pub use hash_table::{BucketTable, ChainedTable};
-pub use no_partitioning::{run_no_partitioning_join, NoPartitioningConfig, NoPartitioningOutcome};
 pub use remote_table::{
     begin_bucket_mutation, decode_bucket, encode_remote_table, end_bucket_mutation, remote_dir_len,
     remote_nbuckets, RemoteDirectory, TornRead,

@@ -13,7 +13,7 @@
 //! | `std-thread` | `std::thread::spawn` in simulated code — workers must be [`rsj-sim`] tasks so virtual time stays deterministic (`crates/sim/src/kernel.rs`, which implements the simulator itself, is exempt) |
 //! | `std-sync` | `std::sync::{Mutex, Barrier, Condvar}` — blocking on an OS primitive invisibly to the simulation kernel deadlocks or distorts virtual time; use `parking_lot` for plain data locks and `rsj-sim` primitives for anything that waits |
 //! | `wall-clock` | `std::time::Instant` / `SystemTime` anywhere — reading the host clock breaks run-to-run determinism, the property every experiment and test relies on |
-//! | `mr-access` | direct `Mr` byte access (`take_data` / `with_data` / `dma_write`) outside `rsj-rdma` — operators must go through the verbs API so the runtime validator sees every access |
+//! | `mr-access` | direct `Mr` byte access (`with_data` / `dma_write`) outside `rsj-rdma` — operators must go through the verbs API so the runtime validator sees every access |
 //! | `unwrap` | `.unwrap()` (or an `.expect` with a non-descriptive message) in non-test library code — failures in phase code must say what invariant broke |
 //! | `hot-alloc` | `vec!` / `Vec::new` inside `crates/joins` functions named `*_kernel`, `histogram*` or `scatter*` — those are the per-partition hot loops; allocate scratch once in the owning `Partitioner`/table and reuse it |
 //! | `fabric-panic` | `.unwrap()` / `.expect(` on the fabric's fallible post/poll results (`wait`/`recv`/`admit`/`drain`) in non-test library code — fault-plane errors (DESIGN.md §8) must propagate as `JoinError` so the run aborts cleanly |
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn catches_mr_byte_access_outside_rdma() {
-        let src = "fn f(mr: &Mr) { let _ = mr.take_data(); }\n";
+        let src = "fn f(mr: &Mr) { let _ = mr.with_data(|d| d.len()); }\n";
         assert_eq!(
             rules_of(&lint_file("crates/core/src/phases/local.rs", src)),
             ["mr-access"]

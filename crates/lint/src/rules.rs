@@ -135,7 +135,7 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
         // ---- mr-access: outside crates/rdma.
         if !in_rdma
             && ctx.text(i) == "."
-            && matches!(ctx.text(i + 1), "take_data" | "with_data" | "dma_write")
+            && matches!(ctx.text(i + 1), "with_data" | "dma_write")
             && ctx.text(i + 2) == "("
         {
             push(

@@ -1,5 +1,5 @@
 // Fixture: mr-access — raw Mr byte access outside rsj-rdma. Linted as crates/core/src/m.rs.
 
 pub fn peek(mr: &Mr) -> Vec<u8> {
-    mr.take_data()
+    mr.with_data(|d| d.to_vec())
 }

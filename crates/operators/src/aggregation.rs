@@ -14,7 +14,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_core::shuffle::Landing;
-use rsj_core::ReceiveMode;
 use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
 use rsj_workload::{Relation, Tuple};
@@ -156,7 +155,7 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
             (0..m)
                 .map(|i| MachState {
                     chunk: s.chunk(i).to_vec(),
-                    landing: Landing::new(i, self.cfg.radix_bits, workers, ReceiveMode::TwoSided),
+                    landing: Landing::new(i, self.cfg.radix_bits, workers),
                     next_task: AtomicUsize::new(0),
                     result: Mutex::new(AggregateResult::default()),
                 })

@@ -19,7 +19,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_core::shuffle::Landing;
-use rsj_core::ReceiveMode;
 use rsj_joins::{merge_join, partition_of, sort_by_key};
 use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
@@ -161,7 +160,7 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
                     r_chunk: r.chunk(i).to_vec(),
                     s_chunk: s.chunk(i).to_vec(),
                     hist: Mutex::new(vec![[0; 2]; np]),
-                    landing: Landing::new(i, self.cfg.radix_bits, workers, ReceiveMode::TwoSided),
+                    landing: Landing::new(i, self.cfg.radix_bits, workers),
                     sorted: Mutex::new(vec![[Vec::new(), Vec::new()]; np]),
                     next_task: AtomicUsize::new(0),
                     result: Mutex::new(JoinResult::default()),

@@ -62,10 +62,9 @@ impl Mr {
     /// DMA write into the region (performed by the simulated HCA's ingress
     /// engine — costs the *owner's CPU* nothing).
     ///
-    /// An out-of-bounds write — including a write into a region whose
-    /// memory the owner reclaimed with [`Mr::take_data`] — is a verbs
-    /// contract violation: real hardware would raise a protection fault
-    /// and kill the QP, and the validator stops the run.
+    /// An out-of-bounds write is a verbs contract violation: real
+    /// hardware would raise a protection fault and kill the QP, and the
+    /// validator stops the run.
     pub(crate) fn dma_write(&self, offset: usize, src: &[u8]) {
         let mut data = self.data.lock();
         let region_len = data.len();
@@ -184,14 +183,6 @@ impl Mr {
     pub fn unpublish(&self) {
         self.validator.mr_unpublished(self.host, self.index);
     }
-
-    /// Take the region contents out, leaving the backing memory empty
-    /// (the registration, and thus [`Mr::len`], is unchanged). Used when
-    /// the join assembles received partitions after the network pass;
-    /// avoids a copy. Any later one-sided access to the region faults.
-    pub fn take_data(&self) -> Vec<u8> {
-        std::mem::take(&mut *self.data.lock())
-    }
 }
 
 /// Per-host registry of memory regions, with registration accounting.
@@ -289,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn dma_write_and_take_roundtrip() {
+    fn dma_write_roundtrip() {
         let sim = Simulation::new();
         sim.spawn("rw", |ctx| {
             let table = table(HostId(3));
@@ -302,13 +293,6 @@ mod tests {
             let handle = mr.remote_handle();
             assert_eq!(handle.host, HostId(3));
             assert_eq!(handle.len, 16);
-            let data = mr.take_data();
-            assert_eq!(data.len(), 16);
-            // The registration is immutable: the handle and `len` still
-            // report the registered size even though the memory is gone.
-            assert_eq!(mr.len(), 16);
-            assert!(!mr.is_empty());
-            assert_eq!(mr.remote_handle(), handle);
         });
         sim.run();
     }
@@ -321,19 +305,6 @@ mod tests {
             let table = table(HostId(0));
             let mr = table.register(ctx, 8);
             mr.dma_write(6, &[0; 4]);
-        });
-        sim.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn write_into_taken_region_faults() {
-        let sim = Simulation::new();
-        sim.spawn("taken", |ctx| {
-            let table = table(HostId(0));
-            let mr = table.register(ctx, 8);
-            let _ = mr.take_data();
-            mr.dma_write(0, &[1, 2]);
         });
         sim.run();
     }

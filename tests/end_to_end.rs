@@ -1,15 +1,10 @@
 //! Cross-crate integration tests: every join implementation in the
 //! workspace must agree with the generator oracle and with each other on
-//! the same workload, across transports, receive modes, tuple widths and
-//! cluster shapes.
+//! the same workload, across transports, tuple widths and cluster shapes.
 
 use rsj::cluster::{ClusterSpec, Interconnect};
-use rsj::core::{
-    try_run_distributed_join, AssignmentPolicy, DistJoinConfig, ReceiveMode, TransportMode,
-};
-use rsj::joins::{
-    run_no_partitioning_join, run_single_machine_join, NoPartitioningConfig, SingleMachineConfig,
-};
+use rsj::core::{try_run_distributed_join, AssignmentPolicy, DistJoinConfig, TransportMode};
+use rsj::joins::{run_single_machine_join, SingleMachineConfig};
 use rsj::workload::{
     generate_inner, generate_outer, naive_hash_join, Relation, Skew, Tuple, Tuple16,
 };
@@ -50,17 +45,6 @@ fn all_join_implementations_agree() {
     );
     assert_eq!(single.result, naive);
 
-    // No-partitioning join.
-    let np = run_no_partitioning_join(
-        NoPartitioningConfig {
-            cores: 4,
-            ..Default::default()
-        },
-        flat(&r),
-        flat(&s),
-    );
-    assert_eq!(np.result, naive);
-
     // Distributed join.
     let dist =
         try_run_distributed_join(dist_cfg(machines, 3), r, s).expect("distributed join aborted");
@@ -68,7 +52,7 @@ fn all_join_implementations_agree() {
 }
 
 #[test]
-fn every_transport_and_receive_mode_agrees() {
+fn every_transport_agrees() {
     let machines = 3;
     let make = || {
         let r = generate_inner::<Tuple16>(9_000, machines, 200);
@@ -76,17 +60,14 @@ fn every_transport_and_receive_mode_agrees() {
         (r, s, oracle)
     };
     let mut results = Vec::new();
-    for (transport, receive) in [
-        (TransportMode::RdmaInterleaved, ReceiveMode::TwoSided),
-        (TransportMode::RdmaInterleaved, ReceiveMode::OneSided),
-        (TransportMode::RdmaNonInterleaved, ReceiveMode::TwoSided),
-        (TransportMode::RdmaNonInterleaved, ReceiveMode::OneSided),
-        (TransportMode::Tcp, ReceiveMode::TwoSided),
+    for transport in [
+        TransportMode::RdmaInterleaved,
+        TransportMode::RdmaNonInterleaved,
+        TransportMode::Tcp,
     ] {
         let (r, s, oracle) = make();
         let mut cfg = dist_cfg(machines, 3);
         cfg.transport = transport;
-        cfg.receive = receive;
         if transport == TransportMode::Tcp {
             cfg.cluster.interconnect = Interconnect::IpoIb;
         }
