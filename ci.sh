@@ -4,32 +4,8 @@
 #   ./ci.sh         full gate (build, benchmark package + frozen-path guard,
 #                   tests, switch guard, fmt, clippy, lint, sweep smoke,
 #                   chaos, service, soak)
-#   ./ci.sh tsan    opt-in ThreadSanitizer lane over the rsj-sim kernel
-#                   (needs a nightly toolchain; skips gracefully without one)
 set -euo pipefail
 cd "$(dirname "$0")"
-
-if [[ "${1:-}" == "tsan" ]]; then
-    # ThreadSanitizer lane: races in the cooperative kernel would undermine
-    # every determinism claim downstream, so the sim crate's own tests run
-    # under -Zsanitizer=thread. Opt-in because it needs nightly and -Zbuild-std.
-    if ! cargo +nightly --version >/dev/null 2>&1; then
-        echo "ci.sh tsan: no nightly toolchain installed; skipping (rustup toolchain install nightly)"
-        exit 0
-    fi
-    host="$(rustc -vV | sed -n 's/^host: //p')"
-    if ! cargo +nightly build -Z build-std --target "$host" -p rsj-sim \
-        --target-dir target/tsan-probe >/dev/null 2>&1; then
-        echo "ci.sh tsan: nightly lacks rust-src / -Z build-std support; skipping"
-        exit 0
-    fi
-    RUSTFLAGS="-Zsanitizer=thread" \
-    TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp" \
-    cargo +nightly test -Z build-std --target "$host" -p rsj-sim \
-        --target-dir target/tsan
-    echo "ci.sh tsan: rsj-sim clean under ThreadSanitizer"
-    exit 0
-fi
 
 cargo build --release
 # The repo benchmark (BENCHMARK.json) is a frozen package of its own that
@@ -82,24 +58,12 @@ cargo run --release -q -p rsj-bench --bin experiments -- \
 cargo run --release -q -p rsj-bench --bin experiments -- \
     all --subset fig3,fig5b,hardware,optimal,fig8ws,operators,materialize --jobs 2 > target/sweep_smoke_parallel.txt
 cmp target/sweep_smoke_serial.txt target/sweep_smoke_parallel.txt
-# ... and every `====`-bannered section it printed must appear verbatim in
-# the committed full sweep, so a change that moves virtual time shows up
-# here, not only when someone regenerates experiments_all.txt.
-awk 'NR == FNR { all = all $0 "\n"; next }
-     function check(  at) {
-         sub(/\n+$/, "\n", sec)
-         at = index(all, sec)
-         if (sec != "" && (at == 0 || substr(all, at + length(sec)) !~ /^\n*(====|$)/)) {
-             split(sec, line, "\n")
-             print "ci.sh: sweep section \"" line[2] "\" differs from experiments_all.txt"
-             bad = 1
-         }
-         sec = ""
-     }
-     /^====/ && prev == "" { check() }
-     /^====/ && prev == "" || sec != "" { sec = sec $0 "\n" }
-     { prev = $0 }
-     END { check(); exit bad }' experiments_all.txt target/sweep_smoke_serial.txt
+# The paper reproduction itself: the whole sweep (about 6 minutes with two
+# workers on a 2-vCPU host) must equal the committed experiments_all.txt
+# byte for byte, so a change that moves virtual time fails here, not only
+# when someone regenerates the file.
+cargo run --release -q -p rsj-bench --bin experiments -- all --jobs 2 > target/experiments_all.txt
+cmp target/experiments_all.txt experiments_all.txt
 # Seeded chaos sweep: every operator under a deterministic fault schedule
 # must complete byte-correct or abort with a structured error, and replay
 # identically. The watchdog timeout turns any hang into a hard CI failure.

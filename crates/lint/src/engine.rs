@@ -20,10 +20,6 @@ use std::collections::BTreeSet;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::Finding;
 
-/// The simulator kernel implements virtual time on top of real OS threads
-/// and synchronization, so thread/sync/nondet rules do not apply to it.
-pub(crate) const KERNEL: &str = "crates/sim/src/kernel.rs";
-
 /// Canonical phase-constant file; its declaration order defines the
 /// cluster-wide barrier protocol.
 pub(crate) const PHASE_FILE: &str = "crates/cluster/src/phase.rs";

@@ -2,7 +2,7 @@
 //! stream with the workspace [`Global`] context in scope and pushes
 //! [`Finding`]s; waivers are resolved afterwards by the engine.
 
-use crate::engine::{FileCtx, Global, KERNEL};
+use crate::engine::{FileCtx, Global};
 use crate::lexer::TokKind;
 use crate::Finding;
 
@@ -52,7 +52,6 @@ const ORDER_FREE_FOLDS: [&str; 8] = [
 
 /// Run every rule over one file.
 pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Finding>) {
-    let is_kernel = ctx.rel == KERNEL;
     let in_rdma = ctx.rel.starts_with("crates/rdma/");
     let in_cluster = ctx.rel.starts_with("crates/cluster/");
     let in_joins = ctx.rel.starts_with("crates/joins/");
@@ -72,13 +71,12 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
     for i in 0..n {
         let test = ctx.in_test(i);
 
-        // ---- std-thread: everywhere (tests included), kernel exempt.
-        // The short `thread::spawn(` form is skipped when it is just the
-        // tail of a full `std::thread::spawn` path (already matched).
+        // ---- std-thread: everywhere, tests included. The short
+        // `thread::spawn(` form is skipped when it is just the tail of a
+        // full `std::thread::spawn` path (already matched).
         let tail_of_path = i > 0 && ctx.text(i - 1) == ":";
-        if !is_kernel
-            && (ctx.seq(i, &["std", ":", ":", "thread", ":", ":", "spawn"])
-                || (!tail_of_path && ctx.seq(i, &["thread", ":", ":", "spawn", "("])))
+        if ctx.seq(i, &["std", ":", ":", "thread", ":", ":", "spawn"])
+            || (!tail_of_path && ctx.seq(i, &["thread", ":", ":", "spawn", "("]))
         {
             push(
                 "std-thread",
@@ -107,8 +105,8 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
             continue; // remaining rules are library-code rules
         }
 
-        // ---- std-sync: kernel exempt.
-        if !is_kernel && ctx.seq(i, &["std", ":", ":", "sync", ":", ":"]) {
+        // ---- std-sync.
+        if ctx.seq(i, &["std", ":", ":", "sync", ":", ":"]) {
             let blocking = ["Mutex", "Barrier", "Condvar"];
             let j = i + 6;
             let hit = if blocking.contains(&ctx.text(j)) {
@@ -212,16 +210,11 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
         }
 
         // ---- nondet-iter: hash-container iteration in result-affecting
-        // library code (kernel exempt like the other determinism rules'
-        // implementation layer).
-        if !is_kernel {
-            nondet_iter_at(ctx, global, i, out);
-        }
+        // library code.
+        nondet_iter_at(ctx, global, i, out);
 
         // ---- error-swallow.
-        if !is_kernel {
-            error_swallow_at(ctx, i, out);
-        }
+        error_swallow_at(ctx, i, out);
     }
 
     // ---- hot-alloc: allocation inside designated hot kernels in

@@ -1,10 +1,12 @@
 //! The discrete-event kernel: a cooperative scheduler for simulated threads.
 //!
 //! Every simulated entity (a worker core, a NIC engine, a coordinator) is a
-//! real OS thread, but **exactly one of them runs at any moment**. A thread
-//! runs until it reaches a *yield point* — [`SimCtx::advance`] (charge
-//! virtual time), [`SimCtx::park`] (block until unparked), or thread exit —
-//! at which point the kernel dispatches the runnable thread with the
+//! task with a stack of its own, and all tasks of a simulation run on the
+//! one OS thread that calls [`Simulation::run`], so **exactly one of them
+//! runs at any moment**. A task runs until it reaches a *yield point* —
+//! [`SimCtx::advance`] (charge virtual time), [`SimCtx::park`] (block until
+//! unparked), or task exit — at which point it switches back to the
+//! scheduler loop, which dispatches the runnable task with the
 //! smallest `(wake_time, task, sequence_number)` key. Ties on the clock are
 //! broken by the *target task id*, not by global insertion order: which
 //! task runs first at a shared instant is a pure function of the instant
@@ -29,22 +31,23 @@
 //!
 //! 1. **Self-continuation fast path.** When an `advance()` would push an
 //!    event that precedes everything queued, the reference scheduler would
-//!    push it, dispatch it straight back to the same task, and pay a full
-//!    OS park/unpark round-trip for a no-op handoff. The fast path detects
+//!    push it, dispatch it straight back to the same task, and pay two
+//!    stack switches for a no-op handoff. The fast path detects
 //!    this (`(wake, task) < next queued key`), bumps the clock, allocates
 //!    the same sequence number, and returns inline — zero queue operations,
-//!    zero context switches. Consecutive charges between interaction points
+//!    zero switches. Consecutive charges between interaction points
 //!    therefore coalesce: none of them touches the queue at all.
 //! 2. **Two-level event queue.** Events at the *current* instant go into a
 //!    small near-heap, only strictly-future events pay the main binary-heap
 //!    `O(log n)` over the full horizon. Unpark wakes and same-instant
 //!    yields — the bulk of barrier and channel traffic — stay in the small
 //!    structure.
-//! 3. **Futex-style gates.** The per-task wake gate is an atomic flag plus
-//!    `std::thread::park`/`unpark` instead of a mutex + condvar, roughly
-//!    3× cheaper per handoff on Linux (one futex wake, no lock convoy).
-//!    The winner's gate is opened *after* the scheduler lock is released so
-//!    the woken thread never immediately blocks on that lock.
+//! 3. **Stack switch.** A task is a stackful coroutine (`stack.rs`): a
+//!    yield point saves the callee-saved registers on the task's stack and
+//!    loads the scheduler loop's stack pointer, and a dispatch does the
+//!    reverse — a function call that returns on another stack, with no
+//!    system call, futex or second OS thread. Operator code stays ordinary
+//!    blocking Rust that yields from deep inside its loops.
 //! 4. **Batched self-advance.** [`SimCtx::advance_batched`] accrues virtual
 //!    time into a per-task `pending` cell without touching the scheduler at
 //!    all — not even the state lock. This is sound because the kernel is a
@@ -68,11 +71,12 @@
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use crate::stack::{self, Fiber, Resumed, Stack, Switchboard};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a simulated thread within one [`Simulation`].
@@ -132,80 +136,25 @@ impl PartialOrd for Event {
 enum TaskState {
     /// Has an event in the queue (or is about to get one).
     Runnable,
-    /// Currently executing on its OS thread.
+    /// Currently executing on the simulation's OS thread.
     Running,
     /// Waiting for an explicit unpark.
     Blocked,
     Finished,
 }
 
-const GATE_OPEN: u8 = 0b01;
-const GATE_ABORT: u8 = 0b10;
-
-/// Per-task wake gate: an atomic flag word plus the task's OS thread
-/// handle. Opening the gate is a release store + `Thread::unpark` (a single
-/// futex wake when the target is parked); waiting is an acquire swap in a
-/// `std::thread::park` loop. This replaces the original mutex + condvar
-/// gate, which cost ~3× more per handoff (lock, notify, futex wake, lock
-/// reacquisition on the waiter).
-struct Gate {
-    /// `GATE_OPEN` grants execution; `GATE_ABORT` tells the waiter to
-    /// unwind instead of resuming. Consumed atomically by `wait`.
-    flags: AtomicU8,
-    /// The OS thread to unpark. Set exactly once, before the task can ever
-    /// be dispatched (the spawner holds the run token until `spawn`
-    /// returns, and the handle is stored inside `spawn`).
-    thread: OnceLock<std::thread::Thread>,
-}
-
-impl Gate {
-    fn new() -> Arc<Gate> {
-        Arc::new(Gate {
-            flags: AtomicU8::new(0),
-            thread: OnceLock::new(),
-        })
-    }
-
-    /// Grant execution to the gated task (with `abort` set, it unwinds).
-    /// Must be called after the gate's thread handle was registered.
-    fn open(&self, abort: bool) {
-        let bits = GATE_OPEN | if abort { GATE_ABORT } else { 0 };
-        self.flags.fetch_or(bits, Ordering::Release);
-        if let Some(t) = self.thread.get() {
-            t.unpark();
-        }
-    }
-
-    /// Blocks the OS thread until the kernel grants execution. Returns
-    /// `true` if the simulation is aborting and the thread must unwind.
-    /// Robust against spurious `park` returns and stale unpark tokens: the
-    /// flag word, not the token, carries the grant.
-    fn wait(&self) -> bool {
-        loop {
-            let f = self.flags.swap(0, Ordering::Acquire);
-            if f & GATE_OPEN != 0 {
-                return f & GATE_ABORT != 0;
-            }
-            std::thread::park();
-        }
-    }
-}
+/// A spawned task's body, held by its slot until its first dispatch.
+type Body = Box<dyn FnOnce(&SimCtx) + Send>;
 
 struct Slot {
     name: String,
-    gate: Arc<Gate>,
+    /// The task's closure until its first dispatch moves it onto a stack;
+    /// a simulation dropped without `run` drops it here.
+    body: Option<Body>,
     state: TaskState,
     /// A pending unpark delivered while the task was not blocked; consumed
     /// by the next `park`.
     permit: bool,
-}
-
-/// A dispatch decision handed out of the scheduler: open this gate (with
-/// the abort flag) *after* releasing the state lock, so the woken thread
-/// does not immediately contend on it.
-struct Grant {
-    gate: Arc<Gate>,
-    abort: bool,
 }
 
 struct State {
@@ -225,7 +174,6 @@ struct State {
     live: usize,
     /// First panic message observed; once set, the simulation aborts.
     failure: Option<String>,
-    done: bool,
     /// When present, every dispatch decision (including inline
     /// self-continuations) is appended here.
     trace: Option<Vec<Dispatch>>,
@@ -276,9 +224,12 @@ impl State {
 
 pub(crate) struct Kernel {
     state: Mutex<State>,
-    /// Signalled when the simulation completes or fails. (Cold path only;
-    /// per-task wakes use the futex-style [`Gate`].)
-    finished_cv: Condvar,
+    /// The scheduler loop's saved context while a task runs, and the
+    /// task's while it switches back.
+    board: Switchboard,
+    /// Set with the first failure: a task resumed from then on unwinds
+    /// with [`SimAbort`] instead of continuing.
+    aborting: AtomicBool,
 }
 
 /// Sentinel panic payload used to unwind simulated threads when the
@@ -289,6 +240,8 @@ struct SimAbort;
 impl Kernel {
     fn new(reference: bool) -> Arc<Kernel> {
         Arc::new(Kernel {
+            board: Switchboard::new(),
+            aborting: AtomicBool::new(false),
             state: Mutex::new(State {
                 now: SimTime::ZERO,
                 seq: 0,
@@ -299,11 +252,9 @@ impl Kernel {
                 slots: Vec::with_capacity(64),
                 live: 0,
                 failure: None,
-                done: false,
                 trace: None,
                 reference,
             }),
-            finished_cv: Condvar::new(),
         })
     }
 
@@ -318,72 +269,64 @@ impl Kernel {
         }
     }
 
-    /// Picks the next runnable task and marks it Running. Must be called
-    /// with the state lock held, by a thread that is itself no longer
-    /// `Running`. The returned grant's gate must be opened by the caller
-    /// *after* releasing the lock.
+    /// Picks the next runnable task and marks it Running. Called by the
+    /// scheduler loop with the state lock held, while no task runs.
+    /// `None` once every task has finished.
     #[must_use]
-    fn dispatch(&self, state: &mut State) -> Option<Grant> {
+    fn dispatch(&self, state: &mut State) -> Option<usize> {
         loop {
-            match state.pop_min() {
-                Some(ev) => {
-                    let slot = &mut state.slots[ev.task];
-                    match slot.state {
-                        TaskState::Runnable => {
-                            debug_assert!(ev.time >= state.now, "time went backwards");
-                            state.now = ev.time;
-                            slot.state = TaskState::Running;
-                            let gate = Arc::clone(&slot.gate);
-                            state.record(ev.time, ev.seq, ev.task);
-                            let abort = state.failure.is_some();
-                            return Some(Grant { gate, abort });
-                        }
-                        // A stale event (task was already woken by a newer
-                        // one, or finished): skip it.
-                        _ => continue,
-                    }
-                }
-                None => {
-                    if state.live == 0 {
-                        state.done = true;
-                        self.finished_cv.notify_all();
-                    } else if state.failure.is_none() {
-                        // Live tasks but nothing runnable: deadlock.
-                        let blocked: Vec<&str> = state
-                            .slots
-                            .iter()
-                            .filter(|s| s.state == TaskState::Blocked)
-                            .map(|s| s.name.as_str())
-                            .collect();
-                        state.failure = Some(format!(
-                            "simulation deadlock at {}: {} task(s) blocked with no pending \
-                             events: {blocked:?}",
-                            state.now, state.live
-                        ));
-                        self.abort_all(state);
-                    } else {
-                        self.abort_all(state);
-                    }
+            let Some(ev) = state.pop_min() else {
+                if state.live == 0 {
                     return None;
                 }
+                if state.failure.is_none() {
+                    // Live tasks but nothing runnable: deadlock.
+                    let blocked: Vec<&str> = state
+                        .slots
+                        .iter()
+                        .filter(|s| s.state == TaskState::Blocked)
+                        .map(|s| s.name.as_str())
+                        .collect();
+                    state.failure = Some(format!(
+                        "simulation deadlock at {}: {} task(s) blocked with no pending \
+                         events: {blocked:?}",
+                        state.now, state.live
+                    ));
+                }
+                assert!(
+                    self.abort_all(state) > 0,
+                    "live tasks with neither an event nor a block"
+                );
+                continue;
+            };
+            let slot = &mut state.slots[ev.task];
+            // A stale event (task was already woken by a newer one, or
+            // finished): skip it.
+            if slot.state == TaskState::Runnable {
+                debug_assert!(ev.time >= state.now, "time went backwards");
+                state.now = ev.time;
+                slot.state = TaskState::Running;
+                state.record(ev.time, ev.seq, ev.task);
+                return Some(ev.task);
             }
         }
     }
 
-    /// Wake every blocked task with the abort flag so the simulation can
-    /// unwind after a failure. (Cold path: gates are opened under the lock;
-    /// the woken threads serialize on `finish_task` anyway.)
-    fn abort_all(&self, state: &mut State) {
-        for slot in &mut state.slots {
-            if slot.state == TaskState::Blocked {
-                slot.state = TaskState::Runnable;
-                slot.gate.open(true);
+    /// Start aborting after a failure: make every blocked task runnable at
+    /// the current instant, so each is resumed, unwinds with [`SimAbort`]
+    /// and drops what its stack owns. Returns how many were woken.
+    fn abort_all(&self, state: &mut State) -> usize {
+        self.aborting.store(true, Ordering::Relaxed);
+        let mut woken = 0;
+        for tid in 0..state.slots.len() {
+            if state.slots[tid].state == TaskState::Blocked {
+                state.slots[tid].state = TaskState::Runnable;
+                let now = state.now;
+                Self::push_event(state, now, tid);
+                woken += 1;
             }
         }
-        if state.live == 0 {
-            state.done = true;
-            self.finished_cv.notify_all();
-        }
+        woken
     }
 
     /// Charge `d` of virtual time to task `tid`.
@@ -391,8 +334,8 @@ impl Kernel {
     /// Fast path: if the task's wake event would precede everything queued
     /// — `(wake, tid)` strictly below the minimum `(time, task)` — then
     /// pushing it and dispatching would hand control straight back to this
-    /// same thread. Skip the queue, the state transition, and the gate
-    /// round-trip entirely: allocate the seq, bump the clock, keep running.
+    /// same task. Skip the queue, the state transition, and the two stack
+    /// switches entirely: allocate the seq, bump the clock, keep running.
     /// The recorded trace entry is identical to what the reference
     /// scheduler produces, because the reference would pop this very event
     /// next with the same `(time, seq)`.
@@ -422,26 +365,30 @@ impl Kernel {
         self.yield_and_wait(tid, TaskState::Runnable, Some(wake));
     }
 
-    /// Yield point: transition `tid` out of Running, dispatch a successor,
-    /// then sleep until re-granted. Panics with [`SimAbort`] if the
-    /// simulation is aborting.
+    /// Yield point: transition `tid` out of Running, switch to the
+    /// scheduler loop, and return when it dispatches `tid` again. Unwinds
+    /// with [`SimAbort`] if the simulation is aborting by then.
+    ///
+    /// # Panics
+    /// Panics if the task is already unwinding: a destructor that yields
+    /// would run the next task under this task's panic (the panic count is
+    /// per OS thread), so that is a double panic, which aborts.
     fn yield_and_wait(&self, tid: usize, new_state: TaskState, wake_at: Option<SimTime>) {
-        let (gate, grant) = {
+        assert!(
+            !std::thread::panicking(),
+            "simulated thread yielded while unwinding a panic"
+        );
+        {
             let mut st = self.state.lock();
             debug_assert_eq!(st.slots[tid].state, TaskState::Running);
             st.slots[tid].state = new_state;
             if let Some(t) = wake_at {
                 Self::push_event(&mut st, t, tid);
             }
-            let gate = Arc::clone(&st.slots[tid].gate);
-            let grant = self.dispatch(&mut st);
-            (gate, grant)
-        };
-        if let Some(g) = grant {
-            g.gate.open(g.abort);
         }
-        if gate.wait() {
-            panic::panic_any(SimAbort);
+        self.board.suspend();
+        if self.aborting.load(Ordering::Relaxed) {
+            panic::resume_unwind(Box::new(SimAbort));
         }
     }
 }
@@ -455,11 +402,11 @@ impl Kernel {
 /// contended in real time — only one simulated thread runs at once), but a
 /// guard must **never** be held across a yield point ([`SimCtx::advance`],
 /// [`SimCtx::park`], or anything that calls them, such as a meter flush or
-/// a barrier). The kernel would dispatch another thread, which can then
-/// block on the held lock *outside* the kernel's knowledge: every OS
-/// thread ends up waiting on a futex and the deadlock detector never runs,
-/// because the kernel still believes the lock holder's successor is
-/// runnable. Scope guards tightly.
+/// a barrier). The kernel would dispatch another task, which can then
+/// block on the held lock *outside* the kernel's knowledge: every task
+/// shares the one OS thread, so that thread waits on a futex its own
+/// suspended task holds, and the deadlock detector never runs, because it
+/// is that same thread. Scope guards tightly.
 ///
 /// A `SimCtx` identifies *this* thread to the scheduler; it is deliberately
 /// not `Clone` — pass it by reference into helpers, and use
@@ -654,87 +601,63 @@ impl SimCtx {
     }
 }
 
-fn spawn_task<F>(kernel: &Arc<Kernel>, name: String, f: F, offset: SimDuration) -> TaskId
+fn spawn_task<F>(kernel: &Kernel, name: String, f: F, offset: SimDuration) -> TaskId
 where
     F: FnOnce(&SimCtx) + Send + 'static,
 {
-    let gate = Gate::new();
-    let tid = {
-        let mut st = kernel.state.lock();
-        assert!(!st.done, "cannot spawn into a finished simulation");
-        let tid = st.slots.len();
-        st.slots.push(Slot {
-            name,
-            gate: Arc::clone(&gate),
-            state: TaskState::Runnable,
-            permit: false,
-        });
-        st.live += 1;
-        let at = st.now + offset;
-        Kernel::push_event(&mut st, at, tid);
-        tid
-    };
-
-    let kernel2 = Arc::clone(kernel);
-    let gate2 = Arc::clone(&gate);
-    let handle = std::thread::Builder::new()
-        .name(format!("sim-{tid}"))
-        .stack_size(512 * 1024)
-        .spawn(move || {
-            // Wait until first dispatched.
-            if gate2.wait() {
-                finish_task(&kernel2, tid, None);
-                return;
-            }
-            let ctx = SimCtx::new(Arc::clone(&kernel2), tid);
-            let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                f(&ctx);
-                // Commit any batched accrual left at exit so the final
-                // virtual time matches an unbatched run of the same work.
-                ctx.settle_point();
-            }));
-            let failure = match result {
-                Ok(()) => None,
-                Err(payload) => {
-                    if payload.downcast_ref::<SimAbort>().is_some() {
-                        None // induced unwind, original failure already recorded
-                    } else {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        Some(msg)
-                    }
-                }
-            };
-            finish_task(&kernel2, tid, failure);
-        })
-        .expect("failed to spawn OS thread for simulated task");
-    // Registered before the spawner reaches its next yield point, i.e.
-    // before any dispatch could try to open this gate.
-    gate.thread
-        .set(handle.thread().clone())
-        .expect("gate thread handle set twice");
+    let mut st = kernel.state.lock();
+    let tid = st.slots.len();
+    st.slots.push(Slot {
+        name,
+        body: Some(Box::new(f)),
+        state: TaskState::Runnable,
+        permit: false,
+    });
+    st.live += 1;
+    let at = st.now + offset;
+    Kernel::push_event(&mut st, at, tid);
     TaskId(tid)
 }
 
-fn finish_task(kernel: &Arc<Kernel>, tid: usize, failure: Option<String>) {
-    let grant = {
-        let mut st = kernel.state.lock();
-        st.slots[tid].state = TaskState::Finished;
-        st.live -= 1;
-        if let Some(msg) = failure {
-            if st.failure.is_none() {
-                let name = st.slots[tid].name.clone();
-                st.failure = Some(format!("simulated thread '{name}' panicked: {msg}"));
-            }
-            kernel.abort_all(&mut st);
+/// The bottom frame of a task's stack, entered at its first dispatch:
+/// run the body (unless the simulation failed before it started), commit
+/// its batched accrual, and record how it ended. No panic gets past this
+/// frame: a task's own panic becomes the simulation's failure, and the
+/// induced [`SimAbort`] unwind ends here.
+fn run_task(kernel: Arc<Kernel>, tid: usize, body: Body) {
+    let ctx = SimCtx::new(Arc::clone(&kernel), tid);
+    let start = !kernel.aborting.load(Ordering::Relaxed);
+    // The body moves into the guarded closure, so even dropping it unrun
+    // happens under `catch_unwind`.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        if start {
+            body(&ctx);
+            // Commit any batched accrual left at exit so the final virtual
+            // time matches an unbatched run of the same work.
+            ctx.settle_point();
         }
-        kernel.dispatch(&mut st)
-    };
-    if let Some(g) = grant {
-        g.gate.open(g.abort);
+    }));
+    let failure = result.err().and_then(|payload| {
+        if payload.downcast_ref::<SimAbort>().is_some() {
+            return None; // induced unwind, original failure already recorded
+        }
+        Some(
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
+        )
+    });
+    let mut st = kernel.state.lock();
+    st.slots[tid].state = TaskState::Finished;
+    st.live -= 1;
+    if let Some(msg) = failure {
+        if st.failure.is_none() {
+            let name = st.slots[tid].name.clone();
+            st.failure = Some(format!("simulated thread '{name}' panicked: {msg}"));
+        }
+        kernel.abort_all(&mut st);
     }
 }
 
@@ -813,23 +736,50 @@ impl Simulation {
         (end, trace.unwrap_or_default())
     }
 
+    /// The scheduler loop: pop the minimum event, switch into that task,
+    /// and loop when it switches back. A task's first dispatch starts its
+    /// body on a stack from the free list; a finished task's stack goes
+    /// back on that list. Every stack is unmapped when the loop ends, after
+    /// the last task has finished (on failure, after every task unwound).
     fn run_inner(self) -> (SimTime, Option<Vec<Dispatch>>) {
-        let grant = {
-            let mut st = self.kernel.state.lock();
-            if !st.done && st.live > 0 {
-                self.kernel.dispatch(&mut st)
-            } else {
-                st.done = true;
-                None
+        stack::keep_heap_top();
+        let kernel = &*self.kernel;
+        let mut suspended: Vec<Option<Fiber>> = Vec::new();
+        let mut free: Vec<Stack> = Vec::new();
+        loop {
+            let (tid, body) = {
+                let mut st = kernel.state.lock();
+                let Some(tid) = kernel.dispatch(&mut st) else {
+                    break;
+                };
+                (tid, st.slots[tid].body.take())
+            };
+            let resumed = match body {
+                Some(body) => {
+                    let stack = free.pop().unwrap_or_else(Stack::new);
+                    let k = Arc::clone(&self.kernel);
+                    kernel
+                        .board
+                        .start(stack, Box::new(move || run_task(k, tid, body)))
+                }
+                None => {
+                    let fiber = suspended[tid]
+                        .take()
+                        .expect("a dispatched task is new or suspended");
+                    kernel.board.resume(fiber)
+                }
+            };
+            match resumed {
+                Resumed::Suspended(fiber) => {
+                    if suspended.len() <= tid {
+                        suspended.resize_with(tid + 1, || None);
+                    }
+                    suspended[tid] = Some(fiber);
+                }
+                Resumed::Finished(stack) => free.push(stack),
             }
-        };
-        if let Some(g) = grant {
-            g.gate.open(g.abort);
         }
-        let mut st = self.kernel.state.lock();
-        while !st.done {
-            self.kernel.finished_cv.wait(&mut st);
-        }
+        let mut st = kernel.state.lock();
         if let Some(msg) = st.failure.take() {
             drop(st);
             panic!("{msg}");
@@ -996,8 +946,11 @@ mod tests {
     }
 
     /// Build a workload mixing fast-path advances, ties, parks/unparks and
-    /// nested spawns, and return its dispatch trace.
-    fn traced_run(reference: bool) -> (u64, Vec<Dispatch>) {
+    /// nested spawns, and return its dispatch trace. With `meet`, the first
+    /// task counts itself in and waits until two runs have (so two runs on
+    /// two OS threads are inside a task at once); it gives up, failing the
+    /// run, if the other never arrives.
+    fn traced_run(reference: bool, meet: Option<Arc<AtomicUsize>>) -> (u64, Vec<Dispatch>) {
         let sim = if reference {
             Simulation::new_reference()
         } else {
@@ -1005,7 +958,17 @@ mod tests {
         };
         sim.record_trace();
         for i in 0..6usize {
+            let meet = meet.clone().filter(|_| i == 0);
             sim.spawn(format!("w{i}"), move |ctx| {
+                if let Some(arrived) = meet {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    let mut spins = 0u64;
+                    while arrived.load(Ordering::SeqCst) < 2 {
+                        spins += 1;
+                        assert!(spins < 10_000_000, "the other run never started a task");
+                        std::thread::yield_now();
+                    }
+                }
                 for step in 0..50u64 {
                     // Mix of unique wake times (fast-path eligible), ties
                     // (seq order must decide), and zero-length yields.
@@ -1027,12 +990,65 @@ mod tests {
 
     #[test]
     fn fast_path_trace_matches_reference_kernel() {
-        let fast = traced_run(false);
-        let reference = traced_run(true);
+        let fast = traced_run(false, None);
+        let reference = traced_run(true, None);
         assert_eq!(fast.0, reference.0, "final virtual time diverged");
         assert_eq!(fast.1, reference.1, "dispatch traces diverged");
         // Sanity: the workload actually exercised scheduling decisions.
         assert!(fast.1.len() > 300);
+    }
+
+    #[test]
+    fn simulations_on_two_os_threads_stay_independent() {
+        // The `--jobs 2` shape: each sweep worker runs its own simulations.
+        // The first tasks of the two runs meet, so both schedulers are
+        // switched out into a task at the same moment.
+        let serial = traced_run(false, None);
+        let meet = Arc::new(AtomicUsize::new(0));
+        let parallel: Vec<(u64, Vec<Dispatch>)> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    let meet = Arc::clone(&meet);
+                    s.spawn(move || traced_run(false, Some(meet)))
+                })
+                .collect();
+            runs.into_iter()
+                .map(|r| r.join().expect("a simulation thread panicked"))
+                .collect()
+        });
+        assert_eq!(parallel, [serial.clone(), serial]);
+    }
+
+    #[test]
+    fn a_deadlock_unwinds_every_parked_task() {
+        let held = Arc::new(());
+        let sim = Simulation::new();
+        for i in 0..3 {
+            let held = Arc::clone(&held);
+            sim.spawn(format!("stuck{i}"), move |ctx| {
+                let _mine = held;
+                ctx.park();
+            });
+        }
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| sim.run()));
+        assert!(outcome.is_err(), "the deadlock must fail the run");
+        assert_eq!(Arc::strong_count(&held), 1, "a parked task's stack leaked");
+    }
+
+    #[test]
+    fn dropping_an_unrun_simulation_drops_its_tasks() {
+        let held = Arc::new(());
+        let sim = Simulation::new();
+        for i in 0..3 {
+            let held = Arc::clone(&held);
+            sim.spawn(format!("never{i}"), move |_| drop(held));
+        }
+        drop(sim);
+        assert_eq!(
+            Arc::strong_count(&held),
+            1,
+            "an unrun task's closure leaked"
+        );
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The foundation of the rack-scale join reproduction: a virtual clock and a
 //! cooperative scheduler that runs *real Rust code* on *simulated time*.
 //!
-//! Each simulated thread is an OS thread, but the kernel guarantees that at
-//! most one runs at any instant; threads hand control to one another at
-//! *yield points* ([`SimCtx::advance`], [`SimCtx::park`]). Virtual time
+//! Each simulated thread is a stackful coroutine: it has a stack of its
+//! own, but every thread of a simulation runs on the one OS thread that
+//! calls [`Simulation::run`], so at most one runs at any instant. Threads
+//! hand control back to the scheduler at *yield points*
+//! ([`SimCtx::advance`], [`SimCtx::park`]) with a stack switch. Virtual time
 //! jumps from event to event, so a run is deterministic regardless of host
 //! speed or core count — which is what lets a 1-core container reproduce the
 //! timing behaviour of a 10-node InfiniBand cluster (see `DESIGN.md` §1).
@@ -31,6 +33,7 @@
 //! ```
 
 mod kernel;
+mod stack;
 mod sync;
 mod time;
 

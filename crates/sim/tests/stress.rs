@@ -2,6 +2,7 @@
 //! workloads must preserve the kernel's core guarantees — exact time
 //! accounting, determinism, FIFO channels, and barrier atomicity.
 
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -224,6 +225,56 @@ fn fast_path_dispatch_trace_equals_reference() {
         );
         assert!(fast.1.len() > 1_000, "workload too small to be meaningful");
     }
+}
+
+/// FNV-1a, 64-bit: a digest whose value is fixed by its definition, not by
+/// the standard library's hasher of the day.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// FNV-1a over every `(time, seq, task)` of a dispatch trace.
+fn trace_digest(trace: &[rsj_sim::Dispatch]) -> u64 {
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    for d in trace {
+        h.write_u64(d.time.as_nanos());
+        h.write_u64(d.seq);
+        d.task.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// The dispatch order is pinned across commits, not only across the two
+/// kernels of one commit: the mixed workload's trace digests for a fixed
+/// list of seeds were generated by a release build of the thread-per-task
+/// kernel this one replaced, and any kernel must reproduce them exactly.
+#[test]
+fn dispatch_trace_digests_are_pinned() {
+    const PINNED: [(u64, u64); 8] = [
+        (1, 0xa480_fdcb_4708_df7c),
+        (2, 0xcd23_606e_c54c_ef93),
+        (3, 0xd9ee_39d6_be9a_cbb8),
+        (7, 0xc47a_311a_c90e_6016),
+        (42, 0xfbe5_a3d1_fb03_081e),
+        (0xDEAD_BEEF, 0x9cb0_2fdf_4f80_f4db),
+        (0x5EED_CAFE_F00D, 0xdcca_8023_ddc5_9be7),
+        (u64::MAX, 0x132f_d779_98ef_3d6a),
+    ];
+    let got: Vec<(u64, u64)> = PINNED
+        .iter()
+        .map(|&(seed, _)| (seed, trace_digest(&traced_mixed_workload(false, seed).1)))
+        .collect();
+    assert_eq!(got, PINNED, "dispatch trace digests moved: {got:#x?}");
 }
 
 proptest! {

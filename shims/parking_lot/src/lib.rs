@@ -2,10 +2,9 @@
 //!
 //! The build container has no access to crates.io, so the workspace
 //! vendors the *subset* of the parking_lot API it actually uses —
-//! [`Mutex`] (non-poisoning `lock()`) and [`Condvar`] (`wait` on a
-//! `&mut MutexGuard`) — implemented over `std::sync`. Poison errors are
-//! swallowed exactly like parking_lot (which has no poisoning): a
-//! panicked holder does not wedge other threads.
+//! [`Mutex`] with a non-poisoning `lock()` — implemented over `std::sync`.
+//! Poison errors are swallowed exactly like parking_lot (which has no
+//! poisoning): a panicked holder does not wedge other threads.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -18,8 +17,7 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard returned by [`Mutex::lock`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so Condvar::wait can temporarily take the std guard out.
-    inner: Option<sync::MutexGuard<'a, T>>,
+    inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -40,7 +38,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the mutex, blocking until available. Never poisons.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
+            inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
         }
     }
 
@@ -65,51 +63,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken during wait")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken during wait")
-    }
-}
-
-/// A condition variable with parking_lot's `wait(&mut guard)` signature.
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically release the guard's mutex and wait for a notification;
-    /// the mutex is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard already waiting");
-        let g = self.inner.wait(g).unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(g);
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Condvar {
-        Condvar::new()
+        &mut self.inner
     }
 }
 
@@ -124,25 +84,6 @@ mod tests {
         let m = Mutex::new(5);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = thread::spawn(move || {
-            let (lock, cv) = &*p2;
-            let mut started = lock.lock();
-            while !*started {
-                cv.wait(&mut started);
-            }
-        });
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
     }
 
     #[test]
