@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the lint gauntlet. Run from the repo root.
 #
-#   ./ci.sh         full gate (build, benchmark package + frozen-path guard,
-#                   tests, switch guard, fmt, clippy, lint, sweep smoke,
-#                   chaos, service, soak)
+#   ./ci.sh         full gate (build, benchmark package + its smoke run +
+#                   frozen-path guard, tests, switch guard, fmt, clippy,
+#                   lint, sweep smoke, chaos, service, soak)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -15,11 +15,23 @@ cargo build --release --manifest-path benchmark/Cargo.toml
 # ... and its own tests: a product change can break the frozen package's
 # behaviour, not only its compile.
 cargo test -q --manifest-path benchmark/Cargo.toml
+# ... and one smoke run of it: every workload in both trace modes, every
+# output checked against its oracle. A panic (a double borrow, say) or a
+# wrong result that only a benchmark workload reaches fails here, not in
+# a later measurement. Each run ends with one result line; all of them
+# must be present, correct and free of failed operations.
+cargo run --release -q --manifest-path benchmark/Cargo.toml -- --quick > target/benchmark_quick.txt
+runs=$((2 * $(grep -c '"why"' BENCHMARK.json)))
+clean=$(grep -cE '^\{"correct":true,"attempted":[0-9]+,"failed":0,' target/benchmark_quick.txt || true)
+if [ "$clean" -ne "$runs" ]; then
+    echo "ci.sh: benchmark smoke: $clean of $runs workload runs correct with no failed operation"
+    exit 1
+fi
 # benchmark/ and BENCHMARK.json are frozen: only a `[benchmark]` PR may
-# change them. The two lanes above build without --locked, and the
-# committed benchmark/Cargo.lock still lists an edge the workspace has
-# dropped (rsj-cluster → serde), so cargo rewrites that line in the
-# working tree. Put the committed lock back, then fail on any other
+# change them. The lanes above build without --locked, and the committed
+# benchmark/Cargo.lock still lists edges the workspace has dropped
+# (rsj-cluster → serde, the parking_lot shim), so cargo rewrites those
+# lines in the working tree. Put the committed lock back, then fail on any other
 # difference from HEAD under the frozen paths.
 git checkout HEAD -- benchmark/Cargo.lock
 git diff --exit-code HEAD -- benchmark BENCHMARK.json

@@ -14,10 +14,10 @@
 //! paper-scale prediction exactly — a property covered by an integration
 //! test. Reports show paper-equivalent seconds.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_cluster::{ClusterSpec, PhaseTimes};
 use rsj_core::{try_run_distributed_join, DistJoinConfig, DistJoinOutcome};
 use rsj_rdma::{Fabric, FabricConfig, HostId, NicCosts};
@@ -178,7 +178,7 @@ pub fn measure_stream_bandwidth(cfg: FabricConfig, msg_bytes: usize, count: usiz
     let sim = Simulation::new();
     let fabric = Fabric::new(cfg, NicCosts::default(), 2);
     fabric.launch(&sim);
-    let finish = Arc::new(Mutex::new(0.0f64));
+    let finish = Arc::new(Cell::new(0.0f64));
     {
         let fabric = Arc::clone(&fabric);
         sim.spawn("bw-sender", move |ctx| {
@@ -204,11 +204,11 @@ pub fn measure_stream_bandwidth(cfg: FabricConfig, msg_bytes: usize, count: usiz
                 nic.repost_recv(ctx);
             }
             assert_eq!(got, msg_bytes * count);
-            *finish.lock() = ctx.now().as_secs_f64();
+            finish.set(ctx.now().as_secs_f64());
         });
     }
     sim.run();
-    let seconds = *finish.lock();
+    let seconds = finish.get();
     (msg_bytes * count) as f64 / seconds
 }
 

@@ -24,8 +24,6 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
-
 use crate::{experiments, Scale};
 
 thread_local! {
@@ -209,23 +207,29 @@ pub fn capture_units(units: &[usize], scale: Scale, jobs: usize) -> Vec<Vec<u8>>
         return units.iter().map(|&u| capture_one(u, scale)).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Vec<u8>>>> = units.iter().map(|_| Mutex::new(None)).collect();
     // Host OS threads, not sim tasks: each unit owns whole Simulations,
     // so the kernel's determinism contract is untouched (module docs).
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&unit) = units.get(k) else { break };
-                let buf = capture_one(unit, scale);
-                *slots[k].lock() = Some(buf);
-            });
-        }
+    // Each worker hands back the units it ran, keyed by their position.
+    let mut done: Vec<(usize, Vec<u8>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut ran = Vec::new();
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&unit) = units.get(k) else { break ran };
+                        ran.push((k, capture_one(unit, scale)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a sweep worker panicked"))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("worker completed this unit"))
-        .collect()
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, buf)| buf).collect()
 }
 
 /// Run the sweep and stream the stitched reports to stdout in unit

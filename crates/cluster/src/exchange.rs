@@ -238,6 +238,11 @@ where
             taken: 1,
         });
         let before = lane.buf.len();
+        if before == 0 {
+            // The first record since the last post: allocate the whole
+            // buffer now, once, so filling it never reallocates.
+            lane.buf.reserve_exact(pool.buf_size());
+        }
         write(&mut lane.buf);
         if 2 * lane.buf.len() - before > pool.buf_size() {
             self.post(ctx, meter, i, false)?;
@@ -316,9 +321,9 @@ mod tests {
     use super::*;
     use crate::wire::{MAX_PARTITIONS, REL_S};
     use crate::{phase, Runtime};
-    use parking_lot::Mutex;
     use rsj_rdma::{FabricConfig, FaultPlan, HostCrash, NicCosts};
     use rsj_sim::SimTime;
+    use std::cell::RefCell;
     use std::collections::BTreeMap;
 
     const PHASE: &str = phase::NETWORK_PARTITION;
@@ -351,7 +356,7 @@ mod tests {
         senders: usize,
         n: usize,
         plan: Option<FaultPlan>,
-        trip: impl Fn(&SimCtx, &Runtime, usize, usize) + Send + Sync + 'static,
+        trip: impl Fn(&SimCtx, &Runtime, usize, usize) + 'static,
     ) -> Streamed {
         let cfg = FabricConfig::fdr();
         let rt = Runtime::new_with_plan(m, senders + 1, cfg, NicCosts::default(), plan);
@@ -360,7 +365,7 @@ mod tests {
                 .map(|i| rt.make_pool(i, 2 * 2 * PARTS * senders, BUF))
                 .collect(),
         );
-        let shared = Arc::new(Mutex::new((
+        let shared = Arc::new(RefCell::new((
             Staged::new(),
             Staged::new(),
             vec![0; m],
@@ -377,7 +382,7 @@ mod tests {
                         let recs = bytes
                             .chunks(8)
                             .map(|c| u64::from_le_bytes(c.try_into().unwrap()));
-                        let mut sh = shared2.lock();
+                        let mut sh = shared2.borrow_mut();
                         let staged = sh.1.entry((mach, rel, part)).or_default();
                         staged.extend(recs);
                         held += bytes.len() / 8;
@@ -385,7 +390,7 @@ mod tests {
                     }
                     _ => false,
                 });
-                shared2.lock().2[mach] = held;
+                shared2.borrow_mut().2[mach] = held;
                 done
             } else {
                 (|| {
@@ -397,7 +402,7 @@ mod tests {
                         if dst != mach {
                             let rec = ((mach * 16 + core) as u64) << 32 | i as u64;
                             shared2
-                                .lock()
+                                .borrow_mut()
                                 .0
                                 .entry((dst, rel, part))
                                 .or_default()
@@ -413,11 +418,11 @@ mod tests {
                     scatter.finish(ctx, &mut meter, true).map(|_| ())
                 })()
             };
-            shared2.lock().3.push(streamed.clone());
+            shared2.borrow_mut().3.push(streamed.clone());
             streamed?;
             rt.try_sync_named(ctx, PHASE, mach).map(|_| ())
         });
-        let (mut sent, mut got, at_return, workers) = std::mem::take(&mut *shared.lock());
+        let (mut sent, mut got, at_return, workers) = shared.take();
         sent.values_mut()
             .chain(got.values_mut())
             .for_each(|v| v.sort_unstable());
@@ -507,7 +512,7 @@ mod tests {
     /// Machine 0 runs `victim` while machine 1 sends it one `stray` tag.
     fn with_stray(
         stray: WireTag,
-        victim: impl Fn(&SimCtx, &Exchange) -> Result<(), JoinError> + Send + Sync + 'static,
+        victim: impl Fn(&SimCtx, &Exchange) -> Result<(), JoinError> + 'static,
     ) -> JoinError {
         let rt = Runtime::new(2, 1, FabricConfig::fdr(), NicCosts::default());
         rt.try_run(move |ctx, rt, mach, _| {

@@ -197,8 +197,8 @@ mod tests {
         // The same charge schedule under both modes: identical flushed
         // clock (chunk rounding is mode-independent), identical totals.
         fn run(mode: SettleMode) -> (u64, f64) {
-            let out = std::sync::Arc::new(parking_lot::Mutex::new((0u64, 0.0f64)));
-            let out2 = std::sync::Arc::clone(&out);
+            let out = std::rc::Rc::new(std::cell::Cell::new((0u64, 0.0f64)));
+            let out2 = std::rc::Rc::clone(&out);
             let sim = Simulation::new();
             sim.spawn("worker", move |ctx| {
                 let mut m = Meter::with_mode(1000.0, mode);
@@ -206,11 +206,10 @@ mod tests {
                     m.charge_bytes(ctx, 64 + (i % 13), 1e9);
                 }
                 m.flush(ctx);
-                *out2.lock() = (ctx.now().as_nanos(), m.total_seconds());
+                out2.set((ctx.now().as_nanos(), m.total_seconds()));
             });
             sim.run();
-            let r = *out.lock();
-            r
+            out.get()
         }
         let eager = run(SettleMode::Eager);
         let lazy = run(SettleMode::Lazy);

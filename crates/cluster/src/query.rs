@@ -5,9 +5,9 @@
 //! [`QueryService`](crate::QueryService) performs the same attach / run /
 //! finish sequence on a query-scoped [`Runtime`] (`admission.rs`).
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_rdma::{Fabric, FabricConfig, FaultPlan, NicCosts, QueryId};
 use rsj_sim::{SimCtx, SimTime, Simulation};
 
@@ -22,7 +22,7 @@ use crate::runtime::{ClusterRun, Runtime};
 /// [`Runtime::make_pool`]), then `run_worker` on every `machines() ×
 /// cores()` simulated core, then `finish` once after the workers drained
 /// (merging per-machine outputs into the job's recorded outcome).
-pub trait QueryJob: Send + Sync {
+pub trait QueryJob {
     /// Machines this query wants (≤ the service's host count).
     fn machines(&self) -> usize;
     /// Worker cores per machine (≤ the service's cores per host).
@@ -82,7 +82,7 @@ impl Runtime {
     /// [`Runtime::try_run`] for fallible workers).
     pub fn run<F>(self: &Arc<Self>, worker: F) -> ClusterRun
     where
-        F: Fn(&SimCtx, &Runtime, usize, usize) + Send + Sync + 'static,
+        F: Fn(&SimCtx, &Runtime, usize, usize) + 'static,
     {
         self.try_run(move |ctx, rt, mach, core| {
             worker(ctx, rt, mach, core);
@@ -100,11 +100,11 @@ impl Runtime {
     /// and the rack-wide teardown audit.
     pub fn try_run<F>(self: &Arc<Self>, worker: F) -> Result<ClusterRun, JoinError>
     where
-        F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
+        F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + 'static,
     {
         let sim = Simulation::new();
         self.fabric.launch(&sim);
-        let outcome = Arc::new(Mutex::new(None));
+        let outcome = Arc::new(RefCell::new(None));
         let slot = Arc::clone(&outcome);
         let fabric = Arc::clone(&self.fabric);
         self.spawn_workers(&sim, worker, move |ctx, result| {
@@ -112,11 +112,10 @@ impl Runtime {
             if result.is_ok() {
                 fabric.shutdown(ctx);
             }
-            *slot.lock() = Some(result);
+            *slot.borrow_mut() = Some(result);
         });
         sim.run();
         let run = outcome
-            .lock()
             .take()
             .expect("the last worker out reports the outcome")?;
         // The simulation has quiesced: audit the verbs-contract end state

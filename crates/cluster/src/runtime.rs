@@ -11,10 +11,9 @@
 //! time (a *mark*); [`Runtime::spawn_workers`] is the one launch routine.
 //! The direct path (`Runtime::new`, `Runtime::try_run`) is in `query.rs`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_rdma::{BufferPool, Fabric, HostId, NicCosts, PoolArena, QueryId, Spawner};
 use rsj_sim::{SimBarrier, SimCtx, SimDuration, SimSemaphore, SimTime};
 
@@ -52,7 +51,7 @@ impl PhaseEvent {
     }
 }
 
-/// Bookkeeping mutated under one lock at each barrier.
+/// Bookkeeping mutated in one borrow at each barrier.
 struct RunState {
     /// Global phase boundaries: barrier-release times, starting at t = 0.
     marks: Vec<SimTime>,
@@ -79,21 +78,21 @@ pub struct Runtime {
     /// instead of conjuring unbounded pools.
     arenas: Option<Arc<Vec<Arc<PoolArena>>>>,
     barrier: Arc<SimBarrier>,
-    state: Mutex<RunState>,
+    state: RefCell<RunState>,
     machines: usize,
     cores: usize,
     /// First failure reported by any worker (first error wins; later
     /// failures are consequences of the abort it triggered).
-    failure: Mutex<Option<JoinError>>,
+    failure: RefCell<Option<JoinError>>,
     /// Per-machine barrier-arrival counters, for straggler detection.
-    arrivals: Vec<AtomicU64>,
+    arrivals: Vec<Cell<u64>>,
     /// Name of the most recently entered phase barrier, for attributing
     /// watchdog timeouts.
-    phase_label: Mutex<&'static str>,
+    phase_label: Cell<&'static str>,
     /// Machine-local barriers registered for poisoning on failure.
-    poison_barriers: Mutex<Vec<Arc<SimBarrier>>>,
+    poison_barriers: RefCell<Vec<Arc<SimBarrier>>>,
     /// Flow-control semaphores registered for poisoning on failure.
-    poison_semaphores: Mutex<Vec<Arc<SimSemaphore>>>,
+    poison_semaphores: RefCell<Vec<Arc<SimSemaphore>>>,
 }
 
 /// What a finished [`Runtime::run`] reports.
@@ -144,18 +143,18 @@ impl Runtime {
             nic_costs: nic,
             arenas,
             barrier: SimBarrier::new(machines * cores),
-            state: Mutex::new(RunState {
+            state: RefCell::new(RunState {
                 marks: vec![start],
                 events: Vec::new(),
                 pending: vec![SimTime::ZERO; machines],
             }),
             machines,
             cores,
-            failure: Mutex::new(None),
-            arrivals: (0..machines).map(|_| AtomicU64::new(0)).collect(),
-            phase_label: Mutex::new("startup"),
-            poison_barriers: Mutex::new(Vec::new()),
-            poison_semaphores: Mutex::new(Vec::new()),
+            failure: RefCell::new(None),
+            arrivals: vec![Cell::new(0); machines],
+            phase_label: Cell::new("startup"),
+            poison_barriers: RefCell::new(Vec::new()),
+            poison_semaphores: RefCell::new(Vec::new()),
         })
     }
 
@@ -210,18 +209,19 @@ impl Runtime {
         machine: usize,
     ) -> Result<bool, JoinError> {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.pending[machine] = st.pending[machine].max(ctx.now());
         }
-        *self.phase_label.lock() = name;
-        self.arrivals[machine].fetch_add(1, Ordering::Relaxed);
+        self.phase_label.set(name);
+        let arrivals = &self.arrivals[machine];
+        arrivals.set(arrivals.get() + 1);
         let leader = match self.barrier.wait_checked(ctx) {
             Ok(leader) => leader,
             Err(_) => return Err(self.abort_error(name)),
         };
         if leader {
             let now = ctx.now();
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let start = *st.marks.last().expect("marks start non-empty");
             for machine in 0..self.machines {
                 let end = st.pending[machine];
@@ -244,7 +244,7 @@ impl Runtime {
     pub fn try_sync_quiet(&self, ctx: &SimCtx) -> Result<bool, JoinError> {
         self.barrier
             .wait_checked(ctx)
-            .map_err(|_| self.abort_error(*self.phase_label.lock()))
+            .map_err(|_| self.abort_error(self.phase_label.get()))
     }
 
     /// The error a worker should propagate after observing a poisoned
@@ -263,57 +263,49 @@ impl Runtime {
     /// fabric are untouched. Idempotent.
     pub fn fail(&self, ctx: &SimCtx, err: JoinError) {
         {
-            let mut f = self.failure.lock();
+            let mut f = self.failure.borrow_mut();
             if f.is_none() {
                 *f = Some(err.with_query(self.query));
             }
         }
         self.fabric.abort(ctx);
         self.barrier.poison(ctx);
-        for b in self.poison_barriers.lock().iter() {
+        for b in self.poison_barriers.borrow().iter() {
             b.poison(ctx);
         }
-        for s in self.poison_semaphores.lock().iter() {
+        for s in self.poison_semaphores.borrow().iter() {
             s.poison(ctx);
         }
     }
 
     /// The recorded first failure, if any.
     pub fn failure(&self) -> Option<JoinError> {
-        self.failure.lock().clone()
+        self.failure.borrow().clone()
     }
 
     /// Register a machine-local barrier so [`Runtime::fail`] can poison it
     /// (any worker parked there wakes instead of hanging the abort).
     pub fn register_barrier(&self, barrier: Arc<SimBarrier>) {
-        self.poison_barriers.lock().push(barrier);
+        self.poison_barriers.borrow_mut().push(barrier);
     }
 
     /// Register a flow-control semaphore for poisoning on failure.
     pub fn register_semaphore(&self, sem: Arc<SimSemaphore>) {
-        self.poison_semaphores.lock().push(sem);
+        self.poison_semaphores.borrow_mut().push(sem);
     }
 
     /// Everything that should move when the cluster is healthy: fabric
     /// activity, barrier arrivals, completed phases.
     fn progress_snapshot(&self) -> u64 {
-        let arrivals: u64 = self
-            .arrivals
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum();
-        let marks = self.state.lock().marks.len() as u64;
+        let arrivals: u64 = self.arrivals.iter().map(Cell::get).sum();
+        let marks = self.state.borrow().marks.len() as u64;
         self.fabric.progress_ticks() + arrivals + marks
     }
 
     /// Machines with the fewest barrier arrivals — the ones everyone else
     /// is waiting for when the watchdog fires.
     fn stragglers(&self) -> Vec<usize> {
-        let counts: Vec<u64> = self
-            .arrivals
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
+        let counts: Vec<u64> = self.arrivals.iter().map(Cell::get).collect();
         let min = counts.iter().copied().min().unwrap_or(0);
         counts
             .iter()
@@ -338,12 +330,12 @@ impl Runtime {
     /// event schedule is untouched.
     pub fn spawn_workers<F, D>(self: &Arc<Self>, spawner: &impl Spawner, worker: F, done: D)
     where
-        F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
-        D: FnOnce(&SimCtx, Result<ClusterRun, JoinError>) + Send + 'static,
+        F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + 'static,
+        D: FnOnce(&SimCtx, Result<ClusterRun, JoinError>) + 'static,
     {
         let worker = Arc::new(worker);
-        let done = Arc::new(Mutex::new(Some(done)));
-        let live = Arc::new(AtomicUsize::new(self.machines * self.cores));
+        let done = Arc::new(Cell::new(Some(done)));
+        let live = Arc::new(Cell::new(self.machines * self.cores));
         let qid = self.query.0;
         for mach in 0..self.machines {
             for core in 0..self.cores {
@@ -357,18 +349,19 @@ impl Runtime {
                     }
                     // A poisoned barrier is fine here: the failure is recorded.
                     rt.barrier.wait_checked(ctx).unwrap_or(false);
-                    if live.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    live.set(live.get() - 1);
+                    if live.get() == 0 {
                         let result = match rt.failure() {
                             Some(err) => Err(err),
                             None => {
-                                let st = rt.state.lock();
+                                let st = rt.state.borrow();
                                 Ok(ClusterRun {
                                     marks: st.marks.clone(),
                                     events: st.events.clone(),
                                 })
                             }
                         };
-                        if let Some(done) = done.lock().take() {
+                        if let Some(done) = done.take() {
                             done(ctx, result);
                         }
                     }
@@ -380,7 +373,7 @@ impl Runtime {
             spawner.spawn_task(format!("q{qid}-watchdog"), move |ctx| {
                 let mut last = u64::MAX;
                 let mut idle = 0u32;
-                while live.load(Ordering::SeqCst) > 0 {
+                while live.get() > 0 {
                     ctx.sleep_until(ctx.now() + WATCHDOG_TICK);
                     let progress = rt.progress_snapshot();
                     if progress != last {
@@ -392,7 +385,7 @@ impl Runtime {
                     if idle >= WATCHDOG_IDLE_TICKS {
                         let err = JoinError::BarrierTimeout {
                             query: rt.query,
-                            phase: *rt.phase_label.lock(),
+                            phase: rt.phase_label.get(),
                             stragglers: rt.stragglers(),
                         };
                         rt.fail(ctx, err);
@@ -413,7 +406,7 @@ mod tests {
     /// A fault-free `machines × cores` run of a fallible worker.
     fn run<F>(machines: usize, cores: usize, fabric_cfg: FabricConfig, worker: F) -> ClusterRun
     where
-        F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
+        F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + 'static,
     {
         Runtime::new(machines, cores, fabric_cfg, NicCosts::default())
             .try_run(worker)

@@ -17,9 +17,9 @@
 //! reproduce the identical event schedule, and permuting *disjoint*
 //! queries' admission order leaves each query's own trace unchanged.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_rdma::{Fabric, FabricConfig, FaultPlan, HostId, NicCosts};
 use rsj_sim::Simulation;
 
@@ -200,10 +200,10 @@ impl QueryService {
         }
         // The one cell that carries anything out of the simulation: every
         // slot's recorded facts and the instant the last query retired.
-        let drained = Arc::new(Mutex::new(None));
+        let drained = Arc::new(RefCell::new(None));
         let cell = Arc::clone(&drained);
         sim.spawn("service-admit", move |ctx| {
-            *cell.lock() = Some(admission.run(ctx))
+            *cell.borrow_mut() = Some(admission.run(ctx))
         });
         sim.run();
 
@@ -211,10 +211,7 @@ impl QueryService {
         // still tracked, by the same rule.
         fabric.validator().check_teardown();
 
-        let (facts, end) = drained
-            .lock()
-            .take()
-            .expect("the admission task ran to its end");
+        let (facts, end) = drained.take().expect("the admission task ran to its end");
         let tx_busy_ns = (0..cfg.hosts)
             .map(|h| fabric.nic(HostId(h)).stats().tx_busy_ns)
             .sum();
@@ -269,11 +266,11 @@ mod tests {
         finished: AtomicU64,
         /// The physical host behind each logical machine of the most
         /// recent attempt.
-        placed: Mutex<Vec<HostId>>,
+        placed: RefCell<Vec<HostId>>,
         /// Each machine's send-buffer pool, of the most recent attempt.
-        pools: Mutex<Vec<Arc<BufferPool>>>,
+        pools: RefCell<Vec<Arc<BufferPool>>>,
         /// The fabric's validator, to read the teardown audits' notes.
-        validator: Mutex<Option<Arc<Validator>>>,
+        validator: RefCell<Option<Arc<Validator>>>,
     }
 
     impl RingJob {
@@ -285,9 +282,9 @@ mod tests {
                 fail_on,
                 rx_bytes: AtomicU64::new(0),
                 finished: AtomicU64::new(0),
-                placed: Mutex::new(Vec::new()),
-                pools: Mutex::new(Vec::new()),
-                validator: Mutex::new(None),
+                placed: RefCell::new(Vec::new()),
+                pools: RefCell::new(Vec::new()),
+                validator: RefCell::new(None),
             })
         }
     }
@@ -302,13 +299,13 @@ mod tests {
         }
 
         fn attach(&self, rt: &Arc<Runtime>) {
-            *self.placed.lock() = (0..self.machines)
+            *self.placed.borrow_mut() = (0..self.machines)
                 .map(|m| rt.fabric.nic(HostId(m)).host())
                 .collect();
-            *self.pools.lock() = (0..self.machines)
+            *self.pools.borrow_mut() = (0..self.machines)
                 .map(|m| rt.make_pool(m, 1, self.bytes))
                 .collect();
-            *self.validator.lock() = Some(Arc::clone(rt.fabric.validator()));
+            *self.validator.borrow_mut() = Some(Arc::clone(rt.fabric.validator()));
         }
 
         fn run_worker(
@@ -323,7 +320,7 @@ mod tests {
             }
             let nic = rt.fabric.nic(HostId(mach));
             let dst = HostId((mach + 1) % self.machines);
-            let pool = Arc::clone(&self.pools.lock()[mach]);
+            let pool = Arc::clone(&self.pools.borrow()[mach]);
             let buf = pool.take(ctx);
             let ev = nic.post_send(ctx, dst, 7, vec![0u8; self.bytes]);
             let c = nic
@@ -487,7 +484,7 @@ mod tests {
             requests[2].placement = Some(vec![HostId(3), HostId(1)]);
             let report = QueryService::run(&cfg, requests);
             assert_eq!(report.aborted, 0);
-            let placed: Vec<Vec<HostId>> = jobs.iter().map(|j| j.placed.lock().clone()).collect();
+            let placed: Vec<Vec<HostId>> = jobs.iter().map(|j| j.placed.borrow().clone()).collect();
             (placed, report)
         };
         let (placed_off, off) = run(HealingConfig::default());
@@ -892,7 +889,7 @@ mod tests {
         );
         assert!(report.queries[0].result.is_err());
         assert!(report.queries[1].result.is_ok());
-        let vs = hit.validator.lock().take().expect("attached").violations();
+        let vs = hit.validator.take().expect("attached").violations();
         assert!(
             matches!(
                 vs[..],

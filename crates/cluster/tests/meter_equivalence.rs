@@ -5,9 +5,8 @@
 //! the quantization arithmetic is mode-independent, only the dispatch
 //! pattern differs.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use rsj_cluster::{Meter, SettleMode};
 use rsj_sim::{SimChannel, Simulation};
@@ -50,7 +49,7 @@ fn run_ring(
                 }
                 meter.flush(ctx);
                 // The flushed clock is the only cross-task observable.
-                log.lock().push((t, r, ctx.now().as_nanos()));
+                log.lock().unwrap().push((t, r, ctx.now().as_nanos()));
                 if t == 0 {
                     outbox.send(ctx, r as u64);
                     assert_eq!(inbox.recv(ctx), Some(r as u64));
@@ -70,7 +69,7 @@ fn run_ring(
         });
     }
     let end = sim.run().as_nanos();
-    let entries = log.lock().clone();
+    let entries = log.lock().unwrap().clone();
     (end, entries)
 }
 

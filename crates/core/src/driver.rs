@@ -24,9 +24,9 @@
 //! pre-service code: same construction order, same barriers, same wire
 //! schedule.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_cluster::{phase, run_direct, ClusterRun, JoinError, Meter, PhaseTimes, QueryJob, Runtime};
 use rsj_rdma::HostId;
 use rsj_sim::{SimCtx, SimTime};
@@ -85,9 +85,9 @@ pub struct DistJoinOutcome {
 /// is admitted onto.
 pub struct DistJoinJob<T: Tuple> {
     cfg: DistJoinConfig,
-    input: Mutex<Option<(Relation<T>, Relation<T>)>>,
-    shared: Mutex<Option<Arc<ClusterShared<T>>>>,
-    outcome: Mutex<Option<DistJoinOutcome>>,
+    input: RefCell<Option<(Relation<T>, Relation<T>)>>,
+    shared: RefCell<Option<Arc<ClusterShared<T>>>>,
+    outcome: RefCell<Option<DistJoinOutcome>>,
 }
 
 impl<T: Tuple> DistJoinJob<T> {
@@ -101,16 +101,16 @@ impl<T: Tuple> DistJoinJob<T> {
         assert_eq!(s.machines(), m, "outer relation not loaded on this cluster");
         Arc::new(DistJoinJob {
             cfg,
-            input: Mutex::new(Some((r, s))),
-            shared: Mutex::new(None),
-            outcome: Mutex::new(None),
+            input: RefCell::new(Some((r, s))),
+            shared: RefCell::new(None),
+            outcome: RefCell::new(None),
         })
     }
 
     /// The recorded outcome of a finished run (`None` before
     /// [`QueryJob::finish`] or if the run aborted).
     pub fn take_outcome(&self) -> Option<DistJoinOutcome> {
-        self.outcome.lock().take()
+        self.outcome.borrow_mut().take()
     }
 }
 
@@ -127,9 +127,9 @@ impl<T: Tuple> QueryJob for DistJoinJob<T> {
         // Borrow the input rather than consuming it: a healing query
         // service re-attaches the same job for each re-execution attempt,
         // rebuilding the per-query shared state from scratch (DESIGN.md
-        // §13). `attach` never blocks on the simulation, so holding the
-        // input lock across the build is safe.
-        let input = self.input.lock();
+        // §13). `attach` never yields to the simulation, so holding the
+        // input borrow across the build is safe.
+        let input = self.input.borrow();
         let (r, s) = input.as_ref().expect("DistJoinJob has no input");
         let shared = Arc::new(ClusterShared::new(self.cfg.clone(), rt, r, s));
         // A failing worker poisons every machine-local barrier and TCP
@@ -142,7 +142,7 @@ impl<T: Tuple> QueryJob for DistJoinJob<T> {
                 rt.register_semaphore(Arc::clone(window));
             }
         }
-        *self.shared.lock() = Some(shared);
+        *self.shared.borrow_mut() = Some(shared);
     }
 
     fn run_worker(
@@ -152,37 +152,37 @@ impl<T: Tuple> QueryJob for DistJoinJob<T> {
         machine: usize,
         core: usize,
     ) -> Result<(), JoinError> {
-        let sh = Arc::clone(self.shared.lock().as_ref().expect("job not attached"));
+        let sh = Arc::clone(self.shared.borrow().as_ref().expect("job not attached"));
         worker(ctx, rt, &sh, machine, core)
     }
 
     fn finish(&self, rt: &Runtime, run: &ClusterRun) {
         let shared = self
             .shared
-            .lock()
+            .borrow_mut()
             .take()
             .expect("finish without a preceding attach");
         let m = self.cfg.cluster.machines;
         let mut result = JoinResult::default();
         let mut reports = Vec::with_capacity(m);
         for (i, mach) in shared.machines.iter().enumerate() {
-            result.merge(*mach.result.lock());
+            result.merge(*mach.result.borrow());
             let nic = rt.fabric.nic(HostId(i));
             let stats = nic.stats();
             reports.push(MachineReport {
                 tx_bytes: stats.tx_bytes,
                 rx_bytes: stats.rx_bytes,
-                send_stall_seconds: *mach.stall_seconds.lock(),
+                send_stall_seconds: mach.stall_seconds.get(),
                 registered_bytes: nic.mrs.registered_bytes(),
                 fly_registrations: shared.pools[i].fly_registrations(),
-                cpu_busy_seconds: *mach.cpu_busy_seconds.lock(),
+                cpu_busy_seconds: mach.cpu_busy_seconds.get(),
             });
         }
-        let materialized_bytes = *shared.coord_result_bytes.lock()
+        let materialized_bytes = shared.coord_result_bytes.get()
             + shared
                 .machines
                 .iter()
-                .map(|mach| *mach.result_bytes_local.lock())
+                .map(|mach| mach.result_bytes_local.get())
                 .sum::<u64>();
         if shared.cfg.materialize != MaterializeMode::CountOnly {
             assert_eq!(
@@ -191,7 +191,7 @@ impl<T: Tuple> QueryJob for DistJoinJob<T> {
                 "materialization lost result pairs"
             );
         }
-        *self.outcome.lock() = Some(DistJoinOutcome {
+        *self.outcome.borrow_mut() = Some(DistJoinOutcome {
             result,
             phases: PhaseTimes::from_events(&run.events),
             machines: reports,
@@ -284,7 +284,9 @@ fn worker_two_sided<T: Tuple>(
     rt.try_sync_named(ctx, phase::LOCAL_PARTITION, mach)?;
 
     phase_build_probe(ctx, sh, mach, core, &mut meter)?;
-    *sh.machines[mach].cpu_busy_seconds.lock() += meter.total_seconds();
+    sh.machines[mach]
+        .cpu_busy_seconds
+        .set(sh.machines[mach].cpu_busy_seconds.get() + meter.total_seconds());
     rt.try_sync_named(ctx, phase::BUILD_PROBE, mach)?;
     Ok(())
 }
@@ -313,10 +315,12 @@ fn worker_one_sided<T: Tuple>(
     rt.try_sync_named(ctx, phase::LOCAL_PARTITION, mach)?;
 
     phase_one_sided_probe(ctx, sh, mach, core, &mut meter)?;
-    *sh.machines[mach].cpu_busy_seconds.lock() += meter.total_seconds();
+    sh.machines[mach]
+        .cpu_busy_seconds
+        .set(sh.machines[mach].cpu_busy_seconds.get() + meter.total_seconds());
     rt.try_sync_named(ctx, phase::ONE_SIDED_PROBE, mach)?;
     if core == 0 {
-        for mr in sh.machines[mach].published_tables.lock().iter() {
+        for mr in sh.machines[mach].published_tables.borrow().iter() {
             mr.unpublish();
         }
     }

@@ -6,7 +6,6 @@
 //! ([`ResultEmitter`]), and the inter-machine work-sharing extension lets
 //! idle machines pull fragments from remote queues ([`steal_task`]).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rsj_cluster::{phase, Exchange, JoinError, Meter, Scatter, SendStep, WireTag};
@@ -94,7 +93,12 @@ pub(crate) fn phase_build_probe<T: Tuple>(
 ) -> Result<(), JoinError> {
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
-    let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
+    let info = Arc::clone(
+        st.info
+            .borrow()
+            .as_ref()
+            .expect("histogram phase incomplete"),
+    );
     let cost = &cfg.cluster.cost;
     let mut local = JoinResult::default();
     let ex = Exchange::new(&sh.fabric, mach, phase::BUILD_PROBE);
@@ -114,7 +118,8 @@ pub(crate) fn phase_build_probe<T: Tuple>(
             }
             _ => false,
         })?;
-        *sh.coord_result_bytes.lock() += bytes;
+        sh.coord_result_bytes
+            .set(sh.coord_result_bytes.get() + bytes);
         return Ok(());
     }
     let pool = &sh.pools[mach];
@@ -135,7 +140,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
         let task = match st.bp_tasks.pop(0) {
             Some(t) => {
                 st.bp_queued_bytes
-                    .fetch_sub(task_bytes(&t), Ordering::SeqCst);
+                    .set(st.bp_queued_bytes.get() - task_bytes(&t));
                 t
             }
             None => {
@@ -148,7 +153,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                         // Nothing stealable right now. If any worker is
                         // still busy it may yet split an oversized
                         // fragment; poll briefly before giving up.
-                        if sh.bp_busy.load(Ordering::SeqCst) == 0
+                        if sh.bp_busy.get() == 0
                             && sh.machines.iter().all(|m| m.bp_tasks.is_empty())
                         {
                             break;
@@ -167,7 +172,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                 }
             }
         };
-        sh.bp_busy.fetch_add(1, Ordering::SeqCst);
+        sh.bp_busy.set(sh.bp_busy.get() + 1);
         match task {
             BpTask::BuildProbe { r, s, j } => {
                 let r_part = r.part(j);
@@ -203,7 +208,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                             hi,
                         };
                         st.bp_queued_bytes
-                            .fetch_add(task_bytes(&t), Ordering::SeqCst);
+                            .set(st.bp_queued_bytes.get() + task_bytes(&t));
                         st.bp_tasks.push(0, t);
                         lo = hi;
                     }
@@ -233,15 +238,16 @@ pub(crate) fn phase_build_probe<T: Tuple>(
         // decide whether the phase can still grow, so the flag must move
         // at this worker's committed time, not at a stale clock.
         meter.flush(ctx);
-        sh.bp_busy.fetch_sub(1, Ordering::SeqCst);
+        sh.bp_busy.set(sh.bp_busy.get() - 1);
         emitter.take_err()?;
     }
     let local_bytes = emitter.finish(ctx, meter)?;
     if local_bytes > 0 {
-        *st.result_bytes_local.lock() += local_bytes;
+        st.result_bytes_local
+            .set(st.result_bytes_local.get() + local_bytes);
     }
     meter.flush(ctx);
-    st.result.lock().merge(local);
+    st.result.borrow_mut().merge(local);
     Ok(())
 }
 
@@ -269,8 +275,8 @@ fn steal_task<T: Tuple>(
     for step in 1..m {
         let victim = (mach + step) % m;
         let vstate = &sh.machines[victim];
-        let backlog = vstate.bp_queued_bytes.load(Ordering::SeqCst);
-        let outstanding = vstate.steal_outstanding_bytes.load(Ordering::SeqCst);
+        let backlog = vstate.bp_queued_bytes.get();
+        let outstanding = vstate.steal_outstanding_bytes.get();
         let worth = |t: &BpTask<T>| -> bool {
             let bytes = task_bytes(t);
             if bytes < min_bytes {
@@ -286,14 +292,20 @@ fn steal_task<T: Tuple>(
         let task = vstate.bp_tasks.pop_if(0, worth);
         if let Some(task) = task {
             let bytes = task_bytes(&task);
-            vstate.bp_queued_bytes.fetch_sub(bytes, Ordering::SeqCst);
+            vstate
+                .bp_queued_bytes
+                .set(vstate.bp_queued_bytes.get() - bytes);
             // Table bytes cross the wire only on this machine's first
             // contact with the fragment; the tables stay cached here.
             let wire_bytes = bytes
                 + match &task {
                     BpTask::ProbeChunk { tables, .. } => {
                         let frag_id = Arc::as_ptr(tables) as usize;
-                        if sh.machines[mach].fetched_tables.lock().insert(frag_id) {
+                        if sh.machines[mach]
+                            .fetched_tables
+                            .borrow_mut()
+                            .insert(frag_id)
+                        {
                             tables.iter().map(|t| t.footprint_bytes()).sum::<usize>()
                         } else {
                             0
@@ -301,13 +313,13 @@ fn steal_task<T: Tuple>(
                     }
                     BpTask::BuildProbe { .. } => 0,
                 };
-            let remote = sh.scratch_mrs.lock()[victim];
+            let remote = sh.scratch_mrs.borrow_mut()[victim];
             if let Some(remote) = remote {
                 let len = wire_bytes.min(remote.len);
                 if len > 0 {
                     vstate
                         .steal_outstanding_bytes
-                        .fetch_add(len, Ordering::SeqCst);
+                        .set(vstate.steal_outstanding_bytes.get() + len);
                     meter.flush(ctx);
                     // The payload content is immaterial (the fragment is
                     // shared in simulator memory); the READ charges the
@@ -319,7 +331,7 @@ fn steal_task<T: Tuple>(
                         .wait(ctx);
                     vstate
                         .steal_outstanding_bytes
-                        .fetch_sub(len, Ordering::SeqCst);
+                        .set(vstate.steal_outstanding_bytes.get() - len);
                     read.map_err(|e| JoinError::fabric(mach, phase::BUILD_PROBE, e))?;
                 }
             }

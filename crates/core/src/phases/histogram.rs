@@ -48,7 +48,7 @@ pub(crate) fn phase_histogram<T: Tuple>(
             }
             meter.charge_bytes(ctx, slice_len * T::SIZE, cfg.cluster.cost.histogram_rate);
         }
-        st.machine_hist.lock().add(&hist);
+        st.machine_hist.borrow_mut().add(&hist);
         meter.flush(ctx);
     }
     barrier_wait(&st.local_barrier, ctx, phase::HISTOGRAM)?;
@@ -56,7 +56,7 @@ pub(crate) fn phase_histogram<T: Tuple>(
     // Core 0 exchanges the machine histogram and computes global state.
     if core == 0 {
         let nic = sh.fabric.nic(HostId(mach));
-        let mine = st.machine_hist.lock().clone();
+        let mine = st.machine_hist.borrow().clone();
         let ex = Exchange::new(&sh.fabric, mach, phase::HISTOGRAM);
         let mut machine_hists: Vec<Histogram> = vec![Histogram::zeros(np1); m];
         ex.all_to_all(
@@ -92,11 +92,11 @@ pub(crate) fn phase_histogram<T: Tuple>(
                 .unwrap_or(0);
             if max_part_bytes > 0 {
                 let mr = nic.mrs.register(ctx, max_part_bytes);
-                sh.scratch_mrs.lock()[mach] = Some(mr.remote_handle());
+                sh.scratch_mrs.borrow_mut()[mach] = Some(mr.remote_handle());
             }
         }
 
-        *st.info.lock() = Some(Arc::new(GlobalInfo {
+        *st.info.borrow_mut() = Some(Arc::new(GlobalInfo {
             machine_hists,
             s_split_threshold,
         }));

@@ -5,7 +5,6 @@
 //! optional [`phase_local_parallel`] extension additionally shares the
 //! second pass of oversized partitions among the machine's cores.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rsj_cluster::{phase, JoinError, Meter};
@@ -27,7 +26,12 @@ pub(crate) fn phase_local<T: Tuple>(
 ) -> Result<(), JoinError> {
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
-    let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
+    let info = Arc::clone(
+        st.info
+            .borrow()
+            .as_ref()
+            .expect("histogram phase incomplete"),
+    );
     let (b1, b2) = cfg.radix_bits;
     let rate = cfg.cluster.cost.partition_rate;
 
@@ -38,7 +42,8 @@ pub(crate) fn phase_local<T: Tuple>(
     let owned = st.landing.owned();
     let mut pt = Partitioner::new();
     loop {
-        let i = st.next_local_task.fetch_add(1, Ordering::SeqCst);
+        let i = st.next_local_task.get();
+        st.next_local_task.set(i + 1);
         if i >= owned.len() {
             break;
         }
@@ -60,7 +65,7 @@ pub(crate) fn phase_local<T: Tuple>(
                     j,
                 };
                 st.bp_queued_bytes
-                    .fetch_add(task_bytes(&t), Ordering::SeqCst);
+                    .set(st.bp_queued_bytes.get() + task_bytes(&t));
                 st.bp_tasks.push(0, t);
             }
         }
@@ -96,26 +101,27 @@ fn phase_local_parallel<T: Tuple>(
 
     // Stage 0: one core sizes the shared slots.
     if core == 0 {
-        *st.lp_assembled.lock() = (0..owned.len()).map(|_| None).collect();
-        *st.lp_outputs.lock() = (0..owned.len()).map(|_| [Vec::new(), Vec::new()]).collect();
+        *st.lp_assembled.borrow_mut() = (0..owned.len()).map(|_| None).collect();
+        *st.lp_outputs.borrow_mut() = (0..owned.len()).map(|_| [Vec::new(), Vec::new()]).collect();
     }
     barrier_wait(&st.local_barrier, ctx, phase::LOCAL_PARTITION)?;
 
     // Stage 1: assemble owned partitions, as the sequential path does.
     loop {
-        let i = st.next_local_task.fetch_add(1, Ordering::SeqCst);
+        let i = st.next_local_task.get();
+        st.next_local_task.set(i + 1);
         if i >= owned.len() {
             break;
         }
         let p = owned[i];
         let rel_parts = RELS.map(|rel| assemble_checked(st, info, rel, p));
-        st.lp_assembled.lock()[i] = Some(Arc::new(rel_parts));
+        st.lp_assembled.borrow_mut()[i] = Some(Arc::new(rel_parts));
     }
     // Leader of this barrier builds the slice task list from the
     // assembled sizes, aiming for several tasks per core so a giant
     // partition spreads across the whole machine.
     if barrier_wait(&st.local_barrier, ctx, phase::LOCAL_PARTITION)? {
-        let assembled = st.lp_assembled.lock();
+        let assembled = st.lp_assembled.borrow_mut();
         let total_tuples: usize = assembled
             .iter()
             .flatten()
@@ -123,7 +129,7 @@ fn phase_local_parallel<T: Tuple>(
             .sum();
         let target = (total_tuples / (cores * 8)).max(256);
         let mut tasks = Vec::new();
-        let mut outputs = st.lp_outputs.lock();
+        let mut outputs = st.lp_outputs.borrow_mut();
         for (i, slot) in assembled.iter().enumerate() {
             let a = slot.as_ref().expect("assembly incomplete");
             for rel in RELS {
@@ -137,29 +143,30 @@ fn phase_local_parallel<T: Tuple>(
                 }
             }
         }
-        *st.lp_tasks.lock() = tasks;
+        *st.lp_tasks.borrow_mut() = tasks;
     }
     ctx.yield_now();
 
     // Stage 2: every core drains slice tasks; a skewed partition's slices
     // are interleaved with everything else.
-    let n_tasks = st.lp_tasks.lock().len();
+    let n_tasks = st.lp_tasks.borrow().len();
     let mut pt = Partitioner::new();
     loop {
-        let t = st.next_lp_task.fetch_add(1, Ordering::SeqCst);
+        let t = st.next_lp_task.get();
+        st.next_lp_task.set(t + 1);
         if t >= n_tasks {
             break;
         }
-        let (i, rel, k, range) = st.lp_tasks.lock()[t].clone();
+        let (i, rel, k, range) = st.lp_tasks.borrow_mut()[t].clone();
         let assembled = Arc::clone(
-            st.lp_assembled.lock()[i]
+            st.lp_assembled.borrow_mut()[i]
                 .as_ref()
                 .expect("fragment assembled by stage 1 before barrier"),
         );
         let slice = &assembled[rel][range];
         let parted = pt.partition(slice, b1, b2);
         meter.charge_bytes(ctx, slice.len() * T::SIZE, rate);
-        st.lp_outputs.lock()[i][rel][k] = Some(parted);
+        st.lp_outputs.borrow_mut()[i][rel][k] = Some(parted);
         meter.flush(ctx);
     }
     meter.flush(ctx);
@@ -169,12 +176,13 @@ fn phase_local_parallel<T: Tuple>(
     // build-probe tasks (uncharged assembly, same convention as the
     // sequential path's pointer-level combining).
     loop {
-        let i = st.next_lp_emit.fetch_add(1, Ordering::SeqCst);
+        let i = st.next_lp_emit.get();
+        st.next_lp_emit.set(i + 1);
         if i >= owned.len() {
             break;
         }
         let [sub_r, sub_s] = RELS.map(|rel| {
-            let slices: Vec<_> = st.lp_outputs.lock()[i][rel]
+            let slices: Vec<_> = st.lp_outputs.borrow_mut()[i][rel]
                 .iter_mut()
                 .map(|s| s.take().expect("slice output missing"))
                 .collect();
@@ -188,7 +196,7 @@ fn phase_local_parallel<T: Tuple>(
                     j,
                 };
                 st.bp_queued_bytes
-                    .fetch_add(task_bytes(&t), Ordering::SeqCst);
+                    .set(st.bp_queued_bytes.get() + task_bytes(&t));
                 st.bp_tasks.push(0, t);
             }
         }

@@ -24,11 +24,10 @@ pub(crate) mod local;
 pub(crate) mod network;
 pub(crate) mod one_sided;
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_cluster::{JoinError, Runtime, SEND_DEPTH};
 use rsj_joins::{BucketTable, NumaQueues, Partitioned};
 use rsj_rdma::{BufferPool, Fabric, RemoteMr};
@@ -96,44 +95,44 @@ pub(crate) struct MachineState<T> {
     pub(crate) local_barrier: Arc<SimBarrier>,
     pub(crate) r_chunk: Vec<T>,
     pub(crate) s_chunk: Vec<T>,
-    pub(crate) machine_hist: Mutex<Histogram>,
-    pub(crate) info: Mutex<Option<Arc<GlobalInfo>>>,
+    pub(crate) machine_hist: RefCell<Histogram>,
+    pub(crate) info: RefCell<Option<Arc<GlobalInfo>>>,
     /// Where this machine's partitions land in the network pass.
     pub(crate) landing: Landing<T>,
-    pub(crate) next_local_task: AtomicUsize,
+    pub(crate) next_local_task: Cell<usize>,
     pub(crate) bp_tasks: NumaQueues<BpTask<T>>,
-    pub(crate) result: Mutex<JoinResult>,
-    pub(crate) stall_seconds: Mutex<f64>,
-    pub(crate) cpu_busy_seconds: Mutex<f64>,
+    pub(crate) result: RefCell<JoinResult>,
+    pub(crate) stall_seconds: Cell<f64>,
+    pub(crate) cpu_busy_seconds: Cell<f64>,
     /// Bytes of join result materialized into this machine's local
     /// buffers (§4.3 local output).
-    pub(crate) result_bytes_local: Mutex<u64>,
+    pub(crate) result_bytes_local: Cell<u64>,
     /// Fragments whose tables this machine already pulled over the wire
     /// (work-sharing extension): table transfer is paid once per fragment
     /// per thief machine, chunks individually.
-    pub(crate) fetched_tables: Mutex<HashSet<usize>>,
+    pub(crate) fetched_tables: RefCell<HashSet<usize>>,
     /// Parallel local pass (extension): per-owned-partition assembled
     /// inputs, slice task list, and per-slice second-pass outputs.
-    pub(crate) lp_assembled: Mutex<Vec<Option<LpAssembled<T>>>>,
-    pub(crate) lp_tasks: Mutex<Vec<LpSlice>>,
-    pub(crate) lp_outputs: Mutex<LpOutputs<T>>,
-    pub(crate) next_lp_task: AtomicUsize,
-    pub(crate) next_lp_emit: AtomicUsize,
+    pub(crate) lp_assembled: RefCell<Vec<Option<LpAssembled<T>>>>,
+    pub(crate) lp_tasks: RefCell<Vec<LpSlice>>,
+    pub(crate) lp_outputs: RefCell<LpOutputs<T>>,
+    pub(crate) next_lp_task: Cell<usize>,
+    pub(crate) next_lp_emit: Cell<usize>,
     /// Bytes of build-probe work currently queued on this machine.
-    pub(crate) bp_queued_bytes: AtomicUsize,
+    pub(crate) bp_queued_bytes: Cell<usize>,
     /// Bytes currently being pulled *out* of this machine by thieves
     /// (their reads serialize on our egress link).
-    pub(crate) steal_outstanding_bytes: AtomicUsize,
+    pub(crate) steal_outstanding_bytes: Cell<usize>,
     /// One-sided dataplane, owner side: the registered regions holding
     /// this machine's published bucket tables (unpublished by core 0
     /// after the probe barrier).
-    pub(crate) published_tables: Mutex<Vec<Arc<rsj_rdma::Mr>>>,
+    pub(crate) published_tables: RefCell<Vec<Arc<rsj_rdma::Mr>>>,
     /// One-sided dataplane, owner side: partition → encoded region bytes,
     /// kept so this machine's own probes skip the loopback READ.
-    pub(crate) owned_table_bytes: Mutex<HashMap<usize, Arc<Vec<u8>>>>,
+    pub(crate) owned_table_bytes: RefCell<HashMap<usize, Arc<Vec<u8>>>>,
     /// One-sided dataplane, probe side: partition → decoded directory,
     /// fetched once per machine by core 0 before probing starts.
-    pub(crate) dir_cache: Mutex<HashMap<usize, Arc<rsj_joins::RemoteDirectory>>>,
+    pub(crate) dir_cache: RefCell<HashMap<usize, Arc<rsj_joins::RemoteDirectory>>>,
 }
 
 impl<T: Tuple> MachineState<T> {
@@ -144,26 +143,26 @@ impl<T: Tuple> MachineState<T> {
             local_barrier: SimBarrier::new(cores),
             r_chunk,
             s_chunk,
-            machine_hist: Mutex::new(Histogram::zeros(1 << b1)),
-            info: Mutex::new(None),
+            machine_hist: RefCell::new(Histogram::zeros(1 << b1)),
+            info: RefCell::new(None),
             landing: Landing::new(mach, b1, cfg.partitioning_workers()),
-            next_local_task: AtomicUsize::new(0),
+            next_local_task: Cell::new(0),
             bp_tasks: NumaQueues::new(1),
-            result: Mutex::new(JoinResult::default()),
-            stall_seconds: Mutex::new(0.0),
-            cpu_busy_seconds: Mutex::new(0.0),
-            result_bytes_local: Mutex::new(0),
-            fetched_tables: Mutex::new(HashSet::new()),
-            lp_assembled: Mutex::new(Vec::new()),
-            lp_tasks: Mutex::new(Vec::new()),
-            lp_outputs: Mutex::new(Vec::new()),
-            next_lp_task: AtomicUsize::new(0),
-            next_lp_emit: AtomicUsize::new(0),
-            bp_queued_bytes: AtomicUsize::new(0),
-            steal_outstanding_bytes: AtomicUsize::new(0),
-            published_tables: Mutex::new(Vec::new()),
-            owned_table_bytes: Mutex::new(HashMap::new()),
-            dir_cache: Mutex::new(HashMap::new()),
+            result: RefCell::new(JoinResult::default()),
+            stall_seconds: Cell::new(0.0),
+            cpu_busy_seconds: Cell::new(0.0),
+            result_bytes_local: Cell::new(0),
+            fetched_tables: RefCell::new(HashSet::new()),
+            lp_assembled: RefCell::new(Vec::new()),
+            lp_tasks: RefCell::new(Vec::new()),
+            lp_outputs: RefCell::new(Vec::new()),
+            next_lp_task: Cell::new(0),
+            next_lp_emit: Cell::new(0),
+            bp_queued_bytes: Cell::new(0),
+            steal_outstanding_bytes: Cell::new(0),
+            published_tables: RefCell::new(Vec::new()),
+            owned_table_bytes: RefCell::new(HashMap::new()),
+            dir_cache: RefCell::new(HashMap::new()),
         }
     }
 }
@@ -180,18 +179,18 @@ pub(crate) struct ClusterShared<T> {
     /// Per-machine scratch regions that work-sharing thieves RDMA-READ
     /// stolen fragments from (extension; `None` when disabled or the
     /// machine owns no partitions).
-    pub(crate) scratch_mrs: Mutex<Vec<Option<RemoteMr>>>,
+    pub(crate) scratch_mrs: RefCell<Vec<Option<RemoteMr>>>,
     /// Cluster-wide count of workers currently processing a build-probe
     /// task. While nonzero, idle thieves keep polling: a busy worker may
     /// still split an oversized fragment into stealable chunks.
-    pub(crate) bp_busy: AtomicUsize,
+    pub(crate) bp_busy: Cell<usize>,
     /// Materialized result bytes received by the coordinator (machine 0)
     /// in [`crate::MaterializeMode::ToCoordinator`] runs.
-    pub(crate) coord_result_bytes: Mutex<u64>,
+    pub(crate) coord_result_bytes: Cell<u64>,
     /// One-sided dataplane: partition → the owner's published table
     /// handle (the out-of-band handle exchange of DESIGN.md §11; filled
     /// behind the `local_partition` barrier, read-only afterwards).
-    pub(crate) table_registry: Mutex<HashMap<usize, RemoteMr>>,
+    pub(crate) table_registry: RefCell<HashMap<usize, RemoteMr>>,
 }
 
 impl<T: Tuple> ClusterShared<T> {
@@ -228,10 +227,10 @@ impl<T: Tuple> ClusterShared<T> {
             machines,
             tcp_windows,
             pools,
-            scratch_mrs: Mutex::new(vec![None; m]),
-            bp_busy: AtomicUsize::new(0),
-            coord_result_bytes: Mutex::new(0),
-            table_registry: Mutex::new(HashMap::new()),
+            scratch_mrs: RefCell::new(vec![None; m]),
+            bp_busy: Cell::new(0),
+            coord_result_bytes: Cell::new(0),
+            table_registry: RefCell::new(HashMap::new()),
         }
     }
 }

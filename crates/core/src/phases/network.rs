@@ -119,6 +119,6 @@ fn sender_loop<T: Tuple>(
     // Final partial buffers and drains, then end-of-stream markers to the
     // receivers.
     stall += scatter.finish(ctx, meter, true)?;
-    *st.stall_seconds.lock() += stall;
+    st.stall_seconds.set(st.stall_seconds.get() + stall);
     Ok(())
 }

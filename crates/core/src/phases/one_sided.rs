@@ -24,7 +24,6 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rsj_cluster::{phase, ranges, JoinError, Meter, TagError};
@@ -69,12 +68,18 @@ pub(crate) fn phase_publish_tables<T: Tuple>(
 ) -> Result<(), JoinError> {
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
-    let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
+    let info = Arc::clone(
+        st.info
+            .borrow()
+            .as_ref()
+            .expect("histogram phase incomplete"),
+    );
     let nic = sh.fabric.nic(HostId(mach));
     let owned = st.landing.owned();
 
     loop {
-        let i = st.next_local_task.fetch_add(1, Ordering::SeqCst);
+        let i = st.next_local_task.get();
+        st.next_local_task.set(i + 1);
         if i >= owned.len() {
             break;
         }
@@ -90,9 +95,9 @@ pub(crate) fn phase_publish_tables<T: Tuple>(
         let mr = nic.mrs.register(ctx, bytes.len());
         mr.fill(0, &bytes);
         let handle = mr.publish();
-        sh.table_registry.lock().insert(p, handle);
-        st.owned_table_bytes.lock().insert(p, Arc::new(bytes));
-        st.published_tables.lock().push(mr);
+        sh.table_registry.borrow_mut().insert(p, handle);
+        st.owned_table_bytes.borrow_mut().insert(p, Arc::new(bytes));
+        st.published_tables.borrow_mut().push(mr);
     }
     meter.flush(ctx);
     Ok(())
@@ -116,7 +121,12 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
 ) -> Result<(), JoinError> {
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
-    let info = Arc::clone(st.info.lock().as_ref().expect("histogram phase incomplete"));
+    let info = Arc::clone(
+        st.info
+            .borrow()
+            .as_ref()
+            .expect("histogram phase incomplete"),
+    );
     let nic = sh.fabric.nic(HostId(mach));
     let cost = &cfg.cluster.cost;
     let b1 = cfg.radix_bits.0;
@@ -142,7 +152,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
                 .map(|&p| {
                     let remote = *sh
                         .table_registry
-                        .lock()
+                        .borrow()
                         .get(&p)
                         .expect("bucket table not published");
                     (remote, 0, remote_dir_len(remote_nbuckets(r_count(p))))
@@ -156,7 +166,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
                     .map_err(|e| JoinError::fabric(mach, phase::ONE_SIDED_PROBE, e))?;
                 meter.charge_bytes(ctx, bytes.len(), cost.memcpy_rate);
                 st.dir_cache
-                    .lock()
+                    .borrow_mut()
                     .insert(p, Arc::new(RemoteDirectory::decode(&bytes)));
             }
         }
@@ -185,7 +195,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
             // published — no loopback READ.
             let bytes = Arc::clone(
                 st.owned_table_bytes
-                    .lock()
+                    .borrow()
                     .get(&p)
                     .expect("owned table missing"),
             );
@@ -197,10 +207,10 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
                 probe_bucket(ctx, meter, cfg, &bucket, t, &mut local, &mut local_bytes);
             }
         } else {
-            let dir = Arc::clone(st.dir_cache.lock().get(&p).expect("directory prefetched"));
+            let dir = Arc::clone(st.dir_cache.borrow().get(&p).expect("directory prefetched"));
             let remote = *sh
                 .table_registry
-                .lock()
+                .borrow()
                 .get(&p)
                 .expect("bucket table not published");
             let mut buckets: Vec<usize> = group.iter().map(|t| dir.bucket_of(t.key())).collect();
@@ -273,9 +283,10 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
     }
     meter.flush(ctx);
     if local_bytes > 0 {
-        *st.result_bytes_local.lock() += local_bytes;
+        st.result_bytes_local
+            .set(st.result_bytes_local.get() + local_bytes);
     }
-    st.result.lock().merge(local);
+    st.result.borrow_mut().merge(local);
     Ok(())
 }
 
@@ -339,11 +350,11 @@ fn fetch_bucket_retry<T: Tuple>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use rsj_joins::begin_bucket_mutation;
     use rsj_rdma::{Fabric, FabricConfig, NicCosts};
     use rsj_sim::{SimDuration, Simulation};
     use rsj_workload::Tuple16;
+    use std::cell::RefCell;
 
     /// 64 R tuples whose keys cover several buckets; the probe target is
     /// key 5, whose bucket we tear and (optionally) heal.
@@ -367,7 +378,7 @@ mod tests {
         let sim = Simulation::new();
         let fabric = Fabric::new(FabricConfig::qdr(), NicCosts::default(), 2);
         fabric.launch(&sim);
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(RefCell::new(None));
         {
             let fabric = Arc::clone(&fabric);
             let out = Arc::clone(&out);
@@ -389,12 +400,12 @@ mod tests {
                 let start = ctx.now();
                 let got =
                     fetch_bucket_retry::<Tuple16>(ctx, &nic, &mut meter, 1e9, 0, remote, range);
-                *out.lock() = Some((got, ctx.now() - start));
+                *out.borrow_mut() = Some((got, ctx.now() - start));
                 fabric.shutdown(ctx);
             });
         }
         sim.run();
-        let (got, took) = out.lock().take().expect("prober ran");
+        let (got, took) = out.borrow_mut().take().expect("prober ran");
         (got, took)
     }
 

@@ -12,7 +12,8 @@
 //! memory (DESIGN.md §4 item 3). Callers keep their post step (how one
 //! full buffer reaches the wire) and their own checks.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
+
 use rsj_cluster::{ranges, Exchange, JoinError, Lane, Meter, Posted, Scatter, WireTag};
 use rsj_joins::partition_of;
 use rsj_sim::SimCtx;
@@ -23,24 +24,24 @@ pub struct Landing<T> {
     mach: usize,
     bits: u32,
     /// Partition → owning machine, installed once per run by [`Landing::assign`].
-    assignment: Mutex<Vec<usize>>,
+    assignment: RefCell<Vec<usize>>,
     /// Per partitioning worker, the tuples it kept: `[rel][part]`.
-    kept: Vec<Mutex<[Vec<Vec<T>>; 2]>>,
+    kept: Vec<RefCell<[Vec<Vec<T>>; 2]>>,
     /// Received bytes per `[rel][part]`.
-    staged: [Mutex<Vec<Vec<u8>>>; 2],
+    staged: [RefCell<Vec<Vec<u8>>>; 2],
 }
 
 impl<T: Tuple> Landing<T> {
     /// Machine `mach`'s landing for `workers` partitioning workers per
     /// machine.
     pub fn new(mach: usize, bits: u32, workers: usize) -> Landing<T> {
-        let staged = || Mutex::new(vec![Vec::new(); 1 << bits]);
+        let staged = || RefCell::new(vec![Vec::new(); 1 << bits]);
         Landing {
             mach,
             bits,
-            assignment: Mutex::new(Vec::new()),
+            assignment: RefCell::new(Vec::new()),
             kept: (0..workers)
-                .map(|_| Mutex::new([Vec::new(), Vec::new()]))
+                .map(|_| RefCell::new([Vec::new(), Vec::new()]))
                 .collect(),
             staged: [staged(), staged()],
         }
@@ -50,17 +51,17 @@ impl<T: Tuple> Landing<T> {
     /// after the histogram phase; routing and receiving follow it.
     pub fn assign(&self, assignment: Vec<usize>) {
         assert_eq!(assignment.len(), 1 << self.bits, "one owner per partition");
-        *self.assignment.lock() = assignment;
+        *self.assignment.borrow_mut() = assignment;
     }
 
     /// Whether partition `part` is assigned to this machine.
     pub(crate) fn owns(&self, part: usize) -> bool {
-        self.assignment.lock()[part] == self.mach
+        self.assignment.borrow_mut()[part] == self.mach
     }
 
     /// The partitions assigned to this machine, ascending.
     pub fn owned(&self) -> Vec<usize> {
-        let assignment = self.assignment.lock();
+        let assignment = self.assignment.borrow_mut();
         (0..assignment.len())
             .filter(|&p| assignment[p] == self.mach)
             .collect()
@@ -81,7 +82,7 @@ impl<T: Tuple> Landing<T> {
     where
         P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted,
     {
-        let assignment = self.assignment.lock().clone();
+        let assignment = self.assignment.borrow().clone();
         let mut kept: [Vec<Vec<T>>; 2] = [Vec::new(), Vec::new()];
         for &(rel, chunk) in inputs {
             kept[rel] = vec![Vec::new(); assignment.len()];
@@ -98,7 +99,7 @@ impl<T: Tuple> Landing<T> {
                 }
             }
         }
-        *self.kept[w].lock() = kept;
+        *self.kept[w].borrow_mut() = kept;
         Ok(())
     }
 
@@ -113,7 +114,7 @@ impl<T: Tuple> Landing<T> {
         ex: &Exchange,
         copy: impl Fn(&mut Meter, usize),
     ) -> Result<(), JoinError> {
-        let assignment = self.assignment.lock().clone();
+        let assignment = self.assignment.borrow().clone();
         ex.recv_stream(
             ctx,
             meter,
@@ -121,7 +122,7 @@ impl<T: Tuple> Landing<T> {
             |meter, tag, payload| match tag {
                 WireTag::Data { rel, part } if assignment.get(part) == Some(&self.mach) => {
                     copy(meter, payload.len());
-                    self.staged[rel].lock()[part].extend_from_slice(&payload);
+                    self.staged[rel].borrow_mut()[part].extend_from_slice(&payload);
                     true
                 }
                 _ => false,
@@ -136,11 +137,11 @@ impl<T: Tuple> Landing<T> {
     pub fn assemble(&self, rel: usize, part: usize) -> Vec<T> {
         let mut out = Vec::new();
         for kept in &self.kept {
-            if let Some(tuples) = kept.lock()[rel].get_mut(part) {
+            if let Some(tuples) = kept.borrow_mut()[rel].get_mut(part) {
                 out.append(tuples);
             }
         }
-        let staged = std::mem::take(&mut self.staged[rel].lock()[part]);
+        let staged = std::mem::take(&mut self.staged[rel].borrow_mut()[part]);
         decode_into(&staged, &mut out);
         out
     }
@@ -177,11 +178,11 @@ mod tests {
         let landing = Landing::<Tuple16>::new(0, 2, 2);
         landing.assign(vec![0, 1, 0, 1]);
         for (w, ts) in [(0, tuples(0..2)), (1, tuples(10..13))] {
-            let mut kept = landing.kept[w].lock();
+            let mut kept = landing.kept[w].borrow_mut();
             kept[REL_R] = vec![Vec::new(); 4];
             kept[REL_R][2] = ts;
         }
-        landing.staged[REL_R].lock()[2] = encode(&tuples(100..102));
+        landing.staged[REL_R].borrow_mut()[2] = encode(&tuples(100..102));
         assert_eq!(
             keys(&landing.assemble(REL_R, 2)),
             [0, 1, 10, 11, 12, 100, 101],
@@ -202,7 +203,7 @@ mod tests {
             rel: REL_S,
             part: 1,
         };
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(RefCell::new(None));
         {
             let (fabric, out) = (Arc::clone(&fabric), Arc::clone(&out));
             sim.spawn("receiver", move |ctx| {
@@ -210,7 +211,7 @@ mod tests {
                 landing.assign(vec![0, 1]);
                 let ex = Exchange::new(&fabric, 0, phase::NETWORK_PARTITION);
                 let got = landing.receive(ctx, &mut Meter::new(), &ex, |_, _| {});
-                *out.lock() = Some((got, landing.staged[REL_S].lock()[1].len()));
+                *out.borrow_mut() = Some((got, landing.staged[REL_S].borrow_mut()[1].len()));
             });
         }
         {
@@ -225,7 +226,7 @@ mod tests {
             });
         }
         sim.run();
-        let (got, staged) = out.lock().take().expect("receiver ran");
+        let (got, staged) = out.borrow_mut().take().expect("receiver ran");
         match got {
             Err(JoinError::Decode {
                 machine: 0,

@@ -8,9 +8,9 @@
 //! the [`CostModel`] rates (the multi-core server preset reflects the
 //! paper's SIMD/AVX-tuned partitioning passes).
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_cluster::{CostModel, Meter, PhaseTimes};
 use rsj_sim::{SimBarrier, SimTime, Simulation};
 use rsj_workload::{JoinResult, Tuple};
@@ -60,11 +60,11 @@ struct Shared<T> {
     s: Vec<T>,
     barrier: Arc<SimBarrier>,
     /// Per-thread first-pass output for both relations.
-    pass1: Vec<Mutex<Option<PassOneOutput<T>>>>,
+    pass1: Vec<RefCell<Option<PassOneOutput<T>>>>,
     pass2_tasks: NumaQueues<usize>,
     bp_tasks: NumaQueues<BuildProbeTask<T>>,
-    result: Mutex<JoinResult>,
-    marks: Mutex<Vec<SimTime>>,
+    result: RefCell<JoinResult>,
+    marks: RefCell<Vec<SimTime>>,
 }
 
 /// First-pass output of one thread: `(partitioned R, partitioned S)`.
@@ -88,11 +88,11 @@ pub fn run_single_machine_join<T: Tuple>(
     let cores = cfg.cores;
     let shared = Arc::new(Shared {
         barrier: SimBarrier::new(cores),
-        pass1: (0..cores).map(|_| Mutex::new(None)).collect(),
+        pass1: (0..cores).map(|_| RefCell::new(None)).collect(),
         pass2_tasks: NumaQueues::new(cfg.sockets),
         bp_tasks: NumaQueues::new(cfg.sockets),
-        result: Mutex::new(JoinResult::default()),
-        marks: Mutex::new(vec![SimTime::ZERO]),
+        result: RefCell::new(JoinResult::default()),
+        marks: RefCell::new(vec![SimTime::ZERO]),
         cfg,
         r,
         s,
@@ -105,7 +105,7 @@ pub fn run_single_machine_join<T: Tuple>(
     }
     sim.run();
 
-    let marks = shared.marks.lock().clone();
+    let marks = shared.marks.borrow().clone();
     assert_eq!(marks.len(), 5, "expected 4 phase boundaries");
     let phases = PhaseTimes {
         histogram: marks[1] - marks[0],
@@ -113,7 +113,7 @@ pub fn run_single_machine_join<T: Tuple>(
         local_partition: marks[3] - marks[2],
         build_probe: marks[4] - marks[3],
     };
-    let result = *shared.result.lock();
+    let result = *shared.result.borrow_mut();
     SingleJoinOutcome { result, phases }
 }
 
@@ -151,7 +151,7 @@ fn worker<T: Tuple>(ctx: &rsj_sim::SimCtx, sh: &Shared<T>, t: usize) {
         (my_r.len() + my_s.len()) * T::SIZE,
         cfg.cost.partition_rate,
     );
-    *sh.pass1[t].lock() = Some((parted_r, parted_s));
+    *sh.pass1[t].borrow_mut() = Some((parted_r, parted_s));
     meter.flush(ctx);
     if sync(ctx, sh) {
         // Leader enqueues second-pass tasks; a partition's buffers are
@@ -172,7 +172,7 @@ fn worker<T: Tuple>(ctx: &rsj_sim::SimCtx, sh: &Shared<T>, t: usize) {
         r_p.clear();
         s_p.clear();
         for slot in &sh.pass1 {
-            let guard = slot.lock();
+            let guard = slot.borrow();
             let (pr, ps) = guard.as_ref().expect("pass1 output missing");
             r_p.extend_from_slice(pr.part(p));
             s_p.extend_from_slice(ps.part(p));
@@ -209,7 +209,7 @@ fn worker<T: Tuple>(ctx: &rsj_sim::SimCtx, sh: &Shared<T>, t: usize) {
         meter.flush(ctx);
     }
     meter.flush(ctx);
-    sh.result.lock().merge(local);
+    sh.result.borrow_mut().merge(local);
     sync(ctx, sh);
 }
 
@@ -217,7 +217,7 @@ fn worker<T: Tuple>(ctx: &rsj_sim::SimCtx, sh: &Shared<T>, t: usize) {
 fn sync<T>(ctx: &rsj_sim::SimCtx, sh: &Shared<T>) -> bool {
     let leader = sh.barrier.wait(ctx);
     if leader {
-        sh.marks.lock().push(ctx.now());
+        sh.marks.borrow_mut().push(ctx.now());
     }
     leader
 }

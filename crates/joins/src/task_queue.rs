@@ -5,13 +5,12 @@
 //! checks the task queue belonging to the local NUMA-region and only when
 //! there is no local work to be done, will it check other queues."*
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-
-use parking_lot::Mutex;
 
 /// A set of per-region work queues with locality-preferring steal order.
 pub struct NumaQueues<Task> {
-    queues: Vec<Mutex<VecDeque<Task>>>,
+    queues: Vec<RefCell<VecDeque<Task>>>,
 }
 
 impl<Task> NumaQueues<Task> {
@@ -19,7 +18,9 @@ impl<Task> NumaQueues<Task> {
     pub fn new(regions: usize) -> NumaQueues<Task> {
         assert!(regions >= 1);
         NumaQueues {
-            queues: (0..regions).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queues: (0..regions)
+                .map(|_| RefCell::new(VecDeque::new()))
+                .collect(),
         }
     }
 
@@ -31,7 +32,7 @@ impl<Task> NumaQueues<Task> {
     /// Add a task whose data lives in `region`.
     pub fn push(&self, region: usize, task: Task) {
         self.queues[region % self.queues.len()]
-            .lock()
+            .borrow_mut()
             .push_back(task);
     }
 
@@ -42,7 +43,7 @@ impl<Task> NumaQueues<Task> {
         let local = local_region % n;
         for i in 0..n {
             let q = (local + i) % n;
-            if let Some(task) = self.queues[q].lock().pop_front() {
+            if let Some(task) = self.queues[q].borrow_mut().pop_front() {
                 return Some(task);
             }
         }
@@ -57,7 +58,7 @@ impl<Task> NumaQueues<Task> {
         let local = local_region % n;
         for i in 0..n {
             let q = (local + i) % n;
-            let mut queue = self.queues[q].lock();
+            let mut queue = self.queues[q].borrow_mut();
             if let Some(pos) = queue.iter().position(&pred) {
                 return queue.remove(pos);
             }
@@ -67,7 +68,7 @@ impl<Task> NumaQueues<Task> {
 
     /// Total queued tasks across all regions.
     pub fn len(&self) -> usize {
-        self.queues.iter().map(|q| q.lock().len()).sum()
+        self.queues.iter().map(|q| q.borrow().len()).sum()
     }
 
     /// Whether all queues are empty.

@@ -55,6 +55,9 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
     let in_rdma = ctx.rel.starts_with("crates/rdma/");
     let in_cluster = ctx.rel.starts_with("crates/cluster/");
     let in_joins = ctx.rel.starts_with("crates/joins/");
+    let in_sim_state = ["sim", "rdma", "cluster", "core", "operators"]
+        .iter()
+        .any(|c| ctx.rel.starts_with(&format!("crates/{c}/src/")));
     let n = ctx.code.len();
 
     let push = |rule: &'static str, line: usize, message: String, out: &mut Vec<Finding>| {
@@ -105,29 +108,24 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
             continue; // remaining rules are library-code rules
         }
 
-        // ---- std-sync.
-        if ctx.seq(i, &["std", ":", ":", "sync", ":", ":"]) {
-            let blocking = ["Mutex", "Barrier", "Condvar"];
-            let j = i + 6;
-            let hit = if blocking.contains(&ctx.text(j)) {
-                true
-            } else if ctx.text(j) == "{" {
-                // Brace import: scan the group.
-                let close = ctx.matching_close(j).unwrap_or(j);
-                (j..=close).any(|k| blocking.contains(&ctx.text(k)))
-            } else {
-                false
-            };
-            if hit {
-                push(
-                    "std-sync",
-                    ctx.line(i),
-                    "OS sync primitive invisible to the simulation kernel; use parking_lot::Mutex \
-                     for data, rsj-sim primitives for waiting"
-                        .into(),
-                    out,
-                );
-            }
+        // ---- std-sync: std's blocking primitives everywhere, and locks
+        // of any kind in the crates whose state lives inside a simulation.
+        let hit = if ctx.seq(i, &["std", ":", ":", "sync", ":", ":"]) {
+            names_any(ctx, i + 6, &["Mutex", "Barrier", "Condvar"])
+        } else if in_sim_state && ctx.seq(i, &["parking_lot", ":", ":"]) {
+            names_any(ctx, i + 3, &["Mutex", "RwLock"])
+        } else {
+            false
+        };
+        if hit {
+            push(
+                "std-sync",
+                ctx.line(i),
+                "lock in simulated code: a simulation runs on one OS thread, so state its tasks \
+                 share is a RefCell/Cell and anything that waits is an rsj-sim primitive"
+                    .into(),
+                out,
+            );
         }
 
         // ---- mr-access: outside crates/rdma.
@@ -241,6 +239,17 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
         && ctx.rel != "crates/core/src/phases/one_sided.rs"
     {
         raw_exchange(ctx, out);
+    }
+}
+
+/// Whether the path item at token `j` (after `::`) names one of `items`,
+/// directly or inside a brace import group.
+fn names_any(ctx: &FileCtx<'_>, j: usize, items: &[&str]) -> bool {
+    if ctx.text(j) == "{" {
+        let close = ctx.matching_close(j).unwrap_or(j);
+        (j..=close).any(|k| items.contains(&ctx.text(k)))
+    } else {
+        items.contains(&ctx.text(j))
     }
 }
 

@@ -182,6 +182,31 @@ const CASES: &[Case] = &[
         waived: 0,
     },
     Case {
+        fixture: "std_sync_parking_lot_positive.rs",
+        vpath: "crates/rdma/src/pl_pos.rs",
+        expect: &[("std-sync", 4), ("std-sync", 7), ("std-sync", 10)],
+        waived: 0,
+    },
+    Case {
+        // Outside the simulation crates a parking_lot lock is not flagged.
+        fixture: "std_sync_parking_lot_positive.rs",
+        vpath: "crates/bench/src/pl_pos.rs",
+        expect: &[],
+        waived: 0,
+    },
+    Case {
+        fixture: "std_sync_parking_lot_negative.rs",
+        vpath: "crates/cluster/src/pl_neg.rs",
+        expect: &[],
+        waived: 0,
+    },
+    Case {
+        fixture: "std_sync_parking_lot_waiver.rs",
+        vpath: "crates/sim/src/pl_waiver.rs",
+        expect: &[],
+        waived: 1,
+    },
+    Case {
         fixture: "wall_clock.rs",
         vpath: "crates/bench/src/w.rs",
         expect: &[("wall-clock", 5)],

@@ -7,11 +7,10 @@
 //! per-partition hash aggregation. Each group ends up on exactly one
 //! machine, so the partial results concatenate with no merge step.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_core::shuffle::Landing;
 use rsj_rdma::BufferPool;
@@ -76,8 +75,8 @@ pub struct AggregationOutcome {
 struct MachState<T> {
     chunk: Vec<T>,
     landing: Landing<T>,
-    next_task: AtomicUsize,
-    result: Mutex<AggregateResult>,
+    next_task: Cell<usize>,
+    result: RefCell<AggregateResult>,
 }
 
 /// Run the distributed aggregation over `s`. Without an
@@ -108,10 +107,10 @@ pub fn try_run_aggregation<T: Tuple>(
 /// path over the same attach/run/finish sequence.
 pub struct AggregationJob<T: Tuple> {
     cfg: AggregationConfig,
-    input: Mutex<Option<Relation<T>>>,
+    input: RefCell<Option<Relation<T>>>,
     #[allow(clippy::type_complexity)]
-    state: Mutex<Option<(Arc<Vec<MachState<T>>>, Arc<Vec<Arc<BufferPool>>>)>>,
-    outcome: Mutex<Option<AggregationOutcome>>,
+    state: RefCell<Option<(Arc<Vec<MachState<T>>>, Arc<Vec<Arc<BufferPool>>>)>>,
+    outcome: RefCell<Option<AggregationOutcome>>,
 }
 
 impl<T: Tuple> AggregationJob<T> {
@@ -121,15 +120,15 @@ impl<T: Tuple> AggregationJob<T> {
         assert!(cfg.cluster.cores_per_machine >= 2);
         Arc::new(AggregationJob {
             cfg,
-            input: Mutex::new(Some(s)),
-            state: Mutex::new(None),
-            outcome: Mutex::new(None),
+            input: RefCell::new(Some(s)),
+            state: RefCell::new(None),
+            outcome: RefCell::new(None),
         })
     }
 
     /// The recorded outcome of a finished run.
     pub fn take_outcome(&self) -> Option<AggregationOutcome> {
-        self.outcome.lock().take()
+        self.outcome.borrow_mut().take()
     }
 }
 
@@ -146,7 +145,7 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
         // Borrow, don't consume: a healing service re-attaches the job on
         // each re-execution attempt, rebuilding state from the pristine
         // input (DESIGN.md §13).
-        let input = self.input.lock();
+        let input = self.input.borrow();
         let s = input.as_ref().expect("AggregationJob has no input");
         let m = self.cfg.cluster.machines;
         let np = 1usize << self.cfg.radix_bits;
@@ -156,8 +155,8 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
                 .map(|i| MachState {
                     chunk: s.chunk(i).to_vec(),
                     landing: Landing::new(i, self.cfg.radix_bits, workers),
-                    next_task: AtomicUsize::new(0),
-                    result: Mutex::new(AggregateResult::default()),
+                    next_task: Cell::new(0),
+                    result: RefCell::new(AggregateResult::default()),
                 })
                 .collect(),
         );
@@ -166,7 +165,7 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
                 .map(|i| rt.make_pool(i, workers * SEND_DEPTH * np, self.cfg.rdma_buf_size))
                 .collect(),
         );
-        *self.state.lock() = Some((states, pools));
+        *self.state.borrow_mut() = Some((states, pools));
     }
 
     fn run_worker(
@@ -177,7 +176,7 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
         core: usize,
     ) -> Result<(), JoinError> {
         let (states, pools) = {
-            let guard = self.state.lock();
+            let guard = self.state.borrow();
             let (a, b) = guard.as_ref().expect("job not attached");
             (Arc::clone(a), Arc::clone(b))
         };
@@ -187,7 +186,7 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
     fn finish(&self, _rt: &Runtime, run: &ClusterRun) {
         let (states, _pools) = self
             .state
-            .lock()
+            .borrow_mut()
             .take()
             .expect("finish without a preceding attach");
         assert_eq!(run.marks.len(), 4, "expected 3 phase boundaries");
@@ -196,13 +195,13 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
         let phases = PhaseTimes::from_events(&run.events);
         let mut result = AggregateResult::default();
         for st in states.iter() {
-            let r = st.result.lock();
+            let r = st.result.borrow_mut();
             result.groups += r.groups;
             result.key_weighted_count =
                 result.key_weighted_count.wrapping_add(r.key_weighted_count);
             result.rid_sum = result.rid_sum.wrapping_add(r.rid_sum);
         }
-        *self.outcome.lock() = Some(AggregationOutcome { result, phases });
+        *self.outcome.borrow_mut() = Some(AggregationOutcome { result, phases });
     }
 }
 
@@ -255,7 +254,8 @@ fn worker<T: Tuple>(
     let owned = st.landing.owned();
     let mut local = AggregateResult::default();
     loop {
-        let i = st.next_task.fetch_add(1, Ordering::SeqCst);
+        let i = st.next_task.get();
+        st.next_task.set(i + 1);
         if i >= owned.len() {
             break;
         }
@@ -286,7 +286,7 @@ fn worker<T: Tuple>(
     }
     meter.flush(ctx);
     {
-        let mut r = st.result.lock();
+        let mut r = st.result.borrow_mut();
         r.groups += local.groups;
         r.key_weighted_count = r.key_weighted_count.wrapping_add(local.key_weighted_count);
         r.rid_sum = r.rid_sum.wrapping_add(local.rid_sum);

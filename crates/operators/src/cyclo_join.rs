@@ -9,9 +9,9 @@
 //! (cache-cold) hash table. The experiment comparing it to the radix hash
 //! join quantifies why the paper's partitioned approach wins.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_joins::BucketTable;
 use rsj_sim::SimCtx;
@@ -62,11 +62,11 @@ pub struct CycloJoinOutcome {
 
 struct MachState<T> {
     r_chunk: Vec<T>,
-    table: Mutex<Option<Arc<BucketTable<T>>>>,
+    table: RefCell<Option<Arc<BucketTable<T>>>>,
     /// The outer fragment currently resident on this machine; replaced by
     /// core 0 after every rotation, read by all cores after the barrier.
-    fragment: Mutex<Arc<Vec<T>>>,
-    result: Mutex<JoinResult>,
+    fragment: RefCell<Arc<Vec<T>>>,
+    result: RefCell<JoinResult>,
 }
 
 /// Run the cyclo-join: `r` stays stationary, `s` rotates around the ring.
@@ -98,9 +98,9 @@ pub fn try_run_cyclo_join<T: Tuple>(
 /// path over the same attach/run/finish sequence.
 pub struct CycloJoinJob<T: Tuple> {
     cfg: CycloJoinConfig,
-    input: Mutex<Option<(Relation<T>, Relation<T>)>>,
-    state: Mutex<Option<Arc<Vec<MachState<T>>>>>,
-    outcome: Mutex<Option<CycloJoinOutcome>>,
+    input: RefCell<Option<(Relation<T>, Relation<T>)>>,
+    state: RefCell<Option<Arc<Vec<MachState<T>>>>>,
+    outcome: RefCell<Option<CycloJoinOutcome>>,
 }
 
 impl<T: Tuple> CycloJoinJob<T> {
@@ -112,15 +112,15 @@ impl<T: Tuple> CycloJoinJob<T> {
         assert!(cfg.cluster.cores_per_machine >= 1);
         Arc::new(CycloJoinJob {
             cfg,
-            input: Mutex::new(Some((r, s))),
-            state: Mutex::new(None),
-            outcome: Mutex::new(None),
+            input: RefCell::new(Some((r, s))),
+            state: RefCell::new(None),
+            outcome: RefCell::new(None),
         })
     }
 
     /// The recorded outcome of a finished run.
     pub fn take_outcome(&self) -> Option<CycloJoinOutcome> {
-        self.outcome.lock().take()
+        self.outcome.borrow_mut().take()
     }
 }
 
@@ -137,20 +137,20 @@ impl<T: Tuple> QueryJob for CycloJoinJob<T> {
         // Borrow, don't consume: a healing service re-attaches the job on
         // each re-execution attempt, rebuilding state from the pristine
         // input (DESIGN.md §13).
-        let input = self.input.lock();
+        let input = self.input.borrow();
         let (r, s) = input.as_ref().expect("CycloJoinJob has no input");
         let m = self.cfg.cluster.machines;
         let states: Arc<Vec<MachState<T>>> = Arc::new(
             (0..m)
                 .map(|i| MachState {
                     r_chunk: r.chunk(i).to_vec(),
-                    table: Mutex::new(None),
-                    fragment: Mutex::new(Arc::new(s.chunk(i).to_vec())),
-                    result: Mutex::new(JoinResult::default()),
+                    table: RefCell::new(None),
+                    fragment: RefCell::new(Arc::new(s.chunk(i).to_vec())),
+                    result: RefCell::new(JoinResult::default()),
                 })
                 .collect(),
         );
-        *self.state.lock() = Some(states);
+        *self.state.borrow_mut() = Some(states);
     }
 
     fn run_worker(
@@ -160,14 +160,14 @@ impl<T: Tuple> QueryJob for CycloJoinJob<T> {
         machine: usize,
         core: usize,
     ) -> Result<(), JoinError> {
-        let states = Arc::clone(self.state.lock().as_ref().expect("job not attached"));
+        let states = Arc::clone(self.state.borrow().as_ref().expect("job not attached"));
         worker(ctx, rt, &self.cfg, &states, machine, core)
     }
 
     fn finish(&self, _rt: &Runtime, run: &ClusterRun) {
         let states = self
             .state
-            .lock()
+            .borrow_mut()
             .take()
             .expect("finish without a preceding attach");
         assert_eq!(
@@ -181,9 +181,9 @@ impl<T: Tuple> QueryJob for CycloJoinJob<T> {
         let phases = PhaseTimes::from_events(&run.events);
         let mut result = JoinResult::default();
         for st in states.iter() {
-            result.merge(*st.result.lock());
+            result.merge(*st.result.borrow());
         }
-        *self.outcome.lock() = Some(CycloJoinOutcome { result, phases });
+        *self.outcome.borrow_mut() = Some(CycloJoinOutcome { result, phases });
     }
 }
 
@@ -211,17 +211,17 @@ fn worker<T: Tuple>(
     meter.charge_bytes(ctx, share * T::SIZE, build_rate);
     meter.flush(ctx);
     if core == 0 {
-        *st.table.lock() = Some(Arc::new(BucketTable::build(&st.r_chunk)));
+        *st.table.borrow_mut() = Some(Arc::new(BucketTable::build(&st.r_chunk)));
     }
     rt.try_sync_named(ctx, phase::LOCAL_PARTITION, mach)?;
 
     // ---- Phase 2: NM probe rounds; between rounds, core 0 ships the
     // resident fragment to the right neighbour and installs the one
     // arriving from the left.
-    let table = Arc::clone(st.table.lock().as_ref().expect("table built"));
+    let table = Arc::clone(st.table.borrow().as_ref().expect("table built"));
     let mut local = JoinResult::default();
     for round in 0..m {
-        let frag = Arc::clone(&st.fragment.lock());
+        let frag = Arc::clone(&st.fragment.borrow_mut());
         let range = ranges(frag.len(), cores)[core].clone();
         let my = &frag[range];
         local.merge(table.probe_all(my));
@@ -245,14 +245,14 @@ fn worker<T: Tuple>(
                 // the fragment again before the barrier below.
                 meter.charge_bytes(ctx, bytes.len(), cost.memcpy_rate);
                 meter.flush(ctx);
-                *st.fragment.lock() = Arc::new(decode_all(&bytes));
+                *st.fragment.borrow_mut() = Arc::new(decode_all(&bytes));
             })?;
         }
         // The barrier publishes the new fragment to every core.
         rt.try_sync_quiet(ctx)?;
     }
     meter.flush(ctx);
-    st.result.lock().merge(local);
+    st.result.borrow_mut().merge(local);
     rt.try_sync_named(ctx, phase::BUILD_PROBE, mach)?;
     Ok(())
 }

@@ -13,10 +13,9 @@
 //! of refining and hashing. Comparing the two operators on the same
 //! cluster reproduces the hash-vs-sort discussion of §2.2/[3].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_core::shuffle::Landing;
 use rsj_joins::{merge_join, partition_of, sort_by_key};
@@ -69,12 +68,12 @@ pub struct SortMergeOutcome {
 struct MachState<T> {
     r_chunk: Vec<T>,
     s_chunk: Vec<T>,
-    hist: Mutex<Vec<[u64; 2]>>,
+    hist: RefCell<Vec<[u64; 2]>>,
     landing: Landing<T>,
     /// Partition → its sorted `[R, S]`, from the sort to the merge phase.
-    sorted: Mutex<Vec<[Vec<T>; 2]>>,
-    next_task: AtomicUsize,
-    result: Mutex<JoinResult>,
+    sorted: RefCell<Vec<[Vec<T>; 2]>>,
+    next_task: Cell<usize>,
+    result: RefCell<JoinResult>,
 }
 
 /// Run the distributed sort-merge join (two-sided interleaved RDMA).
@@ -106,10 +105,10 @@ pub fn try_run_sort_merge_join<T: Tuple>(
 /// single-query path over the same attach/run/finish sequence.
 pub struct SortMergeJob<T: Tuple> {
     cfg: SortMergeConfig,
-    input: Mutex<Option<(Relation<T>, Relation<T>)>>,
+    input: RefCell<Option<(Relation<T>, Relation<T>)>>,
     #[allow(clippy::type_complexity)]
-    state: Mutex<Option<(Arc<Vec<MachState<T>>>, Arc<Vec<Arc<BufferPool>>>)>>,
-    outcome: Mutex<Option<SortMergeOutcome>>,
+    state: RefCell<Option<(Arc<Vec<MachState<T>>>, Arc<Vec<Arc<BufferPool>>>)>>,
+    outcome: RefCell<Option<SortMergeOutcome>>,
 }
 
 impl<T: Tuple> SortMergeJob<T> {
@@ -124,15 +123,15 @@ impl<T: Tuple> SortMergeJob<T> {
         );
         Arc::new(SortMergeJob {
             cfg,
-            input: Mutex::new(Some((r, s))),
-            state: Mutex::new(None),
-            outcome: Mutex::new(None),
+            input: RefCell::new(Some((r, s))),
+            state: RefCell::new(None),
+            outcome: RefCell::new(None),
         })
     }
 
     /// The recorded outcome of a finished run.
     pub fn take_outcome(&self) -> Option<SortMergeOutcome> {
-        self.outcome.lock().take()
+        self.outcome.borrow_mut().take()
     }
 }
 
@@ -149,7 +148,7 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
         // Borrow, don't consume: a healing service re-attaches the job on
         // each re-execution attempt, rebuilding state from the pristine
         // input (DESIGN.md §13).
-        let input = self.input.lock();
+        let input = self.input.borrow();
         let (r, s) = input.as_ref().expect("SortMergeJob has no input");
         let m = self.cfg.cluster.machines;
         let np = 1usize << self.cfg.radix_bits;
@@ -159,11 +158,11 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
                 .map(|i| MachState {
                     r_chunk: r.chunk(i).to_vec(),
                     s_chunk: s.chunk(i).to_vec(),
-                    hist: Mutex::new(vec![[0; 2]; np]),
+                    hist: RefCell::new(vec![[0; 2]; np]),
                     landing: Landing::new(i, self.cfg.radix_bits, workers),
-                    sorted: Mutex::new(vec![[Vec::new(), Vec::new()]; np]),
-                    next_task: AtomicUsize::new(0),
-                    result: Mutex::new(JoinResult::default()),
+                    sorted: RefCell::new(vec![[Vec::new(), Vec::new()]; np]),
+                    next_task: Cell::new(0),
+                    result: RefCell::new(JoinResult::default()),
                 })
                 .collect(),
         );
@@ -172,7 +171,7 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
                 .map(|i| rt.make_pool(i, workers * SEND_DEPTH * np * 2, self.cfg.rdma_buf_size))
                 .collect(),
         );
-        *self.state.lock() = Some((mach_state, pools));
+        *self.state.borrow_mut() = Some((mach_state, pools));
     }
 
     fn run_worker(
@@ -183,7 +182,7 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
         core: usize,
     ) -> Result<(), JoinError> {
         let (states, pools) = {
-            let guard = self.state.lock();
+            let guard = self.state.borrow();
             let (a, b) = guard.as_ref().expect("job not attached");
             (Arc::clone(a), Arc::clone(b))
         };
@@ -193,16 +192,16 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
     fn finish(&self, _rt: &Runtime, run: &ClusterRun) {
         let (states, _pools) = self
             .state
-            .lock()
+            .borrow_mut()
             .take()
             .expect("finish without a preceding attach");
         assert_eq!(run.marks.len(), 5, "expected 4 phase boundaries");
         let phases = PhaseTimes::from_events(&run.events);
         let mut result = JoinResult::default();
         for st in states.iter() {
-            result.merge(*st.result.lock());
+            result.merge(*st.result.borrow());
         }
-        *self.outcome.lock() = Some(SortMergeOutcome { result, phases });
+        *self.outcome.borrow_mut() = Some(SortMergeOutcome { result, phases });
     }
 }
 
@@ -234,9 +233,10 @@ fn worker<T: Tuple>(
             }
         }
         {
-            // Scope the guard: holding a real mutex across a yield point
-            // (flush advances the virtual clock) deadlocks the kernel.
-            let mut hist = st.hist.lock();
+            // Scope the borrow: held across a yield point (flush advances
+            // the virtual clock) it would make the next task to borrow it
+            // panic.
+            let mut hist = st.hist.borrow_mut();
             for (h, c) in hist.iter_mut().zip(&counts) {
                 h[0] += c[0];
                 h[1] += c[1];
@@ -251,7 +251,7 @@ fn worker<T: Tuple>(
         // staging vectors handle dynamically here).
         let encoded: Vec<u8> = st
             .hist
-            .lock()
+            .borrow()
             .iter()
             .flat_map(|h| [h[0].to_le_bytes(), h[1].to_le_bytes()].concat())
             .collect();
@@ -280,7 +280,8 @@ fn worker<T: Tuple>(
     // ---- Phase 3: sort every assigned partition of both relations.
     let owned = st.landing.owned();
     loop {
-        let i = st.next_task.fetch_add(1, Ordering::SeqCst);
+        let i = st.next_task.get();
+        st.next_task.set(i + 1);
         if i >= owned.len() {
             break;
         }
@@ -291,28 +292,29 @@ fn worker<T: Tuple>(
             meter.charge_bytes(ctx, tuples.len() * T::SIZE, cost.sort_rate);
             tuples
         });
-        st.sorted.lock()[p] = parts;
+        st.sorted.borrow_mut()[p] = parts;
         meter.flush(ctx);
     }
     meter.flush(ctx);
     rt.try_sync_named(ctx, phase::LOCAL_PARTITION, mach)?;
 
     // ---- Phase 4: merge-join each sorted partition pair.
-    st.next_task.store(0, Ordering::SeqCst);
+    st.next_task.set(0);
     rt.try_sync_quiet(ctx)?;
     let mut local = JoinResult::default();
     loop {
-        let i = st.next_task.fetch_add(1, Ordering::SeqCst);
+        let i = st.next_task.get();
+        st.next_task.set(i + 1);
         if i >= owned.len() {
             break;
         }
-        let [r_p, s_p] = std::mem::take(&mut st.sorted.lock()[owned[i]]);
+        let [r_p, s_p] = std::mem::take(&mut st.sorted.borrow_mut()[owned[i]]);
         local.merge(merge_join(&r_p, &s_p));
         meter.charge_bytes(ctx, (r_p.len() + s_p.len()) * T::SIZE, cost.merge_rate);
         meter.flush(ctx);
     }
     meter.flush(ctx);
-    st.result.lock().merge(local);
+    st.result.borrow_mut().merge(local);
     rt.try_sync_named(ctx, phase::BUILD_PROBE, mach)?;
     Ok(())
 }

@@ -11,11 +11,10 @@
 //! What is left here is the [`Fabric`] handle itself: its constructors,
 //! its accessors and the [`Spawner`] the engines are launched through.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_sim::{SimChannel, SimCtx, SimSemaphore, Simulation};
 
 use crate::config::{FabricConfig, HostId, NicCosts, QueryId};
@@ -48,16 +47,16 @@ pub struct Fabric {
     /// lane NIC of each *logical* machine in the query's placement.
     pub(crate) nics: Vec<Arc<Nic>>,
     pub(crate) rx_queues: Vec<Arc<SimChannel<Message>>>,
-    pub(crate) live_tx: Arc<AtomicUsize>,
-    pub(crate) launched: AtomicBool,
+    pub(crate) live_tx: Arc<Cell<usize>>,
+    pub(crate) launched: Cell<bool>,
     /// Root only — per physical host, the live receive lanes keyed by
     /// query id. The ingress engine demuxes two-sided traffic through
     /// this; direct traffic bypasses it entirely. Ordered map: crash and
     /// abort paths iterate it, and the close/poison order decides the
     /// virtual-time wake order of parked receivers.
-    pub(crate) lanes: Vec<Mutex<BTreeMap<u32, Arc<Nic>>>>,
+    pub(crate) lanes: Vec<RefCell<BTreeMap<u32, Arc<Nic>>>>,
     /// A view retires exactly once (graceful close or abort).
-    pub(crate) view_closed: AtomicBool,
+    pub(crate) view_closed: Cell<bool>,
     pub(crate) validator: Arc<Validator>,
     pub(crate) faults: Arc<FaultState>,
 }
@@ -90,25 +89,25 @@ impl Fabric {
                     recv_cq: SimChannel::new(),
                     srq: SimSemaphore::new(cfg.srq_slots),
                     mrs: Arc::new(MrTable::new(HostId(h), costs, Arc::clone(&validator))),
-                    stats: Mutex::new(NicStats::default()),
-                    lane_progress: AtomicU64::new(0),
+                    stats: RefCell::new(NicStats::default()),
+                    lane_progress: Cell::new(0),
                     validator: Arc::clone(&validator),
                     faults: Arc::clone(&faults),
                 })
             })
             .collect();
         let rx_queues = (0..hosts).map(|_| SimChannel::new()).collect();
-        let lanes = (0..hosts).map(|_| Mutex::new(BTreeMap::new())).collect();
+        let lanes = (0..hosts).map(|_| RefCell::new(BTreeMap::new())).collect();
         Arc::new(Fabric {
             cfg,
             query: QueryId::DIRECT,
             root: None,
             nics,
             rx_queues,
-            live_tx: Arc::new(AtomicUsize::new(hosts)),
-            launched: AtomicBool::new(false),
+            live_tx: Arc::new(Cell::new(hosts)),
+            launched: Cell::new(false),
             lanes,
-            view_closed: AtomicBool::new(false),
+            view_closed: Cell::new(false),
             validator,
             faults,
         })
@@ -136,10 +135,7 @@ impl Fabric {
     /// per-query watchdog is not fooled by other queries' traffic.
     pub fn progress_ticks(&self) -> u64 {
         if self.root.is_some() {
-            self.nics
-                .iter()
-                .map(|n| n.lane_progress.load(Ordering::Relaxed))
-                .sum()
+            self.nics.iter().map(|n| n.lane_progress.get()).sum()
         } else {
             self.faults.progress()
         }
@@ -165,17 +161,17 @@ impl Fabric {
 /// run starts, or a [`SimCtx`] from inside it).
 pub trait Spawner {
     /// Spawn a simulated thread.
-    fn spawn_task<F: FnOnce(&SimCtx) + Send + 'static>(&self, name: String, f: F);
+    fn spawn_task<F: FnOnce(&SimCtx) + 'static>(&self, name: String, f: F);
 }
 
 impl Spawner for Simulation {
-    fn spawn_task<F: FnOnce(&SimCtx) + Send + 'static>(&self, name: String, f: F) {
+    fn spawn_task<F: FnOnce(&SimCtx) + 'static>(&self, name: String, f: F) {
         self.spawn(name, f);
     }
 }
 
 impl Spawner for SimCtx {
-    fn spawn_task<F: FnOnce(&SimCtx) + Send + 'static>(&self, name: String, f: F) {
+    fn spawn_task<F: FnOnce(&SimCtx) + 'static>(&self, name: String, f: F) {
         self.spawn(name, f);
     }
 }

@@ -7,11 +7,10 @@
 //! [`FaultState`], the flags all of that sets and that `nic.rs` (deny a
 //! post) and `wire.rs` (flush instead of deliver) only read.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_sim::{SimChannel, SimCtx, SimDuration, SimSemaphore, SimTime};
 
 use crate::config::{HostId, QueryId};
@@ -25,31 +24,31 @@ use crate::nic::{Nic, NicStats};
 pub(crate) struct FaultState {
     plan: Option<FaultPlan>,
     hosts: usize,
-    aborted: AtomicBool,
-    crashed: Vec<AtomicBool>,
+    aborted: Cell<bool>,
+    crashed: Vec<Cell<bool>>,
     /// Row-major `src * hosts + dst`: queue pair in the error state.
-    qp_error: Vec<AtomicBool>,
+    qp_error: Vec<Cell<bool>>,
     /// Monotone activity counter, snapshotted by the runtime watchdog to
     /// detect a wedged cluster.
-    progress: AtomicU64,
+    progress: Cell<u64>,
     /// Fast-path flag: some query-scoped abort happened. Lets the hot
-    /// paths skip the set lookup with one relaxed load, so a fabric with
-    /// no multiplexed queries pays nothing.
-    query_aborted_any: AtomicBool,
+    /// paths skip the set lookup with one load, so a fabric with no
+    /// multiplexed queries pays nothing.
+    query_aborted_any: Cell<bool>,
     /// Queries aborted individually (service multiplexing).
-    query_aborted: Mutex<HashSet<u32>>,
+    query_aborted: RefCell<HashSet<u32>>,
     /// Hosts fenced by the failure detector (or by crash evidence): their
     /// MR epochs are closed and the service stops placing queries there.
-    fenced: Vec<AtomicBool>,
+    fenced: Vec<Cell<bool>>,
     /// Virtual instant (ns) the detector declared each host dead;
     /// `u64::MAX` until detected.
-    detected_ns: Vec<AtomicU64>,
+    detected_ns: Vec<Cell<u64>>,
     /// Last observed fabric activity per host (ns) — the lease the
     /// failure detector renews and checks.
-    activity_ns: Vec<AtomicU64>,
+    activity_ns: Vec<Cell<u64>>,
     /// Set when the service retires its batch: the detector task exits at
     /// its next tick instead of keeping the simulation alive forever.
-    detector_stop: AtomicBool,
+    detector_stop: Cell<bool>,
 }
 
 impl FaultState {
@@ -57,16 +56,16 @@ impl FaultState {
         Arc::new(FaultState {
             plan,
             hosts,
-            aborted: AtomicBool::new(false),
-            crashed: (0..hosts).map(|_| AtomicBool::new(false)).collect(),
-            qp_error: (0..hosts * hosts).map(|_| AtomicBool::new(false)).collect(),
-            progress: AtomicU64::new(0),
-            query_aborted_any: AtomicBool::new(false),
-            query_aborted: Mutex::new(HashSet::new()),
-            fenced: (0..hosts).map(|_| AtomicBool::new(false)).collect(),
-            detected_ns: (0..hosts).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            activity_ns: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
-            detector_stop: AtomicBool::new(false),
+            aborted: Cell::new(false),
+            crashed: vec![Cell::new(false); hosts],
+            qp_error: vec![Cell::new(false); hosts * hosts],
+            progress: Cell::new(0),
+            query_aborted_any: Cell::new(false),
+            query_aborted: RefCell::new(HashSet::new()),
+            fenced: vec![Cell::new(false); hosts],
+            detected_ns: vec![Cell::new(u64::MAX); hosts],
+            activity_ns: vec![Cell::new(0); hosts],
+            detector_stop: Cell::new(false),
         })
     }
 
@@ -76,16 +75,16 @@ impl FaultState {
 
     /// First abort wins; returns whether this call switched the flag.
     pub(crate) fn set_aborted(&self) -> bool {
-        !self.aborted.swap(true, Ordering::SeqCst)
+        !self.aborted.replace(true)
     }
 
     pub(crate) fn is_crashed(&self, host: HostId) -> bool {
-        self.crashed[host.0].load(Ordering::SeqCst)
+        self.crashed[host.0].get()
     }
 
     /// Returns whether this call switched the flag.
     pub(crate) fn set_crashed(&self, host: HostId) -> bool {
-        !self.crashed[host.0].swap(true, Ordering::SeqCst)
+        !self.crashed[host.0].replace(true)
     }
 
     /// Hosts flagged as crashed so far.
@@ -94,12 +93,12 @@ impl FaultState {
     }
 
     pub(crate) fn is_fenced(&self, host: HostId) -> bool {
-        self.fenced[host.0].load(Ordering::SeqCst)
+        self.fenced[host.0].get()
     }
 
     /// Returns whether this call switched the flag (first fence wins).
     pub(crate) fn set_fenced(&self, host: HostId) -> bool {
-        !self.fenced[host.0].swap(true, Ordering::SeqCst)
+        !self.fenced[host.0].replace(true)
     }
 
     /// Hosts fenced so far (detector- or evidence-driven).
@@ -110,66 +109,64 @@ impl FaultState {
     /// Renew `host`'s lease: the engines call this on every live message
     /// they carry, the detector on every answered heartbeat probe.
     pub(crate) fn note_activity(&self, host: HostId, now: SimTime) {
-        self.activity_ns[host.0].store(now.as_nanos(), Ordering::Relaxed);
+        self.activity_ns[host.0].set(now.as_nanos());
     }
 
     pub(crate) fn last_activity_ns(&self, host: HostId) -> u64 {
-        self.activity_ns[host.0].load(Ordering::Relaxed)
+        self.activity_ns[host.0].get()
     }
 
     /// Record the instant the detector declared `host` dead (first wins).
     pub(crate) fn note_detected(&self, host: HostId, now: SimTime) {
-        let _ = self.detected_ns[host.0].compare_exchange(
-            u64::MAX,
-            now.as_nanos(),
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
+        let detected = &self.detected_ns[host.0];
+        if detected.get() == u64::MAX {
+            detected.set(now.as_nanos());
+        }
     }
 
     pub(crate) fn detected_at(&self, host: HostId) -> Option<SimTime> {
-        match self.detected_ns[host.0].load(Ordering::SeqCst) {
+        match self.detected_ns[host.0].get() {
             u64::MAX => None,
             ns => Some(SimTime::from_nanos(ns)),
         }
     }
 
     pub(crate) fn stop_detector(&self) {
-        self.detector_stop.store(true, Ordering::SeqCst);
+        self.detector_stop.set(true);
     }
 
     pub(crate) fn detector_stopped(&self) -> bool {
-        self.detector_stop.load(Ordering::SeqCst)
+        self.detector_stop.get()
     }
 
     pub(crate) fn qp_in_error(&self, src: HostId, dst: HostId) -> bool {
-        self.qp_error[src.0 * self.hosts + dst.0].load(Ordering::SeqCst)
+        self.qp_error[src.0 * self.hosts + dst.0].get()
     }
 
     pub(crate) fn set_qp_error(&self, src: HostId, dst: HostId) {
-        self.qp_error[src.0 * self.hosts + dst.0].store(true, Ordering::SeqCst);
+        self.qp_error[src.0 * self.hosts + dst.0].set(true);
     }
 
     pub(crate) fn note_progress(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
+        self.progress.set(self.progress.get() + 1);
     }
 
     pub(crate) fn progress(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
+        self.progress.get()
     }
 
     /// Whether `query` was individually aborted. One load on the hot path
     /// until the first query-scoped abort actually happens.
     fn is_query_aborted(&self, query: QueryId) -> bool {
         query != QueryId::DIRECT
-            && self.query_aborted_any.load(Ordering::SeqCst)
-            && self.query_aborted.lock().contains(&query.0)
+            && self.query_aborted_any.get()
+            && self.query_aborted.borrow().contains(&query.0)
     }
 
     /// Whether `query`'s traffic is dead: the whole rack aborted, or this
     /// query did.
     pub(crate) fn aborted(&self, query: QueryId) -> bool {
-        self.aborted.load(Ordering::SeqCst) || self.is_query_aborted(query)
+        self.aborted.get() || self.is_query_aborted(query)
     }
 
     /// The "flush instead of deliver" predicate, asked at every yield
@@ -181,10 +178,8 @@ impl FaultState {
 
     /// First abort of `query` wins; returns whether this call switched it.
     pub(crate) fn set_query_aborted(&self, query: QueryId) -> bool {
-        let mut set = self.query_aborted.lock();
-        let first = set.insert(query.0);
-        self.query_aborted_any.store(true, Ordering::SeqCst);
-        first
+        self.query_aborted_any.set(true);
+        self.query_aborted.borrow_mut().insert(query.0)
     }
 
     /// Why a post by `query` on `src → dst` must fail fast, if it must
@@ -236,9 +231,9 @@ impl FaultState {
 }
 
 /// The hosts whose flag is set, in host order.
-fn flagged(flags: &[AtomicBool]) -> Vec<HostId> {
+fn flagged(flags: &[Cell<bool>]) -> Vec<HostId> {
     (0..flags.len())
-        .filter(|&h| flags[h].load(Ordering::SeqCst))
+        .filter(|&h| flags[h].get())
         .map(HostId)
         .collect()
 }
@@ -290,8 +285,8 @@ impl Fabric {
                     recv_cq: SimChannel::new(),
                     srq: SimSemaphore::new(self.cfg.srq_slots),
                     mrs: Arc::clone(&base.mrs),
-                    stats: Mutex::new(NicStats::default()),
-                    lane_progress: AtomicU64::new(0),
+                    stats: RefCell::new(NicStats::default()),
+                    lane_progress: Cell::new(0),
                     validator: Arc::clone(&self.validator),
                     faults: Arc::clone(&self.faults),
                 })
@@ -299,7 +294,7 @@ impl Fabric {
             .collect();
         for nic in &nics {
             let prev = self.lanes[nic.host.0]
-                .lock()
+                .borrow_mut()
                 .insert(query.0, Arc::clone(nic));
             assert!(
                 prev.is_none(),
@@ -316,9 +311,9 @@ impl Fabric {
             rx_queues: self.rx_queues.clone(),
             live_tx: Arc::clone(&self.live_tx),
             // Views never launch engines; the root's are already running.
-            launched: AtomicBool::new(true),
+            launched: Cell::new(true),
             lanes: Vec::new(),
-            view_closed: AtomicBool::new(false),
+            view_closed: Cell::new(false),
             validator: Arc::clone(&self.validator),
             faults: Arc::clone(&self.faults),
         })
@@ -335,7 +330,7 @@ impl Fabric {
     /// `poison`, by its query's abort.
     fn retire_view(&self, ctx: &SimCtx, poison: bool) {
         let Some(root) = &self.root else { return };
-        if self.view_closed.swap(true, Ordering::SeqCst) {
+        if self.view_closed.replace(true) {
             return;
         }
         // Unregister *before* closing: the ingress engine must stop
@@ -343,7 +338,7 @@ impl Fabric {
         // send to a closed SimChannel is a fault; an unresolvable lane
         // is a clean flush).
         for nic in &self.nics {
-            root.lanes[nic.host.0].lock().remove(&self.query.0);
+            root.lanes[nic.host.0].borrow_mut().remove(&self.query.0);
         }
         for nic in &self.nics {
             nic.retire(ctx, poison);
@@ -376,7 +371,7 @@ impl Fabric {
         }
         self.validator.on_host_crashed(host);
         self.nics[host.0].retire(ctx, true);
-        let touching: BTreeMap<u32, Arc<Nic>> = self.lanes[host.0].lock().clone();
+        let touching: BTreeMap<u32, Arc<Nic>> = self.lanes[host.0].borrow().clone();
         for lane in touching.values() {
             lane.retire(ctx, true);
         }
@@ -385,7 +380,7 @@ impl Fabric {
         // resolves them to a clean flush rather than a closed channel.
         for q in touching.keys() {
             for h in (0..self.hosts()).filter(|&h| h != host.0) {
-                let lane = self.lanes[h].lock().remove(q);
+                let lane = self.lanes[h].borrow_mut().remove(q);
                 if let Some(lane) = lane {
                     lane.retire(ctx, true);
                 }
@@ -516,7 +511,7 @@ impl Fabric {
         // A rack-wide abort wakes every query lane as well; entries stay
         // registered — the global abort flag flushes everything anyway.
         for lanes in &self.lanes {
-            let lanes: Vec<Arc<Nic>> = lanes.lock().values().cloned().collect();
+            let lanes: Vec<Arc<Nic>> = lanes.borrow().values().cloned().collect();
             for lane in lanes {
                 lane.retire(ctx, true);
             }

@@ -7,9 +7,9 @@
 //! explicit: [`MrTable::register`] charges virtual time on the calling
 //! thread according to [`NicCosts::register_seconds`].
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_sim::{SimCtx, SimDuration};
 
 use crate::config::{HostId, NicCosts};
@@ -32,10 +32,10 @@ pub struct Mr {
     host: HostId,
     index: usize,
     /// Registered length, fixed at registration time. Cached outside the
-    /// data mutex so `remote_handle`/`len` are lock-free — they are called
+    /// data cell so `remote_handle`/`len` borrow nothing — they are called
     /// on every one-sided post.
     region_len: usize,
-    data: Mutex<Vec<u8>>,
+    data: RefCell<Vec<u8>>,
     validator: Arc<Validator>,
 }
 
@@ -66,7 +66,7 @@ impl Mr {
     /// hardware would raise a protection fault and kill the QP, and the
     /// validator stops the run.
     pub(crate) fn dma_write(&self, offset: usize, src: &[u8]) {
-        let mut data = self.data.lock();
+        let mut data = self.data.borrow_mut();
         let region_len = data.len();
         if offset
             .checked_add(src.len())
@@ -87,7 +87,7 @@ impl Mr {
     /// DMA read out of the region (the responder leg of an RDMA READ).
     /// An out-of-bounds read is reported like a write fault.
     pub(crate) fn dma_read(&self, offset: usize, len: usize) -> Vec<u8> {
-        let data = self.data.lock();
+        let data = self.data.borrow();
         let region_len = data.len();
         if offset.checked_add(len).is_none_or(|end| end > region_len) {
             drop(data);
@@ -104,7 +104,7 @@ impl Mr {
 
     /// Read the region contents by reference (local access by the owner).
     pub fn with_data<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.data.lock())
+        f(&self.data.borrow())
     }
 
     /// Owner-side local write into the region (no HCA involved — the
@@ -131,7 +131,7 @@ impl Mr {
     /// sim.run();
     /// ```
     pub fn fill(&self, offset: usize, src: &[u8]) {
-        let mut data = self.data.lock();
+        let mut data = self.data.borrow_mut();
         let end = offset
             .checked_add(src.len())
             .expect("fill range overflows usize");
@@ -189,8 +189,8 @@ impl Mr {
 pub struct MrTable {
     host: HostId,
     costs: NicCosts,
-    regions: Mutex<Vec<Arc<Mr>>>,
-    registered_bytes: Mutex<u64>,
+    regions: RefCell<Vec<Arc<Mr>>>,
+    registered_bytes: Cell<u64>,
     validator: Arc<Validator>,
 }
 
@@ -199,8 +199,8 @@ impl MrTable {
         MrTable {
             host,
             costs,
-            regions: Mutex::new(Vec::new()),
-            registered_bytes: Mutex::new(0),
+            regions: RefCell::new(Vec::new()),
+            registered_bytes: Cell::new(0),
             validator,
         }
     }
@@ -209,17 +209,18 @@ impl MrTable {
     /// calling thread the pinning cost.
     pub fn register(&self, ctx: &SimCtx, len: usize) -> Arc<Mr> {
         ctx.advance(SimDuration::from_secs_f64(self.costs.register_seconds(len)));
-        let mut regions = self.regions.lock();
+        let mut regions = self.regions.borrow_mut();
         let index = regions.len();
         let mr = Arc::new(Mr {
             host: self.host,
             index,
             region_len: len,
-            data: Mutex::new(vec![0u8; len]),
+            data: RefCell::new(vec![0u8; len]),
             validator: Arc::clone(&self.validator),
         });
         regions.push(Arc::clone(&mr));
-        *self.registered_bytes.lock() += len as u64;
+        self.registered_bytes
+            .set(self.registered_bytes.get() + len as u64);
         self.validator.mr_registered(self.host, index, len);
         mr
     }
@@ -227,7 +228,7 @@ impl MrTable {
     /// Look up a region by index (ingress-engine path for one-sided
     /// access). A miss is a use-before-register contract violation.
     pub(crate) fn get(&self, index: usize) -> Arc<Mr> {
-        let region = self.regions.lock().get(index).map(Arc::clone);
+        let region = self.regions.borrow().get(index).map(Arc::clone);
         region.unwrap_or_else(|| {
             self.validator.report(Violation::UseBeforeRegister {
                 host: self.host,
@@ -241,7 +242,7 @@ impl MrTable {
     /// that still hold handles from before the crash are flagged
     /// [`Violation::ReadAfterUnpublish`] instead of reading stale bytes.
     pub(crate) fn unpublish_all(&self) {
-        let regions = self.regions.lock();
+        let regions = self.regions.borrow();
         for mr in regions.iter() {
             mr.unpublish();
         }
@@ -250,7 +251,7 @@ impl MrTable {
     /// Total bytes ever registered on this host — the "pinned memory"
     /// figure the paper's §4.2.2 small-memory discussion is about.
     pub fn registered_bytes(&self) -> u64 {
-        *self.registered_bytes.lock()
+        self.registered_bytes.get()
     }
 }
 

@@ -14,10 +14,9 @@
 //! [`Completion`]); whether a post is denied outright is
 //! `membership.rs`'s (`FaultState::post_denied`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_sim::{SimChannel, SimCtx, SimDuration, SimEvent, SimSemaphore};
 
 use crate::config::{HostId, NicCosts, QueryId};
@@ -45,20 +44,20 @@ pub struct Completion {
 pub(crate) struct WorkCompletion {
     ev: Arc<SimEvent>,
     /// `None` until the wire (or a denied post) completes the request.
-    status: Mutex<Option<WcStatus>>,
-    data: Mutex<Option<Vec<u8>>>,
+    status: Cell<Option<WcStatus>>,
+    data: RefCell<Option<Vec<u8>>>,
 }
 
 impl WorkCompletion {
     /// Complete the work request with `status` and wake its poster.
     pub(crate) fn complete(&self, ctx: &SimCtx, status: WcStatus) {
-        *self.status.lock() = Some(status);
+        self.status.set(Some(status));
         self.ev.set(ctx);
     }
 
     /// Complete a READ successfully with the fetched `data`.
     pub(crate) fn complete_read(&self, ctx: &SimCtx, data: Vec<u8>) {
-        *self.data.lock() = Some(data);
+        *self.data.borrow_mut() = Some(data);
         self.complete(ctx, WcStatus::Success);
     }
 }
@@ -88,8 +87,8 @@ impl SendHandle {
         SendHandle {
             cell: Arc::new(WorkCompletion {
                 ev,
-                status: Mutex::new(None),
-                data: Mutex::new(None),
+                status: Cell::new(None),
+                data: RefCell::new(None),
             }),
             query,
             src,
@@ -102,7 +101,7 @@ impl SendHandle {
     pub fn wait(&self, ctx: &SimCtx) -> Result<(), FabricError> {
         // lint: allow-error-swallow(sim Event::wait returns unit, not a fabric Result)
         self.cell.ev.wait(ctx);
-        let status = *self.cell.status.lock();
+        let status = self.cell.status.get();
         match status {
             None | Some(WcStatus::Success) => Ok(()),
             Some(status) => Err(self
@@ -148,7 +147,7 @@ impl ReadHandle {
             .wr
             .cell
             .data
-            .lock()
+            .borrow_mut()
             .take()
             .expect("read completed without data"))
     }
@@ -203,11 +202,11 @@ pub struct Nic {
     /// This host's registered memory regions (one-sided write targets),
     /// shared between the base NIC and every lane on the host.
     pub mrs: Arc<MrTable>,
-    pub(crate) stats: Mutex<NicStats>,
+    pub(crate) stats: RefCell<NicStats>,
     /// Lane activity counter: posts and deliveries on this lane. Summed
     /// by a view fabric's `progress_ticks` so a per-query watchdog can
     /// tell a slow query from a wedged one.
-    pub(crate) lane_progress: AtomicU64,
+    pub(crate) lane_progress: Cell<u64>,
     pub(crate) validator: Arc<Validator>,
     pub(crate) faults: Arc<FaultState>,
 }
@@ -374,8 +373,8 @@ impl Nic {
         if charge_doorbell {
             ctx.advance(SimDuration::from_secs_f64(self.costs.post_overhead));
         }
-        self.stats.lock().tx_msgs += 1;
-        self.lane_progress.fetch_add(1, Ordering::Relaxed);
+        self.stats.borrow_mut().tx_msgs += 1;
+        self.lane_progress.set(self.lane_progress.get() + 1);
         let kind = MsgKind::ReadRequest {
             mr: remote.index,
             offset,
@@ -419,7 +418,7 @@ impl Nic {
         if let Some(status) = fired {
             handle.cell.complete(ctx, status);
             if status != WcStatus::Success {
-                self.stats.lock().wc_errors += 1;
+                self.stats.borrow_mut().wc_errors += 1;
             }
         }
         handle
@@ -453,7 +452,7 @@ impl Nic {
             return handle;
         }
         self.count_tx(payload.len());
-        self.lane_progress.fetch_add(1, Ordering::Relaxed);
+        self.lane_progress.set(self.lane_progress.get() + 1);
         let mut msg = Message::new(self.host, dst, self.query, kind, payload);
         msg.completion = Some(Arc::clone(&handle.cell));
         msg.window = window;
@@ -525,21 +524,21 @@ impl Nic {
 
     /// Count one sent message of `bytes` payload.
     pub(crate) fn count_tx(&self, bytes: usize) {
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats.borrow_mut();
         stats.tx_msgs += 1;
         stats.tx_bytes += bytes as u64;
     }
 
     /// Count one received message of `bytes` payload.
     pub(crate) fn count_rx(&self, bytes: usize) {
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats.borrow_mut();
         stats.rx_msgs += 1;
         stats.rx_bytes += bytes as u64;
     }
 
     /// Traffic counters so far.
     pub fn stats(&self) -> NicStats {
-        *self.stats.lock()
+        *self.stats.borrow()
     }
 
     /// This NIC's *physical* host id.

@@ -12,10 +12,10 @@
 //! models the per-partition double-buffering discipline: `admit` blocks
 //! only when the oldest of the last `depth` sends has not completed.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rsj_sim::{SimCtx, SimDuration};
 
 use crate::config::{NicCosts, QueryId};
@@ -27,7 +27,7 @@ use crate::validate::{Validator, Violation};
 pub struct BufferPool {
     buf_size: usize,
     costs: NicCosts,
-    inner: Mutex<PoolState>,
+    inner: RefCell<PoolState>,
 }
 
 struct PoolState {
@@ -54,7 +54,7 @@ impl BufferPool {
         Arc::new(BufferPool {
             buf_size,
             costs,
-            inner: Mutex::new(PoolState {
+            inner: RefCell::new(PoolState {
                 free: Vec::new(),
                 stock: count,
                 fly_registrations: 0,
@@ -69,50 +69,52 @@ impl BufferPool {
     }
 
     /// Take a buffer. If the preregistered stock is exhausted, a new buffer
-    /// is registered on the fly and the caller pays the pinning cost.
+    /// is registered on the fly and the caller pays the pinning cost. A
+    /// buffer drawn from stock or registered now is allocated once at
+    /// [`BufferPool::buf_size`], so filling it never reallocates.
     pub fn take(&self, ctx: &SimCtx) -> Vec<u8> {
         {
-            let mut st = self.inner.lock();
+            let mut st = self.inner.borrow_mut();
             st.outstanding += 1;
             if let Some(buf) = st.free.pop() {
                 return buf;
             }
             if st.stock > 0 {
                 st.stock -= 1;
-                return Vec::new();
+                return Vec::with_capacity(self.buf_size);
             }
             st.fly_registrations += 1;
         }
         ctx.advance(SimDuration::from_secs_f64(
             self.costs.register_seconds(self.buf_size),
         ));
-        Vec::new()
+        Vec::with_capacity(self.buf_size)
     }
 
     /// Return a buffer to the pool (cleared, capacity kept).
     pub fn put(&self, mut buf: Vec<u8>) {
         buf.clear();
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.outstanding = st.outstanding.saturating_sub(1);
         st.free.push(buf);
     }
 
     /// Buffers currently available (free list plus unmaterialized stock).
     pub fn available(&self) -> usize {
-        let st = self.inner.lock();
+        let st = self.inner.borrow();
         st.free.len() + st.stock
     }
 
     /// How many times the pool was exhausted and had to register on the
     /// fly — should be zero in a well-configured run.
     pub fn fly_registrations(&self) -> u64 {
-        self.inner.lock().fly_registrations
+        self.inner.borrow().fly_registrations
     }
 
     /// Buffers currently taken and not returned (leaked if nonzero once
     /// the operator that owns the pool has finished).
     pub fn outstanding(&self) -> usize {
-        self.inner.lock().outstanding
+        self.inner.borrow().outstanding
     }
 }
 
@@ -128,7 +130,7 @@ impl BufferPool {
 /// (Figure 5a) price. Releasing a query returns its bytes to the budget.
 pub struct PoolArena {
     costs: NicCosts,
-    inner: Mutex<ArenaState>,
+    inner: RefCell<ArenaState>,
 }
 
 struct ArenaState {
@@ -145,7 +147,7 @@ impl PoolArena {
     pub fn new(budget_bytes: u64, costs: NicCosts) -> Arc<PoolArena> {
         Arc::new(PoolArena {
             costs,
-            inner: Mutex::new(ArenaState {
+            inner: RefCell::new(ArenaState {
                 budget_bytes,
                 total_bytes: budget_bytes,
                 per_query: HashMap::new(),
@@ -165,7 +167,7 @@ impl PoolArena {
         assert!(buf_size > 0, "zero-sized RDMA buffers are useless");
         let want = (count as u64).saturating_mul(buf_size as u64);
         let granted = {
-            let mut st = self.inner.lock();
+            let mut st = self.inner.borrow_mut();
             let granted = want.min(st.budget_bytes);
             st.budget_bytes -= granted;
             *st.per_query.entry(query.0).or_insert(0) += granted;
@@ -177,7 +179,7 @@ impl PoolArena {
 
     /// Return every byte `query` holds to the budget.
     pub fn release(&self, query: QueryId) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         if let Some(bytes) = st.per_query.remove(&query.0) {
             st.budget_bytes += bytes;
         }
@@ -185,13 +187,13 @@ impl PoolArena {
 
     /// Bytes currently unclaimed.
     pub fn available_bytes(&self) -> u64 {
-        self.inner.lock().budget_bytes
+        self.inner.borrow().budget_bytes
     }
 
     /// Bytes currently granted to `query`.
     pub fn query_bytes(&self, query: QueryId) -> u64 {
         self.inner
-            .lock()
+            .borrow()
             .per_query
             .get(&query.0)
             .copied()
@@ -200,7 +202,7 @@ impl PoolArena {
 
     /// Total slab size in bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().total_bytes
+        self.inner.borrow().total_bytes
     }
 }
 

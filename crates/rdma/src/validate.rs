@@ -18,12 +18,10 @@
 //! exception; it is recorded as a [`Violation::HostCrashed`] note, because
 //! an injected crash is a fault, not a bug.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
 
 use crate::config::{HostId, QueryId};
 use crate::pool::BufferPool;
@@ -319,47 +317,47 @@ impl Residue {
 /// fabric through its lifecycle and reports [`Violation`]s.
 pub struct Validator {
     /// Registered regions: `(host, index) → registered length`.
-    mrs: Mutex<HashMap<(usize, usize), usize>>,
+    mrs: RefCell<HashMap<(usize, usize), usize>>,
     /// Regions whose publication epoch is currently closed
     /// ([`crate::Mr::unpublish`] without a later re-publish). Reads
     /// against these are [`Violation::ReadAfterUnpublish`].
     /// Never-published regions are absent: plain one-sided regions
     /// (e.g. histogram-announced receive buffers) are readable
     /// without the publish protocol.
-    unpublished: Mutex<HashSet<(usize, usize)>>,
+    unpublished: RefCell<HashSet<(usize, usize)>>,
     /// Receive-path flow counters, scoped per `(host, query)` lane so
     /// a query service can audit each query's teardown individually.
-    flows: Mutex<BTreeMap<(usize, u32), HostFlow>>,
+    flows: RefCell<BTreeMap<(usize, u32), HostFlow>>,
     /// Tracked pools with the `(host, query)` that owns each one, so
     /// teardown leaks can be attributed to a crashed host or audited
     /// per query.
-    pools: Mutex<Vec<(usize, u32, Weak<BufferPool>)>>,
+    pools: RefCell<Vec<(usize, u32, Weak<BufferPool>)>>,
     /// Hosts the fault plane fail-stopped; their teardown residue is
     /// context, not an application bug.
-    crashed: Mutex<HashSet<usize>>,
+    crashed: RefCell<HashSet<usize>>,
     /// Queries individually aborted (query-scoped fault fan-out);
     /// their residue is fault fallout, not an application bug.
-    aborted_queries: Mutex<HashSet<u32>>,
+    aborted_queries: RefCell<HashSet<u32>>,
     /// The cluster aborted: residue dropped while workers unwind is
     /// fault-plane context, not an application bug.
-    aborted: AtomicBool,
-    violations: Mutex<Vec<Violation>>,
-    count: AtomicU64,
+    aborted: Cell<bool>,
+    violations: RefCell<Vec<Violation>>,
+    count: Cell<u64>,
 }
 
 impl Validator {
     /// A fresh validator.
     pub fn new() -> Arc<Validator> {
         Arc::new(Validator {
-            mrs: Mutex::new(HashMap::new()),
-            unpublished: Mutex::new(HashSet::new()),
-            flows: Mutex::new(BTreeMap::new()),
-            pools: Mutex::new(Vec::new()),
-            crashed: Mutex::new(HashSet::new()),
-            aborted_queries: Mutex::new(HashSet::new()),
-            aborted: AtomicBool::new(false),
-            violations: Mutex::new(Vec::new()),
-            count: AtomicU64::new(0),
+            mrs: RefCell::new(HashMap::new()),
+            unpublished: RefCell::new(HashSet::new()),
+            flows: RefCell::new(BTreeMap::new()),
+            pools: RefCell::new(Vec::new()),
+            crashed: RefCell::new(HashSet::new()),
+            aborted_queries: RefCell::new(HashSet::new()),
+            aborted: Cell::new(false),
+            violations: RefCell::new(Vec::new()),
+            count: Cell::new(0),
         })
     }
 
@@ -380,65 +378,65 @@ impl Validator {
     }
 
     fn record(&self, v: &Violation) {
-        self.count.fetch_add(1, Ordering::SeqCst);
-        self.violations.lock().push(v.clone());
+        self.count.set(self.count.get() + 1);
+        self.violations.borrow_mut().push(v.clone());
     }
 
     /// The fault plane fail-stopped `host`: its teardown residue is
     /// reported as [`Violation::HostCrashed`] context from now on.
     pub fn on_host_crashed(&self, host: HostId) {
-        self.crashed.lock().insert(host.0);
+        self.crashed.borrow_mut().insert(host.0);
     }
 
     /// The cluster aborted the run. Residue dropped while workers
     /// unwind — e.g. a send window with flushed work requests still
     /// recorded — is fault-plane fallout, not a contract bug.
     pub fn on_abort(&self) {
-        self.aborted.store(true, Ordering::SeqCst);
+        self.aborted.set(true);
     }
 
     /// One query aborted (query-scoped fault fan-out over a shared
     /// fabric). Residue that query drops while its workers unwind is
     /// fault fallout; other queries keep full-strength auditing.
     pub fn on_query_aborted(&self, query: QueryId) {
-        self.aborted_queries.lock().insert(query.0);
+        self.aborted_queries.borrow_mut().insert(query.0);
     }
 
     /// Whether in-flight residue should be attributed to the fault
     /// plane (an abort, a crashed host, or a query-scoped abort)
     /// rather than the application.
     pub(crate) fn fault_residue(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
-            || !self.crashed.lock().is_empty()
-            || !self.aborted_queries.lock().is_empty()
+        self.aborted.get()
+            || !self.crashed.borrow().is_empty()
+            || !self.aborted_queries.borrow().is_empty()
     }
 
     /// All violations recorded so far.
     pub fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().clone()
+        self.violations.borrow().clone()
     }
 
     /// Number of violations detected so far.
     pub fn violation_count(&self) -> u64 {
-        self.count.load(Ordering::SeqCst)
+        self.count.get()
     }
 
     /// A region was registered (called by [`crate::MrTable`]).
     pub(crate) fn mr_registered(&self, host: HostId, index: usize, len: usize) {
-        self.mrs.lock().insert((host.0, index), len);
+        self.mrs.borrow_mut().insert((host.0, index), len);
     }
 
     /// A region opened a publication epoch ([`crate::Mr::publish`]):
     /// one-sided reads are sanctioned until the matching unpublish.
     pub(crate) fn mr_published(&self, host: HostId, index: usize) {
-        self.unpublished.lock().remove(&(host.0, index));
+        self.unpublished.borrow_mut().remove(&(host.0, index));
     }
 
     /// A region closed its publication epoch
     /// ([`crate::Mr::unpublish`]): later reads against it are
     /// [`Violation::ReadAfterUnpublish`] until it is re-published.
     pub(crate) fn mr_unpublished(&self, host: HostId, index: usize) {
-        self.unpublished.lock().insert((host.0, index));
+        self.unpublished.borrow_mut().insert((host.0, index));
     }
 
     /// Validate a one-sided WRITE against the registered region table
@@ -454,7 +452,7 @@ impl Validator {
 
     fn check_one_sided(&self, remote: &RemoteMr, offset: usize, len: usize, is_read: bool) {
         let (host, index) = (remote.host, remote.index);
-        let registered = self.mrs.lock().get(&(host.0, index)).copied();
+        let registered = self.mrs.borrow().get(&(host.0, index)).copied();
         let Some(region_len) = registered else {
             self.report(Violation::UseBeforeRegister { host, index });
         };
@@ -466,7 +464,7 @@ impl Validator {
                 registered: region_len,
             });
         }
-        if is_read && self.unpublished.lock().contains(&(host.0, index)) {
+        if is_read && self.unpublished.borrow().contains(&(host.0, index)) {
             self.report(Violation::ReadAfterUnpublish { host, index });
         }
         if offset.checked_add(len).is_some_and(|end| end <= region_len) {
@@ -495,7 +493,7 @@ impl Validator {
     /// `query`'s lane.
     pub(crate) fn on_rx_delivered(&self, host: HostId, query: QueryId) {
         self.flows
-            .lock()
+            .borrow_mut()
             .entry((host.0, query.0))
             .or_default()
             .delivered += 1;
@@ -505,7 +503,7 @@ impl Validator {
     /// lane).
     pub(crate) fn on_rx_consumed(&self, host: HostId, query: QueryId) {
         self.flows
-            .lock()
+            .borrow_mut()
             .entry((host.0, query.0))
             .or_default()
             .consumed += 1;
@@ -515,7 +513,7 @@ impl Validator {
     /// lane).
     pub(crate) fn on_recv_reposted(&self, host: HostId, query: QueryId) {
         self.flows
-            .lock()
+            .borrow_mut()
             .entry((host.0, query.0))
             .or_default()
             .reposted += 1;
@@ -528,7 +526,7 @@ impl Validator {
     pub(crate) fn srq_blocked(&self, host: HostId, slots: usize, query: QueryId) {
         let held = self
             .flows
-            .lock()
+            .borrow()
             .get(&(host.0, query.0))
             .map_or(0, |f| f.consumed.saturating_sub(f.reposted)) as usize;
         if held >= slots {
@@ -544,7 +542,7 @@ impl Validator {
     /// not application bugs.
     pub fn register_pool_scoped(&self, query: QueryId, host: HostId, pool: &Arc<BufferPool>) {
         self.pools
-            .lock()
+            .borrow_mut()
             .push((host.0, query.0, Arc::downgrade(pool)));
     }
 
@@ -575,7 +573,7 @@ impl Validator {
     fn audit(&self, pick: impl Fn(u32) -> bool) {
         // Residue per `(query, host)`, in id order.
         let mut residue: BTreeMap<(u32, usize), Residue> = BTreeMap::new();
-        self.flows.lock().retain(|&(host, query), f| {
+        self.flows.borrow_mut().retain(|&(host, query), f| {
             if !pick(query) {
                 return true;
             }
@@ -587,7 +585,7 @@ impl Validator {
             false
         });
         let mut pools = Vec::new();
-        self.pools.lock().retain(|&(host, query, ref pool)| {
+        self.pools.borrow_mut().retain(|&(host, query, ref pool)| {
             if !pick(query) {
                 return true;
             }
@@ -599,9 +597,9 @@ impl Validator {
             residue.entry((query, host)).or_default().leaked += leaked;
         }
 
-        let crashed = self.crashed.lock().clone();
-        let rack_aborted = self.aborted.load(Ordering::SeqCst);
-        let aborted_queries = self.aborted_queries.lock().clone();
+        let crashed = self.crashed.borrow().clone();
+        let rack_aborted = self.aborted.get();
+        let aborted_queries = self.aborted_queries.borrow().clone();
         let mut crash_residue: BTreeMap<usize, Residue> = BTreeMap::new();
         let mut first_violation = None;
         for ((query, host), r) in residue {

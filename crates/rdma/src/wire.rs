@@ -33,7 +33,6 @@
 //! pre-fault-plane fabric.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rsj_sim::{SimCtx, SimDuration, SimSemaphore, SimTime};
@@ -121,10 +120,7 @@ impl Fabric {
     /// [`rsj_sim::Simulation`] (before `run`) or a [`SimCtx`] (from inside
     /// the simulation) via [`Spawner`].
     pub fn launch(self: &Arc<Self>, spawner: &impl Spawner) {
-        assert!(
-            !self.launched.swap(true, Ordering::SeqCst),
-            "fabric launched twice"
-        );
+        assert!(!self.launched.replace(true), "fabric launched twice");
         for h in 0..self.hosts() {
             let fabric = Arc::clone(self);
             spawner.spawn_task(format!("nic-tx-{h}"), move |ctx| {
@@ -198,7 +194,7 @@ impl Fabric {
                 }
             }
             let wire = self.wire_time(msg.payload.len());
-            nic.stats.lock().tx_busy_ns += wire.as_nanos();
+            nic.stats.borrow_mut().tx_busy_ns += wire.as_nanos();
             ctx.advance(wire);
             msg.arrival = ctx.now() + SimDuration::from_secs_f64(self.cfg.latency);
             if let Some(plan) = self.faults.plan() {
@@ -210,7 +206,8 @@ impl Fabric {
             self.rx_queues[dst].send(ctx, msg);
         }
         // Last egress engine standing closes all ingress queues.
-        if self.live_tx.fetch_sub(1, Ordering::SeqCst) == 1 {
+        self.live_tx.set(self.live_tx.get() - 1);
+        if self.live_tx.get() == 0 {
             for q in &self.rx_queues {
                 q.close(ctx);
             }
@@ -239,7 +236,7 @@ impl Fabric {
             }
             attempt += 1;
             self.faults.note_progress();
-            self.nics[src.0].stats.lock().retransmits += 1;
+            self.nics[src.0].stats.borrow_mut().retransmits += 1;
             if attempt > MAX_RETRIES {
                 return Some(WcStatus::RetryExceeded);
             }
@@ -267,7 +264,7 @@ impl Fabric {
             ctx.sleep_until(msg.arrival);
             let bytes = msg.payload.len();
             let wire = self.wire_time(bytes);
-            nic.stats.lock().rx_busy_ns += wire.as_nanos();
+            nic.stats.borrow_mut().rx_busy_ns += wire.as_nanos();
             ctx.advance(wire);
             // The wire charge is a yield point: a crash or abort may have
             // landed meanwhile, and the receive queue may be closed.
@@ -308,7 +305,7 @@ impl Fabric {
                         continue;
                     }
                     self.validator.on_rx_delivered(host, msg.query);
-                    lane.lane_progress.fetch_add(1, Ordering::Relaxed);
+                    lane.lane_progress.set(lane.lane_progress.get() + 1);
                     if msg.query != QueryId::DIRECT {
                         lane.count_rx(bytes);
                     }
@@ -373,7 +370,7 @@ impl Fabric {
         }
         if let Some(send) = msg.completion {
             send.complete(ctx, status);
-            self.nics[msg.src.0].stats.lock().wc_errors += 1;
+            self.nics[msg.src.0].stats.borrow_mut().wc_errors += 1;
         }
         if let Some(w) = msg.window {
             w.release(ctx);
@@ -400,6 +397,6 @@ impl Fabric {
 
     /// `query`'s registered receive lane on `host` (`None` once retired).
     fn lane(&self, host: HostId, query: QueryId) -> Option<Arc<Nic>> {
-        self.lanes[host.0].lock().get(&query.0).cloned()
+        self.lanes[host.0].borrow().get(&query.0).cloned()
     }
 }

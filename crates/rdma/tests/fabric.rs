@@ -1,16 +1,17 @@
 //! Whole-fabric behaviour over the public API: the wire model (bandwidth,
 //! message rate, incast), the three verbs, the fault plane's
 //! retransmission and error vocabulary, crash / abort / fencing wake-ups
-//! and the failure detector.
+//! and the failure detector; and the dispatch order of three fabric runs,
+//! pinned as trace digests.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use rsj_rdma::{
     Fabric, FabricConfig, FabricError, FaultPlan, HostCrash, HostId, LinkFlap, NicCosts, NicStats,
     WcStatus,
 };
-use rsj_sim::{SimDuration, SimEvent, SimTime, Simulation};
+use rsj_sim::{SimDuration, SimEvent, SimSemaphore, SimTime, Simulation};
 
 fn two_host_fabric(cfg: FabricConfig) -> (Simulation, Arc<Fabric>) {
     let sim = Simulation::new();
@@ -49,11 +50,11 @@ fn stream_bandwidth(size: usize, count: usize, cfg: FabricConfig) -> f64 {
                 nic.repost_recv(ctx);
             }
             assert_eq!(got, size * count);
-            *done.lock() = ctx.now().as_secs_f64();
+            *done.lock().unwrap() = ctx.now().as_secs_f64();
         });
     }
     sim.run();
-    let secs = *done.lock();
+    let secs = *done.lock().unwrap();
     (size * count) as f64 / secs
 }
 
@@ -114,12 +115,12 @@ fn incast_halves_per_sender_throughput() {
                 assert_eq!(c.payload.len(), MSG);
                 nic.repost_recv(ctx);
             }
-            *finish.lock() = ctx.now().as_secs_f64();
+            *finish.lock().unwrap() = ctx.now().as_secs_f64();
             fabric.shutdown(ctx);
         });
     }
     sim.run();
-    let secs = *finish.lock();
+    let secs = *finish.lock().unwrap();
     let single = (COUNT * MSG) as f64 / cfg.bandwidth;
     assert!(
         (secs - 2.0 * single).abs() / (2.0 * single) < 0.1,
@@ -142,7 +143,7 @@ fn one_sided_write_places_data_without_receiver_cpu() {
         sim.spawn("owner", move |ctx| {
             let nic = fabric.nic(HostId(1));
             let mr = nic.mrs.register(ctx, 1024);
-            *handle_cell.lock() = Some((mr.remote_handle(), Arc::clone(&mr)));
+            *handle_cell.lock().unwrap() = Some((mr.remote_handle(), Arc::clone(&mr)));
             region_ready.set(ctx);
         });
     }
@@ -152,7 +153,7 @@ fn one_sided_write_places_data_without_receiver_cpu() {
         let handle_cell = Arc::clone(&handle_cell);
         sim.spawn("writer", move |ctx| {
             region_ready.wait(ctx);
-            let (handle, mr) = handle_cell.lock().clone().unwrap();
+            let (handle, mr) = handle_cell.lock().unwrap().clone().unwrap();
             let nic = fabric.nic(HostId(0));
             let ev = nic.post_write(ctx, handle, 128, vec![9u8; 64]);
             ev.wait(ctx).unwrap();
@@ -212,7 +213,7 @@ fn one_sided_read_pulls_remote_data() {
             let nic = fabric.nic(HostId(1));
             let mr = nic.mrs.register(ctx, 256);
             mr.fill(64, &[7u8; 128]);
-            *handle_cell.lock() = Some(mr.remote_handle());
+            *handle_cell.lock().unwrap() = Some(mr.remote_handle());
             ready.set(ctx);
         });
     }
@@ -222,7 +223,7 @@ fn one_sided_read_pulls_remote_data() {
         let handle_cell = Arc::clone(&handle_cell);
         sim.spawn("reader", move |ctx| {
             ready.wait(ctx);
-            let remote = handle_cell.lock().unwrap();
+            let remote = handle_cell.lock().unwrap().unwrap();
             let nic = fabric.nic(HostId(0));
             let t0 = ctx.now();
             let data = nic.post_read(ctx, remote, 64, 128).wait(ctx).unwrap();
@@ -294,7 +295,7 @@ fn faulted_stream(
                 .map(|i| nic.post_send(ctx, HostId(1), i as u32, vec![0u8; 4096]))
                 .collect();
             for h in handles {
-                results.lock().push(h.wait(ctx));
+                results.lock().unwrap().push(h.wait(ctx));
             }
             fabric.shutdown(ctx);
         });
@@ -306,17 +307,17 @@ fn faulted_stream(
         sim.spawn("receiver", move |ctx| {
             let nic = fabric.nic(HostId(1));
             while let Ok(Some(c)) = nic.recv(ctx) {
-                tags.lock().push(c.tag);
+                tags.lock().unwrap().push(c.tag);
                 nic.repost_recv(ctx);
             }
-            *finish.lock() = ctx.now().as_nanos();
+            *finish.lock().unwrap() = ctx.now().as_nanos();
         });
     }
     sim.run();
     let stats = fabric.nic(HostId(0)).stats();
-    let tags = tags.lock().clone();
-    let results = results.lock().clone();
-    let finish = *finish.lock();
+    let tags = tags.lock().unwrap().clone();
+    let results = results.lock().unwrap().clone();
+    let finish = *finish.lock().unwrap();
     (tags, results, finish, stats)
 }
 
@@ -425,7 +426,7 @@ fn abort_unblocks_a_parked_receiver_with_a_typed_error() {
         let saw = Arc::clone(&saw);
         sim.spawn("receiver", move |ctx| {
             let nic = fabric.nic(HostId(1));
-            *saw.lock() = Some(nic.recv(ctx));
+            *saw.lock().unwrap() = Some(nic.recv(ctx));
         });
     }
     {
@@ -436,7 +437,7 @@ fn abort_unblocks_a_parked_receiver_with_a_typed_error() {
         });
     }
     sim.run();
-    assert_eq!(saw.lock().take(), Some(Err(FabricError::Aborted)));
+    assert_eq!(saw.lock().unwrap().take(), Some(Err(FabricError::Aborted)));
     // Posts after the abort flush immediately instead of wedging.
     assert!(fabric.aborted());
 }
@@ -466,7 +467,7 @@ fn read_in_flight_at_crash_instant_completes_with_host_crashed() {
             let remote = mr.publish();
             let h = fabric.nic(HostId(0)).post_read(ctx, remote, 0, 256 << 10);
             posted.set(ctx);
-            *saw.lock() = Some(h.wait(ctx));
+            *saw.lock().unwrap() = Some(h.wait(ctx));
             fabric.shutdown(ctx);
         });
     }
@@ -480,7 +481,7 @@ fn read_in_flight_at_crash_instant_completes_with_host_crashed() {
     }
     sim.run();
     assert_eq!(
-        saw.lock().take(),
+        saw.lock().unwrap().take(),
         Some(Err(FabricError::HostCrashed { host: HostId(1) })),
         "an in-flight READ must flush with the crash typed, not stale bytes"
     );
@@ -511,13 +512,13 @@ fn read_posted_after_fencing_is_a_typed_error_not_a_validator_panic() {
             assert!(fabric.is_fenced(HostId(1)));
             assert_eq!(fabric.fenced_hosts(), vec![HostId(1)]);
             let h = fabric.nic(HostId(0)).post_read(ctx, remote, 0, 4096);
-            *saw.lock() = Some(h.wait(ctx));
+            *saw.lock().unwrap() = Some(h.wait(ctx));
             fabric.shutdown(ctx);
         });
     }
     sim.run();
     assert_eq!(
-        saw.lock().take(),
+        saw.lock().unwrap().take(),
         Some(Err(FabricError::HostCrashed { host: HostId(1) }))
     );
 }
@@ -582,4 +583,213 @@ fn failure_detector_fences_a_crashed_host_within_its_latency_bound() {
     );
     // Detection latency is part of the deterministic replay contract.
     assert_eq!(run().2, Some(detected));
+}
+
+/// FNV-1a, 64-bit: a digest whose value is fixed by its definition, not by
+/// the standard library's hasher of the day.
+struct Fnv1a(u64);
+
+impl std::hash::Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// FNV-1a over every `(time, seq, task)` of a dispatch trace.
+fn trace_digest(trace: &[rsj_sim::Dispatch]) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    for d in trace {
+        h.write_u64(d.time.as_nanos());
+        h.write_u64(d.seq);
+        d.task.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Every host streams 64-byte SENDs to every other host of a 4-host QDR
+/// rack through a flow-control window of 4, and every host receives and
+/// reposts; the last receiver shuts the fabric down.
+fn traced_windowed_stream() -> Vec<rsj_sim::Dispatch> {
+    const HOSTS: usize = 4;
+    const PER_PEER: usize = 40;
+    let sim = Simulation::new();
+    sim.record_trace();
+    let fabric = Fabric::new(FabricConfig::qdr(), NicCosts::default(), HOSTS);
+    fabric.launch(&sim);
+    let receiving = Arc::new(AtomicUsize::new(HOSTS));
+    for h in 0..HOSTS {
+        let nic = fabric.nic(HostId(h));
+        sim.spawn(format!("sender{h}"), move |ctx| {
+            let window = SimSemaphore::new(4);
+            let mut sends = Vec::new();
+            for i in 0..PER_PEER * (HOSTS - 1) {
+                let dst = (h + 1 + i % (HOSTS - 1)) % HOSTS;
+                window.acquire(ctx);
+                let w = Arc::clone(&window);
+                sends.push(nic.post_send_windowed(
+                    ctx,
+                    HostId(dst),
+                    i as u32,
+                    vec![h as u8; 64],
+                    w,
+                ));
+            }
+            for s in sends {
+                s.wait(ctx).unwrap();
+            }
+        });
+        let fabric = Arc::clone(&fabric);
+        let receiving = Arc::clone(&receiving);
+        sim.spawn(format!("receiver{h}"), move |ctx| {
+            let nic = fabric.nic(HostId(h));
+            for _ in 0..PER_PEER * (HOSTS - 1) {
+                let c = nic.recv(ctx).unwrap().expect("fabric closed early");
+                assert_eq!(c.payload.len(), 64);
+                nic.repost_recv(ctx);
+            }
+            if receiving.fetch_sub(1, Ordering::SeqCst) == 1 {
+                fabric.shutdown(ctx);
+            }
+        });
+    }
+    sim.run_traced().1
+}
+
+/// Two hosts pull doorbell-batched READs out of a region a third host
+/// registered and published.
+fn traced_read_batches() -> Vec<rsj_sim::Dispatch> {
+    let sim = Simulation::new();
+    sim.record_trace();
+    let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 3);
+    fabric.launch(&sim);
+    let published = SimEvent::new();
+    let handle = Arc::new(Mutex::new(None));
+    let readers_left = Arc::new(AtomicUsize::new(2));
+    {
+        let (fabric, published, handle) = (
+            Arc::clone(&fabric),
+            Arc::clone(&published),
+            Arc::clone(&handle),
+        );
+        sim.spawn("owner", move |ctx| {
+            let mr = fabric.nic(HostId(1)).mrs.register(ctx, 4096);
+            let bytes: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+            mr.fill(0, &bytes);
+            *handle.lock().unwrap() = Some(mr.publish());
+            published.set(ctx);
+        });
+    }
+    for reader in [0usize, 2] {
+        let (fabric, published, handle) = (
+            Arc::clone(&fabric),
+            Arc::clone(&published),
+            Arc::clone(&handle),
+        );
+        let readers_left = Arc::clone(&readers_left);
+        sim.spawn(format!("reader{reader}"), move |ctx| {
+            published.wait(ctx);
+            let remote = handle.lock().unwrap().expect("published before the event");
+            let nic = fabric.nic(HostId(reader));
+            for round in 0..8usize {
+                let reads: Vec<_> = (0..16)
+                    .map(|k| (remote, (round * 16 + k) * 32 % 4000, 64))
+                    .collect();
+                for (h, &(_, off, len)) in nic.post_read_batch(ctx, &reads).into_iter().zip(&reads)
+                {
+                    let got = h.wait(ctx).unwrap();
+                    assert_eq!(got.len(), len);
+                    assert_eq!(got[0], (off % 251) as u8);
+                }
+            }
+            if readers_left.fetch_sub(1, Ordering::SeqCst) == 1 {
+                fabric.shutdown(ctx);
+            }
+        });
+    }
+    sim.run_traced().1
+}
+
+/// Host 0 streams to hosts 1 and 2 under a fault plan that drops a fifth
+/// of all attempts (so messages are retransmitted) and crashes host 2
+/// mid-stream. Returns the trace, the sender's retransmit count and how
+/// many sends failed.
+fn traced_faulted_run() -> (Vec<rsj_sim::Dispatch>, u64, usize) {
+    let mut plan = FaultPlan::fault_free();
+    plan.seed = 11;
+    plan.drop_per_mille = 200;
+    plan.crashes.push(HostCrash {
+        host: HostId(2),
+        at: SimTime::from_nanos(10_000),
+    });
+    let sim = Simulation::new();
+    sim.record_trace();
+    let fabric = Fabric::new_with_plan(FabricConfig::fdr(), NicCosts::default(), 3, Some(plan));
+    fabric.launch(&sim);
+    let failed = Arc::new(AtomicUsize::new(0));
+    {
+        let fabric = Arc::clone(&fabric);
+        let failed = Arc::clone(&failed);
+        sim.spawn("sender", move |ctx| {
+            let nic = fabric.nic(HostId(0));
+            let sends: Vec<_> = (0..200u32)
+                .map(|i| nic.post_send(ctx, HostId(1 + i as usize % 2), i, vec![0u8; 1024]))
+                .collect();
+            for s in sends {
+                if s.wait(ctx).is_err() {
+                    failed.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            fabric.shutdown(ctx);
+        });
+    }
+    for h in [1usize, 2] {
+        let fabric = Arc::clone(&fabric);
+        sim.spawn(format!("receiver{h}"), move |ctx| {
+            let nic = fabric.nic(HostId(h));
+            while let Ok(Some(_)) = nic.recv(ctx) {
+                nic.repost_recv(ctx);
+            }
+        });
+    }
+    let trace = sim.run_traced().1;
+    let retransmits = fabric.nic(HostId(0)).stats().retransmits;
+    assert_eq!(fabric.crashed_hosts(), [HostId(2)]);
+    (trace, retransmits, failed.load(Ordering::SeqCst))
+}
+
+/// The fabric's dispatch order is pinned across commits: a windowed
+/// two-sided stream on four hosts, doorbell-batched READs, and a faulted
+/// run with retransmissions and a host crash. The digests were generated
+/// by a release build of the lock-based simulation this one replaced;
+/// moving them means a change moved the schedule, not just its cost.
+#[test]
+fn fabric_dispatch_trace_digests_are_pinned() {
+    const PINNED: [(&str, u64); 3] = [
+        ("windowed_stream", 0x9bb6_5a51_2929_ee71),
+        ("read_batches", 0x2eee_89f0_ba7f_d866),
+        ("faulted_run", 0x4550_823c_a6dc_32d8),
+    ];
+    let (faulted, retransmits, failed) = traced_faulted_run();
+    assert!(retransmits > 0, "the plan dropped no attempt");
+    assert!(failed > 0, "the crash came after the last send");
+    let traces = [traced_windowed_stream(), traced_read_batches(), faulted];
+    for (name, trace) in PINNED.iter().zip(&traces) {
+        assert!(trace.len() > 100, "{name:?}: {} dispatches", trace.len());
+    }
+    let got: Vec<(&str, u64)> = PINNED
+        .iter()
+        .zip(&traces)
+        .map(|(&(name, _), trace)| (name, trace_digest(trace)))
+        .collect();
+    assert_eq!(
+        got, PINNED,
+        "fabric dispatch trace digests moved: {got:#x?}"
+    );
 }

@@ -1,9 +1,8 @@
 //! Property and behavioural tests of the fabric model: conservation, FIFO
 //! ordering, congestion monotonicity, backpressure, and failure modes.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use rsj_rdma::{Fabric, FabricConfig, HostId, NicCosts};
 use rsj_sim::Simulation;
@@ -53,7 +52,7 @@ fn all_to_all(hosts: usize, msgs_per_pair: usize, msg_size: usize) -> Vec<(u64, 
                     bytes += c.payload.len() as u64;
                     nic.repost_recv(ctx);
                 }
-                done.lock()[h] = (expect as u64, bytes);
+                done.lock().unwrap()[h] = (expect as u64, bytes);
             });
         }
     }
@@ -64,7 +63,7 @@ fn all_to_all(hosts: usize, msgs_per_pair: usize, msg_size: usize) -> Vec<(u64, 
         sim.spawn("closer", move |ctx| {
             let expect = ((hosts - 1) * msgs_per_pair) as u64;
             loop {
-                if done.lock().iter().all(|&(n, _)| n == expect) {
+                if done.lock().unwrap().iter().all(|&(n, _)| n == expect) {
                     break;
                 }
                 ctx.advance(rsj_sim::SimDuration::from_micros(50));
@@ -73,7 +72,7 @@ fn all_to_all(hosts: usize, msgs_per_pair: usize, msg_size: usize) -> Vec<(u64, 
         });
     }
     sim.run();
-    let d = done.lock().clone();
+    let d = done.lock().unwrap().clone();
     d
 }
 
@@ -183,11 +182,11 @@ proptest! {
                 while let Ok(Some(_c)) = nic.recv(ctx) {
                     nic.repost_recv(ctx);
                 }
-                *finish.lock() = ctx.now().as_secs_f64();
+                *finish.lock().unwrap() = ctx.now().as_secs_f64();
             });
         }
         sim.run();
-        let measured = (count * size) as f64 / *finish.lock();
+        let measured = (count * size) as f64 / *finish.lock().unwrap();
         let expected = cfg.stream_bandwidth(size, 2);
         let err = (measured - expected).abs() / expected;
         prop_assert!(err < 0.10, "size {size}: {measured:.3e} vs {expected:.3e}");

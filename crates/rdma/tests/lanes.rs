@@ -4,9 +4,8 @@
 //! wakes, and lane-vs-root traffic accounting.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use rsj_rdma::{
     Completion, Fabric, FabricConfig, FabricError, FaultPlan, HostCrash, HostId, NicCosts,
     NicStats, QueryId,
@@ -74,12 +73,12 @@ fn queries_sharing_a_host_never_see_each_others_completions() {
             sim.spawn(format!("receiver{q}"), move |ctx| {
                 let (got, end) = drain(ctx, &view, 1);
                 assert_eq!(end, Ok(()), "close_view is a graceful end of stream");
-                received.lock().push((q, base_tag, got));
+                received.lock().unwrap().push((q, base_tag, got));
             });
         }
     }
     sim.run();
-    let received = received.lock();
+    let received = received.lock().unwrap();
     assert_eq!(received.len(), 2);
     for (q, base_tag, got) in received.iter() {
         let tags: Vec<u32> = got.iter().map(|c| c.tag).collect();
@@ -112,12 +111,12 @@ fn aborting_one_view_flushes_only_that_querys_sends() {
                 .map(|i| nic.post_send(ctx, HostId(1), i, vec![0u8; 256 << 10]))
                 .collect();
             for h in handles {
-                results.lock().push(h.wait(ctx));
+                results.lock().unwrap().push(h.wait(ctx));
             }
             // Posting into an aborted query flushes at once.
             let late = nic.post_send(ctx, HostId(1), 99, vec![0u8; 64]);
             assert!(late.is_done());
-            results.lock().push(late.wait(ctx));
+            results.lock().unwrap().push(late.wait(ctx));
         });
     }
     {
@@ -148,11 +147,11 @@ fn aborting_one_view_flushes_only_that_querys_sends() {
         sim.spawn("healthy-receiver", move |ctx| {
             let (got, end) = drain(ctx, &healthy, 1);
             assert_eq!(end, Ok(()));
-            *tags.lock() = got.iter().map(|c| c.tag).collect();
+            *tags.lock().unwrap() = got.iter().map(|c| c.tag).collect();
         });
     }
     sim.run();
-    let doomed_results = doomed_results.lock().clone();
+    let doomed_results = doomed_results.lock().unwrap().clone();
     assert_eq!(doomed_results.len(), MSGS as usize + 1);
     assert!(
         doomed_results
@@ -160,7 +159,10 @@ fn aborting_one_view_flushes_only_that_querys_sends() {
             .all(|r| *r == Err(FabricError::Aborted)),
         "every in-flight send of the aborted query flushes typed: {doomed_results:?}"
     );
-    assert_eq!(*healthy_tags.lock(), (0..MSGS).collect::<Vec<u32>>());
+    assert_eq!(
+        *healthy_tags.lock().unwrap(),
+        (0..MSGS).collect::<Vec<u32>>()
+    );
     assert!(doomed.aborted());
     assert!(!healthy.aborted(), "the abort is query-scoped");
     assert!(!root.aborted());
@@ -182,7 +184,7 @@ fn parked_receiver_wakes_with(
         let view = Arc::clone(&view);
         let woke = Arc::clone(&woke);
         sim.spawn("parked", move |ctx| {
-            *woke.lock() = Some((view.nic(HostId(0)).recv(ctx), ctx.now()));
+            *woke.lock().unwrap() = Some((view.nic(HostId(0)).recv(ctx), ctx.now()));
         });
     }
     sim.spawn("retirer", move |ctx| {
@@ -191,7 +193,7 @@ fn parked_receiver_wakes_with(
         root.shutdown(ctx);
     });
     sim.run();
-    let (result, at) = woke.lock().take().expect("the receiver woke");
+    let (result, at) = woke.lock().unwrap().take().expect("the receiver woke");
     assert_eq!(
         at,
         SimTime::from_nanos(10_000),
@@ -240,7 +242,7 @@ fn retiring_a_view_twice_is_a_no_op() {
             // The id is free again: the same query (a retry, say) gets a
             // fresh view over the same hosts.
             let fresh = root.query_view(QueryId(3), placement);
-            *fresh_cell.lock() = Some(Arc::clone(&fresh));
+            *fresh_cell.lock().unwrap() = Some(Arc::clone(&fresh));
             reopened.set(ctx);
             // Retiring the stale view again must not tear down the lanes
             // its successor registered under the same id.
@@ -258,14 +260,14 @@ fn retiring_a_view_twice_is_a_no_op() {
         let got = Arc::clone(&got);
         sim.spawn("receiver", move |ctx| {
             reopened.wait(ctx);
-            let fresh = fresh_cell.lock().clone().expect("view published");
+            let fresh = fresh_cell.lock().unwrap().clone().expect("view published");
             let (msgs, end) = drain(ctx, &fresh, 1);
             assert_eq!(end, Ok(()));
-            *got.lock() = msgs.iter().map(|c| c.tag).collect();
+            *got.lock().unwrap() = msgs.iter().map(|c| c.tag).collect();
         });
     }
     sim.run();
-    assert_eq!(*got.lock(), vec![5]);
+    assert_eq!(*got.lock().unwrap(), vec![5]);
 }
 
 /// SEND ×3, WRITE ×1, READ ×1 from machine 0 to machine 1 of `fabric`

@@ -6,9 +6,8 @@
 //! teardown audit — and then assert on the recorded variant.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use rsj_rdma::{
     BufferPool, Fabric, FabricConfig, HostId, NicCosts, QueryId, RemoteMr, SendHandle, SendWindow,
@@ -444,7 +443,7 @@ proptest! {
             let handle = Arc::clone(&handle);
             sim.spawn("target", move |ctx| {
                 let nic = fabric.nic(HostId(1));
-                *handle.lock() = Some(nic.mrs.register(ctx, region).remote_handle());
+                *handle.lock().unwrap() = Some(nic.mrs.register(ctx, region).remote_handle());
                 let mut got = 0;
                 while let Ok(Some(_c)) = nic.recv(ctx) {
                     got += 1;
@@ -459,7 +458,7 @@ proptest! {
             sim.spawn("initiator", move |ctx| {
                 let nic = fabric.nic(HostId(0));
                 let remote = loop {
-                    if let Some(r) = *handle.lock() {
+                    if let Some(r) = *handle.lock().unwrap() {
                         break r;
                     }
                     ctx.advance(SimDuration::from_micros(10));

@@ -23,6 +23,18 @@
 //! the cost model — which is exactly the substitution DESIGN.md calls for:
 //! real data, virtual time.
 //!
+//! ## Thread confinement
+//!
+//! A simulation's state lives on the OS thread that runs it, and the
+//! compiler holds it there: the kernel state and the [`crate::SimChannel`]
+//! family are `RefCell`s, task bodies need not be `Send`, and so
+//! [`Simulation`], [`SimCtx`] and every primitive are neither `Send` nor
+//! `Sync`. Shared state between tasks is a `RefCell`/`Cell` too, never a
+//! lock: one task runs at a time, so a borrow is never contended. A borrow
+//! held across a yield point is the one mistake left, and it fails loudly —
+//! the next task to borrow the same cell panics, and the run fails naming
+//! that task (see [`SimCtx`], "Borrowing discipline").
+//!
 //! ## Wall-clock hot path
 //!
 //! The `(time, task, seq)` total order is the determinism contract; *how
@@ -50,10 +62,10 @@
 //!    blocking Rust that yields from deep inside its loops.
 //! 4. **Batched self-advance.** [`SimCtx::advance_batched`] accrues virtual
 //!    time into a per-task `pending` cell without touching the scheduler at
-//!    all — not even the state lock. This is sound because the kernel is a
-//!    *cooperative* scheduler: while this task holds the run token, no
-//!    other task executes, so the event queue is frozen except for events
-//!    this task itself pushes. The accrued time is this task's lookahead —
+//!    all — it does not even borrow the kernel state. This is sound because
+//!    the kernel is a *cooperative* scheduler: while this task holds the
+//!    run token, no other task executes, so the event queue is frozen
+//!    except for events this task itself pushes. The accrued time is this task's lookahead —
 //!    provably unobservable until the task next performs a kernel-visible
 //!    action (advance, park, unpark, spawn, exit), at which point
 //!    [`SimCtx::settle_point`] commits the whole batch as one `advance`
@@ -68,13 +80,10 @@
 //! trace-equivalence tests assert both produce the identical
 //! `(time, seq, task)` dispatch trace under the shared comparator.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::stack::{self, Fiber, Resumed, Stack, Switchboard};
 use crate::time::{SimDuration, SimTime};
@@ -144,7 +153,7 @@ enum TaskState {
 }
 
 /// A spawned task's body, held by its slot until its first dispatch.
-type Body = Box<dyn FnOnce(&SimCtx) + Send>;
+type Body = Box<dyn FnOnce(&SimCtx)>;
 
 struct Slot {
     name: String,
@@ -223,13 +232,13 @@ impl State {
 }
 
 pub(crate) struct Kernel {
-    state: Mutex<State>,
+    state: RefCell<State>,
     /// The scheduler loop's saved context while a task runs, and the
     /// task's while it switches back.
     board: Switchboard,
     /// Set with the first failure: a task resumed from then on unwinds
     /// with [`SimAbort`] instead of continuing.
-    aborting: AtomicBool,
+    aborting: Cell<bool>,
 }
 
 /// Sentinel panic payload used to unwind simulated threads when the
@@ -241,8 +250,8 @@ impl Kernel {
     fn new(reference: bool) -> Arc<Kernel> {
         Arc::new(Kernel {
             board: Switchboard::new(),
-            aborting: AtomicBool::new(false),
-            state: Mutex::new(State {
+            aborting: Cell::new(false),
+            state: RefCell::new(State {
                 now: SimTime::ZERO,
                 seq: 0,
                 // Preallocated and retained for the life of the run: event
@@ -270,7 +279,7 @@ impl Kernel {
     }
 
     /// Picks the next runnable task and marks it Running. Called by the
-    /// scheduler loop with the state lock held, while no task runs.
+    /// scheduler loop with the state borrowed, while no task runs.
     /// `None` once every task has finished.
     #[must_use]
     fn dispatch(&self, state: &mut State) -> Option<usize> {
@@ -316,7 +325,7 @@ impl Kernel {
     /// the current instant, so each is resumed, unwinds with [`SimAbort`]
     /// and drops what its stack owns. Returns how many were woken.
     fn abort_all(&self, state: &mut State) -> usize {
-        self.aborting.store(true, Ordering::Relaxed);
+        self.aborting.set(true);
         let mut woken = 0;
         for tid in 0..state.slots.len() {
             if state.slots[tid].state == TaskState::Blocked {
@@ -342,7 +351,7 @@ impl Kernel {
     fn advance(&self, tid: usize, d: SimDuration) {
         let wake;
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             debug_assert_eq!(st.slots[tid].state, TaskState::Running);
             wake = st.now + d;
             if !st.reference && st.failure.is_none() {
@@ -379,7 +388,7 @@ impl Kernel {
             "simulated thread yielded while unwinding a panic"
         );
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             debug_assert_eq!(st.slots[tid].state, TaskState::Running);
             st.slots[tid].state = new_state;
             if let Some(t) = wake_at {
@@ -387,7 +396,7 @@ impl Kernel {
             }
         }
         self.board.suspend();
-        if self.aborting.load(Ordering::Relaxed) {
+        if self.aborting.get() {
             panic::resume_unwind(Box::new(SimAbort));
         }
     }
@@ -396,17 +405,18 @@ impl Kernel {
 /// A handle to the kernel held by each simulated thread. All virtual-time
 /// operations go through this context.
 ///
-/// # Locking discipline
+/// # Borrowing discipline
 ///
-/// Simulated code may use real mutexes for shared state (they are never
-/// contended in real time — only one simulated thread runs at once), but a
-/// guard must **never** be held across a yield point ([`SimCtx::advance`],
+/// Tasks share state through `RefCell`/`Cell` (never through a lock: only
+/// one task runs at once, so a borrow is never contended), but a `RefCell`
+/// borrow must **never** be held across a yield point ([`SimCtx::advance`],
 /// [`SimCtx::park`], or anything that calls them, such as a meter flush or
-/// a barrier). The kernel would dispatch another task, which can then
-/// block on the held lock *outside* the kernel's knowledge: every task
-/// shares the one OS thread, so that thread waits on a futex its own
-/// suspended task holds, and the deadlock detector never runs, because it
-/// is that same thread. Scope guards tightly.
+/// a barrier). The kernel would dispatch another task, and when that task
+/// borrows the same cell it panics with `already borrowed`: the run fails
+/// with a message naming the second task, not the one that held the
+/// borrow. (With a lock the same mistake was a silent deadlock of the one
+/// OS thread, which waited on a futex its own suspended task held.) Scope
+/// borrows tightly.
 ///
 /// A `SimCtx` identifies *this* thread to the scheduler; it is deliberately
 /// not `Clone` — pass it by reference into helpers, and use
@@ -443,7 +453,7 @@ impl SimCtx {
     /// The current virtual time (committed clock plus this task's
     /// uncommitted batched accrual).
     pub fn now(&self) -> SimTime {
-        let committed = self.kernel.state.lock().now;
+        let committed = self.kernel.state.borrow_mut().now;
         committed + SimDuration::from_nanos(self.pending.get())
     }
 
@@ -464,7 +474,7 @@ impl SimCtx {
     /// is added to this task's pending batch and becomes part of the next
     /// kernel-visible action ([`SimCtx::advance`], [`SimCtx::settle_point`],
     /// [`SimCtx::park`], or task exit). Pure per-task cell arithmetic — no
-    /// lock, no queue operation, no context switch.
+    /// kernel borrow, no queue operation, no context switch.
     ///
     /// The batch is this task's *lookahead*: because exactly one simulated
     /// thread runs at a time, no other task can be dispatched (or push an
@@ -476,7 +486,7 @@ impl SimCtx {
     pub fn advance_batched(&self, d: SimDuration) {
         #[cfg(debug_assertions)]
         if self.pending.get() == 0 && d.as_nanos() > 0 {
-            let seq = self.kernel.state.lock().seq;
+            let seq = self.kernel.state.borrow_mut().seq;
             self.accrual_epoch.set((seq, 0));
         }
         self.pending.set(self.pending.get() + d.as_nanos());
@@ -492,7 +502,7 @@ impl SimCtx {
             #[cfg(debug_assertions)]
             {
                 let (start_seq, self_pushes) = self.accrual_epoch.get();
-                let seq = self.kernel.state.lock().seq;
+                let seq = self.kernel.state.borrow_mut().seq;
                 debug_assert_eq!(
                     seq,
                     start_seq + self_pushes,
@@ -545,7 +555,7 @@ impl SimCtx {
     pub fn park(&self) {
         self.settle_point();
         {
-            let mut st = self.kernel.state.lock();
+            let mut st = self.kernel.state.borrow_mut();
             if st.slots[self.tid].permit {
                 st.slots[self.tid].permit = false;
                 return;
@@ -561,14 +571,14 @@ impl SimCtx {
     /// immediately.
     ///
     /// This deliberately does *not* settle the caller: unpark is routinely
-    /// called under short-lived real mutexes (channel/barrier internals),
-    /// and settling could dispatch another task that then blocks on that
-    /// mutex outside the kernel's knowledge. Instead the wake event is
+    /// called while a channel or barrier holds a borrow of its state, and
+    /// settling could dispatch another task that then borrows that state
+    /// again. Instead the wake event is
     /// pushed at the caller's effective time — a future event from the
     /// scheduler's point of view — which carries the identical timestamp a
     /// pre-settled caller would have produced.
     pub fn unpark(&self, target: TaskId) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let slot = &mut st.slots[target.0];
         match slot.state {
             TaskState::Blocked => {
@@ -588,7 +598,7 @@ impl SimCtx {
     /// starts executing once dispatched.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> TaskId
     where
-        F: FnOnce(&SimCtx) + Send + 'static,
+        F: FnOnce(&SimCtx) + 'static,
     {
         let id = spawn_task(
             &self.kernel,
@@ -603,9 +613,9 @@ impl SimCtx {
 
 fn spawn_task<F>(kernel: &Kernel, name: String, f: F, offset: SimDuration) -> TaskId
 where
-    F: FnOnce(&SimCtx) + Send + 'static,
+    F: FnOnce(&SimCtx) + 'static,
 {
-    let mut st = kernel.state.lock();
+    let mut st = kernel.state.borrow_mut();
     let tid = st.slots.len();
     st.slots.push(Slot {
         name,
@@ -626,7 +636,7 @@ where
 /// induced [`SimAbort`] unwind ends here.
 fn run_task(kernel: Arc<Kernel>, tid: usize, body: Body) {
     let ctx = SimCtx::new(Arc::clone(&kernel), tid);
-    let start = !kernel.aborting.load(Ordering::Relaxed);
+    let start = !kernel.aborting.get();
     // The body moves into the guarded closure, so even dropping it unrun
     // happens under `catch_unwind`.
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -649,7 +659,7 @@ fn run_task(kernel: Arc<Kernel>, tid: usize, body: Body) {
                 .unwrap_or_else(|| "non-string panic payload".to_string()),
         )
     });
-    let mut st = kernel.state.lock();
+    let mut st = kernel.state.borrow_mut();
     st.slots[tid].state = TaskState::Finished;
     st.live -= 1;
     if let Some(msg) = failure {
@@ -674,6 +684,16 @@ fn run_task(kernel: Arc<Kernel>, tid: usize, body: Body) {
 /// });
 /// let end = sim.run();
 /// assert_eq!(end.as_nanos(), 5_000_000);
+/// ```
+///
+/// A simulation stays on the OS thread that built it: it is not `Send`, so
+/// it cannot be handed to another thread to run.
+///
+/// ```compile_fail,E0277
+/// use rsj_sim::Simulation;
+///
+/// let sim = Simulation::new();
+/// std::thread::spawn(move || sim.run()); // error: `Simulation` is not `Send`
 /// ```
 pub struct Simulation {
     kernel: Arc<Kernel>,
@@ -704,7 +724,7 @@ impl Simulation {
     /// self-continuations) from this point on; retrieve the trace from
     /// [`Simulation::run_traced`].
     pub fn record_trace(&self) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         if st.trace.is_none() {
             st.trace = Some(Vec::new());
         }
@@ -713,7 +733,7 @@ impl Simulation {
     /// Spawn a root simulated thread (runnable at t = 0).
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> TaskId
     where
-        F: FnOnce(&SimCtx) + Send + 'static,
+        F: FnOnce(&SimCtx) + 'static,
     {
         spawn_task(&self.kernel, name.into(), f, SimDuration::ZERO)
     }
@@ -748,7 +768,7 @@ impl Simulation {
         let mut free: Vec<Stack> = Vec::new();
         loop {
             let (tid, body) = {
-                let mut st = kernel.state.lock();
+                let mut st = kernel.state.borrow_mut();
                 let Some(tid) = kernel.dispatch(&mut st) else {
                     break;
                 };
@@ -779,7 +799,7 @@ impl Simulation {
                 Resumed::Finished(stack) => free.push(stack),
             }
         }
-        let mut st = kernel.state.lock();
+        let mut st = kernel.state.borrow_mut();
         if let Some(msg) = st.failure.take() {
             drop(st);
             panic!("{msg}");
@@ -791,6 +811,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -806,32 +827,32 @@ mod tests {
 
     #[test]
     fn threads_interleave_in_time_order() {
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         let sim = Simulation::new();
         for (name, delay) in [("late", 20u64), ("early", 5), ("mid", 12)] {
-            let order = Arc::clone(&order);
+            let order = Rc::clone(&order);
             sim.spawn(name, move |ctx| {
                 ctx.advance(SimDuration::from_millis(delay));
-                order.lock().push(name);
+                order.borrow_mut().push(name);
             });
         }
         sim.run();
-        assert_eq!(*order.lock(), vec!["early", "mid", "late"]);
+        assert_eq!(*order.borrow_mut(), vec!["early", "mid", "late"]);
     }
 
     #[test]
     fn equal_times_dispatch_in_spawn_order() {
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         let sim = Simulation::new();
         for i in 0..5usize {
-            let order = Arc::clone(&order);
+            let order = Rc::clone(&order);
             sim.spawn(format!("t{i}"), move |ctx| {
                 ctx.advance(SimDuration::from_millis(1));
-                order.lock().push(i);
+                order.borrow_mut().push(i);
             });
         }
         sim.run();
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(*order.borrow_mut(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -927,19 +948,19 @@ mod tests {
     #[test]
     fn determinism_across_runs() {
         fn one_run() -> Vec<(u64, usize)> {
-            let trace = Arc::new(Mutex::new(Vec::new()));
+            let trace = Rc::new(RefCell::new(Vec::new()));
             let sim = Simulation::new();
             for i in 0..8usize {
-                let trace = Arc::clone(&trace);
+                let trace = Rc::clone(&trace);
                 sim.spawn(format!("w{i}"), move |ctx| {
                     for step in 0..20u64 {
                         ctx.advance(SimDuration::from_nanos((i as u64 * 37 + step * 13) % 97));
-                        trace.lock().push((ctx.now().as_nanos(), i));
+                        trace.borrow_mut().push((ctx.now().as_nanos(), i));
                     }
                 });
             }
             sim.run();
-            let t = trace.lock().clone();
+            let t = trace.borrow().clone();
             t
         }
         assert_eq!(one_run(), one_run());
@@ -1033,6 +1054,31 @@ mod tests {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| sim.run()));
         assert!(outcome.is_err(), "the deadlock must fail the run");
         assert_eq!(Arc::strong_count(&held), 1, "a parked task's stack leaked");
+    }
+
+    #[test]
+    fn a_borrow_held_across_a_yield_fails_the_run_naming_the_next_borrower() {
+        let shared = Rc::new(RefCell::new(0u32));
+        let sim = Simulation::new();
+        let held = Rc::clone(&shared);
+        sim.spawn("holder", move |ctx| {
+            let reading = held.borrow();
+            ctx.advance(SimDuration::from_micros(5));
+            assert_eq!(*reading, 0);
+        });
+        sim.spawn("borrower", move |ctx| {
+            ctx.advance(SimDuration::from_micros(1));
+            *shared.borrow_mut() += 1;
+        });
+        let failure = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+            .expect_err("the second borrow must fail the run, not hang it");
+        let msg = failure
+            .downcast_ref::<String>()
+            .expect("the run fails with a formatted message");
+        assert!(
+            msg.starts_with("simulated thread 'borrower' panicked") && msg.contains("borrowed"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! 2. **A stack outlives every context saved on it.** A `Fiber` owns its
 //!    `Stack`, and the scheduler's context lives on the stack of the
 //!    `resume` call that is waiting for the task.
-//! 3. **One task runs per board, on the board's own thread.** `resume`
-//!    claims the board before it switches, `Fiber` is neither `Send` nor
-//!    `Sync`, and `suspend` checks that its caller executes on the stack of
-//!    the task the board is running.
+//! 3. **One task runs per board, on the board's own thread.** The board's
+//!    fields are `Cell`s, so neither it nor a `Fiber` is `Send` or `Sync`;
+//!    `resume` claims the board before it switches, and `suspend` checks
+//!    that its caller executes on the stack of the task the board is
+//!    running.
 //! 4. **No unwind crosses a switch.** A task's bottom frame is
 //!    [`fiber_main`], an `extern "C"` function: a panic that escapes the
 //!    task's body aborts the process there instead of unwinding into the
@@ -43,9 +44,9 @@ compile_error!(
 );
 
 use std::arch::naked_asm;
+use std::cell::Cell;
 use std::ffi::c_void;
 use std::ptr::{self, NonNull};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Usable bytes of one task stack (the size the thread-per-task kernel
 /// gave each task's OS thread).
@@ -178,18 +179,19 @@ pub(crate) enum Resumed {
 /// The scheduler's side of the switch: where the scheduler loop's context
 /// is saved while a task runs, and where a suspending task leaves its own.
 /// One per simulation kernel, so two simulations on two OS threads (or one
-/// run from inside another's task) never share a context.
+/// run from inside another's task) never share a context. The scheduler
+/// and its tasks share the one OS thread, so the fields are plain cells.
 pub(crate) struct Switchboard {
     /// The scheduler's saved stack pointer while a task runs; `CLAIMED`
     /// from the claim in `resume` until the switch overwrites it; 0 when no
     /// task runs.
-    home: AtomicUsize,
+    home: Cell<usize>,
     /// The stack pointer a suspending task saved, for `resume` to collect;
     /// stays 0 when the task finished instead.
-    parked: AtomicUsize,
+    parked: Cell<usize>,
     /// Usable bounds of the running task's stack; both 0 when none runs.
-    lo: AtomicUsize,
-    hi: AtomicUsize,
+    lo: Cell<usize>,
+    hi: Cell<usize>,
 }
 
 /// `home` while `resume` owns the board but has not switched yet.
@@ -198,10 +200,10 @@ const CLAIMED: usize = 1;
 impl Switchboard {
     pub(crate) fn new() -> Switchboard {
         Switchboard {
-            home: AtomicUsize::new(0),
-            parked: AtomicUsize::new(0),
-            lo: AtomicUsize::new(0),
-            hi: AtomicUsize::new(0),
+            home: Cell::new(0),
+            parked: Cell::new(0),
+            lo: Cell::new(0),
+            hi: Cell::new(0),
         }
     }
 
@@ -246,28 +248,20 @@ impl Switchboard {
             ptr::eq(fiber.board, self),
             "a task is resumed only by the scheduler that started it"
         );
-        assert!(
-            self.home
-                .compare_exchange(0, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok(),
-            "a scheduler runs one task at a time"
-        );
-        // Relaxed below: from the claim to its release at the end of this
-        // call only this thread touches the board (condition 3), and the
-        // claim's Acquire/Release pair orders these fields for the next
-        // claimer.
-        self.lo.store(fiber.stack.bottom(), Ordering::Relaxed);
-        self.hi.store(fiber.stack.top(), Ordering::Relaxed);
+        assert_eq!(self.home.get(), 0, "a scheduler runs one task at a time");
+        self.home.set(CLAIMED);
+        self.lo.set(fiber.stack.bottom());
+        self.hi.set(fiber.stack.top());
         // SAFETY: `fiber.sp` was saved by the fiber's last `switch` (or laid
         // out by `start`) and is loaded here once, since `fiber` is consumed
         // (1); its stack is owned by `fiber`, alive in this frame until the
         // task switches back (2); the claim above makes this the board's
         // only running task (3).
         unsafe { switch(self.home.as_ptr(), fiber.sp) };
-        self.lo.store(0, Ordering::Relaxed);
-        self.hi.store(0, Ordering::Relaxed);
-        let parked = self.parked.swap(0, Ordering::Relaxed);
-        self.home.store(0, Ordering::Release);
+        self.lo.set(0);
+        self.hi.set(0);
+        let parked = self.parked.replace(0);
+        self.home.set(0);
         match parked {
             0 => Resumed::Finished(fiber.stack),
             sp => Resumed::Suspended(Fiber { sp, ..fiber }),
@@ -305,13 +299,11 @@ impl Switchboard {
     fn running_home(&self) -> usize {
         let marker = 0u8;
         let here = ptr::addr_of!(marker) as usize;
-        let lo = self.lo.load(Ordering::Relaxed);
-        let hi = self.hi.load(Ordering::Relaxed);
         assert!(
-            (lo..hi).contains(&here),
+            (self.lo.get()..self.hi.get()).contains(&here),
             "suspend called outside the task this scheduler is running"
         );
-        self.home.load(Ordering::Relaxed)
+        self.home.get()
     }
 }
 

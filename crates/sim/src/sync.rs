@@ -5,21 +5,32 @@
 //! [`SimBarrier`] consumes no virtual time itself; the clock advances to
 //! whenever the last participant arrives.
 //!
-//! Internally they use real mutexes, but since the kernel runs exactly one
-//! simulated thread at a time, the locks are never contended; they exist
-//! only to satisfy `Send`/`Sync`.
+//! Their state is a `RefCell`: the kernel runs exactly one simulated
+//! thread at a time on the simulation's own OS thread, so nothing is ever
+//! contended and no lock is needed. No borrow of that state is held across
+//! a park — a primitive drops it before it yields — so a waiter never
+//! finds it borrowed. The primitives are therefore neither `Send` nor
+//! `Sync`, like the simulation they belong to:
+//!
+//! ```compile_fail,E0277
+//! use rsj_sim::SimChannel;
+//! use std::sync::Arc;
+//!
+//! fn needs_send<T: Send>(_: T) {}
+//! let ch: Arc<SimChannel<u8>> = SimChannel::new();
+//! needs_send(ch); // error: `RefCell<..>` cannot be shared between threads
+//! ```
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::kernel::{SimCtx, TaskId};
 
 /// A reusable barrier for a fixed number of simulated threads, the direct
 /// analogue of the inter-machine barriers between join phases.
 pub struct SimBarrier {
-    inner: Mutex<BarrierState>,
+    inner: RefCell<BarrierState>,
     n: usize,
 }
 
@@ -48,7 +59,7 @@ impl SimBarrier {
     pub fn new(n: usize) -> Arc<SimBarrier> {
         assert!(n >= 1, "barrier needs at least one participant");
         Arc::new(SimBarrier {
-            inner: Mutex::new(BarrierState {
+            inner: RefCell::new(BarrierState {
                 arrived: 0,
                 generation: 0,
                 waiters: Vec::with_capacity(n),
@@ -63,7 +74,7 @@ impl SimBarrier {
     /// cluster-abort path so no worker hangs on a barrier a failed peer
     /// will never reach. Idempotent.
     pub fn poison(&self, ctx: &SimCtx) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.poisoned = true;
         for w in st.waiters.drain(..) {
             ctx.unpark(w);
@@ -75,7 +86,7 @@ impl SimBarrier {
     /// marks the generation leader.
     pub fn wait_checked(&self, ctx: &SimCtx) -> Result<bool, Poisoned> {
         let gen = {
-            let mut st = self.inner.lock();
+            let mut st = self.inner.borrow_mut();
             if st.poisoned {
                 return Err(Poisoned);
             }
@@ -93,7 +104,7 @@ impl SimBarrier {
         };
         loop {
             ctx.park();
-            let st = self.inner.lock();
+            let st = self.inner.borrow();
             if st.poisoned {
                 return Err(Poisoned);
             }
@@ -121,7 +132,7 @@ impl SimBarrier {
 /// Closing wakes all receivers, which then drain remaining items and get
 /// `None`.
 pub struct SimChannel<T> {
-    inner: Mutex<ChannelState<T>>,
+    inner: RefCell<ChannelState<T>>,
 }
 
 struct ChannelState<T> {
@@ -134,7 +145,7 @@ impl<T> SimChannel<T> {
     /// Create an open, empty channel.
     pub fn new() -> Arc<SimChannel<T>> {
         Arc::new(SimChannel {
-            inner: Mutex::new(ChannelState {
+            inner: RefCell::new(ChannelState {
                 queue: VecDeque::new(),
                 receivers: VecDeque::new(),
                 senders_done: false,
@@ -147,7 +158,7 @@ impl<T> SimChannel<T> {
     /// # Panics
     /// Panics if the channel has been closed.
     pub fn send(&self, ctx: &SimCtx, value: T) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         assert!(!st.senders_done, "send on closed SimChannel");
         st.queue.push_back(value);
         if let Some(rx) = st.receivers.pop_front() {
@@ -160,7 +171,7 @@ impl<T> SimChannel<T> {
     pub fn recv(&self, ctx: &SimCtx) -> Option<T> {
         loop {
             {
-                let mut st = self.inner.lock();
+                let mut st = self.inner.borrow_mut();
                 if let Some(v) = st.queue.pop_front() {
                     return Some(v);
                 }
@@ -175,12 +186,12 @@ impl<T> SimChannel<T> {
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.inner.borrow().queue.len()
     }
 
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().queue.is_empty()
+        self.inner.borrow().queue.is_empty()
     }
 
     /// Close the channel: no further sends are allowed and all parked
@@ -188,7 +199,7 @@ impl<T> SimChannel<T> {
     /// Idempotent: closing an already-closed channel is a no-op, so the
     /// abort path and the normal teardown path can race benignly.
     pub fn close(&self, ctx: &SimCtx) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         if st.senders_done {
             return;
         }
@@ -200,14 +211,14 @@ impl<T> SimChannel<T> {
 
     /// Whether the channel has been closed.
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().senders_done
+        self.inner.borrow().senders_done
     }
 }
 
 /// A counting semaphore on virtual time. Used e.g. to bound in-flight RDMA
 /// work requests per queue pair.
 pub struct SimSemaphore {
-    inner: Mutex<SemState>,
+    inner: RefCell<SemState>,
 }
 
 struct SemState {
@@ -220,7 +231,7 @@ impl SimSemaphore {
     /// A semaphore with `permits` initial permits.
     pub fn new(permits: usize) -> Arc<SimSemaphore> {
         Arc::new(SimSemaphore {
-            inner: Mutex::new(SemState {
+            inner: RefCell::new(SemState {
                 permits,
                 waiters: VecDeque::new(),
                 poisoned: false,
@@ -244,7 +255,7 @@ impl SimSemaphore {
     pub fn acquire_checked(&self, ctx: &SimCtx) -> Result<(), Poisoned> {
         loop {
             {
-                let mut st = self.inner.lock();
+                let mut st = self.inner.borrow_mut();
                 if st.poisoned {
                     return Err(Poisoned);
                 }
@@ -261,7 +272,7 @@ impl SimSemaphore {
     /// Poison the semaphore, waking every parked acquirer with
     /// [`Poisoned`] (checked variant only). Idempotent.
     pub fn poison(&self, ctx: &SimCtx) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.poisoned = true;
         for w in st.waiters.drain(..) {
             ctx.unpark(w);
@@ -270,7 +281,7 @@ impl SimSemaphore {
 
     /// Release one permit, waking one parked acquirer if any.
     pub fn release(&self, ctx: &SimCtx) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.permits += 1;
         if let Some(w) = st.waiters.pop_front() {
             ctx.unpark(w);
@@ -279,7 +290,7 @@ impl SimSemaphore {
 
     /// Current number of available permits.
     pub fn available(&self) -> usize {
-        self.inner.lock().permits
+        self.inner.borrow().permits
     }
 }
 
@@ -287,7 +298,7 @@ impl SimSemaphore {
 /// `wait` returns immediately. The analogue of an RDMA completion
 /// notification for a single outstanding work request.
 pub struct SimEvent {
-    inner: Mutex<EventState>,
+    inner: RefCell<EventState>,
 }
 
 struct EventState {
@@ -299,7 +310,7 @@ impl SimEvent {
     /// A fresh, un-fired event.
     pub fn new() -> Arc<SimEvent> {
         Arc::new(SimEvent {
-            inner: Mutex::new(EventState {
+            inner: RefCell::new(EventState {
                 set: false,
                 waiters: Vec::new(),
             }),
@@ -308,7 +319,7 @@ impl SimEvent {
 
     /// Fire the event, waking all waiters. Idempotent.
     pub fn set(&self, ctx: &SimCtx) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.set = true;
         for w in st.waiters.drain(..) {
             ctx.unpark(w);
@@ -317,14 +328,14 @@ impl SimEvent {
 
     /// Whether the event has fired.
     pub fn is_set(&self) -> bool {
-        self.inner.lock().set
+        self.inner.borrow().set
     }
 
     /// Park until the event fires (returns immediately if already fired).
     pub fn wait(&self, ctx: &SimCtx) {
         loop {
             {
-                let mut st = self.inner.lock();
+                let mut st = self.inner.borrow_mut();
                 if st.set {
                     return;
                 }
@@ -340,24 +351,25 @@ mod tests {
     use super::*;
     use crate::kernel::Simulation;
     use crate::time::SimDuration;
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn barrier_synchronizes_to_slowest() {
         let sim = Simulation::new();
         let barrier = SimBarrier::new(4);
-        let release_times = Arc::new(Mutex::new(Vec::new()));
+        let release_times = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4u64 {
             let barrier = Arc::clone(&barrier);
-            let times = Arc::clone(&release_times);
+            let times = Rc::clone(&release_times);
             sim.spawn(format!("w{i}"), move |ctx| {
                 ctx.advance(SimDuration::from_millis(1 + i * 10));
                 barrier.wait(ctx);
-                times.lock().push(ctx.now().as_nanos());
+                times.borrow_mut().push(ctx.now().as_nanos());
             });
         }
         sim.run();
-        let times = release_times.lock();
+        let times = release_times.borrow_mut();
         // Everyone released at the time of the slowest arriver (31 ms).
         assert_eq!(times.len(), 4);
         assert!(times.iter().all(|&t| t == 31_000_000));
@@ -388,13 +400,13 @@ mod tests {
     fn channel_delivers_in_fifo_order() {
         let sim = Simulation::new();
         let ch = SimChannel::new();
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         {
             let ch = Arc::clone(&ch);
-            let got = Arc::clone(&got);
+            let got = Rc::clone(&got);
             sim.spawn("rx", move |ctx| {
                 while let Some(v) = ch.recv(ctx) {
-                    got.lock().push(v);
+                    got.borrow_mut().push(v);
                 }
             });
         }
@@ -409,7 +421,7 @@ mod tests {
             });
         }
         sim.run();
-        assert_eq!(*got.lock(), (0..10).collect::<Vec<_>>());
+        assert_eq!(*got.borrow_mut(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]

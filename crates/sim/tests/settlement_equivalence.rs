@@ -9,9 +9,8 @@
 //! interactions — under both settlement styles and require identical
 //! interaction logs and final virtual times.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use rsj_sim::{SimChannel, SimDuration, Simulation};
 
@@ -66,7 +65,7 @@ fn run_ring(
                 if mode == Settle::Batched {
                     ctx.settle_point();
                 }
-                log.lock().push((t, r, ctx.now().as_nanos()));
+                log.lock().unwrap().push((t, r, ctx.now().as_nanos()));
                 // Token ring: task 0 seeds the lap, everyone else relays.
                 if t == 0 {
                     outbox.send(ctx, r as u64);
@@ -85,7 +84,7 @@ fn run_ring(
         });
     }
     let end = sim.run().as_nanos();
-    let entries = log.lock().clone();
+    let entries = log.lock().unwrap().clone();
     (end, entries)
 }
 

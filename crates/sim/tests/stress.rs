@@ -4,9 +4,8 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use rsj_sim::{SimBarrier, SimChannel, SimDuration, SimSemaphore, Simulation};
 
@@ -73,12 +72,12 @@ fn channel_pipeline_preserves_order() {
         let sink = Arc::clone(&sink);
         sim.spawn("consumer", move |ctx| {
             while let Some(v) = stage2.recv(ctx) {
-                sink.lock().push(v);
+                sink.lock().unwrap().push(v);
             }
         });
     }
     sim.run();
-    let got = sink.lock();
+    let got = sink.lock().unwrap();
     assert_eq!(got.len(), 500);
     assert!(got.windows(2).all(|w| w[0] < w[1]), "order preserved");
     assert_eq!(got[499], 998);
@@ -127,13 +126,13 @@ fn semaphore_mutual_exclusion_in_virtual_time() {
                 let start = ctx.now().as_nanos();
                 ctx.advance(SimDuration::from_nanos(50));
                 let end = ctx.now().as_nanos();
-                spans.lock().push((start, end));
+                spans.lock().unwrap().push((start, end));
                 sem.release(ctx);
             }
         });
     }
     sim.run();
-    let mut spans = spans.lock().clone();
+    let mut spans = spans.lock().unwrap().clone();
     spans.sort_unstable();
     assert_eq!(spans.len(), 80);
     for w in spans.windows(2) {
@@ -294,12 +293,12 @@ proptest! {
                     for _ in 0..steps {
                         x = x.wrapping_mul(0x5DEECE66D).wrapping_add(11);
                         ctx.advance(SimDuration::from_nanos(x % 97 + 1));
-                        trace.lock().push(ctx.now().as_nanos() ^ (t << 48));
+                        trace.lock().unwrap().push(ctx.now().as_nanos() ^ (t << 48));
                     }
                 });
             }
             let end = sim.run();
-            let t = trace.lock().clone();
+            let t = trace.lock().unwrap().clone();
             (end.as_nanos(), t)
         }
         let a = run(threads, steps, seed);
