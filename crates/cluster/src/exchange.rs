@@ -106,15 +106,19 @@ impl Exchange {
 
     /// The receive loop of a partitioned stream: returns after `senders`
     /// `Eos` markers from each peer. Every `Data`/`Result` message goes to
-    /// `on_msg`, which charges the copy and returns `false` for a tag its
-    /// stream does not carry; that, or a `Histogram`, ends the loop with a
-    /// typed [`JoinError::Decode`]. The meter is settled before each repost.
+    /// `on_msg`, which copies it out, charges the copy and returns `false`
+    /// for a tag its stream does not carry; that, or a `Histogram`, ends
+    /// the loop with a typed [`JoinError::Decode`]. Copied out, a payload
+    /// goes back to its sender's pool in `pools` (indexed by machine), so
+    /// the sender's next buffer is this one (§4.2.2). The meter is settled
+    /// before each repost.
     pub fn recv_stream(
         &self,
         ctx: &SimCtx,
         meter: &mut Meter,
         senders: usize,
-        mut on_msg: impl FnMut(&mut Meter, WireTag, Vec<u8>) -> bool,
+        pools: &[Arc<BufferPool>],
+        mut on_msg: impl FnMut(&mut Meter, WireTag, &[u8]) -> bool,
     ) -> Result<(), JoinError> {
         let expected = (self.machines - 1) * senders;
         let mut eos = 0;
@@ -122,9 +126,10 @@ impl Exchange {
             let (tag, c) = self.recv_one(ctx)?;
             let is_eos = tag == WireTag::Eos;
             eos += usize::from(is_eos);
-            if !is_eos && (tag == WireTag::Histogram || !on_msg(meter, tag, c.payload)) {
+            if !is_eos && (tag == WireTag::Histogram || !on_msg(meter, tag, &c.payload)) {
                 return Err(self.stray(c.tag));
             }
+            pools[c.src.0].recycle(c.payload);
             meter.flush(ctx);
             self.nic.repost_recv(ctx);
         }
@@ -173,10 +178,22 @@ pub struct Lane {
     pub tag: WireTag,
     /// The lane's send window: `admit` before a post that stays in flight
     /// (§4.2.1); the scatter records the handle the step returns.
-    pub window: SendWindow,
+    pub window: SendWindow<SEND_DEPTH>,
     buf: Vec<u8>,
-    /// Pool buffers this lane holds (at most the window depth).
+    /// Pool buffers this lane holds on the pool's count (at most the
+    /// window depth).
     taken: usize,
+}
+
+impl Lane {
+    /// Give the lane's buffers back to `pool`: the buffer it is filling,
+    /// if it has one, and its share of the count.
+    fn release(&mut self, pool: &BufferPool) {
+        pool.recycle(std::mem::take(&mut self.buf));
+        for _ in 0..std::mem::take(&mut self.taken) {
+            pool.put(Vec::new());
+        }
+    }
 }
 
 /// The sending side of a partitioned stream: one lazily created [`Lane`]
@@ -233,16 +250,16 @@ where
         let lane = self.lanes[i].get_or_insert_with(|| Lane {
             dst,
             tag,
-            window: SendWindow::new(SEND_DEPTH, Arc::clone(ex.nic.validator())),
+            window: SendWindow::new(Arc::clone(ex.nic.validator())),
             buf: pool.take(ctx),
             taken: 1,
         });
-        let before = lane.buf.len();
-        if before == 0 {
-            // The first record since the last post: allocate the whole
-            // buffer now, once, so filling it never reallocates.
-            lane.buf.reserve_exact(pool.buf_size());
+        if lane.buf.capacity() == 0 {
+            // The first record since a post that drew no buffer: the
+            // window has freed one, reused from the pool's free list.
+            lane.buf = pool.refill();
         }
+        let before = lane.buf.len();
         write(&mut lane.buf);
         if 2 * lane.buf.len() - before > pool.buf_size() {
             self.post(ctx, meter, i, false)?;
@@ -266,7 +283,7 @@ where
             lane.window.record(sent);
             // Still on the wire: the next records need another buffer, up
             // to the window depth (§4.2.1). Past that, `admit` has freed a
-            // drawn one, and a refill is its logical reuse.
+            // drawn one, and the next push's refill is its logical reuse.
             if !last && lane.taken < SEND_DEPTH {
                 lane.taken += 1;
                 lane.buf = self.pool.take(ctx);
@@ -291,9 +308,7 @@ where
             if let Some(lane) = self.lanes[i].as_mut() {
                 lane.window.drain(ctx).map_err(|e| self.ex.fabric_err(e))?;
                 stall += lane.window.stall_seconds();
-                for _ in 0..std::mem::take(&mut lane.taken) {
-                    self.pool.put(Vec::new());
-                }
+                lane.release(self.pool);
             }
         }
         meter.flush(ctx);
@@ -308,10 +323,8 @@ where
 /// buffers, so an aborted run leaves the pool whole.
 impl<P> Drop for Scatter<'_, P> {
     fn drop(&mut self) {
-        for lane in self.lanes.iter().flatten() {
-            for _ in 0..lane.taken {
-                self.pool.put(Vec::new());
-            }
+        for lane in self.lanes.iter_mut().flatten() {
+            lane.release(self.pool);
         }
     }
 }
@@ -372,56 +385,61 @@ mod tests {
             Vec::new(),
         )));
         let (pools2, shared2) = (Arc::clone(&pools), Arc::clone(&shared));
-        let run = rt.try_run(move |ctx, rt, mach, core| {
-            let ex = Exchange::new(&rt.fabric, mach, PHASE);
-            let mut meter = Meter::new();
-            let streamed = if core == 0 {
-                let mut held = 0;
-                let done = ex.recv_stream(ctx, &mut meter, senders, |_, tag, bytes| match tag {
-                    WireTag::Data { rel, part } if part % m == mach => {
-                        let recs = bytes
-                            .chunks(8)
-                            .map(|c| u64::from_le_bytes(c.try_into().unwrap()));
-                        let mut sh = shared2.borrow_mut();
-                        let staged = sh.1.entry((mach, rel, part)).or_default();
-                        staged.extend(recs);
-                        held += bytes.len() / 8;
-                        true
-                    }
-                    _ => false,
-                });
-                shared2.borrow_mut().2[mach] = held;
-                done
-            } else {
-                (|| {
-                    let pool = &pools2[mach];
-                    let mut scatter = Scatter::new(&ex, pool, PARTS, Exchange::send)?;
-                    for i in 0..n {
-                        let (rel, part) = ((i / PARTS) % 2, i % PARTS);
-                        let dst = part % m;
-                        if dst != mach {
-                            let rec = ((mach * 16 + core) as u64) << 32 | i as u64;
-                            shared2
-                                .borrow_mut()
-                                .0
-                                .entry((dst, rel, part))
-                                .or_default()
-                                .push(rec);
-                            let tag = WireTag::Data { rel, part };
-                            meter.charge_seconds(ctx, 1e-7);
-                            scatter.push(ctx, &mut meter, dst, tag, |buf| {
-                                buf.extend_from_slice(&rec.to_le_bytes())
-                            })?;
-                        }
-                        trip(ctx, rt, mach * 16 + core, i);
-                    }
-                    scatter.finish(ctx, &mut meter, true).map(|_| ())
-                })()
-            };
-            shared2.borrow_mut().3.push(streamed.clone());
-            streamed?;
-            rt.try_sync_named(ctx, PHASE, mach).map(|_| ())
-        });
+        let run =
+            rt.try_run(move |ctx, rt, mach, core| {
+                let ex = Exchange::new(&rt.fabric, mach, PHASE);
+                let mut meter = Meter::new();
+                let streamed =
+                    if core == 0 {
+                        let mut held = 0;
+                        let done =
+                            ex.recv_stream(ctx, &mut meter, senders, &pools2, |_, tag, bytes| {
+                                match tag {
+                                    WireTag::Data { rel, part } if part % m == mach => {
+                                        let recs = bytes
+                                            .chunks(8)
+                                            .map(|c| u64::from_le_bytes(c.try_into().unwrap()));
+                                        let mut sh = shared2.borrow_mut();
+                                        let staged = sh.1.entry((mach, rel, part)).or_default();
+                                        staged.extend(recs);
+                                        held += bytes.len() / 8;
+                                        true
+                                    }
+                                    _ => false,
+                                }
+                            });
+                        shared2.borrow_mut().2[mach] = held;
+                        done
+                    } else {
+                        (|| {
+                            let pool = &pools2[mach];
+                            let mut scatter = Scatter::new(&ex, pool, PARTS, Exchange::send)?;
+                            for i in 0..n {
+                                let (rel, part) = ((i / PARTS) % 2, i % PARTS);
+                                let dst = part % m;
+                                if dst != mach {
+                                    let rec = ((mach * 16 + core) as u64) << 32 | i as u64;
+                                    shared2
+                                        .borrow_mut()
+                                        .0
+                                        .entry((dst, rel, part))
+                                        .or_default()
+                                        .push(rec);
+                                    let tag = WireTag::Data { rel, part };
+                                    meter.charge_seconds(ctx, 1e-7);
+                                    scatter.push(ctx, &mut meter, dst, tag, |buf| {
+                                        buf.extend_from_slice(&rec.to_le_bytes())
+                                    })?;
+                                }
+                                trip(ctx, rt, mach * 16 + core, i);
+                            }
+                            scatter.finish(ctx, &mut meter, true).map(|_| ())
+                        })()
+                    };
+                shared2.borrow_mut().3.push(streamed.clone());
+                streamed?;
+                rt.try_sync_named(ctx, PHASE, mach).map(|_| ())
+            });
         let (mut sent, mut got, at_return, workers) = shared.take();
         sent.values_mut()
             .chain(got.values_mut())
@@ -544,7 +562,7 @@ mod tests {
         };
         // A histogram in the middle of a partitioned stream.
         let e = with_stray(WireTag::Histogram, |ctx, ex| {
-            ex.recv_stream(ctx, &mut Meter::new(), 1, |_, _, _| true)
+            ex.recv_stream(ctx, &mut Meter::new(), 1, &[], |_, _, _| true)
         });
         names_the_tag(e, WireTag::Histogram);
         // A payload tag the stream does not carry (data on a result sink).
@@ -553,7 +571,7 @@ mod tests {
             part: 3,
         };
         let e = with_stray(data, |ctx, ex| {
-            ex.recv_stream(ctx, &mut Meter::new(), 1, |_, tag, _| {
+            ex.recv_stream(ctx, &mut Meter::new(), 1, &[], |_, tag, _| {
                 tag == WireTag::Result
             })
         });
@@ -564,6 +582,127 @@ mod tests {
             ex.all_to_all(ctx, WireTag::Histogram, [1], &[1], |_, _| {})
         });
         names_the_tag(e, WireTag::Eos);
+    }
+
+    /// FNV-1a over the bytes of `values`.
+    fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+        values
+            .into_iter()
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn pool_counts_move_exactly_as_before_the_free_list() {
+        // Pools too small for their lanes, so the stream also registers
+        // on the fly. After every push, and after `finish`, each sender
+        // records its pool's `(available, outstanding, fly_registrations)`;
+        // the sequence is pinned to what the pool produced before it kept
+        // a physical free list.
+        let (m, senders, n) = (3, 2, 3000);
+        let rt = Runtime::new(m, senders + 1, FabricConfig::fdr(), NicCosts::default());
+        let pools: Arc<Vec<_>> =
+            Arc::new((0..m).map(|i| rt.make_pool(i, 2 * PARTS, BUF)).collect());
+        let seen = Arc::new(RefCell::new(Vec::new()));
+        let (pools2, seen2) = (Arc::clone(&pools), Arc::clone(&seen));
+        rt.try_run(move |ctx, rt, mach, core| {
+            let ex = Exchange::new(&rt.fabric, mach, PHASE);
+            let mut meter = Meter::new();
+            let pool = &pools2[mach];
+            let record = || {
+                let counts = (
+                    pool.available(),
+                    pool.outstanding(),
+                    pool.fly_registrations(),
+                );
+                seen2.borrow_mut().push(counts);
+            };
+            if core == 0 {
+                ex.recv_stream(ctx, &mut meter, senders, &pools2, |_, _, _| true)?;
+            } else {
+                let mut scatter = Scatter::new(&ex, pool, PARTS, Exchange::send)?;
+                for i in 0..n {
+                    let (rel, part) = ((i / PARTS) % 2, i % PARTS);
+                    if part % m != mach {
+                        let tag = WireTag::Data { rel, part };
+                        scatter.push(ctx, &mut meter, part % m, tag, |buf| {
+                            buf.extend_from_slice(&(i as u64).to_le_bytes())
+                        })?;
+                        record();
+                    }
+                }
+                scatter.finish(ctx, &mut meter, true)?;
+                record();
+            }
+            rt.try_sync_named(ctx, PHASE, mach).map(|_| ())
+        })
+        .expect("fault-free stream");
+        let seen = seen.take();
+        for &(available, outstanding, fly) in &seen {
+            assert_eq!(available + outstanding, 2 * PARTS + fly as usize);
+        }
+        assert!(pools
+            .iter()
+            .all(|p| p.outstanding() == 0 && p.fly_registrations() > 0));
+        let flat = seen.iter().flat_map(|&(a, o, f)| [a as u64, o as u64, f]);
+        assert_eq!((seen.len(), fnv1a(flat)), (12006, 0x6902_f0ec_9c65_35a9));
+    }
+
+    #[test]
+    fn a_refill_reuses_the_very_buffer_the_receiver_returned() {
+        // Machine 1 streams three buffers to machine 0 through one lane,
+        // pausing after the second, and its post step notes each buffer's
+        // address. The third buffer is not drawn from the pool's count
+        // (the window holds two) but refilled from the free list, where
+        // the receiver returned the second after copying it out.
+        let rt = Runtime::new(2, 2, FabricConfig::fdr(), NicCosts::default());
+        let pools: Arc<Vec<_>> =
+            Arc::new((0..2).map(|i| rt.make_pool(i, SEND_DEPTH, BUF)).collect());
+        let posted = Arc::new(RefCell::new(Vec::new()));
+        let (pools2, posted2) = (Arc::clone(&pools), Arc::clone(&posted));
+        rt.try_run(move |ctx, rt, mach, core| {
+            let ex = Exchange::new(&rt.fabric, mach, PHASE);
+            let mut meter = Meter::new();
+            if core == 0 {
+                ex.recv_stream(ctx, &mut meter, 1, &pools2, |_, _, _| true)?;
+            } else {
+                let step = |ex: &Exchange,
+                            ctx: &SimCtx,
+                            meter: &mut Meter,
+                            lane: &mut Lane,
+                            bytes: Vec<u8>| {
+                    posted2.borrow_mut().push(bytes.as_ptr() as usize);
+                    Exchange::send(ex, ctx, meter, lane, bytes)
+                };
+                let mut scatter = Scatter::new(&ex, &pools2[mach], 1, step)?;
+                let records = if mach == 1 { 3 * BUF / 8 } else { 0 };
+                for i in 0..records {
+                    if i == 2 * BUF / 8 {
+                        ctx.advance(rsj_sim::SimDuration::from_millis(1));
+                    }
+                    let tag = WireTag::Data { rel: 0, part: 0 };
+                    scatter.push(ctx, &mut meter, 0, tag, |buf| {
+                        buf.extend_from_slice(&(i as u64).to_le_bytes())
+                    })?;
+                }
+                scatter.finish(ctx, &mut meter, true)?;
+            }
+            rt.try_sync_named(ctx, PHASE, mach).map(|_| ())
+        })
+        .expect("fault-free stream");
+        let posted = posted.take();
+        assert_eq!(posted.len(), 3);
+        assert_ne!(posted[0], posted[1], "two buffers in flight at once");
+        assert_eq!(
+            posted[2], posted[1],
+            "the refill is the last buffer returned"
+        );
+        assert_eq!(
+            (pools[1].outstanding(), pools[1].fly_registrations()),
+            (0, 0)
+        );
     }
 
     #[test]

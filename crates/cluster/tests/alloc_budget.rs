@@ -1,0 +1,157 @@
+//! Allocation budget of a partitioned stream: once a `Scatter` →
+//! `recv_stream` stream is warm, a message costs the host no heap
+//! allocation. Payload buffers go back to the sender's pool, completion
+//! cells back to the NIC's free list, and send windows keep their slots
+//! inline, so the second half of the stream runs on what the first half
+//! allocated.
+//!
+//! The binary installs a counting global allocator and holds one test, so
+//! nothing else allocates while it counts. `GlobalAlloc` is an unsafe
+//! trait, so this test file opts back into `unsafe` (the product crates'
+//! only other user is the task stack switch); the allocator only counts
+//! and forwards to `System`.
+
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use rsj_cluster::{phase, Exchange, Meter, Runtime, Scatter, WireTag};
+use rsj_rdma::{FabricConfig, NicCosts};
+
+/// Heap allocations and reallocations since the process started.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a relaxed
+// atomic that publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+const MACHINES: usize = 4;
+const SENDERS: usize = 2;
+/// Partitions of the one relation; partition `p` lives on machine
+/// `p % MACHINES`, so each sender feeds six remote lanes.
+const PARTS: usize = 8;
+/// 32 eight-byte records per buffer.
+const BUF: usize = 256;
+/// Messages each lane carries.
+const PER_LANE: usize = 64;
+/// Records each sender pushes, round-robin over the partitions.
+const RECORDS: usize = PER_LANE * (BUF / 8) * PARTS;
+
+/// Counters shared by the tasks of the one simulation.
+#[derive(Default)]
+struct Tally {
+    pushed: Cell<usize>,
+    received: Cell<usize>,
+    receivers_done: Cell<usize>,
+    /// `(allocations, messages received)` when half the records were
+    /// pushed, and when the last receiver returned.
+    half: Cell<(u64, usize)>,
+    end: Cell<(u64, usize)>,
+}
+
+impl Tally {
+    fn now(&self) -> (u64, usize) {
+        (ALLOCATIONS.load(Ordering::Relaxed), self.received.get())
+    }
+}
+
+#[test]
+fn a_warm_stream_allocates_nothing_per_message() {
+    let rt = Runtime::new(
+        MACHINES,
+        SENDERS + 1,
+        FabricConfig::fdr(),
+        NicCosts::default(),
+    );
+    let pools: Arc<Vec<_>> = Arc::new(
+        (0..MACHINES)
+            .map(|m| rt.make_pool(m, 2 * PARTS * SENDERS, BUF))
+            .collect(),
+    );
+    let tally = Rc::new(Tally::default());
+    let t = Rc::clone(&tally);
+    rt.try_run(move |ctx, rt, mach, core| {
+        let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
+        let mut meter = Meter::new();
+        if core == 0 {
+            ex.recv_stream(ctx, &mut meter, SENDERS, &pools, |_, tag, bytes| {
+                t.received.set(t.received.get() + 1);
+                matches!(tag, WireTag::Data { part, .. } if part % MACHINES == mach)
+                    && bytes.len() % 8 == 0
+            })?;
+            t.receivers_done.set(t.receivers_done.get() + 1);
+            if t.receivers_done.get() == MACHINES {
+                t.end.set(t.now());
+            }
+        } else {
+            let mut scatter = Scatter::new(&ex, &pools[mach], PARTS, Exchange::send)?;
+            for i in 0..RECORDS {
+                let part = i % PARTS;
+                let dst = part % MACHINES;
+                if dst != mach {
+                    let tag = WireTag::Data { rel: 0, part };
+                    meter.charge_seconds(ctx, 1e-7);
+                    scatter.push(ctx, &mut meter, dst, tag, |buf| {
+                        buf.extend_from_slice(&(i as u64).to_le_bytes())
+                    })?;
+                }
+                t.pushed.set(t.pushed.get() + 1);
+                if t.pushed.get() == MACHINES * SENDERS * RECORDS / 2 {
+                    t.half.set(t.now());
+                }
+            }
+            scatter.finish(ctx, &mut meter, true)?;
+        }
+        rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)
+            .map(|_| ())
+    })
+    .expect("a fault-free stream completes");
+
+    let lanes = MACHINES * SENDERS * (PARTS - PARTS / MACHINES);
+    assert_eq!(
+        tally.received.get(),
+        lanes * PER_LANE,
+        "every message arrived"
+    );
+    let ((a0, m0), (a1, m1)) = (tally.half.get(), tally.end.get());
+    let messages = m1 - m0;
+    assert!(
+        messages >= lanes * PER_LANE / 3,
+        "{messages} messages in the second half"
+    );
+    let per_message = (a1 - a0) as f64 / messages as f64;
+    assert!(
+        per_message < 0.05,
+        "{} heap allocations over the stream's last {messages} messages: {per_message:.3} per message",
+        a1 - a0
+    );
+}

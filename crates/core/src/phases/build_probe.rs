@@ -109,15 +109,21 @@ pub(crate) fn phase_build_probe<T: Tuple>(
     if ships && mach == 0 && core == 0 && cfg.cluster.machines > 1 {
         let mut bytes = 0u64;
         let senders = cfg.cluster.cores_per_machine;
-        ex.recv_stream(ctx, meter, senders, |meter, tag, payload| match tag {
-            WireTag::Result => {
-                // Copy out of the receive buffer into result storage.
-                meter.charge_bytes(ctx, payload.len(), cost.memcpy_rate);
-                bytes += payload.len() as u64;
-                true
-            }
-            _ => false,
-        })?;
+        ex.recv_stream(
+            ctx,
+            meter,
+            senders,
+            &sh.pools,
+            |meter, tag, payload| match tag {
+                WireTag::Result => {
+                    // Copy out of the receive buffer into result storage.
+                    meter.charge_bytes(ctx, payload.len(), cost.memcpy_rate);
+                    bytes += payload.len() as u64;
+                    true
+                }
+                _ => false,
+            },
+        )?;
         sh.coord_result_bytes
             .set(sh.coord_result_bytes.get() + bytes);
         return Ok(());

@@ -7,8 +7,7 @@
 
 use std::sync::Arc;
 
-use rsj_cluster::{phase, ranges, Exchange, JoinError, Meter, WireTag};
-use rsj_joins::partition_of;
+use rsj_cluster::{phase, Exchange, JoinError, Meter, WireTag};
 use rsj_rdma::HostId;
 use rsj_sim::SimCtx;
 use rsj_workload::Tuple;
@@ -33,20 +32,16 @@ pub(crate) fn phase_histogram<T: Tuple>(
     let b1 = cfg.radix_bits.0;
     let np1 = 1usize << b1;
     let m = cfg.cluster.machines;
-    let workers = cfg.partitioning_workers();
 
     // Partitioning workers scan the slices they will partition in the
     // network pass and add their thread histograms into the machine's;
     // the dedicated receiver core has no slice.
     if let Some(w) = sender_index(core) {
-        let mut hist = Histogram::zeros(np1);
-        for (rel, chunk) in [(REL_R, &st.r_chunk), (REL_S, &st.s_chunk)] {
-            let range = ranges(chunk.len(), workers)[w].clone();
-            let slice_len = range.len();
-            for t in &chunk[range] {
-                hist.counts[rel][partition_of(t.key(), 0, b1)] += 1;
-            }
-            meter.charge_bytes(ctx, slice_len * T::SIZE, cfg.cluster.cost.histogram_rate);
+        let inputs = [(REL_R, &st.r_chunk[..]), (REL_S, &st.s_chunk[..])];
+        let hist = st.landing.count(w, &inputs);
+        for (_, chunk) in inputs {
+            let scanned = st.landing.slice_len(w, chunk);
+            meter.charge_bytes(ctx, scanned * T::SIZE, cfg.cluster.cost.histogram_rate);
         }
         st.machine_hist.borrow_mut().add(&hist);
         meter.flush(ctx);
@@ -69,11 +64,16 @@ pub(crate) fn phase_histogram<T: Tuple>(
         machine_hists[mach] = mine;
 
         let mut global = Histogram::zeros(np1);
-        for h in &machine_hists {
+        let mut remote = Histogram::zeros(np1);
+        for (i, h) in machine_hists.iter().enumerate() {
             global.add(h);
+            if i != mach {
+                remote.add(h);
+            }
         }
         st.landing
             .assign(assign_partitions(&global, m, cfg.assignment));
+        st.landing.expect(remote);
         let owned = st.landing.owned();
         let s_total: u64 = global.counts[REL_S].iter().sum();
         let final_parts = (np1 as u64) << cfg.radix_bits.1;

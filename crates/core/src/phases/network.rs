@@ -46,7 +46,7 @@ fn receiver<T: Tuple>(
     let tcp = sh.cfg.transport == TransportMode::Tcp;
     sh.machines[mach]
         .landing
-        .receive(ctx, meter, ex, |meter, len| {
+        .receive(ctx, meter, ex, &sh.pools, |meter, len| {
             if tcp {
                 meter.charge_seconds(ctx, cost.nic.tcp_syscall);
                 meter.charge_bytes(ctx, len, cost.nic.tcp_copy_rate);

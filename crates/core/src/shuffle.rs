@@ -11,22 +11,38 @@
 //! owner's receiver core copies every buffer into per-partition staging
 //! memory (DESIGN.md §4 item 3). Callers keep their post step (how one
 //! full buffer reaches the wire) and their own checks.
+//!
+//! Nothing in a landing grows by doubling: the histogram phase already
+//! counted every partition, so each worker's kept vectors are sized from
+//! its own thread histogram ([`Landing::count`]) and the staging of a
+//! partition from what the other machines announced ([`Landing::expect`]).
 
 use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use rsj_cluster::{ranges, Exchange, JoinError, Lane, Meter, Posted, Scatter, WireTag};
 use rsj_joins::partition_of;
+use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
 use rsj_workload::{decode_into, Tuple};
+
+use crate::histogram::Histogram;
 
 /// One machine's landing of a shuffle on the low `bits` radix bits.
 pub struct Landing<T> {
     mach: usize,
     bits: u32,
-    /// Partition → owning machine, installed once per run by [`Landing::assign`].
-    assignment: RefCell<Vec<usize>>,
+    /// Partition → owning machine, installed once per run by
+    /// [`Landing::assign`] and shared by every route and receive step.
+    assignment: RefCell<Rc<[usize]>>,
+    /// Per partitioning worker, its thread histogram: the tuples of each
+    /// `[rel][part]` in the input slice it routes.
+    counts: Vec<RefCell<Option<Histogram>>>,
     /// Per partitioning worker, the tuples it kept: `[rel][part]`.
     kept: Vec<RefCell<[Vec<Vec<T>>; 2]>>,
+    /// Tuples per `[rel][part]` the other machines will send here.
+    remote: RefCell<Option<Histogram>>,
     /// Received bytes per `[rel][part]`.
     staged: [RefCell<Vec<Vec<u8>>>; 2],
 }
@@ -39,29 +55,64 @@ impl<T: Tuple> Landing<T> {
         Landing {
             mach,
             bits,
-            assignment: RefCell::new(Vec::new()),
+            assignment: RefCell::new(Rc::new([])),
+            counts: (0..workers).map(|_| RefCell::new(None)).collect(),
             kept: (0..workers)
                 .map(|_| RefCell::new([Vec::new(), Vec::new()]))
                 .collect(),
+            remote: RefCell::new(None),
             staged: [staged(), staged()],
         }
+    }
+
+    /// Worker `w`'s slice of `chunk`: the same split in the histogram
+    /// phase and the network pass, so a thread histogram is exact.
+    fn slice<'a>(&self, w: usize, chunk: &'a [T]) -> &'a [T] {
+        &chunk[ranges(chunk.len(), self.kept.len())[w].clone()]
+    }
+
+    /// Worker `w`'s thread histogram over its slices of `inputs`, each
+    /// `(rel, chunk)`: kept for sizing its [`Landing::route`], returned for
+    /// the machine histogram. Counting is host work; callers charge the
+    /// scan ([`Landing::slice_len`]).
+    pub fn count(&self, w: usize, inputs: &[(usize, &[T])]) -> Histogram {
+        let mut hist = Histogram::zeros(1 << self.bits);
+        for &(rel, chunk) in inputs {
+            for t in self.slice(w, chunk) {
+                hist.counts[rel][partition_of(t.key(), 0, self.bits)] += 1;
+            }
+        }
+        *self.counts[w].borrow_mut() = Some(hist.clone());
+        hist
+    }
+
+    /// How many tuples of `chunk` worker `w` scans.
+    pub fn slice_len(&self, w: usize, chunk: &[T]) -> usize {
+        self.slice(w, chunk).len()
     }
 
     /// Install the partition → machine assignment every machine derived
     /// after the histogram phase; routing and receiving follow it.
     pub fn assign(&self, assignment: Vec<usize>) {
         assert_eq!(assignment.len(), 1 << self.bits, "one owner per partition");
-        *self.assignment.borrow_mut() = assignment;
+        *self.assignment.borrow_mut() = assignment.into();
+    }
+
+    /// Announce how many tuples of each `[rel][part]` the other machines
+    /// will send here (their machine histograms, summed), so each staging
+    /// buffer is reserved once, exactly, at its first arrival.
+    pub fn expect(&self, remote: Histogram) {
+        *self.remote.borrow_mut() = Some(remote);
     }
 
     /// Whether partition `part` is assigned to this machine.
     pub(crate) fn owns(&self, part: usize) -> bool {
-        self.assignment.borrow_mut()[part] == self.mach
+        self.assignment.borrow()[part] == self.mach
     }
 
     /// The partitions assigned to this machine, ascending.
     pub fn owned(&self) -> Vec<usize> {
-        let assignment = self.assignment.borrow_mut();
+        let assignment = self.assignment.borrow();
         (0..assignment.len())
             .filter(|&p| assignment[p] == self.mach)
             .collect()
@@ -82,12 +133,18 @@ impl<T: Tuple> Landing<T> {
     where
         P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted,
     {
-        let assignment = self.assignment.borrow().clone();
-        let mut kept: [Vec<Vec<T>>; 2] = [Vec::new(), Vec::new()];
+        let assignment = Rc::clone(&self.assignment.borrow());
+        let counts = self.counts[w].take();
+        let mut kept: [Vec<Vec<T>>; 2] = Default::default();
         for &(rel, chunk) in inputs {
-            kept[rel] = vec![Vec::new(); assignment.len()];
-            let range = ranges(chunk.len(), self.kept.len())[w].clone();
-            for t in &chunk[range] {
+            let keeps = |p: usize| match &counts {
+                Some(hist) if assignment[p] == self.mach => hist.counts[rel][p] as usize,
+                _ => 0,
+            };
+            let parts = 0..assignment.len();
+            // lint: allow-hot-alloc(once per pass and partition, sized exactly from the thread histogram)
+            kept[rel] = parts.map(|p| Vec::with_capacity(keeps(p))).collect();
+            for t in self.slice(w, chunk) {
                 meter.charge_bytes(ctx, T::SIZE, rate);
                 let part = partition_of(t.key(), 0, self.bits);
                 let dst = assignment[part];
@@ -105,24 +162,32 @@ impl<T: Tuple> Landing<T> {
 
     /// The receiver core's side of the network pass: stage every
     /// `Data` buffer of a partition assigned here after `copy` charges it,
-    /// until every remote worker's `Eos`. Data for a partition owned
-    /// elsewhere is a typed [`JoinError::Decode`].
+    /// until every remote worker's `Eos`, returning each buffer to its
+    /// sender's pool in `pools`. Data for a partition owned elsewhere is a
+    /// typed [`JoinError::Decode`].
     pub fn receive(
         &self,
         ctx: &SimCtx,
         meter: &mut Meter,
         ex: &Exchange,
+        pools: &[Arc<BufferPool>],
         copy: impl Fn(&mut Meter, usize),
     ) -> Result<(), JoinError> {
-        let assignment = self.assignment.borrow().clone();
+        let assignment = Rc::clone(&self.assignment.borrow());
+        let remote = self.remote.take();
         ex.recv_stream(
             ctx,
             meter,
             self.kept.len(),
+            pools,
             |meter, tag, payload| match tag {
                 WireTag::Data { rel, part } if assignment.get(part) == Some(&self.mach) => {
                     copy(meter, payload.len());
-                    self.staged[rel].borrow_mut()[part].extend_from_slice(&payload);
+                    let staged = &mut self.staged[rel].borrow_mut()[part];
+                    if let (0, Some(remote)) = (staged.capacity(), &remote) {
+                        staged.reserve_exact(remote.counts[rel][part] as usize * T::SIZE);
+                    }
+                    staged.extend_from_slice(payload);
                     true
                 }
                 _ => false,
@@ -135,13 +200,18 @@ impl<T: Tuple> Landing<T> {
     /// order. Pointer-level assembly in the original; the copies here are
     /// simulator artifacts, so nothing is charged.
     pub fn assemble(&self, rel: usize, part: usize) -> Vec<T> {
-        let mut out = Vec::new();
+        let staged = std::mem::take(&mut self.staged[rel].borrow_mut()[part]);
+        let kept: usize = self
+            .kept
+            .iter()
+            .map(|kept| kept.borrow()[rel].get(part).map_or(0, Vec::len))
+            .sum();
+        let mut out = Vec::with_capacity(kept + staged.len() / T::SIZE);
         for kept in &self.kept {
             if let Some(tuples) = kept.borrow_mut()[rel].get_mut(part) {
                 out.append(tuples);
             }
         }
-        let staged = std::mem::take(&mut self.staged[rel].borrow_mut()[part]);
         decode_into(&staged, &mut out);
         out
     }
@@ -210,7 +280,7 @@ mod tests {
                 let landing = Landing::<Tuple16>::new(0, 1, 1);
                 landing.assign(vec![0, 1]);
                 let ex = Exchange::new(&fabric, 0, phase::NETWORK_PARTITION);
-                let got = landing.receive(ctx, &mut Meter::new(), &ex, |_, _| {});
+                let got = landing.receive(ctx, &mut Meter::new(), &ex, &[], |_, _| {});
                 *out.borrow_mut() = Some((got, landing.staged[REL_S].borrow_mut()[1].len()));
             });
         }

@@ -207,6 +207,7 @@ impl<T: Tuple> Partitioner<T> {
         hist: &[u64],
     ) -> Partitioned<T> {
         let parts = hist.len();
+        // lint: allow-hot-alloc(offsets move into the returned Partitioned)
         let mut offsets = Vec::with_capacity(parts + 1);
         let mut acc = 0usize;
         offsets.push(0);

@@ -220,8 +220,44 @@ impl<'a> FileCtx<'a> {
         (start, end)
     }
 
+    /// The `impl` blocks of this file: the implementing type's name (the
+    /// last path segment outside generics, after `for` in a trait impl)
+    /// and the body's brace indices. An `impl` counts only in item
+    /// position, so `impl Trait` argument and return types do not.
+    fn impl_blocks(&self) -> Vec<(String, usize, usize)> {
+        let mut blocks = Vec::new();
+        for i in 0..self.code.len() {
+            let item = i == 0 || matches!(self.text(i - 1), "}" | ";" | "{" | "]" | "unsafe");
+            if !(item && self.kind(i) == TokKind::Ident && self.text(i) == "impl") {
+                continue;
+            }
+            let (mut depth, mut owner, mut frozen) = (0i32, None, false);
+            for j in i + 1..self.code.len() {
+                match self.text(j) {
+                    "<" => depth += 1,
+                    ">" if self.text(j - 1) != "-" => depth -= 1,
+                    "{" if depth == 0 => {
+                        if let (Some(owner), Some(end)) = (owner.take(), self.matching_close(j)) {
+                            blocks.push((owner, j, end));
+                        }
+                        break;
+                    }
+                    ";" => break,
+                    "where" if depth == 0 => frozen = true,
+                    "for" if depth == 0 && !frozen => owner = None,
+                    t if depth == 0 && !frozen && self.kind(j) == TokKind::Ident => {
+                        owner = Some(t.to_string());
+                    }
+                    _ => {}
+                }
+            }
+        }
+        blocks
+    }
+
     /// All function definitions in this file.
     pub(crate) fn functions(&self) -> Vec<FnSpan> {
+        let impls = self.impl_blocks();
         let mut fns = Vec::new();
         let mut i = 0usize;
         while i < self.code.len() {
@@ -248,8 +284,15 @@ impl<'a> FileCtx<'a> {
                     }
                     j += 1;
                 }
+                // The innermost enclosing impl block names the owner.
+                let owner = impls
+                    .iter()
+                    .filter(|&&(_, open, close)| open < i && i < close)
+                    .max_by_key(|&&(_, open, _)| open)
+                    .map(|(owner, _, _)| owner.clone());
                 fns.push(FnSpan {
                     name,
+                    owner,
                     name_idx: i + 1,
                     body,
                 });
@@ -266,6 +309,8 @@ impl<'a> FileCtx<'a> {
 pub(crate) struct FnSpan {
     /// Declared name.
     pub name: String,
+    /// The type of the enclosing `impl` block, if any.
+    pub owner: Option<String>,
     /// Code-token index of the name.
     pub name_idx: usize,
     /// `(open_brace, close_brace)` code-token indices, `None` for

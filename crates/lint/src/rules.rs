@@ -216,9 +216,9 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
     }
 
     // ---- hot-alloc: allocation inside designated hot kernels in
-    // crates/joins.
-    if in_joins {
-        hot_alloc(ctx, out);
+    // crates/joins and on the dataplane's per-message paths.
+    if in_joins || in_sim_state {
+        hot_alloc(ctx, in_joins, out);
     }
 
     // ---- barrier-protocol: phase-sequence verification for operator
@@ -546,23 +546,67 @@ fn error_swallow_at(ctx: &FileCtx<'_>, i: usize, out: &mut Vec<Finding>) {
     }
 }
 
-/// `hot-alloc`: `vec!` / `Vec::new` inside `*_kernel` / `histogram*` /
-/// `scatter*` functions in crates/joins (non-test).
-fn hot_alloc(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+/// The dataplane's per-message functions, as `(impl type, name)`: one
+/// message of a network pass runs each of them, so an allocation in one
+/// is paid per message.
+const PER_MESSAGE_FNS: [(&str, &str); 12] = [
+    ("Nic", "post"),
+    ("Nic", "handle"),
+    ("CellPool", "take"),
+    ("Scatter", "push"),
+    ("Scatter", "post"),
+    ("Exchange", "recv_stream"),
+    ("BufferPool", "take"),
+    ("BufferPool", "refill"),
+    ("Fabric", "ingress_engine"),
+    ("Fabric", "egress_engine"),
+    ("Landing", "route"),
+    ("Landing", "receive"),
+];
+
+/// Token sequences that allocate (or, `Vec::new`, stand for a buffer
+/// that will).
+const ALLOC_SEQS: [&[&str]; 7] = [
+    &["vec", "!"],
+    &["Vec", ":", ":", "new"],
+    &["Vec", ":", ":", "with_capacity"],
+    &["Arc", ":", ":", "new"],
+    &["Rc", ":", ":", "new"],
+    &["Box", ":", ":", "new"],
+    &[".", "to_vec", "("],
+];
+
+/// `hot-alloc`: an allocating token sequence ([`ALLOC_SEQS`]) inside the
+/// `*_kernel` / `histogram*` / `scatter*` functions of crates/joins
+/// (`joins`) or a [`PER_MESSAGE_FNS`] function of the simulation-state
+/// crates (non-test).
+fn hot_alloc(ctx: &FileCtx<'_>, joins: bool, out: &mut Vec<Finding>) {
     for f in ctx.functions() {
-        if ctx.in_test(f.name_idx) || !is_hot_kernel_name(&f.name) {
+        let hot = if joins {
+            is_hot_kernel_name(&f.name)
+        } else {
+            PER_MESSAGE_FNS
+                .iter()
+                .any(|&(ty, name)| f.owner.as_deref() == Some(ty) && f.name == name)
+        };
+        if ctx.in_test(f.name_idx) || !hot {
             continue;
         }
         let Some((open, end)) = f.body else { continue };
         for i in open..=end {
-            if ctx.seq(i, &["vec", "!"]) || ctx.seq(i, &["Vec", ":", ":", "new"]) {
+            if ALLOC_SEQS.iter().any(|seq| ctx.seq(i, seq)) {
+                let message = if joins {
+                    "allocation inside a hot kernel; move the buffer into the owning struct \
+                     (e.g. Partitioner scratch) and reuse it across calls"
+                } else {
+                    "allocation on a per-message path; draw the buffer or completion cell \
+                     from its pool and hand it back once used"
+                };
                 out.push(Finding {
                     file: ctx.rel.to_string(),
                     line: ctx.line(i),
                     rule: "hot-alloc",
-                    message: "allocation inside a hot kernel; move the buffer into the owning \
-                              struct (e.g. Partitioner scratch) and reuse it across calls"
-                        .into(),
+                    message: message.into(),
                     waived: false,
                     reason: None,
                 });

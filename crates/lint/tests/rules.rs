@@ -231,6 +231,36 @@ const CASES: &[Case] = &[
         waived: 0,
     },
     Case {
+        fixture: "hot_alloc_arc_new.rs",
+        vpath: "crates/rdma/src/ha_arc.rs",
+        expect: &[("hot-alloc", 6)],
+        waived: 0,
+    },
+    Case {
+        fixture: "hot_alloc_rc_new.rs",
+        vpath: "crates/rdma/src/ha_rc.rs",
+        expect: &[("hot-alloc", 20)],
+        waived: 1,
+    },
+    Case {
+        fixture: "hot_alloc_box_new.rs",
+        vpath: "crates/rdma/src/ha_box.rs",
+        expect: &[("hot-alloc", 8), ("hot-alloc", 22)],
+        waived: 0,
+    },
+    Case {
+        fixture: "hot_alloc_to_vec.rs",
+        vpath: "crates/cluster/src/ha_to_vec.rs",
+        expect: &[("hot-alloc", 9)],
+        waived: 0,
+    },
+    Case {
+        fixture: "hot_alloc_with_capacity.rs",
+        vpath: "crates/rdma/src/ha_cap.rs",
+        expect: &[("hot-alloc", 8), ("hot-alloc", 20)],
+        waived: 0,
+    },
+    Case {
         fixture: "fabric_panic.rs",
         vpath: "crates/operators/src/f.rs",
         expect: &[("fabric-panic", 4), ("unwrap", 4)],

@@ -18,7 +18,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, SEND_DEPTH};
+use rsj_cluster::{run_direct, Exchange, Runtime, Scatter, SEND_DEPTH};
 
 /// Configuration of a distributed aggregation.
 #[derive(Clone, Debug)]
@@ -217,16 +217,17 @@ fn worker<T: Tuple>(
     let st = &states[mach];
     let m = rt.machines();
     let np = 1usize << cfg.radix_bits;
-    let workers = rt.cores() - 1;
     let cost = &cfg.cluster.cost;
     let mut meter = Meter::for_quantum(cfg.cluster.meter_quantum_ns);
 
     // ---- Phase 1: histogram scan + assignment (statically round-robin;
-    // the scan also warms the same accounting as the join's).
+    // the scan charges the same accounting as the join's, and its thread
+    // histogram sizes the worker's kept vectors).
     if core > 0 {
         let w = core - 1;
-        let range = ranges(st.chunk.len(), workers)[w].clone();
-        meter.charge_bytes(ctx, range.len() * T::SIZE, cost.histogram_rate);
+        let scanned = st.landing.slice_len(w, &st.chunk);
+        meter.charge_bytes(ctx, scanned * T::SIZE, cost.histogram_rate);
+        st.landing.count(w, &[(REL_S, &st.chunk[..])]);
         meter.flush(ctx);
     }
     if core == 0 {
@@ -237,9 +238,10 @@ fn worker<T: Tuple>(
     // ---- Phase 2: network partitioning pass on the group key.
     let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
     if core == 0 {
-        st.landing.receive(ctx, &mut meter, &ex, |meter, len| {
-            meter.charge_bytes(ctx, len, cost.memcpy_rate)
-        })?;
+        st.landing
+            .receive(ctx, &mut meter, &ex, pools, |meter, len| {
+                meter.charge_bytes(ctx, len, cost.memcpy_rate)
+            })?;
     } else {
         let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
         let inputs = [(REL_S, &st.chunk[..])];

@@ -18,13 +18,14 @@ use std::sync::Arc;
 
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_core::shuffle::Landing;
-use rsj_joins::{merge_join, partition_of, sort_by_key};
+use rsj_core::Histogram;
+use rsj_joins::{merge_join, sort_by_key};
 use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
 use rsj_workload::{JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::{REL_R, REL_S};
-use rsj_cluster::{ranges, run_direct, Exchange, Runtime, Scatter, WireTag, SEND_DEPTH};
+use rsj_cluster::{run_direct, Exchange, Runtime, Scatter, WireTag, SEND_DEPTH};
 
 /// Configuration of a distributed sort-merge join.
 #[derive(Clone, Debug)]
@@ -217,29 +218,26 @@ fn worker<T: Tuple>(
     let st = &states[mach];
     let m = rt.machines();
     let np = 1usize << cfg.radix_bits;
-    let workers = rt.cores() - 1;
     let cost = &cfg.cluster.cost;
     let mut meter = Meter::for_quantum(cfg.cluster.meter_quantum_ns);
 
     // ---- Phase 1: histogram + exchange (core 0 coordinates).
     if core > 0 {
         let w = core - 1;
-        let mut counts = vec![[0u64; 2]; np];
-        for (rel, chunk) in [(REL_R, &st.r_chunk), (REL_S, &st.s_chunk)] {
-            let range = ranges(chunk.len(), workers)[w].clone();
-            meter.charge_bytes(ctx, range.len() * T::SIZE, cost.histogram_rate);
-            for t in &chunk[range] {
-                counts[partition_of(t.key(), 0, cfg.radix_bits)][rel] += 1;
-            }
+        let inputs = [(REL_R, &st.r_chunk[..]), (REL_S, &st.s_chunk[..])];
+        for (_, chunk) in inputs {
+            let scanned = st.landing.slice_len(w, chunk);
+            meter.charge_bytes(ctx, scanned * T::SIZE, cost.histogram_rate);
         }
+        let counts = st.landing.count(w, &inputs);
         {
             // Scope the borrow: held across a yield point (flush advances
             // the virtual clock) it would make the next task to borrow it
             // panic.
             let mut hist = st.hist.borrow_mut();
-            for (h, c) in hist.iter_mut().zip(&counts) {
-                h[0] += c[0];
-                h[1] += c[1];
+            for (p, h) in hist.iter_mut().enumerate() {
+                h[0] += counts.counts[REL_R][p];
+                h[1] += counts.counts[REL_S][p];
             }
         }
         meter.flush(ctx);
@@ -247,8 +245,7 @@ fn worker<T: Tuple>(
     rt.try_sync_quiet(ctx)?;
     if core == 0 {
         // Exchange machine histograms; everyone derives the same
-        // round-robin assignment (totals only matter for sizing, which the
-        // staging vectors handle dynamically here).
+        // round-robin assignment, and the others' totals size the staging.
         let encoded: Vec<u8> = st
             .hist
             .borrow()
@@ -256,17 +253,33 @@ fn worker<T: Tuple>(
             .flat_map(|h| [h[0].to_le_bytes(), h[1].to_le_bytes()].concat())
             .collect();
         let ex = Exchange::new(&rt.fabric, mach, phase::HISTOGRAM);
-        ex.all_to_all(ctx, WireTag::Histogram, ex.peers(), &encoded, |_, _| {})?;
+        let mut remote = Histogram::zeros(np);
+        ex.all_to_all(
+            ctx,
+            WireTag::Histogram,
+            ex.peers(),
+            &encoded,
+            |_, payload| {
+                let counts = payload.chunks_exact(8).map(|c| {
+                    u64::from_le_bytes(c.try_into().expect("8-byte chunk of a histogram"))
+                });
+                for (i, n) in counts.enumerate() {
+                    remote.counts[i % 2][i / 2] += n;
+                }
+            },
+        )?;
         st.landing.assign((0..np).map(|p| p % m).collect());
+        st.landing.expect(remote);
     }
     rt.try_sync_named(ctx, phase::HISTOGRAM, mach)?;
 
     // ---- Phase 2: network partitioning pass.
     let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
     if core == 0 {
-        st.landing.receive(ctx, &mut meter, &ex, |meter, len| {
-            meter.charge_bytes(ctx, len, cost.memcpy_rate)
-        })?;
+        st.landing
+            .receive(ctx, &mut meter, &ex, pools, |meter, len| {
+                meter.charge_bytes(ctx, len, cost.memcpy_rate)
+            })?;
     } else {
         let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
         let inputs = [(REL_R, &st.r_chunk[..]), (REL_S, &st.s_chunk[..])];

@@ -21,7 +21,7 @@ use crate::config::{FabricConfig, HostId, NicCosts, QueryId};
 use crate::fault::FaultPlan;
 use crate::membership::FaultState;
 use crate::mr::MrTable;
-use crate::nic::{Nic, NicStats};
+use crate::nic::{CellPool, Nic, NicStats};
 use crate::validate::Validator;
 use crate::wire::Message;
 
@@ -93,6 +93,7 @@ impl Fabric {
                     lane_progress: Cell::new(0),
                     validator: Arc::clone(&validator),
                     faults: Arc::clone(&faults),
+                    cells: CellPool::new(QueryId::DIRECT, HostId(h), Arc::clone(&faults)),
                 })
             })
             .collect();

@@ -16,7 +16,7 @@ use rsj_sim::{SimChannel, SimCtx, SimDuration, SimSemaphore, SimTime};
 use crate::config::{HostId, QueryId};
 use crate::fabric::{Fabric, Spawner};
 use crate::fault::{FabricError, FaultPlan, WcStatus};
-use crate::nic::{Nic, NicStats};
+use crate::nic::{CellPool, Nic, NicStats};
 
 /// Shared fault-plane state of one fabric: the installed plan plus the
 /// dynamic flags (abort, per-host crash, per-QP error) that the engines,
@@ -289,6 +289,7 @@ impl Fabric {
                     lane_progress: Cell::new(0),
                     validator: Arc::clone(&self.validator),
                     faults: Arc::clone(&self.faults),
+                    cells: CellPool::new(query, phys, Arc::clone(&self.faults)),
                 })
             })
             .collect();

@@ -15,6 +15,8 @@
 //! `membership.rs`'s (`FaultState::post_denied`).
 
 use std::cell::{Cell, RefCell};
+use std::ops::Deref;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use rsj_sim::{SimChannel, SimCtx, SimDuration, SimEvent, SimSemaphore};
@@ -40,12 +42,20 @@ pub struct Completion {
 
 /// Completion cell of one posted work request, shared between the poster's
 /// handle and the message on the wire: the event the poster parks on, the
-/// work-completion status, and (READs only) the fetched bytes.
+/// work-completion status, (READs only) the fetched bytes, and who posted
+/// the request to whom, so a failed status becomes a typed error.
 pub(crate) struct WorkCompletion {
-    ev: Arc<SimEvent>,
+    ev: SimEvent,
     /// `None` until the wire (or a denied post) completes the request.
     status: Cell<Option<WcStatus>>,
     data: RefCell<Option<Vec<u8>>>,
+    query: QueryId,
+    src: HostId,
+    dst: Cell<HostId>,
+    faults: Arc<FaultState>,
+    /// The free list this cell goes back to once nobody holds it (dangling
+    /// for a detached test cell, or once its NIC is gone).
+    home: Weak<CellPool>,
 }
 
 impl WorkCompletion {
@@ -62,6 +72,84 @@ impl WorkCompletion {
     }
 }
 
+/// One holder's share of a [`WorkCompletion`]: the poster's handle holds
+/// one, the message on the wire (or the READ reply) another. Whichever is
+/// dropped last returns the cell to its NIC's [`CellPool`], so a cell is
+/// reused only when neither handle nor message still holds it.
+pub(crate) struct Wc(Rc<WorkCompletion>);
+
+impl Wc {
+    /// Another holder's share of the same cell.
+    pub(crate) fn share(&self) -> Wc {
+        Wc(Rc::clone(&self.0))
+    }
+}
+
+impl Deref for Wc {
+    type Target = WorkCompletion;
+
+    fn deref(&self) -> &WorkCompletion {
+        &self.0
+    }
+}
+
+impl Drop for Wc {
+    fn drop(&mut self) {
+        if Rc::strong_count(&self.0) == 1 {
+            if let Some(home) = self.0.home.upgrade() {
+                home.free.borrow_mut().push(Rc::clone(&self.0));
+            }
+        }
+    }
+}
+
+/// One NIC's free list of completion cells: a post draws a cell from it
+/// and allocates only when every cell is still held, so a steady stream
+/// of posts allocates none (*Storm*'s rule: no allocation per operation).
+pub(crate) struct CellPool {
+    free: RefCell<Vec<Rc<WorkCompletion>>>,
+    /// The NIC's query lane, host and fault state, which every cell of
+    /// the pool carries.
+    query: QueryId,
+    src: HostId,
+    faults: Arc<FaultState>,
+}
+
+impl CellPool {
+    /// The pool of a NIC serving `query` on host `src`.
+    pub(crate) fn new(query: QueryId, src: HostId, faults: Arc<FaultState>) -> Rc<CellPool> {
+        Rc::new(CellPool {
+            free: RefCell::new(Vec::new()),
+            query,
+            src,
+            faults,
+        })
+    }
+
+    /// An un-fired cell for a request to `dst`: a recycled one, reset, or
+    /// a new one homed here.
+    fn take(self: &Rc<CellPool>, dst: HostId) -> Wc {
+        let Some(cell) = self.free.borrow_mut().pop() else {
+            // lint: allow-hot-alloc(a miss creates one cell; a steady stream pops the free list)
+            return Wc(Rc::new(WorkCompletion {
+                ev: SimEvent::default(),
+                status: Cell::new(None),
+                data: RefCell::new(None),
+                query: self.query,
+                src: self.src,
+                dst: Cell::new(dst),
+                faults: Arc::clone(&self.faults),
+                home: Rc::downgrade(self),
+            }));
+        };
+        cell.ev.reset();
+        cell.status.set(None);
+        cell.data.borrow_mut().take();
+        cell.dst.set(dst);
+        Wc(cell)
+    }
+}
+
 /// Poster-side handle to one outstanding send/write work request.
 ///
 /// The buffer behind the posted payload is logically reusable once the
@@ -69,44 +157,22 @@ impl WorkCompletion {
 /// completion *status* — a flushed or retry-exhausted work request returns
 /// a typed [`FabricError`] instead of silent success.
 pub struct SendHandle {
-    pub(crate) cell: Arc<WorkCompletion>,
-    query: QueryId,
-    src: HostId,
-    dst: HostId,
-    faults: Arc<FaultState>,
+    pub(crate) cell: Wc,
 }
 
 impl SendHandle {
-    fn new(
-        ev: Arc<SimEvent>,
-        query: QueryId,
-        src: HostId,
-        dst: HostId,
-        faults: Arc<FaultState>,
-    ) -> SendHandle {
-        SendHandle {
-            cell: Arc::new(WorkCompletion {
-                ev,
-                status: Cell::new(None),
-                data: RefCell::new(None),
-            }),
-            query,
-            src,
-            dst,
-            faults,
-        }
-    }
-
     /// Block until the work request completes, then surface its status.
     pub fn wait(&self, ctx: &SimCtx) -> Result<(), FabricError> {
+        let cell = &self.cell;
         // lint: allow-error-swallow(sim Event::wait returns unit, not a fabric Result)
-        self.cell.ev.wait(ctx);
-        let status = self.cell.status.get();
-        match status {
+        cell.ev.wait(ctx);
+        match cell.status.get() {
             None | Some(WcStatus::Success) => Ok(()),
-            Some(status) => Err(self
-                .faults
-                .error_for(self.query, self.src, self.dst, status)),
+            Some(status) => {
+                Err(cell
+                    .faults
+                    .error_for(cell.query, cell.src, cell.dst.get(), status))
+            }
         }
     }
 
@@ -115,17 +181,17 @@ impl SendHandle {
         self.cell.ev.is_set()
     }
 
-    /// A detached handle around a bare event, for unit tests of window
-    /// bookkeeping.
+    /// A detached, un-fired handle and the call that completes it
+    /// successfully, for unit tests of window bookkeeping.
     #[doc(hidden)]
-    pub fn for_test(ev: Arc<SimEvent>) -> SendHandle {
-        SendHandle::new(
-            ev,
-            QueryId::DIRECT,
-            HostId(0),
-            HostId(0),
-            FaultState::new(None, 1),
-        )
+    pub fn for_test() -> (SendHandle, impl Fn(&SimCtx)) {
+        // The pool is dropped at once, so the cell never goes back to it.
+        let faults = FaultState::new(None, 1);
+        let cell = CellPool::new(QueryId::DIRECT, HostId(0), faults).take(HostId(0));
+        let handle = SendHandle { cell: cell.share() };
+        (handle, move |ctx: &SimCtx| {
+            cell.complete(ctx, WcStatus::Success)
+        })
     }
 }
 
@@ -209,6 +275,8 @@ pub struct Nic {
     pub(crate) lane_progress: Cell<u64>,
     pub(crate) validator: Arc<Validator>,
     pub(crate) faults: Arc<FaultState>,
+    /// Completion cells of this NIC's posts, recycled.
+    pub(crate) cells: Rc<CellPool>,
 }
 
 impl Nic {
@@ -379,7 +447,7 @@ impl Nic {
             mr: remote.index,
             offset,
             len,
-            reply: Arc::clone(&wr.cell),
+            reply: wr.cell.share(),
         };
         let msg = Message::new(self.host, remote.host, self.query, kind, Vec::new());
         self.tx.send(ctx, msg);
@@ -408,13 +476,9 @@ impl Nic {
     /// `None`; the wire completes it later) or already completed with
     /// `fired` — a post denied by the fault plane.
     fn handle(&self, ctx: &SimCtx, dst: HostId, fired: Option<WcStatus>) -> SendHandle {
-        let handle = SendHandle::new(
-            SimEvent::new(),
-            self.query,
-            self.host,
-            dst,
-            Arc::clone(&self.faults),
-        );
+        let handle = SendHandle {
+            cell: self.cells.take(dst),
+        };
         if let Some(status) = fired {
             handle.cell.complete(ctx, status);
             if status != WcStatus::Success {
@@ -454,7 +518,7 @@ impl Nic {
         self.count_tx(payload.len());
         self.lane_progress.set(self.lane_progress.get() + 1);
         let mut msg = Message::new(self.host, dst, self.query, kind, payload);
-        msg.completion = Some(Arc::clone(&handle.cell));
+        msg.completion = Some(handle.cell.share());
         msg.window = window;
         self.tx.send(ctx, msg);
         handle

@@ -10,7 +10,7 @@
 //! free; exhausting it falls back to an on-the-fly registration, whose cost
 //! is charged — the anti-pattern the paper warns against). [`SendWindow`]
 //! models the per-partition double-buffering discipline: `admit` blocks
-//! only when the oldest of the last `depth` sends has not completed.
+//! only when the oldest of the last `DEPTH` sends has not completed.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -24,6 +24,17 @@ use crate::nic::SendHandle;
 use crate::validate::{Validator, Violation};
 
 /// A pool of fixed-size, pre-registered RDMA buffers.
+///
+/// Two ledgers: the *count* ([`BufferPool::available`],
+/// [`BufferPool::outstanding`], [`BufferPool::fly_registrations`]) is the
+/// model — what the join is charged for — and moves only with
+/// [`BufferPool::take`] and [`BufferPool::put`]. The *physical* free list
+/// is host memory: every buffer handed back, by `put` or by a receiver
+/// through [`BufferPool::recycle`], waits there for the next draw, so a
+/// steady stream reuses its buffers instead of allocating them. It never
+/// holds more buffers than the pool has registered, and a stream's
+/// buffers leave it with the stream: once every taken buffer is back on
+/// the count, the list keeps only what `put` hands it.
 pub struct BufferPool {
     buf_size: usize,
     costs: NicCosts,
@@ -31,12 +42,19 @@ pub struct BufferPool {
 }
 
 struct PoolState {
-    free: Vec<Vec<u8>>,
-    /// Preregistered buffers not yet materialized. Registration happened
-    /// at pool-setup time (before the join), so drawing one is free; the
-    /// host allocation is deferred so a large logical pool does not pin
-    /// host memory it never uses.
+    /// Buffers returned by `put` and not taken since.
+    idle: usize,
+    /// Preregistered buffers never taken. Registration happened at
+    /// pool-setup time (before the join), so drawing one is free; the host
+    /// allocation is deferred so a large logical pool does not pin host
+    /// memory it never uses.
     stock: usize,
+    /// The physical free list: emptied buffers of capacity `buf_size`,
+    /// at most `registered` of them.
+    spare: Vec<Vec<u8>>,
+    /// Buffers registered: the initial count plus every on-the-fly
+    /// registration.
+    registered: usize,
     fly_registrations: u64,
     /// Buffers taken and not yet returned — audited at teardown by the
     /// validator's pool-leak check.
@@ -55,8 +73,10 @@ impl BufferPool {
             buf_size,
             costs,
             inner: RefCell::new(PoolState {
-                free: Vec::new(),
+                idle: 0,
                 stock: count,
+                spare: Vec::new(),
+                registered: count,
                 fly_registrations: 0,
                 outstanding: 0,
             }),
@@ -68,41 +88,78 @@ impl BufferPool {
         self.buf_size
     }
 
-    /// Take a buffer. If the preregistered stock is exhausted, a new buffer
-    /// is registered on the fly and the caller pays the pinning cost. A
-    /// buffer drawn from stock or registered now is allocated once at
-    /// [`BufferPool::buf_size`], so filling it never reallocates.
+    /// Take a buffer: a returned one, else one from the preregistered
+    /// stock, else one registered on the fly, whose pinning cost the
+    /// caller pays. That is the count; physically the buffer is the last
+    /// one handed back, or a new allocation of [`BufferPool::buf_size`]
+    /// when the free list is empty, so filling it never reallocates.
     pub fn take(&self, ctx: &SimCtx) -> Vec<u8> {
-        {
+        let fly = {
             let mut st = self.inner.borrow_mut();
             st.outstanding += 1;
-            if let Some(buf) = st.free.pop() {
-                return buf;
-            }
-            if st.stock > 0 {
+            if st.idle > 0 {
+                st.idle -= 1;
+                false
+            } else if st.stock > 0 {
                 st.stock -= 1;
-                return Vec::with_capacity(self.buf_size);
+                false
+            } else {
+                st.fly_registrations += 1;
+                st.registered += 1;
+                true
             }
-            st.fly_registrations += 1;
+        };
+        if fly {
+            ctx.advance(SimDuration::from_secs_f64(
+                self.costs.register_seconds(self.buf_size),
+            ));
         }
-        ctx.advance(SimDuration::from_secs_f64(
-            self.costs.register_seconds(self.buf_size),
-        ));
-        Vec::with_capacity(self.buf_size)
+        self.refill()
     }
 
-    /// Return a buffer to the pool (cleared, capacity kept).
-    pub fn put(&self, mut buf: Vec<u8>) {
-        buf.clear();
+    /// Return a buffer to the pool: one buffer back on the count and, if
+    /// it is a real pool buffer (an empty `Vec` is a count-only return),
+    /// on the physical free list, cleared. The last outstanding buffer
+    /// back ends the stream that drew them: the buffers its receivers
+    /// returned are freed, as the stream's own would have been.
+    pub fn put(&self, buf: Vec<u8>) {
         let mut st = self.inner.borrow_mut();
         st.outstanding = st.outstanding.saturating_sub(1);
-        st.free.push(buf);
+        st.idle += 1;
+        if st.outstanding == 0 {
+            st.spare.clear();
+        }
+        st.keep(buf, self.buf_size);
     }
 
-    /// Buffers currently available (free list plus unmaterialized stock).
+    /// Hand an emptied buffer back to the physical free list without
+    /// touching the count: a receiver returns the payload it has copied
+    /// out to the sending machine's pool (§4.2.2), whose next draw reuses
+    /// it. Dropped instead if no buffer is outstanding (the stream has
+    /// ended), if it is not a buffer of this pool's size, or if the free
+    /// list already holds every buffer the pool registered.
+    pub fn recycle(&self, buf: Vec<u8>) {
+        let mut st = self.inner.borrow_mut();
+        if st.outstanding > 0 {
+            st.keep(buf, self.buf_size);
+        }
+    }
+
+    /// The physical side of a draw, and all of it for a sender that
+    /// already holds its share of the count (its window freed a drawn
+    /// buffer): the free list's last buffer, else a new one. Never counted.
+    pub fn refill(&self) -> Vec<u8> {
+        match self.inner.borrow_mut().spare.pop() {
+            Some(buf) => buf,
+            // lint: allow-hot-alloc(a miss materializes one pool buffer; a steady stream pops the free list)
+            None => Vec::with_capacity(self.buf_size),
+        }
+    }
+
+    /// Buffers currently available (returned plus never-taken stock).
     pub fn available(&self) -> usize {
         let st = self.inner.borrow();
-        st.free.len() + st.stock
+        st.idle + st.stock
     }
 
     /// How many times the pool was exhausted and had to register on the
@@ -115,6 +172,17 @@ impl BufferPool {
     /// the operator that owns the pool has finished).
     pub fn outstanding(&self) -> usize {
         self.inner.borrow().outstanding
+    }
+}
+
+impl PoolState {
+    /// Keep `buf` on the free list, emptied, if it is a buffer of `size`
+    /// bytes and the list holds fewer than every buffer registered.
+    fn keep(&mut self, mut buf: Vec<u8>, size: usize) {
+        if buf.capacity() == size && self.spare.len() < self.registered {
+            buf.clear();
+            self.spare.push(buf);
+        }
     }
 }
 
@@ -206,15 +274,16 @@ impl PoolArena {
     }
 }
 
-/// Tracks the completions of the last `depth` posted sends for one logical
+/// Tracks the completions of the last `DEPTH` posted sends for one logical
 /// stream (one partition, in the join), enforcing the paper's
 /// double-buffering discipline.
 ///
-/// With `depth = 2` (the paper's minimum), the caller can fill buffer B
+/// With `DEPTH = 2` (the paper's minimum), the caller can fill buffer B
 /// while buffer A is on the wire, and blocks only if A is *still* on the
-/// wire when B is full — i.e. only when genuinely network-bound.
-pub struct SendWindow {
-    slots: Vec<Option<SendHandle>>,
+/// wire when B is full — i.e. only when genuinely network-bound. The slots
+/// live inline, so a window costs its stream no allocation.
+pub struct SendWindow<const DEPTH: usize> {
+    slots: [Option<SendHandle>; DEPTH],
     next: usize,
     /// Total virtual seconds spent blocked in `admit` — the "thread had to
     /// wait for the network" time the model's Eq. 4 predicts.
@@ -225,20 +294,20 @@ pub struct SendWindow {
     validator: Arc<Validator>,
 }
 
-impl SendWindow {
-    /// A window admitting `depth` in-flight sends (`depth >= 1`), wired
+impl<const DEPTH: usize> SendWindow<DEPTH> {
+    /// A window admitting `DEPTH` in-flight sends (`DEPTH >= 1`), wired
     /// to `validator`.
-    pub fn new(depth: usize, validator: Arc<Validator>) -> SendWindow {
-        assert!(depth >= 1);
+    pub fn new(validator: Arc<Validator>) -> SendWindow<DEPTH> {
+        const { assert!(DEPTH >= 1, "a window admits at least one send") };
         SendWindow {
-            slots: (0..depth).map(|_| None).collect(),
+            slots: std::array::from_fn(|_| None),
             next: 0,
             stall_seconds: 0.0,
             validator,
         }
     }
 
-    /// Block until a slot is free (i.e. the send posted `depth` calls ago
+    /// Block until a slot is free (i.e. the send posted `DEPTH` calls ago
     /// has completed), accumulating stall time. Surfaces the displaced
     /// work request's completion status: a flushed or retry-exhausted send
     /// becomes a typed [`FabricError`] the caller must propagate.
@@ -267,7 +336,7 @@ impl SendWindow {
                 .report(Violation::RepostBeforeCompletion { in_flight });
         }
         self.slots[self.next] = Some(handle);
-        self.next = (self.next + 1) % self.slots.len();
+        self.next = (self.next + 1) % DEPTH;
     }
 
     /// Wait for every outstanding send to complete (end of the network
@@ -298,7 +367,7 @@ impl SendWindow {
     }
 }
 
-impl Drop for SendWindow {
+impl<const DEPTH: usize> Drop for SendWindow<DEPTH> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             return;
@@ -316,7 +385,7 @@ impl Drop for SendWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsj_sim::{SimEvent, Simulation};
+    use rsj_sim::Simulation;
 
     #[test]
     fn pool_reuses_buffers_without_cost() {
@@ -382,35 +451,88 @@ mod tests {
     }
 
     #[test]
+    fn the_free_list_reuses_returned_buffers_and_never_outgrows_the_count() {
+        let sim = Simulation::new();
+        sim.spawn("user", |ctx| {
+            let pool = BufferPool::new(3, 64, NicCosts::default());
+            let spare = |pool: &BufferPool| pool.inner.borrow().spare.len();
+            let a = pool.take(ctx);
+            let a_ptr = a.as_ptr();
+            pool.put(a);
+            let again = pool.take(ctx);
+            assert_eq!(again.as_ptr(), a_ptr, "a take reuses the returned buffer");
+            // A receiver hands back more buffers than the pool registered:
+            // the free list keeps three.
+            let mut held: Vec<_> = (0..2).map(|_| pool.take(ctx)).collect();
+            held.push(again);
+            for _ in 0..4 {
+                pool.recycle(vec![0; 64]);
+                assert!(spare(&pool) <= 3);
+            }
+            assert_eq!((spare(&pool), pool.available()), (3, 0));
+            // Counted returns past the cap, and foreign sizes, are dropped;
+            // a refill is physical only.
+            let last = held.pop().expect("three held");
+            for buf in held {
+                pool.put(buf);
+            }
+            pool.recycle(Vec::with_capacity(65));
+            assert_eq!((spare(&pool), pool.available()), (3, 2));
+            let refill = pool.refill();
+            assert_eq!(
+                (refill.capacity(), spare(&pool), pool.available()),
+                (64, 2, 2)
+            );
+            // The last buffer back ends the stream: what receivers returned
+            // is freed, the put buffer kept, and late returns dropped.
+            pool.put(last);
+            pool.recycle(refill);
+            assert_eq!(
+                (spare(&pool), pool.available(), pool.outstanding()),
+                (1, 3, 0)
+            );
+            // An on-the-fly registration raises the cap by one.
+            let taken: Vec<_> = (0..4).map(|_| pool.take(ctx)).collect();
+            assert_eq!(pool.fly_registrations(), 1);
+            for _ in 0..5 {
+                pool.recycle(vec![0; 64]);
+            }
+            assert_eq!((spare(&pool), pool.outstanding()), (4, 4));
+            for buf in taken {
+                pool.put(buf);
+            }
+        });
+        sim.run();
+    }
+
+    #[test]
     fn send_window_blocks_only_when_oldest_incomplete() {
         let sim = Simulation::new();
         sim.spawn("worker", |ctx| {
-            let mut w = SendWindow::new(2, Validator::new());
+            let mut w = SendWindow::<2>::new(Validator::new());
+            let completed = |ctx: &SimCtx| {
+                let (handle, complete) = SendHandle::for_test();
+                complete(ctx);
+                handle
+            };
             // Two already-completed sends: admit must not block.
             for _ in 0..2 {
                 w.admit(ctx).unwrap();
-                let ev = SimEvent::new();
-                ev.set(ctx);
-                w.record(SendHandle::for_test(ev));
+                w.record(completed(ctx));
             }
             assert_eq!(w.stall_seconds(), 0.0);
             // An incomplete send two slots back: admit blocks until set.
-            let pending = SimEvent::new();
+            let (pending, complete) = SendHandle::for_test();
             w.admit(ctx).unwrap();
-            w.record(SendHandle::for_test(Arc::clone(&pending)));
-            let setter_target = Arc::clone(&pending);
+            w.record(pending);
             ctx.spawn("completer", move |ctx| {
                 ctx.advance(SimDuration::from_millis(5));
-                setter_target.set(ctx);
+                complete(ctx);
             });
             w.admit(ctx).unwrap(); // free slot (second of depth 2): no block
-            let done = SimEvent::new();
-            done.set(ctx);
-            w.record(SendHandle::for_test(done));
+            w.record(completed(ctx));
             w.admit(ctx).unwrap(); // must wait for `pending`
-            let ev = SimEvent::new();
-            ev.set(ctx);
-            w.record(SendHandle::for_test(ev));
+            w.record(completed(ctx));
             assert!((w.stall_seconds() - 5e-3).abs() < 1e-9);
             w.drain(ctx).unwrap();
         });

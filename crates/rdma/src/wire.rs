@@ -40,7 +40,7 @@ use rsj_sim::{SimCtx, SimDuration, SimSemaphore, SimTime};
 use crate::config::{HostId, QueryId};
 use crate::fabric::{Fabric, Spawner};
 use crate::fault::{capped_backoff, FaultPlan, WcStatus};
-use crate::nic::{Completion, Nic, WorkCompletion};
+use crate::nic::{Completion, Nic, Wc};
 
 pub(crate) enum MsgKind {
     TwoSided {
@@ -56,11 +56,11 @@ pub(crate) enum MsgKind {
         mr: usize,
         offset: usize,
         len: usize,
-        reply: Arc<WorkCompletion>,
+        reply: Wc,
     },
     /// The data leg of an RDMA READ, travelling back to the initiator.
     ReadResponse {
-        reply: Arc<WorkCompletion>,
+        reply: Wc,
     },
 }
 
@@ -78,7 +78,7 @@ pub(crate) struct Message {
     arrival: SimTime,
     /// Fired when the sender may reuse the buffer (send completion / ack),
     /// with the completion status alongside.
-    pub(crate) completion: Option<Arc<WorkCompletion>>,
+    pub(crate) completion: Option<Wc>,
     /// Released on delivery; backs TCP-style windowed flow control.
     pub(crate) window: Option<Arc<SimSemaphore>>,
 }

@@ -13,7 +13,7 @@ use rsj_rdma::{
     BufferPool, Fabric, FabricConfig, HostId, NicCosts, QueryId, RemoteMr, SendHandle, SendWindow,
     Validator, Violation,
 };
-use rsj_sim::{SimDuration, SimEvent, Simulation};
+use rsj_sim::{SimDuration, Simulation};
 
 /// A launched two-host fabric, ready for misuse.
 fn two_hosts(cfg: FabricConfig) -> (Simulation, Arc<Fabric>) {
@@ -243,9 +243,9 @@ fn repost_before_completion_is_detected() {
     let validator = Validator::new();
     let v = Arc::clone(&validator);
     let vs = violations_of(&validator, move || {
-        let mut window = SendWindow::new(1, v);
-        window.record(SendHandle::for_test(SimEvent::new()));
-        window.record(SendHandle::for_test(SimEvent::new()));
+        let mut window = SendWindow::<1>::new(v);
+        window.record(SendHandle::for_test().0);
+        window.record(SendHandle::for_test().0);
     });
     assert!(
         matches!(
@@ -258,8 +258,8 @@ fn repost_before_completion_is_detected() {
     // distinct violation.
     let v = Arc::clone(&validator);
     let vs = violations_of(&validator, move || {
-        let mut window = SendWindow::new(1, v);
-        window.record(SendHandle::for_test(SimEvent::new()));
+        let mut window = SendWindow::<1>::new(v);
+        window.record(SendHandle::for_test().0);
         drop(window);
     });
     assert!(
@@ -463,7 +463,7 @@ proptest! {
                     }
                     ctx.advance(SimDuration::from_micros(10));
                 };
-                let mut window = SendWindow::new(2, Arc::clone(nic.validator()));
+                let mut window = SendWindow::<2>::new(Arc::clone(nic.validator()));
                 for i in 0..msgs {
                     window.admit(ctx).unwrap();
                     let ev = nic.post_send(ctx, HostId(1), i as u32, vec![0u8; msg_size]);

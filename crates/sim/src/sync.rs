@@ -303,25 +303,49 @@ pub struct SimEvent {
 
 struct EventState {
     set: bool,
-    waiters: Vec<TaskId>,
+    /// The first parked waiter, inline: a completion has one poster, so
+    /// its first park allocates nothing.
+    first: Option<TaskId>,
+    /// Waiters after the first, in arrival order.
+    more: Vec<TaskId>,
+}
+
+/// An un-fired event by value, for a struct that embeds its event (a
+/// recycled completion cell) instead of sharing it.
+impl Default for SimEvent {
+    fn default() -> SimEvent {
+        SimEvent {
+            inner: RefCell::new(EventState {
+                set: false,
+                first: None,
+                more: Vec::new(),
+            }),
+        }
+    }
 }
 
 impl SimEvent {
     /// A fresh, un-fired event.
     pub fn new() -> Arc<SimEvent> {
-        Arc::new(SimEvent {
-            inner: RefCell::new(EventState {
-                set: false,
-                waiters: Vec::new(),
-            }),
-        })
+        Arc::new(SimEvent::default())
+    }
+
+    /// Un-fire the event so its owner can reuse it. Nobody may be parked
+    /// on it: an owner resets only an event no handle refers to any more.
+    pub fn reset(&self) {
+        let mut st = self.inner.borrow_mut();
+        assert!(
+            st.first.is_none() && st.more.is_empty(),
+            "reset of an event with parked waiters"
+        );
+        st.set = false;
     }
 
     /// Fire the event, waking all waiters. Idempotent.
     pub fn set(&self, ctx: &SimCtx) {
         let mut st = self.inner.borrow_mut();
         st.set = true;
-        for w in st.waiters.drain(..) {
+        for w in st.first.take().into_iter().chain(st.more.drain(..)) {
             ctx.unpark(w);
         }
     }
@@ -339,7 +363,10 @@ impl SimEvent {
                 if st.set {
                     return;
                 }
-                st.waiters.push(ctx.id());
+                match st.first {
+                    None => st.first = Some(ctx.id()),
+                    Some(_) => st.more.push(ctx.id()),
+                }
             }
             ctx.park();
         }
@@ -351,6 +378,7 @@ mod tests {
     use super::*;
     use crate::kernel::Simulation;
     use crate::time::SimDuration;
+    use std::cell::Cell;
     use std::rc::Rc;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -468,6 +496,33 @@ mod tests {
         }
         sim.run();
         assert_eq!(max_end.load(Ordering::SeqCst), 20_000_000);
+    }
+
+    #[test]
+    fn a_reset_event_parks_its_next_waiter_until_set_again() {
+        let sim = Simulation::new();
+        let ev = Rc::new(SimEvent::default());
+        let woke = Rc::new(Cell::new(0u64));
+        {
+            let (ev, woke) = (Rc::clone(&ev), Rc::clone(&woke));
+            sim.spawn("owner", move |ctx| {
+                ev.set(ctx);
+                ev.wait(ctx);
+                ev.reset();
+                assert!(!ev.is_set());
+                ev.wait(ctx);
+                woke.set(ctx.now().as_nanos());
+            });
+        }
+        {
+            let ev = Rc::clone(&ev);
+            sim.spawn("setter", move |ctx| {
+                ctx.advance(SimDuration::from_millis(2));
+                ev.set(ctx);
+            });
+        }
+        sim.run();
+        assert_eq!(woke.get(), 2_000_000);
     }
 
     #[test]
