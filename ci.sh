@@ -97,3 +97,9 @@ cmp target/service_short.txt golden/service_short.txt
 timeout 300 cargo run --release -q -p rsj-bench --bin chaos -- --soak --short \
     > target/chaos_soak_short.txt
 cmp target/chaos_soak_short.txt golden/chaos_soak_short.txt
+# The one-sided probe plane: no sweep unit runs it, so the transport
+# shootout's stdout (a few seconds; RDMA READ probes at three probe skews)
+# pins its virtual time and wire MB. When the shootout joins the sweep's
+# units, the sweep gates it and this golden goes.
+cargo run --release -q --example transport_shootout > target/transport_shootout.txt
+cmp target/transport_shootout.txt golden/transport_shootout.txt

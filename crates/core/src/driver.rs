@@ -173,7 +173,7 @@ impl<T: Tuple> QueryJob for DistJoinJob<T> {
                 tx_bytes: stats.tx_bytes,
                 rx_bytes: stats.rx_bytes,
                 send_stall_seconds: mach.stall_seconds.get(),
-                registered_bytes: nic.mrs.registered_bytes(),
+                registered_bytes: mach.registered_bytes.get(),
                 fly_registrations: shared.pools[i].fly_registrations(),
                 cpu_busy_seconds: mach.cpu_busy_seconds.get(),
             });
@@ -295,7 +295,8 @@ fn worker_two_sided<T: Tuple>(
 /// partition (R only) → publish bucket tables (under the
 /// `local_partition` barrier) → RDMA-READ probe. Published regions stay
 /// open until the probe barrier proves every READ has completed; core 0
-/// then closes the epoch so the validator audits any straggler.
+/// then closes the epoch and deregisters them, so the validator flags
+/// any straggler and a retired query leaves no region registered.
 fn worker_one_sided<T: Tuple>(
     ctx: &SimCtx,
     rt: &Runtime,
@@ -320,8 +321,10 @@ fn worker_one_sided<T: Tuple>(
         .set(sh.machines[mach].cpu_busy_seconds.get() + meter.total_seconds());
     rt.try_sync_named(ctx, phase::ONE_SIDED_PROBE, mach)?;
     if core == 0 {
-        for mr in sh.machines[mach].published_tables.borrow().iter() {
+        let nic = sh.fabric.nic(HostId(mach));
+        for mr in sh.machines[mach].published_tables.take().iter().flatten() {
             mr.unpublish();
+            nic.mrs.deregister(mr);
         }
     }
     Ok(())

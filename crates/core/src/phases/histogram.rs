@@ -92,6 +92,8 @@ pub(crate) fn phase_histogram<T: Tuple>(
                 .unwrap_or(0);
             if max_part_bytes > 0 {
                 let mr = nic.mrs.register(ctx, max_part_bytes);
+                st.registered_bytes
+                    .set(st.registered_bytes.get() + mr.len() as u64);
                 sh.scratch_mrs.borrow_mut()[mach] = Some(mr.remote_handle());
             }
         }

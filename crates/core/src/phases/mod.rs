@@ -123,16 +123,19 @@ pub(crate) struct MachineState<T> {
     /// Bytes currently being pulled *out* of this machine by thieves
     /// (their reads serialize on our egress link).
     pub(crate) steal_outstanding_bytes: Cell<usize>,
-    /// One-sided dataplane, owner side: the registered regions holding
-    /// this machine's published bucket tables (unpublished by core 0
-    /// after the probe barrier).
-    pub(crate) published_tables: RefCell<Vec<Arc<rsj_rdma::Mr>>>,
-    /// One-sided dataplane, owner side: partition → encoded region bytes,
-    /// kept so this machine's own probes skip the loopback READ.
-    pub(crate) owned_table_bytes: RefCell<HashMap<usize, Arc<Vec<u8>>>>,
-    /// One-sided dataplane, probe side: partition → decoded directory,
+    /// Bytes this query registered on this machine's NIC (work-sharing
+    /// scratch, published bucket tables). Lanes of a query service share
+    /// their host's region table, so its running total is not this.
+    pub(crate) registered_bytes: Cell<u64>,
+    /// One-sided dataplane, owner side: partition → the registered region
+    /// holding this machine's published bucket table. The owner's own
+    /// probes read it in place, with no loopback READ; core 0 unpublishes
+    /// and deregisters every one after the probe barrier.
+    pub(crate) published_tables: RefCell<Vec<Option<Arc<rsj_rdma::Mr>>>>,
+    /// One-sided dataplane: partition → decoded directory, decoded from
+    /// the owner's own region at publish or, for a remote partition,
     /// fetched once per machine by core 0 before probing starts.
-    pub(crate) dir_cache: RefCell<HashMap<usize, Arc<rsj_joins::RemoteDirectory>>>,
+    pub(crate) dirs: RefCell<Vec<Option<Arc<rsj_joins::RemoteDirectory>>>>,
 }
 
 impl<T: Tuple> MachineState<T> {
@@ -160,9 +163,9 @@ impl<T: Tuple> MachineState<T> {
             next_lp_emit: Cell::new(0),
             bp_queued_bytes: Cell::new(0),
             steal_outstanding_bytes: Cell::new(0),
-            published_tables: RefCell::new(Vec::new()),
-            owned_table_bytes: RefCell::new(HashMap::new()),
-            dir_cache: RefCell::new(HashMap::new()),
+            registered_bytes: Cell::new(0),
+            published_tables: RefCell::new(vec![None; 1 << b1]),
+            dirs: RefCell::new(vec![None; 1 << b1]),
         }
     }
 }

@@ -22,22 +22,22 @@
 //! No receiver CPU is consumed anywhere in the probe hot path — the
 //! owner's cores are themselves probing while their tables are read.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 use rsj_cluster::{phase, ranges, JoinError, Meter, TagError};
 use rsj_joins::{
-    decode_bucket, encode_remote_table, partition_of, remote_dir_len, remote_nbuckets,
+    bucket_entries, encode_remote_table, partition_of, remote_dir_len, remote_nbuckets,
     RemoteDirectory, TornRead,
 };
-use rsj_rdma::{HostId, Nic, RemoteMr};
+use rsj_rdma::{HostId, Mr, Nic, RemoteMr};
 use rsj_sim::SimCtx;
 use rsj_workload::{JoinResult, Tuple};
 
 use crate::config::MaterializeMode;
 use crate::histogram::{REL_R, REL_S};
 use crate::phases::{assemble_checked, barrier_wait, ClusterShared};
+use crate::DistJoinConfig;
 
 /// READ retries a torn bucket gets before the probe gives up. A healthy
 /// publisher clears the odd version in bounded time, so exhausting this
@@ -94,10 +94,16 @@ pub(crate) fn phase_publish_tables<T: Tuple>(
         meter.flush(ctx);
         let mr = nic.mrs.register(ctx, bytes.len());
         mr.fill(0, &bytes);
+        st.registered_bytes
+            .set(st.registered_bytes.get() + mr.len() as u64);
         let handle = mr.publish();
         sh.table_registry.borrow_mut().insert(p, handle);
-        st.owned_table_bytes.borrow_mut().insert(p, Arc::new(bytes));
-        st.published_tables.borrow_mut().push(mr);
+        // The owner probes its own region in place: decode the directory
+        // once, here, rather than per probe group.
+        // lint: allow-mr-access(the owner reads its own region through its own mapping, as fill writes it)
+        let dir = mr.with_data(RemoteDirectory::decode);
+        st.dirs.borrow_mut()[p] = Some(Arc::new(dir));
+        st.published_tables.borrow_mut()[p] = Some(mr);
     }
     meter.flush(ctx);
     Ok(())
@@ -108,10 +114,11 @@ pub(crate) fn phase_publish_tables<T: Tuple>(
 /// 1. core 0 prefetches the directories of every remote partition this
 ///    machine's S chunk touches (known from its own histogram — no data
 ///    scan), in doorbell-batched READ chains;
-/// 2. after a local barrier, every core partitions its slice of the
-///    local S chunk, then probes: owned partitions against the owner's
-///    local region bytes, remote partitions via coalesced,
-///    doorbell-batched bucket READs with seqlock torn-read retry.
+/// 2. after a local barrier, every core counting-sorts its slice of the
+///    local S chunk by partition, then probes each partition's group:
+///    owned partitions in place in the owner's own region, remote ones
+///    via coalesced, doorbell-batched bucket READs with seqlock torn-read
+///    retry ([`ProbeScratch`]).
 pub(crate) fn phase_one_sided_probe<T: Tuple>(
     ctx: &SimCtx,
     sh: &ClusterShared<T>,
@@ -165,9 +172,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
                     .wait(ctx)
                     .map_err(|e| JoinError::fabric(mach, phase::ONE_SIDED_PROBE, e))?;
                 meter.charge_bytes(ctx, bytes.len(), cost.memcpy_rate);
-                st.dir_cache
-                    .borrow_mut()
-                    .insert(p, Arc::new(RemoteDirectory::decode(&bytes)));
+                st.dirs.borrow_mut()[p] = Some(Arc::new(RemoteDirectory::decode(&bytes)));
             }
         }
         meter.flush(ctx);
@@ -179,102 +184,24 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
     let range = ranges(st.s_chunk.len(), cores)[core].clone();
     let slice = &st.s_chunk[range];
     meter.charge_bytes(ctx, slice.len() * T::SIZE, cost.partition_rate);
-    let mut groups: Vec<Vec<T>> = (0..np1).map(|_| Vec::new()).collect();
-    for t in slice {
-        groups[partition_of(t.key(), 0, b1)].push(*t);
-    }
+    let mut scratch = ProbeScratch::new(cfg, slice, b1);
 
-    let mut local = JoinResult::default();
-    let mut local_bytes = 0u64;
-    for (p, group) in groups.iter().enumerate() {
+    for p in 0..np1 {
+        let group = scratch.group(p);
         if group.is_empty() {
             continue;
         }
-        if st.landing.owns(p) {
-            // Owner-local probe: straight out of the region bytes we
-            // published — no loopback READ.
-            let bytes = Arc::clone(
-                st.owned_table_bytes
+        let dir = Arc::clone(st.dirs.borrow()[p].as_ref().expect("directory known"));
+        let owned = st.published_tables.borrow()[p].clone();
+        match owned {
+            Some(mr) => scratch.probe_owned(ctx, meter, &mr, &dir, group.clone()),
+            None => {
+                let remote = *sh
+                    .table_registry
                     .borrow()
                     .get(&p)
-                    .expect("owned table missing"),
-            );
-            let dir = RemoteDirectory::decode(&bytes);
-            for t in group {
-                let b = dir.bucket_of(t.key());
-                let bucket: Vec<T> = decode_bucket(&bytes[dir.bucket_range(b)])
-                    .expect("owner's stable table cannot read torn");
-                probe_bucket(ctx, meter, cfg, &bucket, t, &mut local, &mut local_bytes);
-            }
-        } else {
-            let dir = Arc::clone(st.dir_cache.borrow().get(&p).expect("directory prefetched"));
-            let remote = *sh
-                .table_registry
-                .borrow()
-                .get(&p)
-                .expect("bucket table not published");
-            let mut buckets: Vec<usize> = group.iter().map(|t| dir.bucket_of(t.key())).collect();
-            buckets.sort_unstable();
-            buckets.dedup();
-            // Coalesce adjacent bucket extents while the merged span fits
-            // one inline fetch.
-            let mut spans: Vec<(Range<usize>, Vec<usize>)> = Vec::new();
-            for &b in &buckets {
-                let r = dir.bucket_range(b);
-                match spans.last_mut() {
-                    Some((span, ids))
-                        if span.end == r.start && r.end - span.start <= ONE_SIDED_MTU =>
-                    {
-                        span.end = r.end;
-                        ids.push(b);
-                    }
-                    _ => spans.push((r, vec![b])),
-                }
-            }
-            let mut fetched: HashMap<usize, Vec<T>> = HashMap::new();
-            for chunk in spans.chunks(READ_DOORBELL) {
-                let reads: Vec<(RemoteMr, usize, usize)> = chunk
-                    .iter()
-                    .map(|(r, _)| (remote, r.start, r.len()))
-                    .collect();
-                meter.flush(ctx);
-                let handles = nic.post_read_batch(ctx, &reads);
-                for ((span, ids), h) in chunk.iter().zip(handles) {
-                    let bytes = h
-                        .wait(ctx)
-                        .map_err(|e| JoinError::fabric(mach, phase::ONE_SIDED_PROBE, e))?;
-                    meter.charge_bytes(ctx, bytes.len(), cost.memcpy_rate);
-                    for &b in ids {
-                        let r = dir.bucket_range(b);
-                        let entries = match decode_bucket::<T>(
-                            &bytes[r.start - span.start..r.end - span.start],
-                        ) {
-                            Ok(entries) => entries,
-                            Err(TornRead) => fetch_bucket_retry(
-                                ctx,
-                                &nic,
-                                meter,
-                                cost.memcpy_rate,
-                                mach,
-                                remote,
-                                r,
-                            )?,
-                        };
-                        fetched.insert(b, entries);
-                    }
-                }
-            }
-            for t in group {
-                let b = dir.bucket_of(t.key());
-                probe_bucket(
-                    ctx,
-                    meter,
-                    cfg,
-                    &fetched[&b],
-                    t,
-                    &mut local,
-                    &mut local_bytes,
-                );
+                    .expect("bucket table not published");
+                scratch.probe_remote(ctx, &nic, meter, mach, &dir, remote, group.clone())?;
             }
         }
         // One table per partition: one probe pass over the group (§4.3's
@@ -282,29 +209,213 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
         meter.charge_bytes(ctx, group.len() * T::SIZE, cost.probe_rate);
     }
     meter.flush(ctx);
-    if local_bytes > 0 {
+    if scratch.local_bytes > 0 {
         st.result_bytes_local
-            .set(st.result_bytes_local.get() + local_bytes);
+            .set(st.result_bytes_local.get() + scratch.local_bytes);
     }
-    st.result.borrow_mut().merge(local);
+    st.result.borrow_mut().merge(scratch.result);
     Ok(())
 }
 
-/// Probe one tuple against a decoded bucket, counting matches and — in
-/// [`MaterializeMode::Local`] runs — charging and counting the 16-byte
-/// `<r.rid, s.rid>` pair written to the local output buffer.
+/// One core's probe state, built once per probe stage and reused by every
+/// probe group, so a group, a fetched bucket and a probed tuple allocate
+/// nothing once its buffers have grown.
+struct ProbeScratch<'a, T> {
+    cfg: &'a DistJoinConfig,
+    /// The core's S slice, counting-sorted by partition (stable: slice
+    /// order within a partition).
+    sorted: Vec<T>,
+    /// `bounds[p]..bounds[p + 1]` is partition p's group in `sorted`.
+    bounds: Vec<usize>,
+    /// The distinct buckets a remote group probes, ascending.
+    buckets: Vec<usize>,
+    /// Coalesced READs: a region byte span and the index range of the
+    /// `buckets` it covers.
+    spans: Vec<(Range<usize>, Range<usize>)>,
+    /// One doorbell chain's `(region, offset, len)` READs.
+    reads: Vec<(RemoteMr, usize, usize)>,
+    /// The entry bytes of every fetched bucket, back to back.
+    arena: Vec<u8>,
+    /// `extents[i]` is the `arena` range of `buckets[i]`'s entries.
+    extents: Vec<Range<usize>>,
+    result: JoinResult,
+    /// Result pair bytes written to the local output buffer.
+    local_bytes: u64,
+}
+
+impl<'a, T: Tuple> ProbeScratch<'a, T> {
+    /// The scratch of a core whose S slice is `slice`, counting-sorted
+    /// into per-partition groups on `b1` radix bits.
+    fn new(cfg: &'a DistJoinConfig, slice: &[T], b1: u32) -> ProbeScratch<'a, T> {
+        let np1 = 1usize << b1;
+        // Count into `bounds[p + 1]` and prefix-sum, so `bounds[p]` is
+        // partition p's first slot; then scatter through a copy of those
+        // cursors.
+        let mut bounds = vec![0usize; np1 + 1];
+        for t in slice {
+            bounds[partition_of(t.key(), 0, b1) + 1] += 1;
+        }
+        for p in 0..np1 {
+            bounds[p + 1] += bounds[p];
+        }
+        let mut cursors = bounds[..np1].to_vec();
+        let mut sorted = slice.to_vec();
+        for t in slice {
+            let cursor = &mut cursors[partition_of(t.key(), 0, b1)];
+            sorted[*cursor] = *t;
+            *cursor += 1;
+        }
+        ProbeScratch {
+            cfg,
+            sorted,
+            bounds,
+            buckets: Vec::new(),
+            spans: Vec::new(),
+            reads: Vec::new(),
+            arena: Vec::new(),
+            extents: Vec::new(),
+            result: JoinResult::default(),
+            local_bytes: 0,
+        }
+    }
+
+    /// Partition p's probe group, as a range of `sorted`.
+    fn group(&self, p: usize) -> Range<usize> {
+        self.bounds[p]..self.bounds[p + 1]
+    }
+
+    /// Probe an owned partition's group in place in the owner's own
+    /// published region — no loopback READ, no copy.
+    fn probe_owned(
+        &mut self,
+        ctx: &SimCtx,
+        meter: &mut Meter,
+        mr: &Mr,
+        dir: &RemoteDirectory,
+        group: Range<usize>,
+    ) {
+        // lint: allow-mr-access(the owner probes its own region through its own mapping; no HCA involved)
+        mr.with_data(|region| {
+            for t in &self.sorted[group] {
+                let bucket = &region[dir.bucket_range(dir.bucket_of(t.key()))];
+                let entries =
+                    bucket_entries::<T>(bucket).expect("owner's stable table cannot read torn");
+                probe_entries(
+                    ctx,
+                    meter,
+                    self.cfg,
+                    entries,
+                    t,
+                    &mut self.result,
+                    &mut self.local_bytes,
+                );
+            }
+        });
+    }
+
+    /// Probe a remote partition's group: fetch each distinct bucket once,
+    /// adjacent extents coalesced up to [`ONE_SIDED_MTU`] per READ and
+    /// [`READ_DOORBELL`] READs per doorbell chain, into the arena; then
+    /// probe every tuple against its bucket's entries there.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_remote(
+        &mut self,
+        ctx: &SimCtx,
+        nic: &Nic,
+        meter: &mut Meter,
+        mach: usize,
+        dir: &RemoteDirectory,
+        remote: RemoteMr,
+        group: Range<usize>,
+    ) -> Result<(), JoinError> {
+        let memcpy_rate = self.cfg.cluster.cost.memcpy_rate;
+        let group = &self.sorted[group];
+        self.buckets.clear();
+        self.buckets
+            .extend(group.iter().map(|t| dir.bucket_of(t.key())));
+        self.buckets.sort_unstable();
+        self.buckets.dedup();
+        // Coalesce adjacent bucket extents while the merged span fits one
+        // inline fetch.
+        self.spans.clear();
+        for (i, &b) in self.buckets.iter().enumerate() {
+            let r = dir.bucket_range(b);
+            match self.spans.last_mut() {
+                Some((span, ids)) if span.end == r.start && r.end - span.start <= ONE_SIDED_MTU => {
+                    span.end = r.end;
+                    ids.end = i + 1;
+                }
+                _ => self.spans.push((r, i..i + 1)),
+            }
+        }
+        self.arena.clear();
+        self.extents.clear();
+        for chunk in self.spans.chunks(READ_DOORBELL) {
+            self.reads.clear();
+            self.reads
+                .extend(chunk.iter().map(|(r, _)| (remote, r.start, r.len())));
+            meter.flush(ctx);
+            let handles = nic.post_read_batch(ctx, &self.reads);
+            for ((span, ids), h) in chunk.iter().zip(handles) {
+                let bytes = h
+                    .wait(ctx)
+                    .map_err(|e| JoinError::fabric(mach, phase::ONE_SIDED_PROBE, e))?;
+                meter.charge_bytes(ctx, bytes.len(), memcpy_rate);
+                for &b in &self.buckets[ids.clone()] {
+                    let r = dir.bucket_range(b);
+                    let start = self.arena.len();
+                    match bucket_entries::<T>(&bytes[r.start - span.start..r.end - span.start]) {
+                        Ok(entries) => self.arena.extend_from_slice(entries),
+                        Err(TornRead) => fetch_bucket_retry::<T>(
+                            ctx,
+                            nic,
+                            meter,
+                            memcpy_rate,
+                            mach,
+                            remote,
+                            r,
+                            &mut self.arena,
+                        )?,
+                    }
+                    self.extents.push(start..self.arena.len());
+                }
+            }
+        }
+        for t in group {
+            let i = self
+                .buckets
+                .binary_search(&dir.bucket_of(t.key()))
+                .expect("every probed bucket was fetched");
+            probe_entries(
+                ctx,
+                meter,
+                self.cfg,
+                &self.arena[self.extents[i].clone()],
+                t,
+                &mut self.result,
+                &mut self.local_bytes,
+            );
+        }
+        Ok(())
+    }
+}
+
+/// Probe one tuple against a bucket's entry bytes in place, counting
+/// matches and — in [`MaterializeMode::Local`] runs — charging and
+/// counting the 16-byte `<r.rid, s.rid>` pair written to the local
+/// output buffer.
 #[inline]
-fn probe_bucket<T: Tuple>(
+fn probe_entries<T: Tuple>(
     ctx: &SimCtx,
     meter: &mut Meter,
-    cfg: &crate::DistJoinConfig,
-    bucket: &[T],
+    cfg: &DistJoinConfig,
+    entries: &[u8],
     t: &T,
     local: &mut JoinResult,
     local_bytes: &mut u64,
 ) {
-    for e in bucket {
-        if e.key() == t.key() {
+    for e in entries.chunks_exact(T::SIZE) {
+        if T::read_from(e).key() == t.key() {
             local.add_match(t.key());
             if cfg.materialize == MaterializeMode::Local {
                 meter.charge_bytes(ctx, 16, cfg.cluster.cost.memcpy_rate);
@@ -315,10 +426,12 @@ fn probe_bucket<T: Tuple>(
 }
 
 /// Re-READ a bucket whose snapshot decoded as torn, up to
-/// [`TORN_RETRY_CAP`] times. Exhausting the budget surfaces as a
+/// [`TORN_RETRY_CAP`] times, and append the stable snapshot's entry
+/// bytes to `into`. Exhausting the budget surfaces as a
 /// [`JoinError::Decode`] — the `?` in the probe loop then poisons the
 /// run's barriers exactly like a fabric failure, so no peer machine is
 /// left parked on the `one_sided_probe` barrier.
+#[allow(clippy::too_many_arguments)]
 fn fetch_bucket_retry<T: Tuple>(
     ctx: &SimCtx,
     nic: &Nic,
@@ -327,7 +440,8 @@ fn fetch_bucket_retry<T: Tuple>(
     mach: usize,
     remote: RemoteMr,
     range: Range<usize>,
-) -> Result<Vec<T>, JoinError> {
+    into: &mut Vec<u8>,
+) -> Result<(), JoinError> {
     for _ in 0..TORN_RETRY_CAP {
         meter.flush(ctx);
         let bytes = nic
@@ -335,8 +449,11 @@ fn fetch_bucket_retry<T: Tuple>(
             .wait(ctx)
             .map_err(|e| JoinError::fabric(mach, phase::ONE_SIDED_PROBE, e))?;
         meter.charge_bytes(ctx, bytes.len(), memcpy_rate);
-        match decode_bucket(&bytes) {
-            Ok(entries) => return Ok(entries),
+        match bucket_entries::<T>(&bytes) {
+            Ok(entries) => {
+                into.extend_from_slice(entries);
+                return Ok(());
+            }
             Err(TornRead) => continue,
         }
     }
@@ -353,7 +470,7 @@ mod tests {
     use rsj_joins::begin_bucket_mutation;
     use rsj_rdma::{Fabric, FabricConfig, NicCosts};
     use rsj_sim::{SimDuration, Simulation};
-    use rsj_workload::Tuple16;
+    use rsj_workload::{decode_all, Tuple16};
     use std::cell::RefCell;
 
     /// 64 R tuples whose keys cover several buckets; the probe target is
@@ -398,8 +515,18 @@ mod tests {
                 let nic = fabric.nic(HostId(0));
                 let mut meter = Meter::new();
                 let start = ctx.now();
-                let got =
-                    fetch_bucket_retry::<Tuple16>(ctx, &nic, &mut meter, 1e9, 0, remote, range);
+                let mut entries = Vec::new();
+                let got = fetch_bucket_retry::<Tuple16>(
+                    ctx,
+                    &nic,
+                    &mut meter,
+                    1e9,
+                    0,
+                    remote,
+                    range,
+                    &mut entries,
+                )
+                .map(|()| decode_all(&entries));
                 *out.borrow_mut() = Some((got, ctx.now() - start));
                 fabric.shutdown(ctx);
             });

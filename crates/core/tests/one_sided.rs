@@ -6,13 +6,17 @@
 //! query service, and survive seeded fault schedules with either the
 //! exact fault-free result or a structured abort.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use rsj_cluster::{ClusterSpec, HealingConfig, JoinRequest, QueryService, ServiceConfig};
+use rsj_cluster::{
+    ClusterSpec, HealingConfig, JoinRequest, QueryJob, QueryService, Runtime, ServiceConfig,
+};
 use rsj_core::{
     try_run_distributed_join, DistJoinConfig, DistJoinJob, DistJoinOutcome, JoinError,
     MaterializeMode, Transport,
 };
-use rsj_rdma::FaultPlan;
+use rsj_rdma::{FaultPlan, HostId};
 use rsj_workload::{generate_inner, generate_outer, ExpectedResult, Relation, Skew, Tuple16};
 
 const MACHINES: usize = 3;
@@ -173,6 +177,53 @@ fn one_sided_through_service_is_byte_identical_to_direct() {
     }
 }
 
+/// Each query of a service reports the bytes *it* registered, not its
+/// host's running total: lanes share their host's region table, and a
+/// retired query deregisters its tables. Three identical one-sided
+/// queries through one service each report what the direct run does.
+#[test]
+fn each_service_query_reports_its_own_registered_bytes() {
+    let cfg = config(Transport::OneSided);
+    let (r, s, _) = workload(Skew::None);
+    let direct = try_run_distributed_join(cfg.clone(), r, s).expect("direct run");
+    assert!(direct.machines.iter().all(|m| m.registered_bytes > 0));
+
+    let jobs: Vec<_> = (0..3)
+        .map(|_| {
+            let (r, s, _) = workload(Skew::None);
+            DistJoinJob::new(cfg.clone(), r, s)
+        })
+        .collect();
+    let service_cfg = ServiceConfig {
+        hosts: MACHINES,
+        cores: cfg.cluster.cores_per_machine,
+        fabric: cfg.fabric_config(),
+        nic: cfg.cluster.cost.nic,
+        fault_plan: None,
+        max_concurrent: 1,
+        pool_budget_bytes: 1 << 30,
+        healing: HealingConfig::default(),
+    };
+    let requests = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| JoinRequest {
+            label: format!("one-sided-{i}"),
+            id: None,
+            placement: None,
+            job: job.clone(),
+        })
+        .collect();
+    let report = QueryService::run(&service_cfg, requests);
+    assert_eq!(report.aborted, 0);
+    for (i, job) in jobs.iter().enumerate() {
+        let served = job.take_outcome().expect("service run finished the job");
+        let got: Vec<u64> = served.machines.iter().map(|m| m.registered_bytes).collect();
+        let want: Vec<u64> = direct.machines.iter().map(|m| m.registered_bytes).collect();
+        assert_eq!(got, want, "query {i} registered bytes");
+    }
+}
+
 fn one_sided_run(plan: FaultPlan) -> Result<DistJoinOutcome, JoinError> {
     let mut cfg = config(Transport::OneSided);
     cfg.fault_plan = Some(plan);
@@ -246,4 +297,83 @@ proptest! {
             ),
         }
     }
+}
+
+/// Inputs of the virtual-time pin: a 4-machine QDR rack, large enough that
+/// a remote group spans several coalesced READs and doorbell chains.
+const PIN_MACHINES: usize = 4;
+const PIN_N_R: u64 = 40_000;
+const PIN_N_S: u64 = 120_000;
+
+/// The pinned values: `(phases, per-host NicStats)` of the uniform and
+/// the Zipf 1.25 probe.
+const PIN_UNIFORM_PHASES: [u64; 4] = [58_059, 292_626, 34_536, 86_287_990];
+const PIN_UNIFORM_NICS: [[u64; 6]; 4] = [
+    [27_637, 1_237_532, 27_637, 1_237_808, 66_647_853, 66_647_853],
+    [27_629, 1_236_564, 27_629, 1_237_976, 66_628_581, 66_628_581],
+    [27_905, 1_249_988, 27_905, 1_241_212, 67_293_465, 67_293_465],
+    [27_681, 1_232_372, 27_681, 1_239_460, 66_753_849, 66_753_849],
+];
+const PIN_ZIPF_PHASES: [u64; 4] = [58_059, 292_626, 34_536, 20_332_377];
+const PIN_ZIPF_NICS: [[u64; 6]; 4] = [
+    [7_026, 646_552, 7_026, 644_220, 16_995_954, 16_995_954],
+    [7_011, 641_432, 7_011, 645_660, 16_959_819, 16_959_819],
+    [7_033, 647_852, 7_033, 643_360, 17_012_817, 17_012_817],
+    [7_076, 643_888, 7_076, 646_484, 17_116_404, 17_116_404],
+];
+
+/// Per-phase virtual nanoseconds (histogram, network partition, publish,
+/// probe) and per-host `[tx_msgs, tx_bytes, rx_msgs, rx_bytes, tx_busy_ns,
+/// rx_busy_ns]` of one direct one-sided join.
+fn pinned_run(skew: Skew) -> ([u64; 4], Vec<[u64; 6]>) {
+    let r = generate_inner::<Tuple16>(PIN_N_R, PIN_MACHINES, 9201);
+    let (s, oracle) = generate_outer::<Tuple16>(PIN_N_S, PIN_N_R, PIN_MACHINES, skew, 9202);
+    let mut cfg = DistJoinConfig::new(ClusterSpec::qdr_cluster(PIN_MACHINES));
+    cfg.cluster.cores_per_machine = 3;
+    cfg.radix_bits = (5, 3);
+    cfg.probe_transport = Transport::OneSided;
+    let cores = cfg.cluster.cores_per_machine;
+    let rt = Runtime::new(
+        PIN_MACHINES,
+        cores,
+        cfg.fabric_config(),
+        cfg.cluster.cost.nic,
+    );
+    let job = DistJoinJob::new(cfg, r, s);
+    job.attach(&rt);
+    let worker = Arc::clone(&job);
+    let run = rt
+        .try_run(move |ctx, rt, mach, core| worker.run_worker(ctx, rt, mach, core))
+        .expect("fault-free one-sided join");
+    job.finish(&rt, &run);
+    let out = job.take_outcome().expect("finished job has an outcome");
+    oracle.verify(&out.result);
+    let phases = out.phases.rows().map(|(_, d)| d.as_nanos());
+    let nics = (0..PIN_MACHINES)
+        .map(|h| {
+            let s = rt.fabric.nic(HostId(h)).stats();
+            [
+                s.tx_msgs,
+                s.tx_bytes,
+                s.rx_msgs,
+                s.rx_bytes,
+                s.tx_busy_ns,
+                s.rx_busy_ns,
+            ]
+        })
+        .collect();
+    (phases, nics)
+}
+
+/// The one-sided plane's virtual time and wire traffic, pinned. No gated
+/// sweep output runs this dataplane, so a change to the READ path that
+/// moves one virtual nanosecond or one wire byte — a landing buffer
+/// recycled with stale bytes, say, which a READ request would carry onto
+/// the wire — fails here.
+#[test]
+fn one_sided_virtual_time_and_wire_traffic_are_pinned() {
+    let uniform = pinned_run(Skew::None);
+    assert_eq!(uniform, (PIN_UNIFORM_PHASES, PIN_UNIFORM_NICS.to_vec()));
+    let zipf = pinned_run(Skew::Zipf(1.25));
+    assert_eq!(zipf, (PIN_ZIPF_PHASES, PIN_ZIPF_NICS.to_vec()));
 }

@@ -22,8 +22,8 @@ mod task_queue;
 
 pub use hash_table::{BucketTable, ChainedTable};
 pub use remote_table::{
-    begin_bucket_mutation, decode_bucket, encode_remote_table, end_bucket_mutation, remote_dir_len,
-    remote_nbuckets, RemoteDirectory, TornRead,
+    begin_bucket_mutation, bucket_entries, decode_bucket, encode_remote_table, end_bucket_mutation,
+    remote_dir_len, remote_nbuckets, RemoteDirectory, TornRead,
 };
 
 pub use radix::{

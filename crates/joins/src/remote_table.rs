@@ -32,7 +32,7 @@
 
 use std::ops::Range;
 
-use rsj_workload::{decode_into, Tuple};
+use rsj_workload::{decode_all, Tuple};
 
 use crate::hash_table::hash;
 
@@ -76,10 +76,23 @@ fn get_u32(bytes: &[u8], at: usize) -> u32 {
 pub fn encode_remote_table<T: Tuple>(r: &[T]) -> Vec<u8> {
     let nbuckets = remote_nbuckets(r.len());
     let mask = (nbuckets - 1) as u64;
-    // Counting sort by bucket, as the local contiguous build does.
-    let mut counts = vec![0u32; nbuckets];
+    let bucket_of = |t: &T| (hash(t.key()) & mask) as usize;
+    // Counting sort by bucket, as the local contiguous build does: count
+    // into `next[b + 1]`, prefix-sum so `next[b]` is bucket b's first slot
+    // in `order`, then place each tuple's index at its bucket's cursor.
+    // Afterwards `next[b]` is one past bucket b's last slot.
+    let mut next = vec![0usize; nbuckets + 1];
     for t in r {
-        counts[(hash(t.key()) & mask) as usize] += 1;
+        next[bucket_of(t) + 1] += 1;
+    }
+    for b in 0..nbuckets {
+        next[b + 1] += next[b];
+    }
+    let mut order = vec![0u32; r.len()];
+    for (i, t) in r.iter().enumerate() {
+        let slot = &mut next[bucket_of(t)];
+        order[*slot] = i as u32;
+        *slot += 1;
     }
     let entry = T::SIZE;
     let mut out = Vec::with_capacity(
@@ -87,29 +100,29 @@ pub fn encode_remote_table<T: Tuple>(r: &[T]) -> Vec<u8> {
     );
     put_u32(&mut out, nbuckets as u32);
     put_u32(&mut out, entry as u32);
+    // Bucket b's tuples are `order[ends[b - 1]..ends[b]]` (from 0 for the
+    // first), in input order (order inside a bucket is immaterial to the
+    // join result).
+    let ends = &next[..nbuckets];
     // Directory: bucket i starts after the directory plus the preceding
     // buckets' full (header + entries + trailer) extents.
-    let mut offset = remote_dir_len(nbuckets);
-    for &c in &counts {
-        let len = BUCKET_HEADER + c as usize * entry + BUCKET_TRAILER;
+    let (mut offset, mut lo) = (remote_dir_len(nbuckets), 0);
+    for &hi in ends {
+        let len = BUCKET_HEADER + (hi - lo) * entry + BUCKET_TRAILER;
         put_u32(&mut out, offset as u32);
         put_u32(&mut out, len as u32);
-        offset += len;
+        (offset, lo) = (offset + len, hi);
     }
-    // Payload: scatter the tuples bucket by bucket (stable within a
-    // bucket: input order, matching the chained table's probe order
-    // reversed — order inside a bucket is immaterial to the join result).
-    let mut slots: Vec<Vec<&T>> = vec![Vec::new(); nbuckets];
-    for t in r {
-        slots[(hash(t.key()) & mask) as usize].push(t);
-    }
-    for (b, slot) in slots.iter().enumerate() {
+    // Payload: each bucket's extent, its tuples written straight in.
+    let mut lo = 0;
+    for &hi in ends {
         put_u32(&mut out, 0); // version: even = stable
-        put_u32(&mut out, counts[b]);
-        for t in slot {
-            t.write_to(&mut out);
+        put_u32(&mut out, (hi - lo) as u32);
+        for &i in &order[lo..hi] {
+            r[i as usize].write_to(&mut out);
         }
         put_u32(&mut out, 0); // trailer
+        lo = hi;
     }
     out
 }
@@ -188,10 +201,11 @@ impl RemoteDirectory {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TornRead;
 
-/// Decode one bucket snapshot fetched by RDMA READ. Returns the decoded
-/// entries if the snapshot is stable, or [`TornRead`] if the seqlock
-/// version pair proves the writer raced the read.
-pub fn decode_bucket<T: Tuple>(bytes: &[u8]) -> Result<Vec<T>, TornRead> {
+/// The entry bytes of one bucket snapshot fetched by RDMA READ, probed
+/// in place: `count` back-to-back `T` encodings if the snapshot is
+/// stable, or [`TornRead`] if the seqlock version pair proves the writer
+/// raced the read.
+pub fn bucket_entries<T: Tuple>(bytes: &[u8]) -> Result<&[u8], TornRead> {
     assert!(
         bytes.len() >= BUCKET_HEADER + BUCKET_TRAILER,
         "bucket snapshot shorter than its framing"
@@ -208,9 +222,13 @@ pub fn decode_bucket<T: Tuple>(bytes: &[u8]) -> Result<Vec<T>, TornRead> {
         count * T::SIZE,
         "stable bucket length disagrees with its count"
     );
-    let mut out = Vec::with_capacity(count);
-    decode_into(payload, &mut out);
-    Ok(out)
+    Ok(payload)
+}
+
+/// Decode one bucket snapshot into its tuples: [`bucket_entries`],
+/// collected.
+pub fn decode_bucket<T: Tuple>(bytes: &[u8]) -> Result<Vec<T>, TornRead> {
+    bucket_entries::<T>(bytes).map(decode_all)
 }
 
 /// Writer-side seqlock entry: bump both version words of bucket

@@ -547,9 +547,9 @@ fn error_swallow_at(ctx: &FileCtx<'_>, i: usize, out: &mut Vec<Finding>) {
 }
 
 /// The dataplane's per-message functions, as `(impl type, name)`: one
-/// message of a network pass runs each of them, so an allocation in one
-/// is paid per message.
-const PER_MESSAGE_FNS: [(&str, &str); 12] = [
+/// message of a network pass, one RDMA READ or one one-sided probe group
+/// runs each of them, so an allocation in one is paid per message.
+const PER_MESSAGE_FNS: [(&str, &str); 16] = [
     ("Nic", "post"),
     ("Nic", "handle"),
     ("CellPool", "take"),
@@ -562,6 +562,10 @@ const PER_MESSAGE_FNS: [(&str, &str); 12] = [
     ("Fabric", "egress_engine"),
     ("Landing", "route"),
     ("Landing", "receive"),
+    ("Nic", "post_read_inner"),
+    ("Mr", "dma_read"),
+    ("ProbeScratch", "probe_owned"),
+    ("ProbeScratch", "probe_remote"),
 ];
 
 /// Token sequences that allocate (or, `Vec::new`, stand for a buffer

@@ -43,6 +43,6 @@ pub use fault::{
     capped_backoff, splitmix64, FabricError, FaultPlan, HostCrash, LinkFlap, NicStall, WcStatus,
 };
 pub use mr::{Mr, MrTable, RemoteMr};
-pub use nic::{Completion, Nic, NicStats, ReadHandle, SendHandle};
+pub use nic::{Completion, Nic, NicStats, ReadBuf, ReadHandle, SendHandle};
 pub use pool::{BufferPool, PoolArena, SendWindow};
 pub use validate::{Validator, Violation};

@@ -84,9 +84,10 @@ impl Mr {
         data[offset..offset + src.len()].copy_from_slice(src);
     }
 
-    /// DMA read out of the region (the responder leg of an RDMA READ).
-    /// An out-of-bounds read is reported like a write fault.
-    pub(crate) fn dma_read(&self, offset: usize, len: usize) -> Vec<u8> {
+    /// DMA read out of the region into the requester's landing buffer
+    /// `into` (the responder leg of an RDMA READ). An out-of-bounds read
+    /// is reported like a write fault.
+    pub(crate) fn dma_read(&self, offset: usize, len: usize, into: &mut Vec<u8>) {
         let data = self.data.borrow();
         let region_len = data.len();
         if offset.checked_add(len).is_none_or(|end| end > region_len) {
@@ -99,7 +100,7 @@ impl Mr {
                 region_len,
             });
         }
-        data[offset..offset + len].to_vec()
+        into.extend_from_slice(&data[offset..offset + len]);
     }
 
     /// Read the region contents by reference (local access by the owner).
@@ -189,7 +190,9 @@ impl Mr {
 pub struct MrTable {
     host: HostId,
     costs: NicCosts,
-    regions: RefCell<Vec<Arc<Mr>>>,
+    /// Indexed by MR index; `None` once deregistered (indices are never
+    /// reused).
+    regions: RefCell<Vec<Option<Arc<Mr>>>>,
     registered_bytes: Cell<u64>,
     validator: Arc<Validator>,
 }
@@ -218,17 +221,33 @@ impl MrTable {
             data: RefCell::new(vec![0u8; len]),
             validator: Arc::clone(&self.validator),
         });
-        regions.push(Arc::clone(&mr));
+        regions.push(Some(Arc::clone(&mr)));
         self.registered_bytes
             .set(self.registered_bytes.get() + len as u64);
         self.validator.mr_registered(self.host, index, len);
         mr
     }
 
+    /// Deregister `mr` (`ibv_dereg_mr`): the HCA may no longer touch it,
+    /// so a later one-sided access to its index is a use-before-register
+    /// violation. Handles the owner still holds keep the bytes readable
+    /// locally until they are dropped. The registered-bytes total counts
+    /// every registration ever made and does not shrink.
+    pub fn deregister(&self, mr: &Mr) {
+        let mut regions = self.regions.borrow_mut();
+        let slot = &mut regions[mr.index];
+        assert!(
+            slot.as_deref().is_some_and(|held| std::ptr::eq(held, mr)),
+            "deregistering a region this table does not hold"
+        );
+        *slot = None;
+        self.validator.mr_deregistered(self.host, mr.index);
+    }
+
     /// Look up a region by index (ingress-engine path for one-sided
     /// access). A miss is a use-before-register contract violation.
     pub(crate) fn get(&self, index: usize) -> Arc<Mr> {
-        let region = self.regions.borrow().get(index).map(Arc::clone);
+        let region = self.regions.borrow().get(index).and_then(Option::clone);
         region.unwrap_or_else(|| {
             self.validator.report(Violation::UseBeforeRegister {
                 host: self.host,
@@ -243,7 +262,7 @@ impl MrTable {
     /// [`Violation::ReadAfterUnpublish`] instead of reading stale bytes.
     pub(crate) fn unpublish_all(&self) {
         let regions = self.regions.borrow();
-        for mr in regions.iter() {
+        for mr in regions.iter().flatten() {
             mr.unpublish();
         }
     }

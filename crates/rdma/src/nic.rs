@@ -15,6 +15,7 @@
 //! `membership.rs`'s (`FaultState::post_denied`).
 
 use std::cell::{Cell, RefCell};
+use std::fmt;
 use std::ops::Deref;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
@@ -65,7 +66,7 @@ impl WorkCompletion {
         self.ev.set(ctx);
     }
 
-    /// Complete a READ successfully with the fetched `data`.
+    /// Complete a READ successfully with its landing buffer, `data`.
     pub(crate) fn complete_read(&self, ctx: &SimCtx, data: Vec<u8>) {
         *self.data.borrow_mut() = Some(data);
         self.complete(ctx, WcStatus::Success);
@@ -103,11 +104,14 @@ impl Drop for Wc {
     }
 }
 
-/// One NIC's free list of completion cells: a post draws a cell from it
-/// and allocates only when every cell is still held, so a steady stream
-/// of posts allocates none (*Storm*'s rule: no allocation per operation).
+/// One NIC's free lists of completion cells and READ landing buffers: a
+/// post draws a cell (a READ also a landing buffer) from it and allocates
+/// only when every one is still held, so a steady stream of posts
+/// allocates none (*Storm*'s rule: no allocation per operation).
 pub(crate) struct CellPool {
     free: RefCell<Vec<Rc<WorkCompletion>>>,
+    /// Empty landing buffers that keep their capacity.
+    landings: RefCell<Vec<Vec<u8>>>,
     /// The NIC's query lane, host and fault state, which every cell of
     /// the pool carries.
     query: QueryId,
@@ -120,6 +124,7 @@ impl CellPool {
     pub(crate) fn new(query: QueryId, src: HostId, faults: Arc<FaultState>) -> Rc<CellPool> {
         Rc::new(CellPool {
             free: RefCell::new(Vec::new()),
+            landings: RefCell::new(Vec::new()),
             query,
             src,
             faults,
@@ -147,6 +152,19 @@ impl CellPool {
         cell.data.borrow_mut().take();
         cell.dst.set(dst);
         Wc(cell)
+    }
+
+    /// An empty landing buffer for one READ: a recycled one, or a fresh
+    /// one that grows on its first landing.
+    fn take_landing(&self) -> Vec<u8> {
+        self.landings.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Take a landing buffer back, emptied: the next READ request carries
+    /// it onto the wire, where only its length counts.
+    fn put_landing(&self, mut data: Vec<u8>) {
+        data.clear();
+        self.landings.borrow_mut().push(data);
     }
 }
 
@@ -207,20 +225,65 @@ pub struct ReadHandle {
 impl ReadHandle {
     /// Block until the read completes, then take the data — or the typed
     /// error if the read was flushed or retries were exhausted.
-    pub fn wait(self, ctx: &SimCtx) -> Result<Vec<u8>, FabricError> {
+    pub fn wait(self, ctx: &SimCtx) -> Result<ReadBuf, FabricError> {
         self.wr.wait(ctx)?;
-        Ok(self
-            .wr
-            .cell
-            .data
-            .borrow_mut()
-            .take()
-            .expect("read completed without data"))
+        let cell = &self.wr.cell;
+        let bytes = cell.data.take().expect("read completed without data");
+        Ok(ReadBuf {
+            bytes,
+            home: Weak::clone(&cell.home),
+        })
     }
 
     /// Whether the read has completed.
     pub fn is_done(&self) -> bool {
         self.wr.is_done()
+    }
+}
+
+/// The bytes one RDMA READ fetched, in the landing buffer the READ drew
+/// from its requester's NIC (the work request's local SGE in verbs terms).
+/// Derefs to the bytes; dropping it hands the buffer back to that NIC, as
+/// dropping the last [`Wc`] hands back a completion cell.
+pub struct ReadBuf {
+    bytes: Vec<u8>,
+    /// The pool the buffer goes back to (dangling once its NIC is gone).
+    home: Weak<CellPool>,
+}
+
+impl Deref for ReadBuf {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl Drop for ReadBuf {
+    fn drop(&mut self) {
+        if let Some(home) = self.home.upgrade() {
+            home.put_landing(std::mem::take(&mut self.bytes));
+        }
+    }
+}
+
+impl fmt::Debug for ReadBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ReadBuf").field(&&self.bytes[..]).finish()
+    }
+}
+
+impl PartialEq for ReadBuf {
+    fn eq(&self, other: &ReadBuf) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for ReadBuf {}
+
+impl PartialEq<Vec<u8>> for ReadBuf {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        &self.bytes == other
     }
 }
 
@@ -357,6 +420,7 @@ impl Nic {
     ///         .wait(ctx)
     ///         .unwrap();
     ///     assert_eq!(bytes, vec![42u8; 64]);
+    ///     // Dropping `bytes` hands its landing buffer back to host 0's NIC.
     ///     fabric.shutdown(ctx);
     /// });
     /// sim.run();
@@ -449,7 +513,11 @@ impl Nic {
             len,
             reply: wr.cell.share(),
         };
-        let msg = Message::new(self.host, remote.host, self.query, kind, Vec::new());
+        // The request carries the empty landing buffer out (its length,
+        // zero, is what the wire charges); the responder fills it and the
+        // response carries it back.
+        let landing = self.cells.take_landing();
+        let msg = Message::new(self.host, remote.host, self.query, kind, landing);
         self.tx.send(ctx, msg);
         ReadHandle { wr, posted: true }
     }

@@ -19,7 +19,7 @@
 //! an injected crash is a fault, not a bug.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Weak};
 
@@ -312,19 +312,26 @@ impl Residue {
     }
 }
 
+/// What the validator knows of one registered region.
+#[derive(Copy, Clone)]
+struct RegionAudit {
+    /// Registered length in bytes.
+    len: usize,
+    /// The publication epoch is closed ([`crate::Mr::unpublish`] without
+    /// a later re-publish): reads are [`Violation::ReadAfterUnpublish`].
+    /// A never-published region is open: plain one-sided regions (e.g.
+    /// histogram-announced receive buffers) are readable without the
+    /// publish protocol.
+    unpublished: bool,
+}
+
 /// The verbs-contract state machine: tracks every memory region,
 /// receive slot, pooled buffer and windowed work request of one
 /// fabric through its lifecycle and reports [`Violation`]s.
 pub struct Validator {
-    /// Registered regions: `(host, index) → registered length`.
-    mrs: RefCell<HashMap<(usize, usize), usize>>,
-    /// Regions whose publication epoch is currently closed
-    /// ([`crate::Mr::unpublish`] without a later re-publish). Reads
-    /// against these are [`Violation::ReadAfterUnpublish`].
-    /// Never-published regions are absent: plain one-sided regions
-    /// (e.g. histogram-announced receive buffers) are readable
-    /// without the publish protocol.
-    unpublished: RefCell<HashSet<(usize, usize)>>,
+    /// Registered regions, indexed by host, then by MR index (dense per
+    /// host); `None` for an index not (or no longer) registered.
+    mrs: RefCell<Vec<Vec<Option<RegionAudit>>>>,
     /// Receive-path flow counters, scoped per `(host, query)` lane so
     /// a query service can audit each query's teardown individually.
     flows: RefCell<BTreeMap<(usize, u32), HostFlow>>,
@@ -349,8 +356,7 @@ impl Validator {
     /// A fresh validator.
     pub fn new() -> Arc<Validator> {
         Arc::new(Validator {
-            mrs: RefCell::new(HashMap::new()),
-            unpublished: RefCell::new(HashSet::new()),
+            mrs: RefCell::new(Vec::new()),
             flows: RefCell::new(BTreeMap::new()),
             pools: RefCell::new(Vec::new()),
             crashed: RefCell::new(HashSet::new()),
@@ -423,20 +429,50 @@ impl Validator {
 
     /// A region was registered (called by [`crate::MrTable`]).
     pub(crate) fn mr_registered(&self, host: HostId, index: usize, len: usize) {
-        self.mrs.borrow_mut().insert((host.0, index), len);
+        let mut mrs = self.mrs.borrow_mut();
+        if mrs.len() <= host.0 {
+            mrs.resize_with(host.0 + 1, Vec::new);
+        }
+        let regions = &mut mrs[host.0];
+        if regions.len() <= index {
+            regions.resize(index + 1, None);
+        }
+        regions[index] = Some(RegionAudit {
+            len,
+            unpublished: false,
+        });
+    }
+
+    /// A region was deregistered ([`crate::MrTable::deregister`]): a
+    /// later one-sided access is [`Violation::UseBeforeRegister`].
+    pub(crate) fn mr_deregistered(&self, host: HostId, index: usize) {
+        self.mrs.borrow_mut()[host.0][index] = None;
     }
 
     /// A region opened a publication epoch ([`crate::Mr::publish`]):
     /// one-sided reads are sanctioned until the matching unpublish.
     pub(crate) fn mr_published(&self, host: HostId, index: usize) {
-        self.unpublished.borrow_mut().remove(&(host.0, index));
+        self.set_unpublished(host, index, false);
     }
 
     /// A region closed its publication epoch
     /// ([`crate::Mr::unpublish`]): later reads against it are
     /// [`Violation::ReadAfterUnpublish`] until it is re-published.
     pub(crate) fn mr_unpublished(&self, host: HostId, index: usize) {
-        self.unpublished.borrow_mut().insert((host.0, index));
+        self.set_unpublished(host, index, true);
+    }
+
+    fn set_unpublished(&self, host: HostId, index: usize, closed: bool) {
+        let mut mrs = self.mrs.borrow_mut();
+        if let Some(Some(region)) = mrs.get_mut(host.0).and_then(|h| h.get_mut(index)) {
+            region.unpublished = closed;
+        }
+    }
+
+    /// The registered region `(host, index)`, if any.
+    fn region(&self, host: HostId, index: usize) -> Option<RegionAudit> {
+        let mrs = self.mrs.borrow();
+        mrs.get(host.0)?.get(index).copied().flatten()
     }
 
     /// Validate a one-sided WRITE against the registered region table
@@ -452,10 +488,10 @@ impl Validator {
 
     fn check_one_sided(&self, remote: &RemoteMr, offset: usize, len: usize, is_read: bool) {
         let (host, index) = (remote.host, remote.index);
-        let registered = self.mrs.borrow().get(&(host.0, index)).copied();
-        let Some(region_len) = registered else {
+        let Some(region) = self.region(host, index) else {
             self.report(Violation::UseBeforeRegister { host, index });
         };
+        let region_len = region.len;
         if remote.len != region_len {
             self.report(Violation::StaleRemoteHandle {
                 host,
@@ -464,7 +500,7 @@ impl Validator {
                 registered: region_len,
             });
         }
-        if is_read && self.unpublished.borrow().contains(&(host.0, index)) {
+        if is_read && region.unpublished {
             self.report(Violation::ReadAfterUnpublish { host, index });
         }
         if offset.checked_add(len).is_some_and(|end| end <= region_len) {

@@ -2,7 +2,7 @@
 //!
 //! Topology matches the paper's clusters (§6.3): every machine connects to
 //! a single switch. Each host's NIC is driven by two simulated engine
-//! threads:
+//! tasks:
 //!
 //! * the **egress engine** serializes outgoing messages onto the host's
 //!   uplink (`max(bytes/bandwidth, 1/msg_rate)` per message), then forwards
@@ -115,7 +115,7 @@ const RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_micros(10);
 const RETRY_BACKOFF_MAX: SimDuration = SimDuration::from_millis(10);
 
 impl Fabric {
-    /// Spawn the egress and ingress engine threads for every host (plus
+    /// Spawn the egress and ingress engine tasks for every host (plus
     /// the fault-plan timers when a plan is installed). Accepts either a
     /// [`rsj_sim::Simulation`] (before `run`) or a [`SimCtx`] (from inside
     /// the simulation) via [`Spawner`].
@@ -144,7 +144,7 @@ impl Fabric {
     }
 
     /// Stop accepting traffic: closes every egress queue, letting the
-    /// engine threads drain in-flight messages and terminate. On a view
+    /// engine tasks drain in-flight messages and terminate. On a view
     /// this is a no-op — one query retiring never tears down the shared
     /// fabric (that is [`Fabric::close_view`]'s job).
     pub fn shutdown(&self, ctx: &SimCtx) {
@@ -330,9 +330,11 @@ impl Fabric {
                     len,
                     reply,
                 } => {
-                    // The *responder's* NIC streams the data back:
+                    // The *responder's* NIC streams the data back, in
+                    // the requester's landing buffer the request brought:
                     // enqueue the response on this host's egress.
-                    let data = nic.mrs.get(mr).dma_read(offset, len);
+                    let mut data = msg.payload;
+                    nic.mrs.get(mr).dma_read(offset, len, &mut data);
                     nic.count_tx(data.len());
                     // Both sides of the responder's involvement: the
                     // request arrival and the response bytes served.

@@ -143,6 +143,45 @@ fn read_after_unpublish_is_detected() {
 }
 
 #[test]
+fn read_after_deregister_is_use_before_register() {
+    let (sim, fabric) = two_hosts(FabricConfig::fdr());
+    {
+        let fabric = Arc::clone(&fabric);
+        sim.spawn("straggler", move |ctx| {
+            let mrs = &fabric.nic(HostId(1)).mrs;
+            let mr = mrs.register(ctx, 64);
+            let remote = mr.publish();
+            fabric
+                .nic(HostId(0))
+                .post_read(ctx, remote, 0, 64)
+                .wait(ctx)
+                .expect("read while registered");
+            // A retired query unpublishes and deregisters its tables; the
+            // owner's own handle stays readable locally...
+            mr.unpublish();
+            mrs.deregister(&mr);
+            mr.with_data(|d| assert_eq!(d.len(), 64));
+            // ...but the HCA no longer knows the index.
+            let _ = fabric.nic(HostId(0)).post_read(ctx, remote, 0, 64);
+            unreachable!("a READ of a deregistered region must not be posted");
+        });
+    }
+    let vs = violations_of(fabric.validator(), || {
+        sim.run();
+    });
+    assert!(
+        matches!(
+            vs[..],
+            [Violation::UseBeforeRegister {
+                host: HostId(1),
+                index: 0
+            }]
+        ),
+        "expected use-before-register, got {vs:?}"
+    );
+}
+
+#[test]
 fn republish_reopens_the_read_epoch() {
     let (sim, fabric) = two_hosts(FabricConfig::fdr());
     {
