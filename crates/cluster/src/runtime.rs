@@ -15,7 +15,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use rsj_rdma::{BufferPool, Fabric, HostId, NicCosts, PoolArena, QueryId, Spawner};
-use rsj_sim::{SimBarrier, SimCtx, SimDuration, SimSemaphore, SimTime};
+use rsj_sim::{SimBarrier, SimCtx, SimDuration, SimSemaphore, SimTime, Step};
 
 use crate::error::JoinError;
 
@@ -370,27 +370,32 @@ impl Runtime {
         }
         if self.fabric.has_fault_plan() {
             let rt = Arc::clone(self);
-            spawner.spawn_task(format!("q{qid}-watchdog"), move |ctx| {
-                let mut last = u64::MAX;
-                let mut idle = 0u32;
-                while live.get() > 0 {
-                    ctx.sleep_until(ctx.now() + WATCHDOG_TICK);
+            let mut last = u64::MAX;
+            let mut idle = 0u32;
+            let mut started = false;
+            spawner.spawn_steps(format!("q{qid}-watchdog"), move |ctx| {
+                if std::mem::replace(&mut started, true) {
                     let progress = rt.progress_snapshot();
                     if progress != last {
                         last = progress;
                         idle = 0;
-                        continue;
+                    } else {
+                        idle += 1;
+                        if idle >= WATCHDOG_IDLE_TICKS {
+                            let err = JoinError::BarrierTimeout {
+                                query: rt.query,
+                                phase: rt.phase_label.get(),
+                                stragglers: rt.stragglers(),
+                            };
+                            rt.fail(ctx, err);
+                            return Step::Exit;
+                        }
                     }
-                    idle += 1;
-                    if idle >= WATCHDOG_IDLE_TICKS {
-                        let err = JoinError::BarrierTimeout {
-                            query: rt.query,
-                            phase: rt.phase_label.get(),
-                            stragglers: rt.stragglers(),
-                        };
-                        rt.fail(ctx, err);
-                        break;
-                    }
+                }
+                if live.get() > 0 {
+                    Step::Advance(WATCHDOG_TICK)
+                } else {
+                    Step::Exit
                 }
             });
         }

@@ -15,7 +15,7 @@
 //! | `wall-clock` | `std::time::Instant` / `SystemTime` anywhere — reading the host clock breaks run-to-run determinism, the property every experiment and test relies on |
 //! | `mr-access` | direct `Mr` byte access (`with_data` / `dma_write`) outside `rsj-rdma` — operators must go through the verbs API so the runtime validator sees every access |
 //! | `unwrap` | `.unwrap()` (or an `.expect` with a non-descriptive message) in non-test library code — failures in phase code must say what invariant broke |
-//! | `hot-alloc` | `vec!`, `Vec::new`, `Vec::with_capacity`, `Arc::new`, `Rc::new`, `Box::new` or `.to_vec()` inside `crates/joins` functions named `*_kernel`, `histogram*` or `scatter*` (the per-partition hot loops: allocate scratch once in the owning `Partitioner`/table and reuse it), or inside a per-message function of the dataplane (`Nic::{post, handle}`, `CellPool::take`, `Scatter::{push, post}`, `Exchange::recv_stream`, `BufferPool::{take, refill}`, `Fabric::{ingress_engine, egress_engine}`, `Landing::{route, receive}`, the per-READ `Nic::post_read_inner` and `Mr::dma_read`, the one-sided probe's per-group `ProbeScratch::{probe_owned, probe_remote}`: draw from a pool or per-core scratch and hand back) |
+//! | `hot-alloc` | `vec!`, `Vec::new`, `Vec::with_capacity`, `Arc::new`, `Rc::new`, `Box::new` or `.to_vec()` inside `crates/joins` functions named `*_kernel`, `histogram*` or `scatter*` (the per-partition hot loops: allocate scratch once in the owning `Partitioner`/table and reuse it), or inside a per-message function of the dataplane (`Nic::{post, handle}`, `CellPool::take`, `Scatter::{push, post}`, `Exchange::recv_stream`, `BufferPool::{take, refill}`, the NIC engines' steps `Fabric::{egress_step, ingress_step, place_two_sided, place_one_sided}`, `Landing::{route, receive}`, the per-READ `Nic::post_read_inner` and `Mr::dma_read`, the one-sided probe's per-group `ProbeScratch::{probe_owned, probe_remote}`: draw from a pool or per-core scratch and hand back); over the whole tree, also a table entry naming no such function, so a rename cannot drop the check silently |
 //! | `fabric-panic` | `.unwrap()` / `.expect(` on the fabric's fallible post/poll results (`wait`/`recv`/`admit`/`drain`) in non-test library code — fault-plane errors (DESIGN.md §8) must propagate as `JoinError` so the run aborts cleanly |
 //! | `barrier-name` | a raw string literal as the barrier name at a `sync_named` / `try_sync_named` call site outside `crates/cluster` — barrier names are namespaced per query (`(QueryId, name)`, DESIGN.md §9) and must come from the `rsj_cluster::phase` constants so phase attribution stays canonical |
 //! | `nondet-iter` | iteration (`iter`/`into_iter`/`keys`/`values`/`drain`/`retain`/…) over a `std` `HashMap`/`HashSet` in result-affecting library code — the per-process random SipHash seed makes the order vary run-to-run, breaking byte-identical replay; use `BTreeMap`/`BTreeSet` or sort before iterating. Order-independent sinks (commutative folds like `.sum()`, collecting back into a map, collect-then-sort) are recognized and not flagged. Identifier typing is cross-file and name-based |
@@ -90,6 +90,18 @@ impl fmt::Display for Finding {
 /// precise than file-at-a-time. Findings come back sorted by
 /// `(file, line, rule)` and include waived ones.
 pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
+    lint(files, false)
+}
+
+/// [`lint_files`] over a set that is the whole tree, as
+/// [`lint_workspace`] reads it: adds the checks that only a complete set
+/// can make — a `hot-alloc` per-message table entry that names no
+/// function of the tree is itself a finding.
+pub fn lint_tree(files: &[(String, String)]) -> Vec<Finding> {
+    lint(files, true)
+}
+
+fn lint(files: &[(String, String)], whole_tree: bool) -> Vec<Finding> {
     // The lint's own sources and fixtures would trip every rule.
     let ctxs: Vec<engine::FileCtx<'_>> = files
         .iter()
@@ -103,6 +115,9 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
         rules::check_file(ctx, &global, &mut file_findings);
         engine::apply_waivers(ctx, &mut file_findings);
         findings.extend(file_findings);
+    }
+    if whole_tree {
+        findings.extend(rules::stale_per_message_fns(&ctxs));
     }
     let rule_index = |rule: &str| RULES.iter().position(|r| *r == rule).unwrap_or(RULES.len());
     findings.sort_by(|a, b| {
@@ -157,7 +172,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         let content = fs::read_to_string(&path)?;
         files.push((rel, content));
     }
-    Ok(lint_files(&files))
+    Ok(lint_tree(&files))
 }
 
 /// Walk up from `start` to the directory whose `Cargo.toml` declares

@@ -2,6 +2,8 @@
 //! stream with the workspace [`Global`] context in scope and pushes
 //! [`Finding`]s; waivers are resolved afterwards by the engine.
 
+use std::collections::BTreeSet;
+
 use crate::engine::{FileCtx, Global};
 use crate::lexer::TokKind;
 use crate::Finding;
@@ -50,14 +52,19 @@ const ORDER_FREE_FOLDS: [&str; 8] = [
     "sum", "count", "min", "max", "len", "any", "all", "is_empty",
 ];
 
+/// Whether `rel` is source of a crate whose state lives in a simulation.
+fn in_sim_state(rel: &str) -> bool {
+    ["sim", "rdma", "cluster", "core", "operators"]
+        .iter()
+        .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
+}
+
 /// Run every rule over one file.
 pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Finding>) {
     let in_rdma = ctx.rel.starts_with("crates/rdma/");
     let in_cluster = ctx.rel.starts_with("crates/cluster/");
     let in_joins = ctx.rel.starts_with("crates/joins/");
-    let in_sim_state = ["sim", "rdma", "cluster", "core", "operators"]
-        .iter()
-        .any(|c| ctx.rel.starts_with(&format!("crates/{c}/src/")));
+    let in_sim_state = in_sim_state(ctx.rel);
     let n = ctx.code.len();
 
     let push = |rule: &'static str, line: usize, message: String, out: &mut Vec<Finding>| {
@@ -549,7 +556,7 @@ fn error_swallow_at(ctx: &FileCtx<'_>, i: usize, out: &mut Vec<Finding>) {
 /// The dataplane's per-message functions, as `(impl type, name)`: one
 /// message of a network pass, one RDMA READ or one one-sided probe group
 /// runs each of them, so an allocation in one is paid per message.
-const PER_MESSAGE_FNS: [(&str, &str); 16] = [
+const PER_MESSAGE_FNS: [(&str, &str); 18] = [
     ("Nic", "post"),
     ("Nic", "handle"),
     ("CellPool", "take"),
@@ -558,8 +565,10 @@ const PER_MESSAGE_FNS: [(&str, &str); 16] = [
     ("Exchange", "recv_stream"),
     ("BufferPool", "take"),
     ("BufferPool", "refill"),
-    ("Fabric", "ingress_engine"),
-    ("Fabric", "egress_engine"),
+    ("Fabric", "egress_step"),
+    ("Fabric", "ingress_step"),
+    ("Fabric", "place_two_sided"),
+    ("Fabric", "place_one_sided"),
     ("Landing", "route"),
     ("Landing", "receive"),
     ("Nic", "post_read_inner"),
@@ -617,6 +626,45 @@ fn hot_alloc(ctx: &FileCtx<'_>, joins: bool, out: &mut Vec<Finding>) {
             }
         }
     }
+}
+
+/// `hot-alloc`, workspace half: a [`PER_MESSAGE_FNS`] entry that names no
+/// non-test function of the simulation-state crates covers nothing, so a
+/// rename would drop the check silently. Each such entry is reported at
+/// its line of this file.
+pub(crate) fn stale_per_message_fns(ctxs: &[FileCtx<'_>]) -> Vec<Finding> {
+    let mut defined = BTreeSet::new();
+    for ctx in ctxs.iter().filter(|c| in_sim_state(c.rel)) {
+        for f in ctx.functions() {
+            if let Some(owner) = f.owner.filter(|_| !ctx.in_test(f.name_idx)) {
+                defined.insert((owner, f.name));
+            }
+        }
+    }
+    PER_MESSAGE_FNS
+        .iter()
+        .filter(|&&(ty, name)| !defined.contains(&(ty.to_string(), name.to_string())))
+        .map(|&(ty, name)| {
+            let entry = format!("(\"{ty}\", \"{name}\")");
+            let line = include_str!("rules.rs")
+                .lines()
+                .position(|l| l.trim_start().starts_with(&entry))
+                .map_or(1, |i| i + 1);
+            Finding {
+                file: "crates/lint/src/rules.rs".to_string(),
+                line,
+                rule: "hot-alloc",
+                message: format!(
+                    "PER_MESSAGE_FNS names `{ty}::{name}`, which no non-test function of \
+                     crates/{{sim,rdma,cluster,core,operators}}/src defines, so its \
+                     allocation check covers nothing; point the entry at the function's \
+                     current name"
+                ),
+                waived: false,
+                reason: None,
+            }
+        })
+        .collect()
 }
 
 /// Is this function name one of the designated hot kernels?

@@ -3,8 +3,8 @@
 // Linted as crates/rdma/src/ha_box.rs.
 
 impl Fabric {
-    fn ingress_engine(&self, ctx: &SimCtx, host: HostId) {
-        while let Some(msg) = self.rx_queues[host.0].recv(ctx) {
+    fn ingress_step(&self, ctx: &SimCtx, host: HostId) -> Step {
+        while let Some(msg) = self.rx_queues[host.0].try_recv(ctx) {
             let boxed = Box::new(msg);
             self.deliver(ctx, boxed);
         }
@@ -18,7 +18,7 @@ impl Drop for Fabric {
 }
 
 impl Engine for Fabric {
-    fn egress_engine(&self) {
+    fn egress_step(&self) {
         let _ = Box::new(1u8);
     }
 }

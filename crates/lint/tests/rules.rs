@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use rsj_lint::report::Baseline;
-use rsj_lint::{lint_file, lint_workspace, Finding, RULES};
+use rsj_lint::{lint_file, lint_tree, lint_workspace, Finding, RULES};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -337,6 +337,36 @@ fn every_rule_has_fixture_coverage() {
             "rule {rule} has no fixture coverage"
         );
     }
+}
+
+#[test]
+fn a_per_message_entry_naming_no_function_of_the_tree_is_a_finding() {
+    let files = [(
+        "crates/rdma/src/wire.rs".to_string(),
+        fixture("hot_alloc_stale_entry.rs"),
+    )];
+    let stale: Vec<String> = lint_tree(&files)
+        .into_iter()
+        .filter(|f| f.rule == "hot-alloc" && f.file == "crates/lint/src/rules.rs")
+        .map(|f| {
+            assert!(!f.waived && f.line > 1, "{f}");
+            f.message
+        })
+        .collect();
+    let names = |name: &str| stale.iter().any(|m| m.contains(&format!("`{name}`")));
+    assert!(
+        names("Fabric::egress_step"),
+        "the renamed entry: {stale:#?}"
+    );
+    // A test-only definition covers nothing either.
+    assert!(names("Fabric::place_two_sided"), "{stale:#?}");
+    assert!(
+        !names("Fabric::ingress_step"),
+        "a defined entry: {stale:#?}"
+    );
+    // A file-at-a-time lint cannot know the tree, so it never reports one.
+    let single = lint_file("crates/rdma/src/wire.rs", &files[0].1);
+    assert!(single.iter().all(|f| f.file != "crates/lint/src/rules.rs"));
 }
 
 #[test]

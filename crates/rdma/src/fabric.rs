@@ -15,7 +15,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rsj_sim::{SimChannel, SimCtx, SimSemaphore, Simulation};
+use rsj_sim::{SimChannel, SimCtx, SimSemaphore, Simulation, Step};
 
 use crate::config::{FabricConfig, HostId, NicCosts, QueryId};
 use crate::fault::FaultPlan;
@@ -23,12 +23,12 @@ use crate::membership::FaultState;
 use crate::mr::MrTable;
 use crate::nic::{CellPool, Nic, NicStats};
 use crate::validate::Validator;
-use crate::wire::Message;
+use crate::wire::{Message, WireTime};
 
-/// The whole fabric: one [`Nic`] per host plus the engine threads driving
-/// them. Create with [`Fabric::new`] (or [`Fabric::new_with_plan`] to arm
-/// the fault plane), launch engines with [`Fabric::launch`], and call
-/// [`Fabric::shutdown`] when traffic ends so the engine threads terminate.
+/// The whole fabric: one [`Nic`] per host plus the engines driving them.
+/// Create with [`Fabric::new`] (or [`Fabric::new_with_plan`] to arm the
+/// fault plane), launch engines with [`Fabric::launch`], and call
+/// [`Fabric::shutdown`] when traffic ends so the engines exit.
 ///
 /// A long-lived *root* fabric can additionally be multiplexed between
 /// concurrent queries: [`Fabric::query_view`] carves a per-query view
@@ -59,6 +59,8 @@ pub struct Fabric {
     pub(crate) view_closed: Cell<bool>,
     pub(crate) validator: Arc<Validator>,
     pub(crate) faults: Arc<FaultState>,
+    /// The host links' serialization time and latency, precomputed.
+    pub(crate) wire: WireTime,
 }
 
 impl Fabric {
@@ -111,6 +113,7 @@ impl Fabric {
             view_closed: Cell::new(false),
             validator,
             faults,
+            wire: WireTime::new(&cfg, hosts),
         })
     }
 
@@ -163,16 +166,28 @@ impl Fabric {
 pub trait Spawner {
     /// Spawn a simulated thread.
     fn spawn_task<F: FnOnce(&SimCtx) + 'static>(&self, name: String, f: F);
+
+    /// Spawn a step slot: a stackless simulated thread whose closure
+    /// returns its yield points as [`Step`]s.
+    fn spawn_steps<F: FnMut(&SimCtx) -> Step + 'static>(&self, name: String, f: F);
 }
 
 impl Spawner for Simulation {
     fn spawn_task<F: FnOnce(&SimCtx) + 'static>(&self, name: String, f: F) {
         self.spawn(name, f);
     }
+
+    fn spawn_steps<F: FnMut(&SimCtx) -> Step + 'static>(&self, name: String, f: F) {
+        Simulation::spawn_steps(self, name, f);
+    }
 }
 
 impl Spawner for SimCtx {
     fn spawn_task<F: FnOnce(&SimCtx) + 'static>(&self, name: String, f: F) {
         self.spawn(name, f);
+    }
+
+    fn spawn_steps<F: FnMut(&SimCtx) -> Step + 'static>(&self, name: String, f: F) {
+        SimCtx::spawn_steps(self, name, f);
     }
 }

@@ -11,7 +11,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use rsj_sim::{SimChannel, SimCtx, SimDuration, SimSemaphore, SimTime};
+use rsj_sim::{SimChannel, SimCtx, SimDuration, SimSemaphore, SimTime, Step};
 
 use crate::config::{HostId, QueryId};
 use crate::fabric::{Fabric, Spawner};
@@ -46,7 +46,7 @@ pub(crate) struct FaultState {
     /// Last observed fabric activity per host (ns) — the lease the
     /// failure detector renews and checks.
     activity_ns: Vec<Cell<u64>>,
-    /// Set when the service retires its batch: the detector task exits at
+    /// Set when the service retires its batch: the detector exits at
     /// its next tick instead of keeping the simulation alive forever.
     detector_stop: Cell<bool>,
 }
@@ -67,6 +67,11 @@ impl FaultState {
             activity_ns: vec![Cell::new(0); hosts],
             detector_stop: Cell::new(false),
         })
+    }
+
+    /// Number of hosts of the fabric.
+    pub(crate) fn hosts(&self) -> usize {
+        self.hosts
     }
 
     pub(crate) fn plan(&self) -> Option<&FaultPlan> {
@@ -317,6 +322,7 @@ impl Fabric {
             view_closed: Cell::new(false),
             validator: Arc::clone(&self.validator),
             faults: Arc::clone(&self.faults),
+            wire: self.wire,
         })
     }
 
@@ -427,7 +433,7 @@ impl Fabric {
     }
 
     /// Arm the deterministic failure detector (DESIGN.md §13): a single
-    /// monitor task that, every `HEARTBEAT` (20 µs) of virtual time,
+    /// monitor step slot that, every `HEARTBEAT` (20 µs) of virtual time,
     /// probes hosts whose activity `LEASE` (50 µs) expired and fences a
     /// host after `MISS_THRESHOLD` (3) consecutive missed heartbeats.
     /// Probes are modeled out of band — no wire messages — so per-query
@@ -435,49 +441,55 @@ impl Fabric {
     /// detection latency is a seeded, replayable function of the crash
     /// schedule, at most `LEASE + HEARTBEAT · (MISS_THRESHOLD + 1)` after
     /// the crash. Call [`Fabric::disarm_failure_detector`] when the
-    /// service drains so the task exits and the simulation can quiesce.
+    /// service drains so the monitor exits and the simulation can quiesce.
     pub fn arm_failure_detector(self: &Arc<Self>, spawner: &impl Spawner) {
         assert!(
             self.root.is_none(),
             "the failure detector runs on the root fabric"
         );
         let fabric = Arc::clone(self);
-        spawner.spawn_task("failure-detector".to_string(), move |ctx| {
-            let hosts = fabric.hosts();
-            let mut misses = vec![0u32; hosts];
-            loop {
-                ctx.sleep_until(ctx.now() + HEARTBEAT);
+        let mut misses = vec![0u32; self.hosts()];
+        let mut started = false;
+        spawner.spawn_steps("failure-detector".to_string(), move |ctx| {
+            if std::mem::replace(&mut started, true) {
                 if fabric.faults.detector_stopped() {
-                    break;
+                    return Step::Exit;
                 }
-                for (h, missed) in misses.iter_mut().enumerate() {
-                    let host = HostId(h);
-                    if fabric.faults.is_fenced(host) {
-                        continue;
-                    }
-                    let idle = ctx
-                        .now()
-                        .as_nanos()
-                        .saturating_sub(fabric.faults.last_activity_ns(host));
-                    if idle <= LEASE.as_nanos() {
-                        *missed = 0;
-                        continue;
-                    }
-                    // Lease expired: heartbeat-probe the host. A live but
-                    // idle host answers and renews its lease; a crashed
-                    // host misses.
-                    if fabric.faults.is_crashed(host) {
-                        *missed += 1;
-                        if *missed >= MISS_THRESHOLD {
-                            fabric.fence_host(ctx, host);
-                        }
-                    } else {
-                        fabric.faults.note_activity(host, ctx.now());
-                        *missed = 0;
-                    }
-                }
+                fabric.heartbeat(ctx, &mut misses);
             }
+            Step::Advance(HEARTBEAT)
         });
+    }
+
+    /// One failure-detector tick: probe every unfenced host whose lease
+    /// expired, and fence a host once it missed `MISS_THRESHOLD` probes in
+    /// a row.
+    fn heartbeat(&self, ctx: &SimCtx, misses: &mut [u32]) {
+        for (h, missed) in misses.iter_mut().enumerate() {
+            let host = HostId(h);
+            if self.faults.is_fenced(host) {
+                continue;
+            }
+            let idle = ctx
+                .now()
+                .as_nanos()
+                .saturating_sub(self.faults.last_activity_ns(host));
+            if idle <= LEASE.as_nanos() {
+                *missed = 0;
+                continue;
+            }
+            // Lease expired: heartbeat-probe the host. A live but idle host
+            // answers and renews its lease; a crashed host misses.
+            if self.faults.is_crashed(host) {
+                *missed += 1;
+                if *missed >= MISS_THRESHOLD {
+                    self.fence_host(ctx, host);
+                }
+            } else {
+                self.faults.note_activity(host, ctx.now());
+                *missed = 0;
+            }
+        }
     }
 
     /// Tell the armed failure detector to exit at its next tick (the

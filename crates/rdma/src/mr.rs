@@ -244,16 +244,18 @@ impl MrTable {
         self.validator.mr_deregistered(self.host, mr.index);
     }
 
-    /// Look up a region by index (ingress-engine path for one-sided
-    /// access). A miss is a use-before-register contract violation.
-    pub(crate) fn get(&self, index: usize) -> Arc<Mr> {
-        let region = self.regions.borrow().get(index).and_then(Option::clone);
-        region.unwrap_or_else(|| {
-            self.validator.report(Violation::UseBeforeRegister {
+    /// Run `f` on the region at `index`, borrowed in place (the ingress
+    /// engine's one-sided access, once per message). A miss is a
+    /// use-before-register contract violation.
+    pub(crate) fn with<R>(&self, index: usize, f: impl FnOnce(&Mr) -> R) -> R {
+        let regions = self.regions.borrow();
+        match regions.get(index).and_then(Option::as_deref) {
+            Some(mr) => f(mr),
+            None => self.validator.report(Violation::UseBeforeRegister {
                 host: self.host,
                 index,
-            })
-        })
+            }),
+        }
     }
 
     /// Close the read epoch of every region on this host — the fencing

@@ -492,6 +492,7 @@ impl Nic {
         len: usize,
         charge_doorbell: bool,
     ) -> ReadHandle {
+        self.check_dst(remote.host);
         // Fault-plane denial is checked *before* the validator: a READ
         // aimed at a crashed (and fenced — its MR epochs are closed) host
         // must surface as a typed `HostCrashed` completion the caller can
@@ -540,6 +541,20 @@ impl Nic {
         self.post(ctx, remote.host, kind, payload, None)
     }
 
+    /// A post names a host of the fabric: checked on the poster's stack,
+    /// before any charge, so a stray destination fails the posting task.
+    ///
+    /// # Panics
+    /// Panics if `dst` is not a host of this NIC's fabric.
+    fn check_dst(&self, dst: HostId) {
+        let hosts = self.faults.hosts();
+        assert!(
+            dst.0 < hosts,
+            "post to unknown host {} (the fabric has {hosts} hosts)",
+            dst.0
+        );
+    }
+
     /// The one place a work-request handle is built: live (`fired` is
     /// `None`; the wire completes it later) or already completed with
     /// `fired` — a post denied by the fault plane.
@@ -565,6 +580,7 @@ impl Nic {
         payload: Vec<u8>,
         window: Option<Arc<SimSemaphore>>,
     ) -> SendHandle {
+        self.check_dst(dst);
         let mut denied = self.faults.post_denied(self.query, self.host, dst);
         if denied.is_none() {
             ctx.advance(SimDuration::from_secs_f64(self.costs.post_overhead));

@@ -274,6 +274,27 @@ fn stats_count_messages_and_bytes() {
     assert_eq!(rx.rx_bytes, 5000);
 }
 
+#[test]
+fn a_post_to_an_unknown_host_fails_the_posting_task_before_any_charge() {
+    let (sim, fabric) = two_host_fabric(FabricConfig::fdr());
+    let nic = fabric.nic(HostId(0));
+    sim.spawn("poster", move |ctx| {
+        let handle = nic.post_send(ctx, HostId(5), 3, vec![0u8; 64]);
+        unreachable!("a post to host 5 returned (done: {})", handle.is_done());
+    });
+    let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+        .expect_err("the stray post must fail the run");
+    let msg = failure
+        .downcast_ref::<String>()
+        .expect("a formatted failure");
+    assert!(
+        msg.starts_with("simulated thread 'poster' panicked: post to unknown host 5"),
+        "{msg}"
+    );
+    let stats = fabric.nic(HostId(0)).stats();
+    assert_eq!((stats.tx_msgs, stats.tx_busy_ns), (0, 0), "{stats:?}");
+}
+
 /// Run a fixed 0→1 stream under `plan`; returns (tags received,
 /// completion results, finish time, sender stats).
 fn faulted_stream(

@@ -1,12 +1,25 @@
 //! The discrete-event kernel: a cooperative scheduler for simulated threads.
 //!
 //! Every simulated entity (a worker core, a NIC engine, a coordinator) is a
-//! task with a stack of its own, and all tasks of a simulation run on the
-//! one OS thread that calls [`Simulation::run`], so **exactly one of them
-//! runs at any moment**. A task runs until it reaches a *yield point* —
-//! [`SimCtx::advance`] (charge virtual time), [`SimCtx::park`] (block until
-//! unparked), or task exit — at which point it switches back to the
-//! scheduler loop, which dispatches the runnable task with the
+//! *slot* of the scheduler, and all slots of a simulation run on the one OS
+//! thread that calls [`Simulation::run`], so **exactly one of them runs at
+//! any moment**. A slot is one of two kinds:
+//!
+//! * a **task** ([`Simulation::spawn`]) has a stack of its own and runs
+//!   until it reaches a *yield point* — [`SimCtx::advance`] (charge virtual
+//!   time), [`SimCtx::park`] (block until unparked), or task exit — at
+//!   which point it switches back to the scheduler loop. Worker code stays
+//!   ordinary blocking Rust that yields from deep inside its loops;
+//! * a **step slot** ([`Simulation::spawn_steps`]) is stackless: a closure
+//!   the scheduler loop calls on its own stack, which runs to its next
+//!   yield point and *returns* it as a [`Step`] — `Advance`, `Park` or
+//!   `Exit`. The kernel handles each return exactly as the matching yield
+//!   point of a task, so a step slot is scheduled and traced like a task
+//!   with the same yield points, without the two stack switches per
+//!   dispatch. It suits a state machine whose state fits in a struct: the
+//!   NIC engines and the fabric's timers.
+//!
+//! The scheduler loop dispatches the runnable slot with the
 //! smallest `(wake_time, task, sequence_number)` key. Ties on the clock are
 //! broken by the *target task id*, not by global insertion order: which
 //! task runs first at a shared instant is a pure function of the instant
@@ -54,12 +67,14 @@
 //!    `O(log n)` over the full horizon. Unpark wakes and same-instant
 //!    yields — the bulk of barrier and channel traffic — stay in the small
 //!    structure.
-//! 3. **Stack switch.** A task is a stackful coroutine (`stack.rs`): a
-//!    yield point saves the callee-saved registers on the task's stack and
-//!    loads the scheduler loop's stack pointer, and a dispatch does the
-//!    reverse — a function call that returns on another stack, with no
-//!    system call, futex or second OS thread. Operator code stays ordinary
-//!    blocking Rust that yields from deep inside its loops.
+//! 3. **Stack switch, or none.** A task is a stackful coroutine
+//!    (`stack.rs`): a yield point saves the callee-saved registers on the
+//!    task's stack and loads the scheduler loop's stack pointer, and a
+//!    dispatch does the reverse — a function call that returns on another
+//!    stack, with no system call, futex or second OS thread. A step slot's
+//!    dispatch switches nothing: it is a plain call of its closure
+//!    (DESIGN.md §7 has both costs). [`SimCtx::run_counts`] reports
+//!    switches and step runs per slot.
 //! 4. **Batched self-advance.** [`SimCtx::advance_batched`] accrues virtual
 //!    time into a per-task `pending` cell without touching the scheduler at
 //!    all — it does not even borrow the kernel state. This is sound because
@@ -152,18 +167,58 @@ enum TaskState {
     Finished,
 }
 
-/// A spawned task's body, held by its slot until its first dispatch.
-type Body = Box<dyn FnOnce(&SimCtx)>;
+/// How a step slot continues after one run of its closure: the stackless
+/// form of a task's yield points (see [`Simulation::spawn_steps`]).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Step {
+    /// Run again once `d` of virtual time has passed — a task's
+    /// [`SimCtx::advance`], fast path included.
+    Advance(SimDuration),
+    /// Run again once unparked — a task's [`SimCtx::park`]; a stored
+    /// permit is consumed and the closure runs again at once.
+    Park,
+    /// The slot is finished — a task's return.
+    Exit,
+}
+
+impl Step {
+    /// The step form of [`SimCtx::sleep_until`]: run again at `t`, or at
+    /// the current instant after the other slots due now if `t` has
+    /// passed.
+    pub fn sleep_until(ctx: &SimCtx, t: SimTime) -> Step {
+        let now = ctx.now();
+        Step::Advance(if t > now { t - now } else { SimDuration::ZERO })
+    }
+}
+
+/// A step slot's closure: called on the scheduler loop's own stack.
+type StepFn = Box<dyn FnMut(&SimCtx) -> Step>;
+
+/// What a slot runs, held by the slot until its first dispatch.
+enum Body {
+    /// A task: a closure started on a stack of its own.
+    Task(Box<dyn FnOnce(&SimCtx)>),
+    /// A step slot: a closure the scheduler loop calls once per run.
+    Steps(StepFn),
+}
 
 struct Slot {
     name: String,
-    /// The task's closure until its first dispatch moves it onto a stack;
-    /// a simulation dropped without `run` drops it here.
+    /// The slot's closure until its first dispatch moves it onto a stack
+    /// (or, for steps, into the scheduler loop); a simulation dropped
+    /// without `run` drops it here.
     body: Option<Body>,
+    /// A step slot rather than a task.
+    steps: bool,
     state: TaskState,
     /// A pending unpark delivered while the task was not blocked; consumed
     /// by the next `park`.
     permit: bool,
+    /// Dispatches so far: for a task, each is one switch onto its stack.
+    dispatches: u64,
+    /// Calls of a step slot's closure so far (dispatches plus inline
+    /// continuations).
+    step_runs: u64,
 }
 
 struct State {
@@ -217,6 +272,34 @@ impl State {
             (Some(_), None) => self.near.pop(),
             (None, _) => self.far.pop(),
         }
+    }
+
+    /// The fast-path predicate, the one place it is decided: a wake of
+    /// `tid` at `wake` precedes everything queued — `(wake, tid)` strictly
+    /// below the minimum `(time, task)` — so pushing it and dispatching
+    /// would hand control straight back to `tid`. Never in reference mode
+    /// or once the run failed. A clock tie is broken by task id; a tie on
+    /// both (a stale event of this very task) falls through to the slow
+    /// path, whose pop order handles it.
+    #[inline]
+    fn runs_next(&self, wake: SimTime, tid: usize) -> bool {
+        !self.reference
+            && self.failure.is_none()
+            && match self.peek_key() {
+                Some((t, task, _)) => (wake, tid) < (t, task),
+                None => true,
+            }
+    }
+
+    /// Continue `tid` inline at `wake` (after [`State::runs_next`]):
+    /// allocate the seq the pushed event would have had, bump the clock,
+    /// and record the dispatch the reference scheduler would make.
+    #[inline]
+    fn continue_inline(&mut self, wake: SimTime, tid: usize) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.now = wake;
+        self.record(wake, seq, tid);
     }
 
     #[inline]
@@ -315,15 +398,17 @@ impl Kernel {
                 debug_assert!(ev.time >= state.now, "time went backwards");
                 state.now = ev.time;
                 slot.state = TaskState::Running;
+                slot.dispatches += 1;
                 state.record(ev.time, ev.seq, ev.task);
                 return Some(ev.task);
             }
         }
     }
 
-    /// Start aborting after a failure: make every blocked task runnable at
-    /// the current instant, so each is resumed, unwinds with [`SimAbort`]
-    /// and drops what its stack owns. Returns how many were woken.
+    /// Start aborting after a failure: make every blocked slot runnable at
+    /// the current instant, so each task is resumed, unwinds with
+    /// [`SimAbort`] and drops what its stack owns, and each step slot is
+    /// dropped without running. Returns how many were woken.
     fn abort_all(&self, state: &mut State) -> usize {
         self.aborting.set(true);
         let mut woken = 0;
@@ -354,21 +439,9 @@ impl Kernel {
             let mut st = self.state.borrow_mut();
             debug_assert_eq!(st.slots[tid].state, TaskState::Running);
             wake = st.now + d;
-            if !st.reference && st.failure.is_none() {
-                let wins = match st.peek_key() {
-                    // A clock tie is broken by task id; a tie on both (a
-                    // stale event of this very task) falls through to the
-                    // slow path, whose pop order handles it.
-                    Some((t, task, _)) => (wake, tid) < (t, task),
-                    None => true,
-                };
-                if wins {
-                    let seq = st.seq;
-                    st.seq += 1;
-                    st.now = wake;
-                    st.record(wake, seq, tid);
-                    return;
-                }
+            if st.runs_next(wake, tid) {
+                st.continue_inline(wake, tid);
+                return;
             }
         }
         self.yield_and_wait(tid, TaskState::Runnable, Some(wake));
@@ -400,6 +473,107 @@ impl Kernel {
             panic::resume_unwind(Box::new(SimAbort));
         }
     }
+
+    /// One dispatch of step slot `tid`: call its closure on this stack
+    /// until it parks, advances past the next queued event, or exits —
+    /// each return handled exactly as the matching yield point of a task.
+    /// Returns whether the slot finished. While the simulation aborts, a
+    /// dispatched step slot is finished without being called.
+    fn run_steps(&self, tid: usize, s: &mut Stepper) -> bool {
+        if self.aborting.get() {
+            self.finish(tid, None);
+            return true;
+        }
+        loop {
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                let next = (s.f)(&s.ctx);
+                assert!(
+                    s.ctx.pending.get() == 0,
+                    "a step accrued batched virtual time; return Step::Advance instead"
+                );
+                next
+            }));
+            let next = match ran {
+                Ok(next) => next,
+                Err(payload) => {
+                    self.finish(tid, panic_message(payload));
+                    return true;
+                }
+            };
+            let mut st = self.state.borrow_mut();
+            st.slots[tid].step_runs += 1;
+            match next {
+                Step::Advance(d) => {
+                    let wake = st.now + d;
+                    if st.runs_next(wake, tid) {
+                        st.continue_inline(wake, tid);
+                        continue;
+                    }
+                    st.slots[tid].state = TaskState::Runnable;
+                    Self::push_event(&mut st, wake, tid);
+                    return false;
+                }
+                Step::Park => {
+                    let slot = &mut st.slots[tid];
+                    if !std::mem::take(&mut slot.permit) {
+                        slot.state = TaskState::Blocked;
+                        return false;
+                    }
+                }
+                Step::Exit => {
+                    drop(st);
+                    self.finish(tid, None);
+                    return true;
+                }
+            }
+        }
+    }
+
+    /// Record that slot `tid` ended — returned, exited, or (with `failure`)
+    /// panicked, which fails the run and starts the abort.
+    fn finish(&self, tid: usize, failure: Option<String>) {
+        let mut st = self.state.borrow_mut();
+        st.slots[tid].state = TaskState::Finished;
+        st.live -= 1;
+        if let Some(msg) = failure {
+            if st.failure.is_none() {
+                let name = st.slots[tid].name.clone();
+                st.failure = Some(format!("simulated thread '{name}' panicked: {msg}"));
+            }
+            self.abort_all(&mut st);
+        }
+    }
+}
+
+/// The failure of a step that called a yield point. Out of line, so the
+/// check costs [`SimCtx::advance`] — inlined into every metered loop — one
+/// branch and no formatting code.
+#[cold]
+#[inline(never)]
+fn step_yielded(what: &str) -> ! {
+    panic!("a step called {what}: a step yields by returning Step::Advance or Step::Park")
+}
+
+/// The message of a caught panic, or `None` for the induced [`SimAbort`]
+/// unwind (the original failure is already recorded).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> Option<String> {
+    if payload.downcast_ref::<SimAbort>().is_some() {
+        return None;
+    }
+    Some(
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
+    )
+}
+
+/// A dispatched step slot, owned by the scheduler loop: its closure and
+/// the context it is called with.
+struct Stepper {
+    ctx: SimCtx,
+    f: StepFn,
 }
 
 /// A handle to the kernel held by each simulated thread. All virtual-time
@@ -425,6 +599,8 @@ impl Kernel {
 pub struct SimCtx {
     kernel: Arc<Kernel>,
     tid: usize,
+    /// The context of a step slot, whose closure must not yield.
+    step: bool,
     /// Virtual nanoseconds accrued by [`SimCtx::advance_batched`] and not
     /// yet committed to the scheduler. Observable only through this
     /// context: [`SimCtx::now`] adds it, and every kernel-visible action
@@ -440,10 +616,11 @@ pub struct SimCtx {
 }
 
 impl SimCtx {
-    fn new(kernel: Arc<Kernel>, tid: usize) -> SimCtx {
+    fn new(kernel: Arc<Kernel>, tid: usize, step: bool) -> SimCtx {
         SimCtx {
             kernel,
             tid,
+            step,
             pending: Cell::new(0),
             #[cfg(debug_assertions)]
             accrual_epoch: Cell::new((0, 0)),
@@ -466,6 +643,7 @@ impl SimCtx {
     /// the virtual clock reaches `now + d`, after all earlier events. Any
     /// batched accrual is folded into the same single advance.
     pub fn advance(&self, d: SimDuration) {
+        self.refuse_in_step("advance");
         let total = d + SimDuration::from_nanos(self.pending.take());
         self.kernel.advance(self.tid, total);
     }
@@ -529,6 +707,16 @@ impl SimCtx {
     #[inline]
     fn note_self_push(&self) {}
 
+    /// A step slot runs on the scheduler loop's stack and has nothing to
+    /// switch away from: it yields by returning a [`Step`], and a yield
+    /// point called from its closure fails the run, naming the slot.
+    #[inline]
+    fn refuse_in_step(&self, what: &str) {
+        if self.step {
+            step_yielded(what);
+        }
+    }
+
     /// Yield without consuming virtual time, letting other threads scheduled
     /// at the current instant run first (in deterministic task order).
     pub fn yield_now(&self) {
@@ -553,6 +741,7 @@ impl SimCtx {
     /// position is observable (it decides which unpark wakes us and at what
     /// clock we resume), so the task's clock must be fully committed.
     pub fn park(&self) {
+        self.refuse_in_step("park");
         self.settle_point();
         {
             let mut st = self.kernel.state.borrow_mut();
@@ -600,28 +789,82 @@ impl SimCtx {
     where
         F: FnOnce(&SimCtx) + 'static,
     {
-        let id = spawn_task(
-            &self.kernel,
-            name.into(),
-            f,
-            SimDuration::from_nanos(self.pending.get()),
-        );
+        self.spawn_body(name.into(), Body::Task(Box::new(f)))
+    }
+
+    /// Spawn a step slot (see [`Simulation::spawn_steps`]), runnable at
+    /// the caller's current virtual time like [`SimCtx::spawn`].
+    pub fn spawn_steps<F>(&self, name: impl Into<String>, f: F) -> TaskId
+    where
+        F: FnMut(&SimCtx) -> Step + 'static,
+    {
+        self.spawn_body(name.into(), Body::Steps(Box::new(f)))
+    }
+
+    fn spawn_body(&self, name: String, body: Body) -> TaskId {
+        let offset = SimDuration::from_nanos(self.pending.get());
+        let id = spawn_slot(&self.kernel, name, body, offset);
         self.note_self_push();
         id
     }
+
+    /// What this run has dispatched so far: stack switches into tasks and
+    /// runs of step slots, in total and per slot.
+    pub fn run_counts(&self) -> RunCounts {
+        let st = self.kernel.state.borrow();
+        let slots: Vec<SlotCounts> = st
+            .slots
+            .iter()
+            .map(|s| SlotCounts {
+                name: s.name.clone(),
+                switches: if s.steps { 0 } else { s.dispatches },
+                step_runs: s.step_runs,
+            })
+            .collect();
+        RunCounts {
+            switches: slots.iter().map(|s| s.switches).sum(),
+            step_runs: slots.iter().map(|s| s.step_runs).sum(),
+            slots,
+        }
+    }
 }
 
-fn spawn_task<F>(kernel: &Kernel, name: String, f: F, offset: SimDuration) -> TaskId
-where
-    F: FnOnce(&SimCtx) + 'static,
-{
+/// Dispatch counters of one [`Simulation::run`] so far, from
+/// [`SimCtx::run_counts`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Switches onto a task's stack: one per dispatch of a task (an inline
+    /// fast-path continuation switches nothing).
+    pub switches: u64,
+    /// Calls of step closures: one per dispatch of a step slot plus one
+    /// per inline continuation.
+    pub step_runs: u64,
+    /// Per slot, in [`TaskId`] order.
+    pub slots: Vec<SlotCounts>,
+}
+
+/// One slot's share of [`RunCounts`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SlotCounts {
+    /// The name the slot was spawned with.
+    pub name: String,
+    /// Switches onto its stack (always 0 for a step slot).
+    pub switches: u64,
+    /// Calls of its step closure (always 0 for a task).
+    pub step_runs: u64,
+}
+
+fn spawn_slot(kernel: &Kernel, name: String, body: Body, offset: SimDuration) -> TaskId {
     let mut st = kernel.state.borrow_mut();
     let tid = st.slots.len();
     st.slots.push(Slot {
         name,
-        body: Some(Box::new(f)),
+        steps: matches!(body, Body::Steps(_)),
+        body: Some(body),
         state: TaskState::Runnable,
         permit: false,
+        dispatches: 0,
+        step_runs: 0,
     });
     st.live += 1;
     let at = st.now + offset;
@@ -634,8 +877,8 @@ where
 /// its batched accrual, and record how it ended. No panic gets past this
 /// frame: a task's own panic becomes the simulation's failure, and the
 /// induced [`SimAbort`] unwind ends here.
-fn run_task(kernel: Arc<Kernel>, tid: usize, body: Body) {
-    let ctx = SimCtx::new(Arc::clone(&kernel), tid);
+fn run_task(kernel: Arc<Kernel>, tid: usize, body: Box<dyn FnOnce(&SimCtx)>) {
+    let ctx = SimCtx::new(Arc::clone(&kernel), tid, false);
     let start = !kernel.aborting.get();
     // The body moves into the guarded closure, so even dropping it unrun
     // happens under `catch_unwind`.
@@ -647,28 +890,7 @@ fn run_task(kernel: Arc<Kernel>, tid: usize, body: Body) {
             ctx.settle_point();
         }
     }));
-    let failure = result.err().and_then(|payload| {
-        if payload.downcast_ref::<SimAbort>().is_some() {
-            return None; // induced unwind, original failure already recorded
-        }
-        Some(
-            payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string()),
-        )
-    });
-    let mut st = kernel.state.borrow_mut();
-    st.slots[tid].state = TaskState::Finished;
-    st.live -= 1;
-    if let Some(msg) = failure {
-        if st.failure.is_none() {
-            let name = st.slots[tid].name.clone();
-            st.failure = Some(format!("simulated thread '{name}' panicked: {msg}"));
-        }
-        kernel.abort_all(&mut st);
-    }
+    kernel.finish(tid, result.err().and_then(panic_message));
 }
 
 /// A complete simulation run: spawn root threads, then [`Simulation::run`]
@@ -735,7 +957,40 @@ impl Simulation {
     where
         F: FnOnce(&SimCtx) + 'static,
     {
-        spawn_task(&self.kernel, name.into(), f, SimDuration::ZERO)
+        let body = Body::Task(Box::new(f));
+        spawn_slot(&self.kernel, name.into(), body, SimDuration::ZERO)
+    }
+
+    /// Spawn a root *step slot* (runnable at t = 0): a stackless task whose
+    /// closure the scheduler loop calls on its own stack each time the
+    /// slot is dispatched. The closure runs until its next yield point and
+    /// returns it as a [`Step`] instead of calling [`SimCtx::advance`] or
+    /// [`SimCtx::park`] (which fail the run from a step). The slot takes
+    /// its [`TaskId`] in spawn order and is scheduled, traced and
+    /// unparked exactly like a task with the same yield points, but a run
+    /// switches no stack. A panic in the closure fails the run naming the
+    /// slot; once the run fails, the slot is dropped without being called.
+    ///
+    /// ```
+    /// use rsj_sim::{Simulation, SimDuration, Step};
+    ///
+    /// let sim = Simulation::new();
+    /// let mut ticks = 0;
+    /// sim.spawn_steps("ticker", move |_ctx| {
+    ///     ticks += 1;
+    ///     if ticks > 3 {
+    ///         return Step::Exit;
+    ///     }
+    ///     Step::Advance(SimDuration::from_micros(10))
+    /// });
+    /// assert_eq!(sim.run().as_nanos(), 30_000);
+    /// ```
+    pub fn spawn_steps<F>(&self, name: impl Into<String>, f: F) -> TaskId
+    where
+        F: FnMut(&SimCtx) -> Step + 'static,
+    {
+        let body = Body::Steps(Box::new(f));
+        spawn_slot(&self.kernel, name.into(), body, SimDuration::ZERO)
     }
 
     /// Run the simulation until every simulated thread has finished.
@@ -765,6 +1020,7 @@ impl Simulation {
         stack::keep_heap_top();
         let kernel = &*self.kernel;
         let mut suspended: Vec<Option<Fiber>> = Vec::new();
+        let mut steppers: Vec<Option<Stepper>> = Vec::new();
         let mut free: Vec<Stack> = Vec::new();
         loop {
             let (tid, body) = {
@@ -775,12 +1031,25 @@ impl Simulation {
                 (tid, st.slots[tid].body.take())
             };
             let resumed = match body {
-                Some(body) => {
+                Some(Body::Task(body)) => {
                     let stack = free.pop().unwrap_or_else(Stack::new);
                     let k = Arc::clone(&self.kernel);
                     kernel
                         .board
                         .start(stack, Box::new(move || run_task(k, tid, body)))
+                }
+                Some(Body::Steps(f)) => {
+                    if steppers.len() <= tid {
+                        steppers.resize_with(tid + 1, || None);
+                    }
+                    let ctx = SimCtx::new(Arc::clone(&self.kernel), tid, true);
+                    steppers[tid] = Some(Stepper { ctx, f });
+                    self.step(&mut steppers, tid);
+                    continue;
+                }
+                None if steppers.get(tid).is_some_and(Option::is_some) => {
+                    self.step(&mut steppers, tid);
+                    continue;
                 }
                 None => {
                     let fiber = suspended[tid]
@@ -805,6 +1074,15 @@ impl Simulation {
             panic!("{msg}");
         }
         (st.now, st.trace.take())
+    }
+
+    /// Run dispatched step slot `tid`; a finished slot's closure is
+    /// dropped here, with no borrow of the kernel state held.
+    fn step(&self, steppers: &mut [Option<Stepper>], tid: usize) {
+        let s = steppers[tid].as_mut().expect("a dispatched step slot");
+        if self.kernel.run_steps(tid, s) {
+            steppers[tid] = None;
+        }
     }
 }
 
@@ -1199,5 +1477,230 @@ mod tests {
         });
         sim.run();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+    }
+
+    /// A relay that takes items off `input`, charges `cost` per item and
+    /// forwards them to `output`, closing it when `input` closes: as a
+    /// step slot or, with the same yield points, as a task.
+    fn spawn_relay(
+        sim: &Simulation,
+        as_steps: bool,
+        name: &str,
+        input: Arc<crate::SimChannel<u64>>,
+        output: Arc<crate::SimChannel<u64>>,
+    ) {
+        use std::task::Poll;
+        if !as_steps {
+            sim.spawn(name, move |ctx| {
+                while let Some(v) = input.recv(ctx) {
+                    ctx.advance(SimDuration::from_nanos(v % 7 + 1));
+                    output.send(ctx, v);
+                }
+                output.close(ctx);
+            });
+            return;
+        }
+        let mut held: Option<u64> = None;
+        sim.spawn_steps(name, move |ctx| {
+            if let Some(v) = held.take() {
+                output.send(ctx, v);
+            }
+            match input.poll_recv(ctx) {
+                Poll::Ready(Some(v)) => {
+                    held = Some(v);
+                    Step::Advance(SimDuration::from_nanos(v % 7 + 1))
+                }
+                Poll::Ready(None) => {
+                    output.close(ctx);
+                    Step::Exit
+                }
+                Poll::Pending => Step::Park,
+            }
+        });
+    }
+
+    /// Producers feed two relays in a chain into a consumer, with a
+    /// semaphore, a timer and cross unparks; the relays run as step slots
+    /// or as tasks.
+    fn mixed_run(reference: bool, as_steps: bool) -> (u64, Vec<Dispatch>) {
+        let sim = if reference {
+            Simulation::new_reference()
+        } else {
+            Simulation::new()
+        };
+        sim.record_trace();
+        let (a, b, c) = (
+            crate::SimChannel::new(),
+            crate::SimChannel::new(),
+            crate::SimChannel::new(),
+        );
+        let sem = crate::SimSemaphore::new(2);
+        for p in 0..3u64 {
+            let (a, sem) = (Arc::clone(&a), Arc::clone(&sem));
+            sim.spawn(format!("producer{p}"), move |ctx| {
+                for i in 0..40u64 {
+                    sem.acquire(ctx);
+                    ctx.advance(SimDuration::from_nanos((p * 13 + i * 5) % 9));
+                    a.send(ctx, p * 100 + i);
+                    sem.release(ctx);
+                }
+            });
+        }
+        spawn_relay(&sim, as_steps, "relay-a", Arc::clone(&a), Arc::clone(&b));
+        spawn_relay(&sim, as_steps, "relay-b", b, Arc::clone(&c));
+        let consumer = sim.spawn("consumer", move |ctx| {
+            let mut got = 0;
+            while c.recv(ctx).is_some() {
+                got += 1;
+                if got == 120 {
+                    a.close(ctx);
+                }
+            }
+            ctx.park(); // the timer's unpark
+        });
+        let mut ticks = 0u32;
+        sim.spawn_steps("timer", move |ctx| {
+            ticks += 1;
+            if ticks == 30 {
+                ctx.unpark(consumer);
+                return Step::Exit;
+            }
+            Step::Advance(SimDuration::from_nanos(23))
+        });
+        let (end, trace) = sim.run_traced();
+        (end.as_nanos(), trace)
+    }
+
+    #[test]
+    fn a_step_slot_schedules_exactly_like_a_task_with_its_yield_points() {
+        let steps = mixed_run(false, true);
+        assert_eq!(steps, mixed_run(false, false), "steps and tasks diverged");
+        assert_eq!(
+            steps,
+            mixed_run(true, true),
+            "steps diverged from the reference kernel"
+        );
+        assert!(steps.1.len() > 500, "{} dispatches", steps.1.len());
+    }
+
+    /// Run `sim`, expecting it to fail; returns the failure message.
+    fn failure_of(sim: Simulation) -> String {
+        let failure =
+            panic::catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("the run must fail");
+        failure
+            .downcast_ref::<String>()
+            .expect("the run fails with a formatted message")
+            .clone()
+    }
+
+    #[test]
+    fn a_panicking_step_fails_the_run_naming_its_slot_and_tasks_unwind() {
+        let held = Arc::new(());
+        let sim = Simulation::new();
+        {
+            let held = Arc::clone(&held);
+            sim.spawn("parked", move |ctx| {
+                let _mine = held;
+                ctx.park();
+            });
+        }
+        let mut runs = 0;
+        sim.spawn_steps("bomb", move |_| {
+            runs += 1;
+            assert!(runs < 3, "boom at run {runs}");
+            Step::Advance(SimDuration::from_micros(1))
+        });
+        let msg = failure_of(sim);
+        assert!(
+            msg.starts_with("simulated thread 'bomb' panicked: boom at run 3"),
+            "{msg}"
+        );
+        assert_eq!(
+            Arc::strong_count(&held),
+            1,
+            "the parked task did not unwind"
+        );
+    }
+
+    #[test]
+    fn a_step_that_yields_fails_loudly_naming_its_slot() {
+        for (what, name) in [("advance", "advancer"), ("park", "parker")] {
+            let sim = Simulation::new();
+            sim.spawn_steps(name, move |ctx| {
+                if what == "advance" {
+                    ctx.sleep_until(SimTime::from_nanos(5));
+                } else {
+                    ctx.park();
+                }
+                Step::Exit
+            });
+            let msg = failure_of(sim);
+            assert!(
+                msg.starts_with(&format!(
+                    "simulated thread '{name}' panicked: a step called {what}"
+                )),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_blocked_step_is_dropped_not_run_when_the_run_aborts() {
+        let held = Arc::new(());
+        let runs = Rc::new(Cell::new(0u32));
+        let sim = Simulation::new();
+        {
+            let (held, runs) = (Arc::clone(&held), Rc::clone(&runs));
+            sim.spawn_steps("blocked", move |_| {
+                let _mine = &held;
+                runs.set(runs.get() + 1);
+                Step::Park
+            });
+        }
+        sim.spawn("bomber", |ctx| {
+            ctx.advance(SimDuration::from_millis(1));
+            panic!("boom");
+        });
+        let msg = failure_of(sim);
+        assert!(
+            msg.starts_with("simulated thread 'bomber' panicked: boom"),
+            "{msg}"
+        );
+        assert_eq!(runs.get(), 1, "a step ran after the abort");
+        assert_eq!(Arc::strong_count(&held), 1, "the step's closure leaked");
+    }
+
+    #[test]
+    fn run_counts_separate_stack_switches_from_step_runs() {
+        let sim = Simulation::new();
+        let counts = Rc::new(RefCell::new(None));
+        let mut runs = 0;
+        sim.spawn_steps("ticker", move |_| {
+            runs += 1;
+            if runs > 10 {
+                return Step::Exit;
+            }
+            Step::Advance(SimDuration::from_nanos(10))
+        });
+        {
+            let counts = Rc::clone(&counts);
+            sim.spawn("task", move |ctx| {
+                for _ in 0..10 {
+                    // Ties the ticker's wakes, so every advance switches.
+                    ctx.advance(SimDuration::from_nanos(10));
+                }
+                *counts.borrow_mut() = Some(ctx.run_counts());
+            });
+        }
+        sim.run();
+        let counts = counts
+            .borrow_mut()
+            .take()
+            .expect("the task read the counts");
+        let ticker = &counts.slots[0];
+        assert_eq!((ticker.name.as_str(), ticker.switches), ("ticker", 0));
+        assert_eq!(ticker.step_runs, 11);
+        assert_eq!(counts.slots[1].switches, 11);
+        assert_eq!((counts.switches, counts.step_runs), (11, 11));
     }
 }

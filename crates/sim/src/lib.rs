@@ -3,12 +3,14 @@
 //! The foundation of the rack-scale join reproduction: a virtual clock and a
 //! cooperative scheduler that runs *real Rust code* on *simulated time*.
 //!
-//! Each simulated thread is a stackful coroutine: it has a stack of its
-//! own, but every thread of a simulation runs on the one OS thread that
-//! calls [`Simulation::run`], so at most one runs at any instant. Threads
-//! hand control back to the scheduler at *yield points*
-//! ([`SimCtx::advance`], [`SimCtx::park`]) with a stack switch. Virtual time
-//! jumps from event to event, so a run is deterministic regardless of host
+//! A simulated thread is either a stackful coroutine (a *task*, with a
+//! stack of its own) or a stackless *step slot* (a closure the scheduler
+//! calls on its own stack), and every thread of a simulation runs on the
+//! one OS thread that calls [`Simulation::run`], so at most one runs at any
+//! instant. A task hands control back to the scheduler at *yield points*
+//! ([`SimCtx::advance`], [`SimCtx::park`]) with a stack switch; a step slot
+//! returns the same yield point as a [`Step`]. Virtual time jumps from
+//! event to event, so a run is deterministic regardless of host
 //! speed or core count — which is what lets a 1-core container reproduce the
 //! timing behaviour of a 10-node InfiniBand cluster (see `DESIGN.md` §1).
 //!
@@ -37,6 +39,6 @@ mod stack;
 mod sync;
 mod time;
 
-pub use kernel::{Dispatch, SimCtx, Simulation, TaskId};
+pub use kernel::{Dispatch, RunCounts, SimCtx, Simulation, SlotCounts, Step, TaskId};
 pub use sync::{Poisoned, SimBarrier, SimChannel, SimEvent, SimSemaphore};
 pub use time::{SimDuration, SimTime};

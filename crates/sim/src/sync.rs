@@ -24,6 +24,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::task::Poll;
 
 use crate::kernel::{SimCtx, TaskId};
 
@@ -170,18 +171,27 @@ impl<T> SimChannel<T> {
     /// `None` once the channel is closed *and* drained.
     pub fn recv(&self, ctx: &SimCtx) -> Option<T> {
         loop {
-            {
-                let mut st = self.inner.borrow_mut();
-                if let Some(v) = st.queue.pop_front() {
-                    return Some(v);
-                }
-                if st.senders_done {
-                    return None;
-                }
-                st.receivers.push_back(ctx.id());
+            if let Poll::Ready(v) = self.poll_recv(ctx) {
+                return v;
             }
             ctx.park();
         }
+    }
+
+    /// [`SimChannel::recv`] without the park, for a step slot: the next
+    /// item, `Ready(None)` once the channel is closed and drained, or
+    /// `Pending` with the caller registered to be unparked by the next
+    /// send or the close (a step then returns [`crate::Step::Park`]).
+    pub fn poll_recv(&self, ctx: &SimCtx) -> Poll<Option<T>> {
+        let mut st = self.inner.borrow_mut();
+        if let Some(v) = st.queue.pop_front() {
+            return Poll::Ready(Some(v));
+        }
+        if st.senders_done {
+            return Poll::Ready(None);
+        }
+        st.receivers.push_back(ctx.id());
+        Poll::Pending
     }
 
     /// Number of queued items.
@@ -254,19 +264,28 @@ impl SimSemaphore {
     /// crashed peer will never release.
     pub fn acquire_checked(&self, ctx: &SimCtx) -> Result<(), Poisoned> {
         loop {
-            {
-                let mut st = self.inner.borrow_mut();
-                if st.poisoned {
-                    return Err(Poisoned);
-                }
-                if st.permits > 0 {
-                    st.permits -= 1;
-                    return Ok(());
-                }
-                st.waiters.push_back(ctx.id());
+            if let Poll::Ready(r) = self.try_acquire_checked(ctx) {
+                return r;
             }
             ctx.park();
         }
+    }
+
+    /// [`SimSemaphore::acquire_checked`] without the park, for a step
+    /// slot: a permit, `Ready(Err(Poisoned))` once poisoned, or `Pending`
+    /// with the caller registered to be unparked by the next release or
+    /// the poison.
+    pub fn try_acquire_checked(&self, ctx: &SimCtx) -> Poll<Result<(), Poisoned>> {
+        let mut st = self.inner.borrow_mut();
+        if st.poisoned {
+            return Poll::Ready(Err(Poisoned));
+        }
+        if st.permits > 0 {
+            st.permits -= 1;
+            return Poll::Ready(Ok(()));
+        }
+        st.waiters.push_back(ctx.id());
+        Poll::Pending
     }
 
     /// Poison the semaphore, waking every parked acquirer with
