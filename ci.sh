@@ -1,9 +1,19 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the lint gauntlet. Run from the repo root.
 #
-#   ./ci.sh         full gate (build, benchmark package + its smoke run +
-#                   frozen-path guard, tests, switch guard, fmt, clippy,
-#                   lint, sweep smoke, chaos, service, soak)
+#   ./ci.sh         full gate, in this order:
+#                   - release build;
+#                   - the frozen benchmark package: build, its tests, its
+#                     --quick smoke run, and the guard that benchmark/ and
+#                     BENCHMARK.json equal HEAD;
+#                   - every workspace crate's tests;
+#                   - the build-switch guard (no cargo features, env vars
+#                     or serde in crates/*);
+#                   - fmt, clippy, rsj-lint against its baseline;
+#                   - sweep smoke: a unit subset, serial vs --jobs 2, cmp;
+#                   - the whole sweep, cmp against experiments_all.txt;
+#                   - the goldens: chaos --seeds 6, service --short and
+#                     chaos --soak --short, each cmp against golden/.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,11 +74,12 @@ cargo run -q -p rsj-lint -- --json --baseline lint-baseline.json > target/lint-r
 # change a single output byte. The subset reaches every user of the
 # shuffle: the radix join, sort-merge and aggregation (`operators`), result
 # materialization (`materialize`), the parallel local pass and work
-# sharing (`fig8ws`).
+# sharing (`fig8ws`). `shootout` is the subset's one unit that runs the
+# one-sided READ probe plane.
 cargo run --release -q -p rsj-bench --bin experiments -- \
-    all --subset fig3,fig5b,hardware,optimal,fig8ws,operators,materialize --jobs 1 > target/sweep_smoke_serial.txt
+    all --subset fig3,fig5b,hardware,optimal,fig8ws,operators,materialize,shootout --jobs 1 > target/sweep_smoke_serial.txt
 cargo run --release -q -p rsj-bench --bin experiments -- \
-    all --subset fig3,fig5b,hardware,optimal,fig8ws,operators,materialize --jobs 2 > target/sweep_smoke_parallel.txt
+    all --subset fig3,fig5b,hardware,optimal,fig8ws,operators,materialize,shootout --jobs 2 > target/sweep_smoke_parallel.txt
 cmp target/sweep_smoke_serial.txt target/sweep_smoke_parallel.txt
 # The paper reproduction itself: the whole sweep (about 6 minutes with two
 # workers on a 2-vCPU host) must equal the committed experiments_all.txt
@@ -97,9 +108,3 @@ cmp target/service_short.txt golden/service_short.txt
 timeout 300 cargo run --release -q -p rsj-bench --bin chaos -- --soak --short \
     > target/chaos_soak_short.txt
 cmp target/chaos_soak_short.txt golden/chaos_soak_short.txt
-# The one-sided probe plane: no sweep unit runs it, so the transport
-# shootout's stdout (a few seconds; RDMA READ probes at three probe skews)
-# pins its virtual time and wire MB. When the shootout joins the sweep's
-# units, the sweep gates it and this golden goes.
-cargo run --release -q --example transport_shootout > target/transport_shootout.txt
-cmp target/transport_shootout.txt golden/transport_shootout.txt

@@ -4,13 +4,22 @@
 //! the paper reports (where the paper states them numerically), so a run
 //! of `experiments all` is a complete reproduction record. Times are in
 //! **paper-equivalent seconds** (scaled-run virtual time × scale factor —
-//! see the crate docs for why this is exact).
+//! see the crate docs for why this is exact), except in [`shootout`],
+//! which runs one fixed grid and reports unscaled virtual time.
+
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use rsj_cluster::{ClusterSpec, Interconnect};
-use rsj_core::{AssignmentPolicy, DistJoinConfig, TransportMode};
+use rsj_core::{
+    try_run_distributed_join, AssignmentPolicy, DistJoinConfig, DistJoinOutcome, Transport,
+    TransportMode,
+};
 use rsj_joins::{run_single_machine_join, SingleMachineConfig};
 use rsj_model::{self as model, ModelInput};
-use rsj_rdma::FabricConfig;
+use rsj_rdma::{Fabric, FabricConfig, FabricError, HostId, NicCosts};
+use rsj_sim::{SimCtx, SimDuration, Simulation};
 use rsj_workload::{generate_inner, generate_outer, Skew, Tuple, Tuple16, Tuple32, Tuple64};
 
 use crate::outln;
@@ -851,4 +860,274 @@ pub fn materialization(scale: Scale) {
     outln!("— shipping 16-byte result pairs for every match to one coordinator");
     outln!("funnels the entire result through a single ingress link, which is why");
     outln!("the paper leaves the join inside an operator pipeline instead.");
+}
+
+/// Tuples of the shootout's inner relation (the outer has three times as
+/// many), on [`SHOOTOUT_MACHINES`] FDR machines of 4 cores.
+const SHOOTOUT_TUPLES: u64 = 200_000;
+const SHOOTOUT_MACHINES: usize = 3;
+/// Value sizes and read fractions of the GET/PUT grid (part 3).
+const KV_SIZES: [usize; 4] = [64, 512, 4096, 16384];
+const KV_READ_PCTS: [usize; 3] = [50, 90, 99];
+/// Largest value a one-sided GET fetches in one READ; a larger one is a
+/// pointer chase of two dependent READs.
+const KV_INLINE_MTU: usize = 4096;
+/// Operations per (size, read fraction) cell of the GET/PUT grid.
+const KV_OPS_PER_CELL: usize = 200;
+/// Server-side cost of one RPC dispatch (poll completion, decode, branch).
+const RPC_DISPATCH_SECONDS: f64 = 0.5e-6;
+/// Rate at which the RPC server copies a value into its response buffer.
+const RPC_COPY_RATE: f64 = 20.0e9;
+/// Wire tags of the RPC emulation.
+const TAG_GET: u32 = 1;
+const TAG_PUT: u32 = 2;
+
+/// Extension: which transport, and which probe dataplane, should carry
+/// the join — the repo's own crossovers behind the DESIGN.md §11
+/// transport-selection guide, in three parts at one fixed grid (the
+/// scale does not apply):
+///
+/// 1. **Wire transport** (Figure 5b in miniature): TCP/IPoIB vs RDMA,
+///    non-interleaved and interleaved.
+/// 2. **Probe dataplane**: the full radix join, two-sided (ship S) vs
+///    one-sided (READ R's published bucket tables), across probe skews.
+///    Uniform probes touch every bucket, so fetching tables moves more
+///    bytes than shipping S; skewed probes hit a few hot buckets that
+///    the per-core fetch dedup collapses, and one-sided wins
+///    (`crates/core/tests/one_sided.rs` pins the crossover).
+/// 3. **Operation level**: GET/PUT over the raw fabric, one-sided (a GET
+///    is 1 READ, or 2 for an out-of-line value; a PUT is a WRITE plus a
+///    4-byte version READ-back) vs RPC (SEND request, server dispatch CPU
+///    and copy, SEND response), across value sizes and read fractions.
+pub fn shootout(_scale: Scale) {
+    hdr("Extension — transport shootout: wire, probe dataplane, GET/PUT (unscaled virtual time)");
+    shootout_wire();
+    shootout_probe();
+    shootout_kv();
+}
+
+/// One verified shootout join; `tweak` picks the transport under test.
+fn shootout_join(skew: Skew, tweak: impl FnOnce(&mut DistJoinConfig)) -> DistJoinOutcome {
+    let mut cfg = DistJoinConfig::new(ClusterSpec::fdr_cluster(SHOOTOUT_MACHINES));
+    cfg.cluster.cores_per_machine = 4;
+    cfg.radix_bits = (4, 3);
+    cfg.rdma_buf_size = 1024;
+    tweak(&mut cfg);
+    let r = generate_inner::<Tuple16>(SHOOTOUT_TUPLES, SHOOTOUT_MACHINES, 9101);
+    let (s, oracle) = generate_outer::<Tuple16>(
+        3 * SHOOTOUT_TUPLES,
+        SHOOTOUT_TUPLES,
+        SHOOTOUT_MACHINES,
+        skew,
+        9102,
+    );
+    let out = try_run_distributed_join(cfg, r, s).expect("distributed join aborted");
+    oracle.verify(&out.result);
+    out
+}
+
+fn shootout_wire() {
+    outln!(
+        "Part 1 — wire transport: {SHOOTOUT_TUPLES} ⋈ {} tuples, 3 machines, 4 cores\n",
+        3 * SHOOTOUT_TUPLES
+    );
+    let mut net = Vec::new();
+    for (label, transport) in [
+        ("TCP over IPoIB", TransportMode::Tcp),
+        ("RDMA, non-interleaved", TransportMode::RdmaNonInterleaved),
+        ("RDMA, interleaved", TransportMode::RdmaInterleaved),
+    ] {
+        let out = shootout_join(Skew::None, |c| {
+            c.transport = transport;
+            if transport == TransportMode::Tcp {
+                c.cluster.interconnect = Interconnect::IpoIb;
+            }
+        });
+        outln!(
+            "{label:>22}: total {} | network pass {}",
+            out.phases.total(),
+            out.phases.network_partition,
+        );
+        net.push(out.phases.network_partition.as_secs_f64());
+    }
+    outln!(
+        "\nnetwork pass: RDMA beats TCP by {:.1}x; interleaving saves another {:.0}%\n",
+        net[0] / net[1],
+        (1.0 - net[2] / net[1]) * 100.0
+    );
+}
+
+fn shootout_probe() {
+    outln!(
+        "Part 2 — probe dataplane: {SHOOTOUT_TUPLES} ⋈ {} tuples, 3 machines (FDR)",
+        3 * SHOOTOUT_TUPLES
+    );
+    outln!(
+        "{:>12} {:>14} {:>12} {:>14} {:>12}   verdict (wire)",
+        "probe skew",
+        "2-sided time",
+        "wire MB",
+        "1-sided time",
+        "wire MB"
+    );
+    for (label, skew) in [
+        ("uniform", Skew::None),
+        ("zipf 1.25", Skew::Zipf(1.25)),
+        ("zipf 2.00", Skew::Zipf(2.0)),
+    ] {
+        let [(t2, w2), (t1, w1)] = [Transport::TwoSided, Transport::OneSided].map(|t| {
+            let out = shootout_join(skew, |c| c.probe_transport = t);
+            let wire: u64 = out.machines.iter().map(|m| m.tx_bytes).sum();
+            (out.phases.total().as_secs_f64(), wire)
+        });
+        let verdict = if w1 < w2 { "one-sided" } else { "two-sided" };
+        outln!(
+            "{label:>12} {t2:>13.4}s {:>12.2} {t1:>13.4}s {:>12.2}   {verdict}",
+            w2 as f64 / 1e6,
+            w1 as f64 / 1e6,
+        );
+    }
+    outln!(
+        "\nShipping S costs the same regardless of its contents; fetching bucket\n\
+         tables costs what the probe's *distinct-bucket footprint* costs. The\n\
+         duplicate-heavy end is where the one-sided plane earns its keep.\n"
+    );
+}
+
+/// The two ways a GET/PUT client reaches a remote value.
+#[derive(Clone, Copy)]
+enum KvPlane {
+    OneSided,
+    Rpc,
+}
+
+/// Virtual seconds for [`KV_OPS_PER_CELL`] key-value operations on
+/// `value`-byte values, `read_pct` percent of them GETs.
+fn kv_cell(plane: KvPlane, value: usize, read_pct: usize) -> f64 {
+    let sim = Simulation::new();
+    let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
+    fabric.launch(&sim);
+    let elapsed = Rc::new(Cell::new(0.0f64));
+    // The server burns dispatch + copy CPU per RPC; on the one-sided
+    // plane no request reaches it and it sleeps until shutdown.
+    {
+        let fabric = Arc::clone(&fabric);
+        sim.spawn("server", move |ctx| {
+            let nic = fabric.nic(HostId(1));
+            while let Ok(Some(c)) = nic.recv(ctx) {
+                let (reply, len) = match c.tag {
+                    TAG_GET => (vec![0x5a; value], value),
+                    TAG_PUT => (vec![0u8; 8], c.payload.len()),
+                    t => panic!("unexpected tag {t}"),
+                };
+                ctx.advance(SimDuration::from_secs_f64(
+                    RPC_DISPATCH_SECONDS + len as f64 / RPC_COPY_RATE,
+                ));
+                nic.post_send(ctx, c.src, c.tag, reply);
+                nic.repost_recv(ctx);
+            }
+        });
+    }
+    {
+        let fabric = Arc::clone(&fabric);
+        let elapsed = Rc::clone(&elapsed);
+        sim.spawn("client", move |ctx| {
+            let secs = kv_client(ctx, &fabric, plane, value, read_pct)
+                .expect("a fault-free fabric failed a GET/PUT");
+            elapsed.set(secs);
+            fabric.shutdown(ctx);
+        });
+    }
+    sim.run();
+    elapsed.get()
+}
+
+/// The client of [`kv_cell`]: the virtual seconds its operations took.
+fn kv_client(
+    ctx: &SimCtx,
+    fabric: &Fabric,
+    plane: KvPlane,
+    value: usize,
+    read_pct: usize,
+) -> Result<f64, FabricError> {
+    let nic = fabric.nic(HostId(0));
+    // The store region lives on host 1; the client holds its published
+    // handle, as a probe core holds a bucket table's.
+    let mr = fabric.nic(HostId(1)).mrs.register(ctx, value.max(64) * 2);
+    mr.fill(0, &vec![0x5a; value.max(64)]);
+    let remote = mr.publish();
+    let t0 = ctx.now();
+    for i in 0..KV_OPS_PER_CELL {
+        let is_read = i % 100 < read_pct;
+        match (plane, is_read) {
+            (KvPlane::OneSided, true) => {
+                if value > KV_INLINE_MTU {
+                    // Pointer chase: the header READ, then the value.
+                    nic.post_read(ctx, remote, 0, 16).wait(ctx)?;
+                }
+                nic.post_read(ctx, remote, 0, value).wait(ctx)?;
+            }
+            (KvPlane::OneSided, false) => {
+                // The mutation counts once its seqlock version bump is
+                // read back.
+                nic.post_write(ctx, remote, 0, vec![0xa5; value])
+                    .wait(ctx)?;
+                nic.post_read(ctx, remote, 0, 4).wait(ctx)?;
+            }
+            (KvPlane::Rpc, true) => {
+                nic.post_send(ctx, HostId(1), TAG_GET, vec![0u8; 16]);
+                let c = nic.recv(ctx)?.expect("the server replies to every GET");
+                assert_eq!(c.payload.len(), value);
+                nic.repost_recv(ctx);
+            }
+            (KvPlane::Rpc, false) => {
+                nic.post_send(ctx, HostId(1), TAG_PUT, vec![0xa5; value]);
+                nic.recv(ctx)?.expect("the server acks every PUT");
+                nic.repost_recv(ctx);
+            }
+        }
+    }
+    let secs = (ctx.now() - t0).as_secs_f64();
+    mr.unpublish();
+    Ok(secs)
+}
+
+fn shootout_kv() {
+    outln!(
+        "Part 3 — operation level: {KV_OPS_PER_CELL} GET/PUT ops per cell, FDR \
+         fabric, inline MTU {KV_INLINE_MTU} B"
+    );
+    outln!(
+        "{:>10} {:>8} {:>16} {:>12}   winner",
+        "value B",
+        "reads",
+        "one-sided µs/op",
+        "rpc µs/op"
+    );
+    let us = 1e6 / KV_OPS_PER_CELL as f64;
+    let mut one_sided_wins = 0;
+    for value in KV_SIZES {
+        for read_pct in KV_READ_PCTS {
+            let one = kv_cell(KvPlane::OneSided, value, read_pct);
+            let rpc = kv_cell(KvPlane::Rpc, value, read_pct);
+            let winner = if one < rpc {
+                one_sided_wins += 1;
+                "one-sided"
+            } else {
+                "rpc"
+            };
+            outln!(
+                "{value:>10} {read_pct:>7}% {:>16.3} {:>12.3}   {winner}",
+                one * us,
+                rpc * us
+            );
+        }
+    }
+    outln!(
+        "\none-sided wins {one_sided_wins}/{} cells: it dodges the server's \
+         dispatch CPU on reads\nbut pays a second round trip per write (version \
+         read-back) and per out-of-line\nvalue (pointer chase) — exactly the \
+         selection guide's decision axes (DESIGN.md §11).",
+        KV_SIZES.len() * KV_READ_PCTS.len()
+    );
 }

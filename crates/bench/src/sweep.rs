@@ -162,6 +162,10 @@ pub const UNITS: &[SweepUnit] = &[
         id: "materialize",
         run: experiments::materialization,
     },
+    SweepUnit {
+        id: "shootout",
+        run: experiments::shootout,
+    },
 ];
 
 /// Resolve a comma-separated subset list (`"fig3,hardware"`) to unit
@@ -251,10 +255,10 @@ mod tests {
 
     #[test]
     fn units_cover_the_all_sequence() {
-        assert_eq!(UNITS.len(), 19);
+        assert_eq!(UNITS.len(), 20);
         let ids: Vec<&str> = UNITS.iter().map(|u| u.id).collect();
         assert_eq!(ids[0], "fig3");
-        assert_eq!(ids[18], "materialize");
+        assert_eq!(ids[19], "shootout");
     }
 
     #[test]

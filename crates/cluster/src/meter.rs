@@ -16,13 +16,13 @@
 //! committed in a single advance at the next *interaction* — a
 //! [`Meter::flush`] before a fabric post, barrier, or park.
 //!
-//! **Eager** settlement — each chunk its own `ctx.advance`, usually a
-//! cross-worker OS context switch, which PR 3 measured as the sweep's
-//! wall-clock floor — survives only as the test oracle
-//! ([`Meter::with_mode`]). The chunk boundaries and rounding are
-//! bit-identical in both modes, so the committed clock at every
-//! interaction (the only points where another task can observe this
-//! worker's time) is exactly the same; only the number of scheduler
+//! **Eager** settlement — each chunk its own `ctx.advance`, a stack switch
+//! whenever another task's event comes first, which made the repo
+//! benchmark's `join_local` about 3× slower (DESIGN.md §7) — survives
+//! only as the test oracle ([`Meter::with_mode`]). The chunk boundaries
+//! and rounding are bit-identical in both modes, so the committed clock
+//! at every interaction (the only points where another task can observe
+//! this worker's time) is exactly the same; only the number of scheduler
 //! dispatches between interactions differs. DESIGN.md §12 carries the
 //! equivalence argument; `tests/meter_equivalence.rs` and rsj-sim's
 //! `tests/settlement_equivalence.rs` check it.
@@ -232,5 +232,34 @@ mod tests {
             assert_eq!(ctx.now().as_nanos(), 2500);
         });
         assert_eq!(sim.run().as_nanos(), 2500);
+    }
+
+    #[test]
+    fn a_metered_worker_switches_at_most_twice_before_its_flush() {
+        // A peer advancing in steps shorter than the quantum keeps the
+        // worker's charges from ever being the earliest event, so every
+        // chunk an eager meter dispatched would switch stacks; the meter
+        // of a configured run accrues them all into one batch.
+        let switches = std::rc::Rc::new(std::cell::Cell::new(u64::MAX));
+        let sim = Simulation::new();
+        {
+            let switches = std::rc::Rc::clone(&switches);
+            sim.spawn("worker", move |ctx| {
+                let mut m = Meter::for_quantum(1000.0);
+                for _ in 0..100 {
+                    m.charge_seconds(ctx, 1e-6);
+                }
+                let own = ctx.run_counts().slots.into_iter();
+                switches.set(own.filter(|s| s.name == "worker").map(|s| s.switches).sum());
+                m.flush(ctx);
+            });
+        }
+        sim.spawn("peer", |ctx| {
+            for _ in 0..400 {
+                ctx.advance(SimDuration::from_nanos(300));
+            }
+        });
+        sim.run();
+        assert!(switches.get() <= 2, "{} switches", switches.get());
     }
 }

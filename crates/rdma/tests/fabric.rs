@@ -652,7 +652,9 @@ fn traced_windowed_stream() -> Vec<rsj_sim::Dispatch> {
             let mut sends = Vec::new();
             for i in 0..PER_PEER * (HOSTS - 1) {
                 let dst = (h + 1 + i % (HOSTS - 1)) % HOSTS;
-                window.acquire(ctx);
+                window
+                    .acquire_checked(ctx)
+                    .expect("an unpoisoned semaphore grants");
                 let w = Arc::clone(&window);
                 sends.push(nic.post_send_windowed(
                     ctx,

@@ -51,7 +51,7 @@
 //! ## Wall-clock hot path
 //!
 //! The `(time, task, seq)` total order is the determinism contract; *how
-//! fast the host walks that order* is a pure implementation concern. Three
+//! fast the host walks that order* is a pure implementation concern. Four
 //! techniques keep the walk cheap (DESIGN.md §"Kernel fast path"):
 //!
 //! 1. **Self-continuation fast path.** When an `advance()` would push an
@@ -1539,7 +1539,8 @@ mod tests {
             let (a, sem) = (Arc::clone(&a), Arc::clone(&sem));
             sim.spawn(format!("producer{p}"), move |ctx| {
                 for i in 0..40u64 {
-                    sem.acquire(ctx);
+                    sem.acquire_checked(ctx)
+                        .expect("an unpoisoned semaphore grants");
                     ctx.advance(SimDuration::from_nanos((p * 13 + i * 5) % 9));
                     a.send(ctx, p * 100 + i);
                     sem.release(ctx);
@@ -1702,5 +1703,28 @@ mod tests {
         assert_eq!(ticker.step_runs, 11);
         assert_eq!(counts.slots[1].switches, 11);
         assert_eq!((counts.switches, counts.step_runs), (11, 11));
+    }
+
+    #[test]
+    fn a_lone_tasks_advances_switch_onto_its_stack_once() {
+        // Every wake of a lone task precedes the (empty) queue, so the fast
+        // path continues it inline: only its first dispatch switches.
+        let sim = Simulation::new();
+        let counts = Rc::new(RefCell::new(None));
+        {
+            let counts = Rc::clone(&counts);
+            sim.spawn("lone", move |ctx| {
+                for _ in 0..10_000 {
+                    ctx.advance(SimDuration::from_nanos(10));
+                }
+                *counts.borrow_mut() = Some(ctx.run_counts());
+            });
+        }
+        sim.run();
+        let counts = counts
+            .borrow_mut()
+            .take()
+            .expect("the task read the counts");
+        assert_eq!(counts.switches, 1, "{counts:?}");
     }
 }

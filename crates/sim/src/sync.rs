@@ -218,11 +218,6 @@ impl<T> SimChannel<T> {
             ctx.unpark(rx);
         }
     }
-
-    /// Whether the channel has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.borrow().senders_done
-    }
 }
 
 /// A counting semaphore on virtual time. Used e.g. to bound in-flight RDMA
@@ -249,19 +244,9 @@ impl SimSemaphore {
         })
     }
 
-    /// Acquire one permit, parking until available.
-    ///
-    /// # Panics
-    /// Panics if the semaphore is poisoned: a semaphore on an abort path
-    /// is acquired with [`SimSemaphore::acquire_checked`].
-    pub fn acquire(&self, ctx: &SimCtx) {
-        self.acquire_checked(ctx)
-            .expect("acquire on a poisoned semaphore")
-    }
-
-    /// Like [`SimSemaphore::acquire`], but wakes with `Err(Poisoned)` once
-    /// the semaphore is poisoned instead of waiting for a permit that a
-    /// crashed peer will never release.
+    /// Acquire one permit, parking until available; wakes with
+    /// `Err(Poisoned)` once the semaphore is poisoned instead of waiting
+    /// for a permit that a crashed peer will never release.
     pub fn acquire_checked(&self, ctx: &SimCtx) -> Result<(), Poisoned> {
         loop {
             if let Poll::Ready(r) = self.try_acquire_checked(ctx) {
@@ -289,7 +274,7 @@ impl SimSemaphore {
     }
 
     /// Poison the semaphore, waking every parked acquirer with
-    /// [`Poisoned`] (checked variant only). Idempotent.
+    /// [`Poisoned`]. Idempotent.
     pub fn poison(&self, ctx: &SimCtx) {
         let mut st = self.inner.borrow_mut();
         st.poisoned = true;
@@ -507,7 +492,8 @@ mod tests {
             let sem = Arc::clone(&sem);
             let max_end = Arc::clone(&max_end);
             sim.spawn(format!("w{i}"), move |ctx| {
-                sem.acquire(ctx);
+                sem.acquire_checked(ctx)
+                    .expect("an unpoisoned semaphore grants");
                 ctx.advance(SimDuration::from_millis(10));
                 sem.release(ctx);
                 max_end.fetch_max(ctx.now().as_nanos(), Ordering::SeqCst);
@@ -583,7 +569,10 @@ mod tests {
     fn semaphore_starvation_is_a_deadlock() {
         let sim = Simulation::new();
         let sem = SimSemaphore::new(0);
-        sim.spawn("starved", move |ctx| sem.acquire(ctx));
+        sim.spawn("starved", move |ctx| {
+            sem.acquire_checked(ctx)
+                .expect("an unpoisoned semaphore grants")
+        });
         sim.run();
     }
 
@@ -667,7 +656,6 @@ mod tests {
         sim.spawn("closer", move |ctx| {
             ch.close(ctx);
             ch.close(ctx);
-            assert!(ch.is_closed());
             assert!(ch.recv(ctx).is_none());
         });
         sim.run();

@@ -122,7 +122,8 @@ fn semaphore_mutual_exclusion_in_virtual_time() {
         sim.spawn(format!("w{t}"), move |ctx| {
             for i in 0..10u64 {
                 ctx.advance(SimDuration::from_nanos((t * 7 + i * 3) % 29 + 1));
-                sem.acquire(ctx);
+                sem.acquire_checked(ctx)
+                    .expect("an unpoisoned semaphore grants");
                 let start = ctx.now().as_nanos();
                 ctx.advance(SimDuration::from_nanos(50));
                 let end = ctx.now().as_nanos();
@@ -179,7 +180,8 @@ fn traced_mixed_workload(reference: bool, seed: u64) -> (u64, Vec<rsj_sim::Dispa
                         .wrapping_add(1442695040888963407);
                     ctx.advance(SimDuration::from_nanos((x >> 33) % 23));
                 }
-                sem.acquire(ctx);
+                sem.acquire_checked(ctx)
+                    .expect("an unpoisoned semaphore grants");
                 ctx.advance(SimDuration::from_nanos(50));
                 sem.release(ctx);
                 if t == 0 {
