@@ -9,7 +9,8 @@
 #                   - every workspace crate's tests;
 #                   - the build-switch guard (no cargo features, env vars
 #                     or serde in crates/*);
-#                   - fmt, clippy, rsj-lint against its baseline;
+#                   - fmt, clippy, rustdoc with warnings denied,
+#                     rsj-lint against its baseline;
 #                   - sweep smoke: a unit subset, serial vs --jobs 2, cmp;
 #                   - the whole sweep, cmp against experiments_all.txt;
 #                   - the goldens: chaos --seeds 6, service --short and
@@ -63,6 +64,10 @@ if grep -rnE 'feature *=|env::var' $(printf '%ssrc ' $guarded) \
 fi
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Intra-doc links resolve and no public item's docs link a private one:
+# refactors move and rename the items the docs point at, and nothing else
+# checks the links.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Project rules (token-level analysis: determinism hazards, barrier
 # protocol, error swallowing, plus the ported pattern rules). The gate
 # fails only on findings absent from the committed baseline; after

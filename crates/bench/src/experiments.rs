@@ -767,15 +767,7 @@ pub fn operators(scale: Scale) {
     let w = crate::workload(scale, 1024, 1024, machines, Skew::None);
     let mut sm_cfg = rsj_operators::SortMergeConfig::new(ClusterSpec::fdr_cluster(machines));
     sm_cfg.rdma_buf_size = scale.scale_buf(sm_cfg.rdma_buf_size);
-    sm_cfg.fabric_override = Some(
-        scale.scale_fabric(
-            sm_cfg
-                .cluster
-                .interconnect
-                .fabric_config()
-                .expect("fdr cluster is networked"),
-        ),
-    );
+    sm_cfg.fabric_override = Some(scale.scale_fabric(sm_cfg.cluster.fabric_config(None)));
     sm_cfg.cluster.cost.nic = scale.scale_nic(sm_cfg.cluster.cost.nic);
     let sm =
         rsj_operators::try_run_sort_merge_join(sm_cfg, w.r, w.s).expect("sort-merge join aborted");
@@ -793,15 +785,7 @@ pub fn operators(scale: Scale) {
     // Cyclo-join baseline.
     let w = crate::workload(scale, 1024, 1024, machines, Skew::None);
     let mut cy_cfg = rsj_operators::CycloJoinConfig::new(ClusterSpec::fdr_cluster(machines));
-    cy_cfg.fabric_override = Some(
-        scale.scale_fabric(
-            cy_cfg
-                .cluster
-                .interconnect
-                .fabric_config()
-                .expect("fdr cluster is networked"),
-        ),
-    );
+    cy_cfg.fabric_override = Some(scale.scale_fabric(cy_cfg.cluster.fabric_config(None)));
     cy_cfg.cluster.cost.nic = scale.scale_nic(cy_cfg.cluster.cost.nic);
     let cyclo = rsj_operators::try_run_cyclo_join(cy_cfg, w.r, w.s).expect("cyclo-join aborted");
     w.oracle.verify(&cyclo.result);

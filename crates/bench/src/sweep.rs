@@ -14,7 +14,7 @@
 //! ## Why OS threads are sound here
 //!
 //! The one-sim-one-thread determinism contract (crates/sim) is per
-//! [`Simulation`]: a kernel's event order is a pure function of its own
+//! [`Simulation`](rsj_sim::Simulation): a kernel's event order is a pure function of its own
 //! tasks. Each unit owns whole simulations end to end; no kernel object
 //! ever crosses a worker boundary, and the only cross-worker traffic is
 //! the finished byte buffer. Host-level scheduling can reorder *wall

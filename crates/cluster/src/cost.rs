@@ -34,7 +34,7 @@ pub struct CostModel {
     /// Per-thread in-cache sort rate (bytes/s) for the sort-merge
     /// operators of `rsj-operators`. Sorting is substantially slower than
     /// radix partitioning per pass — the reason the paper's radix hash
-    /// join beats sort-merge on non-SIMD hardware ([3], §2.2).
+    /// join beats sort-merge on non-SIMD hardware (\[3\], §2.2).
     pub sort_rate: f64,
     /// Per-thread rate of merging sorted runs / merge-joining (bytes/s).
     pub merge_rate: f64,

@@ -41,7 +41,7 @@ pub use error::JoinError;
 pub use exchange::{Exchange, Lane, Posted, Scatter, SendStep, SEND_DEPTH};
 pub use meter::{Meter, SettleMode};
 pub use phases::PhaseTimes;
-pub use query::{run_direct, QueryJob};
+pub use query::{run_direct, Attempts, QueryJob};
 pub use report::{HostReport, QueryReport, ServiceReport};
 pub use runtime::{ClusterRun, PhaseEvent, Runtime};
 pub use service::{HealingConfig, JoinRequest, QueryService, RejectReason, ServiceConfig};

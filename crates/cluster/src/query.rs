@@ -6,6 +6,7 @@
 //! finish sequence on a query-scoped [`Runtime`] (`admission.rs`).
 
 use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rsj_rdma::{Fabric, FabricConfig, FaultPlan, NicCosts, QueryId};
@@ -15,13 +16,17 @@ use crate::error::JoinError;
 use crate::runtime::{ClusterRun, Runtime};
 
 /// One query's worth of work, as the service sees it: the operator crates
-/// implement this for each join type, keeping their inputs and outputs in
-/// interior-mutable cells so the trait stays object-safe.
+/// implement this for each join type, keeping their input, the running
+/// attempt's state and the folded outcome in an [`Attempts`] so the trait
+/// stays object-safe.
 ///
-/// Lifecycle: `attach` once (building per-query shared state and pools via
+/// Lifecycle: `attach` (building the attempt's shared state and pools via
 /// [`Runtime::make_pool`]), then `run_worker` on every `machines() ×
 /// cores()` simulated core, then `finish` once after the workers drained
-/// (merging per-machine outputs into the job's recorded outcome).
+/// (merging per-machine outputs into the job's recorded outcome). A
+/// healing [`QueryService`](crate::QueryService) re-attaches the same job
+/// for each re-execution attempt; every attempt reads the job's input in
+/// place, so a re-attach starts from pristine bytes.
 pub trait QueryJob {
     /// Machines this query wants (≤ the service's host count).
     fn machines(&self) -> usize;
@@ -39,6 +44,56 @@ pub trait QueryJob {
     ) -> Result<(), JoinError>;
     /// Merge and record the outcome after a successful run.
     fn finish(&self, rt: &Runtime, run: &ClusterRun);
+}
+
+/// The per-attempt bookkeeping of a [`QueryJob`]: the job's input, the
+/// running attempt's state, and the outcome its `finish` folded. The
+/// input is borrowed, never consumed or copied: every attempt reads it in
+/// place, so a healing service's re-attach starts from pristine bytes
+/// (DESIGN.md §13).
+pub struct Attempts<I, S, O> {
+    input: I,
+    state: RefCell<Option<Rc<S>>>,
+    outcome: RefCell<Option<O>>,
+}
+
+impl<I, S, O> Attempts<I, S, O> {
+    /// A job's bookkeeping before its first attempt.
+    pub fn new(input: I) -> Attempts<I, S, O> {
+        Attempts {
+            input,
+            state: RefCell::new(None),
+            outcome: RefCell::new(None),
+        }
+    }
+
+    /// Start an attempt with the state `build` makes, replacing whatever
+    /// a failed attempt left.
+    pub fn attach(&self, build: impl FnOnce() -> S) {
+        self.state.replace(Some(Rc::new(build())));
+    }
+
+    /// The input and the running attempt's state, for one worker. No
+    /// borrow is held, so the worker may yield while it reads both.
+    pub fn state(&self) -> (&I, Rc<S>) {
+        let state = self.state.borrow().clone().expect("job not attached");
+        (&self.input, state)
+    }
+
+    /// End the attempt: take its state and fold it into the outcome.
+    pub fn finish(&self, fold: impl FnOnce(&S) -> O) {
+        let state = self
+            .state
+            .take()
+            .expect("finish without a preceding attach");
+        self.outcome.replace(Some(fold(&state)));
+    }
+
+    /// The recorded outcome of a finished run (`None` before `finish` or
+    /// if the run aborted).
+    pub fn take_outcome(&self) -> Option<O> {
+        self.outcome.take()
+    }
 }
 
 impl Runtime {

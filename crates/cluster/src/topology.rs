@@ -116,6 +116,16 @@ impl ClusterSpec {
         self.machines * self.cores_per_machine
     }
 
+    /// The fabric a run on this cluster uses: `fabric_override` if set,
+    /// else the interconnect's preset (panics for QPI, which has none).
+    pub fn fabric_config(&self, fabric_override: Option<FabricConfig>) -> FabricConfig {
+        fabric_override.unwrap_or_else(|| {
+            self.interconnect
+                .fabric_config()
+                .expect("a distributed operator needs a networked interconnect")
+        })
+    }
+
     /// Override the cores per machine (Figure 10 sweeps 4 vs 8).
     pub fn with_cores(mut self, cores: usize) -> ClusterSpec {
         assert!(

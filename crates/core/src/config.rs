@@ -137,18 +137,9 @@ impl DistJoinConfig {
         }
     }
 
-    /// The fabric parameters this run will use: the explicit override if
-    /// set, otherwise the cluster interconnect's preset.
-    ///
-    /// # Panics
-    /// Panics for the QPI (single-machine) interconnect.
+    /// The fabric this run uses ([`ClusterSpec::fabric_config`]).
     pub fn fabric_config(&self) -> rsj_rdma::FabricConfig {
-        self.fabric_override.unwrap_or_else(|| {
-            self.cluster
-                .interconnect
-                .fabric_config()
-                .expect("distributed join needs a networked interconnect")
-        })
+        self.cluster.fabric_config(self.fabric_override)
     }
 
     /// Number of threads that partition during the network pass: `NC/M − 1`,

@@ -24,10 +24,11 @@
 //! pre-service code: same construction order, same barriers, same wire
 //! schedule.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
-use rsj_cluster::{phase, run_direct, ClusterRun, JoinError, Meter, PhaseTimes, QueryJob, Runtime};
+use rsj_cluster::{
+    phase, run_direct, Attempts, ClusterRun, JoinError, Meter, PhaseTimes, QueryJob, Runtime,
+};
 use rsj_rdma::HostId;
 use rsj_sim::{SimCtx, SimTime};
 use rsj_workload::{JoinResult, Relation, Tuple};
@@ -85,9 +86,7 @@ pub struct DistJoinOutcome {
 /// is admitted onto.
 pub struct DistJoinJob<T: Tuple> {
     cfg: DistJoinConfig,
-    input: RefCell<Option<(Relation<T>, Relation<T>)>>,
-    shared: RefCell<Option<Arc<ClusterShared<T>>>>,
-    outcome: RefCell<Option<DistJoinOutcome>>,
+    attempts: Attempts<(Relation<T>, Relation<T>), ClusterShared<T>, DistJoinOutcome>,
 }
 
 impl<T: Tuple> DistJoinJob<T> {
@@ -101,16 +100,14 @@ impl<T: Tuple> DistJoinJob<T> {
         assert_eq!(s.machines(), m, "outer relation not loaded on this cluster");
         Arc::new(DistJoinJob {
             cfg,
-            input: RefCell::new(Some((r, s))),
-            shared: RefCell::new(None),
-            outcome: RefCell::new(None),
+            attempts: Attempts::new((r, s)),
         })
     }
 
     /// The recorded outcome of a finished run (`None` before
     /// [`QueryJob::finish`] or if the run aborted).
     pub fn take_outcome(&self) -> Option<DistJoinOutcome> {
-        self.outcome.borrow_mut().take()
+        self.attempts.take_outcome()
     }
 }
 
@@ -124,25 +121,20 @@ impl<T: Tuple> QueryJob for DistJoinJob<T> {
     }
 
     fn attach(&self, rt: &Arc<Runtime>) {
-        // Borrow the input rather than consuming it: a healing query
-        // service re-attaches the same job for each re-execution attempt,
-        // rebuilding the per-query shared state from scratch (DESIGN.md
-        // §13). `attach` never yields to the simulation, so holding the
-        // input borrow across the build is safe.
-        let input = self.input.borrow();
-        let (r, s) = input.as_ref().expect("DistJoinJob has no input");
-        let shared = Arc::new(ClusterShared::new(self.cfg.clone(), rt, r, s));
-        // A failing worker poisons every machine-local barrier and TCP
-        // window so no peer stays parked on one during the abort.
-        for st in &shared.machines {
-            rt.register_barrier(Arc::clone(&st.local_barrier));
-        }
-        for row in &shared.tcp_windows {
-            for window in row {
-                rt.register_semaphore(Arc::clone(window));
+        self.attempts.attach(|| {
+            let shared = ClusterShared::new(self.cfg.clone(), rt);
+            // A failing worker poisons every machine-local barrier and TCP
+            // window so no peer stays parked on one during the abort.
+            for st in &shared.machines {
+                rt.register_barrier(Arc::clone(&st.local_barrier));
             }
-        }
-        *self.shared.borrow_mut() = Some(shared);
+            for row in &shared.tcp_windows {
+                for window in row {
+                    rt.register_semaphore(Arc::clone(window));
+                }
+            }
+            shared
+        });
     }
 
     fn run_worker(
@@ -152,50 +144,48 @@ impl<T: Tuple> QueryJob for DistJoinJob<T> {
         machine: usize,
         core: usize,
     ) -> Result<(), JoinError> {
-        let sh = Arc::clone(self.shared.borrow().as_ref().expect("job not attached"));
-        worker(ctx, rt, &sh, machine, core)
+        let ((r, s), sh) = self.attempts.state();
+        let chunks = [r.chunk(machine), s.chunk(machine)];
+        worker(ctx, rt, &sh, chunks, machine, core)
     }
 
     fn finish(&self, rt: &Runtime, run: &ClusterRun) {
-        let shared = self
-            .shared
-            .borrow_mut()
-            .take()
-            .expect("finish without a preceding attach");
-        let m = self.cfg.cluster.machines;
-        let mut result = JoinResult::default();
-        let mut reports = Vec::with_capacity(m);
-        for (i, mach) in shared.machines.iter().enumerate() {
-            result.merge(*mach.result.borrow());
-            let nic = rt.fabric.nic(HostId(i));
-            let stats = nic.stats();
-            reports.push(MachineReport {
-                tx_bytes: stats.tx_bytes,
-                rx_bytes: stats.rx_bytes,
-                send_stall_seconds: mach.stall_seconds.get(),
-                registered_bytes: mach.registered_bytes.get(),
-                fly_registrations: shared.pools[i].fly_registrations(),
-                cpu_busy_seconds: mach.cpu_busy_seconds.get(),
-            });
-        }
-        let materialized_bytes = shared.coord_result_bytes.get()
-            + shared
-                .machines
-                .iter()
-                .map(|mach| mach.result_bytes_local.get())
-                .sum::<u64>();
-        if shared.cfg.materialize != MaterializeMode::CountOnly {
-            assert_eq!(
+        self.attempts.finish(|shared| {
+            let m = shared.cfg.cluster.machines;
+            let mut result = JoinResult::default();
+            let mut reports = Vec::with_capacity(m);
+            for (i, mach) in shared.machines.iter().enumerate() {
+                result.merge(*mach.result.borrow());
+                let nic = rt.fabric.nic(HostId(i));
+                let stats = nic.stats();
+                reports.push(MachineReport {
+                    tx_bytes: stats.tx_bytes,
+                    rx_bytes: stats.rx_bytes,
+                    send_stall_seconds: mach.stall_seconds.get(),
+                    registered_bytes: mach.registered_bytes.get(),
+                    fly_registrations: shared.pools[i].fly_registrations(),
+                    cpu_busy_seconds: mach.cpu_busy_seconds.get(),
+                });
+            }
+            let materialized_bytes = shared.coord_result_bytes.get()
+                + shared
+                    .machines
+                    .iter()
+                    .map(|mach| mach.result_bytes_local.get())
+                    .sum::<u64>();
+            if shared.cfg.materialize != MaterializeMode::CountOnly {
+                assert_eq!(
+                    materialized_bytes,
+                    result.matches * 16,
+                    "materialization lost result pairs"
+                );
+            }
+            DistJoinOutcome {
+                result,
+                phases: PhaseTimes::from_events(&run.events),
+                machines: reports,
                 materialized_bytes,
-                result.matches * 16,
-                "materialization lost result pairs"
-            );
-        }
-        *self.outcome.borrow_mut() = Some(DistJoinOutcome {
-            result,
-            phases: PhaseTimes::from_events(&run.events),
-            machines: reports,
-            materialized_bytes,
+            }
         });
     }
 }
@@ -246,7 +236,8 @@ pub fn try_run_distributed_join<T: Tuple>(
 }
 
 /// One simulated core's journey through the four phases, dispatched on
-/// the probe dataplane. The runtime's named barriers record the
+/// the probe dataplane. `chunks` are the machine's resident chunks of R
+/// and S (indexed by relation), read in place. The runtime's named barriers record the
 /// per-machine phase events; the trailing barrier and fabric shutdown
 /// are handled by the runtime. A phase error aborts the whole run
 /// ([`Runtime::fail`]).
@@ -254,12 +245,13 @@ fn worker<T: Tuple>(
     ctx: &SimCtx,
     rt: &Runtime,
     sh: &ClusterShared<T>,
+    chunks: [&[T]; 2],
     mach: usize,
     core: usize,
 ) -> Result<(), JoinError> {
     match sh.cfg.probe_transport {
-        Transport::TwoSided => worker_two_sided(ctx, rt, sh, mach, core),
-        Transport::OneSided => worker_one_sided(ctx, rt, sh, mach, core),
+        Transport::TwoSided => worker_two_sided(ctx, rt, sh, chunks, mach, core),
+        Transport::OneSided => worker_one_sided(ctx, rt, sh, chunks, mach, core),
     }
 }
 
@@ -269,15 +261,16 @@ fn worker_two_sided<T: Tuple>(
     ctx: &SimCtx,
     rt: &Runtime,
     sh: &ClusterShared<T>,
+    chunks: [&[T]; 2],
     mach: usize,
     core: usize,
 ) -> Result<(), JoinError> {
     let mut meter = Meter::for_quantum(sh.cfg.cluster.meter_quantum_ns);
 
-    phase_histogram(ctx, sh, mach, core, &mut meter)?;
+    phase_histogram(ctx, sh, chunks, mach, core, &mut meter)?;
     rt.try_sync_named(ctx, phase::HISTOGRAM, mach)?;
 
-    phase_network(ctx, sh, mach, core, &mut meter)?;
+    phase_network(ctx, sh, chunks, mach, core, &mut meter)?;
     rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)?;
 
     phase_local(ctx, sh, mach, core, &mut meter)?;
@@ -301,21 +294,22 @@ fn worker_one_sided<T: Tuple>(
     ctx: &SimCtx,
     rt: &Runtime,
     sh: &ClusterShared<T>,
+    chunks: [&[T]; 2],
     mach: usize,
     core: usize,
 ) -> Result<(), JoinError> {
     let mut meter = Meter::for_quantum(sh.cfg.cluster.meter_quantum_ns);
 
-    phase_histogram(ctx, sh, mach, core, &mut meter)?;
+    phase_histogram(ctx, sh, chunks, mach, core, &mut meter)?;
     rt.try_sync_named(ctx, phase::HISTOGRAM, mach)?;
 
-    phase_network(ctx, sh, mach, core, &mut meter)?;
+    phase_network(ctx, sh, chunks, mach, core, &mut meter)?;
     rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)?;
 
     phase_publish_tables(ctx, sh, mach, core, &mut meter)?;
     rt.try_sync_named(ctx, phase::LOCAL_PARTITION, mach)?;
 
-    phase_one_sided_probe(ctx, sh, mach, core, &mut meter)?;
+    phase_one_sided_probe(ctx, sh, chunks, mach, core, &mut meter)?;
     sh.machines[mach]
         .cpu_busy_seconds
         .set(sh.machines[mach].cpu_busy_seconds.get() + meter.total_seconds());

@@ -23,6 +23,7 @@ const SKEW_SPLIT_FACTOR: f64 = 2.0;
 pub(crate) fn phase_histogram<T: Tuple>(
     ctx: &SimCtx,
     sh: &ClusterShared<T>,
+    chunks: [&[T]; 2],
     mach: usize,
     core: usize,
     meter: &mut Meter,
@@ -37,7 +38,7 @@ pub(crate) fn phase_histogram<T: Tuple>(
     // network pass and add their thread histograms into the machine's;
     // the dedicated receiver core has no slice.
     if let Some(w) = sender_index(core) {
-        let inputs = [(REL_R, &st.r_chunk[..]), (REL_S, &st.s_chunk[..])];
+        let inputs = [(REL_R, chunks[REL_R]), (REL_S, chunks[REL_S])];
         let hist = st.landing.count(w, &inputs);
         for (_, chunk) in inputs {
             let scanned = st.landing.slice_len(w, chunk);

@@ -32,7 +32,7 @@ use rsj_cluster::{JoinError, Runtime, SEND_DEPTH};
 use rsj_joins::{BucketTable, NumaQueues, Partitioned};
 use rsj_rdma::{BufferPool, Fabric, RemoteMr};
 use rsj_sim::{SimBarrier, SimCtx, SimSemaphore};
-use rsj_workload::{JoinResult, Relation, Tuple};
+use rsj_workload::{JoinResult, Tuple};
 
 use crate::config::{DistJoinConfig, Transport};
 use crate::histogram::{Histogram, REL_R, REL_S};
@@ -93,8 +93,6 @@ pub(crate) struct GlobalInfo {
 
 pub(crate) struct MachineState<T> {
     pub(crate) local_barrier: Arc<SimBarrier>,
-    pub(crate) r_chunk: Vec<T>,
-    pub(crate) s_chunk: Vec<T>,
     pub(crate) machine_hist: RefCell<Histogram>,
     pub(crate) info: RefCell<Option<Arc<GlobalInfo>>>,
     /// Where this machine's partitions land in the network pass.
@@ -139,13 +137,11 @@ pub(crate) struct MachineState<T> {
 }
 
 impl<T: Tuple> MachineState<T> {
-    fn new(cfg: &DistJoinConfig, mach: usize, r_chunk: Vec<T>, s_chunk: Vec<T>) -> MachineState<T> {
+    fn new(cfg: &DistJoinConfig, mach: usize) -> MachineState<T> {
         let cores = cfg.cluster.cores_per_machine;
         let b1 = cfg.radix_bits.0;
         MachineState {
             local_barrier: SimBarrier::new(cores),
-            r_chunk,
-            s_chunk,
             machine_hist: RefCell::new(Histogram::zeros(1 << b1)),
             info: RefCell::new(None),
             landing: Landing::new(mach, b1, cfg.partitioning_workers()),
@@ -201,19 +197,12 @@ impl<T: Tuple> ClusterShared<T> {
     /// runtime's fabric. Buffer pools go through [`Runtime::make_pool`],
     /// so under a query service they sub-allocate from the host arenas and
     /// register with the validator under the runtime's query.
-    pub(crate) fn new(
-        cfg: DistJoinConfig,
-        rt: &Runtime,
-        r: &Relation<T>,
-        s: &Relation<T>,
-    ) -> ClusterShared<T> {
+    pub(crate) fn new(cfg: DistJoinConfig, rt: &Runtime) -> ClusterShared<T> {
         let fabric = Arc::clone(&rt.fabric);
         let m = cfg.cluster.machines;
         let workers = cfg.partitioning_workers();
         let np1 = 1usize << cfg.radix_bits.0;
-        let machines = (0..m)
-            .map(|i| MachineState::new(&cfg, i, r.chunk(i).to_vec(), s.chunk(i).to_vec()))
-            .collect();
+        let machines = (0..m).map(|i| MachineState::new(&cfg, i)).collect();
         let pools = (0..m)
             .map(|i| {
                 // Up to `SEND_DEPTH` buffers per (worker, relation, remote

@@ -22,6 +22,7 @@ use crate::TransportMode;
 pub(crate) fn phase_network<T: Tuple>(
     ctx: &SimCtx,
     sh: &ClusterShared<T>,
+    chunks: [&[T]; 2],
     mach: usize,
     core: usize,
     meter: &mut Meter,
@@ -29,7 +30,7 @@ pub(crate) fn phase_network<T: Tuple>(
     let ex = Exchange::new(&sh.fabric, mach, phase::NETWORK_PARTITION);
     match sender_index(core) {
         None => receiver(ctx, sh, mach, &ex, meter),
-        Some(w) => sender_loop(ctx, sh, mach, w, &ex, meter),
+        Some(w) => sender_loop(ctx, sh, chunks, mach, w, &ex, meter),
     }
 }
 
@@ -61,6 +62,7 @@ fn receiver<T: Tuple>(
 fn sender_loop<T: Tuple>(
     ctx: &SimCtx,
     sh: &ClusterShared<T>,
+    chunks: [&[T]; 2],
     mach: usize,
     w: usize,
     ex: &Exchange,
@@ -110,7 +112,6 @@ fn sender_loop<T: Tuple>(
         Ok(None)
     })?;
 
-    let chunks = [&st.r_chunk[..], &st.s_chunk[..]];
     let inputs: Vec<(usize, &[T])> = shipped(cfg).iter().map(|&rel| (rel, chunks[rel])).collect();
     let rate = cfg.cluster.cost.partition_rate;
     st.landing

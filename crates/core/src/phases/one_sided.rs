@@ -122,6 +122,7 @@ pub(crate) fn phase_publish_tables<T: Tuple>(
 pub(crate) fn phase_one_sided_probe<T: Tuple>(
     ctx: &SimCtx,
     sh: &ClusterShared<T>,
+    chunks: [&[T]; 2],
     mach: usize,
     core: usize,
     meter: &mut Meter,
@@ -181,8 +182,8 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
 
     // Every core (no dedicated receiver on this dataplane) partitions its
     // slice of the local S chunk into per-partition probe groups.
-    let range = ranges(st.s_chunk.len(), cores)[core].clone();
-    let slice = &st.s_chunk[range];
+    let range = ranges(chunks[REL_S].len(), cores)[core].clone();
+    let slice = &chunks[REL_S][range];
     meter.charge_bytes(ctx, slice.len() * T::SIZE, cost.partition_rate);
     let mut scratch = ProbeScratch::new(cfg, slice, b1);
 

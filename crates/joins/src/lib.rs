@@ -9,7 +9,7 @@
 //!   build-probe phase;
 //! * [`NumaQueues`] — the NUMA-aware task queues of the extended baseline;
 //! * [`run_single_machine_join`] — the parallel radix join of Balkesen et
-//!   al. [4] with the paper's extensions (Figure 5a's "single" bars);
+//!   al. \[4\] with the paper's extensions (Figure 5a's "single" bars);
 //! * [`remote_table`] — the seqlock-versioned bucket-table byte format a
 //!   one-sided join publishes for RDMA-READ probing (DESIGN.md §11).
 

@@ -10,7 +10,7 @@
 //!
 //! | rule | what it forbids |
 //! |------|-----------------|
-//! | `std-thread` | `std::thread::spawn` in simulated code — workers must be [`rsj-sim`] tasks so virtual time stays deterministic |
+//! | `std-thread` | `std::thread::spawn` in simulated code — workers must be `rsj-sim` tasks so virtual time stays deterministic |
 //! | `std-sync` | `std::sync::{Mutex, Barrier, Condvar}` anywhere, and `parking_lot::{Mutex, RwLock}` in `crates/{sim,rdma,cluster,core,operators}/src` — blocking on an OS primitive invisibly to the simulation kernel deadlocks or distorts virtual time, and a simulation runs on one OS thread, so state inside it is a `RefCell`/`Cell` (a borrow held across a yield panics naming the task; a held lock deadlocks the thread) and anything that waits is an `rsj-sim` primitive |
 //! | `wall-clock` | `std::time::Instant` / `SystemTime` anywhere — reading the host clock breaks run-to-run determinism, the property every experiment and test relies on |
 //! | `mr-access` | direct `Mr` byte access (`with_data` / `dma_write`) outside `rsj-rdma` — operators must go through the verbs API so the runtime validator sees every access |

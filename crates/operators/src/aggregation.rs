@@ -18,7 +18,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{run_direct, Exchange, Runtime, Scatter, SEND_DEPTH};
+use rsj_cluster::{run_direct, Attempts, Exchange, Runtime, Scatter, SEND_DEPTH};
 
 /// Configuration of a distributed aggregation.
 #[derive(Clone, Debug)]
@@ -73,7 +73,6 @@ pub struct AggregationOutcome {
 }
 
 struct MachState<T> {
-    chunk: Vec<T>,
     landing: Landing<T>,
     next_task: Cell<usize>,
     result: RefCell<AggregateResult>,
@@ -87,12 +86,7 @@ pub fn try_run_aggregation<T: Tuple>(
     cfg: AggregationConfig,
     s: Relation<T>,
 ) -> Result<AggregationOutcome, JoinError> {
-    let fabric_cfg = cfg.fabric_override.unwrap_or_else(|| {
-        cfg.cluster
-            .interconnect
-            .fabric_config()
-            .expect("aggregation needs a networked cluster")
-    });
+    let fabric_cfg = cfg.cluster.fabric_config(cfg.fabric_override);
     let nic_costs = cfg.cluster.cost.nic;
     let plan = cfg.fault_plan.clone();
 
@@ -107,11 +101,11 @@ pub fn try_run_aggregation<T: Tuple>(
 /// path over the same attach/run/finish sequence.
 pub struct AggregationJob<T: Tuple> {
     cfg: AggregationConfig,
-    input: RefCell<Option<Relation<T>>>,
-    #[allow(clippy::type_complexity)]
-    state: RefCell<Option<(Arc<Vec<MachState<T>>>, Arc<Vec<Arc<BufferPool>>>)>>,
-    outcome: RefCell<Option<AggregationOutcome>>,
+    attempts: Attempts<Relation<T>, Attempt<T>, AggregationOutcome>,
 }
+
+/// One attempt's state: per-machine state and per-machine send pools.
+type Attempt<T> = (Vec<MachState<T>>, Vec<Arc<BufferPool>>);
 
 impl<T: Tuple> AggregationJob<T> {
     /// Package a configuration and its loaded relation as a job.
@@ -120,15 +114,13 @@ impl<T: Tuple> AggregationJob<T> {
         assert!(cfg.cluster.cores_per_machine >= 2);
         Arc::new(AggregationJob {
             cfg,
-            input: RefCell::new(Some(s)),
-            state: RefCell::new(None),
-            outcome: RefCell::new(None),
+            attempts: Attempts::new(s),
         })
     }
 
     /// The recorded outcome of a finished run.
     pub fn take_outcome(&self) -> Option<AggregationOutcome> {
-        self.outcome.borrow_mut().take()
+        self.attempts.take_outcome()
     }
 }
 
@@ -142,30 +134,22 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
     }
 
     fn attach(&self, rt: &Arc<Runtime>) {
-        // Borrow, don't consume: a healing service re-attaches the job on
-        // each re-execution attempt, rebuilding state from the pristine
-        // input (DESIGN.md §13).
-        let input = self.input.borrow();
-        let s = input.as_ref().expect("AggregationJob has no input");
         let m = self.cfg.cluster.machines;
         let np = 1usize << self.cfg.radix_bits;
         let workers = self.cfg.cluster.cores_per_machine - 1;
-        let states: Arc<Vec<MachState<T>>> = Arc::new(
-            (0..m)
+        self.attempts.attach(|| {
+            let states = (0..m)
                 .map(|i| MachState {
-                    chunk: s.chunk(i).to_vec(),
                     landing: Landing::new(i, self.cfg.radix_bits, workers),
                     next_task: Cell::new(0),
                     result: RefCell::new(AggregateResult::default()),
                 })
-                .collect(),
-        );
-        let pools: Arc<Vec<Arc<BufferPool>>> = Arc::new(
-            (0..m)
+                .collect();
+            let pools = (0..m)
                 .map(|i| rt.make_pool(i, workers * SEND_DEPTH * np, self.cfg.rdma_buf_size))
-                .collect(),
-        );
-        *self.state.borrow_mut() = Some((states, pools));
+                .collect();
+            (states, pools)
+        });
     }
 
     fn run_worker(
@@ -175,33 +159,28 @@ impl<T: Tuple> QueryJob for AggregationJob<T> {
         machine: usize,
         core: usize,
     ) -> Result<(), JoinError> {
-        let (states, pools) = {
-            let guard = self.state.borrow();
-            let (a, b) = guard.as_ref().expect("job not attached");
-            (Arc::clone(a), Arc::clone(b))
-        };
-        worker(ctx, rt, &self.cfg, &states, &pools, machine, core)
+        let (s, state) = self.attempts.state();
+        worker(ctx, rt, &self.cfg, &state, s.chunk(machine), machine, core)
     }
 
     fn finish(&self, _rt: &Runtime, run: &ClusterRun) {
-        let (states, _pools) = self
-            .state
-            .borrow_mut()
-            .take()
-            .expect("finish without a preceding attach");
         assert_eq!(run.marks.len(), 4, "expected 3 phase boundaries");
-        // No local refinement pass: `local_partition` stays zero in the
-        // fold.
-        let phases = PhaseTimes::from_events(&run.events);
-        let mut result = AggregateResult::default();
-        for st in states.iter() {
-            let r = st.result.borrow_mut();
-            result.groups += r.groups;
-            result.key_weighted_count =
-                result.key_weighted_count.wrapping_add(r.key_weighted_count);
-            result.rid_sum = result.rid_sum.wrapping_add(r.rid_sum);
-        }
-        *self.outcome.borrow_mut() = Some(AggregationOutcome { result, phases });
+        self.attempts.finish(|(states, _pools)| {
+            // No local refinement pass: `local_partition` stays zero in the
+            // fold.
+            let mut result = AggregateResult::default();
+            for st in states {
+                let r = st.result.borrow_mut();
+                result.groups += r.groups;
+                result.key_weighted_count =
+                    result.key_weighted_count.wrapping_add(r.key_weighted_count);
+                result.rid_sum = result.rid_sum.wrapping_add(r.rid_sum);
+            }
+            AggregationOutcome {
+                result,
+                phases: PhaseTimes::from_events(&run.events),
+            }
+        });
     }
 }
 
@@ -209,8 +188,8 @@ fn worker<T: Tuple>(
     ctx: &SimCtx,
     rt: &Runtime,
     cfg: &AggregationConfig,
-    states: &[MachState<T>],
-    pools: &[Arc<BufferPool>],
+    (states, pools): &Attempt<T>,
+    chunk: &[T],
     mach: usize,
     core: usize,
 ) -> Result<(), JoinError> {
@@ -225,9 +204,9 @@ fn worker<T: Tuple>(
     // histogram sizes the worker's kept vectors).
     if core > 0 {
         let w = core - 1;
-        let scanned = st.landing.slice_len(w, &st.chunk);
+        let scanned = st.landing.slice_len(w, chunk);
         meter.charge_bytes(ctx, scanned * T::SIZE, cost.histogram_rate);
-        st.landing.count(w, &[(REL_S, &st.chunk[..])]);
+        st.landing.count(w, &[(REL_S, chunk)]);
         meter.flush(ctx);
     }
     if core == 0 {
@@ -244,7 +223,7 @@ fn worker<T: Tuple>(
             })?;
     } else {
         let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
-        let inputs = [(REL_S, &st.chunk[..])];
+        let inputs = [(REL_S, chunk)];
         let rate = cost.partition_rate;
         st.landing
             .route(ctx, &mut meter, &mut scatter, core - 1, rate, &inputs)?;

@@ -18,7 +18,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{decode_all, JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, run_direct, Exchange, Runtime, WireTag};
+use rsj_cluster::{ranges, run_direct, Attempts, Exchange, Runtime, WireTag};
 
 /// Phase name of the rotation rounds, for error attribution.
 const PHASE_ROTATE: &str = phase::BUILD_PROBE;
@@ -61,11 +61,11 @@ pub struct CycloJoinOutcome {
 }
 
 struct MachState<T> {
-    r_chunk: Vec<T>,
     table: RefCell<Option<Arc<BucketTable<T>>>>,
-    /// The outer fragment currently resident on this machine; replaced by
+    /// The outer fragment received by the last rotation (`None` in the
+    /// first round, which probes the home S chunk in place); replaced by
     /// core 0 after every rotation, read by all cores after the barrier.
-    fragment: RefCell<Arc<Vec<T>>>,
+    fragment: RefCell<Option<Arc<Vec<T>>>>,
     result: RefCell<JoinResult>,
 }
 
@@ -78,12 +78,7 @@ pub fn try_run_cyclo_join<T: Tuple>(
     r: Relation<T>,
     s: Relation<T>,
 ) -> Result<CycloJoinOutcome, JoinError> {
-    let fabric_cfg = cfg.fabric_override.unwrap_or_else(|| {
-        cfg.cluster
-            .interconnect
-            .fabric_config()
-            .expect("cyclo-join needs a networked ring")
-    });
+    let fabric_cfg = cfg.cluster.fabric_config(cfg.fabric_override);
     let nic_costs = cfg.cluster.cost.nic;
     let plan = cfg.fault_plan.clone();
 
@@ -98,10 +93,11 @@ pub fn try_run_cyclo_join<T: Tuple>(
 /// path over the same attach/run/finish sequence.
 pub struct CycloJoinJob<T: Tuple> {
     cfg: CycloJoinConfig,
-    input: RefCell<Option<(Relation<T>, Relation<T>)>>,
-    state: RefCell<Option<Arc<Vec<MachState<T>>>>>,
-    outcome: RefCell<Option<CycloJoinOutcome>>,
+    attempts: Attempts<(Relation<T>, Relation<T>), Attempt<T>, CycloJoinOutcome>,
 }
+
+/// One attempt's state: one entry per machine of the ring.
+type Attempt<T> = Vec<MachState<T>>;
 
 impl<T: Tuple> CycloJoinJob<T> {
     /// Package a configuration and its loaded relations as a job.
@@ -112,15 +108,13 @@ impl<T: Tuple> CycloJoinJob<T> {
         assert!(cfg.cluster.cores_per_machine >= 1);
         Arc::new(CycloJoinJob {
             cfg,
-            input: RefCell::new(Some((r, s))),
-            state: RefCell::new(None),
-            outcome: RefCell::new(None),
+            attempts: Attempts::new((r, s)),
         })
     }
 
     /// The recorded outcome of a finished run.
     pub fn take_outcome(&self) -> Option<CycloJoinOutcome> {
-        self.outcome.borrow_mut().take()
+        self.attempts.take_outcome()
     }
 }
 
@@ -134,23 +128,16 @@ impl<T: Tuple> QueryJob for CycloJoinJob<T> {
     }
 
     fn attach(&self, _rt: &Arc<Runtime>) {
-        // Borrow, don't consume: a healing service re-attaches the job on
-        // each re-execution attempt, rebuilding state from the pristine
-        // input (DESIGN.md §13).
-        let input = self.input.borrow();
-        let (r, s) = input.as_ref().expect("CycloJoinJob has no input");
         let m = self.cfg.cluster.machines;
-        let states: Arc<Vec<MachState<T>>> = Arc::new(
+        self.attempts.attach(|| {
             (0..m)
-                .map(|i| MachState {
-                    r_chunk: r.chunk(i).to_vec(),
+                .map(|_| MachState {
                     table: RefCell::new(None),
-                    fragment: RefCell::new(Arc::new(s.chunk(i).to_vec())),
+                    fragment: RefCell::new(None),
                     result: RefCell::new(JoinResult::default()),
                 })
-                .collect(),
-        );
-        *self.state.borrow_mut() = Some(states);
+                .collect()
+        });
     }
 
     fn run_worker(
@@ -160,30 +147,29 @@ impl<T: Tuple> QueryJob for CycloJoinJob<T> {
         machine: usize,
         core: usize,
     ) -> Result<(), JoinError> {
-        let states = Arc::clone(self.state.borrow().as_ref().expect("job not attached"));
-        worker(ctx, rt, &self.cfg, &states, machine, core)
+        let (input, states) = self.attempts.state();
+        worker(ctx, rt, &self.cfg, input, &states, machine, core)
     }
 
     fn finish(&self, _rt: &Runtime, run: &ClusterRun) {
-        let states = self
-            .state
-            .borrow_mut()
-            .take()
-            .expect("finish without a preceding attach");
         assert_eq!(
             run.marks.len(),
             3,
             "expected build + rotate/probe boundaries"
         );
-        // Only two named phases: the table build folds into
-        // `local_partition`, the rotation rounds into `build_probe`; the
-        // rest stay zero.
-        let phases = PhaseTimes::from_events(&run.events);
-        let mut result = JoinResult::default();
-        for st in states.iter() {
-            result.merge(*st.result.borrow());
-        }
-        *self.outcome.borrow_mut() = Some(CycloJoinOutcome { result, phases });
+        self.attempts.finish(|states| {
+            // Only two named phases: the table build folds into
+            // `local_partition`, the rotation rounds into `build_probe`;
+            // the rest stay zero.
+            let mut result = JoinResult::default();
+            for st in states {
+                result.merge(*st.result.borrow());
+            }
+            CycloJoinOutcome {
+                result,
+                phases: PhaseTimes::from_events(&run.events),
+            }
+        });
     }
 }
 
@@ -191,11 +177,13 @@ fn worker<T: Tuple>(
     ctx: &SimCtx,
     rt: &Runtime,
     cfg: &CycloJoinConfig,
+    (r, s): &(Relation<T>, Relation<T>),
     states: &[MachState<T>],
     mach: usize,
     core: usize,
 ) -> Result<(), JoinError> {
     let st = &states[mach];
+    let (r_chunk, home) = (r.chunk(mach), s.chunk(mach));
     let m = rt.machines();
     let cores = rt.cores();
     let cost = &cfg.cluster.cost;
@@ -207,11 +195,11 @@ fn worker<T: Tuple>(
     // ---- Phase 1: build the stationary table over the whole local R
     // chunk (machine-sized: cache-cold rates). Core 0 materializes it;
     // every core is charged its share of the parallel build.
-    let share = st.r_chunk.len().div_ceil(cores).min(st.r_chunk.len());
+    let share = r_chunk.len().div_ceil(cores).min(r_chunk.len());
     meter.charge_bytes(ctx, share * T::SIZE, build_rate);
     meter.flush(ctx);
     if core == 0 {
-        *st.table.borrow_mut() = Some(Arc::new(BucketTable::build(&st.r_chunk)));
+        *st.table.borrow_mut() = Some(Arc::new(BucketTable::build(r_chunk)));
     }
     rt.try_sync_named(ctx, phase::LOCAL_PARTITION, mach)?;
 
@@ -221,7 +209,8 @@ fn worker<T: Tuple>(
     let table = Arc::clone(st.table.borrow().as_ref().expect("table built"));
     let mut local = JoinResult::default();
     for round in 0..m {
-        let frag = Arc::clone(&st.fragment.borrow_mut());
+        let received = st.fragment.borrow().clone();
+        let frag = received.as_deref().map_or(home, Vec::as_slice);
         let range = ranges(frag.len(), cores)[core].clone();
         let my = &frag[range];
         local.merge(table.probe_all(my));
@@ -245,7 +234,7 @@ fn worker<T: Tuple>(
                 // the fragment again before the barrier below.
                 meter.charge_bytes(ctx, bytes.len(), cost.memcpy_rate);
                 meter.flush(ctx);
-                *st.fragment.borrow_mut() = Arc::new(decode_all(&bytes));
+                *st.fragment.borrow_mut() = Some(Arc::new(decode_all(&bytes)));
             })?;
         }
         // The barrier publishes the new fragment to every core.

@@ -25,7 +25,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::{REL_R, REL_S};
-use rsj_cluster::{run_direct, Exchange, Runtime, Scatter, WireTag, SEND_DEPTH};
+use rsj_cluster::{run_direct, Attempts, Exchange, Runtime, Scatter, WireTag, SEND_DEPTH};
 
 /// Configuration of a distributed sort-merge join.
 #[derive(Clone, Debug)]
@@ -67,8 +67,6 @@ pub struct SortMergeOutcome {
 }
 
 struct MachState<T> {
-    r_chunk: Vec<T>,
-    s_chunk: Vec<T>,
     hist: RefCell<Vec<[u64; 2]>>,
     landing: Landing<T>,
     /// Partition → its sorted `[R, S]`, from the sort to the merge phase.
@@ -86,12 +84,7 @@ pub fn try_run_sort_merge_join<T: Tuple>(
     r: Relation<T>,
     s: Relation<T>,
 ) -> Result<SortMergeOutcome, JoinError> {
-    let fabric_cfg = cfg.fabric_override.unwrap_or_else(|| {
-        cfg.cluster
-            .interconnect
-            .fabric_config()
-            .expect("sort-merge join needs a networked cluster")
-    });
+    let fabric_cfg = cfg.cluster.fabric_config(cfg.fabric_override);
     let nic_costs = cfg.cluster.cost.nic;
     let plan = cfg.fault_plan.clone();
 
@@ -106,11 +99,11 @@ pub fn try_run_sort_merge_join<T: Tuple>(
 /// single-query path over the same attach/run/finish sequence.
 pub struct SortMergeJob<T: Tuple> {
     cfg: SortMergeConfig,
-    input: RefCell<Option<(Relation<T>, Relation<T>)>>,
-    #[allow(clippy::type_complexity)]
-    state: RefCell<Option<(Arc<Vec<MachState<T>>>, Arc<Vec<Arc<BufferPool>>>)>>,
-    outcome: RefCell<Option<SortMergeOutcome>>,
+    attempts: Attempts<(Relation<T>, Relation<T>), Attempt<T>, SortMergeOutcome>,
 }
+
+/// One attempt's state: per-machine state and per-machine send pools.
+type Attempt<T> = (Vec<MachState<T>>, Vec<Arc<BufferPool>>);
 
 impl<T: Tuple> SortMergeJob<T> {
     /// Package a configuration and its loaded relations as a job.
@@ -124,15 +117,13 @@ impl<T: Tuple> SortMergeJob<T> {
         );
         Arc::new(SortMergeJob {
             cfg,
-            input: RefCell::new(Some((r, s))),
-            state: RefCell::new(None),
-            outcome: RefCell::new(None),
+            attempts: Attempts::new((r, s)),
         })
     }
 
     /// The recorded outcome of a finished run.
     pub fn take_outcome(&self) -> Option<SortMergeOutcome> {
-        self.outcome.borrow_mut().take()
+        self.attempts.take_outcome()
     }
 }
 
@@ -146,33 +137,24 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
     }
 
     fn attach(&self, rt: &Arc<Runtime>) {
-        // Borrow, don't consume: a healing service re-attaches the job on
-        // each re-execution attempt, rebuilding state from the pristine
-        // input (DESIGN.md §13).
-        let input = self.input.borrow();
-        let (r, s) = input.as_ref().expect("SortMergeJob has no input");
         let m = self.cfg.cluster.machines;
         let np = 1usize << self.cfg.radix_bits;
         let workers = self.cfg.cluster.cores_per_machine - 1;
-        let mach_state: Arc<Vec<MachState<T>>> = Arc::new(
-            (0..m)
+        self.attempts.attach(|| {
+            let states = (0..m)
                 .map(|i| MachState {
-                    r_chunk: r.chunk(i).to_vec(),
-                    s_chunk: s.chunk(i).to_vec(),
                     hist: RefCell::new(vec![[0; 2]; np]),
                     landing: Landing::new(i, self.cfg.radix_bits, workers),
                     sorted: RefCell::new(vec![[Vec::new(), Vec::new()]; np]),
                     next_task: Cell::new(0),
                     result: RefCell::new(JoinResult::default()),
                 })
-                .collect(),
-        );
-        let pools: Arc<Vec<Arc<BufferPool>>> = Arc::new(
-            (0..m)
+                .collect();
+            let pools = (0..m)
                 .map(|i| rt.make_pool(i, workers * SEND_DEPTH * np * 2, self.cfg.rdma_buf_size))
-                .collect(),
-        );
-        *self.state.borrow_mut() = Some((mach_state, pools));
+                .collect();
+            (states, pools)
+        });
     }
 
     fn run_worker(
@@ -182,27 +164,23 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
         machine: usize,
         core: usize,
     ) -> Result<(), JoinError> {
-        let (states, pools) = {
-            let guard = self.state.borrow();
-            let (a, b) = guard.as_ref().expect("job not attached");
-            (Arc::clone(a), Arc::clone(b))
-        };
-        worker(ctx, rt, &self.cfg, &states, &pools, machine, core)
+        let ((r, s), state) = self.attempts.state();
+        let inputs = [(REL_R, r.chunk(machine)), (REL_S, s.chunk(machine))];
+        worker(ctx, rt, &self.cfg, &state, inputs, machine, core)
     }
 
     fn finish(&self, _rt: &Runtime, run: &ClusterRun) {
-        let (states, _pools) = self
-            .state
-            .borrow_mut()
-            .take()
-            .expect("finish without a preceding attach");
         assert_eq!(run.marks.len(), 5, "expected 4 phase boundaries");
-        let phases = PhaseTimes::from_events(&run.events);
-        let mut result = JoinResult::default();
-        for st in states.iter() {
-            result.merge(*st.result.borrow());
-        }
-        *self.outcome.borrow_mut() = Some(SortMergeOutcome { result, phases });
+        self.attempts.finish(|(states, _pools)| {
+            let mut result = JoinResult::default();
+            for st in states {
+                result.merge(*st.result.borrow());
+            }
+            SortMergeOutcome {
+                result,
+                phases: PhaseTimes::from_events(&run.events),
+            }
+        });
     }
 }
 
@@ -210,8 +188,8 @@ fn worker<T: Tuple>(
     ctx: &SimCtx,
     rt: &Runtime,
     cfg: &SortMergeConfig,
-    states: &[MachState<T>],
-    pools: &[Arc<BufferPool>],
+    (states, pools): &Attempt<T>,
+    inputs: [(usize, &[T]); 2],
     mach: usize,
     core: usize,
 ) -> Result<(), JoinError> {
@@ -224,7 +202,6 @@ fn worker<T: Tuple>(
     // ---- Phase 1: histogram + exchange (core 0 coordinates).
     if core > 0 {
         let w = core - 1;
-        let inputs = [(REL_R, &st.r_chunk[..]), (REL_S, &st.s_chunk[..])];
         for (_, chunk) in inputs {
             let scanned = st.landing.slice_len(w, chunk);
             meter.charge_bytes(ctx, scanned * T::SIZE, cost.histogram_rate);
@@ -282,7 +259,6 @@ fn worker<T: Tuple>(
             })?;
     } else {
         let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
-        let inputs = [(REL_R, &st.r_chunk[..]), (REL_S, &st.s_chunk[..])];
         let rate = cost.partition_rate;
         st.landing
             .route(ctx, &mut meter, &mut scatter, core - 1, rate, &inputs)?;

@@ -1,11 +1,12 @@
 //! Multi-query service integration: mixed operators multiplexed over one
-//! shared fabric, fault isolation under a host crash, and the
-//! admission-order determinism contract.
+//! shared fabric, fault isolation under a host crash, the admission-order
+//! determinism contract, and every operator's re-attach to its input.
 
 use std::sync::Arc;
 
 use rsj_cluster::{
-    ClusterSpec, HealingConfig, JoinRequest, QueryJob, QueryService, ServiceConfig, ServiceReport,
+    run_direct, ClusterSpec, HealingConfig, JoinRequest, QueryJob, QueryService, ServiceConfig,
+    ServiceReport,
 };
 use rsj_core::{try_run_distributed_join, DistJoinConfig, DistJoinJob};
 use rsj_operators::{
@@ -15,7 +16,7 @@ use rsj_operators::{
 };
 use rsj_rdma::{FabricConfig, FaultPlan, HostCrash, HostId, NicCosts};
 use rsj_sim::SimTime;
-use rsj_workload::{generate_inner, generate_outer, JoinResult, Relation, Skew, Tuple16};
+use rsj_workload::{generate_inner, generate_outer, JoinResult, Relation, Skew, Tuple, Tuple16};
 
 const HOSTS: usize = 10;
 const CORES: usize = 3;
@@ -397,4 +398,61 @@ fn admission_order_permutations_preserve_disjoint_query_traces() {
             ),
         }
     }
+}
+
+/// Run `job` through the direct driver twice on the same handle and take
+/// each run's outcome. The second `attach` must rebuild the attempt's
+/// state from the job's untouched input, as a healing re-execution does.
+fn run_twice<J: QueryJob + 'static, O>(job: &Arc<J>, take: impl Fn(&J) -> Option<O>) -> [O; 2] {
+    let spec = spec(job.machines());
+    [(), ()].map(|()| {
+        run_direct(job, spec.fabric_config(None), spec.cost.nic, None).expect("direct run");
+        take(job).expect("finish records the outcome")
+    })
+}
+
+#[test]
+fn every_operator_reattaches_to_its_untouched_input() {
+    let m = 3;
+    let inputs = || {
+        let r = generate_inner::<Tuple16>(3_000, m, 900);
+        let (s, oracle) = generate_outer::<Tuple16>(9_000, 3_000, m, Skew::Zipf(1.1), 901);
+        (r, s, oracle)
+    };
+
+    let (r, s, oracle) = inputs();
+    let [a, b] = run_twice(
+        &DistJoinJob::new(radix_cfg(m), r, s),
+        DistJoinJob::take_outcome,
+    );
+    oracle.verify(&a.result);
+    assert_eq!((a.result, a.phases.rows()), (b.result, b.phases.rows()));
+
+    let (r, s, oracle) = inputs();
+    let [a, b] = run_twice(
+        &SortMergeJob::new(sm_cfg(m), r, s),
+        SortMergeJob::take_outcome,
+    );
+    oracle.verify(&a.result);
+    assert_eq!((a.result, a.phases.rows()), (b.result, b.phases.rows()));
+
+    let (r, s, oracle) = inputs();
+    let job = CycloJoinJob::new(CycloJoinConfig::new(spec(m)), r, s);
+    let [a, b] = run_twice(&job, CycloJoinJob::take_outcome);
+    oracle.verify(&a.result);
+    assert_eq!((a.result, a.phases.rows()), (b.result, b.phases.rows()));
+
+    let (_, s, _) = inputs();
+    let distinct: std::collections::HashSet<u64> = s.iter_all().map(|t| t.key()).collect();
+    let expected = AggregateResult {
+        groups: distinct.len() as u64,
+        key_weighted_count: s.iter_all().fold(0u64, |a, t| a.wrapping_add(t.key())),
+        rid_sum: s.iter_all().fold(0u64, |a, t| a.wrapping_add(t.rid())),
+    };
+    let [a, b] = run_twice(
+        &AggregationJob::new(agg_cfg(m), s),
+        AggregationJob::take_outcome,
+    );
+    assert_eq!(a.result, expected);
+    assert_eq!((a.result, a.phases.rows()), (b.result, b.phases.rows()));
 }

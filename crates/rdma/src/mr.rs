@@ -112,7 +112,7 @@ impl Mr {
     /// owner stores through its own mapping, e.g. while building a bucket
     /// table that will be published for one-sided probes).
     ///
-    /// Unlike [`Mr::dma_write`] this is *not* a verbs operation: an
+    /// Unlike `Mr::dma_write` this is *not* a verbs operation: an
     /// out-of-bounds store here is a plain local bug, so it panics
     /// unconditionally instead of going through the validator.
     ///

@@ -244,7 +244,7 @@ impl ReadHandle {
 /// The bytes one RDMA READ fetched, in the landing buffer the READ drew
 /// from its requester's NIC (the work request's local SGE in verbs terms).
 /// Derefs to the bytes; dropping it hands the buffer back to that NIC, as
-/// dropping the last [`Wc`] hands back a completion cell.
+/// dropping the last `Wc` hands back a completion cell.
 pub struct ReadBuf {
     bytes: Vec<u8>,
     /// The pool the buffer goes back to (dangling once its NIC is gone).
