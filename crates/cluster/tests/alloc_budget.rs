@@ -5,54 +5,19 @@
 //! inline, so the second half of the stream runs on what the first half
 //! allocated.
 //!
-//! The binary installs a counting global allocator and holds one test, so
-//! nothing else allocates while it counts. `GlobalAlloc` is an unsafe
-//! trait, so this test file opts back into `unsafe` (the product crates'
-//! only other user is the task stack switch); the allocator only counts
-//! and forwards to `System`.
+//! The binary installs the counting global allocator of
+//! `rsj-alloc-count` and holds one test, so nothing else allocates while
+//! it counts.
 
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rsj_cluster::{phase, Exchange, Meter, Runtime, Scatter, WireTag};
 use rsj_rdma::{FabricConfig, NicCosts};
 
-/// Heap allocations and reallocations since the process started.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// atomic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static COUNTING: Counting = Counting;
+static COUNTING: rsj_alloc_count::Counting = rsj_alloc_count::Counting;
 
 const MACHINES: usize = 4;
 const SENDERS: usize = 2;
@@ -80,7 +45,7 @@ struct Tally {
 
 impl Tally {
     fn now(&self) -> (u64, usize) {
-        (ALLOCATIONS.load(Ordering::Relaxed), self.received.get())
+        (rsj_alloc_count::allocations(), self.received.get())
     }
 }
 

@@ -14,7 +14,8 @@ use rsj_workload::Tuple;
 
 use crate::histogram::{REL_R, REL_S};
 use crate::phases::{
-    assemble_checked, barrier_wait, task_bytes, BpTask, ClusterShared, GlobalInfo, RELS,
+    assemble_checked, barrier_wait, take_checked, task_bytes, BpTask, ClusterShared, GlobalInfo,
+    RELS,
 };
 
 pub(crate) fn phase_local<T: Tuple>(
@@ -48,10 +49,12 @@ pub(crate) fn phase_local<T: Tuple>(
             break;
         }
         let p = owned[i];
-        let [r_p, s_p] = RELS.map(|rel| assemble_checked(st, &info, rel, p));
-        meter.charge_bytes(ctx, (r_p.len() + s_p.len()) * T::SIZE, rate);
-        let sub_r = Arc::new(pt.partition(&r_p, b1, b2));
-        let sub_s = Arc::new(pt.partition(&s_p, b1, b2));
+        // Partitioned straight out of the landed pieces; each relation's
+        // pieces are freed as soon as its second pass is done.
+        let pieces = RELS.map(|rel| take_checked(st, &info, rel, p));
+        let tuples: usize = pieces.iter().flatten().map(Vec::len).sum();
+        meter.charge_bytes(ctx, tuples * T::SIZE, rate);
+        let [sub_r, sub_s] = pieces.map(|landed| Arc::new(pt.partition_pieces(&landed, b1, b2)));
         // The pushes are externally visible (sibling cores pop the queue
         // and poll the queued-bytes gauge), so the partitioning cost must
         // be settled first or the queue order becomes settlement-mode
@@ -78,7 +81,7 @@ pub(crate) fn phase_local<T: Tuple>(
 /// [`crate::DistJoinConfig::parallel_local_pass`]).
 ///
 /// Three machine-local stages separated by local barriers:
-/// 1. assemble each owned partition (as the sequential path does);
+/// 1. assemble each owned partition into one `Vec`;
 /// 2. second-pass partition the assembled inputs in *slices*, drained by
 ///    all cores from a shared task list — so a giant skewed partition is
 ///    processed by every core instead of one;
@@ -106,7 +109,7 @@ fn phase_local_parallel<T: Tuple>(
     }
     barrier_wait(&st.local_barrier, ctx, phase::LOCAL_PARTITION)?;
 
-    // Stage 1: assemble owned partitions, as the sequential path does.
+    // Stage 1: assemble owned partitions, so slices can index them.
     loop {
         let i = st.next_local_task.get();
         st.next_local_task.set(i + 1);

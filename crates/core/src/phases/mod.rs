@@ -252,9 +252,23 @@ pub(crate) fn shipped(cfg: &DistJoinConfig) -> &'static [usize] {
     }
 }
 
-/// Owned partition `p` of relation `rel`, assembled out of this machine's
-/// landing and checked against the histogram phase, which announced
-/// exactly how many of its tuples land in `p` cluster-wide.
+/// Owned partition `p` of relation `rel`, taken out of this machine's
+/// landing as its pieces ([`Landing::take`]) and checked against the
+/// histogram phase.
+pub(crate) fn take_checked<T: Tuple>(
+    st: &MachineState<T>,
+    info: &GlobalInfo,
+    rel: usize,
+    p: usize,
+) -> Vec<Vec<T>> {
+    let pieces = st.landing.take(rel, p);
+    check_landed(info, rel, p, pieces.iter().map(Vec::len).sum());
+    pieces
+}
+
+/// Owned partition `p` of relation `rel`, assembled into one `Vec` out of
+/// this machine's landing ([`Landing::assemble`]) and checked against the
+/// histogram phase.
 pub(crate) fn assemble_checked<T: Tuple>(
     st: &MachineState<T>,
     info: &GlobalInfo,
@@ -262,13 +276,18 @@ pub(crate) fn assemble_checked<T: Tuple>(
     p: usize,
 ) -> Vec<T> {
     let tuples = st.landing.assemble(rel, p);
+    check_landed(info, rel, p, tuples.len());
+    tuples
+}
+
+/// The histogram phase announced exactly how many tuples of relation
+/// `rel` land in partition `p` cluster-wide; `landed` must be that many.
+fn check_landed(info: &GlobalInfo, rel: usize, p: usize, landed: usize) {
     let expect: u64 = info.machine_hists.iter().map(|h| h.counts[rel][p]).sum();
     assert_eq!(
-        tuples.len() as u64,
-        expect,
+        landed as u64, expect,
         "partition {p} of relation {rel} lost tuples in transit"
     );
-    tuples
 }
 
 /// The partitioning-worker index of `core`, or `None` if this core is the

@@ -5,8 +5,10 @@
 //! worker routes its share of the input by the low radix bits, keeps the
 //! tuples of partitions assigned to its own machine and pushes the rest
 //! into a [`Scatter`]; the owner takes in what arrives; after the pass it
-//! assembles each partition from what its workers kept plus what was
-//! received. A [`Landing`] is one machine's side of all three steps.
+//! takes each partition out as what its workers kept plus what was
+//! received ([`Landing::take`]), or joined into one `Vec`
+//! ([`Landing::assemble`]). A [`Landing`] is one machine's side of all
+//! three steps.
 //! Partition traffic lands with the channel semantics of §4.2.2: the
 //! owner's receiver core copies every buffer into per-partition staging
 //! memory (DESIGN.md §4 item 3). Callers keep their post step (how one
@@ -195,25 +197,58 @@ impl<T: Tuple> Landing<T> {
         )
     }
 
-    /// Partition `part` of relation `rel`, taken out of the landing: the
-    /// kept tuples in worker order, then the staged bytes in arrival
-    /// order. Pointer-level assembly in the original; the copies here are
-    /// simulator artifacts, so nothing is charged.
+    /// Partition `part` of relation `rel`, taken out of the landing as its
+    /// pieces: each worker's kept tuples, moved out in worker order, then
+    /// the staged bytes decoded in arrival order. Nothing of the partition
+    /// stays allocated in the landing, and its kept tuples are not copied;
+    /// a caller that reads the pieces in place
+    /// ([`rsj_joins::Partitioner::partition_pieces`]) frees them when it
+    /// drops them. Pointer-level in the original, so nothing is charged.
+    pub fn take(&self, rel: usize, part: usize) -> Vec<Vec<T>> {
+        let mut pieces = self.take_kept(rel, part);
+        let staged = self.take_staged(rel, part);
+        if !staged.is_empty() {
+            let mut received = Vec::with_capacity(staged.len() / T::SIZE);
+            decode_into(&staged, &mut received);
+            pieces.push(received);
+        }
+        pieces
+    }
+
+    /// Partition `part` of relation `rel`, taken out of the landing as one
+    /// contiguous `Vec`, for callers that sort it or hand it on whole: the
+    /// pieces of [`Landing::take`], joined. A partition of exactly one kept
+    /// piece and nothing staged is moved out as it is; otherwise each kept
+    /// piece is freed as soon as it is copied. The copies are simulator
+    /// artifacts, so nothing is charged.
     pub fn assemble(&self, rel: usize, part: usize) -> Vec<T> {
-        let staged = std::mem::take(&mut self.staged[rel].borrow_mut()[part]);
-        let kept: usize = self
-            .kept
-            .iter()
-            .map(|kept| kept.borrow()[rel].get(part).map_or(0, Vec::len))
-            .sum();
-        let mut out = Vec::with_capacity(kept + staged.len() / T::SIZE);
-        for kept in &self.kept {
-            if let Some(tuples) = kept.borrow_mut()[rel].get_mut(part) {
-                out.append(tuples);
-            }
+        let mut kept = self.take_kept(rel, part);
+        let staged = self.take_staged(rel, part);
+        if kept.len() == 1 && staged.is_empty() {
+            return kept.remove(0);
+        }
+        let len = kept.iter().map(Vec::len).sum::<usize>() + staged.len() / T::SIZE;
+        let mut out = Vec::with_capacity(len);
+        for piece in kept {
+            out.extend_from_slice(&piece);
         }
         decode_into(&staged, &mut out);
         out
+    }
+
+    /// The non-empty kept vectors of `[rel][part]`, moved out in worker
+    /// order; each worker keeps none of their capacity.
+    fn take_kept(&self, rel: usize, part: usize) -> Vec<Vec<T>> {
+        self.kept
+            .iter()
+            .filter_map(|kept| kept.borrow_mut()[rel].get_mut(part).map(std::mem::take))
+            .filter(|piece| !piece.is_empty())
+            .collect()
+    }
+
+    /// The staged bytes of `[rel][part]`, moved out.
+    fn take_staged(&self, rel: usize, part: usize) -> Vec<u8> {
+        std::mem::take(&mut self.staged[rel].borrow_mut()[part])
     }
 }
 
@@ -242,17 +277,32 @@ mod tests {
         ts.iter().map(|t| t.key()).collect()
     }
 
-    #[test]
-    fn assemble_takes_kept_by_worker_then_staged_and_leaves_nothing() {
-        // Machine 0 of 2 owns partitions 0 and 2 of four.
-        let landing = Landing::<Tuple16>::new(0, 2, 2);
+    /// Machine 0 of 2, owning partitions 0 and 2 of four, with
+    /// `kept[w]` as worker `w`'s kept tuples of partition 2 and `staged`
+    /// as the bytes received for it.
+    fn landed(kept: Vec<Vec<Tuple16>>, staged: &[Tuple16]) -> Landing<Tuple16> {
+        let landing = Landing::<Tuple16>::new(0, 2, kept.len());
         landing.assign(vec![0, 1, 0, 1]);
-        for (w, ts) in [(0, tuples(0..2)), (1, tuples(10..13))] {
+        for (w, ts) in kept.into_iter().enumerate() {
             let mut kept = landing.kept[w].borrow_mut();
             kept[REL_R] = vec![Vec::new(); 4];
             kept[REL_R][2] = ts;
         }
-        landing.staged[REL_R].borrow_mut()[2] = encode(&tuples(100..102));
+        landing.staged[REL_R].borrow_mut()[2] = encode(staged);
+        landing
+    }
+
+    /// What partition 2 still holds allocated in `landing`: every
+    /// worker's kept capacity and the staged capacity.
+    fn held(landing: &Landing<Tuple16>) -> (Vec<usize>, usize) {
+        let kept = landing.kept.iter();
+        let kept = kept.map(|k| k.borrow()[REL_R][2].capacity()).collect();
+        (kept, landing.staged[REL_R].borrow()[2].capacity())
+    }
+
+    #[test]
+    fn assemble_takes_kept_by_worker_then_staged_and_leaves_nothing() {
+        let landing = landed(vec![tuples(0..2), tuples(10..13)], &tuples(100..102));
         assert_eq!(
             keys(&landing.assemble(REL_R, 2)),
             [0, 1, 10, 11, 12, 100, 101],
@@ -262,6 +312,38 @@ mod tests {
             landing.assemble(REL_R, 2).is_empty(),
             "a second assembly of the partition is empty"
         );
+    }
+
+    #[test]
+    fn assembling_a_partition_frees_its_kept_and_staged_capacity() {
+        let landing = landed(
+            vec![tuples(0..2), Vec::new(), tuples(10..13)],
+            &tuples(100..102),
+        );
+        assert_eq!(landing.assemble(REL_R, 2).len(), 7);
+        assert_eq!(held(&landing), (vec![0, 0, 0], 0), "copied, then freed");
+
+        let one = tuples(10..13);
+        let at = one.as_ptr();
+        let landing = landed(vec![Vec::new(), one], &[]);
+        let whole = landing.assemble(REL_R, 2);
+        assert_eq!(keys(&whole), [10, 11, 12]);
+        assert_eq!(whole.as_ptr(), at, "a lone kept piece is moved, not copied");
+        assert_eq!(held(&landing), (vec![0, 0], 0));
+    }
+
+    #[test]
+    fn take_moves_kept_pieces_by_worker_then_decodes_staged() {
+        let kept = vec![tuples(0..2), Vec::new(), tuples(10..13)];
+        let at: Vec<_> = kept.iter().map(|k| k.as_ptr()).collect();
+        let landing = landed(kept, &tuples(100..102));
+        let pieces = landing.take(REL_R, 2);
+        let got: Vec<Vec<u64>> = pieces.iter().map(|p| keys(p)).collect();
+        assert_eq!(got, [vec![0, 1], vec![10, 11, 12], vec![100, 101]]);
+        assert_eq!(pieces[0].as_ptr(), at[0], "kept pieces are moved out");
+        assert_eq!(pieces[1].as_ptr(), at[2]);
+        assert_eq!(held(&landing), (vec![0, 0, 0], 0));
+        assert!(landing.take(REL_R, 2).is_empty(), "nothing is left to take");
     }
 
     #[test]

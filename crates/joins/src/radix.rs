@@ -17,6 +17,12 @@
 //! reuse one allocation set instead of paying `malloc` per pass; it also
 //! offers a fused pass ([`Partitioner::partition_with_hist`]) that skips
 //! the histogram scan when the counts are already known.
+//!
+//! A pass reads its input as a list of *pieces*
+//! ([`Partitioner::partition_pieces`]) and partitions their concatenation
+//! without building it: the distributed join's local pass partitions a
+//! landed partition straight out of each worker's kept tuples. A single
+//! slice is the one-piece case of the same histogram and scatter code.
 
 use rsj_workload::Tuple;
 
@@ -32,10 +38,22 @@ pub fn partition_of(key: u64, lo_bit: u32, bits: u32) -> usize {
 /// cleared and resized to `2^bits`). The allocation-free form used by
 /// callers that loop; see [`histogram`] for the one-shot convenience.
 pub fn histogram_into<T: Tuple>(tuples: &[T], lo_bit: u32, bits: u32, hist: &mut Vec<u64>) {
+    histogram_pieces_into(&[tuples], lo_bit, bits, hist);
+}
+
+/// [`histogram_into`] over the concatenation of `pieces`.
+fn histogram_pieces_into<T: Tuple, P: AsRef<[T]>>(
+    pieces: &[P],
+    lo_bit: u32,
+    bits: u32,
+    hist: &mut Vec<u64>,
+) {
     hist.clear();
     hist.resize(1usize << bits, 0);
-    for t in tuples {
-        hist[partition_of(t.key(), lo_bit, bits)] += 1;
+    for piece in pieces {
+        for t in piece.as_ref() {
+            hist[partition_of(t.key(), lo_bit, bits)] += 1;
+        }
     }
 }
 
@@ -175,10 +193,24 @@ impl<T: Tuple> Partitioner<T> {
     }
 
     /// One full partitioning pass: histogram, prefix sum, SWWC scatter.
+    /// The one-piece case of [`Partitioner::partition_pieces`].
     pub fn partition(&mut self, input: &[T], lo_bit: u32, bits: u32) -> Partitioned<T> {
+        self.partition_pieces(&[input], lo_bit, bits)
+    }
+
+    /// One full partitioning pass over the concatenation of `pieces`,
+    /// reading each piece where it lies: the output equals
+    /// [`Partitioner::partition`] of the pieces joined in order, and the
+    /// joined copy never exists.
+    pub fn partition_pieces<P: AsRef<[T]>>(
+        &mut self,
+        pieces: &[P],
+        lo_bit: u32,
+        bits: u32,
+    ) -> Partitioned<T> {
         let mut hist = std::mem::take(&mut self.hist);
-        histogram_into(input, lo_bit, bits, &mut hist);
-        let out = self.scatter_pass(input, lo_bit, bits, &hist);
+        histogram_pieces_into(pieces, lo_bit, bits, &mut hist);
+        let out = self.scatter_pass(pieces, lo_bit, bits, &hist);
         self.hist = hist;
         out
     }
@@ -194,14 +226,14 @@ impl<T: Tuple> Partitioner<T> {
         hist: &[u64],
     ) -> Partitioned<T> {
         assert_eq!(hist.len(), 1usize << bits, "histogram width mismatch");
-        self.scatter_pass(input, lo_bit, bits, hist)
+        self.scatter_pass(&[input], lo_bit, bits, hist)
     }
 
-    /// Prefix-sum `hist` into offsets, then scatter `input` into a fresh
+    /// Prefix-sum `hist` into offsets, then scatter `pieces` into a fresh
     /// output buffer (returned; scratch state stays owned by `self`).
-    fn scatter_pass(
+    fn scatter_pass<P: AsRef<[T]>>(
         &mut self,
-        input: &[T],
+        pieces: &[P],
         lo_bit: u32,
         bits: u32,
         hist: &[u64],
@@ -215,18 +247,19 @@ impl<T: Tuple> Partitioner<T> {
             acc += h as usize;
             offsets.push(acc);
         }
-        debug_assert_eq!(acc, input.len());
+        let len: usize = pieces.iter().map(|piece| piece.as_ref().len()).sum();
+        debug_assert_eq!(acc, len);
         self.cursors.clear();
         self.cursors.extend_from_slice(&offsets[..parts]);
         // T is small and Copy, so a write-once pass over an uninitialized
         // buffer is not worth the unsafety; zero-fill, overwrite. This is
         // the returned output, not scratch, so it cannot live in `self`.
         // lint: allow-hot-alloc(output buffer moves into the returned Partitioned)
-        let mut data: Vec<T> = vec![T::new(0, 0); input.len()];
-        if parts >= SWWC_MIN_PARTS && input.len() >= parts * Self::lane() {
-            self.scatter_swwc(input, lo_bit, bits, &mut data);
+        let mut data: Vec<T> = vec![T::new(0, 0); len];
+        if parts >= SWWC_MIN_PARTS && len >= parts * Self::lane() {
+            self.scatter_swwc(pieces, lo_bit, bits, &mut data);
         } else {
-            scatter_direct(input, lo_bit, bits, &mut data, &mut self.cursors);
+            scatter_direct(pieces, lo_bit, bits, &mut data, &mut self.cursors);
         }
         Partitioned { data, offsets }
     }
@@ -234,24 +267,32 @@ impl<T: Tuple> Partitioner<T> {
     /// §3.1 software write-combining scatter: collect tuples in a
     /// cache-line staging buffer per partition and flush full lines (and
     /// the tail remainders) with bulk copies.
-    fn scatter_swwc(&mut self, input: &[T], lo_bit: u32, bits: u32, data: &mut [T]) {
+    fn scatter_swwc<P: AsRef<[T]>>(
+        &mut self,
+        pieces: &[P],
+        lo_bit: u32,
+        bits: u32,
+        data: &mut [T],
+    ) {
         let parts = 1usize << bits;
         let lane = Self::lane();
         self.stage.clear();
         self.stage.resize(parts * lane, T::new(0, 0));
         self.fill.clear();
         self.fill.resize(parts, 0);
-        for t in input {
-            let p = partition_of(t.key(), lo_bit, bits);
-            let f = self.fill[p] as usize;
-            self.stage[p * lane + f] = *t;
-            if f + 1 == lane {
-                let cur = self.cursors[p];
-                data[cur..cur + lane].copy_from_slice(&self.stage[p * lane..(p + 1) * lane]);
-                self.cursors[p] = cur + lane;
-                self.fill[p] = 0;
-            } else {
-                self.fill[p] = (f + 1) as u8;
+        for piece in pieces {
+            for t in piece.as_ref() {
+                let p = partition_of(t.key(), lo_bit, bits);
+                let f = self.fill[p] as usize;
+                self.stage[p * lane + f] = *t;
+                if f + 1 == lane {
+                    let cur = self.cursors[p];
+                    data[cur..cur + lane].copy_from_slice(&self.stage[p * lane..(p + 1) * lane]);
+                    self.cursors[p] = cur + lane;
+                    self.fill[p] = 0;
+                } else {
+                    self.fill[p] = (f + 1) as u8;
+                }
             }
         }
         // Flush partial lines.
@@ -268,17 +309,19 @@ impl<T: Tuple> Partitioner<T> {
 
 /// Plain one-tuple-at-a-time scatter, used when the partition fan-out is
 /// too small for staging to pay off.
-fn scatter_direct<T: Tuple>(
-    input: &[T],
+fn scatter_direct<T: Tuple, P: AsRef<[T]>>(
+    pieces: &[P],
     lo_bit: u32,
     bits: u32,
     data: &mut [T],
     cursors: &mut [usize],
 ) {
-    for t in input {
-        let p = partition_of(t.key(), lo_bit, bits);
-        data[cursors[p]] = *t;
-        cursors[p] += 1;
+    for piece in pieces {
+        for t in piece.as_ref() {
+            let p = partition_of(t.key(), lo_bit, bits);
+            data[cursors[p]] = *t;
+            cursors[p] += 1;
+        }
     }
 }
 
@@ -370,7 +413,7 @@ mod tests {
             let via_swwc = Partitioner::new().partition(&tuples, 0, bits);
             let mut cursors: Vec<usize> = via_swwc.offsets[..via_swwc.parts()].to_vec();
             let mut direct = vec![Tuple16::new(0, 0); tuples.len()];
-            scatter_direct(&tuples, 0, bits, &mut direct, &mut cursors);
+            scatter_direct(&[&tuples[..]], 0, bits, &mut direct, &mut cursors);
             assert!(
                 via_swwc.parts() >= SWWC_MIN_PARTS,
                 "test must exercise the SWWC path"
@@ -473,6 +516,33 @@ mod tests {
                 for t in parted.part(p) {
                     prop_assert_eq!(partition_of(t.key(), 0, bits), p);
                 }
+            }
+        }
+
+        /// Partitioning an input split into pieces, empty ones included,
+        /// gives exactly the output of partitioning it whole: on the
+        /// direct path (fewer than 16 parts, or a short input) and on the
+        /// SWWC path alike.
+        #[test]
+        fn prop_pieces_partition_like_their_concatenation(
+            keys in prop::collection::vec(any::<u64>(), 0..1500),
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+            widths in (0u32..8, 1u32..4, 4u32..8),
+        ) {
+            let (lo_bit, narrow, wide) = widths;
+            let tuples: Vec<Tuple16> =
+                keys.iter().enumerate().map(|(i, &k)| Tuple16::new(k, i as u64)).collect();
+            // A leading empty piece always; equal cuts add more.
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (tuples.len() + 1)).collect();
+            bounds.extend([0, 0, tuples.len()]);
+            bounds.sort_unstable();
+            let pieces: Vec<&[Tuple16]> = bounds.windows(2).map(|w| &tuples[w[0]..w[1]]).collect();
+            let mut pt = Partitioner::new();
+            for bits in [narrow, wide] {
+                let whole = pt.partition(&tuples, lo_bit, bits);
+                let split = pt.partition_pieces(&pieces, lo_bit, bits);
+                prop_assert_eq!(&split.offsets, &whole.offsets, "bits={}", bits);
+                prop_assert_eq!(&split.data, &whole.data, "bits={}", bits);
             }
         }
 

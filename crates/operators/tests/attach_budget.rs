@@ -4,15 +4,9 @@
 //! attaching any of the four operators allocates a small fraction of
 //! the input's bytes, however large the input.
 //!
-//! The binary installs a byte-counting global allocator and holds one
-//! test, so nothing else allocates while it counts. `GlobalAlloc` is an
-//! unsafe trait, so this test file opts back into `unsafe`; the allocator
-//! only counts and forwards to `System`.
-
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The binary installs the counting global allocator of
+//! `rsj-alloc-count` and holds one test, so nothing else allocates while
+//! it counts.
 
 use rsj_cluster::{ClusterSpec, QueryJob, Runtime};
 use rsj_core::{DistJoinConfig, DistJoinJob};
@@ -22,38 +16,8 @@ use rsj_operators::{
 use rsj_rdma::FabricConfig;
 use rsj_workload::{generate_inner, generate_outer, Relation, Skew, Tuple16};
 
-/// Heap bytes requested (allocations plus reallocations' new sizes)
-/// since the process started.
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// atomic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static COUNTING: Counting = Counting;
+static COUNTING: rsj_alloc_count::Counting = rsj_alloc_count::Counting;
 
 const MACHINES: usize = 2;
 const CORES: usize = 3;
@@ -75,9 +39,9 @@ fn inputs() -> (Relation<Tuple16>, Relation<Tuple16>) {
 /// Heap bytes `job.attach` requests on a fresh direct runtime.
 fn attach_bytes(job: &dyn QueryJob) -> u64 {
     let rt = Runtime::new(MACHINES, CORES, FabricConfig::qdr(), spec().cost.nic);
-    let before = BYTES.load(Ordering::Relaxed);
+    let before = rsj_alloc_count::bytes();
     job.attach(&rt);
-    BYTES.load(Ordering::Relaxed) - before
+    rsj_alloc_count::bytes() - before
 }
 
 #[test]

@@ -4,52 +4,18 @@
 //! back when the caller drops the bytes, as completion cells do; only the
 //! handle list a chain returns is allocated, once per chain.
 //!
-//! The binary installs a counting global allocator and holds one test, so
-//! nothing else allocates while it counts. `GlobalAlloc` is an unsafe
-//! trait, so this test file opts back into `unsafe`; the allocator only
-//! counts and forwards to `System`.
+//! The binary installs the counting global allocator of
+//! `rsj-alloc-count` and holds one test, so nothing else allocates while
+//! it counts.
 
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rsj_rdma::{Fabric, FabricConfig, HostId, NicCosts};
 use rsj_sim::Simulation;
 
-/// Heap allocations and reallocations since the process started.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// atomic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static COUNTING: Counting = Counting;
+static COUNTING: rsj_alloc_count::Counting = rsj_alloc_count::Counting;
 
 /// READs per doorbell chain, as the one-sided probe posts them.
 const CHAIN: usize = 16;
@@ -78,7 +44,7 @@ fn a_warm_read_stream_allocates_only_its_handle_lists() {
             let mut done = 0;
             for chain in 0..CHAINS {
                 if chain == CHAINS / 2 {
-                    half.set((ALLOCATIONS.load(Ordering::Relaxed), done));
+                    half.set((rsj_alloc_count::allocations(), done));
                 }
                 for (h, &(_, offset, len)) in
                     nic.post_read_batch(ctx, &reads).into_iter().zip(&reads)
@@ -89,7 +55,7 @@ fn a_warm_read_stream_allocates_only_its_handle_lists() {
                     done += 1;
                 }
             }
-            end.set((ALLOCATIONS.load(Ordering::Relaxed), done));
+            end.set((rsj_alloc_count::allocations(), done));
             mr.unpublish();
             fabric.shutdown(ctx);
         });
