@@ -46,4 +46,4 @@ pub use report::{HostReport, QueryReport, ServiceReport};
 pub use runtime::{ClusterRun, PhaseEvent, Runtime};
 pub use service::{HealingConfig, JoinRequest, QueryService, RejectReason, ServiceConfig};
 pub use topology::{ClusterSpec, Interconnect};
-pub use wire::{ranges, TagError, WireTag};
+pub use wire::{range_of, TagError, WireTag};

@@ -117,7 +117,7 @@ impl Meter {
     /// kernel batch).
     fn settle(&mut self, ctx: &SimCtx) {
         if self.owed_ns > 0.0 {
-            let ns = self.owed_ns.round() as u64;
+            let ns = round_ns(self.owed_ns);
             self.total_ns += self.owed_ns;
             self.owed_ns = 0.0;
             if ns > 0 {
@@ -147,10 +147,46 @@ impl Meter {
     }
 }
 
+/// `x.round() as u64` for a non-negative `x` (half away from zero,
+/// saturating), in integer arithmetic instead of a libm call: below 2^53
+/// the fractional part `x - t` is exact, and above it `x` has none.
+#[inline]
+fn round_ns(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rsj_sim::Simulation;
+
+    #[test]
+    fn integer_rounding_matches_f64_round() {
+        let two52 = (1u64 << 52) as f64;
+        let mut xs = vec![
+            0.0,
+            0.5,
+            0.499_999_999_999_999_94,
+            1.5,
+            2.5,
+            2.4,
+            two52 - 0.5,
+            two52 + 0.5,
+            two52 + 1.0,
+            2.0 * two52,
+            2.0 * two52 + 2.0,
+            f64::MAX,
+        ];
+        xs.extend((0..10_000).map(|i| i as f64 * 0.25 + 1e-3 * (i % 7) as f64));
+        for x in xs {
+            assert_eq!(round_ns(x), x.round() as u64, "{x}");
+        }
+    }
 
     #[test]
     fn charges_accumulate_and_flush() {

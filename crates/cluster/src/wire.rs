@@ -147,9 +147,10 @@ impl WireTag {
     }
 }
 
-/// Split `len` items into `n` nearly-equal contiguous ranges.
-pub fn ranges(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
-    (0..n).map(|i| (i * len / n)..((i + 1) * len / n)).collect()
+/// The `i`-th of the `n` nearly-equal contiguous ranges that split `len`
+/// items: consecutive `i` tile `0..len` exactly.
+pub fn range_of(len: usize, n: usize, i: usize) -> std::ops::Range<usize> {
+    (i * len / n)..((i + 1) * len / n)
 }
 
 #[cfg(test)]
@@ -214,9 +215,16 @@ mod tests {
 
     #[test]
     fn ranges_cover_exactly() {
-        let rs = ranges(10, 3);
+        let rs: Vec<_> = (0..3).map(|i| range_of(10, 3, i)).collect();
         assert_eq!(rs, vec![0..3, 3..6, 6..10]);
-        let total: usize = rs.iter().map(|r| r.len()).sum();
-        assert_eq!(total, 10);
+        for (len, n) in [(0, 1), (1, 4), (7, 7), (1000, 13)] {
+            let mut next = 0;
+            for i in 0..n {
+                let r = range_of(len, n, i);
+                assert_eq!(r.start, next);
+                next = r.end;
+            }
+            assert_eq!(next, len);
+        }
     }
 }

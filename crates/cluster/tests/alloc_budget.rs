@@ -1,9 +1,10 @@
 //! Allocation budget of a partitioned stream: once a `Scatter` →
 //! `recv_stream` stream is warm, a message costs the host no heap
 //! allocation. Payload buffers go back to the sender's pool, completion
-//! cells back to the NIC's free list, and send windows keep their slots
-//! inline, so the second half of the stream runs on what the first half
-//! allocated.
+//! cells back to the NIC's free list as the wire completes them, and
+//! send windows keep their slots inline, so the second half of the
+//! stream runs on what the first half allocated. `cell_budget.rs` holds
+//! the cold case, where no lane lives long enough to warm up.
 //!
 //! The binary installs the counting global allocator of
 //! `rsj-alloc-count` and holds one test, so nothing else allocates while

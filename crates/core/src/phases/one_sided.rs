@@ -25,7 +25,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use rsj_cluster::{phase, ranges, JoinError, Meter, TagError};
+use rsj_cluster::{phase, range_of, JoinError, Meter, TagError};
 use rsj_joins::{
     bucket_entries, encode_remote_table, partition_of, remote_dir_len, remote_nbuckets,
     RemoteDirectory, TornRead,
@@ -182,8 +182,7 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
 
     // Every core (no dedicated receiver on this dataplane) partitions its
     // slice of the local S chunk into per-partition probe groups.
-    let range = ranges(chunks[REL_S].len(), cores)[core].clone();
-    let slice = &chunks[REL_S][range];
+    let slice = &chunks[REL_S][range_of(chunks[REL_S].len(), cores, core)];
     meter.charge_bytes(ctx, slice.len() * T::SIZE, cost.partition_rate);
     let mut scratch = ProbeScratch::new(cfg, slice, b1);
 

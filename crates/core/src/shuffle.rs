@@ -23,7 +23,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use rsj_cluster::{ranges, Exchange, JoinError, Lane, Meter, Posted, Scatter, WireTag};
+use rsj_cluster::{range_of, Exchange, JoinError, Lane, Meter, Posted, Scatter, WireTag};
 use rsj_joins::partition_of;
 use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
@@ -70,7 +70,7 @@ impl<T: Tuple> Landing<T> {
     /// Worker `w`'s slice of `chunk`: the same split in the histogram
     /// phase and the network pass, so a thread histogram is exact.
     fn slice<'a>(&self, w: usize, chunk: &'a [T]) -> &'a [T] {
-        &chunk[ranges(chunk.len(), self.kept.len())[w].clone()]
+        &chunk[range_of(chunk.len(), self.kept.len(), w)]
     }
 
     /// Worker `w`'s thread histogram over its slices of `inputs`, each

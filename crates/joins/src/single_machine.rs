@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use rsj_cluster::{CostModel, Meter, PhaseTimes};
+use rsj_cluster::{range_of, CostModel, Meter, PhaseTimes};
 use rsj_sim::{SimBarrier, SimTime, Simulation};
 use rsj_workload::{JoinResult, Tuple};
 
@@ -72,11 +72,6 @@ type PassOneOutput<T> = (Partitioned<T>, Partitioned<T>);
 /// A build-probe task: the refined R and S fragments plus the index `j`.
 type BuildProbeTask<T> = (Arc<Partitioned<T>>, Arc<Partitioned<T>>, usize);
 
-/// Split `len` items into `n` nearly-equal contiguous ranges.
-fn ranges(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
-    (0..n).map(|i| (i * len / n)..((i + 1) * len / n)).collect()
-}
-
 /// Run the single-machine radix join to completion and return the verified
 /// result with its phase breakdown.
 pub fn run_single_machine_join<T: Tuple>(
@@ -122,10 +117,8 @@ fn worker<T: Tuple>(ctx: &rsj_sim::SimCtx, sh: &Shared<T>, t: usize) {
     let (b1, b2) = cfg.radix_bits;
     let socket = t * cfg.sockets / cfg.cores;
     let mut meter = Meter::new();
-    let r_range = ranges(sh.r.len(), cfg.cores)[t].clone();
-    let s_range = ranges(sh.s.len(), cfg.cores)[t].clone();
-    let my_r = &sh.r[r_range];
-    let my_s = &sh.s[s_range];
+    let my_r = &sh.r[range_of(sh.r.len(), cfg.cores, t)];
+    let my_s = &sh.s[range_of(sh.s.len(), cfg.cores, t)];
     let mut pt = Partitioner::new();
     let mut r_hist = Vec::new();
     let mut s_hist = Vec::new();

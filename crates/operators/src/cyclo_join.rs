@@ -18,7 +18,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{decode_all, JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, run_direct, Attempts, Exchange, Runtime, WireTag};
+use rsj_cluster::{range_of, run_direct, Attempts, Exchange, Runtime, WireTag};
 
 /// Phase name of the rotation rounds, for error attribution.
 const PHASE_ROTATE: &str = phase::BUILD_PROBE;
@@ -211,8 +211,7 @@ fn worker<T: Tuple>(
     for round in 0..m {
         let received = st.fragment.borrow().clone();
         let frag = received.as_deref().map_or(home, Vec::as_slice);
-        let range = ranges(frag.len(), cores)[core].clone();
-        let my = &frag[range];
+        let my = &frag[range_of(frag.len(), cores, core)];
         local.merge(table.probe_all(my));
         meter.charge_bytes(ctx, my.len() * T::SIZE, probe_rate);
         meter.flush(ctx);

@@ -50,39 +50,66 @@ pub(crate) struct WorkCompletion {
     /// `None` until the wire (or a denied post) completes the request.
     status: Cell<Option<WcStatus>>,
     data: RefCell<Option<Vec<u8>>>,
+    /// Bumped each time the cell goes back to its pool. A handle minted
+    /// at an older generation is a ticket for a request that completed
+    /// successfully.
+    generation: Cell<u64>,
+    /// Whether the current generation's handle is still alive.
+    held: Cell<bool>,
     query: QueryId,
     src: HostId,
     dst: Cell<HostId>,
     faults: Arc<FaultState>,
-    /// The free list this cell goes back to once nobody holds it (dangling
-    /// for a detached test cell, or once its NIC is gone).
+    /// The free list this cell goes back to (dangling for a detached test
+    /// cell, or once its NIC is gone).
     home: Weak<CellPool>,
 }
 
-impl WorkCompletion {
-    /// Complete the work request with `status` and wake its poster.
-    pub(crate) fn complete(&self, ctx: &SimCtx, status: WcStatus) {
-        self.status.set(Some(status));
-        self.ev.set(ctx);
-    }
-
-    /// Complete a READ successfully with its landing buffer, `data`.
-    pub(crate) fn complete_read(&self, ctx: &SimCtx, data: Vec<u8>) {
-        *self.data.borrow_mut() = Some(data);
-        self.complete(ctx, WcStatus::Success);
-    }
-}
-
 /// One holder's share of a [`WorkCompletion`]: the poster's handle holds
-/// one, the message on the wire (or the READ reply) another. Whichever is
-/// dropped last returns the cell to its NIC's [`CellPool`], so a cell is
-/// reused only when neither handle nor message still holds it.
+/// one, the message on the wire (or the READ reply) another. The cell goes
+/// back to its NIC's [`CellPool`] as soon as nobody needs what it holds:
+/// when the wire completes it successfully with no task parked on it (the
+/// handle then reads the bumped generation as success), when the wire
+/// completes a request whose handle is gone, or when the handle of a
+/// completed request that still holds something — an error status, READ
+/// data, a woken waiter's status — is dropped.
 pub(crate) struct Wc(Rc<WorkCompletion>);
 
 impl Wc {
     /// Another holder's share of the same cell.
     pub(crate) fn share(&self) -> Wc {
         Wc(Rc::clone(&self.0))
+    }
+
+    /// Complete the work request with `status` and wake its poster. A
+    /// success nobody is parked on leaves nothing for the handle to read,
+    /// so the cell goes back to its pool at once.
+    pub(crate) fn complete(&self, ctx: &SimCtx, status: WcStatus) {
+        let parked = self.ev.has_waiters();
+        self.status.set(Some(status));
+        self.ev.set(ctx);
+        if !self.held.get() || (status == WcStatus::Success && !parked) {
+            self.recycle();
+        }
+    }
+
+    /// Complete a READ successfully with its landing buffer, `data`, which
+    /// the cell keeps until [`ReadHandle::wait`] takes it.
+    pub(crate) fn complete_read(&self, ctx: &SimCtx, data: Vec<u8>) {
+        *self.data.borrow_mut() = Some(data);
+        self.status.set(Some(WcStatus::Success));
+        self.ev.set(ctx);
+        if !self.held.get() {
+            self.recycle();
+        }
+    }
+
+    /// Hand the cell back to its pool, ending its generation.
+    fn recycle(&self) {
+        self.generation.set(self.generation.get() + 1);
+        if let Some(home) = self.home.upgrade() {
+            home.free.borrow_mut().push(Rc::clone(&self.0));
+        }
     }
 }
 
@@ -94,24 +121,19 @@ impl Deref for Wc {
     }
 }
 
-impl Drop for Wc {
-    fn drop(&mut self) {
-        if Rc::strong_count(&self.0) == 1 {
-            if let Some(home) = self.0.home.upgrade() {
-                home.free.borrow_mut().push(Rc::clone(&self.0));
-            }
-        }
-    }
-}
-
 /// One NIC's free lists of completion cells and READ landing buffers: a
 /// post draws a cell (a READ also a landing buffer) from it and allocates
-/// only when every one is still held, so a steady stream of posts
-/// allocates none (*Storm*'s rule: no allocation per operation).
+/// only when every one is in use. A SEND or WRITE cell comes back when
+/// the wire completes it, not when its handle drops, so a stream allocates
+/// no more cells than it has requests in flight at once (*Storm*'s rule:
+/// no allocation per operation), however long its send windows keep their
+/// handles.
 pub(crate) struct CellPool {
     free: RefCell<Vec<Rc<WorkCompletion>>>,
     /// Empty landing buffers that keep their capacity.
     landings: RefCell<Vec<Vec<u8>>>,
+    /// Cells allocated so far: the most this NIC ever had out at once.
+    allocated: Cell<u64>,
     /// The NIC's query lane, host and fault state, which every cell of
     /// the pool carries.
     query: QueryId,
@@ -125,6 +147,7 @@ impl CellPool {
         Rc::new(CellPool {
             free: RefCell::new(Vec::new()),
             landings: RefCell::new(Vec::new()),
+            allocated: Cell::new(0),
             query,
             src,
             faults,
@@ -135,11 +158,14 @@ impl CellPool {
     /// a new one homed here.
     fn take(self: &Rc<CellPool>, dst: HostId) -> Wc {
         let Some(cell) = self.free.borrow_mut().pop() else {
-            // lint: allow-hot-alloc(a miss creates one cell; a steady stream pops the free list)
+            self.allocated.set(self.allocated.get() + 1);
+            // lint: allow-hot-alloc(a miss means every cell of this NIC is in flight or holds an unread error or READ)
             return Wc(Rc::new(WorkCompletion {
                 ev: SimEvent::default(),
                 status: Cell::new(None),
                 data: RefCell::new(None),
+                generation: Cell::new(0),
+                held: Cell::new(true),
                 query: self.query,
                 src: self.src,
                 dst: Cell::new(dst),
@@ -150,6 +176,7 @@ impl CellPool {
         cell.ev.reset();
         cell.status.set(None);
         cell.data.borrow_mut().take();
+        cell.held.set(true);
         cell.dst.set(dst);
         Wc(cell)
     }
@@ -168,20 +195,41 @@ impl CellPool {
     }
 }
 
-/// Poster-side handle to one outstanding send/write work request.
+/// Poster-side handle to one outstanding send/write work request: a
+/// ticket of (cell, generation). Once the cell has moved on to a newer
+/// generation, the request completed successfully.
 ///
 /// The buffer behind the posted payload is logically reusable once the
 /// completion fires; [`SendHandle::wait`] additionally surfaces the
 /// completion *status* — a flushed or retry-exhausted work request returns
 /// a typed [`FabricError`] instead of silent success.
 pub struct SendHandle {
-    pub(crate) cell: Wc,
+    cell: Wc,
+    generation: u64,
 }
 
 impl SendHandle {
+    /// The ticket for the current generation of `cell`.
+    fn new(cell: Wc) -> SendHandle {
+        SendHandle {
+            generation: cell.generation.get(),
+            cell,
+        }
+    }
+
+    /// The cell, while it still serves this handle's request; `None` once
+    /// it went back to its pool on a successful completion.
+    fn live(&self) -> Option<&WorkCompletion> {
+        (self.cell.generation.get() == self.generation).then_some(&*self.cell)
+    }
+
     /// Block until the work request completes, then surface its status.
     pub fn wait(&self, ctx: &SimCtx) -> Result<(), FabricError> {
-        let cell = &self.cell;
+        let Some(cell) = self.live() else {
+            return Ok(());
+        };
+        // A parked waiter keeps the cell out of its pool until this
+        // handle drops, so it is still this request's cell on waking.
         // lint: allow-error-swallow(sim Event::wait returns unit, not a fabric Result)
         cell.ev.wait(ctx);
         match cell.status.get() {
@@ -196,7 +244,7 @@ impl SendHandle {
 
     /// Whether the completion (success or error) has fired.
     pub fn is_done(&self) -> bool {
-        self.cell.ev.is_set()
+        self.live().is_none_or(|cell| cell.ev.is_set())
     }
 
     /// A detached, un-fired handle and the call that completes it
@@ -206,10 +254,24 @@ impl SendHandle {
         // The pool is dropped at once, so the cell never goes back to it.
         let faults = FaultState::new(None, 1);
         let cell = CellPool::new(QueryId::DIRECT, HostId(0), faults).take(HostId(0));
-        let handle = SendHandle { cell: cell.share() };
+        let handle = SendHandle::new(cell.share());
         (handle, move |ctx: &SimCtx| {
             cell.complete(ctx, WcStatus::Success)
         })
+    }
+}
+
+impl Drop for SendHandle {
+    /// A completed request's cell goes back to its pool with its handle;
+    /// an un-completed one when the wire completes it.
+    fn drop(&mut self) {
+        if self.live().is_none() {
+            return;
+        }
+        self.cell.held.set(false);
+        if self.cell.status.get().is_some() {
+            self.cell.recycle();
+        }
     }
 }
 
@@ -224,14 +286,18 @@ pub struct ReadHandle {
 
 impl ReadHandle {
     /// Block until the read completes, then take the data — or the typed
-    /// error if the read was flushed or retries were exhausted.
+    /// error if the read was flushed or retries were exhausted. The cell
+    /// goes back to its pool when the consumed handle drops.
     pub fn wait(self, ctx: &SimCtx) -> Result<ReadBuf, FabricError> {
         self.wr.wait(ctx)?;
-        let cell = &self.wr.cell;
-        let bytes = cell.data.take().expect("read completed without data");
+        let bytes = self
+            .wr
+            .live()
+            .and_then(|cell| cell.data.take())
+            .expect("read completed without data");
         Ok(ReadBuf {
             bytes,
-            home: Weak::clone(&cell.home),
+            home: Weak::clone(&self.wr.cell.home),
         })
     }
 
@@ -243,8 +309,7 @@ impl ReadHandle {
 
 /// The bytes one RDMA READ fetched, in the landing buffer the READ drew
 /// from its requester's NIC (the work request's local SGE in verbs terms).
-/// Derefs to the bytes; dropping it hands the buffer back to that NIC, as
-/// dropping the last `Wc` hands back a completion cell.
+/// Derefs to the bytes; dropping it hands the buffer back to that NIC.
 pub struct ReadBuf {
     bytes: Vec<u8>,
     /// The pool the buffer goes back to (dangling once its NIC is gone).
@@ -306,6 +371,9 @@ pub struct NicStats {
     pub retransmits: u64,
     /// Work requests completed with an error status.
     pub wc_errors: u64,
+    /// Completion cells allocated: posts that found the NIC's free list
+    /// empty because every earlier cell was still in use.
+    pub cells: u64,
 }
 
 /// One host's network interface: the verbs-facing API of the fabric.
@@ -559,9 +627,7 @@ impl Nic {
     /// `None`; the wire completes it later) or already completed with
     /// `fired` — a post denied by the fault plane.
     fn handle(&self, ctx: &SimCtx, dst: HostId, fired: Option<WcStatus>) -> SendHandle {
-        let handle = SendHandle {
-            cell: self.cells.take(dst),
-        };
+        let handle = SendHandle::new(self.cells.take(dst));
         if let Some(status) = fired {
             handle.cell.complete(ctx, status);
             if status != WcStatus::Success {
@@ -686,7 +752,10 @@ impl Nic {
 
     /// Traffic counters so far.
     pub fn stats(&self) -> NicStats {
-        *self.stats.borrow()
+        NicStats {
+            cells: self.cells.allocated.get(),
+            ..*self.stats.borrow()
+        }
     }
 
     /// This NIC's *physical* host id.
@@ -702,5 +771,125 @@ impl Nic {
     /// The fabric-wide verbs-contract validator (shared by every NIC).
     pub fn validator(&self) -> &Arc<Validator> {
         &self.validator
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsj_sim::Simulation;
+
+    /// A pool of host 0's NIC and a post on it: the poster's handle and
+    /// the wire's share of the same cell.
+    fn pool() -> Rc<CellPool> {
+        CellPool::new(QueryId::DIRECT, HostId(0), FaultState::new(None, 2))
+    }
+
+    fn post(pool: &Rc<CellPool>) -> (SendHandle, Wc) {
+        let wire = pool.take(HostId(1));
+        (SendHandle::new(wire.share()), wire)
+    }
+
+    fn free(pool: &CellPool) -> usize {
+        pool.free.borrow().len()
+    }
+
+    #[test]
+    fn a_success_nobody_waits_for_recycles_the_cell_and_the_ticket_reads_ok() {
+        let sim = Simulation::new();
+        sim.spawn("poster", |ctx| {
+            let pool = pool();
+            let (old, wire) = post(&pool);
+            assert!(!old.is_done());
+            wire.complete(ctx, WcStatus::Success);
+            drop(wire);
+            assert_eq!(free(&pool), 1, "back before its handle drops");
+            // The next post reuses the cell; the old ticket still reads
+            // its own request's success, the new one is pending.
+            let (new, _wire) = post(&pool);
+            assert!(Rc::ptr_eq(&old.cell.0, &new.cell.0));
+            assert!(old.is_done() && !new.is_done());
+            assert_eq!(old.wait(ctx), Ok(()));
+            drop(old);
+            assert_eq!(free(&pool), 0, "a stale ticket hands nothing back");
+            assert!(!new.is_done());
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_parked_waiter_is_woken_and_the_cell_returns_with_its_handle() {
+        let sim = Simulation::new();
+        let pool = pool();
+        let (handle, wire) = post(&pool);
+        let p = Rc::clone(&pool);
+        sim.spawn("poster", move |ctx| {
+            assert_eq!(handle.wait(ctx), Ok(()));
+            assert_eq!(ctx.now().as_nanos(), 5, "woken by the completion");
+            assert!(handle.is_done());
+            assert_eq!(free(&p), 0, "held while the woken handle lives");
+            drop(handle);
+            assert_eq!(free(&p), 1);
+        });
+        sim.spawn("wire", move |ctx| {
+            ctx.advance(SimDuration::from_nanos(5));
+            wire.complete(ctx, WcStatus::Success);
+        });
+        sim.run();
+        assert_eq!(free(&pool), 1);
+    }
+
+    #[test]
+    fn an_error_completion_stays_with_its_handle() {
+        let sim = Simulation::new();
+        sim.spawn("poster", |ctx| {
+            let pool = pool();
+            let (handle, wire) = post(&pool);
+            wire.complete(ctx, WcStatus::Flushed);
+            drop(wire);
+            assert_eq!(free(&pool), 0, "the status is still unread");
+            assert!(handle.is_done());
+            assert!(handle.wait(ctx).is_err());
+            assert!(handle.wait(ctx).is_err(), "and stays readable");
+            drop(handle);
+            assert_eq!(free(&pool), 1);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn an_orphaned_handles_cell_is_recycled_on_completion_whatever_the_status() {
+        let sim = Simulation::new();
+        sim.spawn("poster", |ctx| {
+            let pool = pool();
+            for status in [WcStatus::Success, WcStatus::RetryExceeded] {
+                let (handle, wire) = post(&pool);
+                drop(handle);
+                assert_eq!(free(&pool), 0, "the wire still holds it");
+                wire.complete(ctx, status);
+                assert_eq!(free(&pool), 1);
+                let _reuse = pool.take(HostId(1));
+            }
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn read_data_survives_until_wait_takes_it() {
+        let sim = Simulation::new();
+        sim.spawn("reader", |ctx| {
+            let pool = pool();
+            let (wr, wire) = post(&pool);
+            let read = ReadHandle { wr, posted: true };
+            wire.complete_read(ctx, vec![7; 16]);
+            drop(wire);
+            assert_eq!(free(&pool), 0, "the data is still unread");
+            // Another post cannot draw the cell that holds the data.
+            let (_other, _other_wire) = post(&pool);
+            assert!(read.is_done());
+            assert_eq!(read.wait(ctx).unwrap(), vec![7u8; 16]);
+            assert_eq!(free(&pool), 1, "the consumed handle hands it back");
+        });
+        sim.run();
     }
 }

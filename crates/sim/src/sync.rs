@@ -359,6 +359,13 @@ impl SimEvent {
         self.inner.borrow().set
     }
 
+    /// Whether a task is parked on the event, i.e. whether [`SimEvent::set`]
+    /// would wake anybody.
+    pub fn has_waiters(&self) -> bool {
+        let st = self.inner.borrow();
+        st.first.is_some() || !st.more.is_empty()
+    }
+
     /// Park until the event fires (returns immediately if already fired).
     pub fn wait(&self, ctx: &SimCtx) {
         loop {
@@ -547,7 +554,9 @@ mod tests {
             let ev = Arc::clone(&ev);
             sim.spawn("setter", move |ctx| {
                 ctx.advance(SimDuration::from_millis(1));
+                assert!(ev.has_waiters(), "three waiters are parked");
                 ev.set(ctx);
+                assert!(!ev.has_waiters(), "firing wakes them all");
             });
         }
         // A late waiter sees the event already set.
