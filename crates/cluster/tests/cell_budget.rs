@@ -5,8 +5,9 @@
 //! where a lane sends about 2.5 messages, so a lane never warms up. A NIC
 //! must allocate no more completion cells than it ever had sends in
 //! flight: a cell goes back when the wire completes it, not when the
-//! window lets go of its handle. Past each lane's first buffer, nothing
-//! else may allocate per message either.
+//! window lets go of its handle. The buffers the pools allocate are
+//! counted and pinned, about one per lane; past those, nothing else may
+//! allocate per message either.
 //!
 //! The binary installs the counting global allocator of `rsj-alloc-count`
 //! and holds one test, so nothing else allocates while it counts.
@@ -29,6 +30,9 @@ const SENDERS: usize = 2;
 /// `2 * 48 = 96` remote lanes, and the rack 768.
 const PARTS: usize = 64;
 const LANES: usize = MACHINES * SENDERS * 2 * (PARTS - PARTS / MACHINES);
+/// Pool buffers the stream allocates (`BufferPool::allocated`, summed
+/// over the machines).
+const POOL_BUFFERS: u64 = 778;
 /// Eight eight-byte records per buffer.
 const BUF: usize = 64;
 const RECORDS_PER_BUF: usize = BUF / 8;
@@ -85,6 +89,7 @@ fn a_cold_stream_allocates_no_more_cells_than_it_has_sends_in_flight() {
     );
     let tally = Rc::new(Tally::default());
     let t = Rc::clone(&tally);
+    let drawn = Arc::clone(&pools);
     rt.try_run(move |ctx, rt, mach, core| {
         let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
         let mut meter = Meter::new();
@@ -151,8 +156,16 @@ fn a_cold_stream_allocates_no_more_cells_than_it_has_sends_in_flight() {
             "machine {mach} allocated {cells} completion cells for at most {peak} sends in flight"
         );
     }
-    // Each lane draws its first buffer fresh; past that, the stream may
-    // allocate at most once per ten messages.
+    // The pools allocate about one buffer per lane: every draw that finds
+    // its machine's free list empty, a lane's first buffer or the second
+    // it takes while the first is on the wire. A change that reuses
+    // buffers across lanes lowers the count; pin the new one then.
+    let fresh: u64 = drawn.iter().map(|pool| pool.allocated()).sum();
+    assert_eq!(
+        fresh, POOL_BUFFERS,
+        "pool buffers allocated over {LANES} lanes"
+    );
+    // Past that, the stream may allocate at most once per ten messages.
     let stream = tally.last.get() - tally.first.get();
     let bound = LANES + messages / 10;
     assert!(

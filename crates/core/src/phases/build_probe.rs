@@ -93,12 +93,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
 ) -> Result<(), JoinError> {
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
-    let info = Arc::clone(
-        st.info
-            .borrow()
-            .as_ref()
-            .expect("histogram phase incomplete"),
-    );
+    let s_split_threshold = st.s_split_threshold.get();
     let cost = &cfg.cluster.cost;
     let mut local = JoinResult::default();
     let ex = Exchange::new(&sh.fabric, mach, phase::BUILD_PROBE);
@@ -195,7 +190,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                     .collect();
                 meter.charge_bytes(ctx, r_part.len() * T::SIZE, cost.build_rate);
                 let tables = Arc::new(tables);
-                if s_part.len() > info.s_split_threshold {
+                if s_part.len() > s_split_threshold {
                     // Skewed outer fragment: share the probe among threads
                     // in chunks of the threshold size. The pushes are
                     // externally visible (an idle sibling that polls an
@@ -205,7 +200,7 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                     meter.flush(ctx);
                     let mut lo = 0;
                     while lo < s_part.len() {
-                        let hi = (lo + info.s_split_threshold).min(s_part.len());
+                        let hi = (lo + s_split_threshold).min(s_part.len());
                         let t = BpTask::ProbeChunk {
                             tables: Arc::clone(&tables),
                             s: Arc::clone(&s),

@@ -8,15 +8,12 @@
 use std::sync::Arc;
 
 use rsj_cluster::{phase, JoinError, Meter};
-use rsj_joins::Partitioner;
+use rsj_joins::{claim, Partitioner};
 use rsj_sim::SimCtx;
 use rsj_workload::Tuple;
 
 use crate::histogram::{REL_R, REL_S};
-use crate::phases::{
-    assemble_checked, barrier_wait, take_checked, task_bytes, BpTask, ClusterShared, GlobalInfo,
-    RELS,
-};
+use crate::phases::{barrier_wait, task_bytes, BpTask, ClusterShared, RELS};
 
 pub(crate) fn phase_local<T: Tuple>(
     ctx: &SimCtx,
@@ -27,31 +24,20 @@ pub(crate) fn phase_local<T: Tuple>(
 ) -> Result<(), JoinError> {
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
-    let info = Arc::clone(
-        st.info
-            .borrow()
-            .as_ref()
-            .expect("histogram phase incomplete"),
-    );
     let (b1, b2) = cfg.radix_bits;
     let rate = cfg.cluster.cost.partition_rate;
 
     if cfg.parallel_local_pass {
-        return phase_local_parallel(ctx, sh, mach, core, meter, &info);
+        return phase_local_parallel(ctx, sh, mach, core, meter);
     }
 
     let owned = st.landing.owned();
     let mut pt = Partitioner::new();
-    loop {
-        let i = st.next_local_task.get();
-        st.next_local_task.set(i + 1);
-        if i >= owned.len() {
-            break;
-        }
+    while let Some(i) = claim(&st.next_local_task, owned.len()) {
         let p = owned[i];
         // Partitioned straight out of the landed pieces; each relation's
         // pieces are freed as soon as its second pass is done.
-        let pieces = RELS.map(|rel| take_checked(st, &info, rel, p));
+        let pieces = RELS.map(|rel| st.landing.take(rel, p));
         let tuples: usize = pieces.iter().flatten().map(Vec::len).sum();
         meter.charge_bytes(ctx, tuples * T::SIZE, rate);
         let [sub_r, sub_s] = pieces.map(|landed| Arc::new(pt.partition_pieces(&landed, b1, b2)));
@@ -93,7 +79,6 @@ fn phase_local_parallel<T: Tuple>(
     mach: usize,
     core: usize,
     meter: &mut Meter,
-    info: &GlobalInfo,
 ) -> Result<(), JoinError> {
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
@@ -110,14 +95,9 @@ fn phase_local_parallel<T: Tuple>(
     barrier_wait(&st.local_barrier, ctx, phase::LOCAL_PARTITION)?;
 
     // Stage 1: assemble owned partitions, so slices can index them.
-    loop {
-        let i = st.next_local_task.get();
-        st.next_local_task.set(i + 1);
-        if i >= owned.len() {
-            break;
-        }
+    while let Some(i) = claim(&st.next_local_task, owned.len()) {
         let p = owned[i];
-        let rel_parts = RELS.map(|rel| assemble_checked(st, info, rel, p));
+        let rel_parts = RELS.map(|rel| st.landing.assemble(rel, p));
         st.lp_assembled.borrow_mut()[i] = Some(Arc::new(rel_parts));
     }
     // Leader of this barrier builds the slice task list from the
@@ -154,12 +134,7 @@ fn phase_local_parallel<T: Tuple>(
     // are interleaved with everything else.
     let n_tasks = st.lp_tasks.borrow().len();
     let mut pt = Partitioner::new();
-    loop {
-        let t = st.next_lp_task.get();
-        st.next_lp_task.set(t + 1);
-        if t >= n_tasks {
-            break;
-        }
+    while let Some(t) = claim(&st.next_lp_task, n_tasks) {
         let (i, rel, k, range) = st.lp_tasks.borrow_mut()[t].clone();
         let assembled = Arc::clone(
             st.lp_assembled.borrow_mut()[i]
@@ -178,12 +153,7 @@ fn phase_local_parallel<T: Tuple>(
     // Stage 3: concatenate slice outputs per fragment and enqueue
     // build-probe tasks (uncharged assembly, same convention as the
     // sequential path's pointer-level combining).
-    loop {
-        let i = st.next_lp_emit.get();
-        st.next_lp_emit.set(i + 1);
-        if i >= owned.len() {
-            break;
-        }
+    while let Some(i) = claim(&st.next_lp_emit, owned.len()) {
         let [sub_r, sub_s] = RELS.map(|rel| {
             let slices: Vec<_> = st.lp_outputs.borrow_mut()[i][rel]
                 .iter_mut()

@@ -6,11 +6,11 @@
 //! [`rsj_cluster::Runtime`]'s fabric and runs each phase between named
 //! barriers. Everything algorithmic lives here:
 //!
-//! * [`histogram`] — §4.1 histogram computation, exchange, and the
-//!   derived global state ([`GlobalInfo`]);
+//! * [`histogram`] — §4.1 histogram computation and exchange, and the
+//!   skew-split threshold derived from the global histogram;
 //! * [`network`] — §4.2 network partitioning pass: the post step in which
-//!   the transports differ, over the [`crate::shuffle`] route and receive
-//!   steps;
+//!   the transports differ and the receiver's copy charge, handed to
+//!   [`crate::shuffle::Landing::shuffle`];
 //! * [`local`] — §4.2.3 local partitioning pass (serial and parallel);
 //! * [`build_probe`] — §4.3 build-probe with skew splitting, result
 //!   materialization, and the inter-machine work-sharing extension;
@@ -35,7 +35,7 @@ use rsj_sim::{SimBarrier, SimCtx, SimSemaphore};
 use rsj_workload::{JoinResult, Tuple};
 
 use crate::config::{DistJoinConfig, Transport};
-use crate::histogram::{Histogram, REL_R, REL_S};
+use crate::histogram::{REL_R, REL_S};
 use crate::shuffle::Landing;
 
 /// Which relation's chunk a sender is currently partitioning.
@@ -81,22 +81,14 @@ pub(crate) type LpAssembled<T> = Arc<[Vec<T>; 2]>;
 /// relation.
 pub(crate) type LpOutputs<T> = Vec<[Vec<Option<Partitioned<T>>>; 2]>;
 
-/// Cluster-wide state derived from the global histogram by every machine
-/// at the end of phase one (the partition assignment goes to each
-/// machine's [`Landing`]).
-pub(crate) struct GlobalInfo {
-    pub(crate) machine_hists: Vec<Histogram>,
-    /// Outer-relation tuples above which a final fragment is split for
-    /// parallel probing.
-    pub(crate) s_split_threshold: usize,
-}
-
 pub(crate) struct MachineState<T> {
     pub(crate) local_barrier: Arc<SimBarrier>,
-    pub(crate) machine_hist: RefCell<Histogram>,
-    pub(crate) info: RefCell<Option<Arc<GlobalInfo>>>,
-    /// Where this machine's partitions land in the network pass.
+    /// Where this machine's partitions land in the network pass, and the
+    /// histograms that say how many tuples each must hold.
     pub(crate) landing: Landing<T>,
+    /// Outer-relation tuples above which a final fragment is split for
+    /// parallel probing, derived from the global histogram.
+    pub(crate) s_split_threshold: Cell<usize>,
     pub(crate) next_local_task: Cell<usize>,
     pub(crate) bp_tasks: NumaQueues<BpTask<T>>,
     pub(crate) result: RefCell<JoinResult>,
@@ -142,9 +134,8 @@ impl<T: Tuple> MachineState<T> {
         let b1 = cfg.radix_bits.0;
         MachineState {
             local_barrier: SimBarrier::new(cores),
-            machine_hist: RefCell::new(Histogram::zeros(1 << b1)),
-            info: RefCell::new(None),
             landing: Landing::new(mach, b1, cfg.partitioning_workers()),
+            s_split_threshold: Cell::new(0),
             next_local_task: Cell::new(0),
             bp_tasks: NumaQueues::new(1),
             result: RefCell::new(JoinResult::default()),
@@ -250,48 +241,4 @@ pub(crate) fn shipped(cfg: &DistJoinConfig) -> &'static [usize] {
         Transport::TwoSided => &RELS,
         Transport::OneSided => &[REL_R],
     }
-}
-
-/// Owned partition `p` of relation `rel`, taken out of this machine's
-/// landing as its pieces ([`Landing::take`]) and checked against the
-/// histogram phase.
-pub(crate) fn take_checked<T: Tuple>(
-    st: &MachineState<T>,
-    info: &GlobalInfo,
-    rel: usize,
-    p: usize,
-) -> Vec<Vec<T>> {
-    let pieces = st.landing.take(rel, p);
-    check_landed(info, rel, p, pieces.iter().map(Vec::len).sum());
-    pieces
-}
-
-/// Owned partition `p` of relation `rel`, assembled into one `Vec` out of
-/// this machine's landing ([`Landing::assemble`]) and checked against the
-/// histogram phase.
-pub(crate) fn assemble_checked<T: Tuple>(
-    st: &MachineState<T>,
-    info: &GlobalInfo,
-    rel: usize,
-    p: usize,
-) -> Vec<T> {
-    let tuples = st.landing.assemble(rel, p);
-    check_landed(info, rel, p, tuples.len());
-    tuples
-}
-
-/// The histogram phase announced exactly how many tuples of relation
-/// `rel` land in partition `p` cluster-wide; `landed` must be that many.
-fn check_landed(info: &GlobalInfo, rel: usize, p: usize, landed: usize) {
-    let expect: u64 = info.machine_hists.iter().map(|h| h.counts[rel][p]).sum();
-    assert_eq!(
-        landed as u64, expect,
-        "partition {p} of relation {rel} lost tuples in transit"
-    );
-}
-
-/// The partitioning-worker index of `core`, or `None` if this core is the
-/// dedicated receiver (core 0).
-pub(crate) fn sender_index(core: usize) -> Option<usize> {
-    core.checked_sub(1)
 }

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use rsj_cluster::{phase, range_of, JoinError, Meter, TagError};
 use rsj_joins::{
-    bucket_entries, encode_remote_table, partition_of, remote_dir_len, remote_nbuckets,
+    bucket_entries, claim, encode_remote_table, partition_of, remote_dir_len, remote_nbuckets,
     RemoteDirectory, TornRead,
 };
 use rsj_rdma::{HostId, Mr, Nic, RemoteMr};
@@ -36,7 +36,7 @@ use rsj_workload::{JoinResult, Tuple};
 
 use crate::config::MaterializeMode;
 use crate::histogram::{REL_R, REL_S};
-use crate::phases::{assemble_checked, barrier_wait, ClusterShared};
+use crate::phases::{barrier_wait, ClusterShared};
 use crate::DistJoinConfig;
 
 /// READ retries a torn bucket gets before the probe gives up. A healthy
@@ -68,23 +68,12 @@ pub(crate) fn phase_publish_tables<T: Tuple>(
 ) -> Result<(), JoinError> {
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
-    let info = Arc::clone(
-        st.info
-            .borrow()
-            .as_ref()
-            .expect("histogram phase incomplete"),
-    );
     let nic = sh.fabric.nic(HostId(mach));
     let owned = st.landing.owned();
 
-    loop {
-        let i = st.next_local_task.get();
-        st.next_local_task.set(i + 1);
-        if i >= owned.len() {
-            break;
-        }
+    while let Some(i) = claim(&st.next_local_task, owned.len()) {
         let p = owned[i];
-        let r_p = assemble_checked(st, &info, REL_R, p);
+        let r_p = st.landing.assemble(REL_R, p);
         // Encoding scatters every tuple into its bucket — the same work
         // profile as building the partition's hash tables.
         meter.charge_bytes(ctx, r_p.len() * T::SIZE, cfg.cluster.cost.build_rate);
@@ -129,12 +118,6 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
 ) -> Result<(), JoinError> {
     let cfg = &sh.cfg;
     let st = &sh.machines[mach];
-    let info = Arc::clone(
-        st.info
-            .borrow()
-            .as_ref()
-            .expect("histogram phase incomplete"),
-    );
     let nic = sh.fabric.nic(HostId(mach));
     let cost = &cfg.cluster.cost;
     let b1 = cfg.radix_bits.0;
@@ -144,15 +127,13 @@ pub(crate) fn phase_one_sided_probe<T: Tuple>(
     // Cluster-wide R tuple count of partition p — fixes the bucket count,
     // and with it the directory length, without any wire traffic.
     let r_count = |p: usize| -> usize {
-        info.machine_hists
-            .iter()
-            .map(|h| h.counts[REL_R][p])
-            .sum::<u64>() as usize
+        let total = st.landing.total(REL_R, p);
+        total.expect("histograms exchanged") as usize
     };
 
     if core == 0 {
         let needed: Vec<usize> = (0..np1)
-            .filter(|&p| info.machine_hists[mach].counts[REL_S][p] > 0 && !st.landing.owns(p))
+            .filter(|&p| st.landing.counted(REL_S, p) > 0 && !st.landing.owns(p))
             .collect();
         for group in needed.chunks(READ_DOORBELL) {
             let reads: Vec<(RemoteMr, usize, usize)> = group

@@ -1,23 +1,30 @@
 //! The shuffle: how partition traffic lands (DESIGN.md §14).
 //!
 //! The radix join, the sort-merge join and the aggregation move tuples
-//! the same way in their network partitioning pass. Every partitioning
-//! worker routes its share of the input by the low radix bits, keeps the
-//! tuples of partitions assigned to its own machine and pushes the rest
-//! into a [`Scatter`]; the owner takes in what arrives; after the pass it
-//! takes each partition out as what its workers kept plus what was
-//! received ([`Landing::take`]), or joined into one `Vec`
-//! ([`Landing::assemble`]). A [`Landing`] is one machine's side of all
-//! three steps.
+//! the same way. In the histogram phase every partitioning worker counts
+//! the slice of the input it will route ([`Landing::count`]). An operator
+//! that exchanges histograms (§4.1) then has core 0 sum those thread
+//! histograms into the machine histogram, trade it with every peer,
+//! install the partition assignment and keep the totals the other
+//! machines will send ([`Landing::exchange`]). In the network pass
+//! ([`Landing::shuffle`]) core 0 receives and every other core routes its
+//! slice by the low radix bits: it keeps the tuples of partitions
+//! assigned to its own machine and pushes the rest into a [`Scatter`].
+//! After the pass each partition is taken out as what the workers kept
+//! plus what was received ([`Landing::take`]), or joined into one `Vec`
+//! ([`Landing::assemble`]), and checked against the histograms where they
+//! were exchanged. A [`Landing`] is one machine's side of all of it.
 //! Partition traffic lands with the channel semantics of §4.2.2: the
 //! owner's receiver core copies every buffer into per-partition staging
-//! memory (DESIGN.md §4 item 3). Callers keep their post step (how one
-//! full buffer reaches the wire) and their own checks.
+//! memory (DESIGN.md §4 item 3). Callers keep their barriers, their post
+//! step (how one full buffer reaches the wire), the receiver's copy
+//! charge and their local work.
 //!
-//! Nothing in a landing grows by doubling: the histogram phase already
-//! counted every partition, so each worker's kept vectors are sized from
-//! its own thread histogram ([`Landing::count`]) and the staging of a
-//! partition from what the other machines announced ([`Landing::expect`]).
+//! A worker's kept vectors are sized exactly from its own thread
+//! histogram, so they never grow by doubling. A partition's staging is
+//! reserved once, at its first arrival, from the totals the other
+//! machines announced; the aggregation exchanges no histogram, so its
+//! staging grows as the buffers arrive.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -43,7 +50,8 @@ pub struct Landing<T> {
     counts: Vec<RefCell<Option<Histogram>>>,
     /// Per partitioning worker, the tuples it kept: `[rel][part]`.
     kept: Vec<RefCell<[Vec<Vec<T>>; 2]>>,
-    /// Tuples per `[rel][part]` the other machines will send here.
+    /// Tuples per `[rel][part]` the other machines will send here, once
+    /// [`Landing::exchange`] has announced them.
     remote: RefCell<Option<Histogram>>,
     /// Received bytes per `[rel][part]`.
     staged: [RefCell<Vec<Vec<u8>>>; 2],
@@ -73,38 +81,84 @@ impl<T: Tuple> Landing<T> {
         &chunk[range_of(chunk.len(), self.kept.len(), w)]
     }
 
-    /// Worker `w`'s thread histogram over its slices of `inputs`, each
-    /// `(rel, chunk)`: kept for sizing its [`Landing::route`], returned for
-    /// the machine histogram. Counting is host work; callers charge the
-    /// scan ([`Landing::slice_len`]).
-    pub fn count(&self, w: usize, inputs: &[(usize, &[T])]) -> Histogram {
+    /// Worker `w`'s histogram scan: count its thread histogram over its
+    /// slices of `inputs`, each `(rel, chunk)`, for sizing its route and
+    /// for the machine histogram; charge the scan at `rate` and settle.
+    pub fn count(
+        &self,
+        ctx: &SimCtx,
+        meter: &mut Meter,
+        w: usize,
+        rate: f64,
+        inputs: &[(usize, &[T])],
+    ) {
         let mut hist = Histogram::zeros(1 << self.bits);
         for &(rel, chunk) in inputs {
-            for t in self.slice(w, chunk) {
+            let slice = self.slice(w, chunk);
+            for t in slice {
                 hist.counts[rel][partition_of(t.key(), 0, self.bits)] += 1;
             }
+            meter.charge_bytes(ctx, slice.len() * T::SIZE, rate);
         }
-        *self.counts[w].borrow_mut() = Some(hist.clone());
-        hist
+        *self.counts[w].borrow_mut() = Some(hist);
+        meter.flush(ctx);
     }
 
-    /// How many tuples of `chunk` worker `w` scans.
-    pub fn slice_len(&self, w: usize, chunk: &[T]) -> usize {
-        self.slice(w, chunk).len()
+    /// Tuples of `[rel][part]` this machine's workers counted.
+    pub(crate) fn counted(&self, rel: usize, part: usize) -> u64 {
+        let hists = self.counts.iter().map(|c| c.borrow());
+        hists
+            .filter_map(|h| h.as_ref().map(|h| h.counts[rel][part]))
+            .sum()
     }
 
-    /// Install the partition → machine assignment every machine derived
-    /// after the histogram phase; routing and receiving follow it.
+    /// Tuples of `[rel][part]` cluster-wide, which is what the
+    /// partition's owner must land; `None` until [`Landing::exchange`]
+    /// has announced the other machines' counts.
+    pub(crate) fn total(&self, rel: usize, part: usize) -> Option<u64> {
+        let remote = self.remote.borrow();
+        let remote = remote.as_ref()?.counts[rel][part];
+        Some(remote + self.counted(rel, part))
+    }
+
+    /// Install the partition → machine assignment every machine derives
+    /// alike; routing and receiving follow it.
     pub fn assign(&self, assignment: Vec<usize>) {
         assert_eq!(assignment.len(), 1 << self.bits, "one owner per partition");
         *self.assignment.borrow_mut() = assignment.into();
     }
 
-    /// Announce how many tuples of each `[rel][part]` the other machines
-    /// will send here (their machine histograms, summed), so each staging
-    /// buffer is reserved once, exactly, at its first arrival.
-    pub fn expect(&self, remote: Histogram) {
+    /// The histogram exchange of §4.1, run by one core per machine once
+    /// every worker has counted: send the machine histogram (the thread
+    /// histograms, summed) to every peer and receive theirs, [assign] the
+    /// partitions by `rule` over the global histogram, and keep the
+    /// others' totals, which size each staging buffer once, exactly, and
+    /// check what lands. Returns the global histogram.
+    ///
+    /// [assign]: Landing::assign
+    pub fn exchange(
+        &self,
+        ctx: &SimCtx,
+        ex: &Exchange,
+        rule: impl FnOnce(&Histogram) -> Vec<usize>,
+    ) -> Result<Histogram, JoinError> {
+        // This machine's histogram until the others' are added.
+        let mut global = Histogram::zeros(1 << self.bits);
+        for hist in &self.counts {
+            global.add(hist.borrow().as_ref().expect("every worker counted"));
+        }
+        let mut remote = Histogram::zeros(1 << self.bits);
+        ex.all_to_all(
+            ctx,
+            WireTag::Histogram,
+            ex.peers(),
+            &global.encode(),
+            |_, payload| remote.add(&Histogram::decode(&payload)),
+        )?;
+        global.add(&remote);
+        self.assign(rule(&global));
         *self.remote.borrow_mut() = Some(remote);
+        Ok(global)
     }
 
     /// Whether partition `part` is assigned to this machine.
@@ -120,10 +174,44 @@ impl<T: Tuple> Landing<T> {
             .collect()
     }
 
+    /// Core `core`'s side of the network pass. Core 0 receives: it stages
+    /// every buffer of a partition assigned here after `copy` charges it,
+    /// returning each to its sender's pool in `pools`. Every other core is
+    /// partitioning worker `core - 1`: for each `(rel, chunk)` in
+    /// `inputs` it charges its share of `chunk` at `rate`, keeps the
+    /// tuples of partitions assigned here and pushes the rest into a
+    /// [`Scatter`] over this machine's pool, whose full buffers go to
+    /// `post`, then ends the stream. Returns the seconds the worker's send
+    /// windows stalled on the network (zero on the receiver).
+    #[allow(clippy::too_many_arguments)]
+    pub fn shuffle<P>(
+        &self,
+        ctx: &SimCtx,
+        meter: &mut Meter,
+        ex: &Exchange,
+        pools: &[Arc<BufferPool>],
+        core: usize,
+        rate: f64,
+        inputs: &[(usize, &[T])],
+        copy: impl Fn(&mut Meter, usize),
+        post: P,
+    ) -> Result<f64, JoinError>
+    where
+        P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted,
+    {
+        let Some(w) = core.checked_sub(1) else {
+            self.receive(ctx, meter, ex, pools, copy)?;
+            return Ok(0.0);
+        };
+        let mut scatter = Scatter::new(ex, &pools[self.mach], 1 << self.bits, post)?;
+        self.route(ctx, meter, &mut scatter, w, rate, inputs)?;
+        scatter.finish(ctx, meter, true)
+    }
+
     /// Worker `w`'s side of the network pass: for each `(rel, chunk)` in
     /// `inputs`, charge its share of `chunk` at `rate`, keep the tuples of
     /// partitions assigned here and push the rest into `scatter`.
-    pub fn route<P>(
+    fn route<P>(
         &self,
         ctx: &SimCtx,
         meter: &mut Meter,
@@ -136,16 +224,18 @@ impl<T: Tuple> Landing<T> {
         P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted,
     {
         let assignment = Rc::clone(&self.assignment.borrow());
-        let counts = self.counts[w].take();
         let mut kept: [Vec<Vec<T>>; 2] = Default::default();
         for &(rel, chunk) in inputs {
-            let keeps = |p: usize| match &counts {
-                Some(hist) if assignment[p] == self.mach => hist.counts[rel][p] as usize,
-                _ => 0,
-            };
-            let parts = 0..assignment.len();
-            // lint: allow-hot-alloc(once per pass and partition, sized exactly from the thread histogram)
-            kept[rel] = parts.map(|p| Vec::with_capacity(keeps(p))).collect();
+            {
+                let counts = self.counts[w].borrow();
+                let keeps = |p: usize| match &*counts {
+                    Some(hist) if assignment[p] == self.mach => hist.counts[rel][p] as usize,
+                    _ => 0,
+                };
+                let parts = 0..assignment.len();
+                // lint: allow-hot-alloc(once per pass and partition, sized exactly from the thread histogram)
+                kept[rel] = parts.map(|p| Vec::with_capacity(keeps(p))).collect();
+            }
             for t in self.slice(w, chunk) {
                 meter.charge_bytes(ctx, T::SIZE, rate);
                 let part = partition_of(t.key(), 0, self.bits);
@@ -167,7 +257,7 @@ impl<T: Tuple> Landing<T> {
     /// until every remote worker's `Eos`, returning each buffer to its
     /// sender's pool in `pools`. Data for a partition owned elsewhere is a
     /// typed [`JoinError::Decode`].
-    pub fn receive(
+    fn receive(
         &self,
         ctx: &SimCtx,
         meter: &mut Meter,
@@ -176,7 +266,6 @@ impl<T: Tuple> Landing<T> {
         copy: impl Fn(&mut Meter, usize),
     ) -> Result<(), JoinError> {
         let assignment = Rc::clone(&self.assignment.borrow());
-        let remote = self.remote.take();
         ex.recv_stream(
             ctx,
             meter,
@@ -186,7 +275,7 @@ impl<T: Tuple> Landing<T> {
                 WireTag::Data { rel, part } if assignment.get(part) == Some(&self.mach) => {
                     copy(meter, payload.len());
                     let staged = &mut self.staged[rel].borrow_mut()[part];
-                    if let (0, Some(remote)) = (staged.capacity(), &remote) {
+                    if let (0, Some(remote)) = (staged.capacity(), &*self.remote.borrow()) {
                         staged.reserve_exact(remote.counts[rel][part] as usize * T::SIZE);
                     }
                     staged.extend_from_slice(payload);
@@ -204,6 +293,10 @@ impl<T: Tuple> Landing<T> {
     /// a caller that reads the pieces in place
     /// ([`rsj_joins::Partitioner::partition_pieces`]) frees them when it
     /// drops them. Pointer-level in the original, so nothing is charged.
+    ///
+    /// # Panics
+    /// Panics if histograms were exchanged and the partition holds fewer
+    /// or more tuples than they announced.
     pub fn take(&self, rel: usize, part: usize) -> Vec<Vec<T>> {
         let mut pieces = self.take_kept(rel, part);
         let staged = self.take_staged(rel, part);
@@ -212,6 +305,7 @@ impl<T: Tuple> Landing<T> {
             decode_into(&staged, &mut received);
             pieces.push(received);
         }
+        self.check(rel, part, pieces.iter().map(Vec::len).sum());
         pieces
     }
 
@@ -221,19 +315,34 @@ impl<T: Tuple> Landing<T> {
     /// piece and nothing staged is moved out as it is; otherwise each kept
     /// piece is freed as soon as it is copied. The copies are simulator
     /// artifacts, so nothing is charged.
+    ///
+    /// # Panics
+    /// As [`Landing::take`].
     pub fn assemble(&self, rel: usize, part: usize) -> Vec<T> {
         let mut kept = self.take_kept(rel, part);
         let staged = self.take_staged(rel, part);
+        let len = kept.iter().map(Vec::len).sum::<usize>() + staged.len() / T::SIZE;
+        self.check(rel, part, len);
         if kept.len() == 1 && staged.is_empty() {
             return kept.remove(0);
         }
-        let len = kept.iter().map(Vec::len).sum::<usize>() + staged.len() / T::SIZE;
         let mut out = Vec::with_capacity(len);
         for piece in kept {
             out.extend_from_slice(&piece);
         }
         decode_into(&staged, &mut out);
         out
+    }
+
+    /// Where histograms were exchanged, `landed` must be exactly the
+    /// tuples of `[rel][part]` they announced.
+    fn check(&self, rel: usize, part: usize, landed: usize) {
+        if let Some(expect) = self.total(rel, part) {
+            assert_eq!(
+                landed as u64, expect,
+                "partition {part} of relation {rel} lost tuples in transit"
+            );
+        }
     }
 
     /// The non-empty kept vectors of `[rel][part]`, moved out in worker
@@ -298,6 +407,40 @@ mod tests {
         let kept = landing.kept.iter();
         let kept = kept.map(|k| k.borrow()[REL_R][2].capacity()).collect();
         (kept, landing.staged[REL_R].borrow()[2].capacity())
+    }
+
+    /// [`landed`] with one worker that counted and kept three R tuples of
+    /// partition 2, announced two more from machine 1, and received
+    /// `staged` of them.
+    fn announced(staged: &[Tuple16]) -> Landing<Tuple16> {
+        let mine = vec![Tuple16::new(2, 0), Tuple16::new(6, 1), Tuple16::new(10, 2)];
+        let landing = landed(vec![mine], staged);
+        let (mut counted, mut remote) = (Histogram::zeros(4), Histogram::zeros(4));
+        counted.counts[REL_R][2] = 3;
+        remote.counts[REL_R][2] = 2;
+        *landing.counts[0].borrow_mut() = Some(counted);
+        *landing.remote.borrow_mut() = Some(remote);
+        landing
+    }
+
+    #[test]
+    fn a_partition_that_landed_whole_passes_the_check() {
+        let both = [Tuple16::new(14, 3), Tuple16::new(18, 4)];
+        let pieces = announced(&both).take(REL_R, 2);
+        assert_eq!(pieces.iter().map(Vec::len).sum::<usize>(), 5);
+        assert_eq!(announced(&both).assemble(REL_R, 2).len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition 2 of relation 0 lost tuples in transit")]
+    fn take_panics_on_a_partition_that_landed_short() {
+        announced(&[Tuple16::new(14, 3)]).take(REL_R, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition 2 of relation 0 lost tuples in transit")]
+    fn assemble_panics_on_a_partition_that_landed_short() {
+        announced(&[Tuple16::new(14, 3)]).assemble(REL_R, 2);
     }
 
     #[test]

@@ -32,4 +32,4 @@ pub use radix::{
 };
 pub use single_machine::{run_single_machine_join, SingleJoinOutcome, SingleMachineConfig};
 pub use sort::{merge_join, merge_sorted_runs, sort_by_key};
-pub use task_queue::NumaQueues;
+pub use task_queue::{claim, NumaQueues};

@@ -4,9 +4,21 @@
 //! is located in region i, it is added to the i-th queue. A thread first
 //! checks the task queue belonging to the local NUMA-region and only when
 //! there is no local work to be done, will it check other queues."*
+//!
+//! [`claim`] is the simpler form a machine's cores use for a fixed task
+//! list: a shared counter each core advances to take the next index.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+
+/// Claim the next of `n` tasks a machine's cores share through the
+/// counter `next`: its index, or `None` once all are claimed. Every call
+/// advances the counter, so tasks go out in index order, each once.
+pub fn claim(next: &Cell<usize>, n: usize) -> Option<usize> {
+    let i = next.get();
+    next.set(i + 1);
+    (i < n).then_some(i)
+}
 
 /// A set of per-region work queues with locality-preferring steal order.
 pub struct NumaQueues<Task> {
@@ -80,6 +92,14 @@ impl<Task> NumaQueues<Task> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn claims_go_out_in_order_once_each() {
+        let next = Cell::new(0);
+        let got: Vec<_> = std::iter::from_fn(|| claim(&next, 3)).collect();
+        assert_eq!(got, [0, 1, 2]);
+        assert_eq!(claim(&next, 3), None, "exhausted stays exhausted");
+    }
 
     #[test]
     fn local_work_is_preferred() {

@@ -10,9 +10,11 @@
 //! * `--json` — print the full report (waived findings included, with
 //!   reasons) as JSON on stdout; the human summary moves to stderr.
 //! * `--baseline <file>` — compare against a committed baseline: exit 1
-//!   only for findings absent from it (new violations and new waivers),
-//!   so pre-existing reviewed findings never break CI. The path is
-//!   resolved against the workspace root. Stale entries are ignored.
+//!   for findings absent from it (new violations and new waivers), so
+//!   pre-existing reviewed findings never break CI, and for stale entries
+//!   that match no current finding, which would otherwise pass a later
+//!   finding with the same key unreviewed. The path is resolved against
+//!   the workspace root.
 //! * `--update-baseline` — rewrite the baseline file from the current
 //!   findings (after review) instead of failing on them.
 
@@ -118,7 +120,8 @@ fn main() -> ExitCode {
             }
         };
         let new: Vec<&Finding> = baseline.new_findings(&findings);
-        if new.is_empty() {
+        let stale = baseline.stale_entries(&findings);
+        if new.is_empty() && stale.is_empty() {
             eprintln!(
                 "rsj-lint: clean against baseline ({} finding(s): {unwaived} unwaived, {waived} waived)",
                 findings.len()
@@ -132,9 +135,15 @@ fn main() -> ExitCode {
                 eprintln!("{f}");
             }
         }
+        for ((file, rule, waived, note), n) in &stale {
+            let state = if *waived { "waived" } else { "unwaived" };
+            eprintln!("{file}: [{rule}] stale baseline entry ({state}, {n}x): {note}");
+        }
         eprintln!(
-            "rsj-lint: {} new finding(s) not in {} (re-run with --update-baseline after review)",
+            "rsj-lint: {} new finding(s) and {} stale entr(y/ies) against {} \
+             (re-run with --update-baseline after review)",
             new.len(),
+            stale.len(),
             path.display()
         );
         return ExitCode::FAILURE;

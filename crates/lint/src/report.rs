@@ -3,10 +3,12 @@
 //! `rsj-lint --json` emits a report of every finding (waived ones
 //! included, with their reasons) so CI artifacts are auditable.
 //! `--baseline lint-baseline.json` compares the current findings against
-//! a committed snapshot: the exit code is nonzero only for findings
-//! *absent* from the baseline, so pre-existing waived findings never
-//! break the build while any new violation — or any new waiver that was
-//! not explicitly re-baselined with `--update-baseline` — does.
+//! a committed snapshot: the exit code is nonzero for findings *absent*
+//! from the baseline, so pre-existing waived findings never break the
+//! build while any new violation — or any new waiver that was not
+//! explicitly re-baselined with `--update-baseline` — does. It is nonzero
+//! too for a *stale* entry, one no current finding matches: left in, it
+//! would pass a later finding with the same key unreviewed.
 //!
 //! A baseline entry is keyed by `(file, rule, waived, reason-or-message)`
 //! as a multiset, not by line number, so unrelated edits that shift lines
@@ -18,8 +20,11 @@ use std::collections::BTreeMap;
 use crate::Finding;
 
 /// Baseline identity of a finding: `(file, rule, waived, reason-or-message)`.
-/// Line numbers are excluded so the baseline survives unrelated edits.
-pub fn finding_key(f: &Finding) -> (String, String, bool, String) {
+pub type Key = (String, String, bool, String);
+
+/// The [`Key`] of a finding. Line numbers are excluded so the baseline
+/// survives unrelated edits.
+pub fn finding_key(f: &Finding) -> Key {
     let note = f.reason.clone().unwrap_or_else(|| f.message.clone());
     (f.file.clone(), f.rule.to_string(), f.waived, note)
 }
@@ -51,7 +56,7 @@ pub fn to_json(findings: &[Finding]) -> String {
 /// [`finding_key`]s.
 #[derive(Default)]
 pub struct Baseline {
-    counts: BTreeMap<(String, String, bool, String), usize>,
+    counts: BTreeMap<Key, usize>,
 }
 
 impl Baseline {
@@ -102,20 +107,31 @@ impl Baseline {
     /// absorbs as many matching findings as it has occurrences; the rest
     /// are new.
     pub fn new_findings<'a>(&self, findings: &'a [Finding]) -> Vec<&'a Finding> {
+        self.absorb(findings).0
+    }
+
+    /// The baseline entries no current finding matches, each with how
+    /// many of its occurrences are left over.
+    pub fn stale_entries(&self, findings: &[Finding]) -> Vec<(Key, usize)> {
+        let left = self.absorb(findings).1;
+        left.into_iter().filter(|&(_, n)| n > 0).collect()
+    }
+
+    /// Match `findings` against the baseline: the findings left
+    /// unmatched, and each key's occurrences left unused.
+    fn absorb<'a>(&self, findings: &'a [Finding]) -> (Vec<&'a Finding>, BTreeMap<Key, usize>) {
         let mut budget = self.counts.clone();
-        findings
+        let new = findings
             .iter()
-            .filter(|f| {
-                let key = finding_key(f);
-                match budget.get_mut(&key) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        false
-                    }
-                    _ => true,
+            .filter(|f| match budget.get_mut(&finding_key(f)) {
+                Some(n) if *n > 0 => {
+                    *n -= 1;
+                    false
                 }
+                _ => true,
             })
-            .collect()
+            .collect();
+        (new, budget)
     }
 }
 
@@ -355,14 +371,29 @@ mod tests {
     }
 
     #[test]
-    fn stale_baseline_entries_are_ignored() {
+    fn stale_baseline_entries_are_reported() {
         let committed = vec![
             finding("crates/core/src/a.rs", 10, false, None),
+            finding("crates/core/src/a.rs", 12, false, None),
             finding("crates/core/src/gone.rs", 5, false, None),
         ];
         let baseline = Baseline::from_findings(&committed);
         let current = vec![finding("crates/core/src/a.rs", 10, false, None)];
         assert!(baseline.new_findings(&current).is_empty());
+        let stale: Vec<_> = baseline
+            .stale_entries(&current)
+            .into_iter()
+            .map(|((file, ..), n)| (file, n))
+            .collect();
+        assert_eq!(
+            stale,
+            [
+                ("crates/core/src/a.rs".to_string(), 1),
+                ("crates/core/src/gone.rs".to_string(), 1)
+            ],
+            "a vanished file's entry and a key's unused occurrence are both stale"
+        );
+        assert!(baseline.stale_entries(&committed).is_empty());
     }
 
     #[test]

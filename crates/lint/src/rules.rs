@@ -262,14 +262,19 @@ fn names_any(ctx: &FileCtx<'_>, j: usize, items: &[&str]) -> bool {
 
 /// `raw-exchange`: two-sided posts, receives, receive-slot reposts and
 /// send-window construction outside `rsj_cluster::exchange`. The post step
-/// an operator hands to `Scatter::new(…)` is the one place they belong, so
-/// that call's argument list is exempt.
+/// an operator hands to `Scatter::new(…)`, or to the shuffle that builds
+/// the scatter (`Landing::shuffle(…)`), is the one place they belong, so
+/// those calls' argument lists are exempt.
 fn raw_exchange(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let n = ctx.code.len().min(ctx.test_from);
     let mut i = 0;
     while i < n {
         if ctx.seq(i, &["Scatter", ":", ":", "new", "("]) {
             i = ctx.matching_close(i + 4).unwrap_or(n);
+            continue;
+        }
+        if ctx.seq(i, &[".", "shuffle", "("]) {
+            i = ctx.matching_close(i + 2).unwrap_or(n);
             continue;
         }
         let call = ctx.text(i) == "." && ctx.text(i + 2) == "(";
@@ -847,10 +852,10 @@ const INTERACTION_METHODS: [&str; 10] = [
 /// Meter charge methods.
 const CHARGE_METHODS: [&str; 2] = ["charge_bytes", "charge_seconds"];
 
-/// Calls that leave the meter settled: `Meter::flush` itself, and the
+/// Calls that leave the meter settled: `Meter::flush` itself, the
 /// exchange layer's `Exchange::recv_stream` / `Scatter::finish`, which end
-/// with a flush.
-const SETTLE_METHODS: [&str; 3] = ["flush", "recv_stream", "finish"];
+/// with a flush, and `Landing::shuffle`, which ends in one of them.
+const SETTLE_METHODS: [&str; 4] = ["flush", "recv_stream", "finish", "shuffle"];
 
 /// `meter-flush`: in functions that charge a [`Meter`], every
 /// interaction call (park, named barrier, fabric post, recv) must be

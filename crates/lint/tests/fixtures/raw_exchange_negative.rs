@@ -16,3 +16,11 @@ pub fn through_the_exchange(ctx: &SimCtx, ex: &Exchange, pool: &BufferPool) -> R
     nic.post_write(ctx, remote, 0, v);
     Ok(())
 }
+
+pub fn through_the_shuffle(ctx: &SimCtx, landing: &Landing<T>, meter: &mut Meter) -> Result<f64, JoinError> {
+    // So is the post step handed to the shuffle that builds the scatter.
+    landing.shuffle(ctx, meter, ex, pools, core, rate, inputs, copy, |ex, ctx, meter, lane, bytes| {
+        meter.flush(ctx);
+        Ok(Some(nic.post_send(ctx, HostId(lane.dst), lane.tag.encode(), bytes)))
+    })
+}

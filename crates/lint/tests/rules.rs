@@ -404,6 +404,12 @@ fn committed_baseline_covers_the_workspace() {
         "findings not in lint-baseline.json (run `cargo run -p rsj-lint -- --update-baseline` \
          after review): {new:#?}"
     );
+    let stale = baseline.stale_entries(&findings);
+    assert!(
+        stale.is_empty(),
+        "lint-baseline.json entries no finding matches (run `cargo run -p rsj-lint -- \
+         --update-baseline`): {stale:#?}"
+    );
 }
 
 #[test]

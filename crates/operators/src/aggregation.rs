@@ -13,12 +13,13 @@ use std::sync::Arc;
 
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_core::shuffle::Landing;
+use rsj_joins::claim;
 use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
 use rsj_workload::{Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{run_direct, Attempts, Exchange, Runtime, Scatter, SEND_DEPTH};
+use rsj_cluster::{run_direct, Attempts, Exchange, Runtime, SEND_DEPTH};
 
 /// Configuration of a distributed aggregation.
 #[derive(Clone, Debug)]
@@ -202,12 +203,10 @@ fn worker<T: Tuple>(
     // ---- Phase 1: histogram scan + assignment (statically round-robin;
     // the scan charges the same accounting as the join's, and its thread
     // histogram sizes the worker's kept vectors).
+    let inputs = [(REL_S, chunk)];
     if core > 0 {
-        let w = core - 1;
-        let scanned = st.landing.slice_len(w, chunk);
-        meter.charge_bytes(ctx, scanned * T::SIZE, cost.histogram_rate);
-        st.landing.count(w, &[(REL_S, chunk)]);
-        meter.flush(ctx);
+        st.landing
+            .count(ctx, &mut meter, core - 1, cost.histogram_rate, &inputs);
     }
     if core == 0 {
         st.landing.assign((0..np).map(|p| p % m).collect());
@@ -216,30 +215,25 @@ fn worker<T: Tuple>(
 
     // ---- Phase 2: network partitioning pass on the group key.
     let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
-    if core == 0 {
-        st.landing
-            .receive(ctx, &mut meter, &ex, pools, |meter, len| {
-                meter.charge_bytes(ctx, len, cost.memcpy_rate)
-            })?;
-    } else {
-        let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
-        let inputs = [(REL_S, chunk)];
-        let rate = cost.partition_rate;
-        st.landing
-            .route(ctx, &mut meter, &mut scatter, core - 1, rate, &inputs)?;
-        scatter.finish(ctx, &mut meter, true)?;
-    }
+    let copy = |meter: &mut Meter, len| meter.charge_bytes(ctx, len, cost.memcpy_rate);
+    let rate = cost.partition_rate;
+    st.landing.shuffle(
+        ctx,
+        &mut meter,
+        &ex,
+        pools,
+        core,
+        rate,
+        &inputs,
+        copy,
+        Exchange::send,
+    )?;
     rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)?;
 
     // ---- Phase 3: local hash aggregation per owned partition.
     let owned = st.landing.owned();
     let mut local = AggregateResult::default();
-    loop {
-        let i = st.next_task.get();
-        st.next_task.set(i + 1);
-        if i >= owned.len() {
-            break;
-        }
+    while let Some(i) = claim(&st.next_task, owned.len()) {
         let tuples = st.landing.assemble(REL_S, owned[i]);
         // Group: key → (count, rid sum).
         let mut groups: HashMap<u64, (u64, u64)> = HashMap::new();

@@ -5,10 +5,11 @@
 //! to create distributed versions of many database operators like
 //! sort-merge joins or aggregation."*
 //!
-//! Structure: the histogram phase is identical in shape to the hash
-//! join's, and the network partitioning phase is the hash join's own
-//! shuffle ([`rsj_core::shuffle`]: partition on low radix bits, pooled
-//! double-buffered sends, one receiver core); the local phase then *sorts*
+//! Structure: the histogram phase and the network partitioning phase are
+//! the hash join's own shuffle ([`rsj_core::shuffle`]: histogram exchange
+//! and round-robin assignment, partition on low radix bits, pooled
+//! double-buffered sends, one receiver core, every partition checked
+//! against the histograms); the local phase then *sorts*
 //! each assigned partition of both relations and merge-joins them, instead
 //! of refining and hashing. Comparing the two operators on the same
 //! cluster reproduces the hash-vs-sort discussion of §2.2/[3].
@@ -18,14 +19,13 @@ use std::sync::Arc;
 
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
 use rsj_core::shuffle::Landing;
-use rsj_core::Histogram;
-use rsj_joins::{merge_join, sort_by_key};
+use rsj_joins::{claim, merge_join, sort_by_key};
 use rsj_rdma::BufferPool;
 use rsj_sim::SimCtx;
 use rsj_workload::{JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::{REL_R, REL_S};
-use rsj_cluster::{run_direct, Attempts, Exchange, Runtime, Scatter, WireTag, SEND_DEPTH};
+use rsj_cluster::{run_direct, Attempts, Exchange, Runtime, SEND_DEPTH};
 
 /// Configuration of a distributed sort-merge join.
 #[derive(Clone, Debug)]
@@ -67,7 +67,6 @@ pub struct SortMergeOutcome {
 }
 
 struct MachState<T> {
-    hist: RefCell<Vec<[u64; 2]>>,
     landing: Landing<T>,
     /// Partition → its sorted `[R, S]`, from the sort to the merge phase.
     sorted: RefCell<Vec<[Vec<T>; 2]>>,
@@ -143,7 +142,6 @@ impl<T: Tuple> QueryJob for SortMergeJob<T> {
         self.attempts.attach(|| {
             let states = (0..m)
                 .map(|i| MachState {
-                    hist: RefCell::new(vec![[0; 2]; np]),
                     landing: Landing::new(i, self.cfg.radix_bits, workers),
                     sorted: RefCell::new(vec![[Vec::new(), Vec::new()]; np]),
                     next_task: Cell::new(0),
@@ -201,79 +199,39 @@ fn worker<T: Tuple>(
 
     // ---- Phase 1: histogram + exchange (core 0 coordinates).
     if core > 0 {
-        let w = core - 1;
-        for (_, chunk) in inputs {
-            let scanned = st.landing.slice_len(w, chunk);
-            meter.charge_bytes(ctx, scanned * T::SIZE, cost.histogram_rate);
-        }
-        let counts = st.landing.count(w, &inputs);
-        {
-            // Scope the borrow: held across a yield point (flush advances
-            // the virtual clock) it would make the next task to borrow it
-            // panic.
-            let mut hist = st.hist.borrow_mut();
-            for (p, h) in hist.iter_mut().enumerate() {
-                h[0] += counts.counts[REL_R][p];
-                h[1] += counts.counts[REL_S][p];
-            }
-        }
-        meter.flush(ctx);
+        st.landing
+            .count(ctx, &mut meter, core - 1, cost.histogram_rate, &inputs);
     }
     rt.try_sync_quiet(ctx)?;
     if core == 0 {
-        // Exchange machine histograms; everyone derives the same
-        // round-robin assignment, and the others' totals size the staging.
-        let encoded: Vec<u8> = st
-            .hist
-            .borrow()
-            .iter()
-            .flat_map(|h| [h[0].to_le_bytes(), h[1].to_le_bytes()].concat())
-            .collect();
+        // Everyone derives the same round-robin assignment, and the
+        // others' totals size the staging.
         let ex = Exchange::new(&rt.fabric, mach, phase::HISTOGRAM);
-        let mut remote = Histogram::zeros(np);
-        ex.all_to_all(
-            ctx,
-            WireTag::Histogram,
-            ex.peers(),
-            &encoded,
-            |_, payload| {
-                let counts = payload.chunks_exact(8).map(|c| {
-                    u64::from_le_bytes(c.try_into().expect("8-byte chunk of a histogram"))
-                });
-                for (i, n) in counts.enumerate() {
-                    remote.counts[i % 2][i / 2] += n;
-                }
-            },
-        )?;
-        st.landing.assign((0..np).map(|p| p % m).collect());
-        st.landing.expect(remote);
+        st.landing
+            .exchange(ctx, &ex, |_| (0..np).map(|p| p % m).collect())?;
     }
     rt.try_sync_named(ctx, phase::HISTOGRAM, mach)?;
 
     // ---- Phase 2: network partitioning pass.
     let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
-    if core == 0 {
-        st.landing
-            .receive(ctx, &mut meter, &ex, pools, |meter, len| {
-                meter.charge_bytes(ctx, len, cost.memcpy_rate)
-            })?;
-    } else {
-        let mut scatter = Scatter::new(&ex, &pools[mach], np, Exchange::send)?;
-        let rate = cost.partition_rate;
-        st.landing
-            .route(ctx, &mut meter, &mut scatter, core - 1, rate, &inputs)?;
-        scatter.finish(ctx, &mut meter, true)?;
-    }
+    let copy = |meter: &mut Meter, len| meter.charge_bytes(ctx, len, cost.memcpy_rate);
+    let rate = cost.partition_rate;
+    st.landing.shuffle(
+        ctx,
+        &mut meter,
+        &ex,
+        pools,
+        core,
+        rate,
+        &inputs,
+        copy,
+        Exchange::send,
+    )?;
     rt.try_sync_named(ctx, phase::NETWORK_PARTITION, mach)?;
 
     // ---- Phase 3: sort every assigned partition of both relations.
     let owned = st.landing.owned();
-    loop {
-        let i = st.next_task.get();
-        st.next_task.set(i + 1);
-        if i >= owned.len() {
-            break;
-        }
+    while let Some(i) = claim(&st.next_task, owned.len()) {
         let p = owned[i];
         let parts = [REL_R, REL_S].map(|rel| {
             let mut tuples = st.landing.assemble(rel, p);
@@ -291,12 +249,7 @@ fn worker<T: Tuple>(
     st.next_task.set(0);
     rt.try_sync_quiet(ctx)?;
     let mut local = JoinResult::default();
-    loop {
-        let i = st.next_task.get();
-        st.next_task.set(i + 1);
-        if i >= owned.len() {
-            break;
-        }
+    while let Some(i) = claim(&st.next_task, owned.len()) {
         let [r_p, s_p] = std::mem::take(&mut st.sorted.borrow_mut()[owned[i]]);
         local.merge(merge_join(&r_p, &s_p));
         meter.charge_bytes(ctx, (r_p.len() + s_p.len()) * T::SIZE, cost.merge_rate);

@@ -56,6 +56,9 @@ struct PoolState {
     /// registration.
     registered: usize,
     fly_registrations: u64,
+    /// Buffers [`BufferPool::refill`] allocated because the free list was
+    /// empty.
+    allocated: u64,
     /// Buffers taken and not yet returned — audited at teardown by the
     /// validator's pool-leak check.
     outstanding: usize,
@@ -78,6 +81,7 @@ impl BufferPool {
                 spare: Vec::new(),
                 registered: count,
                 fly_registrations: 0,
+                allocated: 0,
                 outstanding: 0,
             }),
         })
@@ -149,10 +153,14 @@ impl BufferPool {
     /// already holds its share of the count (its window freed a drawn
     /// buffer): the free list's last buffer, else a new one. Never counted.
     pub fn refill(&self) -> Vec<u8> {
-        match self.inner.borrow_mut().spare.pop() {
+        let mut st = self.inner.borrow_mut();
+        match st.spare.pop() {
             Some(buf) => buf,
-            // lint: allow-hot-alloc(a miss materializes one pool buffer; a steady stream pops the free list)
-            None => Vec::with_capacity(self.buf_size),
+            None => {
+                st.allocated += 1;
+                // lint: allow-hot-alloc(a miss materializes one pool buffer; a steady stream pops the free list)
+                Vec::with_capacity(self.buf_size)
+            }
         }
     }
 
@@ -166,6 +174,12 @@ impl BufferPool {
     /// fly — should be zero in a well-configured run.
     pub fn fly_registrations(&self) -> u64 {
         self.inner.borrow().fly_registrations
+    }
+
+    /// Host buffers allocated so far: draws that found the physical free
+    /// list empty. Unlike the count, this is host memory, not the model.
+    pub fn allocated(&self) -> u64 {
+        self.inner.borrow().allocated
     }
 
     /// Buffers currently taken and not returned (leaked if nonzero once
@@ -461,6 +475,7 @@ mod tests {
             pool.put(a);
             let again = pool.take(ctx);
             assert_eq!(again.as_ptr(), a_ptr, "a take reuses the returned buffer");
+            assert_eq!(pool.allocated(), 1, "only the first take allocated");
             // A receiver hands back more buffers than the pool registered:
             // the free list keeps three.
             let mut held: Vec<_> = (0..2).map(|_| pool.take(ctx)).collect();
@@ -483,6 +498,7 @@ mod tests {
                 (refill.capacity(), spare(&pool), pool.available()),
                 (64, 2, 2)
             );
+            assert_eq!(pool.allocated(), 3, "the two takes past the first missed");
             // The last buffer back ends the stream: what receivers returned
             // is freed, the put buffer kept, and late returns dropped.
             pool.put(last);
