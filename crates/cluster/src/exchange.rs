@@ -49,10 +49,12 @@ impl Exchange {
         JoinError::decode(self.mach, self.phase, TagError::unexpected(raw))
     }
 
-    fn recv_one(&self, ctx: &SimCtx) -> Result<(WireTag, Completion), JoinError> {
-        let c = self
-            .nic
-            .recv(ctx)
+    /// A receive's outcome, its tag decoded; closed is aborted.
+    fn received(
+        &self,
+        got: Result<Option<Completion>, FabricError>,
+    ) -> Result<(WireTag, Completion), JoinError> {
+        let c = got
             .map_err(|e| self.fabric_err(e))?
             .ok_or(JoinError::aborted(self.phase))?;
         let tag =
@@ -94,7 +96,7 @@ impl Exchange {
     ) -> Result<(), JoinError> {
         let sends = self.post_all(ctx, tag, dsts, payload);
         for _ in 0..sends.len() {
-            let (got, c) = self.recv_one(ctx)?;
+            let (got, c) = self.received(self.nic.recv(ctx))?;
             if got != tag {
                 return Err(self.stray(c.tag));
             }
@@ -110,8 +112,11 @@ impl Exchange {
     /// for a tag its stream does not carry; that, or a `Histogram`, ends
     /// the loop with a typed [`JoinError::Decode`]. Copied out, a payload
     /// goes back to its sender's pool in `pools` (indexed by machine), so
-    /// the sender's next buffer is this one (§4.2.2). The meter is settled
-    /// before each repost.
+    /// the sender's next buffer is this one (§4.2.2). The copy charge
+    /// settles where the slot is reposted: before the next receive that
+    /// is one wait ([`Nic::repost_and_recv`]), decided at the receiver's
+    /// floor, and after the last message a flush. The loop ends with the
+    /// meter flushed.
     pub fn recv_stream(
         &self,
         ctx: &SimCtx,
@@ -121,20 +126,29 @@ impl Exchange {
         mut on_msg: impl FnMut(&mut Meter, WireTag, &[u8]) -> bool,
     ) -> Result<(), JoinError> {
         let expected = (self.machines - 1) * senders;
+        if expected == 0 {
+            meter.flush(ctx);
+            return Ok(());
+        }
+        let repost = self.nic.repost_action(ctx);
+        let mut got = self.nic.recv(ctx);
         let mut eos = 0;
-        while eos < expected {
-            let (tag, c) = self.recv_one(ctx)?;
+        loop {
+            let (tag, c) = self.received(got)?;
             let is_eos = tag == WireTag::Eos;
             eos += usize::from(is_eos);
             if !is_eos && (tag == WireTag::Histogram || !on_msg(meter, tag, &c.payload)) {
                 return Err(self.stray(c.tag));
             }
             pools[c.src.0].recycle(c.payload);
-            meter.flush(ctx);
-            self.nic.repost_recv(ctx);
+            if eos == expected {
+                meter.flush(ctx);
+                self.nic.repost_recv(ctx);
+                return Ok(());
+            }
+            meter.batch(ctx);
+            got = self.nic.repost_and_recv(ctx, &repost);
         }
-        meter.flush(ctx);
-        Ok(())
     }
 
     /// Tell every machine in `dsts` that one sender's stream has ended.

@@ -14,7 +14,11 @@
 //! settles **lazily**: each committed chunk accrues into the kernel's
 //! per-task batch via [`SimCtx::advance_batched`], and the whole batch is
 //! committed in a single advance at the next *interaction* — a
-//! [`Meter::flush`] before a fabric post, barrier, or park.
+//! [`Meter::flush`] before a fabric post or a barrier. A park needs no
+//! flush: the kernel commits a parking task's batch itself, at the park's
+//! floor, and decides there whether the task blocks ([`SimCtx::park`]),
+//! so before a park [`Meter::batch`] only hands the meter's remainder to
+//! the kernel.
 //!
 //! **Eager** settlement — each chunk its own `ctx.advance`, a stack switch
 //! whenever another task's event comes first, which made the repo
@@ -98,7 +102,7 @@ impl Meter {
         debug_assert!(rate > 0.0);
         self.owed_ns += bytes as f64 / rate * 1e9;
         if self.owed_ns >= self.quantum_ns {
-            self.settle(ctx);
+            self.batch(ctx);
         }
     }
 
@@ -108,14 +112,16 @@ impl Meter {
         debug_assert!(seconds >= 0.0);
         self.owed_ns += seconds * 1e9;
         if self.owed_ns >= self.quantum_ns {
-            self.settle(ctx);
+            self.batch(ctx);
         }
     }
 
     /// Quantize all owed time into a committed chunk. The rounding is
     /// mode-independent; only the dispatch differs (immediate advance vs
-    /// kernel batch).
-    fn settle(&mut self, ctx: &SimCtx) {
+    /// kernel batch). In lazy mode this is all a park needs before it:
+    /// the kernel commits a parking task's batch itself, at the park's
+    /// floor ([`SimCtx::park`]).
+    pub fn batch(&mut self, ctx: &SimCtx) {
         if self.owed_ns > 0.0 {
             let ns = round_ns(self.owed_ns);
             self.total_ns += self.owed_ns;
@@ -131,11 +137,11 @@ impl Meter {
     }
 
     /// Settle all owed time with the kernel. Must be called before any
-    /// action whose virtual-time position matters (sends, barriers,
-    /// parks): it quantizes the remainder and, in lazy mode, commits the
-    /// whole accrued batch in one kernel advance.
+    /// action whose virtual-time position matters (sends, barriers): it
+    /// quantizes the remainder and, in lazy mode, commits the whole
+    /// accrued batch in one kernel advance.
     pub fn flush(&mut self, ctx: &SimCtx) {
-        self.settle(ctx);
+        self.batch(ctx);
         if self.mode == SettleMode::Lazy {
             ctx.settle_point();
         }

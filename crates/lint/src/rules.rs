@@ -561,8 +561,9 @@ fn error_swallow_at(ctx: &FileCtx<'_>, i: usize, out: &mut Vec<Finding>) {
 /// The dataplane's per-message functions, as `(impl type, name)`: one
 /// message of a network pass, one RDMA READ or one one-sided probe group
 /// runs each of them, so an allocation in one is paid per message.
-const PER_MESSAGE_FNS: [(&str, &str); 24] = [
+const PER_MESSAGE_FNS: [(&str, &str); 25] = [
     ("Nic", "post"),
+    ("Nic", "repost_and_recv"),
     ("Nic", "handle"),
     ("CellPool", "take"),
     ("Wc", "complete"),

@@ -20,7 +20,7 @@ use std::ops::Deref;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
-use rsj_sim::{SimChannel, SimCtx, SimDuration, SimEvent, SimSemaphore};
+use rsj_sim::{FloorAction, Parked, SimChannel, SimCtx, SimDuration, SimEvent, SimSemaphore};
 
 use crate::config::{HostId, NicCosts, QueryId};
 use crate::fault::{FabricError, WcStatus};
@@ -685,6 +685,51 @@ impl Nic {
     /// operation terminated successfully").
     pub fn recv(&self, ctx: &SimCtx) -> Result<Option<Completion>, FabricError> {
         self.recv_fault_check()?;
+        self.take_completion(ctx)
+    }
+
+    /// [`Nic::repost_recv`] then [`Nic::recv`], with the caller's batched
+    /// time (a copy charge) settled, the slot reposted and the fault check
+    /// made at the caller's floor by the scheduler, through `action` (from
+    /// [`Nic::repost_action`]). The receiver is switched in only when a
+    /// completion is there, a fault is visible or a permit is stored, so a
+    /// receiver that would block does so without a switch. Every charge,
+    /// repost, error and wake happens at the instant and in the order of
+    /// the two calls. With a completion already queued, a fault already
+    /// visible or nothing batched, it makes the two calls.
+    pub fn repost_and_recv(
+        &self,
+        ctx: &SimCtx,
+        action: &FloorAction,
+    ) -> Result<Option<Completion>, FabricError> {
+        if self.recv_cq.is_empty() && self.recv_fault_check().is_ok() {
+            match ctx.park_with(action) {
+                Parked::AtFloor => return self.recv(ctx),
+                // Woken where `recv` parks: take the completion as it
+                // would, without its first fault check.
+                Parked::Unparked => return self.take_completion(ctx),
+                Parked::Declined => {}
+            }
+        }
+        ctx.settle_point();
+        self.repost_recv(ctx);
+        self.recv(ctx)
+    }
+
+    /// The floor action of [`Nic::repost_and_recv`] for the calling
+    /// receiver, made once per receive loop: repost, then ask for the
+    /// receiver if the fault check fails or the completion queue is
+    /// ready, and register it to be woken by the next completion if not.
+    pub fn repost_action(self: &Arc<Self>, ctx: &SimCtx) -> FloorAction {
+        let nic = Arc::clone(self);
+        ctx.floor_action(move |ctx| {
+            nic.repost_recv(ctx);
+            nic.recv_fault_check().is_err() || nic.recv_cq.poll_ready(ctx).is_ready()
+        })
+    }
+
+    /// The part of [`Nic::recv`] after its first fault check.
+    fn take_completion(&self, ctx: &SimCtx) -> Result<Option<Completion>, FabricError> {
         match self.recv_cq.recv(ctx) {
             Some(mut c) => {
                 self.validator.on_rx_consumed(self.host, self.query);

@@ -51,8 +51,8 @@
 //! ## Wall-clock hot path
 //!
 //! The `(time, task, seq)` total order is the determinism contract; *how
-//! fast the host walks that order* is a pure implementation concern. Four
-//! techniques keep the walk cheap (DESIGN.md §"Kernel fast path"):
+//! fast the host walks that order* is a pure implementation concern. Five
+//! techniques keep the walk cheap (DESIGN.md §7):
 //!
 //! 1. **Self-continuation fast path.** When an `advance()` would push an
 //!    event that precedes everything queued, the reference scheduler would
@@ -88,6 +88,17 @@
 //!    every committed `(time, seq)` key at an interaction is unchanged. A
 //!    seq-derived epoch assertion (debug builds) machine-checks the
 //!    frozen-queue invariant on every settle.
+//! 5. **A park is decided at its floor.** A task that parks with batched
+//!    time `p` would settle first — be switched out until `now + p`, its
+//!    *floor* — and then be switched back in only to find no permit and
+//!    block. Instead [`SimCtx::park`] queues the very event the settle
+//!    would (same `(time, task, seq)`, the slot Runnable as during a
+//!    settle) and leaves the rest to the scheduler: when the event pops,
+//!    it records the same [`Dispatch`], runs the task's [`FloorAction`]
+//!    if it parked with one ([`SimCtx::park_with`]), and switches the task
+//!    in only if the action asks, a permit arrived meanwhile, or the run
+//!    is aborting. Otherwise the task blocks where it is, and the two
+//!    switches of a task that would block at once are never made.
 //!
 //! A heap-only reference scheduler ([`Simulation::new_reference`], always
 //! compiled so tests exercise the very kernel release binaries run)
@@ -98,6 +109,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::stack::{self, Fiber, Resumed, Stack, Switchboard};
@@ -216,6 +228,14 @@ struct Slot {
     permit: bool,
     /// Dispatches so far: for a task, each is one switch onto its stack.
     dispatches: u64,
+    /// The task parked with batched time and its floor event is queued:
+    /// the scheduler decides the park when that event pops
+    /// ([`Kernel::decide_floor`]).
+    at_floor: bool,
+    /// The action to run at that floor, if the park was made with one.
+    action: Option<FloorFn>,
+    /// Parks decided at the floor so far.
+    floor_parks: u64,
     /// Calls of a step slot's closure so far (dispatches plus inline
     /// continuations).
     step_runs: u64,
@@ -361,48 +381,108 @@ impl Kernel {
         }
     }
 
-    /// Picks the next runnable task and marks it Running. Called by the
-    /// scheduler loop with the state borrowed, while no task runs.
-    /// `None` once every task has finished.
+    /// Picks the next runnable slot, marks it Running and takes its body if
+    /// it has not started. A park waiting for its floor is decided on the
+    /// way ([`Kernel::decide_floor`]). Called by the scheduler loop while
+    /// no task runs; `None` once every task has finished.
     #[must_use]
-    fn dispatch(&self, state: &mut State) -> Option<usize> {
+    fn dispatch(&self) -> Option<(usize, Option<Body>)> {
         loop {
-            let Some(ev) = state.pop_min() else {
-                if state.live == 0 {
+            let mut st = self.state.borrow_mut();
+            let Some(ev) = st.pop_min() else {
+                if st.live == 0 {
                     return None;
                 }
-                if state.failure.is_none() {
+                if st.failure.is_none() {
                     // Live tasks but nothing runnable: deadlock.
-                    let blocked: Vec<&str> = state
+                    let blocked: Vec<&str> = st
                         .slots
                         .iter()
                         .filter(|s| s.state == TaskState::Blocked)
                         .map(|s| s.name.as_str())
                         .collect();
-                    state.failure = Some(format!(
+                    st.failure = Some(format!(
                         "simulation deadlock at {}: {} task(s) blocked with no pending \
                          events: {blocked:?}",
-                        state.now, state.live
+                        st.now, st.live
                     ));
                 }
                 assert!(
-                    self.abort_all(state) > 0,
+                    self.abort_all(&mut st) > 0,
                     "live tasks with neither an event nor a block"
                 );
                 continue;
             };
-            let slot = &mut state.slots[ev.task];
             // A stale event (task was already woken by a newer one, or
             // finished): skip it.
-            if slot.state == TaskState::Runnable {
-                debug_assert!(ev.time >= state.now, "time went backwards");
-                state.now = ev.time;
-                slot.state = TaskState::Running;
-                slot.dispatches += 1;
-                state.record(ev.time, ev.seq, ev.task);
-                return Some(ev.task);
+            if st.slots[ev.task].state != TaskState::Runnable {
+                continue;
             }
+            debug_assert!(ev.time >= st.now, "time went backwards");
+            st.now = ev.time;
+            st.record(ev.time, ev.seq, ev.task);
+            let slot = &mut st.slots[ev.task];
+            if slot.at_floor {
+                slot.at_floor = false;
+                let action = slot.action.take();
+                drop(st);
+                if self.decide_floor(ev.task, action) {
+                    return Some((ev.task, None));
+                }
+                continue;
+            }
+            slot.state = TaskState::Running;
+            slot.dispatches += 1;
+            return Some((ev.task, slot.body.take()));
         }
+    }
+
+    /// Decide the park of task `tid`, whose floor event just popped with
+    /// the clock at the floor: run its floor action, if any, on this
+    /// stack, then switch the task in (mark it Running and return `true`)
+    /// only if the action asks for it, a permit arrived while it waited
+    /// (consumed here, as the park would), or the run is aborting (the
+    /// task then unwinds, and the action does not run). Otherwise the task
+    /// blocks where it is, with no switch, until an unpark.
+    fn decide_floor(&self, tid: usize, action: Option<FloorFn>) -> bool {
+        let asked = !self.aborting.get()
+            && action
+                .as_ref()
+                .is_some_and(|a| self.run_floor_action(tid, a));
+        let mut st = self.state.borrow_mut();
+        let slot = &mut st.slots[tid];
+        slot.floor_parks += 1;
+        if asked || std::mem::take(&mut slot.permit) || self.aborting.get() {
+            slot.state = TaskState::Running;
+            slot.dispatches += 1;
+            if let Some(a) = action {
+                a.woke.set(true);
+            }
+            true
+        } else {
+            slot.state = TaskState::Blocked;
+            false
+        }
+    }
+
+    /// Run task `tid`'s floor action on this stack. A panic in it fails the
+    /// run as the task's own panic would, and the task is switched in to
+    /// unwind. Returns whether the action asks for the task.
+    fn run_floor_action(&self, tid: usize, action: &FloorInner<FloorFnBody>) -> bool {
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            let wake = (action.f)(&action.ctx);
+            assert!(
+                action.ctx.pending.take() == 0,
+                "a floor action accrued batched virtual time"
+            );
+            wake
+        }));
+        ran.unwrap_or_else(|payload| {
+            if let Some(msg) = panic_message(payload) {
+                self.fail(&mut self.state.borrow_mut(), tid, msg);
+            }
+            true
+        })
     }
 
     /// Start aborting after a failure: make every blocked slot runnable at
@@ -536,12 +616,18 @@ impl Kernel {
         st.slots[tid].state = TaskState::Finished;
         st.live -= 1;
         if let Some(msg) = failure {
-            if st.failure.is_none() {
-                let name = st.slots[tid].name.clone();
-                st.failure = Some(format!("simulated thread '{name}' panicked: {msg}"));
-            }
-            self.abort_all(&mut st);
+            self.fail(&mut st, tid, msg);
         }
+    }
+
+    /// Fail the run with slot `tid`'s panic `msg`, unless it already
+    /// failed, and start the abort.
+    fn fail(&self, st: &mut State, tid: usize, msg: String) {
+        if st.failure.is_none() {
+            let name = &st.slots[tid].name;
+            st.failure = Some(format!("simulated thread '{name}' panicked: {msg}"));
+        }
+        self.abort_all(st);
     }
 }
 
@@ -630,7 +716,7 @@ impl SimCtx {
     /// The current virtual time (committed clock plus this task's
     /// uncommitted batched accrual).
     pub fn now(&self) -> SimTime {
-        let committed = self.kernel.state.borrow_mut().now;
+        let committed = self.kernel.state.borrow().now;
         committed + SimDuration::from_nanos(self.pending.get())
     }
 
@@ -678,18 +764,23 @@ impl SimCtx {
         let p = self.pending.take();
         if p > 0 {
             #[cfg(debug_assertions)]
-            {
-                let (start_seq, self_pushes) = self.accrual_epoch.get();
-                let seq = self.kernel.state.borrow_mut().seq;
-                debug_assert_eq!(
-                    seq,
-                    start_seq + self_pushes,
-                    "event queue changed under a batched accrual: another task ran while \
-                     this one held the run token"
-                );
-            }
+            self.check_accrual_epoch(self.kernel.state.borrow().seq);
             self.kernel.advance(self.tid, SimDuration::from_nanos(p));
         }
+    }
+
+    /// Debug-build check that the event queue stayed frozen under this
+    /// task's batch apart from its own pushes — the invariant that makes
+    /// batching sound. `seq` is the scheduler's next sequence number.
+    #[cfg(debug_assertions)]
+    fn check_accrual_epoch(&self, seq: u64) {
+        let (start_seq, self_pushes) = self.accrual_epoch.get();
+        debug_assert_eq!(
+            seq,
+            start_seq + self_pushes,
+            "event queue changed under a batched accrual: another task ran while \
+             this one held the run token"
+        );
     }
 
     /// Debug-epoch bookkeeping: this task pushed an event while a batch
@@ -737,11 +828,19 @@ impl SimCtx {
     /// [`TaskId`]. If an unpark was already delivered (a *permit*), returns
     /// immediately. Virtual time may advance arbitrarily while parked.
     ///
-    /// Parking settles any batched accrual first: the park's virtual-time
-    /// position is observable (it decides which unpark wakes us and at what
-    /// clock we resume), so the task's clock must be fully committed.
+    /// The park takes effect at the task's *floor*: its clock with any
+    /// batched accrual committed, since which unpark wakes it and at what
+    /// clock it resumes are observable. With a permit already stored, or
+    /// nothing batched, it settles and then checks the permit. With
+    /// batched time and no permit, it queues the wake a settle would
+    /// queue and the scheduler decides the park when that event pops:
+    /// with a permit stored by then the task resumes at its floor,
+    /// otherwise it blocks there without being switched in first.
     pub fn park(&self) {
         self.refuse_in_step("park");
+        if self.park_at_floor(None) {
+            return;
+        }
         self.settle_point();
         {
             let mut st = self.kernel.state.borrow_mut();
@@ -752,6 +851,77 @@ impl SimCtx {
         }
         self.kernel
             .yield_and_wait(self.tid, TaskState::Blocked, None);
+    }
+
+    /// [`SimCtx::park`] with `action` run at the floor: the scheduler runs
+    /// it on its own stack as this task (see [`SimCtx::floor_action`])
+    /// once the batched time has passed, in the task's place in the
+    /// `(time, task, seq)` order, and the task stays blocked unless the
+    /// action returns `true` or a permit is stored. This is exactly
+    /// `settle_point(); if !action() { park() }` run by the task itself,
+    /// with the task switched in only when it has something to do.
+    ///
+    /// With nothing batched or a permit already stored, nothing happens
+    /// and [`Parked::Declined`] asks the caller to do those steps itself.
+    ///
+    /// # Panics
+    /// Panics if `action` was made by another task.
+    pub fn park_with(&self, action: &FloorAction) -> Parked {
+        self.refuse_in_step("park");
+        let a = &action.0;
+        assert_eq!(
+            a.ctx.tid, self.tid,
+            "a floor action runs for the task that made it"
+        );
+        if !self.park_at_floor(Some(a)) {
+            Parked::Declined
+        } else if a.woke.take() {
+            Parked::AtFloor
+        } else {
+            Parked::Unparked
+        }
+    }
+
+    /// A park with batched time: queue the wake the settle would queue, mark
+    /// the slot for a decision at that floor ([`Kernel::decide_floor`]) and
+    /// switch out. Returns `false` at once, doing nothing, when nothing is
+    /// batched or a permit is stored.
+    fn park_at_floor(&self, action: Option<&FloorFn>) -> bool {
+        let p = self.pending.get();
+        if p == 0 {
+            return false;
+        }
+        let floor = {
+            let mut st = self.kernel.state.borrow_mut();
+            let slot = &mut st.slots[self.tid];
+            if slot.permit {
+                return false;
+            }
+            slot.at_floor = true;
+            slot.action = action.cloned();
+            #[cfg(debug_assertions)]
+            self.check_accrual_epoch(st.seq);
+            st.now + SimDuration::from_nanos(self.pending.take())
+        };
+        self.kernel
+            .yield_and_wait(self.tid, TaskState::Runnable, Some(floor));
+        true
+    }
+
+    /// A [`FloorAction`] for this task: `f` is called with a context of
+    /// this task that may not yield (the step-slot contract: `advance`,
+    /// `park` or batched time fail the run naming the task) and returns
+    /// whether the task is to be switched in. Made once and reused for
+    /// every park of a loop.
+    pub fn floor_action<F>(&self, f: F) -> FloorAction
+    where
+        F: Fn(&SimCtx) -> bool + 'static,
+    {
+        FloorAction(Rc::new(FloorInner {
+            ctx: SimCtx::new(Arc::clone(&self.kernel), self.tid, true),
+            woke: Cell::new(false),
+            f,
+        }))
     }
 
     /// Make `target` runnable at the caller's current virtual time (its
@@ -819,14 +989,51 @@ impl SimCtx {
                 name: s.name.clone(),
                 switches: if s.steps { 0 } else { s.dispatches },
                 step_runs: s.step_runs,
+                floor_parks: s.floor_parks,
             })
             .collect();
         RunCounts {
             switches: slots.iter().map(|s| s.switches).sum(),
             step_runs: slots.iter().map(|s| s.step_runs).sum(),
+            floor_parks: slots.iter().map(|s| s.floor_parks).sum(),
             slots,
         }
     }
+}
+
+/// The body of a [`FloorAction`].
+type FloorFnBody = dyn Fn(&SimCtx) -> bool;
+
+/// A [`FloorAction`] as a slot holds it while the park waits.
+type FloorFn = Rc<FloorInner<FloorFnBody>>;
+
+/// What the scheduler runs for a task at the floor of a park
+/// ([`SimCtx::park_with`]): made once per loop with
+/// [`SimCtx::floor_action`], so a park allocates nothing.
+pub struct FloorAction(FloorFn);
+
+struct FloorInner<F: ?Sized> {
+    /// The task's context as the action sees it: same task id, nothing
+    /// batched, no yield.
+    ctx: SimCtx,
+    /// Set when the scheduler switched the task in at the floor; the
+    /// task takes it on resuming.
+    woke: Cell<bool>,
+    f: F,
+}
+
+/// How a [`SimCtx::park_with`] ended.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Parked {
+    /// The task did not park and the action did not run: nothing was
+    /// batched, or a permit was stored.
+    Declined,
+    /// The task was switched in at its floor, after the action: the
+    /// action asked for it, or it did not and a permit was stored (the
+    /// park consumed it).
+    AtFloor,
+    /// The task blocked at its floor and a later unpark woke it.
+    Unparked,
 }
 
 /// Dispatch counters of one [`Simulation::run`] so far, from
@@ -839,6 +1046,8 @@ pub struct RunCounts {
     /// Calls of step closures: one per dispatch of a step slot plus one
     /// per inline continuation.
     pub step_runs: u64,
+    /// Parks the scheduler decided at a task's floor.
+    pub floor_parks: u64,
     /// Per slot, in [`TaskId`] order.
     pub slots: Vec<SlotCounts>,
 }
@@ -852,6 +1061,9 @@ pub struct SlotCounts {
     pub switches: u64,
     /// Calls of its step closure (always 0 for a task).
     pub step_runs: u64,
+    /// Its parks the scheduler decided at the floor, blocking the task
+    /// there or switching it in (always 0 for a step slot).
+    pub floor_parks: u64,
 }
 
 fn spawn_slot(kernel: &Kernel, name: String, body: Body, offset: SimDuration) -> TaskId {
@@ -864,6 +1076,9 @@ fn spawn_slot(kernel: &Kernel, name: String, body: Body, offset: SimDuration) ->
         state: TaskState::Runnable,
         permit: false,
         dispatches: 0,
+        at_floor: false,
+        action: None,
+        floor_parks: 0,
         step_runs: 0,
     });
     st.live += 1;
@@ -1023,12 +1238,8 @@ impl Simulation {
         let mut steppers: Vec<Option<Stepper>> = Vec::new();
         let mut free: Vec<Stack> = Vec::new();
         loop {
-            let (tid, body) = {
-                let mut st = kernel.state.borrow_mut();
-                let Some(tid) = kernel.dispatch(&mut st) else {
-                    break;
-                };
-                (tid, st.slots[tid].body.take())
+            let Some((tid, body)) = kernel.dispatch() else {
+                break;
             };
             let resumed = match body {
                 Some(Body::Task(body)) => {
@@ -1477,6 +1688,153 @@ mod tests {
         });
         sim.run();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+    }
+
+    /// Run `sim` and return the counts `task` read as its last act.
+    fn counts_at_end(sim: Simulation, counts: &Rc<RefCell<Option<RunCounts>>>) -> RunCounts {
+        sim.run();
+        let counts = counts.borrow_mut().take();
+        counts.expect("the task read the counts")
+    }
+
+    #[test]
+    fn a_park_nobody_wakes_before_its_floor_blocks_there_without_a_switch() {
+        let sim = Simulation::new();
+        let counts = Rc::new(RefCell::new(None));
+        let waiter = {
+            let counts = Rc::clone(&counts);
+            sim.spawn("waiter", move |ctx| {
+                ctx.advance_batched(SimDuration::from_nanos(100));
+                ctx.park();
+                assert_eq!(ctx.now().as_nanos(), 1_000, "woken at the unpark's instant");
+                *counts.borrow_mut() = Some(ctx.run_counts());
+            })
+        };
+        sim.spawn("waker", move |ctx| {
+            ctx.advance(SimDuration::from_nanos(1_000));
+            ctx.unpark(waiter);
+        });
+        let counts = counts_at_end(sim, &counts);
+        let w = &counts.slots[0];
+        // Its start and the unpark: the floor at 100 ns switched nothing.
+        assert_eq!((w.switches, w.floor_parks), (2, 1), "{w:?}");
+    }
+
+    #[test]
+    fn two_unparks_inside_the_window_wake_at_the_floor_and_leave_no_permit() {
+        let sim = Simulation::new();
+        let waiter = sim.spawn("waiter", |ctx| {
+            let runs = Rc::new(Cell::new(0u32));
+            let action = {
+                let runs = Rc::clone(&runs);
+                ctx.floor_action(move |_| {
+                    runs.set(runs.get() + 1);
+                    false
+                })
+            };
+            ctx.advance_batched(SimDuration::from_nanos(500));
+            assert_eq!(ctx.park_with(&action), Parked::AtFloor);
+            assert_eq!(ctx.now().as_nanos(), 500, "woken at the floor");
+            assert_eq!(runs.get(), 1, "the permit skipped the action");
+            ctx.park();
+            assert_eq!(ctx.now().as_nanos(), 2_000, "the second park blocked");
+        });
+        sim.spawn("waker", move |ctx| {
+            for at in [100, 200, 2_000] {
+                ctx.sleep_until(SimTime::from_nanos(at));
+                ctx.unpark(waiter);
+            }
+        });
+        assert_eq!(sim.run().as_nanos(), 2_000);
+    }
+
+    #[test]
+    fn an_unpark_after_the_floor_wakes_the_task_at_its_instant() {
+        let sim = Simulation::new();
+        let counts = Rc::new(RefCell::new(None));
+        let waiter = {
+            let counts = Rc::clone(&counts);
+            sim.spawn("waiter", move |ctx| {
+                ctx.advance_batched(SimDuration::from_nanos(100));
+                ctx.park();
+                assert_eq!(ctx.now().as_nanos(), 300);
+                *counts.borrow_mut() = Some(ctx.run_counts());
+            })
+        };
+        sim.spawn("waker", move |ctx| {
+            ctx.advance(SimDuration::from_nanos(300));
+            ctx.unpark(waiter);
+        });
+        let counts = counts_at_end(sim, &counts);
+        assert_eq!(counts.floor_parks, 1, "{counts:?}");
+    }
+
+    #[test]
+    fn a_panic_while_a_task_waits_for_its_floor_unwinds_it_without_its_action() {
+        let held = Arc::new(());
+        let runs = Rc::new(Cell::new(0u32));
+        let sim = Simulation::new();
+        {
+            let (held, runs) = (Arc::clone(&held), Rc::clone(&runs));
+            sim.spawn("waiter", move |ctx| {
+                let _mine = held;
+                let action = ctx.floor_action(move |_| {
+                    runs.set(runs.get() + 1);
+                    panic!("the action ran after the abort")
+                });
+                ctx.advance_batched(SimDuration::from_nanos(1_000));
+                ctx.park_with(&action);
+            });
+        }
+        sim.spawn("bomber", |ctx| {
+            ctx.advance(SimDuration::from_nanos(10));
+            panic!("boom");
+        });
+        let msg = failure_of(sim);
+        assert!(
+            msg.starts_with("simulated thread 'bomber' panicked: boom"),
+            "{msg}"
+        );
+        assert_eq!(runs.get(), 0, "a floor action ran while the run aborted");
+        assert_eq!(Arc::strong_count(&held), 1, "the waiter did not unwind");
+    }
+
+    #[test]
+    fn a_floor_action_runs_in_its_tasks_place_at_the_floor() {
+        // Ids 0, 1, 2 due at 100 ns: the action of id 1 runs after id 0
+        // and before id 2, and its task resumes at once when it asks.
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sim = Simulation::new();
+        for (name, parks) in [("low", false), ("parker", true), ("high", false)] {
+            let log = Rc::clone(&log);
+            sim.spawn(name, move |ctx| {
+                if !parks {
+                    ctx.advance(SimDuration::from_nanos(100));
+                    log.borrow_mut().push((name, ctx.now().as_nanos()));
+                    return;
+                }
+                let action = {
+                    let log = Rc::clone(&log);
+                    ctx.floor_action(move |ctx| {
+                        log.borrow_mut().push(("action", ctx.now().as_nanos()));
+                        true
+                    })
+                };
+                ctx.advance_batched(SimDuration::from_nanos(100));
+                assert_eq!(ctx.park_with(&action), Parked::AtFloor);
+                log.borrow_mut().push((name, ctx.now().as_nanos()));
+            });
+        }
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            [
+                ("low", 100),
+                ("action", 100),
+                ("parker", 100),
+                ("high", 100)
+            ]
+        );
     }
 
     /// A relay that takes items off `input`, charges `cost` per item and

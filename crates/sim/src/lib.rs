@@ -39,6 +39,8 @@ mod stack;
 mod sync;
 mod time;
 
-pub use kernel::{Dispatch, RunCounts, SimCtx, Simulation, SlotCounts, Step, TaskId};
+pub use kernel::{
+    Dispatch, FloorAction, Parked, RunCounts, SimCtx, Simulation, SlotCounts, Step, TaskId,
+};
 pub use sync::{Poisoned, SimBarrier, SimChannel, SimEvent, SimSemaphore};
 pub use time::{SimDuration, SimTime};

@@ -194,6 +194,19 @@ impl<T> SimChannel<T> {
         Poll::Pending
     }
 
+    /// [`SimChannel::poll_recv`] without taking the item: `Ready` while an
+    /// item is queued or the channel is closed, else `Pending` with the
+    /// caller registered as `poll_recv` registers it. A floor action
+    /// uses it to decide whether its task has something to receive.
+    pub fn poll_ready(&self, ctx: &SimCtx) -> Poll<()> {
+        let mut st = self.inner.borrow_mut();
+        if !st.queue.is_empty() || st.senders_done {
+            return Poll::Ready(());
+        }
+        st.receivers.push_back(ctx.id());
+        Poll::Pending
+    }
+
     /// Number of queued items.
     pub fn len(&self) -> usize {
         self.inner.borrow().queue.len()

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use rsj_sim::{SimBarrier, SimChannel, SimDuration, SimSemaphore, Simulation};
+use rsj_sim::{Parked, SimBarrier, SimChannel, SimDuration, SimSemaphore, Simulation};
 
 /// A thread that never parks ends exactly at the sum of its advances.
 #[test]
@@ -146,6 +146,24 @@ fn semaphore_mutual_exclusion_in_virtual_time() {
     }
 }
 
+/// How the tasks of [`traced_mixed_workload`] charge and wait.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Waits {
+    /// Every charge an `advance`: the workload the pinned digests were
+    /// generated from.
+    Advanced,
+    /// The workers batch every other charge of their bursts, so their
+    /// semaphore and barrier parks come with batched time and are decided
+    /// at the floor, and the
+    /// drain charges a batched copy per item, then acknowledges it and
+    /// waits for the next item as one `park_with` (the receive loop's
+    /// shape: the acknowledgement is the repost).
+    Floors,
+    /// `Floors` with the drain making its floor action's steps itself:
+    /// settle, acknowledge, receive.
+    ByHand,
+}
+
 /// Build one mixed workload — meter-style advance bursts, barrier rounds,
 /// a channel pipeline, and a semaphore — on either the fast-path kernel or
 /// the heap-only reference kernel, and return `(end, dispatch trace)`.
@@ -153,8 +171,14 @@ fn semaphore_mutual_exclusion_in_virtual_time() {
 /// The workload deliberately hits every scheduling shape the fast path
 /// touches: long runs of uncontended advances (self-continuation +
 /// coalescing), same-instant ties (near-bucket FIFO order), park/unpark
-/// (barrier and channel wakes), and zero-length yields.
-fn traced_mixed_workload(reference: bool, seed: u64) -> (u64, Vec<rsj_sim::Dispatch>) {
+/// (barrier and channel wakes), and zero-length yields; with batched
+/// waits, parks decided at the floor and a floor action that wakes a
+/// peer (the drain's acknowledgements, which `w1` waits for).
+fn traced_mixed_workload(
+    reference: bool,
+    seed: u64,
+    waits: Waits,
+) -> (u64, Vec<rsj_sim::Dispatch>) {
     let sim = if reference {
         Simulation::new_reference()
     } else {
@@ -165,20 +189,27 @@ fn traced_mixed_workload(reference: bool, seed: u64) -> (u64, Vec<rsj_sim::Dispa
     let barrier = SimBarrier::new(n);
     let sem = SimSemaphore::new(2);
     let ch = SimChannel::new();
+    let acks = SimSemaphore::new(0);
     for t in 0..n as u64 {
         let barrier = Arc::clone(&barrier);
         let sem = Arc::clone(&sem);
         let ch = Arc::clone(&ch);
+        let acks = Arc::clone(&acks);
         sim.spawn(format!("w{t}"), move |ctx| {
             let mut x = seed ^ (t + 1);
             for round in 0..8u64 {
                 // Burst of fine-grained charges (the meter-flush shape that
                 // dominates the experiment sweeps).
-                for _ in 0..40 {
+                for i in 0..40 {
                     x = x
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
-                    ctx.advance(SimDuration::from_nanos((x >> 33) % 23));
+                    let d = SimDuration::from_nanos((x >> 33) % 23);
+                    if waits == Waits::Advanced || i % 2 == 0 {
+                        ctx.advance(d);
+                    } else {
+                        ctx.advance_batched(d);
+                    }
                 }
                 sem.acquire_checked(ctx)
                     .expect("an unpoisoned semaphore grants");
@@ -187,6 +218,11 @@ fn traced_mixed_workload(reference: bool, seed: u64) -> (u64, Vec<rsj_sim::Dispa
                 if t == 0 {
                     ch.send(ctx, round);
                 }
+                if t == 1 && waits != Waits::Advanced {
+                    ctx.advance_batched(SimDuration::from_nanos(x % 7 + 1));
+                    acks.acquire_checked(ctx)
+                        .expect("an unpoisoned semaphore grants");
+                }
                 barrier.wait(ctx);
             }
             if t == 0 {
@@ -194,10 +230,35 @@ fn traced_mixed_workload(reference: bool, seed: u64) -> (u64, Vec<rsj_sim::Dispa
             }
         });
     }
-    {
-        let ch = Arc::clone(&ch);
-        sim.spawn("drain", move |ctx| while ch.recv(ctx).is_some() {});
-    }
+    sim.spawn("drain", move |ctx| {
+        if waits == Waits::Advanced {
+            while ch.recv(ctx).is_some() {}
+            return;
+        }
+        let action = {
+            let (ch, acks) = (Arc::clone(&ch), Arc::clone(&acks));
+            ctx.floor_action(move |ctx| {
+                acks.release(ctx);
+                ch.poll_ready(ctx).is_ready()
+            })
+        };
+        let mut next = ch.recv(ctx);
+        while let Some(v) = next {
+            ctx.advance_batched(SimDuration::from_nanos(v % 5 * 40 + 1));
+            if waits == Waits::Floors && ctx.park_with(&action) != Parked::Declined {
+                next = ch.recv(ctx);
+                continue;
+            }
+            ctx.settle_point();
+            acks.release(ctx);
+            next = ch.recv(ctx);
+        }
+        if waits == Waits::Floors {
+            let counts = ctx.run_counts();
+            let me = counts.slots.iter().find(|s| s.name == "drain");
+            assert!(me.is_some_and(|s| s.floor_parks > 0), "{counts:?}");
+        }
+    });
     let (end, trace) = sim.run_traced();
     (end.as_nanos(), trace)
 }
@@ -208,9 +269,12 @@ fn traced_mixed_workload(reference: bool, seed: u64) -> (u64, Vec<rsj_sim::Dispa
 /// reference scheduler's.
 #[test]
 fn fast_path_dispatch_trace_equals_reference() {
-    for seed in [1u64, 0xDEAD_BEEF, 0x5EED_CAFE_F00D] {
-        let fast = traced_mixed_workload(false, seed);
-        let reference = traced_mixed_workload(true, seed);
+    for (seed, waits) in [1u64, 0xDEAD_BEEF, 0x5EED_CAFE_F00D]
+        .into_iter()
+        .flat_map(|seed| [Waits::Advanced, Waits::Floors].map(|w| (seed, w)))
+    {
+        let fast = traced_mixed_workload(false, seed, waits);
+        let reference = traced_mixed_workload(true, seed, waits);
         assert_eq!(
             fast.0, reference.0,
             "final virtual time diverged (seed {seed})"
@@ -224,7 +288,23 @@ fn fast_path_dispatch_trace_equals_reference() {
             fast.1, reference.1,
             "dispatch traces diverged (seed {seed})"
         );
-        assert!(fast.1.len() > 1_000, "workload too small to be meaningful");
+        // Batched charges are no dispatches: the floors variant makes fewer.
+        let least = if waits == Waits::Advanced { 1_000 } else { 500 };
+        assert!(fast.1.len() > least, "workload too small to be meaningful");
+    }
+}
+
+/// A park decided at its floor, and a floor action run by the scheduler
+/// in its task's place, make the dispatch trace of the task doing the same
+/// steps itself: settle, act, then park.
+#[test]
+fn parks_decided_at_the_floor_trace_like_the_steps_by_hand() {
+    for seed in [1u64, 2, 0xDEAD_BEEF] {
+        assert_eq!(
+            traced_mixed_workload(false, seed, Waits::Floors),
+            traced_mixed_workload(false, seed, Waits::ByHand),
+            "seed {seed}"
+        );
     }
 }
 
@@ -273,7 +353,10 @@ fn dispatch_trace_digests_are_pinned() {
     ];
     let got: Vec<(u64, u64)> = PINNED
         .iter()
-        .map(|&(seed, _)| (seed, trace_digest(&traced_mixed_workload(false, seed).1)))
+        .map(|&(seed, _)| {
+            let trace = traced_mixed_workload(false, seed, Waits::Advanced).1;
+            (seed, trace_digest(&trace))
+        })
         .collect();
     assert_eq!(got, PINNED, "dispatch trace digests moved: {got:#x?}");
 }
