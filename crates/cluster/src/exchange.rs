@@ -2,10 +2,12 @@
 //! radix join and every §7 operator (DESIGN.md §14). Three byte-level
 //! pieces behind one [`Exchange`] endpoint, which attributes every failure
 //! to its machine and phase: [`Exchange::all_to_all`], the
-//! [`Exchange::recv_stream`] receive loop and the [`Scatter`] sender.
-//! Payloads are bytes under a [`WireTag`]; tuple encoding, per-tuple meter
-//! charges and *how one full buffer is posted* (the post step) stay with
-//! the caller, so transports never reach this crate.
+//! [`Exchange::recv_stream`] receive loop and the [`Scatter`] sender, which
+//! write-combines every lane into one slab and copies a lane's bytes into
+//! a pool buffer only to post them. Payloads are bytes under a
+//! [`WireTag`]; tuple encoding, per-tuple meter charges and *how one full
+//! buffer is posted* (the post step) stay with the caller, so transports
+//! never reach this crate.
 
 use std::sync::Arc;
 
@@ -162,7 +164,13 @@ impl Exchange {
 
     /// The standard post step: settle the meter, wait for a free window
     /// slot, post a two-sided SEND and leave it in flight.
-    pub fn send(&self, ctx: &SimCtx, meter: &mut Meter, lane: &mut Lane, bytes: Vec<u8>) -> Posted {
+    pub fn send(
+        &self,
+        ctx: &SimCtx,
+        meter: &mut Meter,
+        lane: &mut Lane<'_>,
+        bytes: Vec<u8>,
+    ) -> Posted {
         meter.flush(ctx);
         lane.window.admit(ctx).map_err(|e| self.fabric_err(e))?;
         let (dst, tag) = (HostId(lane.dst), lane.tag.encode());
@@ -176,7 +184,7 @@ impl Exchange {
 pub type Posted = Result<Option<SendHandle>, JoinError>;
 
 /// The post step of [`Exchange::send`], as a nameable type.
-pub type SendStep = fn(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted;
+pub type SendStep = fn(&Exchange, &SimCtx, &mut Meter, &mut Lane<'_>, Vec<u8>) -> Posted;
 
 /// In-flight sends per `(thread, partition)` lane, over as many pool
 /// buffers: the paper's double buffering (§4.2.1) — partitioning continues
@@ -184,69 +192,117 @@ pub type SendStep = fn(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Po
 pub const SEND_DEPTH: usize = 2;
 
 /// One `(relation, partition)` stream of a [`Scatter`], as its post step
-/// sees it.
-pub struct Lane {
+/// sees it. This is the lane's cold state, touched only when it opens, at
+/// a post and at the end of the stream; the bytes it is filling live in
+/// the scatter's slab.
+pub struct Lane<'a> {
     /// Destination machine.
     pub dst: usize,
     /// The tag this lane's buffers travel under.
     pub tag: WireTag,
     /// The lane's send window: `admit` before a post that stays in flight
     /// (§4.2.1); the scatter records the handle the step returns.
-    pub window: SendWindow<SEND_DEPTH>,
-    buf: Vec<u8>,
+    pub window: SendWindow<'a, SEND_DEPTH>,
     /// Pool buffers this lane holds on the pool's count (at most the
     /// window depth).
     taken: usize,
 }
 
-impl Lane {
-    /// Give the lane's buffers back to `pool`: the buffer it is filling,
-    /// if it has one, and its share of the count.
+impl Lane<'_> {
+    /// Give the lane's share of the pool's count back.
     fn release(&mut self, pool: &BufferPool) {
-        pool.recycle(std::mem::take(&mut self.buf));
         for _ in 0..std::mem::take(&mut self.taken) {
             pool.put(Vec::new());
         }
     }
 }
 
-/// The sending side of a partitioned stream: one lazily created [`Lane`]
-/// per `(relation, partition)` (a `Result` stream has one), filled by
-/// [`Scatter::push`] and handed to the post step `P` when full. `P` settles
-/// the meter itself, so it can charge transport work first.
+/// The sending side of a partitioned stream, write-combining as the
+/// paper's partitioner does (§3.1): one [`Lane`] per `(relation,
+/// partition)` (a `Result` stream has one), opened at its first record,
+/// and one slab in which every lane fills its next buffer.
+/// [`Scatter::push`] writes a record in place into its lane's share of the
+/// slab; when another record would not fit a pool buffer, the lane's bytes
+/// are copied once into a buffer drawn from the pool's free list and
+/// handed to the post step `P`. `P` settles the meter itself, so it can
+/// charge transport work first.
+///
+/// A lane's share of the slab is one buffer, or less when the stream was
+/// laid out from a histogram that announces fewer bytes for it
+/// ([`Scatter::laid_out`]). The pool's count moves as if every lane held
+/// its buffers: one claimed at the lane's first record and one more at a
+/// post that stays in flight, up to [`SEND_DEPTH`].
 pub struct Scatter<'a, P> {
     ex: &'a Exchange,
     pool: &'a BufferPool,
+    /// Bytes per record.
+    rec: usize,
+    /// Lane `i` fills `slab[at[i]..at[i + 1]]`.
+    slab: Vec<u8>,
+    at: Vec<usize>,
+    /// Bytes lane `i` has filled since its last post: the only per-record
+    /// state.
+    fill: Vec<u32>,
     /// Relation-major: lane `rel * parts + part`.
-    lanes: Vec<Option<Lane>>,
+    lanes: Vec<Option<Lane<'a>>>,
     step: P,
 }
 
 impl<'a, P> Scatter<'a, P>
 where
-    P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted,
+    P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane<'_>, Vec<u8>) -> Posted,
 {
-    /// A sender into `parts` partitions per relation, each lane with up to
-    /// [`SEND_DEPTH`] sends in flight over as many pool buffers. Fails with
-    /// a typed error if a partition id could overflow the tag's 24-bit
-    /// field.
+    /// A sender of `rec`-byte records into `parts` partitions per
+    /// relation, each lane with up to [`SEND_DEPTH`] sends in flight over
+    /// as many pool buffers and a whole buffer of the slab: for a stream
+    /// no histogram announces. Fails with a typed error if a partition id
+    /// could overflow the tag's 24-bit field.
     pub fn new(
         ex: &'a Exchange,
         pool: &'a BufferPool,
         parts: usize,
+        rec: usize,
+        step: P,
+    ) -> Result<Scatter<'a, P>, JoinError> {
+        Scatter::laid_out(ex, pool, parts, rec, |_, _| usize::MAX, step)
+    }
+
+    /// As [`Scatter::new`], but lane `(rel, part)` gets
+    /// `min(buffer, bytes(rel, part))` bytes of the slab, where `bytes` is
+    /// what the lane will carry: the stream's thread histogram. A push past
+    /// its lane's share panics naming the lane.
+    pub fn laid_out(
+        ex: &'a Exchange,
+        pool: &'a BufferPool,
+        parts: usize,
+        rec: usize,
+        bytes: impl Fn(usize, usize) -> usize,
         step: P,
     ) -> Result<Scatter<'a, P>, JoinError> {
         check_partition_count(parts).map_err(|e| JoinError::decode(ex.mach, ex.phase, e))?;
+        // A buffer holds at least one record, however small the pool's.
+        let buffer = pool.buf_size().max(rec);
+        let mut at = Vec::with_capacity(2 * parts + 1);
+        at.push(0);
+        for i in 0..2 * parts {
+            let end = at[i] + bytes(i / parts, i % parts).min(buffer);
+            at.push(end);
+        }
         Ok(Scatter {
             ex,
             pool,
+            rec,
+            slab: vec![0; at[2 * parts]],
+            at,
+            fill: vec![0; 2 * parts],
             lanes: (0..2 * parts).map(|_| None).collect(),
             step,
         })
     }
 
-    /// Append one record (written by `write`) to the stream `tag` bound for
-    /// `dst`, posting the buffer if another such record would not fit.
+    /// Append one record, written in place by `write`, to the stream `tag`
+    /// bound for `dst`, posting the lane's buffer if another record would
+    /// not fit.
     #[inline]
     pub fn push(
         &mut self,
@@ -254,34 +310,53 @@ where
         meter: &mut Meter,
         dst: usize,
         tag: WireTag,
-        write: impl FnOnce(&mut Vec<u8>),
+        write: impl FnOnce(&mut [u8]),
     ) -> Result<(), JoinError> {
         let i = match tag {
             WireTag::Data { rel, part } => rel * (self.lanes.len() / 2) + part,
             _ => 0,
         };
-        let (ex, pool) = (self.ex, self.pool);
-        let lane = self.lanes[i].get_or_insert_with(|| Lane {
-            dst,
-            tag,
-            window: SendWindow::new(Arc::clone(ex.nic.validator())),
-            buf: pool.take(ctx),
-            taken: 1,
-        });
-        if lane.buf.capacity() == 0 {
-            // The first record since a post that drew no buffer: the
-            // window has freed one, reused from the pool's free list.
-            lane.buf = pool.refill();
+        let filled = self.fill[i] as usize + self.rec;
+        let end = self.at[i] + filled;
+        if end > self.at[i + 1] {
+            self.overrun(i, tag);
         }
-        let before = lane.buf.len();
-        write(&mut lane.buf);
-        if 2 * lane.buf.len() - before > pool.buf_size() {
+        if filled == self.rec {
+            self.open(ctx, i, dst, tag);
+        }
+        write(&mut self.slab[end - self.rec..end]);
+        self.fill[i] = filled as u32;
+        if filled + self.rec > self.pool.buf_size() {
             self.post(ctx, meter, i, false)?;
         }
         Ok(())
     }
 
-    /// Hand lane `i`'s buffer, if it holds anything, to the post step.
+    /// Open lane `i` at its first record: claim its first buffer on the
+    /// pool's count.
+    fn open(&mut self, ctx: &SimCtx, i: usize, dst: usize, tag: WireTag) {
+        if self.lanes[i].is_none() {
+            self.pool.claim(ctx);
+            self.lanes[i] = Some(Lane {
+                dst,
+                tag,
+                window: SendWindow::new(self.ex.nic.validator()),
+                taken: 1,
+            });
+        }
+    }
+
+    /// A push past lane `i`'s share of the slab: its histogram announced
+    /// fewer bytes than the stream sends.
+    #[cold]
+    #[inline(never)]
+    fn overrun(&self, i: usize, tag: WireTag) -> ! {
+        let share = self.at[i + 1] - self.at[i];
+        panic!("lane {i} ({tag:?}) pushed past the {share} bytes its histogram announced")
+    }
+
+    /// Hand lane `i`'s bytes, if it holds any, to the post step: copied
+    /// once into a pool buffer, the free list's last one.
     fn post(
         &mut self,
         ctx: &SimCtx,
@@ -289,18 +364,21 @@ where
         i: usize,
         last: bool,
     ) -> Result<(), JoinError> {
-        let Some(lane) = self.lanes[i].as_mut().filter(|l| !l.buf.is_empty()) else {
+        let filled = std::mem::take(&mut self.fill[i]) as usize;
+        if filled == 0 {
             return Ok(());
-        };
-        let bytes = std::mem::take(&mut lane.buf);
-        if let Some(sent) = (self.step)(self.ex, ctx, meter, lane, bytes)? {
+        }
+        let lane = self.lanes[i].as_mut().expect("a lane with records is open");
+        let mut buf = self.pool.refill();
+        buf.extend_from_slice(&self.slab[self.at[i]..self.at[i] + filled]);
+        if let Some(sent) = (self.step)(self.ex, ctx, meter, lane, buf)? {
             lane.window.record(sent);
-            // Still on the wire: the next records need another buffer, up
-            // to the window depth (§4.2.1). Past that, `admit` has freed a
-            // drawn one, and the next push's refill is its logical reuse.
+            // Still on the wire: the next records need another buffer on
+            // the count, up to the window depth (§4.2.1). Past that,
+            // `admit` has freed a claimed one for the next post.
             if !last && lane.taken < SEND_DEPTH {
                 lane.taken += 1;
-                lane.buf = self.pool.take(ctx);
+                self.pool.claim(ctx);
             }
         }
         Ok(())
@@ -312,8 +390,8 @@ where
     }
 
     /// End the stream: per lane, post the final partial buffer, drain the
-    /// window and return the buffers to the pool; then settle the meter
-    /// and, if `eos`, tell every peer. Returns the seconds the lanes'
+    /// window and return its buffers to the pool's count; then settle the
+    /// meter and, if `eos`, tell every peer. Returns the seconds the lanes'
     /// windows stalled on the network.
     pub fn finish(mut self, ctx: &SimCtx, meter: &mut Meter, eos: bool) -> Result<f64, JoinError> {
         let mut stall = 0.0;
@@ -334,7 +412,7 @@ where
 }
 
 /// An abandoned stream (an error unwound the sender) still returns its
-/// buffers, so an aborted run leaves the pool whole.
+/// lanes' share of the count, so an aborted run leaves the pool whole.
 impl<P> Drop for Scatter<'_, P> {
     fn drop(&mut self) {
         for lane in self.lanes.iter_mut().flatten() {
@@ -427,7 +505,7 @@ mod tests {
                     } else {
                         (|| {
                             let pool = &pools2[mach];
-                            let mut scatter = Scatter::new(&ex, pool, PARTS, Exchange::send)?;
+                            let mut scatter = Scatter::new(&ex, pool, PARTS, 8, Exchange::send)?;
                             for i in 0..n {
                                 let (rel, part) = ((i / PARTS) % 2, i % PARTS);
                                 let dst = part % m;
@@ -442,7 +520,7 @@ mod tests {
                                     let tag = WireTag::Data { rel, part };
                                     meter.charge_seconds(ctx, 1e-7);
                                     scatter.push(ctx, &mut meter, dst, tag, |buf| {
-                                        buf.extend_from_slice(&rec.to_le_bytes())
+                                        buf.copy_from_slice(&rec.to_le_bytes())
                                     })?;
                                 }
                                 trip(ctx, rt, mach * 16 + core, i);
@@ -636,13 +714,13 @@ mod tests {
             if core == 0 {
                 ex.recv_stream(ctx, &mut meter, senders, &pools2, |_, _, _| true)?;
             } else {
-                let mut scatter = Scatter::new(&ex, pool, PARTS, Exchange::send)?;
+                let mut scatter = Scatter::new(&ex, pool, PARTS, 8, Exchange::send)?;
                 for i in 0..n {
                     let (rel, part) = ((i / PARTS) % 2, i % PARTS);
                     if part % m != mach {
                         let tag = WireTag::Data { rel, part };
                         scatter.push(ctx, &mut meter, part % m, tag, |buf| {
-                            buf.extend_from_slice(&(i as u64).to_le_bytes())
+                            buf.copy_from_slice(&(i as u64).to_le_bytes())
                         })?;
                         record();
                     }
@@ -685,12 +763,12 @@ mod tests {
                 let step = |ex: &Exchange,
                             ctx: &SimCtx,
                             meter: &mut Meter,
-                            lane: &mut Lane,
+                            lane: &mut Lane<'_>,
                             bytes: Vec<u8>| {
                     posted2.borrow_mut().push(bytes.as_ptr() as usize);
                     Exchange::send(ex, ctx, meter, lane, bytes)
                 };
-                let mut scatter = Scatter::new(&ex, &pools2[mach], 1, step)?;
+                let mut scatter = Scatter::new(&ex, &pools2[mach], 1, 8, step)?;
                 let records = if mach == 1 { 3 * BUF / 8 } else { 0 };
                 for i in 0..records {
                     if i == 2 * BUF / 8 {
@@ -698,7 +776,7 @@ mod tests {
                     }
                     let tag = WireTag::Data { rel: 0, part: 0 };
                     scatter.push(ctx, &mut meter, 0, tag, |buf| {
-                        buf.extend_from_slice(&(i as u64).to_le_bytes())
+                        buf.copy_from_slice(&(i as u64).to_le_bytes())
                     })?;
                 }
                 scatter.finish(ctx, &mut meter, true)?;
@@ -720,11 +798,104 @@ mod tests {
     }
 
     #[test]
+    fn the_slab_gives_each_lane_a_buffer_or_the_bytes_it_will_carry() {
+        let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
+        let ex = Exchange::new(&fabric, 1, PHASE);
+        let pool = BufferPool::new(1, BUF, NicCosts::default());
+        let announced = |rel: usize, part: usize| (rel * PARTS + part) * 40;
+        let scatter =
+            Scatter::laid_out(&ex, &pool, PARTS, 8, announced, Exchange::send as SendStep)
+                .expect("a valid partition count");
+        let shares: Vec<usize> = scatter.at.windows(2).map(|w| w[1] - w[0]).collect();
+        let want: Vec<usize> = (0..2 * PARTS)
+            .map(|i| announced(i / PARTS, i % PARTS).min(BUF))
+            .collect();
+        assert_eq!(shares, want);
+        assert_eq!(scatter.slab.len(), want.iter().sum::<usize>());
+        // Without a histogram, every lane gets a whole buffer.
+        let scatter = Scatter::new(&ex, &pool, PARTS, 8, Exchange::send as SendStep)
+            .expect("a valid partition count");
+        assert_eq!(scatter.slab.len(), 2 * PARTS * BUF);
+    }
+
+    /// Machine 1 pushes `n` eight-byte records into each lane `(rel, 0)`
+    /// of `pushes`, bound for machine 0, through a one-partition scatter
+    /// laid out by `announced`. Returns the payload sizes its post step saw
+    /// during the pushes and during `finish`.
+    fn laid_out_posts(
+        announced: fn(usize, usize) -> usize,
+        pushes: &'static [(usize, usize)],
+    ) -> (Vec<usize>, Vec<usize>) {
+        let rt = Runtime::new(2, 2, FabricConfig::fdr(), NicCosts::default());
+        let pools: Arc<Vec<_>> = Arc::new(
+            (0..2)
+                .map(|i| rt.make_pool(i, 2 * SEND_DEPTH, BUF))
+                .collect(),
+        );
+        let posted = Arc::new(RefCell::new((Vec::new(), Vec::new())));
+        let (pools2, posted2) = (Arc::clone(&pools), Arc::clone(&posted));
+        rt.try_run(move |ctx, rt, mach, core| {
+            let ex = Exchange::new(&rt.fabric, mach, PHASE);
+            let mut meter = Meter::new();
+            if core == 0 {
+                ex.recv_stream(ctx, &mut meter, 1, &pools2, |_, _, _| true)?;
+            } else {
+                let finishing = std::cell::Cell::new(false);
+                let step = |ex: &Exchange,
+                            ctx: &SimCtx,
+                            meter: &mut Meter,
+                            lane: &mut Lane<'_>,
+                            bytes: Vec<u8>| {
+                    let mut posted = posted2.borrow_mut();
+                    let seen = if finishing.get() {
+                        &mut posted.1
+                    } else {
+                        &mut posted.0
+                    };
+                    seen.push(bytes.len());
+                    Exchange::send(ex, ctx, meter, lane, bytes)
+                };
+                let mut scatter = Scatter::laid_out(&ex, &pools2[mach], 1, 8, announced, step)?;
+                for &(rel, n) in pushes.iter().filter(|_| mach == 1) {
+                    let tag = WireTag::Data { rel, part: 0 };
+                    for i in 0..n {
+                        scatter.push(ctx, &mut meter, 0, tag, |buf| {
+                            buf.copy_from_slice(&(i as u64).to_le_bytes())
+                        })?;
+                    }
+                }
+                finishing.set(true);
+                scatter.finish(ctx, &mut meter, true)?;
+            }
+            rt.try_sync_named(ctx, PHASE, mach).map(|_| ())
+        })
+        .expect("fault-free stream");
+        posted.take()
+    }
+
+    #[test]
+    fn a_lane_smaller_than_a_buffer_posts_only_at_finish() {
+        // Relation 0 announces three records, fewer than a buffer's 32;
+        // relation 1 announces 40, so its share is one whole buffer and it
+        // posts at the full-buffer rule, not at its share.
+        let announced = |rel: usize, _| [3, 40][rel] * 8;
+        let (pushing, finishing) = laid_out_posts(announced, &[(0, 3), (1, 40)]);
+        assert_eq!(pushing, [BUF]);
+        assert_eq!(finishing, [3 * 8, 8 * 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 0 (Data { rel: 0, part: 0 }) pushed past the 16 bytes")]
+    fn a_push_past_its_lanes_announced_bytes_panics_naming_the_lane() {
+        laid_out_posts(|_, _| 16, &[(0, 3)]);
+    }
+
+    #[test]
     fn a_stream_with_too_many_partitions_is_a_typed_error() {
         let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
         let ex = Exchange::new(&fabric, 1, PHASE);
         let pool = BufferPool::new(1, BUF, NicCosts::default());
-        let built = Scatter::new(&ex, &pool, MAX_PARTITIONS + 1, Exchange::send);
+        let built = Scatter::new(&ex, &pool, MAX_PARTITIONS + 1, 8, Exchange::send);
         match built.map(|_| ()) {
             Err(JoinError::Decode {
                 machine: 1,

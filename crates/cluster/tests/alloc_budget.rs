@@ -79,7 +79,7 @@ fn a_warm_stream_allocates_nothing_per_message() {
                 t.end.set(t.now());
             }
         } else {
-            let mut scatter = Scatter::new(&ex, &pools[mach], PARTS, Exchange::send)?;
+            let mut scatter = Scatter::new(&ex, &pools[mach], PARTS, 8, Exchange::send)?;
             for i in 0..RECORDS {
                 let part = i % PARTS;
                 let dst = part % MACHINES;
@@ -87,7 +87,7 @@ fn a_warm_stream_allocates_nothing_per_message() {
                     let tag = WireTag::Data { rel: 0, part };
                     meter.charge_seconds(ctx, 1e-7);
                     scatter.push(ctx, &mut meter, dst, tag, |buf| {
-                        buf.extend_from_slice(&(i as u64).to_le_bytes())
+                        buf.copy_from_slice(&(i as u64).to_le_bytes())
                     })?;
                 }
                 t.pushed.set(t.pushed.get() + 1);

@@ -61,9 +61,9 @@ impl ResultEmitter<'_> {
         // Local output buffers go to the downstream consumer; the write
         // cost was charged per pair. Only a coordinator stream is posted.
         if let (Some(scatter), None) = (&mut self.scatter, &self.err) {
-            let pair = |buf: &mut Vec<u8>| {
-                buf.extend_from_slice(&r.rid().to_le_bytes());
-                buf.extend_from_slice(&s.rid().to_le_bytes());
+            let pair = |buf: &mut [u8]| {
+                buf[..8].copy_from_slice(&r.rid().to_le_bytes());
+                buf[8..].copy_from_slice(&s.rid().to_le_bytes());
             };
             self.err = scatter.push(ctx, meter, 0, WireTag::Result, pair).err();
         }
@@ -125,7 +125,13 @@ pub(crate) fn phase_build_probe<T: Tuple>(
     }
     let pool = &sh.pools[mach];
     let scatter = if ships && mach != 0 {
-        Some(Scatter::new(&ex, pool, 1, Exchange::send as SendStep)?)
+        Some(Scatter::new(
+            &ex,
+            pool,
+            1,
+            PAIR,
+            Exchange::send as SendStep,
+        )?)
     } else {
         None
     };

@@ -197,15 +197,43 @@ impl<T: Tuple> Landing<T> {
         post: P,
     ) -> Result<f64, JoinError>
     where
-        P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted,
+        P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane<'_>, Vec<u8>) -> Posted,
     {
         let Some(w) = core.checked_sub(1) else {
             self.receive(ctx, meter, ex, pools, copy)?;
             return Ok(0.0);
         };
-        let mut scatter = Scatter::new(ex, &pools[self.mach], 1 << self.bits, post)?;
+        let mut scatter = self.scatter(ex, &pools[self.mach], w, inputs, post)?;
         self.route(ctx, meter, &mut scatter, w, rate, inputs)?;
         scatter.finish(ctx, meter, true)
+    }
+
+    /// Worker `w`'s sender, its slab laid out from its thread histogram:
+    /// each lane gets at most the bytes it will carry, so none for a
+    /// partition assigned here or a relation `inputs` does not ship.
+    fn scatter<'a, P>(
+        &self,
+        ex: &'a Exchange,
+        pool: &'a BufferPool,
+        w: usize,
+        inputs: &[(usize, &[T])],
+        post: P,
+    ) -> Result<Scatter<'a, P>, JoinError>
+    where
+        P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane<'_>, Vec<u8>) -> Posted,
+    {
+        let counts = self.counts[w].borrow();
+        let hist = counts.as_ref().expect("every worker counted");
+        let assignment = self.assignment.borrow();
+        let bytes = |rel: usize, part: usize| {
+            let ships = assignment[part] != self.mach && inputs.iter().any(|&(r, _)| r == rel);
+            if ships {
+                hist.counts[rel][part] as usize * T::SIZE
+            } else {
+                0
+            }
+        };
+        Scatter::laid_out(ex, pool, 1 << self.bits, T::SIZE, bytes, post)
     }
 
     /// Worker `w`'s side of the network pass: for each `(rel, chunk)` in
@@ -221,7 +249,7 @@ impl<T: Tuple> Landing<T> {
         inputs: &[(usize, &[T])],
     ) -> Result<(), JoinError>
     where
-        P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane, Vec<u8>) -> Posted,
+        P: FnMut(&Exchange, &SimCtx, &mut Meter, &mut Lane<'_>, Vec<u8>) -> Posted,
     {
         let assignment = Rc::clone(&self.assignment.borrow());
         let mut kept: [Vec<Vec<T>>; 2] = Default::default();
@@ -377,8 +405,10 @@ mod tests {
     }
 
     fn encode(ts: &[Tuple16]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        ts.iter().for_each(|t| t.write_to(&mut bytes));
+        let mut bytes = vec![0; ts.len() * Tuple16::SIZE];
+        for (t, out) in ts.iter().zip(bytes.chunks_exact_mut(Tuple16::SIZE)) {
+            t.write_to(out);
+        }
         bytes
     }
 

@@ -118,8 +118,10 @@ pub fn encode_remote_table<T: Tuple>(r: &[T]) -> Vec<u8> {
     for &hi in ends {
         put_u32(&mut out, 0); // version: even = stable
         put_u32(&mut out, (hi - lo) as u32);
-        for &i in &order[lo..hi] {
-            r[i as usize].write_to(&mut out);
+        let at = out.len();
+        out.resize(at + (hi - lo) * entry, 0);
+        for (&i, slot) in order[lo..hi].iter().zip(out[at..].chunks_exact_mut(entry)) {
+            r[i as usize].write_to(slot);
         }
         put_u32(&mut out, 0); // trailer
         lo = hi;

@@ -15,7 +15,7 @@
 //! | `wall-clock` | `std::time::Instant` / `SystemTime` anywhere — reading the host clock breaks run-to-run determinism, the property every experiment and test relies on |
 //! | `mr-access` | direct `Mr` byte access (`with_data` / `dma_write`) outside `rsj-rdma` — operators must go through the verbs API so the runtime validator sees every access |
 //! | `unwrap` | `.unwrap()` (or an `.expect` with a non-descriptive message) in non-test library code — failures in phase code must say what invariant broke |
-//! | `hot-alloc` | `vec!`, `Vec::new`, `Vec::with_capacity`, `Arc::new`, `Rc::new`, `Box::new` or `.to_vec()` inside `crates/joins` functions named `*_kernel`, `histogram*` or `scatter*` (the per-partition hot loops: allocate scratch once in the owning `Partitioner`/table and reuse it), or inside a per-message function of the dataplane (`Nic::{post, handle}`, `CellPool::take`, the completion path that hands cells back `Wc::{complete, complete_read, recycle}` and `SendHandle::drop`, `SendWindow::{admit, record}`, `Scatter::{push, post}`, `Exchange::recv_stream`, `BufferPool::{take, refill}`, the NIC engines' steps `Fabric::{egress_step, ingress_step, place_two_sided, place_one_sided}`, `Landing::{route, receive}`, the per-READ `Nic::post_read_inner` and `Mr::dma_read`, the one-sided probe's per-group `ProbeScratch::{probe_owned, probe_remote}`: draw from a pool or per-core scratch and hand back); over the whole tree, also a table entry naming no such function, so a rename cannot drop the check silently |
+//! | `hot-alloc` | `vec!`, `Vec::new`, `Vec::with_capacity`, `Arc::new`, `Rc::new`, `Box::new` or `.to_vec()` inside `crates/joins` functions named `*_kernel`, `histogram*` or `scatter*` (the per-partition hot loops: allocate scratch once in the owning `Partitioner`/table and reuse it), or inside a per-message function of the dataplane (`Nic::{post, handle}`, `CellPool::take`, the completion path that hands cells back `Wc::{complete, complete_read, recycle}` and `SendHandle::drop`, `SendWindow::{admit, record}`, `Scatter::{push, post}`, `Exchange::recv_stream`, `BufferPool::{take, claim, refill}`, the NIC engines' steps `Fabric::{egress_step, ingress_step, place_two_sided, place_one_sided}`, `Landing::{route, receive}`, the per-READ `Nic::post_read_inner` and `Mr::dma_read`, the one-sided probe's per-group `ProbeScratch::{probe_owned, probe_remote}`: draw from a pool or per-core scratch and hand back); over the whole tree, also a table entry naming no such function, so a rename cannot drop the check silently |
 //! | `fabric-panic` | `.unwrap()` / `.expect(` on the fabric's fallible post/poll results (`wait`/`recv`/`admit`/`drain`) in non-test library code — fault-plane errors (DESIGN.md §8) must propagate as `JoinError` so the run aborts cleanly |
 //! | `barrier-name` | a raw string literal as the barrier name at a `sync_named` / `try_sync_named` call site outside `crates/cluster` — barrier names are namespaced per query (`(QueryId, name)`, DESIGN.md §9) and must come from the `rsj_cluster::phase` constants so phase attribution stays canonical |
 //! | `nondet-iter` | iteration (`iter`/`into_iter`/`keys`/`values`/`drain`/`retain`/…) over a `std` `HashMap`/`HashSet` in result-affecting library code — the per-process random SipHash seed makes the order vary run-to-run, breaking byte-identical replay; use `BTreeMap`/`BTreeSet` or sort before iterating. Order-independent sinks (commutative folds like `.sum()`, collecting back into a map, collect-then-sort) are recognized and not flagged. Identifier typing is cross-file and name-based |

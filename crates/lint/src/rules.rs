@@ -561,7 +561,7 @@ fn error_swallow_at(ctx: &FileCtx<'_>, i: usize, out: &mut Vec<Finding>) {
 /// The dataplane's per-message functions, as `(impl type, name)`: one
 /// message of a network pass, one RDMA READ or one one-sided probe group
 /// runs each of them, so an allocation in one is paid per message.
-const PER_MESSAGE_FNS: [(&str, &str); 25] = [
+const PER_MESSAGE_FNS: [(&str, &str); 26] = [
     ("Nic", "post"),
     ("Nic", "repost_and_recv"),
     ("Nic", "handle"),
@@ -576,6 +576,7 @@ const PER_MESSAGE_FNS: [(&str, &str); 25] = [
     ("Scatter", "post"),
     ("Exchange", "recv_stream"),
     ("BufferPool", "take"),
+    ("BufferPool", "claim"),
     ("BufferPool", "refill"),
     ("Fabric", "egress_step"),
     ("Fabric", "ingress_step"),

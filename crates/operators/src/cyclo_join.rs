@@ -220,9 +220,9 @@ fn worker<T: Tuple>(
             break;
         }
         if core == 0 {
-            let mut payload = Vec::with_capacity(frag.len() * T::SIZE);
-            for t in frag.iter() {
-                t.write_to(&mut payload);
+            let mut payload = vec![0; frag.len() * T::SIZE];
+            for (t, out) in frag.iter().zip(payload.chunks_exact_mut(T::SIZE)) {
+                t.write_to(out);
             }
             let tag = WireTag::Data {
                 rel: REL_S,

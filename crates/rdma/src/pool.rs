@@ -8,7 +8,9 @@
 //!
 //! [`BufferPool`] models the pre-registered pool (taking from the pool is
 //! free; exhausting it falls back to an on-the-fly registration, whose cost
-//! is charged — the anti-pattern the paper warns against). [`SendWindow`]
+//! is charged — the anti-pattern the paper warns against). A sender that
+//! write-combines into memory of its own claims its buffers on the count
+//! and draws a physical one only to post it. [`SendWindow`]
 //! models the per-partition double-buffering discipline: `admit` blocks
 //! only when the oldest of the last `DEPTH` sends has not completed.
 
@@ -28,7 +30,8 @@ use crate::validate::{Validator, Violation};
 /// Two ledgers: the *count* ([`BufferPool::available`],
 /// [`BufferPool::outstanding`], [`BufferPool::fly_registrations`]) is the
 /// model — what the join is charged for — and moves only with
-/// [`BufferPool::take`] and [`BufferPool::put`]. The *physical* free list
+/// [`BufferPool::claim`] (or [`BufferPool::take`], a claim and a refill)
+/// and [`BufferPool::put`]. The *physical* free list
 /// is host memory: every buffer handed back, by `put` or by a receiver
 /// through [`BufferPool::recycle`], waits there for the next draw, so a
 /// steady stream reuses its buffers instead of allocating them. It never
@@ -92,12 +95,20 @@ impl BufferPool {
         self.buf_size
     }
 
-    /// Take a buffer: a returned one, else one from the preregistered
-    /// stock, else one registered on the fly, whose pinning cost the
-    /// caller pays. That is the count; physically the buffer is the last
-    /// one handed back, or a new allocation of [`BufferPool::buf_size`]
-    /// when the free list is empty, so filling it never reallocates.
+    /// Take a buffer: [`BufferPool::claim`] one on the count, then
+    /// [`BufferPool::refill`] it physically, so filling it never
+    /// reallocates.
     pub fn take(&self, ctx: &SimCtx) -> Vec<u8> {
+        self.claim(ctx);
+        self.refill()
+    }
+
+    /// Claim one buffer on the count, without a physical one: a returned
+    /// buffer, else one from the preregistered stock, else one registered
+    /// on the fly, whose pinning cost the caller pays. A sender that
+    /// write-combines elsewhere claims here and draws the physical buffer
+    /// with [`BufferPool::refill`] only when it posts.
+    pub fn claim(&self, ctx: &SimCtx) {
         let fly = {
             let mut st = self.inner.borrow_mut();
             st.outstanding += 1;
@@ -118,7 +129,6 @@ impl BufferPool {
                 self.costs.register_seconds(self.buf_size),
             ));
         }
-        self.refill()
     }
 
     /// Return a buffer to the pool: one buffer back on the count and, if
@@ -150,8 +160,8 @@ impl BufferPool {
     }
 
     /// The physical side of a draw, and all of it for a sender that
-    /// already holds its share of the count (its window freed a drawn
-    /// buffer): the free list's last buffer, else a new one. Never counted.
+    /// already holds its share of the count: the free list's last buffer,
+    /// else a new one of [`BufferPool::buf_size`]. Never counted.
     pub fn refill(&self) -> Vec<u8> {
         let mut st = self.inner.borrow_mut();
         match st.spare.pop() {
@@ -295,8 +305,9 @@ impl PoolArena {
 /// With `DEPTH = 2` (the paper's minimum), the caller can fill buffer B
 /// while buffer A is on the wire, and blocks only if A is *still* on the
 /// wire when B is full — i.e. only when genuinely network-bound. The slots
-/// live inline, so a window costs its stream no allocation.
-pub struct SendWindow<const DEPTH: usize> {
+/// live inline and the validator is borrowed, so opening a window costs
+/// its stream no allocation and no reference count.
+pub struct SendWindow<'v, const DEPTH: usize> {
     slots: [Option<SendHandle>; DEPTH],
     next: usize,
     /// Total virtual seconds spent blocked in `admit` — the "thread had to
@@ -305,13 +316,13 @@ pub struct SendWindow<const DEPTH: usize> {
     /// The fabric's verbs-contract validator: re-posting a slot without
     /// `admit` and dropping the window with sends still in flight are
     /// reported [`Violation`]s.
-    validator: Arc<Validator>,
+    validator: &'v Validator,
 }
 
-impl<const DEPTH: usize> SendWindow<DEPTH> {
+impl<'v, const DEPTH: usize> SendWindow<'v, DEPTH> {
     /// A window admitting `DEPTH` in-flight sends (`DEPTH >= 1`), wired
     /// to `validator`.
-    pub fn new(validator: Arc<Validator>) -> SendWindow<DEPTH> {
+    pub fn new(validator: &'v Validator) -> SendWindow<'v, DEPTH> {
         const { assert!(DEPTH >= 1, "a window admits at least one send") };
         SendWindow {
             slots: std::array::from_fn(|_| None),
@@ -381,7 +392,7 @@ impl<const DEPTH: usize> SendWindow<DEPTH> {
     }
 }
 
-impl<const DEPTH: usize> Drop for SendWindow<DEPTH> {
+impl<const DEPTH: usize> Drop for SendWindow<'_, DEPTH> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             return;
@@ -525,7 +536,8 @@ mod tests {
     fn send_window_blocks_only_when_oldest_incomplete() {
         let sim = Simulation::new();
         sim.spawn("worker", |ctx| {
-            let mut w = SendWindow::<2>::new(Validator::new());
+            let validator = Validator::new();
+            let mut w = SendWindow::<2>::new(&validator);
             let completed = |ctx: &SimCtx| {
                 let (handle, complete) = SendHandle::for_test();
                 complete(ctx);

@@ -282,7 +282,7 @@ fn repost_before_completion_is_detected() {
     let validator = Validator::new();
     let v = Arc::clone(&validator);
     let vs = violations_of(&validator, move || {
-        let mut window = SendWindow::<1>::new(v);
+        let mut window = SendWindow::<1>::new(&v);
         window.record(SendHandle::for_test().0);
         window.record(SendHandle::for_test().0);
     });
@@ -297,7 +297,7 @@ fn repost_before_completion_is_detected() {
     // distinct violation.
     let v = Arc::clone(&validator);
     let vs = violations_of(&validator, move || {
-        let mut window = SendWindow::<1>::new(v);
+        let mut window = SendWindow::<1>::new(&v);
         window.record(SendHandle::for_test().0);
         drop(window);
     });
@@ -502,7 +502,7 @@ proptest! {
                     }
                     ctx.advance(SimDuration::from_micros(10));
                 };
-                let mut window = SendWindow::<2>::new(Arc::clone(nic.validator()));
+                let mut window = SendWindow::<2>::new(nic.validator());
                 for i in 0..msgs {
                     window.admit(ctx).unwrap();
                     let ev = nic.post_send(ctx, HostId(1), i as u32, vec![0u8; msg_size]);

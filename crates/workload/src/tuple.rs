@@ -25,8 +25,12 @@ pub trait Tuple: Copy + Send + Sync + 'static {
     /// The record identifier.
     fn rid(&self) -> u64;
 
-    /// Append the wire representation to `out`.
-    fn write_to(&self, out: &mut Vec<u8>);
+    /// Write the wire representation into the first `SIZE` bytes of
+    /// `out`, in place: a sender writes straight into its send buffer.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `SIZE`.
+    fn write_to(&self, out: &mut [u8]);
 
     /// Decode one tuple from the first `SIZE` bytes of `bytes`.
     fn read_from(bytes: &[u8]) -> Self;
@@ -69,10 +73,10 @@ macro_rules! impl_tuple {
             }
 
             #[inline]
-            fn write_to(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.key.to_le_bytes());
-                out.extend_from_slice(&self.rid.to_le_bytes());
-                out.extend_from_slice(&self.pad);
+            fn write_to(&self, out: &mut [u8]) {
+                out[0..8].copy_from_slice(&self.key.to_le_bytes());
+                out[8..16].copy_from_slice(&self.rid.to_le_bytes());
+                out[16..$size].copy_from_slice(&self.pad);
             }
 
             #[inline]
@@ -135,12 +139,11 @@ mod tests {
     use super::*;
 
     fn roundtrip<T: Tuple + PartialEq + std::fmt::Debug>() {
-        let mut buf = Vec::new();
+        let mut buf = vec![0; 100 * T::SIZE];
         let tuples: Vec<T> = (0..100).map(|i| T::new(i * 37 + 1, i)).collect();
-        for t in &tuples {
-            t.write_to(&mut buf);
+        for (t, out) in tuples.iter().zip(buf.chunks_exact_mut(T::SIZE)) {
+            t.write_to(out);
         }
-        assert_eq!(buf.len(), 100 * T::SIZE);
         let back: Vec<T> = decode_all(&buf);
         assert_eq!(back, tuples);
     }
@@ -169,7 +172,7 @@ mod tests {
 
     #[test]
     fn decode_into_appends() {
-        let mut buf = Vec::new();
+        let mut buf = [0; 16];
         Tuple16::new(1, 2).write_to(&mut buf);
         let mut out = vec![Tuple16::new(9, 9)];
         decode_into(&buf, &mut out);

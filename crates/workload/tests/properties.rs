@@ -51,11 +51,10 @@ proptest! {
     fn prop_tuple_codec_roundtrip(pairs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..64)) {
         fn check<T: Tuple + PartialEq + std::fmt::Debug>(pairs: &[(u64, u64)]) {
             let tuples: Vec<T> = pairs.iter().map(|&(k, r)| T::new(k, r)).collect();
-            let mut buf = Vec::new();
-            for t in &tuples {
-                t.write_to(&mut buf);
+            let mut buf = vec![0; tuples.len() * T::SIZE];
+            for (t, out) in tuples.iter().zip(buf.chunks_exact_mut(T::SIZE)) {
+                t.write_to(out);
             }
-            assert_eq!(buf.len(), tuples.len() * T::SIZE);
             let back: Vec<T> = decode_all(&buf);
             assert_eq!(back, tuples);
         }
