@@ -637,21 +637,27 @@ pub fn hardware(_scale: Scale) {
         ClusterSpec::qdr_cluster(10),
         ClusterSpec::fdr_cluster(4),
         ClusterSpec::ipoib_cluster(4),
-        ClusterSpec::single_machine_server(),
     ] {
-        let bw = spec
-            .interconnect
-            .fabric_config()
-            .map(|f| format!("{:.1} GB/s", f.bandwidth / 1e9))
-            .unwrap_or_else(|| "QPI 8.4 GB/s per-core".into());
+        let bw = spec.interconnect.fabric_config().bandwidth;
         t.row(vec![
             spec.name.clone(),
             spec.machines.to_string(),
             spec.cores_per_machine.to_string(),
             format!("{:?}", spec.interconnect),
-            bw,
+            format!("{:.1} GB/s", bw / 1e9),
         ]);
     }
+    // The single-machine baseline has no fabric: its sockets share QPI
+    // (8.4 GB/s peak per-core inter-socket writes). Its radix bits do not
+    // show in the row.
+    let server = SingleMachineConfig::server((10, 10));
+    t.row(vec![
+        "multicore-server".into(),
+        "1".into(),
+        server.cores.to_string(),
+        "Qpi".into(),
+        "QPI 8.4 GB/s per-core".into(),
+    ]);
     outln!("{}", t.render());
 }
 

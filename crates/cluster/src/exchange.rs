@@ -818,13 +818,17 @@ mod tests {
         assert_eq!(scatter.slab.len(), 2 * PARTS * BUF);
     }
 
-    /// Machine 1 pushes `n` eight-byte records into each lane `(rel, 0)`
-    /// of `pushes`, bound for machine 0, through a one-partition scatter
-    /// laid out by `announced`. Returns the payload sizes its post step saw
+    /// Lanes `(0, 0)` and `(1, 0)` of a one-partition stream.
+    const DATA_0: WireTag = WireTag::Data { rel: 0, part: 0 };
+    const DATA_1: WireTag = WireTag::Data { rel: 1, part: 0 };
+
+    /// Machine 1 pushes `n` eight-byte records under each `tag` of
+    /// `pushes`, bound for machine 0, through a one-partition scatter laid
+    /// out by `announced`. Returns the payload sizes its post step saw
     /// during the pushes and during `finish`.
     fn laid_out_posts(
         announced: fn(usize, usize) -> usize,
-        pushes: &'static [(usize, usize)],
+        pushes: &'static [(WireTag, usize)],
     ) -> (Vec<usize>, Vec<usize>) {
         let rt = Runtime::new(2, 2, FabricConfig::fdr(), NicCosts::default());
         let pools: Arc<Vec<_>> = Arc::new(
@@ -856,8 +860,7 @@ mod tests {
                     Exchange::send(ex, ctx, meter, lane, bytes)
                 };
                 let mut scatter = Scatter::laid_out(&ex, &pools2[mach], 1, 8, announced, step)?;
-                for &(rel, n) in pushes.iter().filter(|_| mach == 1) {
-                    let tag = WireTag::Data { rel, part: 0 };
+                for &(tag, n) in pushes.iter().filter(|_| mach == 1) {
                     for i in 0..n {
                         scatter.push(ctx, &mut meter, 0, tag, |buf| {
                             buf.copy_from_slice(&(i as u64).to_le_bytes())
@@ -879,15 +882,32 @@ mod tests {
         // relation 1 announces 40, so its share is one whole buffer and it
         // posts at the full-buffer rule, not at its share.
         let announced = |rel: usize, _| [3, 40][rel] * 8;
-        let (pushing, finishing) = laid_out_posts(announced, &[(0, 3), (1, 40)]);
+        let (pushing, finishing) = laid_out_posts(announced, &[(DATA_0, 3), (DATA_1, 40)]);
         assert_eq!(pushing, [BUF]);
         assert_eq!(finishing, [3 * 8, 8 * 8]);
     }
 
     #[test]
+    fn a_one_lane_result_stream_has_a_one_buffer_slab_and_posts_every_record() {
+        // The coordinator result stream: one partition, nothing announced
+        // for relation 1, so only lane 0 has a share of the slab.
+        let announced = |rel: usize, _| if rel == 0 { usize::MAX } else { 0 };
+        let fabric = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
+        let ex = Exchange::new(&fabric, 1, PHASE);
+        let pool = BufferPool::new(1, BUF, NicCosts::default());
+        let scatter = Scatter::laid_out(&ex, &pool, 1, 8, announced, Exchange::send as SendStep)
+            .expect("a valid partition count");
+        assert_eq!(scatter.slab.len(), BUF, "one buffer, not two");
+        // 70 records: two full buffers of 32 while pushing, six at finish.
+        let (pushing, finishing) = laid_out_posts(announced, &[(WireTag::Result, 70)]);
+        assert_eq!(pushing, [BUF, BUF]);
+        assert_eq!(finishing, [6 * 8]);
+    }
+
+    #[test]
     #[should_panic(expected = "lane 0 (Data { rel: 0, part: 0 }) pushed past the 16 bytes")]
     fn a_push_past_its_lanes_announced_bytes_panics_naming_the_lane() {
-        laid_out_posts(|_, _| 16, &[(0, 3)]);
+        laid_out_posts(|_, _| 16, &[(DATA_0, 3)]);
     }
 
     #[test]

@@ -13,20 +13,15 @@ pub enum Interconnect {
     Fdr,
     /// IP-over-InfiniBand on the FDR cluster (1.8 GB/s effective — §6.3).
     IpoIb,
-    /// No network: a single multi-processor machine whose sockets are
-    /// connected by QPI (8.4 GB/s peak per-core inter-socket writes).
-    Qpi,
 }
 
 impl Interconnect {
-    /// The fabric parameters for networked interconnects. `None` for
-    /// [`Interconnect::Qpi`] (a single machine has no fabric).
-    pub fn fabric_config(self) -> Option<FabricConfig> {
+    /// The interconnect's fabric parameters.
+    pub fn fabric_config(self) -> FabricConfig {
         match self {
-            Interconnect::Qdr => Some(FabricConfig::qdr()),
-            Interconnect::Fdr => Some(FabricConfig::fdr()),
-            Interconnect::IpoIb => Some(FabricConfig::ipoib()),
-            Interconnect::Qpi => None,
+            Interconnect::Qdr => FabricConfig::qdr(),
+            Interconnect::Fdr => FabricConfig::fdr(),
+            Interconnect::IpoIb => FabricConfig::ipoib(),
         }
     }
 }
@@ -98,32 +93,15 @@ impl ClusterSpec {
         }
     }
 
-    /// The high-end multi-core server of Table 2: 4 sockets, 8 of 10 cores
-    /// per socket used (32 total), QPI interconnect, SIMD-tuned radix join.
-    pub fn single_machine_server() -> ClusterSpec {
-        ClusterSpec {
-            name: "multicore-server".to_string(),
-            machines: 1,
-            cores_per_machine: 32,
-            interconnect: Interconnect::Qpi,
-            cost: CostModel::single_machine_server(),
-            meter_quantum_ns: crate::Meter::DEFAULT_QUANTUM_NS,
-        }
-    }
-
     /// Total worker cores in the cluster.
     pub fn total_cores(&self) -> usize {
         self.machines * self.cores_per_machine
     }
 
     /// The fabric a run on this cluster uses: `fabric_override` if set,
-    /// else the interconnect's preset (panics for QPI, which has none).
+    /// else the interconnect's preset.
     pub fn fabric_config(&self, fabric_override: Option<FabricConfig>) -> FabricConfig {
-        fabric_override.unwrap_or_else(|| {
-            self.interconnect
-                .fabric_config()
-                .expect("a distributed operator needs a networked interconnect")
-        })
+        fabric_override.unwrap_or_else(|| self.interconnect.fabric_config())
     }
 
     /// Override the cores per machine (Figure 10 sweeps 4 vs 8).
@@ -149,10 +127,6 @@ mod tests {
 
         let fdr = ClusterSpec::fdr_cluster(4);
         assert_eq!(fdr.total_cores(), 32);
-
-        let single = ClusterSpec::single_machine_server();
-        assert_eq!(single.total_cores(), 32);
-        assert!(single.interconnect.fabric_config().is_none());
     }
 
     #[test]
@@ -169,9 +143,9 @@ mod tests {
 
     #[test]
     fn fabric_configs_differ_by_interconnect() {
-        let q = Interconnect::Qdr.fabric_config().unwrap();
-        let f = Interconnect::Fdr.fabric_config().unwrap();
-        let i = Interconnect::IpoIb.fabric_config().unwrap();
+        let q = Interconnect::Qdr.fabric_config();
+        let f = Interconnect::Fdr.fabric_config();
+        let i = Interconnect::IpoIb.fabric_config();
         assert!(f.bandwidth > q.bandwidth);
         assert!(q.bandwidth > i.bandwidth);
     }

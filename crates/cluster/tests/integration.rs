@@ -43,13 +43,13 @@ fn meters_on_parallel_threads_are_independent() {
 
 #[test]
 fn all_presets_have_positive_rates() {
-    for spec in [
-        ClusterSpec::qdr_cluster(10),
-        ClusterSpec::fdr_cluster(4),
-        ClusterSpec::ipoib_cluster(2),
-        ClusterSpec::single_machine_server(),
-    ] {
-        let c: CostModel = spec.cost;
+    let costs = [
+        ClusterSpec::qdr_cluster(10).cost,
+        ClusterSpec::fdr_cluster(4).cost,
+        ClusterSpec::ipoib_cluster(2).cost,
+        CostModel::single_machine_server(),
+    ];
+    for c in costs {
         for rate in [
             c.partition_rate,
             c.histogram_rate,

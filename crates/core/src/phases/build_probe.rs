@@ -125,11 +125,14 @@ pub(crate) fn phase_build_probe<T: Tuple>(
     }
     let pool = &sh.pools[mach];
     let scatter = if ships && mach != 0 {
-        Some(Scatter::new(
+        // One lane, relation 0's: the stream carries no relation 1.
+        let bytes = |rel: usize, _| if rel == 0 { usize::MAX } else { 0 };
+        Some(Scatter::laid_out(
             &ex,
             pool,
             1,
             PAIR,
+            bytes,
             Exchange::send as SendStep,
         )?)
     } else {

@@ -97,7 +97,7 @@ fn phase_local_parallel<T: Tuple>(
     // Stage 1: assemble owned partitions, so slices can index them.
     while let Some(i) = claim(&st.next_local_task, owned.len()) {
         let p = owned[i];
-        let rel_parts = RELS.map(|rel| st.landing.assemble(rel, p));
+        let rel_parts = RELS.map(|rel| st.landing.take(rel, p).concat());
         st.lp_assembled.borrow_mut()[i] = Some(Arc::new(rel_parts));
     }
     // Leader of this barrier builds the slice task list from the

@@ -79,15 +79,12 @@ pub(crate) fn phase_network<T: Tuple>(
                 nic.post_send_windowed(ctx, HostId(lane.dst), tag, bytes, window);
                 return Ok(None);
             }
-            meter.flush(ctx);
             if interleaved {
-                lane.window.admit(ctx).map_err(|e| ex.fabric_err(e))?;
-            }
-            let sent = nic.post_send(ctx, HostId(lane.dst), lane.tag.encode(), bytes);
-            if interleaved {
-                return Ok(Some(sent));
+                return Exchange::send(ex, ctx, meter, lane, bytes);
             }
             // Non-interleaved ablation: wait for the wire immediately.
+            meter.flush(ctx);
+            let sent = nic.post_send(ctx, HostId(lane.dst), lane.tag.encode(), bytes);
             let t0 = ctx.now();
             sent.wait(ctx).map_err(|e| ex.fabric_err(e))?;
             stall += (ctx.now() - t0).as_secs_f64();

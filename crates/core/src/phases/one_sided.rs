@@ -73,7 +73,7 @@ pub(crate) fn phase_publish_tables<T: Tuple>(
 
     while let Some(i) = claim(&st.next_local_task, owned.len()) {
         let p = owned[i];
-        let r_p = st.landing.assemble(REL_R, p);
+        let r_p = st.landing.take(REL_R, p).concat();
         // Encoding scatters every tuple into its bucket — the same work
         // profile as building the partition's hash tables.
         meter.charge_bytes(ctx, r_p.len() * T::SIZE, cfg.cluster.cost.build_rate);

@@ -11,20 +11,22 @@
 //! slice by the low radix bits: it keeps the tuples of partitions
 //! assigned to its own machine and pushes the rest into a [`Scatter`].
 //! After the pass each partition is taken out as what the workers kept
-//! plus what was received ([`Landing::take`]), or joined into one `Vec`
-//! ([`Landing::assemble`]), and checked against the histograms where they
-//! were exchanged. A [`Landing`] is one machine's side of all of it.
-//! Partition traffic lands with the channel semantics of §4.2.2: the
-//! owner's receiver core copies every buffer into per-partition staging
-//! memory (DESIGN.md §4 item 3). Callers keep their barriers, their post
-//! step (how one full buffer reaches the wire), the receiver's copy
+//! plus what was received ([`Landing::take`]), and checked against the
+//! histograms where they were exchanged. A [`Landing`] is one machine's
+//! side of all of it. Partition traffic lands with the channel semantics
+//! of §4.2.2: the owner's receiver core copies every buffer into its
+//! partition's staging memory (DESIGN.md §4 item 3), here by decoding it
+//! straight into the partition's received tuples, so a received tuple is
+//! copied once, at the charged copy. Callers keep their barriers, their
+//! post step (how one full buffer reaches the wire), the receiver's copy
 //! charge and their local work.
 //!
-//! A worker's kept vectors are sized exactly from its own thread
-//! histogram, so they never grow by doubling. A partition's staging is
-//! reserved once, at its first arrival, from the totals the other
-//! machines announced; the aggregation exchanges no histogram, so its
-//! staging grows as the buffers arrive.
+//! A landing holds tuples only. A worker's kept vectors are sized exactly
+//! from its own thread histogram, so they never grow by doubling. A
+//! partition's received vector is reserved once, at its first arrival,
+//! from the totals the other machines announced; the aggregation
+//! exchanges no histogram, so its received vectors grow as the buffers
+//! arrive. [`Landing::take`] moves these vectors out as they are.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -53,15 +55,15 @@ pub struct Landing<T> {
     /// Tuples per `[rel][part]` the other machines will send here, once
     /// [`Landing::exchange`] has announced them.
     remote: RefCell<Option<Histogram>>,
-    /// Received bytes per `[rel][part]`.
-    staged: [RefCell<Vec<Vec<u8>>>; 2],
+    /// Received tuples per `[rel][part]`, in arrival order.
+    received: [RefCell<Vec<Vec<T>>>; 2],
 }
 
 impl<T: Tuple> Landing<T> {
     /// Machine `mach`'s landing for `workers` partitioning workers per
     /// machine.
     pub fn new(mach: usize, bits: u32, workers: usize) -> Landing<T> {
-        let staged = || RefCell::new(vec![Vec::new(); 1 << bits]);
+        let received = || RefCell::new(vec![Vec::new(); 1 << bits]);
         Landing {
             mach,
             bits,
@@ -71,7 +73,7 @@ impl<T: Tuple> Landing<T> {
                 .map(|_| RefCell::new([Vec::new(), Vec::new()]))
                 .collect(),
             remote: RefCell::new(None),
-            staged: [staged(), staged()],
+            received: [received(), received()],
         }
     }
 
@@ -132,8 +134,8 @@ impl<T: Tuple> Landing<T> {
     /// every worker has counted: send the machine histogram (the thread
     /// histograms, summed) to every peer and receive theirs, [assign] the
     /// partitions by `rule` over the global histogram, and keep the
-    /// others' totals, which size each staging buffer once, exactly, and
-    /// check what lands. Returns the global histogram.
+    /// others' totals, which size each partition's received tuples once,
+    /// exactly, and check what lands. Returns the global histogram.
     ///
     /// [assign]: Landing::assign
     pub fn exchange(
@@ -174,15 +176,16 @@ impl<T: Tuple> Landing<T> {
             .collect()
     }
 
-    /// Core `core`'s side of the network pass. Core 0 receives: it stages
-    /// every buffer of a partition assigned here after `copy` charges it,
-    /// returning each to its sender's pool in `pools`. Every other core is
-    /// partitioning worker `core - 1`: for each `(rel, chunk)` in
-    /// `inputs` it charges its share of `chunk` at `rate`, keeps the
-    /// tuples of partitions assigned here and pushes the rest into a
-    /// [`Scatter`] over this machine's pool, whose full buffers go to
-    /// `post`, then ends the stream. Returns the seconds the worker's send
-    /// windows stalled on the network (zero on the receiver).
+    /// Core `core`'s side of the network pass. Core 0 receives: it decodes
+    /// every buffer of a partition assigned here into the partition's
+    /// received tuples after `copy` charges it, returning each to its
+    /// sender's pool in `pools`. Every other core is partitioning worker
+    /// `core - 1`: for each `(rel, chunk)` in `inputs` it charges its share
+    /// of `chunk` at `rate`, keeps the tuples of partitions assigned here
+    /// and pushes the rest into a [`Scatter`] over this machine's pool,
+    /// whose full buffers go to `post`, then ends the stream. Returns the
+    /// seconds the worker's send windows stalled on the network (zero on
+    /// the receiver).
     #[allow(clippy::too_many_arguments)]
     pub fn shuffle<P>(
         &self,
@@ -280,11 +283,13 @@ impl<T: Tuple> Landing<T> {
         Ok(())
     }
 
-    /// The receiver core's side of the network pass: stage every
-    /// `Data` buffer of a partition assigned here after `copy` charges it,
-    /// until every remote worker's `Eos`, returning each buffer to its
-    /// sender's pool in `pools`. Data for a partition owned elsewhere is a
-    /// typed [`JoinError::Decode`].
+    /// The receiver core's side of the network pass: decode every `Data`
+    /// buffer of a partition assigned here into its received tuples, the
+    /// §4.2.2 copy that `copy` charges, until every remote worker's `Eos`,
+    /// returning each buffer to its sender's pool in `pools`. A
+    /// partition's received tuples are reserved once, at its first
+    /// arrival, from the announced totals. Data for a partition owned
+    /// elsewhere is a typed [`JoinError::Decode`].
     fn receive(
         &self,
         ctx: &SimCtx,
@@ -302,11 +307,11 @@ impl<T: Tuple> Landing<T> {
             |meter, tag, payload| match tag {
                 WireTag::Data { rel, part } if assignment.get(part) == Some(&self.mach) => {
                     copy(meter, payload.len());
-                    let staged = &mut self.staged[rel].borrow_mut()[part];
-                    if let (0, Some(remote)) = (staged.capacity(), &*self.remote.borrow()) {
-                        staged.reserve_exact(remote.counts[rel][part] as usize * T::SIZE);
+                    let received = &mut self.received[rel].borrow_mut()[part];
+                    if let (0, Some(remote)) = (received.capacity(), &*self.remote.borrow()) {
+                        received.reserve_exact(remote.counts[rel][part] as usize);
                     }
-                    staged.extend_from_slice(payload);
+                    decode_into(payload, received);
                     true
                 }
                 _ => false,
@@ -315,77 +320,34 @@ impl<T: Tuple> Landing<T> {
     }
 
     /// Partition `part` of relation `rel`, taken out of the landing as its
-    /// pieces: each worker's kept tuples, moved out in worker order, then
-    /// the staged bytes decoded in arrival order. Nothing of the partition
-    /// stays allocated in the landing, and its kept tuples are not copied;
-    /// a caller that reads the pieces in place
-    /// ([`rsj_joins::Partitioner::partition_pieces`]) frees them when it
-    /// drops them. Pointer-level in the original, so nothing is charged.
+    /// pieces: each worker's kept tuples in worker order, then the received
+    /// ones, every piece moved out as it is, neither copied nor
+    /// reallocated, and empty pieces left out. Nothing of the partition
+    /// stays allocated in the landing; a caller that reads the pieces in
+    /// place ([`rsj_joins::Partitioner::partition_pieces`]) frees them when
+    /// it drops them, and one that needs a single array joins them itself.
+    /// Pointer-level in the original, so nothing is charged.
     ///
     /// # Panics
     /// Panics if histograms were exchanged and the partition holds fewer
     /// or more tuples than they announced.
     pub fn take(&self, rel: usize, part: usize) -> Vec<Vec<T>> {
-        let mut pieces = self.take_kept(rel, part);
-        let staged = self.take_staged(rel, part);
-        if !staged.is_empty() {
-            let mut received = Vec::with_capacity(staged.len() / T::SIZE);
-            decode_into(&staged, &mut received);
-            pieces.push(received);
-        }
-        self.check(rel, part, pieces.iter().map(Vec::len).sum());
-        pieces
-    }
-
-    /// Partition `part` of relation `rel`, taken out of the landing as one
-    /// contiguous `Vec`, for callers that sort it or hand it on whole: the
-    /// pieces of [`Landing::take`], joined. A partition of exactly one kept
-    /// piece and nothing staged is moved out as it is; otherwise each kept
-    /// piece is freed as soon as it is copied. The copies are simulator
-    /// artifacts, so nothing is charged.
-    ///
-    /// # Panics
-    /// As [`Landing::take`].
-    pub fn assemble(&self, rel: usize, part: usize) -> Vec<T> {
-        let mut kept = self.take_kept(rel, part);
-        let staged = self.take_staged(rel, part);
-        let len = kept.iter().map(Vec::len).sum::<usize>() + staged.len() / T::SIZE;
-        self.check(rel, part, len);
-        if kept.len() == 1 && staged.is_empty() {
-            return kept.remove(0);
-        }
-        let mut out = Vec::with_capacity(len);
-        for piece in kept {
-            out.extend_from_slice(&piece);
-        }
-        decode_into(&staged, &mut out);
-        out
-    }
-
-    /// Where histograms were exchanged, `landed` must be exactly the
-    /// tuples of `[rel][part]` they announced.
-    fn check(&self, rel: usize, part: usize, landed: usize) {
+        let received = std::mem::take(&mut self.received[rel].borrow_mut()[part]);
+        let pieces: Vec<Vec<T>> = self
+            .kept
+            .iter()
+            .filter_map(|kept| kept.borrow_mut()[rel].get_mut(part).map(std::mem::take))
+            .chain([received])
+            .filter(|piece| !piece.is_empty())
+            .collect();
         if let Some(expect) = self.total(rel, part) {
             assert_eq!(
-                landed as u64, expect,
+                pieces.iter().map(Vec::len).sum::<usize>() as u64,
+                expect,
                 "partition {part} of relation {rel} lost tuples in transit"
             );
         }
-    }
-
-    /// The non-empty kept vectors of `[rel][part]`, moved out in worker
-    /// order; each worker keeps none of their capacity.
-    fn take_kept(&self, rel: usize, part: usize) -> Vec<Vec<T>> {
-        self.kept
-            .iter()
-            .filter_map(|kept| kept.borrow_mut()[rel].get_mut(part).map(std::mem::take))
-            .filter(|piece| !piece.is_empty())
-            .collect()
-    }
-
-    /// The staged bytes of `[rel][part]`, moved out.
-    fn take_staged(&self, rel: usize, part: usize) -> Vec<u8> {
-        std::mem::take(&mut self.staged[rel].borrow_mut()[part])
+        pieces
     }
 }
 
@@ -395,7 +357,7 @@ mod tests {
 
     use super::*;
     use crate::histogram::{REL_R, REL_S};
-    use rsj_cluster::phase;
+    use rsj_cluster::{phase, Runtime};
     use rsj_rdma::{Fabric, FabricConfig, HostId, NicCosts};
     use rsj_sim::Simulation;
     use rsj_workload::Tuple16;
@@ -417,9 +379,9 @@ mod tests {
     }
 
     /// Machine 0 of 2, owning partitions 0 and 2 of four, with
-    /// `kept[w]` as worker `w`'s kept tuples of partition 2 and `staged`
-    /// as the bytes received for it.
-    fn landed(kept: Vec<Vec<Tuple16>>, staged: &[Tuple16]) -> Landing<Tuple16> {
+    /// `kept[w]` as worker `w`'s kept tuples of partition 2 and `received`
+    /// as the tuples received for it.
+    fn landed(kept: Vec<Vec<Tuple16>>, received: Vec<Tuple16>) -> Landing<Tuple16> {
         let landing = Landing::<Tuple16>::new(0, 2, kept.len());
         landing.assign(vec![0, 1, 0, 1]);
         for (w, ts) in kept.into_iter().enumerate() {
@@ -427,24 +389,24 @@ mod tests {
             kept[REL_R] = vec![Vec::new(); 4];
             kept[REL_R][2] = ts;
         }
-        landing.staged[REL_R].borrow_mut()[2] = encode(staged);
+        landing.received[REL_R].borrow_mut()[2] = received;
         landing
     }
 
     /// What partition 2 still holds allocated in `landing`: every
-    /// worker's kept capacity and the staged capacity.
+    /// worker's kept capacity and the received capacity.
     fn held(landing: &Landing<Tuple16>) -> (Vec<usize>, usize) {
         let kept = landing.kept.iter();
         let kept = kept.map(|k| k.borrow()[REL_R][2].capacity()).collect();
-        (kept, landing.staged[REL_R].borrow()[2].capacity())
+        (kept, landing.received[REL_R].borrow()[2].capacity())
     }
 
     /// [`landed`] with one worker that counted and kept three R tuples of
     /// partition 2, announced two more from machine 1, and received
-    /// `staged` of them.
-    fn announced(staged: &[Tuple16]) -> Landing<Tuple16> {
+    /// `received` of them.
+    fn announced(received: &[Tuple16]) -> Landing<Tuple16> {
         let mine = vec![Tuple16::new(2, 0), Tuple16::new(6, 1), Tuple16::new(10, 2)];
-        let landing = landed(vec![mine], staged);
+        let landing = landed(vec![mine], received.to_vec());
         let (mut counted, mut remote) = (Histogram::zeros(4), Histogram::zeros(4));
         counted.counts[REL_R][2] = 3;
         remote.counts[REL_R][2] = 2;
@@ -458,7 +420,6 @@ mod tests {
         let both = [Tuple16::new(14, 3), Tuple16::new(18, 4)];
         let pieces = announced(&both).take(REL_R, 2);
         assert_eq!(pieces.iter().map(Vec::len).sum::<usize>(), 5);
-        assert_eq!(announced(&both).assemble(REL_R, 2).len(), 5);
     }
 
     #[test]
@@ -468,55 +429,80 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "partition 2 of relation 0 lost tuples in transit")]
-    fn assemble_panics_on_a_partition_that_landed_short() {
-        announced(&[Tuple16::new(14, 3)]).assemble(REL_R, 2);
-    }
-
-    #[test]
-    fn assemble_takes_kept_by_worker_then_staged_and_leaves_nothing() {
-        let landing = landed(vec![tuples(0..2), tuples(10..13)], &tuples(100..102));
-        assert_eq!(
-            keys(&landing.assemble(REL_R, 2)),
-            [0, 1, 10, 11, 12, 100, 101],
-            "kept by ascending worker, then staged"
-        );
-        assert!(
-            landing.assemble(REL_R, 2).is_empty(),
-            "a second assembly of the partition is empty"
-        );
-    }
-
-    #[test]
-    fn assembling_a_partition_frees_its_kept_and_staged_capacity() {
-        let landing = landed(
-            vec![tuples(0..2), Vec::new(), tuples(10..13)],
-            &tuples(100..102),
-        );
-        assert_eq!(landing.assemble(REL_R, 2).len(), 7);
-        assert_eq!(held(&landing), (vec![0, 0, 0], 0), "copied, then freed");
-
-        let one = tuples(10..13);
-        let at = one.as_ptr();
-        let landing = landed(vec![Vec::new(), one], &[]);
-        let whole = landing.assemble(REL_R, 2);
-        assert_eq!(keys(&whole), [10, 11, 12]);
-        assert_eq!(whole.as_ptr(), at, "a lone kept piece is moved, not copied");
-        assert_eq!(held(&landing), (vec![0, 0], 0));
-    }
-
-    #[test]
-    fn take_moves_kept_pieces_by_worker_then_decodes_staged() {
+    fn take_moves_kept_pieces_by_worker_then_the_received_ones() {
         let kept = vec![tuples(0..2), Vec::new(), tuples(10..13)];
-        let at: Vec<_> = kept.iter().map(|k| k.as_ptr()).collect();
-        let landing = landed(kept, &tuples(100..102));
+        let received = tuples(100..102);
+        let mut at: Vec<_> = kept.iter().map(|k| k.as_ptr()).collect();
+        at.push(received.as_ptr());
+        let landing = landed(kept, received);
         let pieces = landing.take(REL_R, 2);
         let got: Vec<Vec<u64>> = pieces.iter().map(|p| keys(p)).collect();
-        assert_eq!(got, [vec![0, 1], vec![10, 11, 12], vec![100, 101]]);
-        assert_eq!(pieces[0].as_ptr(), at[0], "kept pieces are moved out");
-        assert_eq!(pieces[1].as_ptr(), at[2]);
-        assert_eq!(held(&landing), (vec![0, 0, 0], 0));
+        assert_eq!(
+            got,
+            [vec![0, 1], vec![10, 11, 12], vec![100, 101]],
+            "kept by ascending worker, then received; the empty piece left out"
+        );
+        let moved: Vec<_> = pieces.iter().map(|p| p.as_ptr()).collect();
+        assert_eq!(moved, [at[0], at[2], at[3]], "every piece is moved out");
+        assert_eq!(
+            held(&landing),
+            (vec![0, 0, 0], 0),
+            "the landing keeps no capacity"
+        );
         assert!(landing.take(REL_R, 2).is_empty(), "nothing is left to take");
+    }
+
+    #[test]
+    fn receive_decodes_into_one_vector_that_take_hands_out() {
+        // Seven R tuples of partition 0 are announced from machine 1 and
+        // arrive as payloads of three and four. Grown on demand the vector
+        // would reach a capacity of eight; reserved once from the
+        // announcement it holds exactly seven.
+        const ANNOUNCED: usize = 7;
+        let rt = Runtime::new(2, 2, FabricConfig::fdr(), NicCosts::default());
+        let pools: Arc<Vec<_>> = Arc::new((0..2).map(|i| rt.make_pool(i, 1, 256)).collect());
+        let out = Arc::new(RefCell::new(None));
+        let (pools2, out2) = (Arc::clone(&pools), Arc::clone(&out));
+        rt.try_run(move |ctx, rt, mach, core| {
+            let ex = Exchange::new(&rt.fabric, mach, phase::NETWORK_PARTITION);
+            match (mach, core) {
+                (0, 0) => {
+                    let landing = Landing::<Tuple16>::new(0, 1, 1);
+                    landing.assign(vec![0, 1]);
+                    let mut remote = Histogram::zeros(2);
+                    remote.counts[REL_R][0] = ANNOUNCED as u64;
+                    *landing.remote.borrow_mut() = Some(remote);
+                    landing.receive(ctx, &mut Meter::new(), &ex, &pools2, |_, _| {})?;
+                    let at = landing.received[REL_R].borrow()[0].as_ptr();
+                    *out2.borrow_mut() = Some((at, landing.take(REL_R, 0)));
+                }
+                (1, 1) => {
+                    let tag = WireTag::Data {
+                        rel: REL_R,
+                        part: 0,
+                    }
+                    .encode();
+                    let nic = rt.fabric.nic(HostId(1));
+                    for keys in [0..3, 3..7] {
+                        let sent = nic.post_send(ctx, HostId(0), tag, encode(&tuples(keys)));
+                        sent.wait(ctx).map_err(|e| ex.fabric_err(e))?;
+                    }
+                    ex.send_eos(ctx, ex.peers())?;
+                }
+                _ => {}
+            }
+            Ok(())
+        })
+        .expect("fault-free stream");
+        let (at, pieces) = out.borrow_mut().take().expect("receiver ran");
+        assert_eq!(pieces.len(), 1, "nothing was kept, so one received piece");
+        assert_eq!(keys(&pieces[0]), [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(
+            pieces[0].as_ptr(),
+            at,
+            "take hands out the receiver's vector"
+        );
+        assert_eq!(pieces[0].capacity(), ANNOUNCED, "reserved once, exactly");
     }
 
     #[test]
@@ -536,7 +522,7 @@ mod tests {
                 landing.assign(vec![0, 1]);
                 let ex = Exchange::new(&fabric, 0, phase::NETWORK_PARTITION);
                 let got = landing.receive(ctx, &mut Meter::new(), &ex, &[], |_, _| {});
-                *out.borrow_mut() = Some((got, landing.staged[REL_S].borrow_mut()[1].len()));
+                *out.borrow_mut() = Some((got, landing.received[REL_S].borrow()[1].len()));
             });
         }
         {
@@ -551,7 +537,7 @@ mod tests {
             });
         }
         sim.run();
-        let (got, staged) = out.borrow_mut().take().expect("receiver ran");
+        let (got, received) = out.borrow_mut().take().expect("receiver ran");
         match got {
             Err(JoinError::Decode {
                 machine: 0,
@@ -561,6 +547,6 @@ mod tests {
             }) => assert_eq!(source.raw, stray.encode()),
             other => panic!("expected a decode error on machine 0, got {other:?}"),
         }
-        assert_eq!(staged, 0, "nothing of the stray buffer is staged");
+        assert_eq!(received, 0, "nothing of the stray buffer is received");
     }
 }

@@ -27,8 +27,8 @@ pub use remote_table::{
 };
 
 pub use radix::{
-    choose_radix_bits, concat_partitioned, histogram, histogram_into, partition, partition_of,
-    Partitioned, Partitioner,
+    concat_partitioned, histogram, histogram_into, partition, partition_of, Partitioned,
+    Partitioner,
 };
 pub use single_machine::{run_single_machine_join, SingleJoinOutcome, SingleMachineConfig};
 pub use sort::{merge_join, merge_sorted_runs, sort_by_key};

@@ -93,28 +93,6 @@ impl<T: Tuple> Partitioned<T> {
     }
 }
 
-/// Pick `(b1, b2)` radix bits for a two-pass join over `n_tuples` tuples of
-/// `tuple_size` bytes on `total_cores` cores: enough total bits that the
-/// final partitions fit a `target_part_bytes` cache budget (the paper uses
-/// ~32 KiB partitions, §6.4.3), at least one first-pass partition per core
-/// (Eq. 14), and each pass narrow enough to respect TLB limits.
-pub fn choose_radix_bits(
-    n_tuples: u64,
-    tuple_size: usize,
-    total_cores: usize,
-    target_part_bytes: usize,
-) -> (u32, u32) {
-    let total_bytes = n_tuples.max(1) * tuple_size as u64;
-    let want_parts = (total_bytes / target_part_bytes.max(1) as u64).max(1);
-    let mut total_bits = 64 - u64::leading_zeros(want_parts.next_power_of_two()) - 1;
-    // At least one first-pass partition per core.
-    let min_b1 = usize::BITS - (total_cores.max(1)).next_power_of_two().leading_zeros() - 1;
-    total_bits = total_bits.clamp(min_b1 + 1, 24);
-    let b1 = total_bits.div_ceil(2).clamp(min_b1, 12);
-    let b2 = (total_bits - b1).clamp(1, 12);
-    (b1, b2)
-}
-
 /// Concatenate several partitioned slices of the same input into one
 /// [`Partitioned`] with the same partition count: partition `j` of the
 /// result is the concatenation of partition `j` of every slice. Used by
@@ -346,20 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn choose_radix_bits_respects_constraints() {
-        // Paper-scale: 2 x 2048M 16-byte tuples on 80 cores, 32 KiB target.
-        let (b1, b2) = choose_radix_bits(4_096_000_000, 16, 80, 32 * 1024);
-        assert!(1 << b1 >= 80, "at least one first-pass partition per core");
-        assert!(b1 <= 12 && b2 <= 12, "per-pass TLB budget");
-        assert!(b1 + b2 >= 16, "enough total partitions for cache residency");
-        // Tiny input: minimum viable bits, no overflow.
-        let (b1, b2) = choose_radix_bits(10, 16, 4, 32 * 1024);
-        assert!(b1 >= 1 && b2 >= 1);
-        // Zero tuples must not panic.
-        let _ = choose_radix_bits(0, 16, 1, 32 * 1024);
-    }
-
-    #[test]
     fn histogram_counts_every_tuple_once() {
         let tuples: Vec<Tuple16> = (0..1000u64).map(|k| Tuple16::new(k, k)).collect();
         let hist = histogram(&tuples, 0, 4);
@@ -543,41 +507,6 @@ mod tests {
                 let split = pt.partition_pieces(&pieces, lo_bit, bits);
                 prop_assert_eq!(&split.offsets, &whole.offsets, "bits={}", bits);
                 prop_assert_eq!(&split.data, &whole.data, "bits={}", bits);
-            }
-        }
-
-        /// Satellite: `choose_radix_bits` invariants over its supported
-        /// input envelope — per-pass TLB caps, ≥ one first-pass partition
-        /// per core, and final partitions within 2× the cache budget
-        /// whenever the 24-bit total cap is not binding.
-        #[test]
-        fn prop_choose_radix_bits_invariants(
-            n_tuples in 1u64..(1u64 << 31),
-            tuple_size_log in 3u32..6,    // 8, 16, 32 bytes
-            cores in 1usize..1024,
-            target_log in 14u32..17,      // 16, 32, 64 KiB
-        ) {
-            let tuple_size = 1usize << tuple_size_log;
-            let target = 1usize << target_log;
-            let (b1, b2) = choose_radix_bits(n_tuples, tuple_size, cores, target);
-            prop_assert!(b1 >= 1 && b2 >= 1);
-            prop_assert!(b1 <= 12 && b2 <= 12, "per-pass TLB budget");
-            prop_assert!(b1 + b2 <= 24, "total fan-out cap");
-            prop_assert!(
-                1usize << b1 >= cores,
-                "Eq. 14: at least one first-pass partition per core (b1={b1}, cores={cores})"
-            );
-            // Cache-budget bound: average final partition ≤ 2× target,
-            // unless the 24-bit cap (or the 12/12 per-pass caps) clipped
-            // the total — then the function is at its fan-out ceiling.
-            let total_bytes = n_tuples * tuple_size as u64;
-            let at_cap = b1 + b2 == 24 || (b1 == 12 && b2 == 12);
-            if !at_cap {
-                let avg_part = total_bytes / (1u64 << (b1 + b2));
-                prop_assert!(
-                    avg_part <= 2 * target as u64,
-                    "avg partition {avg_part} B exceeds 2x target {target} B (b1={b1}, b2={b2})"
-                );
             }
         }
     }

@@ -43,15 +43,8 @@ impl ModelInput {
     /// Build the model input for a [`ClusterSpec`] and relation sizes,
     /// deriving `netMax` from the interconnect's congestion-adjusted
     /// bandwidth.
-    ///
-    /// # Panics
-    /// Panics for the single-machine (QPI) spec, which the model does not
-    /// cover.
     pub fn from_cluster(spec: &ClusterSpec, r_bytes: f64, s_bytes: f64) -> ModelInput {
-        let fabric = spec
-            .interconnect
-            .fabric_config()
-            .expect("analytical model applies to networked clusters");
+        let fabric = spec.interconnect.fabric_config();
         ModelInput {
             r_bytes,
             s_bytes,

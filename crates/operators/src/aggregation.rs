@@ -234,15 +234,16 @@ fn worker<T: Tuple>(
     let owned = st.landing.owned();
     let mut local = AggregateResult::default();
     while let Some(i) = claim(&st.next_task, owned.len()) {
-        let tuples = st.landing.assemble(REL_S, owned[i]);
+        let pieces = st.landing.take(REL_S, owned[i]);
         // Group: key → (count, rid sum).
         let mut groups: HashMap<u64, (u64, u64)> = HashMap::new();
-        for t in &tuples {
+        for t in pieces.iter().flatten() {
             let e = groups.entry(t.key()).or_insert((0, 0));
             e.0 += 1;
             e.1 = e.1.wrapping_add(t.rid());
         }
-        meter.charge_bytes(ctx, tuples.len() * T::SIZE, cost.build_rate);
+        let tuples: usize = pieces.iter().map(Vec::len).sum();
+        meter.charge_bytes(ctx, tuples * T::SIZE, cost.build_rate);
         // Drain in sorted key order: HashMap iteration order varies per
         // process, and the fold below must stay byte-identical run-to-run.
         let mut keys: Vec<u64> = groups.keys().copied().collect();

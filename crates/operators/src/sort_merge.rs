@@ -234,7 +234,7 @@ fn worker<T: Tuple>(
     while let Some(i) = claim(&st.next_task, owned.len()) {
         let p = owned[i];
         let parts = [REL_R, REL_S].map(|rel| {
-            let mut tuples = st.landing.assemble(rel, p);
+            let mut tuples = st.landing.take(rel, p).concat();
             sort_by_key(&mut tuples);
             meter.charge_bytes(ctx, tuples.len() * T::SIZE, cost.sort_rate);
             tuples
