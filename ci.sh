@@ -52,24 +52,26 @@ git diff --exit-code HEAD -- benchmark BENCHMARK.json
 cargo test -q --workspace
 # One build configuration: no cargo features, no environment switches in
 # the product crates, so the tested artefact is the measured one.
-# (rsj-lint is exempt: its rule tables may name such patterns.)
 # Likewise one wall-clock harness: BENCHMARK.json + benchmark/ is the only
 # consumer of the serde shims, so no crates/* manifest may name them.
-guarded=$(ls -d crates/*/ | grep -vx 'crates/lint/')
-if grep -rnE 'feature *=|env::var' $(printf '%ssrc ' $guarded) \
-    || grep -n '^\[features\]' $(printf '%sCargo.toml ' $guarded) \
+if grep -rnE 'feature *=|env::var' crates/*/src \
+    || grep -n '^\[features\]' crates/*/Cargo.toml \
     || grep -n 'serde' crates/*/Cargo.toml; then
     echo "ci.sh: a build/run switch (cargo feature or env var) or a serde dependency grew back"
     exit 1
 fi
 cargo fmt --check
+# Threads, host clocks, locks, hash containers, unwrap and discarded
+# Results: clippy.toml plus each crate root's `cfg_attr(not(test), deny(…))`
+# (DESIGN.md §10).
 cargo clippy --workspace --all-targets -- -D warnings
 # Intra-doc links resolve and no public item's docs link a private one:
 # refactors move and rename the items the docs point at, and nothing else
 # checks the links.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-# Project rules (token-level analysis: determinism hazards, barrier
-# protocol, error swallowing, plus the ported pattern rules). The gate
+# This project's own rules, which clippy cannot express (token-level
+# analysis: hot-path allocation, barrier protocol and names, meter
+# flushes, raw exchange, fabric panics, Mr access, expect messages). The gate
 # fails only on findings absent from the committed baseline; after
 # review, refresh it with `cargo run -p rsj-lint -- --update-baseline`.
 cargo run -q -p rsj-lint -- --json --baseline lint-baseline.json > target/lint-report.json

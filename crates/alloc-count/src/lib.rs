@@ -18,7 +18,18 @@
 //! the allocator only counts and forwards to `System`. No product crate
 //! depends on it.
 
-#![allow(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+#![expect(unsafe_code, reason = "GlobalAlloc is an unsafe trait")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

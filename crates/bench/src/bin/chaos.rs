@@ -20,6 +20,18 @@
 //! aborted untyped, and the whole service report must replay
 //! byte-identically from the seed.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 use std::sync::Arc;
 
 use rsj_cluster::{ClusterSpec, HealingConfig, JoinRequest, QueryService, ServiceConfig};

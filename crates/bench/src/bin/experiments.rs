@@ -13,6 +13,18 @@
 //!              units (canonical order; the CI smoke lane's knob)
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 use rsj_bench::{sweep, Scale, DEFAULT_SCALE};
 
 fn main() {

@@ -11,6 +11,18 @@
 //! service --queries 500 --max-concurrent 8 --seed 7
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 use rsj_bench::service_stress::stress_batch;
 use rsj_cluster::{QueryService, ServiceConfig};
 use rsj_sim::SimDuration;

@@ -14,6 +14,18 @@
 //! paper-scale prediction exactly — a property covered by an integration
 //! test. Reports show paper-equivalent seconds.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -187,7 +199,7 @@ pub fn measure_stream_bandwidth(cfg: FabricConfig, msg_bytes: usize, count: usiz
                 .map(|_| nic.post_send(ctx, HostId(1), 0, vec![0u8; msg_bytes]))
                 .collect();
             for ev in evs {
-                // lint: allow-unwrap(no fault plan installed) lint: allow-fabric-panic(no fault plan installed)
+                // lint: allow-fabric-panic(no fault plan installed)
                 ev.wait(ctx).expect("fault-free stream send failed");
             }
             fabric.shutdown(ctx);
@@ -244,7 +256,7 @@ impl Table {
         let mut out = String::new();
         let line = |cells: &[String], widths: &[usize], out: &mut String| {
             for (i, c) in cells.iter().enumerate() {
-                let _ = write!(out, "{:>w$}  ", c, w = widths[i]);
+                write!(out, "{:>w$}  ", c, w = widths[i]).expect("writing to a String cannot fail");
             }
             out.push('\n');
         };

@@ -13,7 +13,7 @@
 //! (the detector is armed, and crash evidence acted on, only then), so
 //! with healing off "the non-fenced hosts" are the whole rack.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use rsj_rdma::{capped_backoff, Fabric, HostId, PoolArena, QueryId};
@@ -76,7 +76,7 @@ impl Admission {
         fabric: &Arc<Fabric>,
         requests: Vec<JoinRequest>,
     ) -> Admission {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         let slots: Vec<Slot> = requests
             .into_iter()
             .enumerate()
@@ -284,7 +284,7 @@ fn plan(
     cfg: &ServiceConfig,
     id: u32,
     req: &JoinRequest,
-    seen: &mut HashSet<u32>,
+    seen: &mut BTreeSet<u32>,
 ) -> Result<(), RejectReason> {
     let invalid = |why| Err(RejectReason::InvalidRequest { why });
     let (m, cores) = (req.job.machines(), req.job.cores());

@@ -22,6 +22,18 @@
 //! * [`exchange`] — the one exchange layer under all four operators:
 //!   all-to-all, the receive loop and the scatter sender.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 mod admission;
 mod cost;
 pub mod error;

@@ -69,7 +69,10 @@ impl Meter {
     pub const DEFAULT_QUANTUM_NS: f64 = 20_000.0;
 
     /// A lazily settling meter with the default quantum.
-    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::new_without_default,
+        reason = "configured runs build with `for_quantum`; `new` is the named default"
+    )]
     pub fn new() -> Meter {
         Meter::for_quantum(Self::DEFAULT_QUANTUM_NS)
     }

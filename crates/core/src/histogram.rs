@@ -75,8 +75,8 @@ impl Histogram {
         for rel in 0..2 {
             for p in 0..parts {
                 let off = (rel * parts + p) * 8;
-                // lint: allow-unwrap(8-byte slice into [u8; 8] cannot fail)
-                h.counts[rel][p] = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+                let count = bytes[off..off + 8].try_into().expect("an 8-byte slice");
+                h.counts[rel][p] = u64::from_le_bytes(count);
             }
         }
         h

@@ -25,7 +25,7 @@ pub(crate) mod network;
 pub(crate) mod one_sided;
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rsj_cluster::{JoinError, Runtime, SEND_DEPTH};
@@ -100,7 +100,7 @@ pub(crate) struct MachineState<T> {
     /// Fragments whose tables this machine already pulled over the wire
     /// (work-sharing extension): table transfer is paid once per fragment
     /// per thief machine, chunks individually.
-    pub(crate) fetched_tables: RefCell<HashSet<usize>>,
+    pub(crate) fetched_tables: RefCell<BTreeSet<usize>>,
     /// Parallel local pass (extension): per-owned-partition assembled
     /// inputs, slice task list, and per-slice second-pass outputs.
     pub(crate) lp_assembled: RefCell<Vec<Option<LpAssembled<T>>>>,
@@ -142,7 +142,7 @@ impl<T: Tuple> MachineState<T> {
             stall_seconds: Cell::new(0.0),
             cpu_busy_seconds: Cell::new(0.0),
             result_bytes_local: Cell::new(0),
-            fetched_tables: RefCell::new(HashSet::new()),
+            fetched_tables: RefCell::new(BTreeSet::new()),
             lp_assembled: RefCell::new(Vec::new()),
             lp_tasks: RefCell::new(Vec::new()),
             lp_outputs: RefCell::new(Vec::new()),
@@ -180,7 +180,7 @@ pub(crate) struct ClusterShared<T> {
     /// One-sided dataplane: partition → the owner's published table
     /// handle (the out-of-band handle exchange of DESIGN.md §11; filled
     /// behind the `local_partition` barrier, read-only afterwards).
-    pub(crate) table_registry: RefCell<HashMap<usize, RemoteMr>>,
+    pub(crate) table_registry: RefCell<BTreeMap<usize, RemoteMr>>,
 }
 
 impl<T: Tuple> ClusterShared<T> {
@@ -213,7 +213,7 @@ impl<T: Tuple> ClusterShared<T> {
             scratch_mrs: RefCell::new(vec![None; m]),
             bp_busy: Cell::new(0),
             coord_result_bytes: Cell::new(0),
-            table_registry: RefCell::new(HashMap::new()),
+            table_registry: RefCell::new(BTreeMap::new()),
         }
     }
 }

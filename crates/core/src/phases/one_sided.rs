@@ -298,7 +298,10 @@ impl<'a, T: Tuple> ProbeScratch<'a, T> {
     /// adjacent extents coalesced up to [`ONE_SIDED_MTU`] per READ and
     /// [`READ_DOORBELL`] READs per doorbell chain, into the arena; then
     /// probe every tuple against its bucket's entries there.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the worker's NIC, meter and partition handles are borrows separate from the scratch"
+    )]
     fn probe_remote(
         &mut self,
         ctx: &SimCtx,
@@ -412,7 +415,10 @@ fn probe_entries<T: Tuple>(
 /// [`JoinError::Decode`] — the `?` in the probe loop then poisons the
 /// run's barriers exactly like a fabric failure, so no peer machine is
 /// left parked on the `one_sided_probe` barrier.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a READ's NIC, target and output, plus its caller's meter and error context"
+)]
 fn fetch_bucket_retry<T: Tuple>(
     ctx: &SimCtx,
     nic: &Nic,

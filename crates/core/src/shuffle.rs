@@ -186,7 +186,10 @@ impl<T: Tuple> Landing<T> {
     /// whose full buffers go to `post`, then ends the stream. Returns the
     /// seconds the worker's send windows stalled on the network (zero on
     /// the receiver).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the worker's context, meter, exchange and pools, plus the pass's inputs and steps"
+    )]
     pub fn shuffle<P>(
         &self,
         ctx: &SimCtx,

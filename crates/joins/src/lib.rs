@@ -13,6 +13,18 @@
 //! * [`remote_table`] — the seqlock-versioned bucket-table byte format a
 //!   one-sided join publishes for RDMA-READ probing (DESIGN.md §11).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 mod hash_table;
 mod radix;
 pub mod remote_table;

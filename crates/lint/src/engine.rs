@@ -4,18 +4,15 @@
 //! Linting is a two-pass workspace operation:
 //!
 //! 1. **Collect** — every file is lexed once into a [`FileCtx`]; the
-//!    engine gathers the workspace-wide [`Global`] context: identifiers
-//!    declared with `std` hash-container types (for `nondet-iter`) and
-//!    the canonical phase-constant order parsed from
-//!    `crates/cluster/src/phase.rs` (for `barrier-protocol`).
+//!    engine gathers the workspace-wide [`Global`] context: the canonical
+//!    phase-constant order parsed from `crates/cluster/src/phase.rs` (for
+//!    `barrier-protocol`).
 //! 2. **Check** — each rule runs over each file's code-token stream with
 //!    the global context in scope, emitting [`crate::Finding`]s.
 //!
 //! Waivers (`// lint: allow-<rule>(reason)`) are resolved here, against
 //! *comment tokens only* — a marker inside a string literal no longer
 //! counts, and a marker can never be shadowed by literal content.
-
-use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::Finding;
@@ -131,12 +128,8 @@ impl<'a> FileCtx<'a> {
     /// Is code token `i` inside test code (a `#[cfg(test)]` region or a
     /// tests/benches/examples file)?
     pub(crate) fn in_test(&self, i: usize) -> bool {
-        self.is_test_file() || i >= self.test_from
-    }
-
-    /// Does this path denote out-of-crate test/bench/example code?
-    pub(crate) fn is_test_file(&self) -> bool {
-        self.rel.contains("/tests/")
+        i >= self.test_from
+            || self.rel.contains("/tests/")
             || self.rel.contains("/benches/")
             || self.rel.contains("/examples/")
     }
@@ -164,60 +157,6 @@ impl<'a> FileCtx<'a> {
             }
         }
         None
-    }
-
-    /// Index of the opener matching the closer at `i`, scanning backward.
-    pub(crate) fn matching_open(&self, i: usize) -> Option<usize> {
-        let (open, close) = match self.text(i) {
-            ")" => ("(", ")"),
-            "]" => ("[", "]"),
-            "}" => ("{", "}"),
-            _ => return None,
-        };
-        let mut bal = 0i32;
-        for j in (0..=i).rev() {
-            match self.text(j) {
-                t if t == close => bal += 1,
-                t if t == open => {
-                    bal -= 1;
-                    if bal == 0 {
-                        return Some(j);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// The statement containing code token `i`: `(start, end)` where
-    /// `start` is the first token after the previous `;`/`{`/`}` at this
-    /// brace level and `end` is the index of the terminating `;` (or the
-    /// last token scanned). Paren/bracket/brace groups are skipped whole.
-    pub(crate) fn stmt_range(&self, i: usize) -> (usize, usize) {
-        let mut start = i;
-        while start > 0 {
-            let p = start - 1;
-            match self.text(p) {
-                ";" | "{" | "}" => break,
-                ")" | "]" => {
-                    start = self.matching_open(p).unwrap_or(0);
-                }
-                _ => start = p,
-            }
-        }
-        let mut end = i;
-        while end + 1 < self.code.len() {
-            match self.text(end) {
-                ";" => break,
-                "(" | "[" | "{" => {
-                    end = self.matching_close(end).unwrap_or(self.code.len() - 1);
-                }
-                _ => {}
-            }
-            end += 1;
-        }
-        (start, end)
     }
 
     /// The `impl` blocks of this file: the implementing type's name (the
@@ -327,12 +266,6 @@ fn matches_seq(code: &[Tok<'_>], i: usize, pat: &[&str]) -> bool {
 
 /// Workspace-wide context shared by all per-file rule passes.
 pub(crate) struct Global {
-    /// Identifiers (fields, locals, params) declared with a `std`
-    /// `HashMap`/`HashSet` anywhere in the workspace. Name-based, so a
-    /// collision can over-approximate — waivers cover the rare false
-    /// positive; silence on a real hazard is the failure mode we buy out
-    /// of.
-    pub hash_names: BTreeSet<String>,
     /// Canonical phase order: constant names from [`PHASE_FILE`] in
     /// declaration order.
     pub phase_order: Vec<String>,
@@ -341,10 +274,8 @@ pub(crate) struct Global {
 impl Global {
     /// Collect the global context from all files.
     pub(crate) fn collect(ctxs: &[FileCtx<'_>]) -> Global {
-        let mut hash_names = BTreeSet::new();
         let mut phase_order = Vec::new();
         for ctx in ctxs {
-            collect_hash_names(ctx, &mut hash_names);
             if ctx.rel == PHASE_FILE {
                 collect_phase_order(ctx, &mut phase_order);
             }
@@ -352,63 +283,12 @@ impl Global {
         if phase_order.is_empty() {
             phase_order = DEFAULT_PHASE_ORDER.iter().map(|s| s.to_string()).collect();
         }
-        Global {
-            hash_names,
-            phase_order,
-        }
+        Global { phase_order }
     }
 
     /// Canonical index of phase constant `name`, if any.
     pub(crate) fn phase_index(&self, name: &str) -> Option<usize> {
         self.phase_order.iter().position(|p| p == name)
-    }
-}
-
-/// Record identifiers declared with hash-container types:
-/// `name: …HashMap…` / `name: …HashSet…` (struct fields, params, `let`
-/// annotations, struct-literal inits) and `let [mut] name = …HashMap::…`.
-/// Test code is skipped: a test-local `keys: HashSet` must not poison
-/// the name table for every library-code `keys` vector.
-fn collect_hash_names(ctx: &FileCtx<'_>, out: &mut BTreeSet<String>) {
-    const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
-    if ctx.is_test_file() {
-        return;
-    }
-    let n = ctx.code.len().min(ctx.test_from);
-    for i in 0..n {
-        // `name :` (single colon, not `::`).
-        if ctx.kind(i) == TokKind::Ident
-            && ctx.text(i + 1) == ":"
-            && ctx.text(i + 2) != ":"
-            && (i == 0 || ctx.text(i - 1) != ":")
-        {
-            // Scan the type/init expression up to a terminator, skipping
-            // nothing fancy: HashMap/HashSet appear before any top-level
-            // `,` in every declaration shape we care about.
-            for j in (i + 2)..n.min(i + 2 + 24) {
-                match ctx.text(j) {
-                    "," | ";" | "=" | ")" | "{" | "}" => break,
-                    t if HASH_TYPES.contains(&t) => {
-                        out.insert(ctx.text(i).to_string());
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // `let [mut] name = … HashMap/HashSet …;`
-        if ctx.text(i) == "let" && ctx.kind(i) == TokKind::Ident {
-            let mut k = i + 1;
-            if ctx.text(k) == "mut" {
-                k += 1;
-            }
-            if ctx.kind(k) == TokKind::Ident && ctx.text(k + 1) == "=" {
-                let (_, end) = ctx.stmt_range(k + 1);
-                if (k + 2..=end).any(|j| HASH_TYPES.contains(&ctx.text(j))) {
-                    out.insert(ctx.text(k).to_string());
-                }
-            }
-        }
     }
 }
 

@@ -2,34 +2,33 @@
 //!
 //! A dependency-free Rust **token-stream** analyzer over `crates/` that
 //! enforces rules clippy cannot express, because they are about *this*
-//! project's architecture. Files are lexed (raw strings, nested block
-//! comments, char literals and lifetimes handled correctly — see
-//! `lexer.rs`), a workspace-wide pass collects cross-file context
-//! (hash-typed identifiers, the canonical phase order), then each rule
-//! runs over each file's code tokens:
+//! project's architecture. The general determinism and hygiene rules (no
+//! OS threads, no host clock, no locks, no hash-order iteration, no
+//! `unwrap`, no discarded `Result`) are clippy's, configured by the
+//! workspace `clippy.toml` and each crate root (DESIGN.md §10). Files are
+//! lexed (raw strings, nested block comments, char literals and lifetimes
+//! handled correctly — see `lexer.rs`), a workspace-wide pass collects
+//! the canonical phase order, then each rule runs over each file's code
+//! tokens:
 //!
 //! | rule | what it forbids |
 //! |------|-----------------|
-//! | `std-thread` | `std::thread::spawn` in simulated code — workers must be `rsj-sim` tasks so virtual time stays deterministic |
-//! | `std-sync` | `std::sync::{Mutex, Barrier, Condvar}` anywhere, and `parking_lot::{Mutex, RwLock}` in `crates/{sim,rdma,cluster,core,operators}/src` — blocking on an OS primitive invisibly to the simulation kernel deadlocks or distorts virtual time, and a simulation runs on one OS thread, so state inside it is a `RefCell`/`Cell` (a borrow held across a yield panics naming the task; a held lock deadlocks the thread) and anything that waits is an `rsj-sim` primitive |
-//! | `wall-clock` | `std::time::Instant` / `SystemTime` anywhere — reading the host clock breaks run-to-run determinism, the property every experiment and test relies on |
 //! | `mr-access` | direct `Mr` byte access (`with_data` / `dma_write`) outside `rsj-rdma` — operators must go through the verbs API so the runtime validator sees every access |
-//! | `unwrap` | `.unwrap()` (or an `.expect` with a non-descriptive message) in non-test library code — failures in phase code must say what invariant broke |
+//! | `expect-message` | an `.expect` whose message is shorter than ten bytes, in non-test library code — failures in phase code must say what invariant broke (`clippy::unwrap_used` bans `.unwrap()` itself) |
 //! | `hot-alloc` | `vec!`, `Vec::new`, `Vec::with_capacity`, `Arc::new`, `Rc::new`, `Box::new` or `.to_vec()` inside `crates/joins` functions named `*_kernel`, `histogram*` or `scatter*` (the per-partition hot loops: allocate scratch once in the owning `Partitioner`/table and reuse it), or inside a per-message function of the dataplane (`Nic::{post, handle}`, `CellPool::take`, the completion path that hands cells back `Wc::{complete, complete_read, recycle}` and `SendHandle::drop`, `SendWindow::{admit, record}`, `Scatter::{push, post}`, `Exchange::recv_stream`, `BufferPool::{take, claim, refill}`, the NIC engines' steps `Fabric::{egress_step, ingress_step, place_two_sided, place_one_sided}`, `Landing::{route, receive}`, the per-READ `Nic::post_read_inner` and `Mr::dma_read`, the one-sided probe's per-group `ProbeScratch::{probe_owned, probe_remote}`: draw from a pool or per-core scratch and hand back); over the whole tree, also a table entry naming no such function, so a rename cannot drop the check silently |
 //! | `fabric-panic` | `.unwrap()` / `.expect(` on the fabric's fallible post/poll results (`wait`/`recv`/`admit`/`drain`) in non-test library code — fault-plane errors (DESIGN.md §8) must propagate as `JoinError` so the run aborts cleanly |
 //! | `barrier-name` | a raw string literal as the barrier name at a `sync_named` / `try_sync_named` call site outside `crates/cluster` — barrier names are namespaced per query (`(QueryId, name)`, DESIGN.md §9) and must come from the `rsj_cluster::phase` constants so phase attribution stays canonical |
-//! | `nondet-iter` | iteration (`iter`/`into_iter`/`keys`/`values`/`drain`/`retain`/…) over a `std` `HashMap`/`HashSet` in result-affecting library code — the per-process random SipHash seed makes the order vary run-to-run, breaking byte-identical replay; use `BTreeMap`/`BTreeSet` or sort before iterating. Order-independent sinks (commutative folds like `.sum()`, collecting back into a map, collect-then-sort) are recognized and not flagged. Identifier typing is cross-file and name-based |
 //! | `barrier-protocol` | per operator entry point in `crates/{core,operators}`: a `phase::` barrier reachable on some control-flow paths but not others (a worker that skips it deadlocks every peer parked on the `(QueryId, name)` barrier), a plain early `return` that can skip a later barrier (only `JoinError` propagation may bypass barriers — an abort poisons them), and phase sequences that violate the canonical declaration order of `crates/cluster/src/phase.rs` |
+//! | `meter-flush` | in a `crates/{core,operators}/src` function that charges a `Meter`, an interaction (park, named barrier, fabric post, `recv`) reachable with unflushed charges, on a straight-line path or around a loop — the settle-on-interaction invariant that makes lazy settlement equal eager (DESIGN.md §12) |
 //! | `raw-exchange` | `post_send` / `post_send_windowed` / `repost_recv` / `.recv(ctx)` / `SendWindow::` in `crates/{core,operators}/src` — operators reach the fabric only through `rsj_cluster::exchange`, so the hand-rolled send/receive loops cannot grow back. Exempt: the post-step closure inside a `Scatter::new(…)` call, and `phases/one_sided.rs` (the READ probe is not a partitioned stream) |
-//! | `error-swallow` | `let _ =`, `.ok()`, or a bare statement discard on a fabric/`JoinError` result (`wait`/`recv`/`admit`/`drain`/`try_sync*`) in library code — fault-plane errors must propagate or be matched explicitly |
 //!
 //! Any rule can be waived on a specific line with a justification marker
 //! (in a comment — markers inside string literals do not count), on the
 //! same line or the line directly above:
 //!
 //! ```text
-//! // lint: allow-unwrap(histogram exchange counted exactly m-1 messages)
-//! let h = hists.pop().unwrap();
+//! // lint: allow-fabric-panic(no fault plan installed)
+//! ev.wait(ctx).expect("fault-free stream send failed");
 //! ```
 //!
 //! An empty reason does not count. Run with `cargo run -p rsj-lint`; add
@@ -37,6 +36,18 @@
 //! `--baseline lint-baseline.json` to exit nonzero only on findings
 //! absent from the committed baseline (`--update-baseline` refreshes it
 //! after review). See [`report`] for the baseline semantics.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
 
 use std::fmt;
 use std::fs;
@@ -84,10 +95,9 @@ impl fmt::Display for Finding {
 
 /// Lint a set of files together. Each entry is
 /// `(workspace-relative path, contents)`; the path decides rule
-/// applicability. Cross-file context (hash-typed identifiers for
-/// `nondet-iter`, the canonical phase order for `barrier-protocol`) is
-/// collected over the whole set, so linting the full workspace is more
-/// precise than file-at-a-time. Findings come back sorted by
+/// applicability. Cross-file context (the canonical phase order for
+/// `barrier-protocol`) is collected over the whole set, so linting the
+/// full workspace is more precise than file-at-a-time. Findings come back sorted by
 /// `(file, line, rule)` and include waived ones.
 pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
     lint(files, false)
@@ -133,8 +143,7 @@ fn lint(files: &[(String, String)], whole_tree: bool) -> Vec<Finding> {
 /// Lint one file's contents. `relpath` is the workspace-relative path
 /// (forward slashes), which decides rule applicability. Cross-file
 /// context degrades gracefully: the canonical phase order falls back to
-/// the built-in default and only hash identifiers declared in this file
-/// are known.
+/// the built-in default.
 pub fn lint_file(relpath: &str, content: &str) -> Vec<Finding> {
     lint_files(&[(relpath.to_string(), content.to_string())])
 }
@@ -210,60 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn catches_std_thread_spawn() {
-        let src = "fn f() {\n    std::thread::spawn(|| {});\n}\n";
-        let f = lint_file("crates/core/src/driver.rs", src);
-        assert_eq!(rules_of(&f), ["std-thread"]);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn kernel_gets_the_thread_and_sync_rules_too() {
-        // The kernel runs every task on one OS thread: no file is exempt.
-        let src = "use std::sync::Mutex;\nstd::thread::spawn(|| {});\n";
-        for file in ["crates/sim/src/kernel.rs", "crates/sim/src/lib.rs"] {
-            assert_eq!(rules_of(&lint_file(file, src)), ["std-sync", "std-thread"]);
-        }
-    }
-
-    #[test]
-    fn catches_std_sync_primitives_outside_tests() {
-        for ty in ["Mutex", "Barrier", "Condvar"] {
-            let src = format!("use std::sync::{ty};\n");
-            let f = lint_file("crates/joins/src/lib.rs", &src);
-            assert_eq!(rules_of(&f), ["std-sync"], "{ty}");
-        }
-        // Brace imports are seen too (the line scanner missed these).
-        let brace = "use std::sync::{Arc, Mutex};\n";
-        assert_eq!(
-            rules_of(&lint_file("crates/joins/src/lib.rs", brace)),
-            ["std-sync"]
-        );
-        // Non-blocking std::sync items stay allowed.
-        let ok = "use std::sync::Arc;\nuse std::sync::atomic::AtomicUsize;\n";
-        assert!(lint_file("crates/joins/src/lib.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn catches_wall_clock_everywhere_even_in_tests() {
-        let src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::time::Instant::now(); }\n}\n";
-        let f = lint_file("crates/model/src/lib.rs", src);
-        assert_eq!(rules_of(&f), ["wall-clock"]);
-        let bench = "fn b() { let t0 = Instant::now(); }\n";
-        assert_eq!(
-            rules_of(&lint_file("crates/bench/benches/kernels.rs", bench)),
-            ["wall-clock"]
-        );
-        // Duration is not a clock read.
-        assert!(lint_file(
-            "crates/bench/benches/kernels.rs",
-            "use std::time::Duration;\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
     fn catches_mr_byte_access_outside_rdma() {
         let src = "fn f(mr: &Mr) { let _ = mr.with_data(|d| d.len()); }\n";
         assert_eq!(
@@ -275,20 +230,22 @@ mod tests {
     }
 
     #[test]
-    fn catches_unwrap_and_short_expect_in_library_code() {
-        let src = "fn f() {\n    let x = y.unwrap();\n    let z = w.expect(\"oops\");\n}\n";
+    fn catches_short_expect_messages_in_library_code() {
+        let src = "fn f() {\n    let z = w.expect(\"oops\");\n}\n";
         let f = lint_file("crates/cluster/src/wire.rs", src);
-        assert_eq!(rules_of(&f), ["unwrap", "unwrap"]);
-        assert!(f[1].message.contains("non-descriptive"));
+        assert_eq!(rules_of(&f), ["expect-message"]);
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].message.contains("non-descriptive"));
         let ok = "fn f() { let z = w.expect(\"histogram phase incomplete\"); }\n";
         assert!(lint_file("crates/cluster/src/wire.rs", ok).is_empty());
     }
 
     #[test]
-    fn unwrap_is_allowed_in_test_modules_and_test_files() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
+    fn short_expect_is_allowed_in_test_modules_and_test_files() {
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.expect(\"a\"); }\n}\n";
         assert!(lint_file("crates/cluster/src/wire.rs", src).is_empty());
-        assert!(lint_file("crates/rdma/tests/validator.rs", "fn t() { x.unwrap(); }\n").is_empty());
+        let test = "fn t() { x.expect(\"a\"); }\n";
+        assert!(lint_file("crates/rdma/tests/validator.rs", test).is_empty());
     }
 
     #[test]
@@ -301,8 +258,10 @@ mod tests {
             ["fabric-panic"]
         );
         let src = "fn f() {\n    window.drain(ctx).unwrap();\n}\n";
-        // The generic unwrap rule fires too; the fabric rule names the fix.
-        assert!(rules_of(&lint_file("crates/operators/src/x.rs", src)).contains(&"fabric-panic"));
+        assert_eq!(
+            rules_of(&lint_file("crates/operators/src/x.rs", src)),
+            ["fabric-panic"]
+        );
         // Propagation is clean.
         let ok = "fn f() -> Result<(), JoinError> {\n    window.drain(ctx).map_err(fab)?;\n    Ok(())\n}\n";
         assert!(lint_file("crates/operators/src/x.rs", ok).is_empty());
@@ -357,29 +316,32 @@ mod tests {
 
     #[test]
     fn marker_with_reason_waives_a_rule() {
-        let same_line = "fn f() { let x = y.unwrap(); } // lint: allow-unwrap(checked len above)\n";
+        let same_line =
+            "fn f() { let x = y.expect(\"a\"); } // lint: allow-expect-message(checked len above)\n";
         assert!(unwaived(lint_file("crates/core/src/lib.rs", same_line)).is_empty());
         let prev_line =
-            "fn f() {\n    // lint: allow-unwrap(poll loop guarantees Some)\n    let x = y.unwrap();\n}\n";
+            "fn f() {\n    // lint: allow-expect-message(poll loop guarantees Some)\n    \
+                         let x = y.expect(\"a\");\n}\n";
         assert!(unwaived(lint_file("crates/core/src/lib.rs", prev_line)).is_empty());
         // An empty reason does not count...
-        let empty = "fn f() { let x = y.unwrap(); } // lint: allow-unwrap()\n";
+        let empty = "fn f() { let x = y.expect(\"a\"); } // lint: allow-expect-message()\n";
         assert_eq!(
             rules_of(&lint_file("crates/core/src/lib.rs", empty)),
-            ["unwrap"]
+            ["expect-message"]
         );
         // ...and a marker for one rule does not waive another.
-        let wrong = "fn f() { std::thread::spawn(g); } // lint: allow-unwrap(whatever)\n";
+        let wrong = "fn f() { mr.with_data(g); } // lint: allow-expect-message(whatever)\n";
         assert_eq!(
             rules_of(&lint_file("crates/core/src/lib.rs", wrong)),
-            ["std-thread"]
+            ["mr-access"]
         );
         // A marker inside a string literal is not a waiver.
         let in_string =
-            "fn f() {\n    let s = \"lint: allow-unwrap(not a comment)\";\n    let x = y.unwrap();\n}\n";
+            "fn f() {\n    let s = \"lint: allow-expect-message(not a comment)\";\n    \
+                         let x = y.expect(\"a\");\n}\n";
         assert_eq!(
             rules_of(&lint_file("crates/core/src/lib.rs", in_string)),
-            ["unwrap"]
+            ["expect-message"]
         );
     }
 
@@ -449,96 +411,28 @@ mod tests {
                     fn other() {\n    let v = Vec::new();\n}\n";
         assert!(lint_file("crates/joins/src/radix.rs", fake).is_empty());
         // Rule patterns inside raw strings do not fire (the line scanner's
-        // masking bug): the raw string below contains `.unwrap()` and an
+        // masking bug): the raw string below contains a fabric panic and an
         // unbalanced quote that would derail a line-based masker.
-        let raw =
-            "fn f() -> String {\n    r#\"x.unwrap() \" std::thread::spawn\"#.to_string()\n}\n";
+        let raw = "fn f() -> String {\n    r#\"x.wait(ctx).unwrap() \" mr.with_data(g)\"#.to_string()\n}\n";
         assert!(lint_file("crates/core/src/lib.rs", raw).is_empty());
         // Same for multi-line block comments, nested ones included.
-        let block = "fn f() {}\n/* x.unwrap()\n   /* std::sync::Mutex */\n   Instant::now() */\nfn g() {}\n";
+        let block = "fn f() {}\n/* x.wait(ctx).unwrap()\n   /* mr.dma_write(0, b) */\n   \
+                     x.expect(\"a\") */\nfn g() {}\n";
         assert!(lint_file("crates/core/src/lib.rs", block).is_empty());
     }
 
     #[test]
     fn comments_and_doc_text_do_not_trip_code_rules() {
-        let src = "//! Never call std::thread::spawn in simulated code.\n\
-                   // a worker must not use std::sync::Mutex\n\
-                   /// or .unwrap() either\n";
+        let src = "//! Never call mr.with_data(f) in operator code.\n\
+                   // a worker must not call window.drain(ctx).unwrap()\n\
+                   /// or x.expect(\"a\") either\n";
         assert!(lint_file("crates/core/src/lib.rs", src).is_empty());
     }
 
     #[test]
     fn lint_ignores_its_own_sources() {
-        let src = "std::thread::spawn(|| x.unwrap());\n";
+        let src = "fn f() { mr.with_data(|d| x.wait(ctx).unwrap()); }\n";
         assert!(lint_file("crates/lint/src/fixtures.rs", src).is_empty());
-    }
-
-    // ---- nondet-iter ----
-
-    #[test]
-    fn nondet_iter_flags_hash_iteration_in_library_code() {
-        let src = "fn f() {\n    let mut m: HashMap<u64, u64> = HashMap::new();\n    \
-                   for (k, v) in &m {\n        emit(k, v);\n    }\n}\n";
-        let f = lint_file("crates/operators/src/x.rs", src);
-        assert_eq!(rules_of(&f), ["nondet-iter"]);
-        assert_eq!(f[0].line, 3);
-        // Draining through an iterator method is the same hazard.
-        let drain = "fn f(groups: &mut HashMap<u64, u64>) {\n    \
-                     for (k, v) in groups.drain() {\n        emit(k, v);\n    }\n}\n";
-        assert_eq!(
-            rules_of(&lint_file("crates/operators/src/x.rs", drain)),
-            ["nondet-iter"]
-        );
-        // `.keys()` feeding an order-sensitive consumer.
-        let keys = "fn f(seen: &HashSet<u64>) {\n    \
-                    for k in seen.iter() {\n        emit(*k);\n    }\n}\n";
-        assert_eq!(
-            rules_of(&lint_file("crates/core/src/x.rs", keys)),
-            ["nondet-iter"]
-        );
-    }
-
-    #[test]
-    fn nondet_iter_skips_ordered_containers_and_order_free_sinks() {
-        // BTreeMap iteration is deterministic.
-        let btree =
-            "fn f(m: &BTreeMap<u64, u64>) {\n    for (k, v) in m.iter() { emit(k, v); }\n}\n";
-        assert!(lint_file("crates/operators/src/x.rs", btree).is_empty());
-        // Commutative chain-terminal folds are order-independent.
-        let sum = "fn f(m: &HashMap<u64, u64>) -> u64 {\n    m.values().sum()\n}\n";
-        assert!(lint_file("crates/operators/src/x.rs", sum).is_empty());
-        // Collect-then-sort is the sanctioned pattern.
-        let sorted = "fn f(m: &HashMap<u64, u64>) {\n    \
-                      let mut keys: Vec<u64> = m.keys().copied().collect();\n    \
-                      keys.sort_unstable();\n    for k in keys { emit(k); }\n}\n";
-        assert!(lint_file("crates/core/src/x.rs", sorted).is_empty());
-        // Collecting into another map is insertion, not ordered output.
-        let remap = "fn f(m: &HashMap<u64, u64>) -> HashMap<u64, u64> {\n    \
-                     m.iter().map(|(k, v)| (*k, v + 1)).collect::<HashMap<u64, u64>>()\n}\n";
-        assert!(lint_file("crates/core/src/x.rs", remap).is_empty());
-        // Tests and the sim kernel are out of scope.
-        let test = "#[cfg(test)]\nmod tests {\n    fn t(m: &HashMap<u64, u64>) { for k in m.keys() { emit(k); } }\n}\n";
-        assert!(lint_file("crates/operators/src/x.rs", test).is_empty());
-        // A waiver applies like every other rule.
-        let waived = "fn f(m: &HashMap<u64, u64>) {\n    \
-                      // lint: allow-nondet-iter(order folded into a commutative checksum)\n    \
-                      for (k, v) in m.iter() { fold(k, v); }\n}\n";
-        assert!(unwaived(lint_file("crates/core/src/x.rs", waived)).is_empty());
-    }
-
-    #[test]
-    fn nondet_iter_tracks_identifiers_across_files() {
-        // The field is declared hash-typed in one file and iterated in
-        // another; single-file linting cannot see that, lint_files can.
-        let decl = "pub struct Registry {\n    pub slots: HashMap<u32, u64>,\n}\n";
-        let user =
-            "fn f(r: &Registry) {\n    for v in r.slots.values() {\n        emit(*v);\n    }\n}\n";
-        let f = lint_files(&[
-            ("crates/rdma/src/registry.rs".to_string(), decl.to_string()),
-            ("crates/core/src/user.rs".to_string(), user.to_string()),
-        ]);
-        assert_eq!(rules_of(&f), ["nondet-iter"]);
-        assert_eq!(f[0].file, "crates/core/src/user.rs");
     }
 
     // ---- barrier-protocol ----
@@ -623,51 +517,5 @@ mod tests {
             ("crates/operators/src/x.rs".to_string(), bad.to_string()),
         ]);
         assert_eq!(rules_of(&f), ["barrier-protocol"]);
-    }
-
-    // ---- error-swallow ----
-
-    #[test]
-    fn error_swallow_flags_discarded_fabric_results() {
-        let let_discard = "fn f() {\n    let _ = window.drain(ctx);\n}\n";
-        let f = lint_file("crates/rdma/src/x.rs", let_discard);
-        assert_eq!(rules_of(&f), ["error-swallow"]);
-        assert_eq!(f[0].line, 2);
-        let ok_swallow = "fn f() {\n    nic.recv(ctx).ok();\n}\n";
-        assert_eq!(
-            rules_of(&lint_file("crates/rdma/src/x.rs", ok_swallow)),
-            ["error-swallow"]
-        );
-        let bare = "fn f() {\n    handle.wait(ctx);\n}\n";
-        assert_eq!(
-            rules_of(&lint_file("crates/rdma/src/x.rs", bare)),
-            ["error-swallow"]
-        );
-        // Barrier results are in scope too.
-        let barrier = "fn f() {\n    rt.try_sync_named(ctx, phase::HISTOGRAM, m).ok();\n}\n";
-        assert_eq!(
-            rules_of(&lint_file("crates/workload/src/x.rs", barrier)),
-            ["error-swallow"]
-        );
-    }
-
-    #[test]
-    fn error_swallow_accepts_propagation_matching_and_tests() {
-        let propagate = "fn f() -> Result<(), JoinError> {\n    \
-                         let c = window.drain(ctx).map_err(fab)?;\n    use_it(c);\n    Ok(())\n}\n";
-        assert!(lint_file("crates/rdma/src/x.rs", propagate).is_empty());
-        let matched = "fn f() {\n    match nic.recv(ctx) {\n        Ok(c) => use_it(c),\n        \
-                       Err(e) => record(e),\n    }\n}\n";
-        assert!(lint_file("crates/rdma/src/x.rs", matched).is_empty());
-        let bound = "fn f() {\n    let res = handle.wait(ctx);\n    inspect(res);\n}\n";
-        assert!(lint_file("crates/rdma/src/x.rs", bound).is_empty());
-        // Tests may discard freely.
-        let test = "fn t() { let _ = window.drain(ctx); }\n";
-        assert!(lint_file("crates/rdma/tests/x.rs", test).is_empty());
-        // A waiver applies.
-        let waived = "fn f() {\n    \
-                      // lint: allow-error-swallow(teardown path, errors already recorded)\n    \
-                      let _ = window.drain(ctx);\n}\n";
-        assert!(unwaived(lint_file("crates/rdma/src/x.rs", waived)).is_empty());
     }
 }

@@ -18,6 +18,18 @@
 //! * `--update-baseline` — rewrite the baseline file from the current
 //!   findings (after review) instead of failing on them.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

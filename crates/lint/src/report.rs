@@ -327,8 +327,8 @@ mod tests {
         Finding {
             file: file.to_string(),
             line,
-            rule: "unwrap",
-            message: "unwrap() in library code".to_string(),
+            rule: "expect-message",
+            message: "non-descriptive expect message".to_string(),
             waived,
             reason: reason.map(str::to_string),
         }

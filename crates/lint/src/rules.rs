@@ -8,19 +8,14 @@ use crate::engine::{FileCtx, Global};
 use crate::lexer::TokKind;
 use crate::Finding;
 
-/// Rule identifiers in reporting order (8 ported + 5 new families).
+/// Rule identifiers in reporting order.
 pub const RULES: &[&str] = &[
-    "std-thread",
-    "std-sync",
-    "wall-clock",
     "mr-access",
-    "unwrap",
+    "expect-message",
     "hot-alloc",
     "fabric-panic",
     "barrier-name",
-    "nondet-iter",
     "barrier-protocol",
-    "error-swallow",
     "meter-flush",
     "raw-exchange",
 ];
@@ -30,27 +25,6 @@ const MIN_EXPECT_LEN: usize = 10;
 
 /// Fabric post/poll methods returning typed `FabricError` results.
 const FABRIC_METHODS: [&str; 4] = ["wait", "recv", "admit", "drain"];
-
-/// Fallible barrier/run entry points returning `JoinError` results.
-const JOIN_METHODS: [&str; 2] = ["try_sync_named", "try_sync_quiet"];
-
-/// Iteration-order-sensitive methods on `std` hash containers.
-const HASH_ITER_METHODS: [&str; 8] = [
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-];
-
-/// Chain-terminal folds that are order-independent, so hash iteration
-/// feeding them is deterministic.
-const ORDER_FREE_FOLDS: [&str; 8] = [
-    "sum", "count", "min", "max", "len", "any", "all", "is_empty",
-];
 
 /// Whether `rel` is source of a crate whose state lives in a simulation.
 fn in_sim_state(rel: &str) -> bool {
@@ -78,63 +52,8 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
         });
     };
 
-    for i in 0..n {
-        let test = ctx.in_test(i);
-
-        // ---- std-thread: everywhere, tests included. The short
-        // `thread::spawn(` form is skipped when it is just the tail of a
-        // full `std::thread::spawn` path (already matched).
-        let tail_of_path = i > 0 && ctx.text(i - 1) == ":";
-        if ctx.seq(i, &["std", ":", ":", "thread", ":", ":", "spawn"])
-            || (!tail_of_path && ctx.seq(i, &["thread", ":", ":", "spawn", "("]))
-        {
-            push(
-                "std-thread",
-                ctx.line(i),
-                "OS thread creation in simulated code; spawn an rsj-sim task instead".into(),
-                out,
-            );
-        }
-
-        // ---- wall-clock: everywhere, tests included.
-        if ctx.seq(i, &["std", ":", ":", "time", ":", ":", "Instant"])
-            || ctx.seq(i, &["std", ":", ":", "time", ":", ":", "SystemTime"])
-            || (!tail_of_path
-                && (ctx.seq(i, &["Instant", ":", ":", "now", "("])
-                    || ctx.seq(i, &["SystemTime", ":", ":", "now", "("])))
-        {
-            push(
-                "wall-clock",
-                ctx.line(i),
-                "wall-clock read breaks deterministic simulation; use SimCtx::now()".into(),
-                out,
-            );
-        }
-
-        if test {
-            continue; // remaining rules are library-code rules
-        }
-
-        // ---- std-sync: std's blocking primitives everywhere, and locks
-        // of any kind in the crates whose state lives inside a simulation.
-        let hit = if ctx.seq(i, &["std", ":", ":", "sync", ":", ":"]) {
-            names_any(ctx, i + 6, &["Mutex", "Barrier", "Condvar"])
-        } else if in_sim_state && ctx.seq(i, &["parking_lot", ":", ":"]) {
-            names_any(ctx, i + 3, &["Mutex", "RwLock"])
-        } else {
-            false
-        };
-        if hit {
-            push(
-                "std-sync",
-                ctx.line(i),
-                "lock in simulated code: a simulation runs on one OS thread, so state its tasks \
-                 share is a RefCell/Cell and anything that waits is an rsj-sim primitive"
-                    .into(),
-                out,
-            );
-        }
-
+    // Every per-token rule is a library-code rule.
+    for i in (0..n).take_while(|&i| !ctx.in_test(i)) {
         // ---- mr-access: outside crates/rdma.
         if !in_rdma
             && ctx.text(i) == "."
@@ -150,22 +69,12 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
             );
         }
 
-        // ---- unwrap / short expect.
-        if ctx.seq(i, &[".", "unwrap", "(", ")"]) {
-            push(
-                "unwrap",
-                ctx.line(i + 1),
-                "unwrap() in library code; state the broken invariant with expect(), or add a \
-                 lint marker with the reason it cannot fail"
-                    .into(),
-                out,
-            );
-        }
+        // ---- expect-message: a panic must say what invariant broke.
         if ctx.seq(i, &[".", "expect", "("]) && ctx.kind(i + 3) == TokKind::Str {
             let msg = str_inner(ctx.text(i + 3));
             if msg.len() < MIN_EXPECT_LEN {
                 push(
-                    "unwrap",
+                    "expect-message",
                     ctx.line(i + 1),
                     format!("non-descriptive expect message {msg:?}; say what invariant broke"),
                     out,
@@ -213,13 +122,6 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
                 }
             }
         }
-
-        // ---- nondet-iter: hash-container iteration in result-affecting
-        // library code.
-        nondet_iter_at(ctx, global, i, out);
-
-        // ---- error-swallow.
-        error_swallow_at(ctx, i, out);
     }
 
     // ---- hot-alloc: allocation inside designated hot kernels in
@@ -246,17 +148,6 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
         && ctx.rel != "crates/core/src/phases/one_sided.rs"
     {
         raw_exchange(ctx, out);
-    }
-}
-
-/// Whether the path item at token `j` (after `::`) names one of `items`,
-/// directly or inside a brace import group.
-fn names_any(ctx: &FileCtx<'_>, j: usize, items: &[&str]) -> bool {
-    if ctx.text(j) == "{" {
-        let close = ctx.matching_close(j).unwrap_or(j);
-        (j..=close).any(|k| items.contains(&ctx.text(k)))
-    } else {
-        items.contains(&ctx.text(j))
     }
 }
 
@@ -316,246 +207,6 @@ fn str_inner(text: &str) -> &str {
     t.strip_prefix('"')
         .and_then(|s| s.strip_suffix('"'))
         .unwrap_or(t)
-}
-
-/// `nondet-iter` at one token position: a hash-iteration method call or a
-/// `for … in <hash>` loop, minus order-independent sinks.
-fn nondet_iter_at(ctx: &FileCtx<'_>, global: &Global, i: usize, out: &mut Vec<Finding>) {
-    const MSG: &str = "iteration order of a std HashMap/HashSet varies run-to-run (per-process \
-                       random SipHash seed); use BTreeMap/BTreeSet, or collect and sort the keys \
-                       before iterating/draining";
-    // Method form: `<hash-chain>.keys()` etc.
-    if ctx.text(i) == "."
-        && HASH_ITER_METHODS.contains(&ctx.text(i + 1))
-        && ctx.text(i + 2) == "("
-        && receiver_is_hashy(ctx, global, i)
-    {
-        if let Some(close) = ctx.matching_close(i + 2) {
-            if !sink_is_order_free(ctx, i, close) {
-                out.push(Finding {
-                    file: ctx.rel.to_string(),
-                    line: ctx.line(i + 1),
-                    rule: "nondet-iter",
-                    message: format!("`.{}()` on a std hash container: {MSG}", ctx.text(i + 1)),
-                    waived: false,
-                    reason: None,
-                });
-            }
-        }
-        return;
-    }
-    // Loop form: `for <pat> in [&][mut] <hash-path> {`.
-    if ctx.text(i) == "for" && ctx.kind(i) == TokKind::Ident {
-        let limit = (i + 60).min(ctx.code.len());
-        let mut in_idx = None;
-        for j in i + 1..limit {
-            match ctx.text(j) {
-                "in" if ctx.kind(j) == TokKind::Ident => {
-                    in_idx = Some(j);
-                    break;
-                }
-                "{" | ";" => break,
-                "(" | "[" => {
-                    // skip the pattern group
-                    if let Some(c) = ctx.matching_close(j) {
-                        if c >= limit {
-                            break;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(in_idx) = in_idx else { return };
-        let mut brace = None;
-        for j in in_idx + 1..limit {
-            match ctx.text(j) {
-                "{" => {
-                    brace = Some(j);
-                    break;
-                }
-                ";" => break,
-                "(" | "[" => {
-                    if let Some(c) = ctx.matching_close(j) {
-                        if c >= limit {
-                            break;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(brace) = brace else { return };
-        let expr: Vec<usize> = (in_idx + 1..brace).collect();
-        // Ranges (`0..map.len()`) and calls are out of scope here; the
-        // method form above covers explicit iterator calls.
-        let has_range = expr
-            .windows(2)
-            .any(|w| ctx.text(w[0]) == "." && ctx.text(w[1]) == ".");
-        let has_call = expr.iter().any(|&j| ctx.text(j) == "(");
-        let hashy = expr
-            .iter()
-            .any(|&j| ctx.kind(j) == TokKind::Ident && global.hash_names.contains(ctx.text(j)));
-        if hashy && !has_range && !has_call {
-            out.push(Finding {
-                file: ctx.rel.to_string(),
-                line: ctx.line(i),
-                rule: "nondet-iter",
-                message: format!("`for … in` over a std hash container: {MSG}"),
-                waived: false,
-                reason: None,
-            });
-        }
-    }
-}
-
-/// Walk the receiver chain left of the `.` at `dot`: does it name an
-/// identifier declared with a hash-container type anywhere in the
-/// workspace? Skips balanced `(…)`/`[…]` groups (`.lock()`, indexing).
-fn receiver_is_hashy(ctx: &FileCtx<'_>, global: &Global, dot: usize) -> bool {
-    let mut j = dot as isize - 1;
-    let mut steps = 0;
-    while j >= 0 && steps < 48 {
-        steps += 1;
-        let idx = j as usize;
-        match ctx.text(idx) {
-            ")" | "]" => match ctx.matching_open(idx) {
-                Some(o) => j = o as isize - 1,
-                None => return false,
-            },
-            "." => j -= 1,
-            t if ctx.kind(idx) == TokKind::Ident => {
-                if global.hash_names.contains(t) {
-                    return true;
-                }
-                j -= 1;
-            }
-            _ if ctx.kind(idx) == TokKind::Num => j -= 1, // tuple index `.0`
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// Is the flagged hash iteration feeding an order-independent sink?
-/// Either a commutative chain-terminal fold, a `collect` back into an
-/// unordered/ordered container in the same statement, or a collect into
-/// a `let` binding that one of the next two statements sorts.
-fn sink_is_order_free(ctx: &FileCtx<'_>, dot: usize, close: usize) -> bool {
-    if ctx.text(close + 1) == "." && ORDER_FREE_FOLDS.contains(&ctx.text(close + 2)) {
-        return true;
-    }
-    let (s, e) = ctx.stmt_range(dot);
-    let has_collect = (s..=e).any(|j| ctx.text(j) == "collect");
-    if !has_collect {
-        return false;
-    }
-    let resorts = ["HashMap", "HashSet", "BTreeMap", "BTreeSet", "BinaryHeap"];
-    if (s..=e).any(|j| resorts.contains(&ctx.text(j))) {
-        return true;
-    }
-    // `let [mut] NAME … = ….collect();` followed shortly by `NAME.sort*`.
-    let mut k = s;
-    if ctx.text(k) != "let" {
-        return false;
-    }
-    k += 1;
-    if ctx.text(k) == "mut" {
-        k += 1;
-    }
-    if ctx.kind(k) != TokKind::Ident {
-        return false;
-    }
-    let name = ctx.text(k);
-    let mut p = e + 1;
-    for _ in 0..2 {
-        if p >= ctx.code.len() {
-            break;
-        }
-        let (s2, e2) = ctx.stmt_range(p);
-        let mut j = s2;
-        while j + 2 <= e2 {
-            if ctx.text(j) == name && ctx.text(j + 1) == "." && ctx.text(j + 2).starts_with("sort")
-            {
-                return true;
-            }
-            j += 1;
-        }
-        p = e2 + 1;
-    }
-    false
-}
-
-/// `error-swallow` patterns at one token position: `let _ =` discards of
-/// fabric/`JoinError` results, `.ok()` on them, and bare-semicolon
-/// statement discards.
-fn error_swallow_at(ctx: &FileCtx<'_>, i: usize, out: &mut Vec<Finding>) {
-    let fallible = |t: &str| FABRIC_METHODS.contains(&t) || JOIN_METHODS.contains(&t);
-    // `let _ = <stmt containing a fabric call>;`
-    if ctx.seq(i, &["let", "_", "="]) {
-        let (_, e) = ctx.stmt_range(i);
-        let has_fabric = (i + 3..e)
-            .any(|j| ctx.text(j) == "." && fallible(ctx.text(j + 1)) && ctx.text(j + 2) == "(");
-        if has_fabric {
-            out.push(Finding {
-                file: ctx.rel.to_string(),
-                line: ctx.line(i),
-                rule: "error-swallow",
-                message: "`let _ =` discards a fabric/JoinError result; fault-plane errors \
-                          (DESIGN.md §8) must propagate or be matched explicitly"
-                    .into(),
-                waived: false,
-                reason: None,
-            });
-        }
-        return;
-    }
-    if ctx.text(i) == "." && fallible(ctx.text(i + 1)) && ctx.text(i + 2) == "(" {
-        let Some(close) = ctx.matching_close(i + 2) else {
-            return;
-        };
-        // `.ok()` swallows the typed error.
-        if ctx.seq(close + 1, &[".", "ok", "(", ")"]) {
-            out.push(Finding {
-                file: ctx.rel.to_string(),
-                line: ctx.line(close + 2),
-                rule: "error-swallow",
-                message: format!(
-                    "`.ok()` on a fallible `{}` result silently drops the typed error; match it \
-                     or propagate it as a JoinError",
-                    ctx.text(i + 1)
-                ),
-                waived: false,
-                reason: None,
-            });
-            return;
-        }
-        // Bare statement discard: `window.drain(ctx);` with no binding,
-        // `?`, or `return` in the statement.
-        if ctx.text(close + 1) == ";" {
-            let (s, _) = ctx.stmt_range(i);
-            let plain = !(s..close).any(|j| {
-                matches!(
-                    ctx.text(j),
-                    "let" | "=" | "?" | "return" | "match" | "if" | "while"
-                )
-            });
-            if plain {
-                out.push(Finding {
-                    file: ctx.rel.to_string(),
-                    line: ctx.line(i + 1),
-                    rule: "error-swallow",
-                    message: format!(
-                        "result of fallible `{}` is discarded; bind it, `?` it, or match it so \
-                         fabric errors abort the run cleanly",
-                        ctx.text(i + 1)
-                    ),
-                    waived: false,
-                    reason: None,
-                });
-            }
-        }
-    }
 }
 
 /// The dataplane's per-message functions, as `(impl type, name)`: one

@@ -1,8 +1,5 @@
-// Fixture: unwrap — panic without a stated invariant. Linted as crates/cluster/src/u.rs.
-
-pub fn first(xs: &[u64]) -> u64 {
-    *xs.first().unwrap()
-}
+// Fixture: expect-message — a panic that does not say what broke. Linted as
+// crates/cluster/src/u.rs. (`.unwrap()` itself is clippy's `unwrap_used`.)
 
 pub fn head(xs: &[u64]) -> u64 {
     *xs.first().expect("oops")

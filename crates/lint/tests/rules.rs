@@ -36,29 +36,7 @@ struct Case {
 }
 
 const CASES: &[Case] = &[
-    // -- new rule families --
-    Case {
-        fixture: "nondet_iter_positive.rs",
-        vpath: "crates/operators/src/x.rs",
-        expect: &[
-            ("nondet-iter", 10),
-            ("nondet-iter", 16),
-            ("nondet-iter", 22),
-        ],
-        waived: 0,
-    },
-    Case {
-        fixture: "nondet_iter_negative.rs",
-        vpath: "crates/operators/src/y.rs",
-        expect: &[],
-        waived: 0,
-    },
-    Case {
-        fixture: "nondet_iter_waiver.rs",
-        vpath: "crates/core/src/z.rs",
-        expect: &[],
-        waived: 1,
-    },
+    // -- dataflow rules --
     Case {
         fixture: "barrier_protocol_positive.rs",
         vpath: "crates/operators/src/bp_pos.rs",
@@ -79,29 +57,6 @@ const CASES: &[Case] = &[
     Case {
         fixture: "barrier_protocol_waiver.rs",
         vpath: "crates/operators/src/bp_waiver.rs",
-        expect: &[],
-        waived: 1,
-    },
-    Case {
-        fixture: "error_swallow_positive.rs",
-        vpath: "crates/rdma/src/es_pos.rs",
-        expect: &[
-            ("error-swallow", 4),
-            ("error-swallow", 5),
-            ("error-swallow", 9),
-            ("error-swallow", 13),
-        ],
-        waived: 0,
-    },
-    Case {
-        fixture: "error_swallow_negative.rs",
-        vpath: "crates/rdma/src/es_neg.rs",
-        expect: &[],
-        waived: 0,
-    },
-    Case {
-        fixture: "error_swallow_waiver.rs",
-        vpath: "crates/rdma/src/es_waiver.rs",
         expect: &[],
         waived: 1,
     },
@@ -168,50 +123,7 @@ const CASES: &[Case] = &[
         expect: &[],
         waived: 1,
     },
-    // -- ported rules --
-    Case {
-        fixture: "std_thread.rs",
-        vpath: "crates/core/src/t.rs",
-        expect: &[("std-thread", 4)],
-        waived: 1,
-    },
-    Case {
-        fixture: "std_sync.rs",
-        vpath: "crates/cluster/src/s.rs",
-        expect: &[("std-sync", 3)],
-        waived: 0,
-    },
-    Case {
-        fixture: "std_sync_parking_lot_positive.rs",
-        vpath: "crates/rdma/src/pl_pos.rs",
-        expect: &[("std-sync", 4), ("std-sync", 7), ("std-sync", 10)],
-        waived: 0,
-    },
-    Case {
-        // Outside the simulation crates a parking_lot lock is not flagged.
-        fixture: "std_sync_parking_lot_positive.rs",
-        vpath: "crates/bench/src/pl_pos.rs",
-        expect: &[],
-        waived: 0,
-    },
-    Case {
-        fixture: "std_sync_parking_lot_negative.rs",
-        vpath: "crates/cluster/src/pl_neg.rs",
-        expect: &[],
-        waived: 0,
-    },
-    Case {
-        fixture: "std_sync_parking_lot_waiver.rs",
-        vpath: "crates/sim/src/pl_waiver.rs",
-        expect: &[],
-        waived: 1,
-    },
-    Case {
-        fixture: "wall_clock.rs",
-        vpath: "crates/bench/src/w.rs",
-        expect: &[("wall-clock", 5)],
-        waived: 0,
-    },
+    // -- pattern rules --
     Case {
         fixture: "mr_access.rs",
         vpath: "crates/core/src/m.rs",
@@ -221,7 +133,7 @@ const CASES: &[Case] = &[
     Case {
         fixture: "unwrap_expect.rs",
         vpath: "crates/cluster/src/u.rs",
-        expect: &[("unwrap", 4), ("unwrap", 8)],
+        expect: &[("expect-message", 5)],
         waived: 0,
     },
     Case {
@@ -263,7 +175,7 @@ const CASES: &[Case] = &[
     Case {
         fixture: "fabric_panic.rs",
         vpath: "crates/operators/src/f.rs",
-        expect: &[("fabric-panic", 4), ("unwrap", 4)],
+        expect: &[("fabric-panic", 4)],
         waived: 0,
     },
     Case {
@@ -376,12 +288,6 @@ fn workspace_has_no_unwaived_findings() {
     assert!(
         unwaived.is_empty(),
         "unwaived findings in the workspace: {unwaived:#?}"
-    );
-    // nondet-iter reports zero unwaived findings after the PR's fixes
-    // (aggregation sorted drain, fabric lane BTreeMap).
-    assert!(
-        findings.iter().all(|f| f.rule != "nondet-iter" || f.waived),
-        "nondet-iter regression"
     );
     // barrier-protocol verifies all four operators' phase sequences:
     // no findings at all, waived or not.

@@ -15,6 +15,18 @@
 //! [`predict`] returns a [`PhaseTimes`] directly comparable to the
 //! simulator's measured output — the comparison *is* Figure 9.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 use rsj_cluster::{ClusterSpec, CostModel, PhaseTimes};
 use rsj_sim::SimDuration;
 

@@ -8,7 +8,6 @@
 //! machine, so the partial results concatenate with no merge step.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rsj_cluster::{phase, ClusterRun, ClusterSpec, JoinError, Meter, PhaseTimes, QueryJob};
@@ -236,7 +235,12 @@ fn worker<T: Tuple>(
     while let Some(i) = claim(&st.next_task, owned.len()) {
         let pieces = st.landing.take(REL_S, owned[i]);
         // Group: key → (count, rid sum).
-        let mut groups: HashMap<u64, (u64, u64)> = HashMap::new();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "a per-tuple map, drained below through a sorted key vector"
+        )]
+        let mut groups: std::collections::HashMap<u64, (u64, u64)> =
+            std::collections::HashMap::new();
         for t in pieces.iter().flatten() {
             let e = groups.entry(t.key()).or_insert((0, 0));
             e.0 += 1;

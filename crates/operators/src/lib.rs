@@ -29,6 +29,18 @@
 //!
 //! [`PhaseTimes`]: rsj_cluster::PhaseTimes
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 mod aggregation;
 mod cyclo_join;
 mod sort_merge;

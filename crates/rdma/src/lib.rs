@@ -22,6 +22,17 @@
 //! [`Nic::post_read`] / [`Nic::post_read_batch`] and the
 //! [`Mr::publish`] / [`Mr::unpublish`] epoch protocol.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
 // Every public item in the verbs layer is API other crates program
 // against; the workspace default (`missing_docs = "warn"`) is promoted
 // to a hard error here.

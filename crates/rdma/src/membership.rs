@@ -8,7 +8,7 @@
 //! post) and `wire.rs` (flush instead of deliver) only read.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rsj_sim::{SimChannel, SimCtx, SimDuration, SimSemaphore, SimTime, Step};
@@ -36,7 +36,7 @@ pub(crate) struct FaultState {
     /// multiplexed queries pays nothing.
     query_aborted_any: Cell<bool>,
     /// Queries aborted individually (service multiplexing).
-    query_aborted: RefCell<HashSet<u32>>,
+    query_aborted: RefCell<BTreeSet<u32>>,
     /// Hosts fenced by the failure detector (or by crash evidence): their
     /// MR epochs are closed and the service stops placing queries there.
     fenced: Vec<Cell<bool>>,
@@ -61,7 +61,7 @@ impl FaultState {
             qp_error: vec![Cell::new(false); hosts * hosts],
             progress: Cell::new(0),
             query_aborted_any: Cell::new(false),
-            query_aborted: RefCell::new(HashSet::new()),
+            query_aborted: RefCell::new(BTreeSet::new()),
             fenced: vec![Cell::new(false); hosts],
             detected_ns: vec![Cell::new(u64::MAX); hosts],
             activity_ns: vec![Cell::new(0); hosts],
@@ -270,7 +270,7 @@ impl Fabric {
         );
         let hosts = self.hosts();
         {
-            let mut seen = HashSet::new();
+            let mut seen = BTreeSet::new();
             for &h in &placement {
                 assert!(h.0 < hosts, "placement names unknown host {}", h.0);
                 assert!(seen.insert(h.0), "placement repeats host {}", h.0);

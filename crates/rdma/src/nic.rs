@@ -230,7 +230,6 @@ impl SendHandle {
         };
         // A parked waiter keeps the cell out of its pool until this
         // handle drops, so it is still this request's cell on waking.
-        // lint: allow-error-swallow(sim Event::wait returns unit, not a fabric Result)
         cell.ev.wait(ctx);
         match cell.status.get() {
             None | Some(WcStatus::Success) => Ok(()),

@@ -15,7 +15,7 @@
 //! only when the oldest of the last `DEPTH` sends has not completed.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rsj_sim::{SimCtx, SimDuration};
@@ -231,7 +231,7 @@ struct ArenaState {
     /// Total slab size (constant after construction).
     total_bytes: u64,
     /// Bytes currently granted, per query.
-    per_query: HashMap<u32, u64>,
+    per_query: BTreeMap<u32, u64>,
 }
 
 impl PoolArena {
@@ -242,7 +242,7 @@ impl PoolArena {
             inner: RefCell::new(ArenaState {
                 budget_bytes,
                 total_bytes: budget_bytes,
-                per_query: HashMap::new(),
+                per_query: BTreeMap::new(),
             }),
         })
     }

@@ -19,7 +19,7 @@
 //! an injected crash is a fault, not a bug.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Weak};
 
@@ -341,10 +341,10 @@ pub struct Validator {
     pools: RefCell<Vec<(usize, u32, Weak<BufferPool>)>>,
     /// Hosts the fault plane fail-stopped; their teardown residue is
     /// context, not an application bug.
-    crashed: RefCell<HashSet<usize>>,
+    crashed: RefCell<BTreeSet<usize>>,
     /// Queries individually aborted (query-scoped fault fan-out);
     /// their residue is fault fallout, not an application bug.
-    aborted_queries: RefCell<HashSet<u32>>,
+    aborted_queries: RefCell<BTreeSet<u32>>,
     /// The cluster aborted: residue dropped while workers unwind is
     /// fault-plane context, not an application bug.
     aborted: Cell<bool>,
@@ -359,8 +359,8 @@ impl Validator {
             mrs: RefCell::new(Vec::new()),
             flows: RefCell::new(BTreeMap::new()),
             pools: RefCell::new(Vec::new()),
-            crashed: RefCell::new(HashSet::new()),
-            aborted_queries: RefCell::new(HashSet::new()),
+            crashed: RefCell::new(BTreeSet::new()),
+            aborted_queries: RefCell::new(BTreeSet::new()),
             aborted: Cell::new(false),
             violations: RefCell::new(Vec::new()),
             count: Cell::new(0),

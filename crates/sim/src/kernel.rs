@@ -1138,7 +1138,10 @@ pub struct Simulation {
 
 impl Simulation {
     /// Create an empty simulation with the clock at zero.
-    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::new_without_default,
+        reason = "a caller picks its kernel by name: `new` or `new_reference`"
+    )]
     pub fn new() -> Simulation {
         Simulation {
             kernel: Kernel::new(false),

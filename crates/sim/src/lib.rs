@@ -34,6 +34,18 @@
 //! assert_eq!(sim.run().as_nanos(), 9_000_000);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 mod kernel;
 mod stack;
 mod sync;

@@ -35,7 +35,10 @@
 //!    hand-written frame below it. (The kernel's task body catches every
 //!    panic itself.)
 
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the stack switch is hand-written assembly over mapped task stacks"
+)]
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!(

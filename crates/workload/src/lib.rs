@@ -11,6 +11,18 @@
 //! Every generator also emits an [`ExpectedResult`] oracle so the joins'
 //! outputs are *verified*, not assumed.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::iter_over_hash_type,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use
+    )
+)]
+
 mod oracle;
 mod relation;
 mod tuple;

@@ -2,8 +2,6 @@
 //! workspace produces, the generator-side oracle it is checked against,
 //! and a naive reference join for exhaustive small-scale testing.
 
-use std::collections::HashMap;
-
 use crate::tuple::Tuple;
 
 /// The verifiable summary of a join's output: the number of matching
@@ -69,7 +67,12 @@ impl ExpectedResult {
 /// Reference implementation: a straightforward hash join used as ground
 /// truth in tests. Handles duplicate keys on both sides.
 pub fn naive_hash_join<T: Tuple>(r: &[T], s: &[T]) -> JoinResult {
-    let mut table: HashMap<u64, u64> = HashMap::with_capacity(r.len());
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a per-tuple probe table that is never iterated"
+    )]
+    let mut table: std::collections::HashMap<u64, u64> =
+        std::collections::HashMap::with_capacity(r.len());
     for t in r {
         *table.entry(t.key()).or_insert(0) += 1;
     }

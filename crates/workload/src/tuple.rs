@@ -81,10 +81,8 @@ macro_rules! impl_tuple {
 
             #[inline]
             fn read_from(bytes: &[u8]) -> Self {
-                // lint: allow-unwrap(8-byte slice into [u8; 8] cannot fail)
-                let key = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-                // lint: allow-unwrap(8-byte slice into [u8; 8] cannot fail)
-                let rid = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+                let key = u64::from_le_bytes(bytes[0..8].try_into().expect("an 8-byte slice"));
+                let rid = u64::from_le_bytes(bytes[8..16].try_into().expect("an 8-byte slice"));
                 let mut pad = [0u8; $pad];
                 pad.copy_from_slice(&bytes[16..$size]);
                 $name { key, rid, pad }
