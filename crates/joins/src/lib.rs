@@ -3,8 +3,8 @@
 //! The multi-core substrate the distributed join builds on (§3.1) and the
 //! single-machine baseline the paper compares against (§6.1):
 //!
-//! * [`partition`]/[`histogram`] — the radix partitioning kernels shared by
-//!   every join variant in this workspace;
+//! * [`Partitioner`]/[`histogram_into`] — the radix partitioning kernels
+//!   shared by every join variant in this workspace;
 //! * [`ChainedTable`] — the cache-sized bucket-chained hash table of the
 //!   build-probe phase;
 //! * [`NumaQueues`] — the NUMA-aware task queues of the extended baseline;
@@ -38,10 +38,7 @@ pub use remote_table::{
     remote_dir_len, remote_nbuckets, RemoteDirectory, TornRead,
 };
 
-pub use radix::{
-    concat_partitioned, histogram, histogram_into, partition, partition_of, Partitioned,
-    Partitioner,
-};
+pub use radix::{concat_partitioned, histogram_into, partition_of, Partitioned, Partitioner};
 pub use single_machine::{run_single_machine_join, SingleJoinOutcome, SingleMachineConfig};
-pub use sort::{merge_join, merge_sorted_runs, sort_by_key};
+pub use sort::{merge_join, sort_by_key};
 pub use task_queue::{claim, NumaQueues};

@@ -35,8 +35,8 @@ pub fn partition_of(key: u64, lo_bit: u32, bits: u32) -> usize {
 }
 
 /// Count tuples per partition for one pass, writing into `hist` (which is
-/// cleared and resized to `2^bits`). The allocation-free form used by
-/// callers that loop; see [`histogram`] for the one-shot convenience.
+/// cleared and resized to `2^bits`), so a looping caller reuses one
+/// buffer.
 pub fn histogram_into<T: Tuple>(tuples: &[T], lo_bit: u32, bits: u32, hist: &mut Vec<u64>) {
     histogram_pieces_into(&[tuples], lo_bit, bits, hist);
 }
@@ -55,14 +55,6 @@ fn histogram_pieces_into<T: Tuple, P: AsRef<[T]>>(
             hist[partition_of(t.key(), lo_bit, bits)] += 1;
         }
     }
-}
-
-/// Count tuples per partition for one pass.
-pub fn histogram<T: Tuple>(tuples: &[T], lo_bit: u32, bits: u32) -> Vec<u64> {
-    // lint: allow-hot-alloc(one-shot convenience wrapper; looping callers use histogram_into)
-    let mut hist = Vec::new();
-    histogram_into(tuples, lo_bit, bits, &mut hist);
-    hist
 }
 
 /// The output of one partitioning pass: tuples reordered so that partition
@@ -303,13 +295,6 @@ fn scatter_direct<T: Tuple, P: AsRef<[T]>>(
     }
 }
 
-/// One full partitioning pass: histogram, prefix sum, scatter. One-shot
-/// convenience over [`Partitioner`]; callers that loop should hold a
-/// `Partitioner` to reuse its scratch buffers.
-pub fn partition<T: Tuple>(input: &[T], lo_bit: u32, bits: u32) -> Partitioned<T> {
-    Partitioner::new().partition(input, lo_bit, bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +311,8 @@ mod tests {
     #[test]
     fn histogram_counts_every_tuple_once() {
         let tuples: Vec<Tuple16> = (0..1000u64).map(|k| Tuple16::new(k, k)).collect();
-        let hist = histogram(&tuples, 0, 4);
+        let mut hist = Vec::new();
+        histogram_into(&tuples, 0, 4, &mut hist);
         assert_eq!(hist.len(), 16);
         assert_eq!(hist.iter().sum::<u64>(), 1000);
         // Dense keys spread evenly over low bits.
@@ -348,7 +334,7 @@ mod tests {
     #[test]
     fn partition_groups_by_radix_and_preserves_multiset() {
         let tuples: Vec<Tuple16> = (0..512u64).map(|i| Tuple16::new(i * 7 + 3, i)).collect();
-        let parted = partition(&tuples, 0, 5);
+        let parted = Partitioner::new().partition(&tuples, 0, 5);
         assert_eq!(parted.parts(), 32);
         assert_eq!(parted.data.len(), tuples.len());
         for p in 0..32 {
@@ -391,7 +377,8 @@ mod tests {
         let tuples: Vec<Tuple16> = (0..777u64).map(|i| Tuple16::new(i * 31 + 7, i)).collect();
         let mut pt = Partitioner::new();
         let whole = pt.partition(&tuples, 1, 6);
-        let hist = histogram(&tuples, 1, 6);
+        let mut hist = Vec::new();
+        histogram_into(&tuples, 1, 6, &mut hist);
         let fused = pt.partition_with_hist(&tuples, 1, 6, &hist);
         assert_eq!(whole.offsets, fused.offsets);
         assert_eq!(whole.data, fused.data);
@@ -416,12 +403,13 @@ mod tests {
     #[test]
     fn concat_partitioned_equals_single_pass() {
         let tuples: Vec<Tuple16> = (0..3_000u64).map(|i| Tuple16::new(i * 11 + 5, i)).collect();
-        let whole = partition(&tuples, 2, 4);
+        let mut pt = Partitioner::new();
+        let whole = pt.partition(&tuples, 2, 4);
         // Partition three uneven slices independently, then concatenate.
         let slices = [
-            partition(&tuples[..700], 2, 4),
-            partition(&tuples[700..1900], 2, 4),
-            partition(&tuples[1900..], 2, 4),
+            pt.partition(&tuples[..700], 2, 4),
+            pt.partition(&tuples[700..1900], 2, 4),
+            pt.partition(&tuples[1900..], 2, 4),
         ];
         let merged = concat_partitioned(&slices, 16);
         assert_eq!(merged.data.len(), whole.data.len());
@@ -446,10 +434,11 @@ mod tests {
         // Multi-pass refinement must produce the same partition contents as
         // a single pass over all bits (the radix join's core invariant).
         let tuples: Vec<Tuple16> = (0..4096u64).map(|i| Tuple16::new(i * 13 + 1, i)).collect();
-        let one_pass = partition(&tuples, 0, 6);
-        let coarse = partition(&tuples, 0, 3);
+        let mut pt = Partitioner::new();
+        let one_pass = pt.partition(&tuples, 0, 6);
+        let coarse = pt.partition(&tuples, 0, 3);
         for p1 in 0..coarse.parts() {
-            let refined = partition(coarse.part(p1), 3, 3);
+            let refined = pt.partition(coarse.part(p1), 3, 3);
             for p2 in 0..refined.parts() {
                 let wide_idx = (p2 << 3) | p1; // low bits first
                 let mut a: Vec<u64> = refined.part(p2).iter().map(|t| t.key()).collect();
@@ -467,7 +456,7 @@ mod tests {
                                            bits in 1u32..8) {
             let tuples: Vec<Tuple16> =
                 keys.iter().enumerate().map(|(i, &k)| Tuple16::new(k, i as u64)).collect();
-            let parted = partition(&tuples, 0, bits);
+            let parted = Partitioner::new().partition(&tuples, 0, bits);
             prop_assert_eq!(parted.parts(), 1usize << bits);
             prop_assert_eq!(*parted.offsets.last().unwrap(), tuples.len());
             let mut orig: Vec<(u64, u64)> = tuples.iter().map(|t| (t.key(), t.rid())).collect();

@@ -48,46 +48,6 @@ pub fn merge_join<T: Tuple>(r: &[T], s: &[T]) -> JoinResult {
     result
 }
 
-/// Merge `runs` of key-sorted tuples into one sorted vector (k-way merge
-/// by repeated two-way merging — the cost model charges by bytes moved, so
-/// the simple scheme is fine; real MPSM implementations do the same number
-/// of passes).
-pub fn merge_sorted_runs<T: Tuple>(mut runs: Vec<Vec<T>>) -> Vec<T> {
-    runs.retain(|r| !r.is_empty());
-    if runs.is_empty() {
-        return Vec::new();
-    }
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(a, b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    runs.pop().expect("merge loop leaves exactly one run")
-}
-
-fn merge_two<T: Tuple>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i].key() <= b[j].key() {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,31 +89,6 @@ mod tests {
         assert_eq!(merge_join(&one, &empty).matches, 0);
     }
 
-    #[test]
-    fn merge_sorted_runs_produces_sorted_output() {
-        let runs = vec![
-            {
-                let mut t = tuples(&[9, 1, 5]);
-                sort_by_key(&mut t);
-                t
-            },
-            {
-                let mut t = tuples(&[2, 8]);
-                sort_by_key(&mut t);
-                t
-            },
-            Vec::new(),
-            {
-                let mut t = tuples(&[3]);
-                sort_by_key(&mut t);
-                t
-            },
-        ];
-        let merged = merge_sorted_runs(runs);
-        let keys: Vec<u64> = merged.iter().map(|t| t.key()).collect();
-        assert_eq!(keys, vec![1, 2, 3, 5, 8, 9]);
-    }
-
     proptest! {
         #[test]
         fn prop_merge_join_matches_hash_join(r_keys in prop::collection::vec(0u64..40, 0..120),
@@ -164,23 +99,6 @@ mod tests {
             sort_by_key(&mut r);
             sort_by_key(&mut s);
             prop_assert_eq!(merge_join(&r, &s), expect);
-        }
-
-        #[test]
-        fn prop_merge_runs_is_a_sorted_permutation(chunks in prop::collection::vec(
-            prop::collection::vec(0u64..1000, 0..50), 0..6)) {
-            let runs: Vec<Vec<Tuple16>> = chunks.iter().map(|c| {
-                let mut t = tuples(c);
-                sort_by_key(&mut t);
-                t
-            }).collect();
-            let mut all: Vec<u64> = chunks.concat();
-            let merged = merge_sorted_runs(runs);
-            let mut got: Vec<u64> = merged.iter().map(|t| t.key()).collect();
-            prop_assert!(got.windows(2).all(|w| w[0] <= w[1]));
-            all.sort_unstable();
-            got.sort_unstable();
-            prop_assert_eq!(got, all);
         }
     }
 }

@@ -15,7 +15,7 @@
 //! |------|-----------------|
 //! | `mr-access` | direct `Mr` byte access (`with_data` / `dma_write`) outside `rsj-rdma` — operators must go through the verbs API so the runtime validator sees every access |
 //! | `expect-message` | an `.expect` whose message is shorter than ten bytes, in non-test library code — failures in phase code must say what invariant broke (`clippy::unwrap_used` bans `.unwrap()` itself) |
-//! | `hot-alloc` | `vec!`, `Vec::new`, `Vec::with_capacity`, `Arc::new`, `Rc::new`, `Box::new` or `.to_vec()` inside `crates/joins` functions named `*_kernel`, `histogram*` or `scatter*` (the per-partition hot loops: allocate scratch once in the owning `Partitioner`/table and reuse it), or inside a per-message function of the dataplane (`Nic::{post, handle}`, `CellPool::take`, the completion path that hands cells back `Wc::{complete, complete_read, recycle}` and `SendHandle::drop`, `SendWindow::{admit, record}`, `Scatter::{push, post}`, `Exchange::recv_stream`, `BufferPool::{take, claim, refill}`, the NIC engines' steps `Fabric::{egress_step, ingress_step, place_two_sided, place_one_sided}`, `Landing::{route, receive}`, the per-READ `Nic::post_read_inner` and `Mr::dma_read`, the one-sided probe's per-group `ProbeScratch::{probe_owned, probe_remote}`: draw from a pool or per-core scratch and hand back); over the whole tree, also a table entry naming no such function, so a rename cannot drop the check silently |
+//! | `hot-alloc` | `vec!`, `Vec::new`, `Vec::with_capacity`, `Arc::new`, `Rc::new`, `Box::new` or `.to_vec()` inside `crates/joins` functions named `*_kernel`, `histogram*` or `scatter*` (the per-partition hot loops: allocate scratch once in the owning `Partitioner`/table and reuse it), or inside a per-message function of the dataplane (`Nic::{post, handle}`, `CellPool::take`, the completion path that hands cells back `Wc::{complete, complete_read, recycle}` and `SendHandle::drop`, `SendWindow::{admit, record}`, `Scatter::{push, post}`, `Exchange::recv_stream`, `BufferPool::{take, claim, refill}`, the NIC engines' steps `Fabric::{egress_step, ingress_step, place_two_sided, place_one_sided}`, `Landing::{route, receive}`, the per-READ `Nic::post_read_inner` and `Mr::dma_read`, the one-sided post checks `Validator::check_post` and `Mr::check_post`, the one-sided probe's per-group `ProbeScratch::{probe_owned, probe_remote}`: draw from a pool or per-core scratch and hand back); over the whole tree, also a table entry naming no such function, so a rename cannot drop the check silently |
 //! | `fabric-panic` | `.unwrap()` / `.expect(` on the fabric's fallible post/poll results (`wait`/`recv`/`admit`/`drain`) in non-test library code — fault-plane errors (DESIGN.md §8) must propagate as `JoinError` so the run aborts cleanly |
 //! | `barrier-name` | a raw string literal as the barrier name at a `sync_named` / `try_sync_named` call site outside `crates/cluster` — barrier names are namespaced per query (`(QueryId, name)`, DESIGN.md §9) and must come from the `rsj_cluster::phase` constants so phase attribution stays canonical |
 //! | `barrier-protocol` | per operator entry point in `crates/{core,operators}`: a `phase::` barrier reachable on some control-flow paths but not others (a worker that skips it deadlocks every peer parked on the `(QueryId, name)` barrier), a plain early `return` that can skip a later barrier (only `JoinError` propagation may bypass barriers — an abort poisons them), and phase sequences that violate the canonical declaration order of `crates/cluster/src/phase.rs` |

@@ -212,7 +212,7 @@ fn str_inner(text: &str) -> &str {
 /// The dataplane's per-message functions, as `(impl type, name)`: one
 /// message of a network pass, one RDMA READ or one one-sided probe group
 /// runs each of them, so an allocation in one is paid per message.
-const PER_MESSAGE_FNS: [(&str, &str); 26] = [
+const PER_MESSAGE_FNS: [(&str, &str); 28] = [
     ("Nic", "post"),
     ("Nic", "repost_and_recv"),
     ("Nic", "handle"),
@@ -237,6 +237,8 @@ const PER_MESSAGE_FNS: [(&str, &str); 26] = [
     ("Landing", "receive"),
     ("Nic", "post_read_inner"),
     ("Mr", "dma_read"),
+    ("Validator", "check_post"),
+    ("Mr", "check_post"),
     ("ProbeScratch", "probe_owned"),
     ("ProbeScratch", "probe_remote"),
 ];

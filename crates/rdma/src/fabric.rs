@@ -80,7 +80,7 @@ impl Fabric {
         assert!(hosts >= 1, "fabric needs at least one host");
         let validator = Validator::new();
         let faults = FaultState::new(plan, hosts);
-        let nics = (0..hosts)
+        let nics: Vec<Arc<Nic>> = (0..hosts)
             .map(|h| {
                 Arc::new(Nic {
                     host: HostId(h),
@@ -90,6 +90,7 @@ impl Fabric {
                     tx: SimChannel::new(),
                     recv_cq: SimChannel::new(),
                     srq: SimSemaphore::new(cfg.srq_slots),
+                    srq_slots: cfg.srq_slots,
                     mrs: Arc::new(MrTable::new(HostId(h), costs, Arc::clone(&validator))),
                     stats: RefCell::new(NicStats::default()),
                     lane_progress: Cell::new(0),
@@ -99,6 +100,10 @@ impl Fabric {
                 })
             })
             .collect();
+        for nic in &nics {
+            validator.track_regions(&nic.mrs);
+            validator.track_lane(nic);
+        }
         let rx_queues = (0..hosts).map(|_| SimChannel::new()).collect();
         let lanes = (0..hosts).map(|_| RefCell::new(BTreeMap::new())).collect();
         Arc::new(Fabric {

@@ -289,6 +289,7 @@ impl Fabric {
                     tx: Arc::clone(&base.tx),
                     recv_cq: SimChannel::new(),
                     srq: SimSemaphore::new(self.cfg.srq_slots),
+                    srq_slots: self.cfg.srq_slots,
                     mrs: Arc::clone(&base.mrs),
                     stats: RefCell::new(NicStats::default()),
                     lane_progress: Cell::new(0),
@@ -308,6 +309,7 @@ impl Fabric {
                 query.0,
                 nic.host.0
             );
+            self.validator.track_lane(nic);
         }
         Arc::new(Fabric {
             cfg: self.cfg,

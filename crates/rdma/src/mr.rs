@@ -36,6 +36,12 @@ pub struct Mr {
     /// on every one-sided post.
     region_len: usize,
     data: RefCell<Vec<u8>>,
+    /// The publication epoch is closed ([`Mr::unpublish`] without a later
+    /// re-publish): a READ posted against the region is
+    /// [`Violation::ReadAfterUnpublish`]. A never-published region is
+    /// open: plain one-sided regions (e.g. histogram-announced receive
+    /// buffers) are readable without the publish protocol.
+    unpublished: Cell<bool>,
     validator: Arc<Validator>,
 }
 
@@ -59,48 +65,70 @@ impl Mr {
         self.region_len == 0
     }
 
-    /// DMA write into the region (performed by the simulated HCA's ingress
-    /// engine — costs the *owner's CPU* nothing).
-    ///
-    /// An out-of-bounds write is a verbs contract violation: real
-    /// hardware would raise a protection fault and kill the QP, and the
-    /// validator stops the run.
-    pub(crate) fn dma_write(&self, offset: usize, src: &[u8]) {
-        let mut data = self.data.borrow_mut();
-        let region_len = data.len();
-        if offset
-            .checked_add(src.len())
-            .is_none_or(|end| end > region_len)
-        {
-            drop(data);
-            self.validator.report(Violation::OutOfBoundsWrite {
-                host: self.host,
-                index: self.index,
-                offset,
-                len: src.len(),
-                region_len,
+    /// Check a one-sided post of `len` bytes at `offset` against this
+    /// region, the way the responder HCA checks an rkey against its MR
+    /// entry: the handle must claim the registered length (`claimed`), a
+    /// READ (`is_read`) needs an open publication epoch, and the access
+    /// must stay in bounds. A failed check is a verbs contract violation:
+    /// real hardware would raise a protection fault and kill the QP, and
+    /// the validator stops the run.
+    pub(crate) fn check_post(&self, claimed: usize, offset: usize, len: usize, is_read: bool) {
+        let (host, index) = (self.host, self.index);
+        if claimed != self.region_len {
+            self.validator.report(Violation::StaleRemoteHandle {
+                host,
+                index,
+                claimed,
+                registered: self.region_len,
             });
         }
-        data[offset..offset + src.len()].copy_from_slice(src);
+        if is_read && self.unpublished.get() {
+            self.validator
+                .report(Violation::ReadAfterUnpublish { host, index });
+        }
+        self.check_bounds(offset, len, is_read);
+    }
+
+    /// Report a one-sided access of `len` bytes at `offset` that reaches
+    /// outside the region.
+    fn check_bounds(&self, offset: usize, len: usize, is_read: bool) {
+        let (host, index, region_len) = (self.host, self.index, self.region_len);
+        if offset.checked_add(len).is_some_and(|end| end <= region_len) {
+            return;
+        }
+        self.validator.report(if is_read {
+            Violation::OutOfBoundsRead {
+                host,
+                index,
+                offset,
+                len,
+                region_len,
+            }
+        } else {
+            Violation::OutOfBoundsWrite {
+                host,
+                index,
+                offset,
+                len,
+                region_len,
+            }
+        })
+    }
+
+    /// DMA write into the region (performed by the simulated HCA's ingress
+    /// engine — costs the *owner's CPU* nothing). An out-of-bounds write
+    /// is a contract violation, as at the post.
+    pub(crate) fn dma_write(&self, offset: usize, src: &[u8]) {
+        self.check_bounds(offset, src.len(), false);
+        self.data.borrow_mut()[offset..offset + src.len()].copy_from_slice(src);
     }
 
     /// DMA read out of the region into the requester's landing buffer
     /// `into` (the responder leg of an RDMA READ). An out-of-bounds read
     /// is reported like a write fault.
     pub(crate) fn dma_read(&self, offset: usize, len: usize, into: &mut Vec<u8>) {
-        let data = self.data.borrow();
-        let region_len = data.len();
-        if offset.checked_add(len).is_none_or(|end| end > region_len) {
-            drop(data);
-            self.validator.report(Violation::OutOfBoundsRead {
-                host: self.host,
-                index: self.index,
-                offset,
-                len,
-                region_len,
-            });
-        }
-        into.extend_from_slice(&data[offset..offset + len]);
+        self.check_bounds(offset, len, true);
+        into.extend_from_slice(&self.data.borrow()[offset..offset + len]);
     }
 
     /// Read the region contents by reference (local access by the owner).
@@ -172,7 +200,7 @@ impl Mr {
     /// sim.run();
     /// ```
     pub fn publish(&self) -> RemoteMr {
-        self.validator.mr_published(self.host, self.index);
+        self.unpublished.set(false);
         self.remote_handle()
     }
 
@@ -182,7 +210,7 @@ impl Mr {
     /// [`Mr::publish`] for the epoch rules); a subsequent
     /// [`Mr::publish`] opens a fresh epoch and clears the flag.
     pub fn unpublish(&self) {
-        self.validator.mr_unpublished(self.host, self.index);
+        self.unpublished.set(true);
     }
 }
 
@@ -219,12 +247,12 @@ impl MrTable {
             index,
             region_len: len,
             data: RefCell::new(vec![0u8; len]),
+            unpublished: Cell::new(false),
             validator: Arc::clone(&self.validator),
         });
         regions.push(Some(Arc::clone(&mr)));
         self.registered_bytes
             .set(self.registered_bytes.get() + len as u64);
-        self.validator.mr_registered(self.host, index, len);
         mr
     }
 
@@ -241,12 +269,11 @@ impl MrTable {
             "deregistering a region this table does not hold"
         );
         *slot = None;
-        self.validator.mr_deregistered(self.host, mr.index);
     }
 
-    /// Run `f` on the region at `index`, borrowed in place (the ingress
-    /// engine's one-sided access, once per message). A miss is a
-    /// use-before-register contract violation.
+    /// Run `f` on the region at `index`, borrowed in place (the post-time
+    /// check and the ingress engine's access, once per one-sided message).
+    /// A miss is a use-before-register contract violation.
     pub(crate) fn with<R>(&self, index: usize, f: impl FnOnce(&Mr) -> R) -> R {
         let regions = self.regions.borrow();
         match regions.get(index).and_then(Option::as_deref) {

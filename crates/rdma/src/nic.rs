@@ -395,6 +395,10 @@ pub struct Nic {
     pub(crate) tx: Arc<SimChannel<Message>>,
     pub(crate) recv_cq: Arc<SimChannel<Completion>>,
     pub(crate) srq: Arc<SimSemaphore>,
+    /// The receive buffers posted to the SRQ at creation: a permit
+    /// neither free nor held by a queued completion was consumed and not
+    /// yet reposted.
+    pub(crate) srq_slots: usize,
     /// This host's registered memory regions (one-sided write targets),
     /// shared between the base NIC and every lane on the host.
     pub mrs: Arc<MrTable>,
@@ -569,7 +573,7 @@ impl Nic {
         if denied.is_some() {
             return ReadHandle { wr, posted: false };
         }
-        self.validator.check_read(&remote, offset, len);
+        self.validator.check_post(&remote, offset, len, true);
         if charge_doorbell {
             ctx.advance(SimDuration::from_secs_f64(self.costs.post_overhead));
         }
@@ -600,7 +604,8 @@ impl Nic {
         offset: usize,
         payload: Vec<u8>,
     ) -> SendHandle {
-        self.validator.check_write(&remote, offset, payload.len());
+        self.validator
+            .check_post(&remote, offset, payload.len(), false);
         let kind = MsgKind::OneSided {
             mr: remote.index,
             offset,
@@ -731,7 +736,6 @@ impl Nic {
     fn take_completion(&self, ctx: &SimCtx) -> Result<Option<Completion>, FabricError> {
         match self.recv_cq.recv(ctx) {
             Some(mut c) => {
-                self.validator.on_rx_consumed(self.host, self.query);
                 // The wire carries physical source ids; hand the
                 // application its own logical machine numbering.
                 c.src = self.logical(c.src);
@@ -765,7 +769,6 @@ impl Nic {
 
     /// Return one receive-buffer slot to the shared receive queue.
     pub fn repost_recv(&self, ctx: &SimCtx) {
-        self.validator.on_recv_reposted(self.host, self.query);
         self.srq.release(ctx);
     }
 

@@ -9,14 +9,16 @@
 //! double-buffering, §4.2.2 receive reposting); this module machine-checks
 //! the contract itself.
 //!
-//! Every [`crate::Fabric`] owns one [`Validator`]. The memory-region
-//! table, the NICs, [`crate::BufferPool`] and [`crate::SendWindow`] report
-//! lifecycle transitions to it. A detected violation is recorded, counted
-//! and then panics — in every build, like the protection fault real
-//! hardware would raise: a run that breaks the contract never prints a
-//! result. Teardown residue a crashed host left behind is the one
-//! exception; it is recorded as a [`Violation::HostCrashed`] note, because
-//! an injected crash is a fault, not a bug.
+//! Every [`crate::Fabric`] owns one [`Validator`]. It reads the state it
+//! checks where the fabric keeps it — the target host's memory-region
+//! table at each one-sided post, a lane's SRQ and completion queue, the
+//! tracked pools — and [`crate::SendWindow`] reports its misuse to it. A
+//! detected violation is recorded, counted and then panics — in every
+//! build, like the protection fault real hardware would raise: a run that
+//! breaks the contract never prints a result. Teardown residue a crashed
+//! host left behind is the one exception; it is recorded as a
+//! [`Violation::HostCrashed`] note, because an injected crash is a fault,
+//! not a bug.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,8 +26,9 @@ use std::fmt;
 use std::sync::{Arc, Weak};
 
 use crate::config::{HostId, QueryId};
+use crate::mr::{MrTable, RemoteMr};
+use crate::nic::Nic;
 use crate::pool::BufferPool;
-use crate::RemoteMr;
 
 /// A detected violation of the RDMA verbs contract, with enough context
 /// to locate the offending post.
@@ -261,17 +264,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Per-host receive-path flow counters.
-#[derive(Default)]
-struct HostFlow {
-    /// Two-sided completions placed in the receive queue.
-    delivered: u64,
-    /// Completions consumed by the application.
-    consumed: u64,
-    /// Receive-buffer slots reposted to the SRQ.
-    reposted: u64,
-}
-
 /// What one query left behind on one host at teardown.
 #[derive(Copy, Clone, Default, PartialEq)]
 struct Residue {
@@ -312,33 +304,54 @@ impl Residue {
     }
 }
 
-/// What the validator knows of one registered region.
-#[derive(Copy, Clone)]
-struct RegionAudit {
-    /// Registered length in bytes.
-    len: usize,
-    /// The publication epoch is closed ([`crate::Mr::unpublish`] without
-    /// a later re-publish): reads are [`Violation::ReadAfterUnpublish`].
-    /// A never-published region is open: plain one-sided regions (e.g.
-    /// histogram-announced receive buffers) are readable without the
-    /// publish protocol.
-    unpublished: bool,
+/// An owner the teardown audit reads its residue from. The validator
+/// holds it weakly: an owner already dropped left nothing to audit.
+enum Tracked {
+    /// A receive lane: its completion queue and SRQ permits.
+    Lane(Weak<Nic>),
+    /// A buffer pool: its outstanding buffers.
+    Pool(Weak<BufferPool>),
 }
 
-/// The verbs-contract state machine: tracks every memory region,
-/// receive slot, pooled buffer and windowed work request of one
-/// fabric through its lifecycle and reports [`Violation`]s.
+impl Tracked {
+    /// What the owner holds now. A lane's completions still queued are
+    /// undrained; the SRQ permits that are neither free nor held by a
+    /// queued completion were consumed and never reposted.
+    fn residue(&self) -> Residue {
+        match self {
+            Tracked::Lane(nic) => nic.upgrade().map_or_else(Residue::default, |nic| {
+                let undrained = nic.recv_cq.len();
+                let unreposted = nic
+                    .srq_slots
+                    .saturating_sub(nic.srq.available() + undrained);
+                Residue {
+                    undrained: undrained as u64,
+                    unreposted: unreposted as u64,
+                    leaked: 0,
+                }
+            }),
+            Tracked::Pool(pool) => Residue {
+                leaked: pool.upgrade().map_or(0, |p| p.outstanding()),
+                ..Residue::default()
+            },
+        }
+    }
+}
+
+/// The verbs-contract checker of one fabric. It keeps no copy of the
+/// fabric's state: the one-sided checks read the target host's region
+/// table, the SRQ check reads the lane, and the teardown audit reads
+/// the tracked lanes and pools. What it keeps is the fault context that
+/// decides how residue is judged, and the violations it recorded.
 pub struct Validator {
-    /// Registered regions, indexed by host, then by MR index (dense per
-    /// host); `None` for an index not (or no longer) registered.
-    mrs: RefCell<Vec<Vec<Option<RegionAudit>>>>,
-    /// Receive-path flow counters, scoped per `(host, query)` lane so
-    /// a query service can audit each query's teardown individually.
-    flows: RefCell<BTreeMap<(usize, u32), HostFlow>>,
-    /// Tracked pools with the `(host, query)` that owns each one, so
-    /// teardown leaks can be attributed to a crashed host or audited
-    /// per query.
-    pools: RefCell<Vec<(usize, u32, Weak<BufferPool>)>>,
+    /// Each host's memory-region table, in host order: a one-sided post
+    /// is checked against its target's own registry, as the responder
+    /// HCA checks an rkey against its MR table.
+    tables: RefCell<Vec<Weak<MrTable>>>,
+    /// Tracked receive lanes and pools with the `(host, query)` that owns
+    /// each one, so teardown residue can be attributed to a crashed host
+    /// or audited per query.
+    tracked: RefCell<Vec<(usize, u32, Tracked)>>,
     /// Hosts the fault plane fail-stopped; their teardown residue is
     /// context, not an application bug.
     crashed: RefCell<BTreeSet<usize>>,
@@ -356,9 +369,8 @@ impl Validator {
     /// A fresh validator.
     pub fn new() -> Arc<Validator> {
         Arc::new(Validator {
-            mrs: RefCell::new(Vec::new()),
-            flows: RefCell::new(BTreeMap::new()),
-            pools: RefCell::new(Vec::new()),
+            tables: RefCell::new(Vec::new()),
+            tracked: RefCell::new(Vec::new()),
             crashed: RefCell::new(BTreeSet::new()),
             aborted_queries: RefCell::new(BTreeSet::new()),
             aborted: Cell::new(false),
@@ -427,147 +439,31 @@ impl Validator {
         self.count.get()
     }
 
-    /// A region was registered (called by [`crate::MrTable`]).
-    pub(crate) fn mr_registered(&self, host: HostId, index: usize, len: usize) {
-        let mut mrs = self.mrs.borrow_mut();
-        if mrs.len() <= host.0 {
-            mrs.resize_with(host.0 + 1, Vec::new);
-        }
-        let regions = &mut mrs[host.0];
-        if regions.len() <= index {
-            regions.resize(index + 1, None);
-        }
-        regions[index] = Some(RegionAudit {
-            len,
-            unpublished: false,
-        });
+    /// Check one-sided posts to the next host against `mrs`, its region
+    /// table (the fabric hands the tables over in host order).
+    pub(crate) fn track_regions(&self, mrs: &Arc<MrTable>) {
+        self.tables.borrow_mut().push(Arc::downgrade(mrs));
     }
 
-    /// A region was deregistered ([`crate::MrTable::deregister`]): a
-    /// later one-sided access is [`Violation::UseBeforeRegister`].
-    pub(crate) fn mr_deregistered(&self, host: HostId, index: usize) {
-        self.mrs.borrow_mut()[host.0][index] = None;
-    }
-
-    /// A region opened a publication epoch ([`crate::Mr::publish`]):
-    /// one-sided reads are sanctioned until the matching unpublish.
-    pub(crate) fn mr_published(&self, host: HostId, index: usize) {
-        self.set_unpublished(host, index, false);
-    }
-
-    /// A region closed its publication epoch
-    /// ([`crate::Mr::unpublish`]): later reads against it are
-    /// [`Violation::ReadAfterUnpublish`] until it is re-published.
-    pub(crate) fn mr_unpublished(&self, host: HostId, index: usize) {
-        self.set_unpublished(host, index, true);
-    }
-
-    fn set_unpublished(&self, host: HostId, index: usize, closed: bool) {
-        let mut mrs = self.mrs.borrow_mut();
-        if let Some(Some(region)) = mrs.get_mut(host.0).and_then(|h| h.get_mut(index)) {
-            region.unpublished = closed;
-        }
-    }
-
-    /// The registered region `(host, index)`, if any.
-    fn region(&self, host: HostId, index: usize) -> Option<RegionAudit> {
-        let mrs = self.mrs.borrow();
-        mrs.get(host.0)?.get(index).copied().flatten()
-    }
-
-    /// Validate a one-sided WRITE against the registered region table
-    /// before it is posted.
-    pub(crate) fn check_write(&self, remote: &RemoteMr, offset: usize, len: usize) {
-        self.check_one_sided(remote, offset, len, false)
-    }
-
-    /// Validate a one-sided READ before it is posted.
-    pub(crate) fn check_read(&self, remote: &RemoteMr, offset: usize, len: usize) {
-        self.check_one_sided(remote, offset, len, true)
-    }
-
-    fn check_one_sided(&self, remote: &RemoteMr, offset: usize, len: usize, is_read: bool) {
+    /// Check a one-sided WRITE (`is_read` false) or READ of `len` bytes
+    /// at `offset` of `remote` before it is posted, against the region
+    /// the target host's own table holds at that index
+    /// (`Mr::check_post`); no such region is
+    /// [`Violation::UseBeforeRegister`].
+    pub(crate) fn check_post(&self, remote: &RemoteMr, offset: usize, len: usize, is_read: bool) {
         let (host, index) = (remote.host, remote.index);
-        let Some(region) = self.region(host, index) else {
+        let Some(mrs) = self.tables.borrow().get(host.0).and_then(Weak::upgrade) else {
             self.report(Violation::UseBeforeRegister { host, index });
         };
-        let region_len = region.len;
-        if remote.len != region_len {
-            self.report(Violation::StaleRemoteHandle {
-                host,
-                index,
-                claimed: remote.len,
-                registered: region_len,
-            });
-        }
-        if is_read && region.unpublished {
-            self.report(Violation::ReadAfterUnpublish { host, index });
-        }
-        if offset.checked_add(len).is_some_and(|end| end <= region_len) {
-            return;
-        }
-        self.report(if is_read {
-            Violation::OutOfBoundsRead {
-                host,
-                index,
-                offset,
-                len,
-                region_len,
-            }
-        } else {
-            Violation::OutOfBoundsWrite {
-                host,
-                index,
-                offset,
-                len,
-                region_len,
-            }
-        })
+        mrs.with(index, |mr| mr.check_post(remote.len, offset, len, is_read));
     }
 
-    /// A two-sided completion entered `host`'s receive queue on
-    /// `query`'s lane.
-    pub(crate) fn on_rx_delivered(&self, host: HostId, query: QueryId) {
-        self.flows
+    /// Track the receive lane `nic` for the teardown audit of its query.
+    pub(crate) fn track_lane(&self, nic: &Arc<Nic>) {
+        let lane = Tracked::Lane(Arc::downgrade(nic));
+        self.tracked
             .borrow_mut()
-            .entry((host.0, query.0))
-            .or_default()
-            .delivered += 1;
-    }
-
-    /// The application consumed a completion on `host` (`query`'s
-    /// lane).
-    pub(crate) fn on_rx_consumed(&self, host: HostId, query: QueryId) {
-        self.flows
-            .borrow_mut()
-            .entry((host.0, query.0))
-            .or_default()
-            .consumed += 1;
-    }
-
-    /// The application reposted a receive buffer on `host` (`query`'s
-    /// lane).
-    pub(crate) fn on_recv_reposted(&self, host: HostId, query: QueryId) {
-        self.flows
-            .borrow_mut()
-            .entry((host.0, query.0))
-            .or_default()
-            .reposted += 1;
-    }
-
-    /// The ingress engine found `host`'s SRQ empty on `query`'s lane.
-    /// A violation only if the *application* holds every slot
-    /// (consumed without reposting); a full-but-undrained CQ is
-    /// ordinary backpressure.
-    pub(crate) fn srq_blocked(&self, host: HostId, slots: usize, query: QueryId) {
-        let held = self
-            .flows
-            .borrow()
-            .get(&(host.0, query.0))
-            .map_or(0, |f| f.consumed.saturating_sub(f.reposted)) as usize;
-        if held >= slots {
-            self.report(Violation::SrqExhausted { host, held, slots });
-        }
+            .push((nic.host.0, nic.query.0, lane));
     }
 
     /// Track a buffer pool owned by `(host, query)` for the teardown
@@ -577,15 +473,14 @@ impl Validator {
     /// `host` later crashes, its leaks are reported as crash residue,
     /// not application bugs.
     pub fn register_pool_scoped(&self, query: QueryId, host: HostId, pool: &Arc<BufferPool>) {
-        self.pools
-            .borrow_mut()
-            .push((host.0, query.0, Arc::downgrade(pool)));
+        let pool = Tracked::Pool(Arc::downgrade(pool));
+        self.tracked.borrow_mut().push((host.0, query.0, pool));
     }
 
     /// Per-query teardown audit: when `query` retires from a shared
-    /// fabric, its lane flows and pools are audited by the one
-    /// teardown rule ([`Validator::check_teardown`]) and forgotten. The
-    /// shared fabric keeps running; other queries' state is untouched.
+    /// fabric, its lanes and pools are audited by the one teardown rule
+    /// ([`Validator::check_teardown`]) and forgotten. The shared fabric
+    /// keeps running; other queries' state is untouched.
     pub fn check_query_teardown(&self, query: QueryId) {
         self.audit(|q| q == query.0);
     }
@@ -609,29 +504,16 @@ impl Validator {
     fn audit(&self, pick: impl Fn(u32) -> bool) {
         // Residue per `(query, host)`, in id order.
         let mut residue: BTreeMap<(u32, usize), Residue> = BTreeMap::new();
-        self.flows.borrow_mut().retain(|&(host, query), f| {
-            if !pick(query) {
+        self.tracked.borrow_mut().retain(|(host, query, owner)| {
+            if !pick(*query) {
                 return true;
             }
-            residue.entry((query, host)).or_default().add(Residue {
-                undrained: f.delivered.saturating_sub(f.consumed),
-                unreposted: f.consumed.saturating_sub(f.reposted),
-                leaked: 0,
-            });
+            residue
+                .entry((*query, *host))
+                .or_default()
+                .add(owner.residue());
             false
         });
-        let mut pools = Vec::new();
-        self.pools.borrow_mut().retain(|&(host, query, ref pool)| {
-            if !pick(query) {
-                return true;
-            }
-            pools.push((query, host, pool.clone()));
-            false
-        });
-        for (query, host, pool) in pools {
-            let leaked = pool.upgrade().map_or(0, |p| p.outstanding());
-            residue.entry((query, host)).or_default().leaked += leaked;
-        }
 
         let crashed = self.crashed.borrow().clone();
         let rack_aborted = self.aborted.get();
@@ -661,37 +543,5 @@ impl Validator {
         if let Some(v) = first_violation {
             self.report(v);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crash_residue_is_noted_once_and_only_where_left() {
-        let v = Validator::new();
-        let (q, left, clean) = (QueryId(1), HostId(1), HostId(2));
-        // Host 1's lane holds one undrained completion and one
-        // unreposted slot; host 2's lane drained cleanly.
-        v.on_rx_delivered(left, q);
-        v.on_rx_delivered(left, q);
-        v.on_rx_consumed(left, q);
-        v.on_rx_delivered(clean, q);
-        v.on_rx_consumed(clean, q);
-        v.on_recv_reposted(clean, q);
-        v.on_host_crashed(left);
-        v.on_host_crashed(clean);
-        v.check_query_teardown(q);
-        let noted = Violation::HostCrashed {
-            host: left,
-            undrained: 1,
-            unreposted: 1,
-            leaked_buffers: 0,
-        };
-        assert_eq!(v.violations(), vec![noted]);
-        // The audit forgot what it judged: the rack audit finds nothing.
-        v.check_teardown();
-        assert_eq!(v.violation_count(), 1);
     }
 }

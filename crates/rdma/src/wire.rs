@@ -52,6 +52,7 @@ use crate::config::{FabricConfig, HostId, QueryId};
 use crate::fabric::{Fabric, Spawner};
 use crate::fault::{capped_backoff, WcStatus};
 use crate::nic::{Completion, Nic, Wc};
+use crate::validate::Violation;
 
 pub(crate) enum MsgKind {
     TwoSided {
@@ -501,12 +502,16 @@ impl Fabric {
                         }
                     };
                     // Consume a posted receive buffer; waits (RNR) if the
-                    // application is not reposting. If every slot is
-                    // application-held, that's a contract violation
-                    // (§4.2.2), not backpressure.
-                    if lane.srq.available() == 0 {
-                        self.validator
-                            .srq_blocked(host, self.cfg.srq_slots, msg.query);
+                    // application is not reposting. An empty SRQ with an
+                    // empty CQ means the application holds every slot:
+                    // a contract violation (§4.2.2), not backpressure.
+                    if lane.srq.available() == 0 && lane.recv_cq.is_empty() {
+                        let slots = self.cfg.srq_slots;
+                        self.validator.report(Violation::SrqExhausted {
+                            host,
+                            held: slots,
+                            slots,
+                        });
                     }
                     match lane.srq.try_acquire_checked(ctx) {
                         Poll::Ready(acquired) => {
@@ -555,7 +560,6 @@ impl Fabric {
             unreachable!("a two-sided placement of a one-sided message");
         };
         let bytes = msg.payload.len();
-        self.validator.on_rx_delivered(host, msg.query);
         lane.lane_progress.set(lane.lane_progress.get() + 1);
         if msg.query != QueryId::DIRECT {
             lane.count_rx(bytes);

@@ -10,10 +10,10 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rsj_rdma::{
-    BufferPool, Fabric, FabricConfig, HostId, NicCosts, QueryId, RemoteMr, SendHandle, SendWindow,
-    Validator, Violation,
+    BufferPool, Fabric, FabricConfig, FabricError, FaultPlan, HostCrash, HostId, NicCosts, QueryId,
+    RemoteMr, SendHandle, SendWindow, Validator, Violation,
 };
-use rsj_sim::{SimDuration, Simulation};
+use rsj_sim::{SimDuration, SimTime, Simulation};
 
 /// A launched two-host fabric, ready for misuse.
 fn two_hosts(cfg: FabricConfig) -> (Simulation, Arc<Fabric>) {
@@ -453,6 +453,204 @@ fn srq_exhaustion_without_repost_is_detected() {
     assert!(
         matches!(vs[..], [Violation::SrqExhausted { slots: 4, .. }]),
         "expected an SRQ-exhaustion violation, got {vs:?}"
+    );
+}
+
+/// Two SENDs from host 0 to host 1 of `fabric` (the root, or a view), taken
+/// by a receiver on host 1 that consumes `consumed` of them and reposts
+/// `reposted` of those; the run ends with the engines shut down.
+fn leave_residue(fabric: Arc<Fabric>, root: &Arc<Fabric>, consumed: usize, reposted: usize) {
+    let sim = Simulation::new();
+    root.launch(&sim);
+    {
+        let (fabric, root) = (Arc::clone(&fabric), Arc::clone(root));
+        sim.spawn("sender", move |ctx| {
+            let nic = fabric.nic(HostId(0));
+            let sends: Vec<_> = (0..2)
+                .map(|i| nic.post_send(ctx, HostId(1), i, vec![0u8; 256]))
+                .collect();
+            for h in sends {
+                h.wait(ctx).unwrap();
+            }
+            fabric.close_view(ctx);
+            root.shutdown(ctx);
+        });
+    }
+    sim.spawn("receiver", move |ctx| {
+        let nic = fabric.nic(HostId(1));
+        for i in 0..consumed {
+            nic.recv(ctx).unwrap().expect("a delivered completion");
+            if i < reposted {
+                nic.repost_recv(ctx);
+            }
+        }
+    });
+    sim.run();
+}
+
+#[test]
+fn undrained_completion_is_detected_at_teardown() {
+    let root = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
+    leave_residue(Arc::clone(&root), &root, 1, 1);
+    let vs = violations_of(root.validator(), || root.validator().check_teardown());
+    assert_eq!(
+        vs,
+        vec![Violation::CompletionsNotDrained {
+            host: HostId(1),
+            pending: 1
+        }]
+    );
+}
+
+#[test]
+fn consumed_but_not_reposted_is_detected_at_teardown() {
+    let root = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 2);
+    leave_residue(Arc::clone(&root), &root, 2, 1);
+    let vs = violations_of(root.validator(), || root.validator().check_teardown());
+    assert_eq!(
+        vs,
+        vec![Violation::RecvNotReposted {
+            host: HostId(1),
+            held: 1
+        }]
+    );
+}
+
+#[test]
+fn a_closed_view_is_audited_by_its_query_teardown() {
+    // Logical machine 1 of the view is physical host 2; `close_view`
+    // unregisters the lanes before the audit runs.
+    let root = Fabric::new(FabricConfig::fdr(), NicCosts::default(), 3);
+    let view = root.query_view(QueryId(5), vec![HostId(1), HostId(2)]);
+    leave_residue(Arc::clone(&view), &root, 1, 1);
+    // Another query's audit leaves this query's lanes alone.
+    root.validator().check_query_teardown(QueryId(4));
+    assert_eq!(root.validator().violation_count(), 0);
+    let vs = violations_of(root.validator(), || {
+        root.validator().check_query_teardown(QueryId(5))
+    });
+    assert_eq!(
+        vs,
+        vec![Violation::CompletionsNotDrained {
+            host: HostId(2),
+            pending: 1
+        }]
+    );
+}
+
+#[test]
+fn crash_residue_is_noted_once_and_only_where_left() {
+    // Query 1 spans hosts 0..3. Host 1's lane is left holding one
+    // undrained completion and one unreposted slot; host 2's lane drains
+    // cleanly. Host 1 crashes first, which unregisters the query's lanes
+    // on hosts 0 and 2; host 2 crashes after.
+    let mut plan = FaultPlan::fault_free();
+    for (host, us) in [(1, 100), (2, 200)] {
+        plan.crashes.push(HostCrash {
+            host: HostId(host),
+            at: SimTime::from_nanos(us * 1000),
+        });
+    }
+    let sim = Simulation::new();
+    let root = Fabric::new_with_plan(FabricConfig::fdr(), NicCosts::default(), 3, Some(plan));
+    root.launch(&sim);
+    let q = QueryId(1);
+    let view = root.query_view(q, vec![HostId(0), HostId(1), HostId(2)]);
+    {
+        let view = Arc::clone(&view);
+        sim.spawn("sender", move |ctx| {
+            let nic = view.nic(HostId(0));
+            let sends: Vec<_> = [1, 1, 2]
+                .into_iter()
+                .map(|m| nic.post_send(ctx, HostId(m), 0, vec![0u8; 256]))
+                .collect();
+            for h in sends {
+                h.wait(ctx).unwrap();
+            }
+        });
+    }
+    {
+        let view = Arc::clone(&view);
+        sim.spawn("left", move |ctx| {
+            let got = view.nic(HostId(1)).recv(ctx).unwrap();
+            assert!(got.is_some(), "consumed, never reposted");
+        });
+    }
+    {
+        let view = Arc::clone(&view);
+        sim.spawn("clean", move |ctx| {
+            let nic = view.nic(HostId(2));
+            assert!(nic.recv(ctx).unwrap().is_some());
+            nic.repost_recv(ctx);
+            assert_eq!(
+                nic.recv(ctx),
+                Err(FabricError::HostCrashed { host: HostId(1) })
+            );
+        });
+    }
+    {
+        let root = Arc::clone(&root);
+        sim.spawn("closer", move |ctx| {
+            ctx.sleep_until(SimTime::from_nanos(300_000));
+            root.shutdown(ctx);
+        });
+    }
+    sim.run();
+    let v = root.validator();
+    v.check_query_teardown(q);
+    let noted = Violation::HostCrashed {
+        host: HostId(1),
+        undrained: 1,
+        unreposted: 1,
+        leaked_buffers: 0,
+    };
+    assert_eq!(v.violations(), vec![noted]);
+    // The audit forgot what it judged: neither audit finds anything new.
+    v.check_query_teardown(q);
+    v.check_teardown();
+    assert_eq!(v.violation_count(), 1);
+}
+
+#[test]
+fn srq_exhaustion_is_detected_on_a_view_lane() {
+    // The hoarder of `srq_exhaustion_without_repost_is_detected`, on
+    // logical machine 1 of a query view over physical hosts 0 and 1.
+    let mut cfg = FabricConfig::fdr();
+    cfg.srq_slots = 4;
+    let sim = Simulation::new();
+    let root = Fabric::new(cfg, NicCosts::default(), 2);
+    root.launch(&sim);
+    let view = root.query_view(QueryId(3), vec![HostId(0), HostId(1)]);
+    {
+        let view = Arc::clone(&view);
+        sim.spawn("sender", move |ctx| {
+            let nic = view.nic(HostId(0));
+            let sends: Vec<_> = (0..16)
+                .map(|i| nic.post_send(ctx, HostId(1), i, vec![0u8; 256]))
+                .collect();
+            for h in sends {
+                let _ = h.wait(ctx);
+            }
+        });
+    }
+    sim.spawn("hoarder", move |ctx| {
+        let nic = view.nic(HostId(1));
+        for _ in 0..4 {
+            nic.recv(ctx).unwrap();
+        }
+        ctx.advance(SimDuration::from_millis(1));
+        unreachable!("the ingress engine stops the run first");
+    });
+    let vs = violations_of(root.validator(), || {
+        sim.run();
+    });
+    assert_eq!(
+        vs,
+        vec![Violation::SrqExhausted {
+            host: HostId(1),
+            held: 4,
+            slots: 4
+        }]
     );
 }
 
