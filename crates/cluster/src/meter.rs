@@ -30,6 +30,18 @@
 //! dispatches between interactions differs. DESIGN.md §12 carries the
 //! equivalence argument; `tests/meter_equivalence.rs` and rsj-sim's
 //! `tests/settlement_equivalence.rs` check it.
+//!
+//! ## Run charges
+//!
+//! A loop that charges every item the same ([`Meter::charge_run`]) runs
+//! the per-item recurrence of [`Meter::charge_bytes`] — the same f64
+//! additions, the same crossings, the same rounded chunks — but adds the
+//! chunks up and hands the kernel their sum in one
+//! [`SimCtx::advance_batched`], which only adds to the task's pending
+//! batch, so one call with the sum is many calls with the parts. A caller
+//! charges the run of items up to an interaction just before it (say, the
+//! tuple a scatter push may post), so every interaction sees the clock the
+//! per-item charges would have given it.
 
 use rsj_sim::{SimCtx, SimDuration};
 
@@ -109,6 +121,34 @@ impl Meter {
         }
     }
 
+    /// Charge `n` items of `bytes` each at `rate` bytes/second: exactly
+    /// `n` [`Meter::charge_bytes`] calls, the same owed-time recurrence
+    /// and the same chunks rounded at the same quantum crossings, with
+    /// the chunks handed to the kernel's batch in one sum (see the module
+    /// docs on run charges). An eager meter makes the `n` calls.
+    #[inline]
+    pub fn charge_run(&mut self, ctx: &SimCtx, n: usize, bytes: usize, rate: f64) {
+        if self.mode == SettleMode::Eager {
+            for _ in 0..n {
+                self.charge_bytes(ctx, bytes, rate);
+            }
+            return;
+        }
+        debug_assert!(rate > 0.0);
+        let item_ns = bytes as f64 / rate * 1e9;
+        let mut committed = 0u64;
+        for _ in 0..n {
+            self.owed_ns += item_ns;
+            // `charge_bytes` → `batch`, without the kernel call.
+            if self.owed_ns >= self.quantum_ns && self.owed_ns > 0.0 {
+                committed += self.quantize();
+            }
+        }
+        if committed > 0 {
+            ctx.advance_batched(SimDuration::from_nanos(committed));
+        }
+    }
+
     /// Charge a fixed number of seconds.
     #[inline]
     pub fn charge_seconds(&mut self, ctx: &SimCtx, seconds: f64) {
@@ -126,9 +166,7 @@ impl Meter {
     /// floor ([`SimCtx::park`]).
     pub fn batch(&mut self, ctx: &SimCtx) {
         if self.owed_ns > 0.0 {
-            let ns = round_ns(self.owed_ns);
-            self.total_ns += self.owed_ns;
-            self.owed_ns = 0.0;
+            let ns = self.quantize();
             if ns > 0 {
                 let d = SimDuration::from_nanos(ns);
                 match self.mode {
@@ -137,6 +175,16 @@ impl Meter {
                 }
             }
         }
+    }
+
+    /// Round all owed time into a chunk of whole nanoseconds and count it
+    /// as charged.
+    #[inline]
+    fn quantize(&mut self) -> u64 {
+        let ns = round_ns(self.owed_ns);
+        self.total_ns += self.owed_ns;
+        self.owed_ns = 0.0;
+        ns
     }
 
     /// Settle all owed time with the kernel. Must be called before any
@@ -259,6 +307,83 @@ mod tests {
         let eager = run(SettleMode::Eager);
         let lazy = run(SettleMode::Lazy);
         assert_eq!(eager, lazy);
+    }
+
+    /// One step of a charge schedule.
+    #[derive(Copy, Clone)]
+    enum Step {
+        /// `n` tuples of 16 bytes at the partitioning rate.
+        Run(usize),
+        /// One other charge, as a scatter push makes between runs.
+        Bytes(usize),
+        Flush,
+    }
+
+    /// Drive `schedule` through one meter and record, after every step,
+    /// the owed time's bits, the total's bits and the task's clock. With
+    /// `runs`, a run is one [`Meter::charge_run`]; otherwise `n`
+    /// [`Meter::charge_bytes`] calls.
+    fn drive(mode: SettleMode, quantum: f64, runs: bool, schedule: &[Step]) -> Vec<[u64; 3]> {
+        const RATE: f64 = 955.0e6; // 16.75 ns a 16-byte tuple
+        let out = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let sim = Simulation::new();
+        {
+            let (out, schedule) = (std::rc::Rc::clone(&out), schedule.to_vec());
+            sim.spawn("worker", move |ctx| {
+                let mut m = Meter::with_mode(quantum, mode);
+                for step in schedule {
+                    match step {
+                        Step::Run(n) if runs => m.charge_run(ctx, n, 16, RATE),
+                        Step::Run(n) => (0..n).for_each(|_| m.charge_bytes(ctx, 16, RATE)),
+                        Step::Bytes(b) => m.charge_bytes(ctx, b, 4.2e9),
+                        Step::Flush => m.flush(ctx),
+                    }
+                    let seen = [m.owed_ns.to_bits(), m.total_seconds().to_bits()];
+                    out.borrow_mut()
+                        .push([seen[0], seen[1], ctx.now().as_nanos()]);
+                }
+            });
+        }
+        sim.run();
+        out.take()
+    }
+
+    #[test]
+    fn a_run_charge_is_its_single_charges_bit_for_bit() {
+        use Step::*;
+        let schedule = [
+            Run(1),
+            Run(2),
+            Run(0),
+            Bytes(64),
+            Run(3),
+            Run(1000),
+            Flush,
+            Run(7),
+            Bytes(16),
+            Run(1),
+            Run(1),
+            Flush,
+            Run(12_345),
+            Bytes(4096),
+            Run(5),
+            Flush,
+            Run(3),
+        ];
+        // The benchmark's two scales (20 µs / 1024 and / 8192), the
+        // default quantum, and none.
+        let q = Meter::DEFAULT_QUANTUM_NS;
+        for quantum in [q / 1024.0, q / 8192.0, q, 0.0] {
+            let oracle = drive(SettleMode::Eager, quantum, false, &schedule);
+            for (mode, runs) in [
+                (SettleMode::Lazy, true),
+                (SettleMode::Lazy, false),
+                (SettleMode::Eager, true),
+            ] {
+                let got = drive(mode, quantum, runs, &schedule);
+                assert_eq!(got, oracle, "{mode:?}, runs {runs}, quantum {quantum}");
+            }
+        }
     }
 
     #[test]

@@ -193,9 +193,12 @@ pub(crate) fn phase_build_probe<T: Tuple>(
                 let est_footprint = r_part.len() * (T::SIZE + 8);
                 let n_tables = est_footprint.div_ceil(2 * CACHE_BUDGET_BYTES).max(1);
                 let chunk = r_part.len().div_ceil(n_tables).max(1);
+                // Every key of the fragment shares the radix bits both
+                // passes consumed; buckets are addressed by the bits above.
+                let skip = cfg.radix_bits.0 + cfg.radix_bits.1;
                 let tables: Vec<BucketTable<T>> = r_part
                     .chunks(chunk.max(1))
-                    .map(|c| BucketTable::build(c))
+                    .map(|c| BucketTable::build(c, skip))
                     .collect();
                 meter.charge_bytes(ctx, r_part.len() * T::SIZE, cost.build_rate);
                 let tables = Arc::new(tables);

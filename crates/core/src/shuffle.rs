@@ -243,8 +243,9 @@ impl<T: Tuple> Landing<T> {
     }
 
     /// Worker `w`'s side of the network pass: for each `(rel, chunk)` in
-    /// `inputs`, charge its share of `chunk` at `rate`, keep the tuples of
-    /// partitions assigned here and push the rest into `scatter`.
+    /// `inputs`, charge its share of `chunk` at `rate` in runs
+    /// ([`Meter::charge_run`]), keep the tuples of partitions assigned here
+    /// and push the rest into `scatter`.
     fn route<P>(
         &self,
         ctx: &SimCtx,
@@ -270,17 +271,22 @@ impl<T: Tuple> Landing<T> {
                 // lint: allow-hot-alloc(once per pass and partition, sized exactly from the thread histogram)
                 kept[rel] = parts.map(|p| Vec::with_capacity(keeps(p))).collect();
             }
+            // Each tuple is charged alike; the run up to a shipped tuple
+            // is charged just before its push, which may post.
+            let mut run = 0;
             for t in self.slice(w, chunk) {
-                meter.charge_bytes(ctx, T::SIZE, rate);
+                run += 1;
                 let part = partition_of(t.key(), 0, self.bits);
                 let dst = assignment[part];
                 if dst == self.mach {
                     kept[rel][part].push(*t);
                 } else {
+                    meter.charge_run(ctx, std::mem::take(&mut run), T::SIZE, rate);
                     let tag = WireTag::Data { rel, part };
                     scatter.push(ctx, meter, dst, tag, |buf| t.write_to(buf))?;
                 }
             }
+            meter.charge_run(ctx, run, T::SIZE, rate);
         }
         *self.kept[w].borrow_mut() = kept;
         Ok(())

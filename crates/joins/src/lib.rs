@@ -5,8 +5,8 @@
 //!
 //! * [`Partitioner`]/[`histogram_into`] — the radix partitioning kernels
 //!   shared by every join variant in this workspace;
-//! * [`ChainedTable`] — the cache-sized bucket-chained hash table of the
-//!   build-probe phase;
+//! * [`BucketTable`] — the cache-sized bucket hash table of the
+//!   build-probe phase, addressed by the key bits above the radix bits;
 //! * [`NumaQueues`] — the NUMA-aware task queues of the extended baseline;
 //! * [`run_single_machine_join`] — the parallel radix join of Balkesen et
 //!   al. \[4\] with the paper's extensions (Figure 5a's "single" bars);
@@ -32,7 +32,7 @@ mod single_machine;
 mod sort;
 mod task_queue;
 
-pub use hash_table::{BucketTable, ChainedTable};
+pub use hash_table::BucketTable;
 pub use remote_table::{
     begin_bucket_mutation, bucket_entries, decode_bucket, encode_remote_table, end_bucket_mutation,
     remote_dir_len, remote_nbuckets, RemoteDirectory, TornRead,

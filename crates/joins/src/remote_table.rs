@@ -26,15 +26,14 @@
 //! bucket snapshot iff the header version is even **and** the trailer
 //! matches it — one READ spanning the bucket observes either a stable
 //! snapshot or a detectable tear ([`TornRead`]), never silent garbage.
-//! Bucket selection reuses the exact multiplicative hash of
-//! [`crate::BucketTable`], so a published table and a local build agree
-//! on every bucket index.
+//! A bucket is selected by a multiplicative hash of the whole key, not
+//! by the radix bits a local [`crate::BucketTable`] addresses: the
+//! bucket ranges are the wire format, so they set the span of every READ
+//! and, with it, the one-sided plane's virtual time.
 
 use std::ops::Range;
 
 use rsj_workload::{decode_all, Tuple};
-
-use crate::hash_table::hash;
 
 /// Bytes of the region header (`nbuckets`, `entry_size`).
 pub const REMOTE_TABLE_HEADER: usize = 8;
@@ -45,10 +44,19 @@ pub const BUCKET_HEADER: usize = 8;
 /// Bytes of one bucket's seqlock trailer (the version copy).
 pub const BUCKET_TRAILER: usize = 4;
 
-/// Number of buckets a remote table over `ntuples` tuples uses — the
-/// same power-of-two sizing as the local [`crate::BucketTable`], so a
-/// probe-side host can compute it from the histogram-announced tuple
-/// count without fetching anything.
+/// Multiplicative hashing (Knuth): the bucket of `key` in a published
+/// table is `hash(key) & (nbuckets - 1)`. It is this format's layout
+/// rule only; a local [`crate::BucketTable`] addresses buckets by radix
+/// bits instead.
+#[inline]
+fn hash(key: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
+}
+
+/// Number of buckets a remote table over `ntuples` tuples uses: the
+/// same power-of-two sizing as the local [`crate::BucketTable`], under a
+/// different bucket rule (`hash`). A probe-side host computes it from the
+/// histogram-announced tuple count without fetching anything.
 pub fn remote_nbuckets(ntuples: usize) -> usize {
     ntuples.max(1).next_power_of_two()
 }
@@ -175,7 +183,7 @@ impl RemoteDirectory {
         self.entry_size
     }
 
-    /// The bucket a key hashes into (identical to the local build).
+    /// The bucket a key hashes into (the format's `hash` rule).
     pub fn bucket_of(&self, key: u64) -> usize {
         (hash(key) & (self.entries.len() - 1) as u64) as usize
     }
@@ -274,7 +282,7 @@ mod tests {
         let dir = RemoteDirectory::decode(&region);
         assert_eq!(dir.nbuckets(), remote_nbuckets(r.len()));
         assert_eq!(dir.region_len(), region.len());
-        let local = BucketTable::build(&r).probe_all(&s);
+        let local = BucketTable::build(&r, 0).probe_all(&s);
         let mut matches = 0u64;
         let mut key_sum = 0u64;
         for probe in &s {

@@ -191,7 +191,7 @@ fn worker<T: Tuple>(ctx: &rsj_sim::SimCtx, sh: &Shared<T>, t: usize) {
     // --- Phase 4: build-probe over cache-sized partitions. One reusable
     // table per worker: rebuilds recycle the previous build's buffers.
     let mut local = JoinResult::default();
-    let mut table = BucketTable::default();
+    let mut table = BucketTable::new(b1 + b2);
     while let Some((sub_r, sub_s, j)) = sh.bp_tasks.pop(socket) {
         let r_part = sub_r.part(j);
         let s_part = sub_s.part(j);

@@ -212,7 +212,7 @@ fn str_inner(text: &str) -> &str {
 /// The dataplane's per-message functions, as `(impl type, name)`: one
 /// message of a network pass, one RDMA READ or one one-sided probe group
 /// runs each of them, so an allocation in one is paid per message.
-const PER_MESSAGE_FNS: [(&str, &str); 28] = [
+const PER_MESSAGE_FNS: [(&str, &str); 29] = [
     ("Nic", "post"),
     ("Nic", "repost_and_recv"),
     ("Nic", "handle"),
@@ -234,6 +234,7 @@ const PER_MESSAGE_FNS: [(&str, &str); 28] = [
     ("Fabric", "place_two_sided"),
     ("Fabric", "place_one_sided"),
     ("Landing", "route"),
+    ("Meter", "charge_run"),
     ("Landing", "receive"),
     ("Nic", "post_read_inner"),
     ("Mr", "dma_read"),

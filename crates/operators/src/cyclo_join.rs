@@ -199,7 +199,7 @@ fn worker<T: Tuple>(
     meter.charge_bytes(ctx, share * T::SIZE, build_rate);
     meter.flush(ctx);
     if core == 0 {
-        *st.table.borrow_mut() = Some(Arc::new(BucketTable::build(r_chunk)));
+        *st.table.borrow_mut() = Some(Arc::new(BucketTable::build(r_chunk, 0)));
     }
     rt.try_sync_named(ctx, phase::LOCAL_PARTITION, mach)?;
 

@@ -13,6 +13,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rsj_sim::{SimChannel, SimCtx, SimSemaphore, Simulation, Step};
@@ -91,7 +92,7 @@ impl Fabric {
                     recv_cq: SimChannel::new(),
                     srq: SimSemaphore::new(cfg.srq_slots),
                     srq_slots: cfg.srq_slots,
-                    mrs: Arc::new(MrTable::new(HostId(h), costs, Arc::clone(&validator))),
+                    mrs: Rc::new(MrTable::new(HostId(h), costs, Arc::clone(&validator))),
                     stats: RefCell::new(NicStats::default()),
                     lane_progress: Cell::new(0),
                     validator: Arc::clone(&validator),

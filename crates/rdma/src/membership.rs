@@ -9,6 +9,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rsj_sim::{SimChannel, SimCtx, SimDuration, SimSemaphore, SimTime, Step};
@@ -290,7 +291,7 @@ impl Fabric {
                     recv_cq: SimChannel::new(),
                     srq: SimSemaphore::new(self.cfg.srq_slots),
                     srq_slots: self.cfg.srq_slots,
-                    mrs: Arc::clone(&base.mrs),
+                    mrs: Rc::clone(&base.mrs),
                     stats: RefCell::new(NicStats::default()),
                     lane_progress: Cell::new(0),
                     validator: Arc::clone(&self.validator),

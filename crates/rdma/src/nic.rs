@@ -401,7 +401,7 @@ pub struct Nic {
     pub(crate) srq_slots: usize,
     /// This host's registered memory regions (one-sided write targets),
     /// shared between the base NIC and every lane on the host.
-    pub mrs: Arc<MrTable>,
+    pub mrs: Rc<MrTable>,
     pub(crate) stats: RefCell<NicStats>,
     /// Lane activity counter: posts and deliveries on this lane. Summed
     /// by a view fabric's `progress_ticks` so a per-query watchdog can

@@ -23,6 +23,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::rc::{self, Rc};
 use std::sync::{Arc, Weak};
 
 use crate::config::{HostId, QueryId};
@@ -346,8 +347,9 @@ impl Tracked {
 pub struct Validator {
     /// Each host's memory-region table, in host order: a one-sided post
     /// is checked against its target's own registry, as the responder
-    /// HCA checks an rkey against its MR table.
-    tables: RefCell<Vec<Weak<MrTable>>>,
+    /// HCA checks an rkey against its MR table. The tables are
+    /// single-threaded (`Rc`), so reaching one is no atomic operation.
+    tables: RefCell<Vec<rc::Weak<MrTable>>>,
     /// Tracked receive lanes and pools with the `(host, query)` that owns
     /// each one, so teardown residue can be attributed to a crashed host
     /// or audited per query.
@@ -441,8 +443,8 @@ impl Validator {
 
     /// Check one-sided posts to the next host against `mrs`, its region
     /// table (the fabric hands the tables over in host order).
-    pub(crate) fn track_regions(&self, mrs: &Arc<MrTable>) {
-        self.tables.borrow_mut().push(Arc::downgrade(mrs));
+    pub(crate) fn track_regions(&self, mrs: &Rc<MrTable>) {
+        self.tables.borrow_mut().push(Rc::downgrade(mrs));
     }
 
     /// Check a one-sided WRITE (`is_read` false) or READ of `len` bytes
@@ -452,7 +454,7 @@ impl Validator {
     /// [`Violation::UseBeforeRegister`].
     pub(crate) fn check_post(&self, remote: &RemoteMr, offset: usize, len: usize, is_read: bool) {
         let (host, index) = (remote.host, remote.index);
-        let Some(mrs) = self.tables.borrow().get(host.0).and_then(Weak::upgrade) else {
+        let Some(mrs) = self.tables.borrow().get(host.0).and_then(rc::Weak::upgrade) else {
             self.report(Violation::UseBeforeRegister { host, index });
         };
         mrs.with(index, |mr| mr.check_post(remote.len, offset, len, is_read));
